@@ -6,10 +6,18 @@ plus an integer constant offset per component.  The three generators act
 by affine reflection across the walls of the coupling matrix; composing
 them walks the quantized-mass orbit.  Everything here is exact (ints and
 Fractions) -- there is deliberately no floating-point path.
+
+The hot paths stay in the integers.  Numeric weights are held as
+mu = M/q, with q the lcm of the denominators and M an integer vector, so
+a vector evaluates to the integer vector C*M + q*o over the single
+denominator q.  The quadric residual is an integer quadratic form in
+(mu, 1) read off the coefficients directly (``quadric_form``), so
+membership never builds a polynomial.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -40,6 +48,11 @@ class Weights:
     ``values is None`` means formal mode (the three weights stay symbolic).
     The optional ``constrained`` flag asserts mu1 + mu2 + 2*mu3 = 4, the
     normalization forced by the zero-sum condition on the unknowns.
+
+    Numeric weights also carry ``scaled = (M, q)``: q is the lcm of the
+    denominators and M the integer vector with values == M/q.  It is a
+    plain attribute, not a field, so equality, hashing and repr see only
+    the values.
     """
 
     values: tuple[Fraction, Fraction, Fraction] | None = None
@@ -49,6 +62,7 @@ class Weights:
         if self.values is None:
             if self.constrained:
                 raise ValueError("the constraint flag needs numeric weights")
+            object.__setattr__(self, "scaled", None)
             return
         if len(self.values) != 3:
             raise ValueError("exactly three weights required")
@@ -61,6 +75,9 @@ class Weights:
             m1, m2, m3 = self.values
             if m1 + m2 + 2 * m3 != 4:
                 raise ValueError("constrained weights must satisfy mu1+mu2+2*mu3 = 4")
+        q = math.lcm(*(v.denominator for v in self.values))
+        scaled = tuple(v.numerator * (q // v.denominator) for v in self.values)
+        object.__setattr__(self, "scaled", (scaled, q))
 
     @classmethod
     def formal(cls) -> "Weights":
@@ -303,16 +320,57 @@ def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:
     return sigma
 
 
+def scaled_values(sigma: MassVector, weights: Weights) -> tuple[tuple[int, int, int], int]:
+    """Integer vector v and denominator q with sigma(mu) = v/q exactly."""
+    if not weights.is_numeric:
+        raise ValueError("evaluation needs numeric weights")
+    (m1, m2, m3), q = weights.scaled
+    values = tuple(c1 * m1 + c2 * m2 + c3 * m3 + q * o
+                   for (c1, c2, c3), o in zip(sigma.coeff, sigma.offset))
+    return values, q  # type: ignore[return-value]
+
+
 def eval_at(sigma: MassVector, weights: Weights) -> tuple[Fraction, Fraction, Fraction]:
     """Evaluate the three components at numeric weights."""
-    if not weights.is_numeric:
-        raise ValueError("eval_at needs numeric weights")
-    mu = weights.values
-    assert mu is not None
-    return tuple(
-        sum((Fraction(c) * m for c, m in zip(sigma.coeff[i], mu)), Fraction(sigma.offset[i]))
-        for i in range(3)
-    )  # type: ignore[return-value]
+    values, q = scaled_values(sigma, weights)
+    return tuple(Fraction(v, q) for v in values)  # type: ignore[return-value]
+
+
+# G = D*A, the symmetric integer matrix of the invariant quadric.
+GRAM = tuple(tuple(int(d * a) for a in row) for d, row in zip(SYMMETRIZER, CARTAN_MATRIX))
+
+
+def quadric_form(coeff: Sequence[Sequence[int]], offset: Sequence[int],
+                 gram: Sequence[Sequence[int | Fraction]],
+                 symmetrizer: Sequence[int]) -> list[int | Fraction]:
+    """Coefficients of the quadric residual at sigma = C*mu + o.
+
+    The residual sigma^t G sigma - 4 * sum_i d_i mu_i sigma_i, with G = D*A
+    symmetric, equals mu^t Q mu + l.mu + c where Q = C^t G C - 2(DC + (DC)^t),
+    l = 2 C^t G o - 4 D o and c = o^t G o.  Coefficients are listed per
+    monomial: mu_j*mu_k for j <= k row by row, then each mu_j, then 1
+    (the order of ``_monomials``).  They are integers when G is.
+    """
+    idx = range(len(coeff))
+    gc = [[sum(gram[i][t] * coeff[t][k] for t in idx) for k in idx] for i in idx]
+    go = [sum(gram[i][t] * offset[t] for t in idx) for i in idx]
+    form = []
+    for j in idx:
+        for k in idx[j:]:
+            entry = (sum(coeff[i][j] * gc[i][k] for i in idx)
+                     - 2 * (symmetrizer[j] * coeff[j][k] + symmetrizer[k] * coeff[k][j]))
+            form.append(entry if j == k else 2 * entry)
+    form += [2 * sum(coeff[i][j] * go[i] for i in idx) - 4 * symmetrizer[j] * offset[j]
+             for j in idx]
+    form.append(sum(o * g for o, g in zip(offset, go)))
+    return form
+
+
+def _monomials(rank: int) -> list[tuple[int, ...]]:
+    unit = [tuple(int(j == k) for k in range(rank)) for j in range(rank)]
+    quadratic = [tuple(a + b for a, b in zip(unit[j], unit[k]))
+                 for j in range(rank) for k in range(j, rank)]
+    return quadratic + unit + [(0,) * rank]
 
 
 def quadric_residual(coeff: tuple[tuple[int, ...], ...], offset: tuple[int, ...],
@@ -324,16 +382,11 @@ def quadric_residual(coeff: tuple[tuple[int, ...], ...], offset: tuple[int, ...]
     D = diag(symmetrizer); reflections preserve this polynomial exactly.
     """
     rank = len(coeff)
-    comps = [linear_component(coeff[i], offset[i], rank) for i in range(rank)]
-    residual = MuPolynomial.zero(rank)
-    for i in range(rank):
-        for j in range(rank):
-            g = symmetrizer[i] * cartan[i][j]
-            if g:
-                residual = residual + (comps[i] * comps[j]).scale(g)
-        mu_i = MuPolynomial.variable(rank, i + 1)
-        residual = residual - (mu_i * comps[i]).scale(4 * symmetrizer[i])
-    return residual
+    # sigma^t (D A) sigma sees only the symmetric part of D A.
+    gram = [[Fraction(symmetrizer[i] * cartan[i][j] + symmetrizer[j] * cartan[j][i], 2)
+             for j in range(rank)] for i in range(rank)]
+    form = quadric_form(coeff, offset, gram, symmetrizer)
+    return MuPolynomial.from_dict(rank, dict(zip(_monomials(rank), form)))
 
 
 def pohozaev_residual(sigma: MassVector,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import MassVector, UNIT_WEIGHTS, Weights, ZERO, apply_word, eval_at
+from .algebra import MassVector, UNIT_WEIGHTS, Weights, ZERO, apply_word, eval_at, scaled_values
 from .orbit import descend_to_origin, is_member_gamma_N
 
 
@@ -85,7 +85,8 @@ class Collapse:
         if self.subset == (1, 2):
             return (1, 2)
         i = self.subset[0]  # the non-3 member
-        assert self.variant is not None
+        if self.variant not in COLLAPSE_VARIANTS:
+            raise ValueError(f"collapse on {self.subset} needs a variant, got {self.variant}")
         return tuple(i if tok == "i" else 3 for tok in COLLAPSE_VARIANTS[self.variant])
 
     def describe(self) -> str:
@@ -125,7 +126,8 @@ def initial_state(probe: Weights | None = None) -> CascadeState:
 
 
 def _min_gain(probe: Weights) -> Fraction:
-    assert probe.values is not None
+    if not probe.is_numeric:
+        raise ValueError("the gain bound needs numeric probe weights")
     return 4 * min(probe.values)
 
 
@@ -148,9 +150,9 @@ def step(state: CascadeState, move: Move) -> CascadeState:
 
     new_gamma = apply_word(state.gamma, move.word())
     if new_gamma != state.gamma:
-        before = sum(eval_at(state.gamma, state.probe), Fraction(0))
-        after = sum(eval_at(new_gamma, state.probe), Fraction(0))
-        gain = after - before
+        before, q = scaled_values(state.gamma, state.probe)
+        after, _ = scaled_values(new_gamma, state.probe)
+        gain = Fraction(sum(after) - sum(before), q)
         if gain < _min_gain(state.probe):
             raise NonPhysicalMove(
                 f"non-physical move {move.describe()}: total mass gain {gain} "

@@ -92,6 +92,10 @@ CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
 
 def cmd_orbit(args) -> int:
     weights = _parse_mu(args.mu)
+    if args.max_level < 0:
+        raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
+    if args.max_coefficient is not None and args.max_coefficient < 0:
+        raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
     store = orbit.enumerate_orbit(args.max_level, args.max_coefficient)
     if args.output == "json":
         for el in store:
@@ -142,6 +146,8 @@ def cmd_type(args) -> int:
 
 def cmd_closedform(args) -> int:
     weights = _parse_mu(args.mu)
+    if args.ell not in closedform.TYPE_BY_FAMILY:
+        raise UsageError(f"family index must be 1..8, got {args.ell}")
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
     sigma = closedform.closed_form_eval(cid)
     # Greedy descent, reversed, witnesses reachability; it need not be a
@@ -154,6 +160,10 @@ def cmd_closedform(args) -> int:
 
 
 def cmd_relations(args) -> int:
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
+    if args.low > args.high:
+        raise UsageError(f"--low {args.low} exceeds --high {args.high}")
     report = orbit.check_relations(args.trials, args.seed, args.low, args.high)
     _emit({
         "trials": report.trials,
@@ -181,6 +191,8 @@ def cmd_sinh(args) -> int:
         return 0
     if args.max_level is None:
         raise UsageError("sinh needs --max-level or --closed-form")
+    if args.max_level < 0:
+        raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     for vec in sinh.sinh_orbit(args.max_level):
         _emit(rec(vec))
     return 0

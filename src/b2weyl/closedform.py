@@ -159,8 +159,8 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     """Evaluate a family at its integer parameters, exactly.
 
     The rational tables must land on nonnegative integer multiples of
-    four for admissible parameters; that is asserted after evaluation as
-    a transcription guard.
+    four for admissible parameters; that is checked after evaluation as
+    a transcription guard, raising ValueError.
     """
     ell, m1, m2 = cid
     _check_admissible(ell, m1, m2)
@@ -169,9 +169,11 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
         row = []
         for j in range(3):
             value = _entry_value(_F[ell][i][j], m1, m2)
-            assert value.denominator == 1, f"non-integer entry {value} at ({ell},{m1},{m2})"
+            if value.denominator != 1:
+                raise ValueError(f"non-integer entry {value} at ({ell},{m1},{m2})")
             n = int(value)
-            assert n >= 0 and n % 4 == 0, f"entry {n} not in 4N at ({ell},{m1},{m2})"
+            if n < 0 or n % 4:
+                raise ValueError(f"entry {n} not in 4N at ({ell},{m1},{m2})")
             row.append(n)
         rows.append(tuple(row))
     return MassVector(tuple(rows))  # type: ignore[arg-type]

@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .algebra import (
+    DOUBLED_CARTAN,
     GENERATORS,
+    GRAM,
     SYMMETRIZER,
     ZERO,
     MassVector,
-    MuPolynomial,
     UNIT_WEIGHTS,
     Weights,
     apply_word,
-    eval_at,
-    pohozaev_residual,
+    quadric_form,
     reflect,
+    scaled_values,
 )
 
 
@@ -138,14 +138,8 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     entries = [v for row in sigma.coeff for v in row]
     nonneg = all(v >= 0 for v in entries)
     div4 = all(v % 4 == 0 for v in entries)
-    residual = pohozaev_residual(sigma)
-    assert isinstance(residual, MuPolynomial)
-    return MembershipCertificate(nonneg, div4, residual.is_zero)
-
-
-def _measure(sigma: MassVector, probe: Weights) -> Fraction:
-    values = eval_at(sigma, probe)
-    return sum((Fraction(w) * v for w, v in zip(SYMMETRIZER, values)), Fraction(0))
+    quadric_zero = not any(quadric_form(sigma.coeff, sigma.offset, GRAM, SYMMETRIZER))
+    return MembershipCertificate(nonneg, div4, quadric_zero)
 
 
 def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[int]:
@@ -164,22 +158,24 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     if not cert:
         raise ValueError(f"not a lattice member: certificate {cert}")
 
+    # Work on the probe values q*sigma = v.  Generator i changes only v_i,
+    # by delta = 4*M_i - (2A v)_i, so the measure sum_j d_j v_j drops
+    # exactly when delta < 0 (every d_j is positive).
+    mu, _ = probe.scaled
+    values = list(scaled_values(sigma, probe)[0])
     word: list[int] = []
     current = sigma
-    measure = _measure(current, probe)
     while current != ZERO:
-        best = None
-        for index in GENERATORS:
-            candidate = reflect(current, index)
-            value = _measure(candidate, probe)
-            if value < measure:
-                best = (index, candidate, value)
+        for i, row in enumerate(DOUBLED_CARTAN):
+            delta = 4 * mu[i] - sum(a * v for a, v in zip(row, values))
+            if delta < 0:
                 break  # smallest index wins ties by construction
-        if best is None:
+        else:
             raise ValueError("no reflection decreases the mass measure; "
                              "vector is not in the orbit")
-        index, current, measure = best
-        word.append(index)
+        values[i] += delta
+        current = reflect(current, i + 1)
+        word.append(i + 1)
     return word
 
 

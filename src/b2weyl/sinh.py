@@ -111,7 +111,8 @@ def sinh_orbit(max_level: int) -> list[MassVector2]:
                 child = sinh_reflect(sigma, index)
                 if child in seen:
                     continue
-                assert sinh_residual(child).is_zero, f"quadric violated at {child}"
+                if not sinh_residual(child).is_zero:
+                    raise ValueError(f"quadric violated at {child}")
                 seen.add(child)
                 next_frontier.append(child)
         frontier = next_frontier

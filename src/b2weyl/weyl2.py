@@ -70,7 +70,8 @@ def _orbit_levels(sub: Subsystem) -> dict[Matrix2, int]:
             for index in (1, 2):
                 child, off = reflect_rows(coeff, (0, 0), index, sub.doubled)
                 if child not in levels:
-                    assert not any(off), "reflection produced a constant term"
+                    if any(off):
+                        raise ValueError("reflection produced a constant term")
                     levels[child] = depth  # type: ignore[index]
                     next_frontier.append(child)
         frontier = next_frontier  # type: ignore[assignment]

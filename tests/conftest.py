@@ -19,6 +19,7 @@ REF_CARTAN_3 = (
     (F(-1, 2), F(-1, 2), F(1)),
 )
 REF_CARTAN_SINH = ((F(1), F(-1)), (F(-1), F(1)))
+REF_SYMMETRIZER_3 = (1, 1, 2)
 
 # Enough varied rational weight samples to pin down any degree-two
 # polynomial identity that the symbolic path claims.
@@ -59,3 +60,37 @@ def assert_word_matches_reference(start: MassVector, word, result: MassVector):
         w = Weights.numeric(*mu)
         expected = apply_word_reference(eval_at(start, w), word, mu)
         assert eval_at(result, w) == expected, f"mismatch at mu={mu}"
+
+
+def descend_reference(rows, mu, limit=10_000):
+    """Greedy descent from its definition, on coefficient rows and Fractions.
+
+    Each step takes the smallest generator whose reflection strictly lowers
+    sum_i d_i * sigma_i(mu); returns None when none does (or after
+    ``limit`` steps).  Offsets are not supported: descent is for members.
+    """
+    def measure(r):
+        return sum(d * sum(c * m for c, m in zip(row, mu))
+                   for d, row in zip(REF_SYMMETRIZER_3, r))
+
+    def reflect_rows(r, index):
+        i = index - 1
+        out = [list(row) for row in r]
+        out[i] = [(4 if k == i else 0) - 2 * sum(REF_CARTAN_3[i][j] * r[j][k] for j in range(3))
+                  + r[i][k] for k in range(3)]
+        return out
+
+    rows = [list(row) for row in rows]
+    word = []
+    while any(v for row in rows for v in row):
+        for index in (1, 2, 3):
+            candidate = reflect_rows(rows, index)
+            if measure(candidate) < measure(rows):
+                break
+        else:
+            return None
+        rows = candidate
+        word.append(index)
+        if len(word) > limit:
+            return None
+    return word

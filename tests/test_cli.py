@@ -186,6 +186,34 @@ class TestCascadeCommand:
         assert code == 2
 
 
+class TestUsageErrors:
+    """Out-of-range arguments are usage errors (exit 2), not verification failures."""
+
+    def assert_usage(self, capsys, *argv):
+        code, out = run(capsys, *argv)
+        records = json_lines(out)
+        assert code == 2
+        assert len(records) == 1 and records[0]["error"] == "usage"
+
+    def test_negative_orbit_level(self, capsys):
+        self.assert_usage(capsys, "orbit", "--max-level", "-1")
+
+    def test_negative_orbit_coefficient_bound(self, capsys):
+        self.assert_usage(capsys, "orbit", "--max-level", "2", "--max-coefficient", "-1")
+
+    def test_relations_empty_range(self, capsys):
+        self.assert_usage(capsys, "relations", "--low", "5", "--high", "1")
+
+    def test_relations_without_trials(self, capsys):
+        self.assert_usage(capsys, "relations", "--trials", "0")
+
+    def test_closedform_family_out_of_range(self, capsys):
+        self.assert_usage(capsys, "closedform", "9", "0", "0")
+
+    def test_negative_sinh_level(self, capsys):
+        self.assert_usage(capsys, "sinh", "--max-level", "-1")
+
+
 class TestConfigFile:
     def test_defaults_come_from_env_config(self, capsys, tmp_path, monkeypatch):
         config = tmp_path / "config.json"

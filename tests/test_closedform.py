@@ -1,5 +1,10 @@
 """Closed-form families: anchors, transitions, typing, and the unit-weight table."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from b2weyl.algebra import MassVector, Weights, ZERO, eval_at, pohozaev_residual, reflect
@@ -220,3 +225,33 @@ class TestSpecialCaseTable:
                 ell = FAMILY_BY_TYPE[(m1 % 4, m2 % 4)]
                 sigma = closed_form_eval((ell, m1, m2))
                 assert special_case_table(m1, m2) == eval_at(sigma, unit)
+
+
+# Corrupts the constant of one family-1 entry so that it evaluates to 1/2,
+# 1 and -4 at (1, 0, 0); every corruption must raise, also under -O.
+CORRUPTED_TABLE_SCRIPT = """
+import sys
+from fractions import Fraction
+from b2weyl import closedform
+print("optimize", sys.flags.optimize)
+original = closedform._F[1]
+for bump in ("1/2", "1", "-4"):
+    row = list(original[0])
+    row[0] = row[0][:4] + (row[0][4] + Fraction(bump),)
+    closedform._F[1] = (tuple(row),) + original[1:]
+    try:
+        sigma = closedform.closed_form_eval((1, 0, 0))
+    except ValueError:
+        print("raised")
+    else:
+        print("returned", sigma)
+"""
+
+
+def test_transcription_guard_survives_optimize_flag():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_TABLE_SCRIPT],
+                          capture_output=True, text=True, env=env, check=False)
+    assert proc.stdout.split("\n") == ["optimize 1", "raised", "raised", "raised", ""], proc.stderr

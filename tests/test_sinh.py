@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from b2weyl import sinh
 from b2weyl.sinh import (
     MassVector2,
     ZERO2,
@@ -83,6 +84,12 @@ class TestClosedForm:
 class TestOrbit:
     def test_level_one(self):
         assert set(sinh_orbit(1)) == {ZERO2, mv2([[4, 0], [0, 0]]), mv2([[0, 0], [0, 4]])}
+
+    def test_off_quadric_child_raises(self, monkeypatch):
+        # Reflections of another coupling matrix leave the rank-one quadric.
+        monkeypatch.setattr(sinh, "SINH_DOUBLED", ((2, -2), (-1, 2)))
+        with pytest.raises(ValueError, match="quadric violated"):
+            sinh_orbit(3)
 
     def test_orbit_equals_chain(self):
         level = 20
