@@ -135,10 +135,6 @@ class MuPolynomial:
         return cls(rank, items)
 
     @classmethod
-    def zero(cls, rank: int) -> "MuPolynomial":
-        return cls(rank, ())
-
-    @classmethod
     def constant(cls, rank: int, value: Rational) -> "MuPolynomial":
         return cls.from_dict(rank, {(0,) * rank: Fraction(value)})
 

@@ -161,13 +161,13 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     # Work on the probe values q*sigma = v.  Generator i changes only v_i,
     # by delta = 4*M_i - (2A v)_i, so the measure sum_j d_j v_j drops
     # exactly when delta < 0 (every d_j is positive).
-    mu, _ = probe.scaled
+    m, _ = probe.scaled
     values = list(scaled_values(sigma, probe)[0])
     word: list[int] = []
     current = sigma
     while current != ZERO:
         for i, row in enumerate(DOUBLED_CARTAN):
-            delta = 4 * mu[i] - sum(a * v for a, v in zip(row, values))
+            delta = 4 * m[i] - sum(a * v for a, v in zip(row, values))
             if delta < 0:
                 break  # smallest index wins ties by construction
         else:

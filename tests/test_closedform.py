@@ -1,9 +1,7 @@
 """Closed-form families: anchors, transitions, typing, and the unit-weight table."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -21,6 +19,7 @@ from b2weyl.closedform import (
     type_of,
     type_transition,
 )
+from conftest import child_env
 
 
 def mv(rows):
@@ -249,9 +248,6 @@ for bump in ("1/2", "1", "-4"):
 
 
 def test_transcription_guard_survives_optimize_flag():
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(src)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_TABLE_SCRIPT],
-                          capture_output=True, text=True, env=env, check=False)
+                          capture_output=True, text=True, env=child_env(), check=False)
     assert proc.stdout.split("\n") == ["optimize 1", "raised", "raised", "raised", ""], proc.stderr

@@ -8,14 +8,13 @@ change that claims identical output has to keep these digests.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+from conftest import child_env
+
 HASH_SEEDS = ("0", "4242")
 
 # Ends in a rejected collapse at a non-unit probe, so the error detail
@@ -69,12 +68,8 @@ def run_cli(argv, hash_seed, tmp_path, scenario=None):
         path = tmp_path / "scenario.txt"
         path.write_text(scenario)
         argv = [a.replace("{scenario}", str(path)) for a in argv]
-    env = {k: v for k, v in os.environ.items() if k != "B2WEYL_CONFIG"}
-    env["PYTHONHASHSEED"] = hash_seed
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-m", "b2weyl", *argv],
-                          capture_output=True, env=env, check=False)
+    proc = subprocess.run([sys.executable, "-m", "b2weyl", *argv], capture_output=True,
+                          env=child_env(PYTHONHASHSEED=hash_seed), check=False)
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
 
