@@ -57,6 +57,13 @@ CASES = [
      None, 0, "7804369b15a69c4c7aaa1735a7fd8d74740f93b739e9b7871f6898ec8a63f3c8"),
     ("weyl2-part-c", ["weyl2", "--part", "c", "--alpha", "1/2,-1/3"], None, 0,
      "ee59eafe069f5ec533fbf9875352218890ddeb53fa0d282fe16be19c29217346"),
+    # The rank-two evaluators take zero and negative weights; only the
+    # B2(1) weights are required to be positive.
+    ("sinh-closed-form-nonpositive", ["sinh", "--closed-form", "3", "--mu=-1/2,0"], None, 0,
+     "1f264702a8493d77d2f770e53755305ea9cefc0be6be20e8801a6a7246a8f8ef"),
+    ("weyl2-subsystem-nonpositive", ["weyl2", "--subsystem", "appendix_uv",
+                                     "--weights=-2/3,0"], None, 0,
+     "c839e6c1fe6c0a9e666bf4d7865faf91420c809942bf3b7e13d5679f742baf07"),
     ("cascade-rejected", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
      REJECTED_SCENARIO, 1, "8a06bea291185a760739502df47b72fd6ab857208d642d506c18b09ba51339da"),
 ]
