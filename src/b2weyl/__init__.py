@@ -5,22 +5,26 @@ the origin for the three-component affine Toda coupling of type B2(1),
 entirely in exact integer/rational arithmetic: the orbit itself, its
 eight closed-form families, the rank-one (sinh-Gordon) reduction, the
 finite rank-two subsystem tables, and a simulator of the bubbling
-mass-combination algebra.
+mass-combination algebra.  All of the reflection systems involved are
+instances of one rank-generic ``ReflectionSystem``.
 """
 
 from .algebra import (
+    B2,
     CARTAN_MATRIX,
     DOUBLED_CARTAN,
     FORMAL,
     GENERATORS,
     MassVector,
     MuPolynomial,
+    ReflectionSystem,
     UNIT_WEIGHTS,
     Weights,
     ZERO,
     apply_word,
     eval_at,
     pohozaev_residual,
+    quadric_residual,
     reflect,
     residual_direction,
 )
@@ -54,15 +58,15 @@ from .orbit import (
     enumerate_orbit,
     is_member_gamma_N,
 )
-from .sinh import MassVector2, sinh_closed_form, sinh_invert, sinh_orbit, sinh_reflect
+from .sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
 from .weyl2 import SUBSYSTEMS, Subsystem, appendix_table, finite_orbit, longest_element
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CARTAN_MATRIX", "DOUBLED_CARTAN", "FORMAL", "GENERATORS", "MassVector",
-    "MuPolynomial", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word", "eval_at",
-    "pohozaev_residual", "reflect", "residual_direction",
+    "B2", "CARTAN_MATRIX", "DOUBLED_CARTAN", "FORMAL", "GENERATORS", "MassVector",
+    "MuPolynomial", "ReflectionSystem", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word",
+    "eval_at", "pohozaev_residual", "quadric_residual", "reflect", "residual_direction",
     "CascadeState", "Collapse", "Decomposition", "InvalidSatellite",
     "NonPhysicalMove", "SatelliteMerge", "decompose", "initial_state",
     "replay", "step",
@@ -70,7 +74,7 @@ __all__ = [
     "special_case_table", "transition", "type_of", "type_transition",
     "MembershipCertificate", "OrbitElement", "OrbitStore", "check_relations",
     "descend_to_origin", "enumerate_orbit", "is_member_gamma_N",
-    "MassVector2", "sinh_closed_form", "sinh_invert", "sinh_orbit", "sinh_reflect",
+    "SINH", "sinh_closed_form", "sinh_invert", "sinh_orbit",
     "SUBSYSTEMS", "Subsystem", "appendix_table", "finite_orbit", "longest_element",
     "__version__",
 ]

@@ -1,11 +1,17 @@
-"""Exact affine-reflection algebra on symbolic mass vectors.
+"""Exact affine-reflection algebra on symbolic mass vectors, for every rank.
 
-A mass vector stores each of its three components as a degree-one
-polynomial in the weights (mu1, mu2, mu3): an integer coefficient matrix
-plus an integer constant offset per component.  The three generators act
-by affine reflection across the walls of the coupling matrix; composing
-them walks the quantized-mass orbit.  Everything here is exact (ints and
-Fractions) -- there is deliberately no floating-point path.
+A reflection system is a coupling matrix A with a symmetrizer D.  The
+three-component B2(1) system (``B2``), its rank-one sinh-Gordon reduction
+(``sinh.SINH``) and the four rank-two subsystems (``weyl2.SUBSYSTEMS``)
+are all instances of the one ``ReflectionSystem``, and every rank shares
+one vector type, one reflection, one evaluator and one quadric residual.
+
+A rank-r mass vector stores each component as a degree-one polynomial in
+the weights (mu1, ..., mur): an integer r x r coefficient matrix plus an
+integer constant offset per component.  Generator i acts by affine
+reflection across the i-th wall of the coupling matrix; composing
+generators walks the quantized-mass orbit.  Everything here is exact
+(ints and Fractions) -- there is deliberately no floating-point path.
 
 The hot paths stay in the integers.  Numeric weights are held as
 mu = M/q, with q the lcm of the denominators and M an integer vector, so
@@ -18,36 +24,78 @@ membership never builds a polynomial.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence, Union
 
-GENERATORS = (1, 2, 3)
+
+@dataclass(frozen=True)
+class ReflectionSystem:
+    """A rank-r reflection system: coupling matrix A plus symmetrizer D.
+
+    Generator i (1-based) sends sigma_i to 4*mu_i - 2*sum_j a_ij sigma_j
+    + sigma_i and fixes every other component.  Derived once: ``doubled``
+    is 2A, which must be integral so reflections never leave the
+    integers, and ``gram`` is the symmetric part of D*A, the matrix of the
+    invariant quadric (integer entries wherever they are integral).
+    """
+
+    name: str
+    cartan: tuple[tuple[Fraction, ...], ...]
+    symmetrizer: tuple[int, ...]
+    rank: int = field(init=False, repr=False, compare=False)
+    doubled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    gram: tuple[tuple[int | Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        a, d = self.cartan, self.symmetrizer
+        rank = len(a)
+        if any(len(row) != rank for row in a) or len(d) != rank:
+            raise ValueError(f"{self.name}: the coupling matrix must be square "
+                             "and the symmetrizer must match its rank")
+        doubled = [[2 * Fraction(v) for v in row] for row in a]
+        if any(v.denominator != 1 for row in doubled for v in row):
+            raise ValueError(f"{self.name}: twice the coupling matrix must be integral")
+        gram = [[Fraction(d[i] * a[i][j] + d[j] * a[j][i], 2) for j in range(rank)]
+                for i in range(rank)]
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "doubled", tuple(tuple(int(v) for v in row) for row in doubled))
+        object.__setattr__(self, "gram", tuple(
+            tuple(int(g) if g.denominator == 1 else g for g in row) for row in gram))
+
 
 # Coupling matrix of the three-component system.  Row 3 carries halves, so
-# reflections run through the doubled matrix below and coefficient
-# arithmetic never leaves the integers (the -2*a3j factors are +-1).
+# reflections run through the doubled matrix B2.doubled and coefficient
+# arithmetic never leaves the integers.
 CARTAN_MATRIX = (
     (Fraction(1), Fraction(0), Fraction(-1)),
     (Fraction(0), Fraction(1), Fraction(-1)),
     (Fraction(-1, 2), Fraction(-1, 2), Fraction(1)),
 )
-DOUBLED_CARTAN = ((2, 0, -2), (0, 2, -2), (-1, -1, 2))
 
 # Diagonal weighting that symmetrizes the coupling matrix.  It defines both
 # the invariant quadric and the descent measure sigma1 + sigma2 + 2*sigma3.
 SYMMETRIZER = (1, 1, 2)
 
+B2 = ReflectionSystem("B2(1)", CARTAN_MATRIX, SYMMETRIZER)
+GENERATORS = (1, 2, 3)
+DOUBLED_CARTAN = B2.doubled
+
 Rational = Union[int, Fraction, str]
+
+
+def _scale(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """Integer vector M and denominator q with values == M/q (q the lcm)."""
+    q = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (q // v.denominator) for v in values), q
 
 
 @dataclass(frozen=True)
 class Weights:
-    """The weight vector mu: formal indeterminates or exact positive rationals.
+    """The B2(1) weight vector mu: formal indeterminates or exact positive rationals.
 
     ``values is None`` means formal mode (the three weights stay symbolic).
-    The optional ``constrained`` flag asserts mu1 + mu2 + 2*mu3 = 4, the
-    normalization forced by the zero-sum condition on the unknowns.
 
     Numeric weights also carry ``scaled = (M, q)``: q is the lcm of the
     denominators and M the integer vector with values == M/q.  It is a
@@ -56,12 +104,9 @@ class Weights:
     """
 
     values: tuple[Fraction, Fraction, Fraction] | None = None
-    constrained: bool = False
 
     def __post_init__(self) -> None:
         if self.values is None:
-            if self.constrained:
-                raise ValueError("the constraint flag needs numeric weights")
             object.__setattr__(self, "scaled", None)
             return
         if len(self.values) != 3:
@@ -71,23 +116,15 @@ class Weights:
                 raise TypeError("numeric weights must be Fractions")
             if v <= 0:
                 raise ValueError(f"weights must be positive, got {v}")
-        if self.constrained:
-            m1, m2, m3 = self.values
-            if m1 + m2 + 2 * m3 != 4:
-                raise ValueError("constrained weights must satisfy mu1+mu2+2*mu3 = 4")
-        q = math.lcm(*(v.denominator for v in self.values))
-        scaled = tuple(v.numerator * (q // v.denominator) for v in self.values)
-        object.__setattr__(self, "scaled", (scaled, q))
+        object.__setattr__(self, "scaled", _scale(self.values))
 
     @classmethod
     def formal(cls) -> "Weights":
         return cls()
 
     @classmethod
-    def numeric(cls, mu1: Rational, mu2: Rational, mu3: Rational,
-                constrained: bool = False) -> "Weights":
-        vals = (Fraction(mu1), Fraction(mu2), Fraction(mu3))
-        return cls(vals, constrained)
+    def numeric(cls, mu1: Rational, mu2: Rational, mu3: Rational) -> "Weights":
+        return cls((Fraction(mu1), Fraction(mu2), Fraction(mu3)))
 
     @property
     def is_numeric(self) -> bool:
@@ -110,12 +147,12 @@ def _monomial_str(expo: tuple[int, ...]) -> str:
 
 @dataclass(frozen=True)
 class MuPolynomial:
-    """Sparse exact polynomial in the weight variables.
+    """Sparse exact polynomial in the weight variables, for presentation.
 
     Terms are stored as a sorted tuple of (exponent-tuple, Fraction) pairs
     with zero coefficients dropped, so structural equality is semantic
-    equality.  Only the tiny arithmetic needed by the quadric checks is
-    implemented; this is bookkeeping, not a symbolic engine.
+    equality.  Polynomials are built whole by ``from_dict``; there is no
+    arithmetic on them, only evaluation and printing.
     """
 
     rank: int
@@ -134,24 +171,12 @@ class MuPolynomial:
         items = tuple(sorted((e, c) for e, c in cleaned.items() if c))
         return cls(rank, items)
 
-    @classmethod
-    def constant(cls, rank: int, value: Rational) -> "MuPolynomial":
-        return cls.from_dict(rank, {(0,) * rank: Fraction(value)})
-
-    @classmethod
-    def variable(cls, rank: int, index: int) -> "MuPolynomial":
-        expo = tuple(1 if j == index - 1 else 0 for j in range(rank))
-        return cls.from_dict(rank, {expo: 1})
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
     def as_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
-
-    def coefficient(self, expo: tuple[int, ...]) -> Fraction:
-        return dict(self.terms).get(tuple(expo), Fraction(0))
 
     def evaluate(self, values: Sequence[Rational]) -> Fraction:
         vals = [Fraction(v) for v in values]
@@ -165,41 +190,6 @@ class MuPolynomial:
                     term *= v ** e
             total += term
         return total
-
-    def _combine(self, other: "MuPolynomial", sign: int) -> "MuPolynomial":
-        if self.rank != other.rank:
-            raise ValueError("rank mismatch")
-        acc = dict(self.terms)
-        for expo, coef in other.terms:
-            acc[expo] = acc.get(expo, Fraction(0)) + sign * coef
-        return MuPolynomial.from_dict(self.rank, acc)
-
-    def __add__(self, other: "MuPolynomial") -> "MuPolynomial":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "MuPolynomial") -> "MuPolynomial":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "MuPolynomial":
-        return self.scale(-1)
-
-    def scale(self, factor: Rational) -> "MuPolynomial":
-        f = Fraction(factor)
-        return MuPolynomial.from_dict(self.rank, {e: c * f for e, c in self.terms})
-
-    def __mul__(self, other: "Union[MuPolynomial, Rational]") -> "MuPolynomial":
-        if isinstance(other, MuPolynomial):
-            if self.rank != other.rank:
-                raise ValueError("rank mismatch")
-            acc: dict[tuple[int, ...], Fraction] = {}
-            for e1, c1 in self.terms:
-                for e2, c2 in other.terms:
-                    expo = tuple(a + b for a, b in zip(e1, e2))
-                    acc[expo] = acc.get(expo, Fraction(0)) + c1 * c2
-            return MuPolynomial.from_dict(self.rank, acc)
-        return self.scale(other)
-
-    __rmul__ = __mul__
 
     def __str__(self) -> str:
         if not self.terms:
@@ -219,8 +209,9 @@ class MuPolynomial:
         return out.replace("+ -", "- ")
 
 
-def linear_component(coeff_row: Sequence[int], offset: int, rank: int) -> MuPolynomial:
+def linear_component(coeff_row: Sequence[Rational], offset: Rational) -> MuPolynomial:
     """Degree-one polynomial sum_j coeff_row[j]*mu_j + offset."""
+    rank = len(coeff_row)
     mapping: dict[tuple[int, ...], Rational] = {(0,) * rank: offset}
     for j, c in enumerate(coeff_row):
         expo = tuple(1 if k == j else 0 for k in range(rank))
@@ -230,43 +221,45 @@ def linear_component(coeff_row: Sequence[int], offset: int, rank: int) -> MuPoly
 
 @dataclass(frozen=True)
 class MassVector:
-    """Symbolic mass vector: sigma_i = sum_j coeff[i][j]*mu_j + offset[i]."""
+    """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j + offset[i].
 
-    coeff: tuple[tuple[int, int, int], tuple[int, int, int], tuple[int, int, int]]
-    offset: tuple[int, int, int] = (0, 0, 0)
+    The rank is the size of the square coefficient matrix; ``offset``
+    defaults to r zeros.
+    """
+
+    coeff: tuple[tuple[int, ...], ...]
+    offset: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if len(self.coeff) != 3 or any(len(row) != 3 for row in self.coeff):
-            raise ValueError("coefficient matrix must be 3x3")
-        if len(self.offset) != 3:
-            raise ValueError("offset must have three entries")
+        rank = len(self.coeff)
+        if any(len(row) != rank for row in self.coeff):
+            raise ValueError(f"coefficient matrix must be {rank}x{rank}")
+        if self.offset is None:
+            object.__setattr__(self, "offset", (0,) * rank)
+        elif len(self.offset) != rank:
+            raise ValueError(f"offset must have {rank} entries")
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
-                  offset: Iterable[int] = (0, 0, 0)) -> "MassVector":
+                  offset: Iterable[int] | None = None) -> "MassVector":
         coeff = tuple(tuple(int(v) for v in row) for row in rows)
-        off = tuple(int(v) for v in offset)
-        return cls(coeff, off)  # type: ignore[arg-type]
-
-    @classmethod
-    def zero(cls) -> "MassVector":
-        return ZERO
+        off = None if offset is None else tuple(int(v) for v in offset)
+        return cls(coeff, off)
 
     def sort_key(self) -> tuple[int, ...]:
         # Canonical order: offset first, then coefficients row-major.
         return self.offset + tuple(v for row in self.coeff for v in row)
 
-    def coefficient_sums(self) -> tuple[int, int, int]:
+    def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""
-        return tuple(sum(row) for row in self.coeff)  # type: ignore[return-value]
+        return tuple(sum(row) for row in self.coeff)
 
     @property
     def has_offset(self) -> bool:
         return any(self.offset)
 
-    def components(self) -> tuple[MuPolynomial, MuPolynomial, MuPolynomial]:
-        return tuple(linear_component(self.coeff[i], self.offset[i], 3)
-                     for i in range(3))  # type: ignore[return-value]
+    def components(self) -> tuple[MuPolynomial, ...]:
+        return tuple(linear_component(row, o) for row, o in zip(self.coeff, self.offset))
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(p) for p in self.components()) + ")"
@@ -275,35 +268,29 @@ class MassVector:
 ZERO = MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 
 
-def reflect_rows(coeff: tuple[tuple[int, ...], ...], offset: tuple[int, ...],
-                 index: int, doubled_cartan: tuple[tuple[int, ...], ...],
-                 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """One affine reflection on a rank-r symbolic vector, pure integers.
+def _check_rank(sigma: MassVector, system: ReflectionSystem) -> None:
+    if len(sigma.coeff) != system.rank:
+        raise ValueError(f"a rank-{len(sigma.coeff)} vector does not fit "
+                         f"{system.name}, of rank {system.rank}")
 
-    Component ``index`` (1-based) becomes 4*mu_i - sum_j (2a)_ij sigma_j
-    + sigma_i; every other component is untouched.
+
+def reflect(sigma: MassVector, index: int, system: ReflectionSystem = B2) -> MassVector:
+    """Apply generator ``index`` (1..rank) of ``system``, B2(1) unless given.
+
+    Component i = index - 1 becomes 4*mu_i - sum_j (2A)_ij sigma_j + sigma_i;
+    every other component is untouched.  Pure integers.
     """
-    rank = len(coeff)
+    if not 0 < index <= system.rank:
+        raise ValueError(f"generator index must be 1..{system.rank}, got {index}")
+    _check_rank(sigma, system)
+    coeff, offset = sigma.coeff, sigma.offset
     i = index - 1
-    row = doubled_cartan[i]
-    new_row = tuple(
-        (4 if k == i else 0)
-        - sum(row[j] * coeff[j][k] for j in range(rank))
-        + coeff[i][k]
-        for k in range(rank)
-    )
-    new_off = -sum(row[j] * offset[j] for j in range(rank)) + offset[i]
-    coeff_out = tuple(new_row if r == i else coeff[r] for r in range(rank))
-    offset_out = tuple(new_off if r == i else offset[r] for r in range(rank))
-    return coeff_out, offset_out
-
-
-def reflect(sigma: MassVector, index: int) -> MassVector:
-    """Apply the generator with the given index (1, 2 or 3)."""
-    if index not in GENERATORS:
-        raise ValueError(f"generator index must be 1..3, got {index}")
-    coeff, offset = reflect_rows(sigma.coeff, sigma.offset, index, DOUBLED_CARTAN)
-    return MassVector(coeff, offset)  # type: ignore[arg-type]
+    row = system.doubled[i]
+    new_row = [c - sum(map(mul, row, col)) for c, col in zip(coeff[i], zip(*coeff))]
+    new_row[i] += 4
+    new_off = offset[i] - sum(map(mul, row, offset))
+    return MassVector(coeff[:i] + (tuple(new_row),) + coeff[i + 1:],
+                      offset[:i] + (new_off,) + offset[i + 1:])
 
 
 def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:
@@ -316,37 +303,43 @@ def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:
     return sigma
 
 
-def scaled_values(sigma: MassVector, weights: Weights) -> tuple[tuple[int, int, int], int]:
-    """Integer vector v and denominator q with sigma(mu) = v/q exactly."""
-    if not weights.is_numeric:
-        raise ValueError("evaluation needs numeric weights")
-    (m1, m2, m3), q = weights.scaled
-    values = tuple(c1 * m1 + c2 * m2 + c3 * m3 + q * o
-                   for (c1, c2, c3), o in zip(sigma.coeff, sigma.offset))
-    return values, q  # type: ignore[return-value]
+def scaled_values(sigma: MassVector,
+                  weights: Weights | Sequence[Rational]) -> tuple[tuple[int, ...], int]:
+    """Integer vector v and denominator q with sigma(mu) = v/q exactly.
+
+    ``weights`` is numeric ``Weights`` (B2(1), positive) or a plain
+    sequence of rationals, one per component, of any sign (the reduced
+    systems evaluate at zero and negative weights too).
+    """
+    if isinstance(weights, Weights):
+        if not weights.is_numeric:
+            raise ValueError("evaluation needs numeric weights")
+        m, q = weights.scaled
+    else:
+        m, q = _scale([Fraction(v) for v in weights])
+    if len(m) != len(sigma.coeff):
+        raise ValueError(f"{len(sigma.coeff)} weight values required, got {len(m)}")
+    return tuple([sum(map(mul, row, m)) + q * o for row, o in zip(sigma.coeff, sigma.offset)]), q
 
 
-def eval_at(sigma: MassVector, weights: Weights) -> tuple[Fraction, Fraction, Fraction]:
-    """Evaluate the three components at numeric weights."""
+def eval_at(sigma: MassVector, weights: Weights | Sequence[Rational]) -> tuple[Fraction, ...]:
+    """Evaluate every component at numeric weights (see ``scaled_values``)."""
     values, q = scaled_values(sigma, weights)
-    return tuple(Fraction(v, q) for v in values)  # type: ignore[return-value]
+    return tuple(Fraction(v, q) for v in values)
 
 
-# G = D*A, the symmetric integer matrix of the invariant quadric.
-GRAM = tuple(tuple(int(d * a) for a in row) for d, row in zip(SYMMETRIZER, CARTAN_MATRIX))
-
-
-def quadric_form(coeff: Sequence[Sequence[int]], offset: Sequence[int],
-                 gram: Sequence[Sequence[int | Fraction]],
-                 symmetrizer: Sequence[int]) -> list[int | Fraction]:
+def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int | Fraction]:
     """Coefficients of the quadric residual at sigma = C*mu + o.
 
-    The residual sigma^t G sigma - 4 * sum_i d_i mu_i sigma_i, with G = D*A
-    symmetric, equals mu^t Q mu + l.mu + c where Q = C^t G C - 2(DC + (DC)^t),
-    l = 2 C^t G o - 4 D o and c = o^t G o.  Coefficients are listed per
-    monomial: mu_j*mu_k for j <= k row by row, then each mu_j, then 1
-    (the order of ``_monomials``).  They are integers when G is.
+    The residual sigma^t G sigma - 4 * sum_i d_i mu_i sigma_i, with G the
+    system's ``gram``, equals mu^t Q mu + l.mu + c where
+    Q = C^t G C - 2(DC + (DC)^t), l = 2 C^t G o - 4 D o and c = o^t G o.
+    Coefficients are listed per monomial: mu_j*mu_k for j <= k row by row,
+    then each mu_j, then 1 (the order of ``_monomials``).  They are
+    integers when G is.
     """
+    _check_rank(sigma, system)
+    coeff, offset, gram, symmetrizer = sigma.coeff, sigma.offset, system.gram, system.symmetrizer
     idx = range(len(coeff))
     gc = [[sum(gram[i][t] * coeff[t][k] for t in idx) for k in idx] for i in idx]
     go = [sum(gram[i][t] * offset[t] for t in idx) for i in idx]
@@ -369,20 +362,14 @@ def _monomials(rank: int) -> list[tuple[int, ...]]:
     return quadratic + unit + [(0,) * rank]
 
 
-def quadric_residual(coeff: tuple[tuple[int, ...], ...], offset: tuple[int, ...],
-                     cartan: tuple[tuple[Fraction, ...], ...],
-                     symmetrizer: tuple[int, ...]) -> MuPolynomial:
-    """Residual of the invariant quadric for a symmetrizable coupling matrix.
+def quadric_residual(sigma: MassVector, system: ReflectionSystem = B2) -> MuPolynomial:
+    """Residual of the system's invariant quadric at sigma, as a polynomial.
 
     Returns sigma^t (D A) sigma - 4 * sum_i d_i mu_i sigma_i with
-    D = diag(symmetrizer); reflections preserve this polynomial exactly.
+    D = diag(symmetrizer); the system's reflections preserve it exactly.
     """
-    rank = len(coeff)
-    # sigma^t (D A) sigma sees only the symmetric part of D A.
-    gram = [[Fraction(symmetrizer[i] * cartan[i][j] + symmetrizer[j] * cartan[j][i], 2)
-             for j in range(rank)] for i in range(rank)]
-    form = quadric_form(coeff, offset, gram, symmetrizer)
-    return MuPolynomial.from_dict(rank, dict(zip(_monomials(rank), form)))
+    form = quadric_form(sigma, system)
+    return MuPolynomial.from_dict(system.rank, dict(zip(_monomials(system.rank), form)))
 
 
 def pohozaev_residual(sigma: MassVector,
@@ -392,7 +379,7 @@ def pohozaev_residual(sigma: MassVector,
     Formal weights give the full polynomial (at most 10 exact rational
     coefficients); numeric weights give a single rational.
     """
-    poly = quadric_residual(sigma.coeff, sigma.offset, CARTAN_MATRIX, SYMMETRIZER)
+    poly = quadric_residual(sigma)
     if weights.is_numeric:
         return poly.evaluate(weights.values)  # type: ignore[arg-type]
     return poly
@@ -400,16 +387,16 @@ def pohozaev_residual(sigma: MassVector,
 
 def residual_direction(sigma: MassVector, index: int,
                        weights: Weights = FORMAL) -> MuPolynomial | Fraction:
-    """The slow-decay admissibility form 2*mu_i - sum_j a_ij sigma_j."""
+    """The slow-decay admissibility form 2*mu_i - sum_j a_ij sigma_j.
+
+    It is linear: coefficients 2e_i - sum_j a_ij C_j, offset -sum_j a_ij o_j.
+    """
     if index not in GENERATORS:
         raise ValueError(f"generator index must be 1..3, got {index}")
-    i = index - 1
-    comps = sigma.components()
-    poly = MuPolynomial.variable(3, index).scale(2)
-    for j in range(3):
-        a = CARTAN_MATRIX[i][j]
-        if a:
-            poly = poly - comps[j].scale(a)
+    row = CARTAN_MATRIX[index - 1]
+    linear = [2 * (k == index - 1) - sum(a * c[k] for a, c in zip(row, sigma.coeff))
+              for k in range(3)]
+    poly = linear_component(linear, -sum(map(mul, row, sigma.offset)))
     if weights.is_numeric:
         return poly.evaluate(weights.values)  # type: ignore[arg-type]
     return poly

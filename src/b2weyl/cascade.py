@@ -10,7 +10,7 @@ at the probe weights are rejected as non-physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -106,7 +106,6 @@ class CascadeState:
     gamma: MassVector = ZERO
     lattice: tuple[int, int, int] = (0, 0, 0)
     probe: Weights = UNIT_WEIGHTS
-    history: tuple[Move, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
         if not self.probe.is_numeric:
@@ -145,8 +144,7 @@ def step(state: CascadeState, move: Move) -> CascadeState:
             raise InvalidSatellite(f"invalid satellite {move.mass}: entries must be "
                                    "nonnegative multiples of 4")
         lattice = tuple(n + v // 4 for n, v in zip(state.lattice, move.mass))
-        return CascadeState(state.gamma, lattice, state.probe,  # type: ignore[arg-type]
-                            state.history + (move,))
+        return CascadeState(state.gamma, lattice, state.probe)  # type: ignore[arg-type]
 
     new_gamma = apply_word(state.gamma, move.word())
     if new_gamma != state.gamma:
@@ -157,8 +155,7 @@ def step(state: CascadeState, move: Move) -> CascadeState:
             raise NonPhysicalMove(
                 f"non-physical move {move.describe()}: total mass gain {gain} "
                 f"falls below the bound {_min_gain(state.probe)}")
-    return CascadeState(new_gamma, state.lattice, state.probe,
-                        state.history + (move,))
+    return CascadeState(new_gamma, state.lattice, state.probe)
 
 
 @dataclass(frozen=True)

@@ -179,11 +179,11 @@ def cmd_relations(args) -> int:
 def cmd_sinh(args) -> int:
     mu = _parse_pair(args.mu) if args.mu else None
 
-    def rec(vec: sinh.MassVector2) -> dict:
+    def rec(vec: MassVector) -> dict:
         m = sinh.sinh_invert(vec)
         out = {"coeff": [list(row) for row in vec.coeff], "m": m, "level": abs(m)}
         if mu is not None:
-            out["sigma"] = [str(v) for v in sinh.sinh_eval(vec, mu)]
+            out["sigma"] = [str(v) for v in algebra.eval_at(vec, mu)]
         return out
 
     if args.closed_form is not None:
@@ -224,8 +224,7 @@ def cmd_weyl2(args) -> int:
     for coeff in weyl2.finite_orbit(sub):
         rec = {"coeff": [list(row) for row in coeff]}
         if values is not None:
-            pair = weyl2.substitute(coeff, values)
-            rec["values"] = [str(pair[0]), str(pair[1])]
+            rec["values"] = [str(v) for v in algebra.eval_at(MassVector(coeff), values)]
         _emit(rec)
     return 0
 

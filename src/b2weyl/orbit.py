@@ -4,7 +4,8 @@ The orbit of (0,0,0) under the three affine reflections coincides with
 the set of quadric solutions whose coefficients are nonnegative multiples
 of four; this module enumerates it with exact deduplication, tests that
 lattice membership, and realizes the constructive converse: a greedy
-descent that walks any member back to the origin.
+descent that walks any member back to the origin.  Its BFS runs over any
+``ReflectionSystem``; the rank-one and rank-two orbits go through it too.
 """
 
 from __future__ import annotations
@@ -13,12 +14,10 @@ import random
 from dataclasses import dataclass
 
 from .algebra import (
-    DOUBLED_CARTAN,
-    GENERATORS,
-    GRAM,
-    SYMMETRIZER,
+    B2,
     ZERO,
     MassVector,
+    ReflectionSystem,
     UNIT_WEIGHTS,
     Weights,
     apply_word,
@@ -92,8 +91,40 @@ class OrbitStore:
         return set(self._elements)
 
 
+def _bfs(system: ReflectionSystem, max_level: int, max_coefficient: int | None = None,
+         ) -> tuple[dict[MassVector, tuple[int, MassVector | None, int]], bool, bool]:
+    """Level-by-level BFS over the reflection orbit of the origin of ``system``.
+
+    Each level expands the previous one in canonical order (sort key, then
+    generator index).  Returns, in discovery order, every element mapped
+    to (level, parent, generator) -- the origin to (0, None, 0) -- plus
+    whether a child was pruned because a coefficient exceeded
+    ``max_coefficient``, and whether the last level found nothing new.
+    """
+    origin = MassVector(((0,) * system.rank,) * system.rank)
+    found: dict[MassVector, tuple[int, MassVector | None, int]] = {origin: (0, None, 0)}
+    frontier = [origin]
+    pruned = False
+    generators = range(1, system.rank + 1)
+    for level in range(1, max_level + 1):
+        next_frontier: list[MassVector] = []
+        for sigma in sorted(frontier, key=MassVector.sort_key):
+            for index in generators:
+                child = reflect(sigma, index, system)
+                if child in found:
+                    continue
+                if max_coefficient is not None and any(
+                        v > max_coefficient for row in child.coeff for v in row):
+                    pruned = True
+                    continue
+                found[child] = (level, sigma, index)
+                next_frontier.append(child)
+        frontier = next_frontier
+    return found, pruned, not frontier
+
+
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> OrbitStore:
-    """BFS over the reflection orbit of the origin.
+    """BFS over the B2(1) reflection orbit of the origin, with witness words.
 
     Levels count word length, so the origin sits at level 0.  A child is
     pruned when some coefficient exceeds ``max_coefficient``; pruning is
@@ -103,26 +134,11 @@ def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> Orbit
         raise ValueError("max_level must be >= 0")
     if max_coefficient is not None and max_coefficient < 0:
         raise ValueError("max_coefficient must be >= 0")
-
-    elements = {ZERO: OrbitElement(ZERO, 0, ())}
-    frontier = [ZERO]
-    pruned = False
-    for level in range(1, max_level + 1):
-        next_frontier: list[MassVector] = []
-        for sigma in sorted(frontier, key=MassVector.sort_key):
-            parent = elements[sigma]
-            for index in GENERATORS:
-                child = reflect(sigma, index)
-                if child in elements:
-                    continue
-                if max_coefficient is not None and any(
-                        v > max_coefficient for row in child.coeff for v in row):
-                    pruned = True
-                    continue
-                elements[child] = OrbitElement(child, level, parent.word + (index,))
-                next_frontier.append(child)
-        frontier = next_frontier
-    exhausted = not frontier
+    found, pruned, exhausted = _bfs(B2, max_level, max_coefficient)
+    elements: dict[MassVector, OrbitElement] = {}
+    for sigma, (level, parent, index) in found.items():
+        word = elements[parent].word + (index,) if level else ()
+        elements[sigma] = OrbitElement(sigma, level, word)
     return OrbitStore(elements, max_level, max_coefficient, pruned, exhausted)
 
 
@@ -138,7 +154,7 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     entries = [v for row in sigma.coeff for v in row]
     nonneg = all(v >= 0 for v in entries)
     div4 = all(v % 4 == 0 for v in entries)
-    quadric_zero = not any(quadric_form(sigma.coeff, sigma.offset, GRAM, SYMMETRIZER))
+    quadric_zero = not any(quadric_form(sigma))
     return MembershipCertificate(nonneg, div4, quadric_zero)
 
 
@@ -166,7 +182,7 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     word: list[int] = []
     current = sigma
     while current != ZERO:
-        for i, row in enumerate(DOUBLED_CARTAN):
+        for i, row in enumerate(B2.doubled):
             delta = 4 * m[i] - sum(a * v for a, v in zip(row, values))
             if delta < 0:
                 break  # smallest index wins ties by construction

@@ -2,131 +2,59 @@
 
 When the first two unknowns of the full system are identified, the
 system collapses to the sinh-Gordon equation with two mass components.
-The orbit of the origin becomes a doubly infinite chain indexed by a
-single integer m with a parity-split closed form.
+As data it is the rank-two ``ReflectionSystem`` ``SINH``, so its vectors,
+reflections, evaluation and quadric are the shared ones in ``algebra``
+and its orbit comes from the shared BFS.  The orbit of the origin is a
+doubly infinite chain indexed by a single integer m with a parity-split
+closed form; this module keeps that closed form and its inversion.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
-from .algebra import (
-    MuPolynomial,
-    Rational,
-    linear_component,
-    quadric_residual,
-    reflect_rows,
-)
+from .algebra import MassVector, ReflectionSystem, quadric_form
+from .orbit import _bfs
 
 SINH_CARTAN = (
     (Fraction(1), Fraction(-1)),
     (Fraction(-1), Fraction(1)),
 )
-SINH_DOUBLED = ((2, -2), (-2, 2))
 SINH_SYMMETRIZER = (1, 1)
+SINH = ReflectionSystem("sinh", SINH_CARTAN, SINH_SYMMETRIZER)
 
 
-@dataclass(frozen=True)
-class MassVector2:
-    """Two-component symbolic mass vector over weights (mu1, mu2)."""
-
-    coeff: tuple[tuple[int, int], tuple[int, int]]
-    offset: tuple[int, int] = (0, 0)
-
-    def __post_init__(self) -> None:
-        if len(self.coeff) != 2 or any(len(row) != 2 for row in self.coeff):
-            raise ValueError("coefficient matrix must be 2x2")
-        if len(self.offset) != 2:
-            raise ValueError("offset must have two entries")
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]],
-                  offset: Iterable[int] = (0, 0)) -> "MassVector2":
-        coeff = tuple(tuple(int(v) for v in row) for row in rows)
-        return cls(coeff, tuple(int(v) for v in offset))  # type: ignore[arg-type]
-
-    def sort_key(self) -> tuple[int, ...]:
-        return self.offset + tuple(v for row in self.coeff for v in row)
-
-    def components(self) -> tuple[MuPolynomial, MuPolynomial]:
-        return tuple(linear_component(self.coeff[i], self.offset[i], 2)
-                     for i in range(2))  # type: ignore[return-value]
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.components()) + ")"
-
-
-ZERO2 = MassVector2(((0, 0), (0, 0)))
-
-
-def sinh_reflect(sigma: MassVector2, index: int) -> MassVector2:
-    """Apply one of the two affine reflections (index 1 or 2)."""
-    if index not in (1, 2):
-        raise ValueError(f"generator index must be 1 or 2, got {index}")
-    coeff, offset = reflect_rows(sigma.coeff, sigma.offset, index, SINH_DOUBLED)
-    return MassVector2(coeff, offset)  # type: ignore[arg-type]
-
-
-def sinh_closed_form(m: int) -> MassVector2:
+def sinh_closed_form(m: int) -> MassVector:
     """The chain element with parameter m (parity selects the branch)."""
     if m % 2:
         rows = (((m + 1) ** 2, m * m - 1), (m * m - 1, (m - 1) ** 2))
     else:
         rows = ((m * m, (m - 1) ** 2 - 1), ((m + 1) ** 2 - 1, m * m))
-    return MassVector2(rows)
+    return MassVector(rows)
 
 
-def sinh_residual(sigma: MassVector2) -> MuPolynomial:
-    """Residual of the rank-one quadric (s1-s2)^2 = 4(mu1 s1 + mu2 s2)."""
-    return quadric_residual(sigma.coeff, sigma.offset, SINH_CARTAN, SINH_SYMMETRIZER)
-
-
-def sinh_eval(sigma: MassVector2, mu: Sequence[Rational]) -> tuple[Fraction, Fraction]:
-    values = [Fraction(v) for v in mu]
-    if len(values) != 2:
-        raise ValueError("two weight values required")
-    return tuple(
-        sum((Fraction(c) * v for c, v in zip(sigma.coeff[i], values)),
-            Fraction(sigma.offset[i]))
-        for i in range(2)
-    )  # type: ignore[return-value]
-
-
-def sinh_orbit(max_level: int) -> list[MassVector2]:
+def sinh_orbit(max_level: int) -> list[MassVector]:
     """BFS orbit of the origin under the two reflections, canonically sorted.
 
-    Every discovered element is verified against the rank-one quadric
-    before it is admitted.
+    Every element is verified against the rank-one quadric
+    (s1-s2)^2 = 4(mu1 s1 + mu2 s2) before it is returned.
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    seen = {ZERO2}
-    frontier = [ZERO2]
-    for _ in range(max_level):
-        next_frontier = []
-        for sigma in frontier:
-            for index in (1, 2):
-                child = sinh_reflect(sigma, index)
-                if child in seen:
-                    continue
-                if not sinh_residual(child).is_zero:
-                    raise ValueError(f"quadric violated at {child}")
-                seen.add(child)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return sorted(seen, key=MassVector2.sort_key)
+    orbit = sorted(_bfs(SINH, max_level)[0], key=MassVector.sort_key)
+    for sigma in orbit:
+        if any(quadric_form(sigma, SINH)):
+            raise ValueError(f"quadric violated at {sigma}")
+    return orbit
 
 
-def sinh_invert(sigma: MassVector2) -> int:
+def sinh_invert(sigma: MassVector) -> int:
     """Recover the chain parameter of an orbit element.
 
     The coefficient-sum difference equals 4m up to the parity sign, so
     both candidates are re-evaluated and compared exactly.
     """
-    n1 = sum(sigma.coeff[0])
-    n2 = sum(sigma.coeff[1])
+    n1, n2 = sigma.coefficient_sums()
     diff = n1 - n2
     if diff % 4:
         raise ValueError("coefficient-sum difference is not a multiple of 4")

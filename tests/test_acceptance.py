@@ -17,6 +17,7 @@ from b2weyl.algebra import (
     apply_word,
     eval_at,
     pohozaev_residual,
+    quadric_residual,
     reflect,
 )
 from b2weyl.cascade import (
@@ -39,8 +40,8 @@ from b2weyl.closedform import (
     type_of,
 )
 from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is_member_gamma_N
-from b2weyl.sinh import sinh_closed_form, sinh_eval, sinh_orbit
-from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element, substitute
+from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
+from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
 
 F = Fraction
 
@@ -210,11 +211,10 @@ def test_criterion_08_sinh_reduction(capsys):
     chain = {sinh_closed_form(m) for m in range(-level, level + 1)}
     assert set(orbit) == chain
     assert len(orbit) == 2 * level + 1
-    from b2weyl.sinh import sinh_residual
     for sigma in orbit:
-        assert sinh_residual(sigma).is_zero
+        assert quadric_residual(sigma, SINH).is_zero
     for m in range(-level, level + 1):
-        values = sinh_eval(sinh_closed_form(m), (1, 1))
+        values = eval_at(sinh_closed_form(m), (1, 1))
         family = {(2 * m * (m + 1), 2 * m * (m - 1)),
                   (2 * m * (m - 1), 2 * m * (m + 1))}
         assert values in family
@@ -239,10 +239,10 @@ def test_criterion_09_appendix_tables(capsys):
 
     for _ in range(100):
         a1, a2 = strength(), strength()
-        substituted = {substitute(c, (a1, a2)) for c in orbit}
+        substituted = {eval_at(MassVector(c), (a1, a2)) for c in orbit}
         assert substituted == appendix_table("c", a1, a2)
         part_a = appendix_table("a", a1, a2)
-        assert substitute(top, (1 + a1, 1 + a2)) == part_a
+        assert eval_at(MassVector(top), (1 + a1, 1 + a2)) == part_a
         assert part_a == (8 * a1 + 4 * a2 + 12, 8 * a1 + 8 * a2 + 16)
     elapsed = time.monotonic() - t0
     with capsys.disabled():

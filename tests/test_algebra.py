@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weyl.algebra import (
+    B2,
     FORMAL,
     MassVector,
     MuPolynomial,
+    ReflectionSystem,
     Weights,
     ZERO,
     apply_word,
@@ -18,6 +20,7 @@ from b2weyl.algebra import (
     reflect,
     residual_direction,
 )
+from b2weyl.sinh import SINH
 from conftest import SAMPLE_WEIGHTS, assert_word_matches_reference, quadric_reference
 
 F = Fraction
@@ -46,15 +49,34 @@ class TestWeights:
         with pytest.raises(ValueError):
             Weights.numeric(1, -2, 1)
 
-    def test_constraint_checked_exactly(self):
-        Weights.numeric(1, 1, 1, constrained=True)
-        Weights.numeric(F(3, 2), F(1, 2), 1, constrained=True)
-        with pytest.raises(ValueError):
-            Weights.numeric(1, 1, 2, constrained=True)
 
-    def test_constraint_needs_numeric_mode(self):
+class TestReflectionSystem:
+    def test_doubled_and_gram_are_derived(self):
+        assert B2.doubled == ((2, 0, -2), (0, 2, -2), (-1, -1, 2))
+        assert B2.gram == ((1, 0, -1), (0, 1, -1), (-1, -1, 2))
+        assert all(type(v) is int for row in B2.doubled + B2.gram for v in row)
+
+    def test_rejects_non_integral_doubled_matrix(self):
+        with pytest.raises(ValueError, match="integral"):
+            ReflectionSystem("thirds", ((F(1), F(1, 3)), (F(0), F(1))), (1, 1))
+
+    def test_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError):
-            Weights(None, constrained=True)
+            ReflectionSystem("ragged", ((F(1), F(0)), (F(0),)), (1, 1))
+        with pytest.raises(ValueError):
+            ReflectionSystem("short", ((F(1), F(0)), (F(0), F(1))), (1,))
+
+
+class TestMassVectorShape:
+    def test_offset_defaults_to_rank_zeros(self):
+        assert MassVector(((4, 0), (0, 0))).offset == (0, 0)
+        assert MassVector(((4, 0), (0, 0))) == MassVector(((4, 0), (0, 0)), (0, 0))
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError):
+            MassVector(((4, 0), (0,)))
+        with pytest.raises(ValueError):
+            MassVector(((4, 0), (0, 0)), (0, 0, 0))
 
 
 class TestReflect:
@@ -70,6 +92,17 @@ class TestReflect:
     def test_bad_generator_index(self):
         with pytest.raises(ValueError):
             reflect(ZERO, 4)
+
+    @pytest.mark.parametrize("system,index", [(B2, 0), (B2, 4), (SINH, 0), (SINH, 3)])
+    def test_index_out_of_range_raises(self, system, index):
+        origin = MassVector(((0,) * system.rank,) * system.rank)
+        with pytest.raises(ValueError, match="generator index"):
+            reflect(origin, index, system)
+
+    @pytest.mark.parametrize("system,rank", [(B2, 2), (B2, 4), (SINH, 3), (SINH, 1)])
+    def test_wrong_rank_vector_raises(self, system, rank):
+        with pytest.raises(ValueError, match="does not fit"):
+            reflect(MassVector(((4,) * rank,) * rank), 1, system)
 
     @given(random_vectors, st.sampled_from([1, 2, 3]))
     @settings(deadline=None)
@@ -193,18 +226,22 @@ class TestEvalAt:
         with pytest.raises(ValueError):
             eval_at(ZERO, FORMAL)
 
+    def test_rank_two_at_nonpositive_weights(self):
+        sigma = MassVector(((4, 0), (8, 4)), (1, 0))
+        assert eval_at(sigma, (F(-2, 3), 0)) == (F(-5, 3), F(-16, 3))
+
+    def test_weight_count_must_match_rank(self):
+        with pytest.raises(ValueError, match="weight values"):
+            eval_at(MassVector(((4, 0), (0, 0))), Weights.numeric(1, 1, 1))
+        with pytest.raises(ValueError, match="weight values"):
+            eval_at(ZERO, (1, 1))
+
 
 class TestMuPolynomial:
     def test_equality_ignores_zero_terms(self):
         a = MuPolynomial.from_dict(3, {(1, 0, 0): 1, (0, 1, 0): 0})
         b = MuPolynomial.from_dict(3, {(1, 0, 0): 1})
         assert a == b
-
-    def test_product_of_linear_forms(self):
-        x = MuPolynomial.variable(3, 1)
-        y = MuPolynomial.variable(3, 3)
-        prod = (x + y) * (x - y)
-        assert prod == MuPolynomial.from_dict(3, {(2, 0, 0): 1, (0, 0, 2): -1})
 
     def test_evaluate(self):
         p = MuPolynomial.from_dict(3, {(1, 0, 1): -32})

@@ -81,7 +81,6 @@ class TestStep:
     def test_identity_variant_is_a_legal_noop(self):
         state = step(initial_state(), Collapse((1, 3), "e"))
         assert state.gamma == ZERO
-        assert len(state.history) == 1
 
     def test_invalid_satellite_rejected(self):
         with pytest.raises(InvalidSatellite):
@@ -107,12 +106,6 @@ class TestStep:
         state = step(state, Collapse((2,)))
         # gain was 4*mu2 = 2 at the probe, exactly the minimal bound
         assert state.total() == (0, 2, 0)
-
-    def test_history_accumulates(self):
-        state = initial_state()
-        state = step(state, Collapse((3,)))
-        state = step(state, Collapse((1,)))
-        assert [m.describe() for m in state.history] == ["collapse 3", "collapse 1"]
 
 
 class TestDecompose:

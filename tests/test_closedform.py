@@ -4,6 +4,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b2weyl.algebra import MassVector, Weights, ZERO, eval_at, pohozaev_residual, reflect
 from b2weyl.closedform import (
@@ -113,6 +115,16 @@ class TestTypeOf:
                 assert type_of(closed_form_eval((ell, m1, m2))) == TYPE_BY_FAMILY[ell]
 
 
+@st.composite
+def closed_form_ids(draw, bound=200):
+    """A family and parameters with its residues, both |m_i| <= bound (bound % 4 == 0)."""
+    ell = draw(st.integers(1, 8))
+    t1, t2 = TYPE_BY_FAMILY[ell]
+    m1 = draw(st.sampled_from(range(-bound + t1, bound + 1, 4)))
+    m2 = draw(st.sampled_from(range(-bound + t2, bound + 1, 4)))
+    return ClosedFormId(ell, m1, m2)
+
+
 class TestInvert:
     @pytest.mark.parametrize("sigma,cid", ANCHORS)
     def test_anchor_inversion(self, sigma, cid):
@@ -123,6 +135,11 @@ class TestInvert:
             for m1, m2 in admissible_parameters(ell, 10):
                 cid = ClosedFormId(ell, m1, m2)
                 assert invert_to_closed_form(closed_form_eval(cid)) == cid
+
+    @given(closed_form_ids())
+    @settings(deadline=None, max_examples=300)
+    def test_round_trip_property_to_200(self, cid):
+        assert invert_to_closed_form(closed_form_eval(cid)) == cid
 
     def test_non_representable_vector_rejected(self):
         # Right residues and divisibility, but not an orbit element.
@@ -158,6 +175,11 @@ class TestTransition:
                 for gen in (1, 2, 3):
                     assert reflect(sigma, gen) == closed_form_eval(
                         transition((ell, m1, m2), gen))
+
+    @given(closed_form_ids(), st.sampled_from([1, 2, 3]))
+    @settings(deadline=None, max_examples=300)
+    def test_commutes_with_reflect_to_200(self, cid, gen):
+        assert reflect(closed_form_eval(cid), gen) == closed_form_eval(transition(cid, gen))
 
     def test_transition_is_involutive(self):
         for ell in range(1, 9):

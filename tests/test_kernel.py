@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from b2weyl.algebra import (
     MassVector,
+    ReflectionSystem,
     Weights,
     ZERO,
     apply_word,
@@ -70,7 +71,7 @@ def test_quadric_matches_sympy(name, cartan, symmetrizer, data):
                               max_size=rank * rank + rank))
     coeff = tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(rank))
     offset = tuple(flat[rank * rank:])
-    poly = quadric_residual(coeff, offset, cartan, symmetrizer)
+    poly = quadric_residual(MassVector(coeff, offset), ReflectionSystem(name, cartan, symmetrizer))
     assert poly.as_dict() == sympy_residual(coeff, offset, cartan, symmetrizer)
 
 

@@ -1,14 +1,19 @@
 """Orbit enumeration, lattice membership, descent, and the presentation check."""
 
+from collections import Counter
+
 import pytest
 
-from b2weyl.algebra import MassVector, Weights, ZERO, apply_word
+from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word
 from b2weyl.orbit import (
+    _bfs,
     check_relations,
     descend_to_origin,
     enumerate_orbit,
     is_member_gamma_N,
 )
+from b2weyl.sinh import SINH
+from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23
 
 
 def mv(rows, offset=(0, 0, 0)):
@@ -189,3 +194,47 @@ class TestRelations:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             check_relations(0)
+
+
+def poincare_series(factors, exponents, depth):
+    """Coefficients through t^depth of prod_f (1 + ... + t^(f-1)) / prod_e (1 - t^e).
+
+    With the degrees of a finite Weyl group as ``factors`` and no exponents
+    this is its Poincare polynomial; adding the exponents gives Bott's
+    series for the affine group.
+    """
+    series = [1] + [0] * depth
+    for f in factors:
+        series = [sum(series[n - k] for k in range(f) if n >= k) for n in range(depth + 1)]
+    for e in exponents:
+        for n in range(e, depth + 1):
+            series[n] += series[n - e]
+    return series
+
+
+# (system, BFS depth, degrees of the finite group, exponents if affine)
+POINCARE_CASES = [
+    (B2, 40, (2, 4), (1, 3)),
+    (SINH, 40, (2,), (1,)),
+    (PAIR_12, 8, (2, 2), ()),
+    (PAIR_13, 8, (2, 4), ()),
+    (PAIR_23, 8, (2, 4), ()),
+    (APPENDIX_UV, 8, (2, 4), ()),
+]
+
+
+def test_poincare_series_reproduces_the_known_counts():
+    assert poincare_series((2, 4), (1, 3), 11) == [1, 3, 5, 8, 11, 13, 16, 19, 21, 24, 27, 29]
+    assert poincare_series((2,), (1,), 4) == [1, 2, 2, 2, 2]
+    assert poincare_series((2, 2), (), 4) == [1, 2, 1, 0, 0]
+    assert poincare_series((2, 4), (), 6) == [1, 2, 2, 2, 1, 0, 0]
+
+
+@pytest.mark.parametrize("system,depth,degrees,exponents", POINCARE_CASES,
+                         ids=[case[0].name for case in POINCARE_CASES])
+def test_bfs_level_counts_follow_the_poincare_series(system, depth, degrees, exponents):
+    found, pruned, exhausted = _bfs(system, depth)
+    counts = Counter(level for level, _, _ in found.values())
+    assert [counts[n] for n in range(depth + 1)] == poincare_series(degrees, exponents, depth)
+    assert not pruned
+    assert exhausted == (not exponents)

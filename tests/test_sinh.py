@@ -5,51 +5,45 @@ from fractions import Fraction
 import pytest
 
 from b2weyl import sinh
-from b2weyl.sinh import (
-    MassVector2,
-    ZERO2,
-    sinh_closed_form,
-    sinh_eval,
-    sinh_invert,
-    sinh_orbit,
-    sinh_reflect,
-    sinh_residual,
-)
+from b2weyl.algebra import MassVector, ReflectionSystem, eval_at, quadric_residual, reflect
+from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
 from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, reflect_reference
 
 F = Fraction
 
+ZERO2 = MassVector(((0, 0), (0, 0)))
+
 
 def mv2(rows):
-    return MassVector2.from_rows(rows)
+    return MassVector.from_rows(rows)
 
 
 class TestReflect:
     def test_reflections_of_origin(self):
-        assert sinh_reflect(ZERO2, 1) == mv2([[4, 0], [0, 0]])
-        assert sinh_reflect(ZERO2, 2) == mv2([[0, 0], [0, 4]])
+        assert reflect(ZERO2, 1, SINH) == mv2([[4, 0], [0, 0]])
+        assert reflect(ZERO2, 2, SINH) == mv2([[0, 0], [0, 4]])
 
     def test_second_step_matches_even_branch(self):
         first = mv2([[4, 0], [0, 0]])
-        assert sinh_reflect(first, 2) == mv2([[4, 0], [8, 4]])
-        assert sinh_reflect(first, 2) == sinh_closed_form(2)
+        assert reflect(first, 2, SINH) == mv2([[4, 0], [8, 4]])
+        assert reflect(first, 2, SINH) == sinh_closed_form(2)
 
     def test_involution(self):
         sigma = mv2([[16, 8], [8, 4]])
         for i in (1, 2):
-            assert sinh_reflect(sinh_reflect(sigma, i), i) == sigma
+            assert reflect(reflect(sigma, i, SINH), i, SINH) == sigma
 
     def test_bad_index(self):
         with pytest.raises(ValueError):
-            sinh_reflect(ZERO2, 3)
+            reflect(ZERO2, 3, SINH)
 
     def test_agrees_with_numeric_reference(self):
         sigma = sinh_closed_form(3)
         for mu3 in SAMPLE_WEIGHTS:
             mu = mu3[:2]
             for i in (1, 2):
-                got = sinh_eval(sinh_reflect(sigma, i), mu)
-                want = reflect_reference(sinh_eval(sigma, mu), i, mu, REF_CARTAN_SINH)
+                got = eval_at(reflect(sigma, i, SINH), mu)
+                want = reflect_reference(eval_at(sigma, mu), i, mu, REF_CARTAN_SINH)
                 assert got == want
 
 
@@ -70,7 +64,7 @@ class TestClosedForm:
 
     def test_quadric_holds_identically(self):
         for m in range(-50, 51):
-            assert sinh_residual(sinh_closed_form(m)).is_zero
+            assert quadric_residual(sinh_closed_form(m), SINH).is_zero
 
     def test_invert_round_trip(self):
         for m in range(-50, 51):
@@ -86,8 +80,10 @@ class TestOrbit:
         assert set(sinh_orbit(1)) == {ZERO2, mv2([[4, 0], [0, 0]]), mv2([[0, 0], [0, 4]])}
 
     def test_off_quadric_child_raises(self, monkeypatch):
-        # Reflections of another coupling matrix leave the rank-one quadric.
-        monkeypatch.setattr(sinh, "SINH_DOUBLED", ((2, -2), (-1, 2)))
+        # A coupling matrix that the symmetrizer (1, 1) does not symmetrize:
+        # its reflections leave the quadric built from that symmetrizer.
+        miscoupled = ReflectionSystem("miscoupled", ((F(1), F(-1)), (F(-1, 2), F(1))), (1, 1))
+        monkeypatch.setattr(sinh, "SINH", miscoupled)
         with pytest.raises(ValueError, match="quadric violated"):
             sinh_orbit(3)
 
@@ -102,31 +98,31 @@ class TestOrbit:
         # starting with 2 visits m = -1, -2, -3, ...
         sigma, expected = ZERO2, 0
         for step in range(1, 12):
-            sigma = sinh_reflect(sigma, 1 if step % 2 else 2)
+            sigma = reflect(sigma, 1 if step % 2 else 2, SINH)
             expected += 1
             assert sigma == sinh_closed_form(expected)
         sigma, expected = ZERO2, 0
         for step in range(1, 12):
-            sigma = sinh_reflect(sigma, 2 if step % 2 else 1)
+            sigma = reflect(sigma, 2 if step % 2 else 1, SINH)
             expected -= 1
             assert sigma == sinh_closed_form(expected)
 
     def test_parity_alternates_along_the_chain(self):
         for m in range(-10, 11):
             sigma = sinh_closed_form(m)
-            even_image = sinh_reflect(sigma, 1)
+            even_image = reflect(sigma, 1, SINH)
             assert sinh_invert(even_image) == (m + 1 if m % 2 == 0 else m - 1)
 
 
 class TestUnitWeights:
     def test_pair_family(self):
         for m in range(-30, 31):
-            values = sinh_eval(sinh_closed_form(m), (1, 1))
+            values = eval_at(sinh_closed_form(m), (1, 1))
             if m % 2:
                 assert values == (2 * m * (m + 1), 2 * m * (m - 1))
             else:
                 assert values == (2 * m * (m - 1), 2 * m * (m + 1))
 
     def test_rational_weights(self):
-        values = sinh_eval(sinh_closed_form(2), (F(3, 2), F(1, 2)))
+        values = eval_at(sinh_closed_form(2), (F(3, 2), F(1, 2)))
         assert values == (6, 14)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import Weights, ZERO, apply_word, eval_at
+from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_residual
 from b2weyl.weyl2 import (
     APPENDIX_UV,
     PAIR_12,
@@ -14,8 +14,6 @@ from b2weyl.weyl2 import (
     appendix_table,
     finite_orbit,
     longest_element,
-    orbit_residual,
-    substitute,
 )
 
 F = Fraction
@@ -50,7 +48,7 @@ class TestPair13:
         # unit-weight value is (16, 0, 12).
         braid = apply_word(ZERO, [1, 3, 1, 3])
         top = longest_element(PAIR_13)
-        unit = substitute(top, (1, 1))
+        unit = eval_at(MassVector(top), (1, 1))
         full = eval_at(braid, Weights.numeric(1, 1, 1))
         assert (unit[0], F(0), unit[1]) == full == (16, 0, 12)
 
@@ -63,7 +61,7 @@ class TestQuadric:
     def test_orbit_elements_lie_on_the_restricted_quadric(self, name):
         sub = SUBSYSTEMS[name]
         for coeff in finite_orbit(sub):
-            assert orbit_residual(sub, coeff).is_zero
+            assert quadric_residual(MassVector(coeff), sub).is_zero
 
 
 class TestAppendixOrbit:
@@ -89,12 +87,12 @@ class TestAppendixTable:
 
     def test_part_c_equals_substituted_orbit(self):
         for a1, a2 in [(F(1, 2), F(1, 3)), (2, 5), (F(-1, 2), F(7, 4)), (1, 0)]:
-            orbit_values = {substitute(c, (a1, a2)) for c in finite_orbit(APPENDIX_UV)}
+            orbit_values = {eval_at(MassVector(c), (a1, a2)) for c in finite_orbit(APPENDIX_UV)}
             assert orbit_values == appendix_table("c", a1, a2)
 
     def test_part_a_is_longest_element_at_shifted_weights(self):
         for a1, a2 in [(0, 0), (F(1, 2), F(2, 3)), (3, 1)]:
-            top = substitute(longest_element(APPENDIX_UV), (1 + F(a1), 1 + F(a2)))
+            top = eval_at(MassVector(longest_element(APPENDIX_UV)), (1 + F(a1), 1 + F(a2)))
             assert top == appendix_table("a", a1, a2)
 
     def test_part_b_certificate(self):
