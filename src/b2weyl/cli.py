@@ -110,11 +110,11 @@ def cmd_orbit(args) -> int:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
         for el in store:
-            tag = closedform.type_of(el.sigma)
             cid = closedform.invert_to_closed_form(el.sigma)
+            type_m1, type_m2 = closedform.TYPE_BY_FAMILY[cid.ell]
             row = [el.level, ".".join(str(g) for g in el.word)]
             row += [v for r in el.sigma.coeff for v in r]
-            row += [tag[0], tag[1], cid.ell, cid.m1, cid.m2]
+            row += [type_m1, type_m2, cid.ell, cid.m1, cid.m2]
             if weights.is_numeric:
                 row += [str(v) for v in algebra.eval_at(el.sigma, weights)]
             writer.writerow(row)
@@ -243,14 +243,28 @@ def cmd_cascade(args) -> int:
     return 0
 
 
+_CONFIG_TYPES = {"max_level": int, "max_coefficient": int, "trials": int, "seed": int,
+                 "mu": str, "output": str}
+
+
 def _load_config() -> dict:
+    """The defaults file named by B2WEYL_CONFIG, read afresh on every call."""
     path = os.environ.get(CONFIG_ENV)
     if not path:
         return {}
     try:
-        return json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
         raise UsageError(f"bad config file {path!r}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise UsageError(f"bad config file {path!r}: top level must be an object")
+    for key, kind in _CONFIG_TYPES.items():
+        value = config.get(key, kind())
+        # An exact type test: JSON true is a bool, which isinstance counts as an int.
+        if type(value) is not kind:
+            raise UsageError(f"bad config file {path!r}: {key!r} must be "
+                             f"{kind.__name__}, got {value!r}")
+    return config
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
@@ -318,11 +332,24 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     return parser
 
 
+# One slot: the parser for the most recent defaults, keyed by their
+# canonical JSON.  parse_args builds a fresh Namespace per call and no
+# default is mutable, so reusing the parser carries no state over.
+_parser_slot: tuple[str, argparse.ArgumentParser] | None = None
+
+
+def _parser_for(config: dict) -> argparse.ArgumentParser:
+    global _parser_slot
+    key = json.dumps(config, sort_keys=True)
+    if _parser_slot is None or _parser_slot[0] != key:
+        _parser_slot = (key, build_parser(config))
+    return _parser_slot[1]
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
         config = _load_config()
-        parser = build_parser(config)
-        args = parser.parse_args(argv)
+        args = _parser_for(config).parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         _error("usage", str(exc))

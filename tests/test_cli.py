@@ -1,10 +1,16 @@
 """Command-line surface: records, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
 
+import pytest
+
+from b2weyl import cli
 from b2weyl.cli import main
+from conftest import child_env
+from test_golden import CASES
 
 
 def run(capsys, *argv):
@@ -223,10 +229,81 @@ class TestConfigFile:
         assert code == 0
         assert json_lines(out)[-1]["meta"]["max_level"] == 1
 
+    @pytest.mark.parametrize("text", ["[1,2]", '"orbit"', "null"])
+    def test_top_level_not_an_object(self, capsys, tmp_path, monkeypatch, text):
+        self.assert_bad_config(capsys, tmp_path, monkeypatch, text)
+
+    @pytest.mark.parametrize("config", [{"max_level": 1.5}, {"max_coefficient": "8"},
+                                        {"trials": True}, {"seed": None}])
+    def test_count_not_an_int(self, capsys, tmp_path, monkeypatch, config):
+        self.assert_bad_config(capsys, tmp_path, monkeypatch, json.dumps(config))
+
+    @pytest.mark.parametrize("config", [{"mu": [1, 1, 1]}, {"output": 0}])
+    def test_text_not_a_string(self, capsys, tmp_path, monkeypatch, config):
+        self.assert_bad_config(capsys, tmp_path, monkeypatch, json.dumps(config))
+
+    def assert_bad_config(self, capsys, tmp_path, monkeypatch, text):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        monkeypatch.setenv("B2WEYL_CONFIG", str(config))
+        code, out = run(capsys, "orbit", "--max-level", "1")
+        records = json_lines(out)
+        assert code == 2
+        assert len(records) == 1 and records[0]["error"] == "usage"
+
+
+class TestParserCache:
+    """main() reuses its parser while the defaults stay the same."""
+
+    def test_defaults_follow_the_file_and_the_variable(self, capsys, tmp_path, monkeypatch):
+        config = tmp_path / "config.json"
+        monkeypatch.setenv("B2WEYL_CONFIG", str(config))
+        for level in (1, 2):
+            config.write_text(json.dumps({"max_level": level}))
+            code, out = run(capsys, "orbit")
+            assert code == 0
+            assert json_lines(out)[-1]["meta"]["max_level"] == level
+        monkeypatch.delenv("B2WEYL_CONFIG")
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit"])  # --max-level is required again
+        assert exc.value.code == 2
+
+    def test_parser_is_built_once_per_config(self, capsys, tmp_path, monkeypatch):
+        built = []
+        real_build = cli.build_parser
+
+        def counting_build(config):
+            built.append(config)
+            return real_build(config)
+
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        monkeypatch.setattr(cli, "_parser_slot", None)
+        config = tmp_path / "config.json"
+        monkeypatch.setenv("B2WEYL_CONFIG", str(config))
+        for defaults in ({"max_level": 0}, {"max_level": 0, "seed": 5}):
+            config.write_text(json.dumps(defaults))
+            for _ in range(3):
+                assert run(capsys, "orbit")[0] == 0
+        assert built == [{"max_level": 0}, {"max_level": 0, "seed": 5}]
+
+
+def test_golden_cases_back_to_back_in_one_interpreter(capsys, tmp_path, monkeypatch):
+    """The golden cases through one interpreter, in order and then reversed,
+    so that nothing one call leaves behind can change a later call's bytes."""
+    monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
+    scenario_path = tmp_path / "scenario.txt"
+    for case_id, argv, scenario, code, digest in CASES + CASES[::-1]:
+        if scenario is not None:
+            scenario_path.write_text(scenario)
+            argv = [a.replace("{scenario}", str(scenario_path)) for a in argv]
+        got_code, out = run(capsys, *argv)
+        got_digest = hashlib.sha256(out.encode()).hexdigest()
+        assert (case_id, got_code, got_digest) == (case_id, code, digest)
+
 
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "b2weyl", "orbit", "--max-level", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["level"] == 0
