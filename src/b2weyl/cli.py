@@ -24,6 +24,13 @@ class UsageError(ValueError):
     pass
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose errors are UsageErrors, printed as records by main."""
+
+    def error(self, message: str):
+        raise UsageError(message)
+
+
 def _parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
@@ -86,6 +93,7 @@ def _record(sigma: MassVector, level: int, word, weights: Weights) -> dict:
     return rec
 
 
+OUTPUT_FORMATS = ("json", "csv")
 CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
                "c31", "c32", "c33", "type_m1", "type_m2", "ell", "m1", "m2"]
 
@@ -96,6 +104,8 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     if args.max_coefficient is not None and args.max_coefficient < 0:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
+    if args.output not in OUTPUT_FORMATS:
+        raise UsageError(f"--output must be json or csv, got {args.output!r}")
     store = orbit.enumerate_orbit(args.max_level, args.max_coefficient)
     if args.output == "json":
         for el in store:
@@ -264,11 +274,14 @@ def _load_config() -> dict:
         if type(value) is not kind:
             raise UsageError(f"bad config file {path!r}: {key!r} must be "
                              f"{kind.__name__}, got {value!r}")
+    if config.get("output", "json") not in OUTPUT_FORMATS:
+        raise UsageError(f"bad config file {path!r}: 'output' must be json or csv, "
+                         f"got {config['output']!r}")
     return config
 
 
 def build_parser(config: dict) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="b2weyl",
         description="Exact affine Weyl orbit engine for quantized blow-up masses.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -281,7 +294,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
                    required=config.get("max_level") is None)
     p.add_argument("--max-coefficient", type=int, default=config.get("max_coefficient"))
     p.add_argument("--mu", default=mu_default)
-    p.add_argument("--output", choices=("json", "csv"), default=config.get("output", "json"))
+    p.add_argument("--output", choices=OUTPUT_FORMATS, default=config.get("output", "json"))
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("check", help="lattice membership with certificate")

@@ -4,12 +4,15 @@ Every orbit element is F(m1, m2) * mu for exactly one of eight constant
 quadratic matrix families; which family applies is determined by the
 mod-4 class of the coefficient-sum differences (the element's "type").
 The tables below are transcribed data validated by the commuting-square
-property in the test suite, not re-derived.
+property in the test suite, not re-derived.  Every coefficient is a
+multiple of 1/4, so they are stored as exact integers in quarter units
+and evaluated without rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import NamedTuple
 
 from .algebra import GENERATORS, MassVector
@@ -24,98 +27,96 @@ TYPE_BY_FAMILY: dict[int, TypePair] = {
 FAMILY_BY_TYPE: dict[TypePair, int] = {t: f for f, t in TYPE_BY_FAMILY.items()}
 ADMISSIBLE_TYPES = frozenset(TYPE_BY_FAMILY.values())
 
-_Q = Fraction
-# Entry encoding: coefficients of (m1^2, m1, m2^2, m2, 1).
-Entry = tuple[Fraction, Fraction, Fraction, Fraction, Fraction]
-
-_F: dict[int, tuple[tuple[Entry, ...], ...]] = {
+# Entry encoding: coefficients of (m1^2, m1, m2^2, m2, 1), in units of 1/4:
+# each integer is four times the family's rational coefficient.
+_F: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
     1: (
-        ((_Q(1, 4), _Q(0), _Q(1, 4), _Q(0), _Q(0)),
-         (_Q(1, 4), _Q(1), _Q(1, 4), _Q(-1), _Q(0)),
-         (_Q(1, 2), _Q(2), _Q(1, 2), _Q(0), _Q(0))),
-        ((_Q(1, 4), _Q(-1), _Q(1, 4), _Q(1), _Q(0)),
-         (_Q(1, 4), _Q(0), _Q(1, 4), _Q(0), _Q(0)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(2), _Q(0))),
-        ((_Q(1, 4), _Q(-1), _Q(1, 4), _Q(0), _Q(0)),
-         (_Q(1, 4), _Q(0), _Q(1, 4), _Q(-1), _Q(0)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(0), _Q(0))),
+        ((1, 0, 1, 0, 0),
+         (1, 4, 1, -4, 0),
+         (2, 8, 2, 0, 0)),
+        ((1, -4, 1, 4, 0),
+         (1, 0, 1, 0, 0),
+         (2, 0, 2, 8, 0)),
+        ((1, -4, 1, 0, 0),
+         (1, 0, 1, -4, 0),
+         (2, 0, 2, 0, 0)),
     ),
     2: (
-        ((_Q(1, 4), _Q(0), _Q(1, 4), _Q(-1, 2), _Q(1, 4)),
-         (_Q(1, 4), _Q(1), _Q(1, 4), _Q(1, 2), _Q(-3, 4)),
-         (_Q(1, 2), _Q(2), _Q(1, 2), _Q(-1), _Q(1, 2))),
-        ((_Q(1, 4), _Q(-1), _Q(1, 4), _Q(1, 2), _Q(-3, 4)),
-         (_Q(1, 4), _Q(0), _Q(1, 4), _Q(3, 2), _Q(9, 4)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(1), _Q(-3, 2))),
-        ((_Q(1, 4), _Q(-1), _Q(1, 4), _Q(-1, 2), _Q(1, 4)),
-         (_Q(1, 4), _Q(0), _Q(1, 4), _Q(1, 2), _Q(-3, 4)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(-1), _Q(1, 2))),
+        ((1, 0, 1, -2, 1),
+         (1, 4, 1, 2, -3),
+         (2, 8, 2, -4, 2)),
+        ((1, -4, 1, 2, -3),
+         (1, 0, 1, 6, 9),
+         (2, 0, 2, 4, -6)),
+        ((1, -4, 1, -2, 1),
+         (1, 0, 1, 2, -3),
+         (2, 0, 2, -4, 2)),
     ),
     3: (
-        ((_Q(1, 4), _Q(3, 2), _Q(1, 4), _Q(0), _Q(9, 4)),
-         (_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(-1), _Q(-3, 4)),
-         (_Q(1, 2), _Q(1), _Q(1, 2), _Q(0), _Q(-3, 2))),
-        ((_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(1), _Q(-3, 4)),
-         (_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(0), _Q(1, 4)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(2), _Q(1, 2))),
-        ((_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(0), _Q(-3, 4)),
-         (_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(-1), _Q(1, 4)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(0), _Q(1, 2))),
+        ((1, 6, 1, 0, 9),
+         (1, 2, 1, -4, -3),
+         (2, 4, 2, 0, -6)),
+        ((1, 2, 1, 4, -3),
+         (1, -2, 1, 0, 1),
+         (2, -4, 2, 8, 2)),
+        ((1, 2, 1, 0, -3),
+         (1, -2, 1, -4, 1),
+         (2, -4, 2, 0, 2)),
     ),
     4: (
-        ((_Q(1, 4), _Q(3, 2), _Q(1, 4), _Q(-1, 2), _Q(5, 2)),
-         (_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(1, 2), _Q(-3, 2)),
-         (_Q(1, 2), _Q(1), _Q(1, 2), _Q(-1), _Q(-1))),
-        ((_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(1, 2), _Q(-3, 2)),
-         (_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(3, 2), _Q(5, 2)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(1), _Q(-1))),
-        ((_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(-1, 2), _Q(-1, 2)),
-         (_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(1, 2), _Q(-1, 2)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(-1), _Q(1))),
+        ((1, 6, 1, -2, 10),
+         (1, 2, 1, 2, -6),
+         (2, 4, 2, -4, -4)),
+        ((1, 2, 1, 2, -6),
+         (1, -2, 1, 6, 10),
+         (2, -4, 2, 4, -4)),
+        ((1, 2, 1, -2, -2),
+         (1, -2, 1, 2, -2),
+         (2, -4, 2, -4, 4)),
     ),
     5: (
-        ((_Q(1, 4), _Q(1), _Q(1, 4), _Q(-1), _Q(2)),
-         (_Q(1, 4), _Q(0), _Q(1, 4), _Q(0), _Q(-2)),
-         (_Q(1, 2), _Q(2), _Q(1, 2), _Q(0), _Q(0))),
-        ((_Q(1, 4), _Q(0), _Q(1, 4), _Q(0), _Q(-2)),
-         (_Q(1, 4), _Q(-1), _Q(1, 4), _Q(1), _Q(2)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(2), _Q(0))),
-        ((_Q(1, 4), _Q(0), _Q(1, 4), _Q(-1), _Q(0)),
-         (_Q(1, 4), _Q(-1), _Q(1, 4), _Q(0), _Q(0)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(0), _Q(0))),
+        ((1, 4, 1, -4, 8),
+         (1, 0, 1, 0, -8),
+         (2, 8, 2, 0, 0)),
+        ((1, 0, 1, 0, -8),
+         (1, -4, 1, 4, 8),
+         (2, 0, 2, 8, 0)),
+        ((1, 0, 1, -4, 0),
+         (1, -4, 1, 0, 0),
+         (2, 0, 2, 0, 0)),
     ),
     6: (
-        ((_Q(1, 4), _Q(1), _Q(1, 4), _Q(1, 2), _Q(5, 4)),
-         (_Q(1, 4), _Q(0), _Q(1, 4), _Q(-1, 2), _Q(-7, 4)),
-         (_Q(1, 2), _Q(2), _Q(1, 2), _Q(-1), _Q(1, 2))),
-        ((_Q(1, 4), _Q(0), _Q(1, 4), _Q(3, 2), _Q(1, 4)),
-         (_Q(1, 4), _Q(-1), _Q(1, 4), _Q(1, 2), _Q(5, 4)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(1), _Q(-3, 2))),
-        ((_Q(1, 4), _Q(0), _Q(1, 4), _Q(1, 2), _Q(-3, 4)),
-         (_Q(1, 4), _Q(-1), _Q(1, 4), _Q(-1, 2), _Q(1, 4)),
-         (_Q(1, 2), _Q(0), _Q(1, 2), _Q(-1), _Q(1, 2))),
+        ((1, 4, 1, 2, 5),
+         (1, 0, 1, -2, -7),
+         (2, 8, 2, -4, 2)),
+        ((1, 0, 1, 6, 1),
+         (1, -4, 1, 2, 5),
+         (2, 0, 2, 4, -6)),
+        ((1, 0, 1, 2, -3),
+         (1, -4, 1, -2, 1),
+         (2, 0, 2, -4, 2)),
     ),
     7: (
-        ((_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(-1), _Q(5, 4)),
-         (_Q(1, 4), _Q(3, 2), _Q(1, 4), _Q(0), _Q(1, 4)),
-         (_Q(1, 2), _Q(1), _Q(1, 2), _Q(0), _Q(-3, 2))),
-        ((_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(0), _Q(-7, 4)),
-         (_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(1), _Q(5, 4)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(2), _Q(1, 2))),
-        ((_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(-1), _Q(1, 4)),
-         (_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(0), _Q(-3, 4)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(0), _Q(1, 2))),
+        ((1, 2, 1, -4, 5),
+         (1, 6, 1, 0, 1),
+         (2, 4, 2, 0, -6)),
+        ((1, -2, 1, 0, -7),
+         (1, 2, 1, 4, 5),
+         (2, -4, 2, 8, 2)),
+        ((1, -2, 1, -4, 1),
+         (1, 2, 1, 0, -3),
+         (2, -4, 2, 0, 2)),
     ),
     8: (
-        ((_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(1, 2), _Q(1, 2)),
-         (_Q(1, 4), _Q(3, 2), _Q(1, 4), _Q(-1, 2), _Q(1, 2)),
-         (_Q(1, 2), _Q(1), _Q(1, 2), _Q(-1), _Q(-1))),
-        ((_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(3, 2), _Q(1, 2)),
-         (_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(1, 2), _Q(1, 2)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(1), _Q(-1))),
-        ((_Q(1, 4), _Q(-1, 2), _Q(1, 4), _Q(1, 2), _Q(-1, 2)),
-         (_Q(1, 4), _Q(1, 2), _Q(1, 4), _Q(-1, 2), _Q(-1, 2)),
-         (_Q(1, 2), _Q(-1), _Q(1, 2), _Q(-1), _Q(1))),
+        ((1, 2, 1, 2, 2),
+         (1, 6, 1, -2, 2),
+         (2, 4, 2, -4, -4)),
+        ((1, -2, 1, 6, 2),
+         (1, 2, 1, 2, 2),
+         (2, -4, 2, 4, -4)),
+        ((1, -2, 1, 2, -2),
+         (1, 2, 1, -2, -2),
+         (2, -4, 2, -4, 4)),
     ),
 }
 
@@ -150,28 +151,25 @@ def _check_admissible(ell: int, m1: int, m2: int) -> None:
             f"{TYPE_BY_FAMILY[ell]} mod 4")
 
 
-def _entry_value(entry: Entry, m1: int, m2: int) -> Fraction:
-    q1, l1, q2, l2, c = entry
-    return q1 * m1 * m1 + l1 * m1 + q2 * m2 * m2 + l2 * m2 + c
-
-
 def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     """Evaluate a family at its integer parameters, exactly.
 
-    The rational tables must land on nonnegative integer multiples of
+    The quarter-unit tables must land on nonnegative integer multiples of
     four for admissible parameters; that is checked after evaluation as
     a transcription guard, raising ValueError.
     """
     ell, m1, m2 = cid
     _check_admissible(ell, m1, m2)
+    monomials = (m1 * m1, m1, m2 * m2, m2, 1)
     rows = []
-    for i in range(3):
+    for table_row in _F[ell]:
         row = []
-        for j in range(3):
-            value = _entry_value(_F[ell][i][j], m1, m2)
-            if value.denominator != 1:
-                raise ValueError(f"non-integer entry {value} at ({ell},{m1},{m2})")
-            n = int(value)
+        for entry in table_row:
+            quarter = sum(map(mul, entry, monomials))
+            if quarter % 4:
+                raise ValueError(f"non-integer entry {Fraction(quarter, 4)} "
+                                 f"at ({ell},{m1},{m2})")
+            n = quarter // 4
             if n < 0 or n % 4:
                 raise ValueError(f"entry {n} not in 4N at ({ell},{m1},{m2})")
             row.append(n)
@@ -179,8 +177,8 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     return MassVector(tuple(rows))  # type: ignore[arg-type]
 
 
-def type_of(sigma: MassVector) -> TypePair:
-    """Mod-4 type of a lattice member, from its coefficient-sum differences."""
+def _read_parameters(sigma: MassVector) -> tuple[TypePair, int, int]:
+    """Type and (m1, m2) of a lattice member, read off its coefficient sums."""
     if sigma.has_offset:
         raise ValueError("mass vector has a constant offset; no type is defined")
     sums = sigma.coefficient_sums()
@@ -192,7 +190,12 @@ def type_of(sigma: MassVector) -> TypePair:
     if tag not in ADMISSIBLE_TYPES:
         raise ValueError(f"residue pair {tag} is outside the eight admissible types; "
                          "not an orbit-type vector")
-    return tag
+    return tag, m1, m2
+
+
+def type_of(sigma: MassVector) -> TypePair:
+    """Mod-4 type of a lattice member, from its coefficient-sum differences."""
+    return _read_parameters(sigma)[0]
 
 
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
@@ -202,10 +205,7 @@ def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
     is re-evaluated and compared exactly; a mismatch means the input was
     not an orbit element.
     """
-    tag = type_of(sigma)
-    sums = sigma.coefficient_sums()
-    m1 = (sums[0] - sums[2]) // 4
-    m2 = (sums[1] - sums[2]) // 4
+    tag, m1, m2 = _read_parameters(sigma)
     cid = ClosedFormId(FAMILY_BY_TYPE[tag], m1, m2)
     if closed_form_eval(cid) != sigma:
         raise ValueError(f"vector is not representable by family {cid.ell} "

@@ -196,10 +196,12 @@ class TestUsageErrors:
     """Out-of-range arguments are usage errors (exit 2), not verification failures."""
 
     def assert_usage(self, capsys, *argv):
-        code, out = run(capsys, *argv)
-        records = json_lines(out)
-        assert code == 2
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        records = json_lines(captured.out)
+        assert code == 2 and captured.err == ""
         assert len(records) == 1 and records[0]["error"] == "usage"
+        return records[0]["detail"]
 
     def test_negative_orbit_level(self, capsys):
         self.assert_usage(capsys, "orbit", "--max-level", "-1")
@@ -218,6 +220,32 @@ class TestUsageErrors:
 
     def test_negative_sinh_level(self, capsys):
         self.assert_usage(capsys, "sinh", "--max-level", "-1")
+
+    def test_orbit_output_outside_json_and_csv(self):
+        args = cli.build_parser({}).parse_args(["orbit", "--max-level", "0"])
+        args.output = "xml"
+        with pytest.raises(cli.UsageError, match="--output must be json or csv"):
+            cli.cmd_orbit(args)
+
+    # Errors argparse finds itself are usage records too, not stderr text.
+    @pytest.mark.parametrize("argv,detail", [
+        (["orbit"], "the following arguments are required: --max-level"),
+        (["orbit", "--max-level", "1", "--output", "xml"],
+         "argument --output: invalid choice: 'xml'"),
+        (["relations", "--trials", "ten"], "argument --trials: invalid int value: 'ten'"),
+        (["orbits"], "argument command: invalid choice: 'orbits'"),
+        ([], "the following arguments are required: command"),
+    ], ids=["missing-max-level", "bad-output-choice", "non-integer-trials",
+            "unknown-subcommand", "empty-argv"])
+    def test_argparse_error(self, capsys, monkeypatch, argv, detail):
+        monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
+        assert self.assert_usage(capsys, *argv).startswith(detail)
+
+    def test_help_still_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["orbit", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: b2weyl orbit")
 
 
 class TestConfigFile:
@@ -242,6 +270,12 @@ class TestConfigFile:
     def test_text_not_a_string(self, capsys, tmp_path, monkeypatch, config):
         self.assert_bad_config(capsys, tmp_path, monkeypatch, json.dumps(config))
 
+    @pytest.mark.parametrize("output", ["xml", "CSV", ""])
+    def test_output_not_json_or_csv(self, capsys, tmp_path, monkeypatch, output):
+        # argparse checks choices only on the command line, so the file's
+        # value is checked when it is loaded.
+        self.assert_bad_config(capsys, tmp_path, monkeypatch, json.dumps({"output": output}))
+
     def assert_bad_config(self, capsys, tmp_path, monkeypatch, text):
         config = tmp_path / "config.json"
         config.write_text(text)
@@ -264,9 +298,9 @@ class TestParserCache:
             assert code == 0
             assert json_lines(out)[-1]["meta"]["max_level"] == level
         monkeypatch.delenv("B2WEYL_CONFIG")
-        with pytest.raises(SystemExit) as exc:
-            main(["orbit"])  # --max-level is required again
-        assert exc.value.code == 2
+        code, out = run(capsys, "orbit")  # --max-level is required again
+        assert code == 2
+        assert json_lines(out)[0]["error"] == "usage"
 
     def test_parser_is_built_once_per_config(self, capsys, tmp_path, monkeypatch):
         built = []

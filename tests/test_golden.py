@@ -69,13 +69,15 @@ CASES = [
 ]
 
 
-def run_cli(argv, hash_seed, tmp_path, scenario=None):
-    """Run the CLI in a fresh interpreter; return (exit code, stdout sha256)."""
+def run_cli(argv, hash_seed, tmp_path, scenario=None, optimize=False):
+    """Run the CLI in a fresh interpreter, under -O if asked; return
+    (exit code, stdout sha256)."""
     if scenario is not None:
         path = tmp_path / "scenario.txt"
         path.write_text(scenario)
         argv = [a.replace("{scenario}", str(path)) for a in argv]
-    proc = subprocess.run([sys.executable, "-m", "b2weyl", *argv], capture_output=True,
+    flags = ["-O"] if optimize else []
+    proc = subprocess.run([sys.executable, *flags, "-m", "b2weyl", *argv], capture_output=True,
                           env=child_env(PYTHONHASHSEED=hash_seed), check=False)
     return proc.returncode, hashlib.sha256(proc.stdout).hexdigest()
 
@@ -86,3 +88,11 @@ def run_cli(argv, hash_seed, tmp_path, scenario=None):
 def test_stdout_is_byte_identical(case_id, argv, scenario, code, digest,
                                   hash_seed, tmp_path):
     assert run_cli(argv, hash_seed, tmp_path, scenario) == (code, digest)
+
+
+@pytest.mark.parametrize("case_id,argv,scenario,code,digest", CASES,
+                         ids=[c[0] for c in CASES])
+def test_stdout_is_byte_identical_under_optimize(case_id, argv, scenario, code, digest,
+                                                 tmp_path):
+    """-O strips asserts; every invariant is an exception, so the bytes stay."""
+    assert run_cli(argv, "0", tmp_path, scenario, optimize=True) == (code, digest)
