@@ -16,7 +16,6 @@ from .algebra import (
     FORMAL,
     GENERATORS,
     MassVector,
-    MuPolynomial,
     ReflectionSystem,
     UNIT_WEIGHTS,
     Weights,
@@ -24,9 +23,8 @@ from .algebra import (
     apply_word,
     eval_at,
     pohozaev_residual,
-    quadric_residual,
+    quadric_form,
     reflect,
-    residual_direction,
 )
 from .cascade import (
     CascadeState,
@@ -65,8 +63,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "B2", "CARTAN_MATRIX", "DOUBLED_CARTAN", "FORMAL", "GENERATORS", "MassVector",
-    "MuPolynomial", "ReflectionSystem", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word",
-    "eval_at", "pohozaev_residual", "quadric_residual", "reflect", "residual_direction",
+    "ReflectionSystem", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word",
+    "eval_at", "pohozaev_residual", "quadric_form", "reflect",
     "CascadeState", "Collapse", "Decomposition", "InvalidSatellite",
     "NonPhysicalMove", "SatelliteMerge", "decompose", "initial_state",
     "replay", "step",

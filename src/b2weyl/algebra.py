@@ -17,8 +17,9 @@ The hot paths stay in the integers.  Numeric weights are held as
 mu = M/q, with q the lcm of the denominators and M an integer vector, so
 a vector evaluates to the integer vector C*M + q*o over the single
 denominator q.  The quadric residual is an integer quadratic form in
-(mu, 1) read off the coefficients directly (``quadric_form``), so
-membership never builds a polynomial.
+(mu, 1) read off the coefficients directly (``quadric_form``); a vector
+lies on the quadric identically in mu exactly when every coefficient is
+zero.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -135,90 +136,6 @@ FORMAL = Weights.formal()
 UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 
 
-def _monomial_str(expo: tuple[int, ...]) -> str:
-    parts = []
-    for k, e in enumerate(expo):
-        if e == 1:
-            parts.append(f"mu{k + 1}")
-        elif e > 1:
-            parts.append(f"mu{k + 1}^{e}")
-    return "*".join(parts)
-
-
-@dataclass(frozen=True)
-class MuPolynomial:
-    """Sparse exact polynomial in the weight variables, for presentation.
-
-    Terms are stored as a sorted tuple of (exponent-tuple, Fraction) pairs
-    with zero coefficients dropped, so structural equality is semantic
-    equality.  Polynomials are built whole by ``from_dict``; there is no
-    arithmetic on them, only evaluation and printing.
-    """
-
-    rank: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-
-    @classmethod
-    def from_dict(cls, rank: int, mapping: Mapping[tuple[int, ...], Rational]) -> "MuPolynomial":
-        cleaned = {}
-        for expo, value in mapping.items():
-            expo = tuple(int(e) for e in expo)
-            if len(expo) != rank:
-                raise ValueError("exponent tuple has wrong length")
-            value = Fraction(value)
-            if value:
-                cleaned[expo] = cleaned.get(expo, Fraction(0)) + value
-        items = tuple(sorted((e, c) for e, c in cleaned.items() if c))
-        return cls(rank, items)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.terms)
-
-    def evaluate(self, values: Sequence[Rational]) -> Fraction:
-        vals = [Fraction(v) for v in values]
-        if len(vals) != self.rank:
-            raise ValueError("wrong number of weight values")
-        total = Fraction(0)
-        for expo, coef in self.terms:
-            term = coef
-            for v, e in zip(vals, expo):
-                if e:
-                    term *= v ** e
-            total += term
-        return total
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        chunks = []
-        for expo, coef in sorted(self.terms, reverse=True):
-            mono = _monomial_str(expo)
-            if not mono:
-                chunks.append(str(coef))
-            elif coef == 1:
-                chunks.append(mono)
-            elif coef == -1:
-                chunks.append(f"-{mono}")
-            else:
-                chunks.append(f"{coef}*{mono}")
-        out = " + ".join(chunks)
-        return out.replace("+ -", "- ")
-
-
-def linear_component(coeff_row: Sequence[Rational], offset: Rational) -> MuPolynomial:
-    """Degree-one polynomial sum_j coeff_row[j]*mu_j + offset."""
-    rank = len(coeff_row)
-    mapping: dict[tuple[int, ...], Rational] = {(0,) * rank: offset}
-    for j, c in enumerate(coeff_row):
-        expo = tuple(1 if k == j else 0 for k in range(rank))
-        mapping[expo] = c
-    return MuPolynomial.from_dict(rank, mapping)
-
-
 @dataclass(frozen=True)
 class MassVector:
     """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j + offset[i].
@@ -257,12 +174,6 @@ class MassVector:
     @property
     def has_offset(self) -> bool:
         return any(self.offset)
-
-    def components(self) -> tuple[MuPolynomial, ...]:
-        return tuple(linear_component(row, o) for row, o in zip(self.coeff, self.offset))
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(p) for p in self.components()) + ")"
 
 
 ZERO = MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
@@ -335,8 +246,8 @@ def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int |
     system's ``gram``, equals mu^t Q mu + l.mu + c where
     Q = C^t G C - 2(DC + (DC)^t), l = 2 C^t G o - 4 D o and c = o^t G o.
     Coefficients are listed per monomial: mu_j*mu_k for j <= k row by row,
-    then each mu_j, then 1 (the order of ``_monomials``).  They are
-    integers when G is.
+    then each mu_j, then 1.  They are integers when G is, and all of
+    them vanish exactly when sigma lies on the quadric identically in mu.
     """
     _check_rank(sigma, system)
     coeff, offset, gram, symmetrizer = sigma.coeff, sigma.offset, system.gram, system.symmetrizer
@@ -355,48 +266,13 @@ def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int |
     return form
 
 
-def _monomials(rank: int) -> list[tuple[int, ...]]:
-    unit = [tuple(int(j == k) for k in range(rank)) for j in range(rank)]
-    quadratic = [tuple(a + b for a, b in zip(unit[j], unit[k]))
-                 for j in range(rank) for k in range(j, rank)]
-    return quadratic + unit + [(0,) * rank]
+def pohozaev_residual(sigma: MassVector, weights: Weights) -> Fraction:
+    """Residual of (s1-s3)^2 + (s2-s3)^2 = 4(mu1 s1 + mu2 s2 + 2 mu3 s3) at numeric weights.
 
-
-def quadric_residual(sigma: MassVector, system: ReflectionSystem = B2) -> MuPolynomial:
-    """Residual of the system's invariant quadric at sigma, as a polynomial.
-
-    Returns sigma^t (D A) sigma - 4 * sum_i d_i mu_i sigma_i with
-    D = diag(symmetrizer); the system's reflections preserve it exactly.
+    With mu = M/q and sigma(mu) = v/q it is (v^t G v - 4 * sum_i d_i M_i v_i) / q^2,
+    G = ``B2.gram``.  Formal weights raise ``ValueError``, as in ``eval_at``.
     """
-    form = quadric_form(sigma, system)
-    return MuPolynomial.from_dict(system.rank, dict(zip(_monomials(system.rank), form)))
-
-
-def pohozaev_residual(sigma: MassVector,
-                      weights: Weights = FORMAL) -> MuPolynomial | Fraction:
-    """Residual of (s1-s3)^2 + (s2-s3)^2 = 4(mu1 s1 + mu2 s2 + 2 mu3 s3).
-
-    Formal weights give the full polynomial (at most 10 exact rational
-    coefficients); numeric weights give a single rational.
-    """
-    poly = quadric_residual(sigma)
-    if weights.is_numeric:
-        return poly.evaluate(weights.values)  # type: ignore[arg-type]
-    return poly
-
-
-def residual_direction(sigma: MassVector, index: int,
-                       weights: Weights = FORMAL) -> MuPolynomial | Fraction:
-    """The slow-decay admissibility form 2*mu_i - sum_j a_ij sigma_j.
-
-    It is linear: coefficients 2e_i - sum_j a_ij C_j, offset -sum_j a_ij o_j.
-    """
-    if index not in GENERATORS:
-        raise ValueError(f"generator index must be 1..3, got {index}")
-    row = CARTAN_MATRIX[index - 1]
-    linear = [2 * (k == index - 1) - sum(a * c[k] for a, c in zip(row, sigma.coeff))
-              for k in range(3)]
-    poly = linear_component(linear, -sum(map(mul, row, sigma.offset)))
-    if weights.is_numeric:
-        return poly.evaluate(weights.values)  # type: ignore[arg-type]
-    return poly
+    v, q = scaled_values(sigma, weights)
+    gv = [sum(map(mul, row, v)) for row in B2.gram]
+    linear = sum(d * m * x for d, m, x in zip(B2.symmetrizer, weights.scaled[0], v))
+    return Fraction(sum(map(mul, v, gv)) - 4 * linear, q * q)

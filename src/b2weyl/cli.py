@@ -143,6 +143,8 @@ def cmd_check(args) -> int:
 def cmd_descend(args) -> int:
     sigma = _parse_matrix(args.sigma)
     probe = _parse_mu(args.mu)
+    if not probe.is_numeric:
+        raise UsageError("descent probe must be numeric")
     word = orbit.descend_to_origin(sigma, probe)
     _emit({"word": word})
     return 0
@@ -244,8 +246,8 @@ def cmd_cascade(args) -> int:
     if not probe.is_numeric:
         raise UsageError("cascade probe must be numeric")
     try:
-        text = Path(args.scenario).read_text()
-    except OSError as exc:
+        text = Path(args.scenario).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from exc
     moves = cascade.parse_scenario(text)
     for record in cascade.replay(moves, probe):

@@ -10,15 +10,14 @@ from b2weyl.algebra import (
     B2,
     FORMAL,
     MassVector,
-    MuPolynomial,
     ReflectionSystem,
     Weights,
     ZERO,
     apply_word,
     eval_at,
     pohozaev_residual,
+    quadric_form,
     reflect,
-    residual_direction,
 )
 from b2weyl.sinh import SINH
 from conftest import SAMPLE_WEIGHTS, assert_word_matches_reference, quadric_reference
@@ -123,7 +122,7 @@ class TestReflect:
     @given(random_vectors, st.sampled_from([1, 2, 3]))
     @settings(deadline=None)
     def test_quadric_is_invariant(self, sigma, i):
-        assert pohozaev_residual(reflect(sigma, i)) == pohozaev_residual(sigma)
+        assert quadric_form(reflect(sigma, i)) == quadric_form(sigma)
 
     @given(random_vectors, st.sampled_from([1, 2, 3]))
     @settings(deadline=None)
@@ -159,21 +158,18 @@ class TestApplyWord:
 
 class TestPohozaevResidual:
     def test_zero_vector(self):
-        residual = pohozaev_residual(ZERO)
-        assert residual.is_zero
+        assert not any(quadric_form(ZERO))
 
     def test_single_reflection_lies_on_quadric(self):
-        residual = pohozaev_residual(mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]))
-        assert residual.is_zero
+        assert not any(quadric_form(mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])))
 
     def test_off_quadric_vector(self):
-        residual = pohozaev_residual(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]))
-        expected = MuPolynomial.from_dict(3, {(1, 0, 1): -32})
-        assert residual == expected
+        sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]])
+        # Monomials mu1^2, mu1mu2, mu1mu3, mu2^2, mu2mu3, mu3^2, mu1, mu2, mu3, 1.
+        assert quadric_form(sigma) == [0, 0, -32, 0, 0, 0, 0, 0, 0, 0]
         for mu in SAMPLE_WEIGHTS:
             w = Weights.numeric(*mu)
-            vals = eval_at(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]), w)
-            assert residual.evaluate(mu) == quadric_reference(vals, mu)
+            assert pohozaev_residual(sigma, w) == quadric_reference(eval_at(sigma, w), mu)
 
     def test_numeric_mode_returns_rational(self):
         sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]])
@@ -183,26 +179,17 @@ class TestPohozaevResidual:
     @given(random_vectors)
     @settings(deadline=None)
     def test_matches_numeric_reference_everywhere(self, sigma):
-        residual = pohozaev_residual(sigma)
+        form = quadric_form(sigma)
         for mu in SAMPLE_WEIGHTS[:3]:
-            vals = eval_at(sigma, Weights.numeric(*mu))
-            assert residual.evaluate(mu) == quadric_reference(vals, mu)
+            w = Weights.numeric(*mu)
+            expected = quadric_reference(eval_at(sigma, w), mu)
+            monomials = [mu[j] * mu[k] for j in range(3) for k in range(j, 3)] + list(mu) + [1]
+            assert sum(c * m for c, m in zip(form, monomials)) == expected
+            assert pohozaev_residual(sigma, w) == expected
 
-
-class TestResidualDirection:
-    def test_at_origin(self):
-        assert residual_direction(ZERO, 1) == MuPolynomial.from_dict(3, {(1, 0, 0): 2})
-
-    def test_after_one_reflection(self):
-        sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
-        assert residual_direction(sigma, 1) == MuPolynomial.from_dict(3, {(1, 0, 0): -2})
-        assert residual_direction(sigma, 3) == MuPolynomial.from_dict(
-            3, {(0, 0, 1): 2, (1, 0, 0): 2})
-
-    def test_numeric_sign_signal(self):
-        sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
-        assert residual_direction(sigma, 1, Weights.numeric(1, 1, 1)) == -2
-        assert residual_direction(sigma, 3, Weights.numeric(1, 1, 1)) == 4
+    def test_rejects_formal_weights(self):
+        with pytest.raises(ValueError, match="numeric weights"):
+            pohozaev_residual(ZERO, FORMAL)
 
 
 class TestEvalAt:
@@ -235,21 +222,6 @@ class TestEvalAt:
             eval_at(MassVector(((4, 0), (0, 0))), Weights.numeric(1, 1, 1))
         with pytest.raises(ValueError, match="weight values"):
             eval_at(ZERO, (1, 1))
-
-
-class TestMuPolynomial:
-    def test_equality_ignores_zero_terms(self):
-        a = MuPolynomial.from_dict(3, {(1, 0, 0): 1, (0, 1, 0): 0})
-        b = MuPolynomial.from_dict(3, {(1, 0, 0): 1})
-        assert a == b
-
-    def test_evaluate(self):
-        p = MuPolynomial.from_dict(3, {(1, 0, 1): -32})
-        assert p.evaluate((F(3, 2), F(7), F(2))) == -96
-
-    def test_str_is_readable(self):
-        p = MuPolynomial.from_dict(3, {(1, 0, 1): -32})
-        assert str(p) == "-32*mu1*mu3"
 
 
 class TestCanonicalOrder:

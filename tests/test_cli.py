@@ -221,6 +221,16 @@ class TestUsageErrors:
     def test_negative_sinh_level(self, capsys):
         self.assert_usage(capsys, "sinh", "--max-level", "-1")
 
+    def test_formal_descent_probe(self, capsys):
+        detail = self.assert_usage(capsys, "descend", "4,0,0;0,0,0;0,0,0", "--mu", "formal")
+        assert detail == "descent probe must be numeric"
+
+    def test_undecodable_scenario_file(self, capsys, tmp_path):
+        scenario = tmp_path / "moves.txt"
+        scenario.write_bytes(b"\xff\xfe")
+        detail = self.assert_usage(capsys, "cascade", str(scenario))
+        assert detail.startswith("cannot read scenario file: ")
+
     def test_orbit_output_outside_json_and_csv(self):
         args = cli.build_parser({}).parse_args(["orbit", "--max-level", "0"])
         args.output = "xml"

@@ -9,6 +9,7 @@ definition in conftest.
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +20,7 @@ from b2weyl.algebra import (
     ZERO,
     apply_word,
     eval_at,
-    pohozaev_residual,
-    quadric_residual,
+    quadric_form,
 )
 from b2weyl.orbit import descend_to_origin, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import SINH_SYMMETRIZER
@@ -33,8 +33,6 @@ from conftest import (
     descend_reference,
     quadric_reference,
 )
-
-sympy = pytest.importorskip("sympy")
 
 F = Fraction
 
@@ -51,7 +49,11 @@ positive_rationals = st.builds(F, st.integers(1, 60), st.integers(1, 24))
 
 
 def sympy_residual(coeff, offset, cartan, symmetrizer):
-    """Coefficients of the quadric residual, expanded by sympy."""
+    """Coefficients of the quadric residual, expanded by sympy.
+
+    They are listed in the order of ``quadric_form``: mu_j*mu_k for j <= k
+    row by row, then each mu_j, then 1.
+    """
     rank = len(coeff)
     mu = sympy.symbols(f"mu1:{rank + 1}")
     sigma = [sum(coeff[i][j] * mu[j] for j in range(rank)) + offset[i] for i in range(rank)]
@@ -59,7 +61,9 @@ def sympy_residual(coeff, offset, cartan, symmetrizer):
                * sigma[i] * sigma[j] for i in range(rank) for j in range(rank))
     expr -= 4 * sum(symmetrizer[i] * mu[i] * sigma[i] for i in range(rank))
     poly = sympy.Poly(sympy.expand(expr), *mu)
-    return {expo: F(int(c.p), int(c.q)) for expo, c in poly.as_dict().items() if c}
+    monomials = [mu[j] * mu[k] for j in range(rank) for k in range(j, rank)] + list(mu) + [1]
+    assert poly.total_degree() <= 2
+    return [F(int(c.p), int(c.q)) for c in map(poly.coeff_monomial, monomials)]
 
 
 @pytest.mark.parametrize("name,cartan,symmetrizer", SYSTEMS, ids=[s[0] for s in SYSTEMS])
@@ -71,8 +75,8 @@ def test_quadric_matches_sympy(name, cartan, symmetrizer, data):
                               max_size=rank * rank + rank))
     coeff = tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(rank))
     offset = tuple(flat[rank * rank:])
-    poly = quadric_residual(MassVector(coeff, offset), ReflectionSystem(name, cartan, symmetrizer))
-    assert poly.as_dict() == sympy_residual(coeff, offset, cartan, symmetrizer)
+    form = quadric_form(MassVector(coeff, offset), ReflectionSystem(name, cartan, symmetrizer))
+    assert form == sympy_residual(coeff, offset, cartan, symmetrizer)
 
 
 def test_membership_matches_polynomial_residual_through_depth_20():
@@ -87,7 +91,6 @@ def test_membership_matches_polynomial_residual_through_depth_20():
                 rows[i][j] -= 4
         for sigma in vectors:
             flag = is_member_gamma_N(sigma).quadric_zero
-            assert flag == pohozaev_residual(sigma).is_zero
             values = [(eval_at(sigma, Weights.numeric(*mu)), mu) for mu in SAMPLE_WEIGHTS]
             assert flag == all(quadric_reference(v, mu) == 0 for v, mu in values)
             checked += 1
