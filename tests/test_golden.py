@@ -37,6 +37,13 @@ CASES = [
     ("orbit-csv-20-mu", ["orbit", "--max-level", "20", "--output", "csv",
                          "--mu", "3/2,1/3,5/4"], None, 0,
      "20451a676b9413ff56ba0561023b4d8231c64b51539dae39011771755b19113b"),
+    # A coefficient bound prunes the orbit, which closes at level 6, so the
+    # meta record and the CSV trailer both read truncated=true.
+    ("orbit-json-40-pruned", ["orbit", "--max-level", "40", "--max-coefficient", "16"],
+     None, 0, "aedf9b16cb8eed1dcb0380bf6fb4528732892054e57b54c362099d54a7ef2926"),
+    ("orbit-csv-40-pruned-mu", ["orbit", "--max-level", "40", "--max-coefficient", "16",
+                                "--output", "csv", "--mu", "3/2,1/3,5/4"], None, 0,
+     "30805e0bb6174d79411d3df7a640968c22d3001af87d6004d633f6448bbd6596"),
     ("check-member", ["check", "8,0,8;0,0,0;4,0,8"], None, 0,
      "ea347ff4e6ec9061f65f15e820fe0eedaf1ae6c74e8640ac53f8d4f01a2dba23"),
     ("check-near-miss", ["check", "8,0,8;0,0,0;4,4,8"], None, 1,
