@@ -51,6 +51,7 @@ from .orbit import (
     MembershipCertificate,
     OrbitElement,
     OrbitStore,
+    OrbitWalk,
     check_relations,
     descend_to_origin,
     enumerate_orbit,
@@ -70,8 +71,8 @@ __all__ = [
     "replay", "step",
     "ClosedFormId", "closed_form_eval", "invert_to_closed_form",
     "special_case_table", "transition", "type_of", "type_transition",
-    "MembershipCertificate", "OrbitElement", "OrbitStore", "check_relations",
-    "descend_to_origin", "enumerate_orbit", "is_member_gamma_N",
+    "MembershipCertificate", "OrbitElement", "OrbitStore", "OrbitWalk",
+    "check_relations", "descend_to_origin", "enumerate_orbit", "is_member_gamma_N",
     "SINH", "sinh_closed_form", "sinh_invert", "sinh_orbit",
     "SUBSYSTEMS", "Subsystem", "appendix_table", "finite_orbit", "longest_element",
     "__version__",

@@ -106,20 +106,21 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
     if args.output not in OUTPUT_FORMATS:
         raise UsageError(f"--output must be json or csv, got {args.output!r}")
-    store = orbit.enumerate_orbit(args.max_level, args.max_coefficient)
+    # Records are written as the walk yields them; the totals come last.
+    walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     if args.output == "json":
-        for el in store:
+        for el in walk:
             _emit(_record(el.sigma, el.level, el.word, weights))
-        _emit({"meta": {"count": len(store), "truncated": store.truncated,
-                        "max_level": store.max_level,
-                        "max_coefficient": store.max_coefficient}})
+        _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
+                        "max_level": args.max_level,
+                        "max_coefficient": args.max_coefficient}})
     else:
         columns = list(CSV_COLUMNS)
         if weights.is_numeric:
             columns += ["sigma1", "sigma2", "sigma3"]
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
-        for el in store:
+        for el in walk:
             cid = closedform.invert_to_closed_form(el.sigma)
             type_m1, type_m2 = closedform.TYPE_BY_FAMILY[cid.ell]
             row = [el.level, ".".join(str(g) for g in el.word)]
@@ -128,7 +129,7 @@ def cmd_orbit(args) -> int:
             if weights.is_numeric:
                 row += [str(v) for v in algebra.eval_at(el.sigma, weights)]
             writer.writerow(row)
-        print(f"# truncated={str(store.truncated).lower()} count={len(store)}")
+        print(f"# truncated={str(walk.truncated).lower()} count={walk.count}")
     return 0
 
 

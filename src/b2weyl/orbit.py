@@ -4,14 +4,16 @@ The orbit of (0,0,0) under the three affine reflections coincides with
 the set of quadric solutions whose coefficients are nonnegative multiples
 of four; this module enumerates it with exact deduplication, tests that
 lattice membership, and realizes the constructive converse: a greedy
-descent that walks any member back to the origin.  Its BFS runs over any
-``ReflectionSystem``; the rank-one and rank-two orbits go through it too.
+descent that walks any member back to the origin.  Its BFS, ``OrbitWalk``,
+streams the orbit of any ``ReflectionSystem`` level by level; the rank-one
+and rank-two orbits go through it too.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
 from .algebra import (
     B2,
@@ -55,9 +57,9 @@ class MembershipCertificate:
 class OrbitStore:
     """Deduplicated orbit elements plus bound bookkeeping.
 
-    Iteration is canonical: by level, then by the 12-integer sort key of
-    the mass vector, so output is deterministic no matter how the search
-    was scheduled.
+    Iteration follows insertion order; ``enumerate_orbit`` inserts in the
+    walk's canonical order (by level, then by the 12-integer sort key of
+    the mass vector), so output is deterministic.
     """
 
     def __init__(self, elements: dict[MassVector, OrbitElement], max_level: int,
@@ -84,62 +86,83 @@ class OrbitStore:
         return self._elements.get(sigma)
 
     def __iter__(self):
-        return iter(sorted(self._elements.values(),
-                           key=lambda el: (el.level, el.sigma.sort_key())))
+        return iter(self._elements.values())
 
     def vectors(self) -> set[MassVector]:
         return set(self._elements)
 
 
-def _bfs(system: ReflectionSystem, max_level: int, max_coefficient: int | None = None,
-         ) -> tuple[dict[MassVector, tuple[int, MassVector | None, int]], bool, bool]:
+class OrbitWalk:
     """Level-by-level BFS over the reflection orbit of the origin of ``system``.
 
-    Each level expands the previous one in canonical order (sort key, then
-    generator index).  Returns, in discovery order, every element mapped
-    to (level, parent, generator) -- the origin to (0, None, 0) -- plus
-    whether a child was pruned because a coefficient exceeded
-    ``max_coefficient``, and whether the last level found nothing new.
+    Iterating yields ``OrbitElement``s level by level, each level sorted by
+    sort key and expanded in that order (then by generator index), so every
+    element keeps its canonical first-discoverer word.  Only the previous,
+    current and next levels are held: a BFS edge spans at most one level,
+    so deduplicating against them is exact, and memory grows as the level
+    size times the word length.
+
+    A child with a coefficient above ``max_coefficient`` is pruned and sets
+    ``pruned``.  Once the walk has been iterated (once), ``count`` is the
+    number of elements and ``exhausted`` tells whether a level came out
+    empty before ``max_level``.
     """
-    origin = MassVector(((0,) * system.rank,) * system.rank)
-    found: dict[MassVector, tuple[int, MassVector | None, int]] = {origin: (0, None, 0)}
-    frontier = [origin]
-    pruned = False
-    generators = range(1, system.rank + 1)
-    for level in range(1, max_level + 1):
-        next_frontier: list[MassVector] = []
-        for sigma in sorted(frontier, key=MassVector.sort_key):
-            for index in generators:
-                child = reflect(sigma, index, system)
-                if child in found:
+
+    def __init__(self, system: ReflectionSystem, max_level: int,
+                 max_coefficient: int | None = None) -> None:
+        if max_level < 0:
+            raise ValueError("max_level must be >= 0")
+        if max_coefficient is not None and max_coefficient < 0:
+            raise ValueError("max_coefficient must be >= 0")
+        self.system = system
+        self.max_level = max_level
+        self.max_coefficient = max_coefficient
+        self.pruned = False
+        self.exhausted = False
+        self.count = 0
+
+    @property
+    def truncated(self) -> bool:
+        return self.pruned or not self.exhausted
+
+    def __iter__(self) -> Iterator[OrbitElement]:
+        system, bound = self.system, self.max_coefficient
+        generators = range(1, system.rank + 1)
+        previous: dict[MassVector, tuple[int, ...]] = {}
+        current = {MassVector(((0,) * system.rank,) * system.rank): ()}
+        for level in range(self.max_level + 1):
+            following: dict[MassVector, tuple[int, ...]] = {}
+            self.count += len(current)
+            for sigma in sorted(current, key=MassVector.sort_key):
+                word = current[sigma]
+                yield OrbitElement(sigma, level, word)
+                if level == self.max_level:
                     continue
-                if max_coefficient is not None and any(
-                        v > max_coefficient for row in child.coeff for v in row):
-                    pruned = True
-                    continue
-                found[child] = (level, sigma, index)
-                next_frontier.append(child)
-        frontier = next_frontier
-    return found, pruned, not frontier
+                for index in generators:
+                    child = reflect(sigma, index, system)
+                    if child in previous or child in following or child in current:
+                        continue
+                    if bound is not None and any(
+                            v > bound for row in child.coeff for v in row):
+                        self.pruned = True
+                        continue
+                    following[child] = word + (index,)
+            if not following:
+                self.exhausted = level < self.max_level
+                return
+            previous, current = current, following
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> OrbitStore:
-    """BFS over the B2(1) reflection orbit of the origin, with witness words.
+    """The B2(1) orbit walk collected into a store, with witness words.
 
     Levels count word length, so the origin sits at level 0.  A child is
     pruned when some coefficient exceeds ``max_coefficient``; pruning is
     recorded, never an error.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
-    if max_coefficient is not None and max_coefficient < 0:
-        raise ValueError("max_coefficient must be >= 0")
-    found, pruned, exhausted = _bfs(B2, max_level, max_coefficient)
-    elements: dict[MassVector, OrbitElement] = {}
-    for sigma, (level, parent, index) in found.items():
-        word = elements[parent].word + (index,) if level else ()
-        elements[sigma] = OrbitElement(sigma, level, word)
-    return OrbitStore(elements, max_level, max_coefficient, pruned, exhausted)
+    walk = OrbitWalk(B2, max_level, max_coefficient)
+    elements = {el.sigma: el for el in walk}
+    return OrbitStore(elements, max_level, max_coefficient, walk.pruned, walk.exhausted)
 
 
 def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:

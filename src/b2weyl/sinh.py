@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import MassVector, ReflectionSystem, quadric_form
-from .orbit import _bfs
+from .orbit import OrbitWalk
 
 SINH_CARTAN = (
     (Fraction(1), Fraction(-1)),
@@ -39,9 +39,8 @@ def sinh_orbit(max_level: int) -> list[MassVector]:
     Every element is verified against the rank-one quadric
     (s1-s2)^2 = 4(mu1 s1 + mu2 s2) before it is returned.
     """
-    if max_level < 0:
-        raise ValueError("max_level must be >= 0")
-    orbit = sorted(_bfs(SINH, max_level)[0], key=MassVector.sort_key)
+    orbit = sorted((el.sigma for el in OrbitWalk(SINH, max_level)),
+                   key=MassVector.sort_key)
     for sigma in orbit:
         if any(quadric_form(sigma, SINH)):
             raise ValueError(f"quadric violated at {sigma}")

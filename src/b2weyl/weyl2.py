@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import MassVector, Rational, ReflectionSystem, eval_at
-from .orbit import _bfs
+from .orbit import OrbitElement, OrbitWalk
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -55,16 +55,17 @@ SUBSYSTEMS = {s.name: s for s in (PAIR_12, PAIR_13, PAIR_23, APPENDIX_UV)}
 _CLOSING_DEPTH = 16
 
 
-def _closed_orbit(sub: Subsystem) -> dict[MassVector, tuple[int, MassVector | None, int]]:
-    found, _, exhausted = _bfs(sub, _CLOSING_DEPTH)
-    if not exhausted:
+def _closed_orbit(sub: Subsystem) -> list[OrbitElement]:
+    walk = OrbitWalk(sub, _CLOSING_DEPTH)
+    elements = list(walk)
+    if not walk.exhausted:
         raise RuntimeError(f"orbit of {sub.name} did not close")
-    return found
+    return elements
 
 
 def finite_orbit(sub: Subsystem) -> list[Matrix2]:
     """All orbit elements as 2x2 coefficient matrices, canonically sorted."""
-    orbit = sorted(sigma.coeff for sigma in _closed_orbit(sub))
+    orbit = sorted(el.sigma.coeff for el in _closed_orbit(sub))
     if len(orbit) != sub.expected_size:
         raise RuntimeError(f"orbit of {sub.name} has {len(orbit)} elements, "
                            f"expected {sub.expected_size}")
@@ -73,9 +74,9 @@ def finite_orbit(sub: Subsystem) -> list[Matrix2]:
 
 def longest_element(sub: Subsystem) -> Matrix2:
     """The unique orbit element of maximal reflection depth."""
-    found = _closed_orbit(sub)
-    top = max(level for level, _, _ in found.values())
-    deepest = [sigma.coeff for sigma, (level, _, _) in found.items() if level == top]
+    elements = _closed_orbit(sub)
+    # The walk yields level by level, so the last element sits on the deepest level.
+    deepest = [el.sigma.coeff for el in elements if el.level == elements[-1].level]
     if len(deepest) != 1:
         raise RuntimeError(f"orbit of {sub.name} has no unique deepest element")
     return deepest[0]  # type: ignore[return-value]

@@ -6,6 +6,8 @@ lines.  Every expected value is exact; stated runtime budgets are asserted.
 
 import json
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -41,6 +43,7 @@ from b2weyl.closedform import (
 from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
+from conftest import child_env
 
 F = Fraction
 
@@ -311,3 +314,33 @@ def test_criterion_10_cascade_soundness(capsys):
     with capsys.disabled():
         passline(10, elapsed, f"500 sequences sound ({accepted_total} moves accepted, "
                               f"{rejected_total} non-physical rejected)")
+
+
+# The child prints its exit code and its own peak resident set (VmHWM, kB)
+# on stderr after writing the orbit to /dev/null.
+_PEAK_RSS_CHILD = """\
+import os, sys
+from b2weyl import cli
+sys.stdout = open(os.devnull, "w")
+code = cli.main(["orbit", "--max-level", "200"])
+sys.stdout.flush()
+with open("/proc/self/status") as status:
+    hwm = next(line for line in status if line.startswith("VmHWM:"))
+print(code, hwm.split()[1], file=sys.stderr)
+"""
+
+
+def test_memory_bounded_on_a_deep_orbit(capsys):
+    """The orbit streams with three levels held, so memory grows as L^2:
+    depth 200 stays under 32 MB (the whole store once needed over 100 MB)."""
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD], capture_output=True,
+                          text=True, env=child_env(), check=False)
+    code, hwm_kb = proc.stderr.split()
+    peak_mb = int(hwm_kb) / 1024
+    assert (proc.returncode, code) == (0, "0")
+    assert peak_mb < 32.0
+    elapsed = time.monotonic() - t0
+    with capsys.disabled():
+        print(f"ACCEPTANCE memory: PASS ({elapsed:.2f}s) "
+              f"depth-200 orbit streamed at {peak_mb:.1f} MB peak RSS")

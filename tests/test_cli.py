@@ -4,6 +4,8 @@ import hashlib
 import json
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -351,3 +353,34 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout.splitlines()[0])["level"] == 0
+
+
+def test_orbit_streams_and_ends_when_the_reader_leaves(tmp_path):
+    """The origin record arrives before the depth-400 orbit is built, and a
+    reader that closes the pipe after one line ends the run with exit 0."""
+    stderr = tmp_path / "stderr.txt"
+    with open(stderr, "wb") as err:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "b2weyl", "orbit", "--max-level", "400"],
+            stdout=subprocess.PIPE, stderr=err, env=child_env())
+    # One 10 s budget for the first line and the exit together; a child
+    # still running when it ends is killed, which fails the exit-code check.
+    started = time.monotonic()
+    deadline = threading.Timer(10.0, proc.kill)
+    deadline.start()
+    try:
+        first = proc.stdout.readline()
+        first_s = time.monotonic() - started
+        proc.stdout.close()
+        code = proc.wait()
+    finally:
+        deadline.cancel()
+        proc.kill()
+        proc.wait()
+    assert json.loads(first) == {"coeff": [[0, 0, 0], [0, 0, 0], [0, 0, 0]],
+                                 "level": 0, "word": [], "type": [0, 0]}
+    # Building the whole depth-400 orbit before the first record took
+    # about 9 s on a 2-vCPU host; streaming needs little more than start-up.
+    assert first_s < 5.0
+    assert code == 0
+    assert stderr.read_text() == ""

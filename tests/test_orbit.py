@@ -4,16 +4,16 @@ from collections import Counter
 
 import pytest
 
-from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word
+from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
 from b2weyl.orbit import (
-    _bfs,
+    OrbitWalk,
     check_relations,
     descend_to_origin,
     enumerate_orbit,
     is_member_gamma_N,
 )
 from b2weyl.sinh import SINH
-from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23
+from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
 
 
 def mv(rows, offset=(0, 0, 0)):
@@ -233,8 +233,80 @@ def test_poincare_series_reproduces_the_known_counts():
 @pytest.mark.parametrize("system,depth,degrees,exponents", POINCARE_CASES,
                          ids=[case[0].name for case in POINCARE_CASES])
 def test_bfs_level_counts_follow_the_poincare_series(system, depth, degrees, exponents):
-    found, pruned, exhausted = _bfs(system, depth)
-    counts = Counter(level for level, _, _ in found.values())
+    walk = OrbitWalk(system, depth)
+    counts = Counter(el.level for el in walk)
     assert [counts[n] for n in range(depth + 1)] == poincare_series(degrees, exponents, depth)
-    assert not pruned
-    assert exhausted == (not exponents)
+    assert walk.count == sum(counts.values())
+    assert not walk.pruned
+    assert walk.exhausted == (not exponents)
+
+
+def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int | None = None):
+    """The full-memory BFS the walk replaced, kept as its oracle.
+
+    Every element found is kept with (level, parent, generator); each
+    level expands the previous one in canonical order (sort key, then
+    generator).  Returns the (level, sigma, word) triples in canonical
+    order (level, then sort key), whether a child was pruned, and
+    whether the last level found nothing new.
+    """
+    origin = MassVector(((0,) * system.rank,) * system.rank)
+    found = {origin: (0, None, 0)}
+    frontier = [origin]
+    pruned = False
+    for level in range(1, max_level + 1):
+        next_frontier = []
+        for sigma in sorted(frontier, key=MassVector.sort_key):
+            for index in range(1, system.rank + 1):
+                child = reflect(sigma, index, system)
+                if child in found:
+                    continue
+                if max_coefficient is not None and any(
+                        v > max_coefficient for row in child.coeff for v in row):
+                    pruned = True
+                    continue
+                found[child] = (level, sigma, index)
+                next_frontier.append(child)
+        frontier = next_frontier
+    words = {}
+    for sigma, (level, parent, index) in found.items():
+        words[sigma] = words[parent] + (index,) if level else ()
+    triples = sorted(((level, sigma, words[sigma]) for sigma, (level, _, _) in found.items()),
+                     key=lambda t: (t[0], t[1].sort_key()))
+    return triples, pruned, not frontier
+
+
+# (system, depth, coefficient bound): B2 deep and unbounded, every finite
+# system until it closes, B2 pruned at three bounds (each prunes, and the
+# orbit closes by level 10), and a pruned B2 walk cut before it closes.
+ORACLE_CASES = (
+    [(B2, 60, None), (SINH, 40, None)]
+    + [(sub, 16, None) for sub in SUBSYSTEMS.values()]
+    + [(B2, 40, bound) for bound in (8, 16, 40)]
+    + [(B2, 8, 40)]
+)
+
+
+def test_oracle_cases_cover_every_flag_pair():
+    # Without all four (pruned, exhausted) pairs the flag comparison below
+    # could hold vacuously.
+    flags = {reference_bfs(*case)[1:] for case in ORACLE_CASES}
+    assert flags == {(False, False), (False, True), (True, True), (True, False)}
+
+
+@pytest.mark.parametrize("system,depth,bound", ORACLE_CASES,
+                         ids=[f"{c[0].name}-{c[1]}-{c[2]}" for c in ORACLE_CASES])
+def test_walk_matches_the_full_memory_bfs(system, depth, bound):
+    walk = OrbitWalk(system, depth, bound)
+    got = [(el.level, el.sigma, el.word) for el in walk]
+    want, pruned, exhausted = reference_bfs(system, depth, bound)
+    assert got == want
+    assert (walk.pruned, walk.exhausted, walk.count) == (pruned, exhausted, len(want))
+
+
+def test_walk_streams_before_the_orbit_is_built():
+    walk = iter(OrbitWalk(B2, 10**6))
+    first = next(walk)
+    assert (first.sigma, first.level, first.word) == (ZERO, 0, ())
+    assert [next(walk).level for _ in range(3)] == [1, 1, 1]
+
