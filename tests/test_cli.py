@@ -120,6 +120,15 @@ class TestClosedFormCommand:
         assert rec["closed_form"] == [3, 1, 0]
         assert rec["type"] == [1, 0]
 
+    @pytest.mark.parametrize("mu", [[], ["--mu", "formal"]], ids=["default-mu", "formal-mu"])
+    def test_no_weights_means_no_sigma(self, capsys, monkeypatch, mu):
+        monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
+        code, out = run(capsys, "closedform", "3", "1", "0", *mu)
+        assert code == 0
+        rec = json_lines(out)[0]
+        assert rec["closed_form"] == [3, 1, 0]
+        assert "sigma" not in rec
+
     def test_inadmissible_parameters(self, capsys):
         code, out = run(capsys, "closedform", "3", "2", "0")
         assert code == 1
@@ -226,6 +235,12 @@ class TestUsageErrors:
     def test_formal_descent_probe(self, capsys):
         detail = self.assert_usage(capsys, "descend", "4,0,0;0,0,0;0,0,0", "--mu", "formal")
         assert detail == "descent probe must be numeric"
+
+    def test_formal_cascade_probe(self, capsys, tmp_path):
+        scenario = tmp_path / "moves.txt"
+        scenario.write_text("collapse 1\n")
+        detail = self.assert_usage(capsys, "cascade", str(scenario), "--mu", "formal")
+        assert detail == "cascade probe must be numeric"
 
     def test_undecodable_scenario_file(self, capsys, tmp_path):
         scenario = tmp_path / "moves.txt"
