@@ -13,7 +13,6 @@ from .algebra import (
     B2,
     CARTAN_MATRIX,
     DOUBLED_CARTAN,
-    FORMAL,
     GENERATORS,
     MassVector,
     ReflectionSystem,
@@ -50,7 +49,6 @@ from .closedform import (
 from .orbit import (
     MembershipCertificate,
     OrbitElement,
-    OrbitStore,
     OrbitWalk,
     check_relations,
     descend_to_origin,
@@ -63,7 +61,7 @@ from .weyl2 import SUBSYSTEMS, Subsystem, appendix_table, finite_orbit, longest_
 __version__ = "0.1.0"
 
 __all__ = [
-    "B2", "CARTAN_MATRIX", "DOUBLED_CARTAN", "FORMAL", "GENERATORS", "MassVector",
+    "B2", "CARTAN_MATRIX", "DOUBLED_CARTAN", "GENERATORS", "MassVector",
     "ReflectionSystem", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word",
     "eval_at", "pohozaev_residual", "quadric_form", "reflect",
     "CascadeState", "Collapse", "Decomposition", "InvalidSatellite",
@@ -71,7 +69,7 @@ __all__ = [
     "replay", "step",
     "ClosedFormId", "closed_form_eval", "invert_to_closed_form",
     "special_case_table", "transition", "type_of", "type_transition",
-    "MembershipCertificate", "OrbitElement", "OrbitStore", "OrbitWalk",
+    "MembershipCertificate", "OrbitElement", "OrbitWalk",
     "check_relations", "descend_to_origin", "enumerate_orbit", "is_member_gamma_N",
     "SINH", "sinh_closed_form", "sinh_invert", "sinh_orbit",
     "SUBSYSTEMS", "Subsystem", "appendix_table", "finite_orbit", "longest_element",

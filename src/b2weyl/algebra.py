@@ -13,7 +13,7 @@ reflection across the i-th wall of the coupling matrix; composing
 generators walks the quantized-mass orbit.  Everything here is exact
 (ints and Fractions) -- there is deliberately no floating-point path.
 
-The hot paths stay in the integers.  Numeric weights are held as
+The hot paths stay in the integers.  Weights are held as
 mu = M/q, with q the lcm of the denominators and M an integer vector, so
 a vector evaluates to the integer vector C*M + q*o over the single
 denominator q.  The quadric residual is an integer quadratic form in
@@ -94,45 +94,31 @@ def _scale(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
 
 @dataclass(frozen=True)
 class Weights:
-    """The B2(1) weight vector mu: formal indeterminates or exact positive rationals.
+    """The B2(1) weight vector mu: three exact positive rationals.
 
-    ``values is None`` means formal mode (the three weights stay symbolic).
-
-    Numeric weights also carry ``scaled = (M, q)``: q is the lcm of the
+    Weights also carry ``scaled = (M, q)``: q is the lcm of the
     denominators and M the integer vector with values == M/q.  It is a
     plain attribute, not a field, so equality, hashing and repr see only
     the values.
     """
 
-    values: tuple[Fraction, Fraction, Fraction] | None = None
+    values: tuple[Fraction, Fraction, Fraction]
 
     def __post_init__(self) -> None:
-        if self.values is None:
-            object.__setattr__(self, "scaled", None)
-            return
         if len(self.values) != 3:
             raise ValueError("exactly three weights required")
         for v in self.values:
             if not isinstance(v, Fraction):
-                raise TypeError("numeric weights must be Fractions")
+                raise TypeError("weights must be Fractions")
             if v <= 0:
                 raise ValueError(f"weights must be positive, got {v}")
         object.__setattr__(self, "scaled", _scale(self.values))
 
     @classmethod
-    def formal(cls) -> "Weights":
-        return cls()
-
-    @classmethod
     def numeric(cls, mu1: Rational, mu2: Rational, mu3: Rational) -> "Weights":
         return cls((Fraction(mu1), Fraction(mu2), Fraction(mu3)))
 
-    @property
-    def is_numeric(self) -> bool:
-        return self.values is not None
 
-
-FORMAL = Weights.formal()
 UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 
 
@@ -218,13 +204,11 @@ def scaled_values(sigma: MassVector,
                   weights: Weights | Sequence[Rational]) -> tuple[tuple[int, ...], int]:
     """Integer vector v and denominator q with sigma(mu) = v/q exactly.
 
-    ``weights`` is numeric ``Weights`` (B2(1), positive) or a plain
-    sequence of rationals, one per component, of any sign (the reduced
-    systems evaluate at zero and negative weights too).
+    ``weights`` is ``Weights`` (B2(1), positive) or a plain sequence of
+    rationals, one per component, of any sign (the reduced systems
+    evaluate at zero and negative weights too).
     """
     if isinstance(weights, Weights):
-        if not weights.is_numeric:
-            raise ValueError("evaluation needs numeric weights")
         m, q = weights.scaled
     else:
         m, q = _scale([Fraction(v) for v in weights])
@@ -234,7 +218,7 @@ def scaled_values(sigma: MassVector,
 
 
 def eval_at(sigma: MassVector, weights: Weights | Sequence[Rational]) -> tuple[Fraction, ...]:
-    """Evaluate every component at numeric weights (see ``scaled_values``)."""
+    """Evaluate every component at the weights (see ``scaled_values``)."""
     values, q = scaled_values(sigma, weights)
     return tuple(Fraction(v, q) for v in values)
 
@@ -267,10 +251,10 @@ def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int |
 
 
 def pohozaev_residual(sigma: MassVector, weights: Weights) -> Fraction:
-    """Residual of (s1-s3)^2 + (s2-s3)^2 = 4(mu1 s1 + mu2 s2 + 2 mu3 s3) at numeric weights.
+    """Residual of (s1-s3)^2 + (s2-s3)^2 = 4(mu1 s1 + mu2 s2 + 2 mu3 s3) at the weights.
 
     With mu = M/q and sigma(mu) = v/q it is (v^t G v - 4 * sum_i d_i M_i v_i) / q^2,
-    G = ``B2.gram``.  Formal weights raise ``ValueError``, as in ``eval_at``.
+    G = ``B2.gram``.
     """
     v, q = scaled_values(sigma, weights)
     gv = [sum(map(mul, row, v)) for row in B2.gram]

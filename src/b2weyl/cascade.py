@@ -107,10 +107,6 @@ class CascadeState:
     lattice: tuple[int, int, int] = (0, 0, 0)
     probe: Weights = UNIT_WEIGHTS
 
-    def __post_init__(self) -> None:
-        if not self.probe.is_numeric:
-            raise ValueError("cascade probe weights must be numeric")
-
     def total(self) -> tuple[Fraction, Fraction, Fraction]:
         """Observable mass gamma + 4n, evaluated at the probe."""
         values = eval_at(self.gamma, self.probe)
@@ -122,12 +118,6 @@ class CascadeState:
 
 def initial_state(probe: Weights | None = None) -> CascadeState:
     return CascadeState(probe=probe if probe is not None else UNIT_WEIGHTS)
-
-
-def _min_gain(probe: Weights) -> Fraction:
-    if not probe.is_numeric:
-        raise ValueError("the gain bound needs numeric probe weights")
-    return 4 * min(probe.values)
 
 
 def step(state: CascadeState, move: Move) -> CascadeState:
@@ -151,10 +141,11 @@ def step(state: CascadeState, move: Move) -> CascadeState:
         before, q = scaled_values(state.gamma, state.probe)
         after, _ = scaled_values(new_gamma, state.probe)
         gain = Fraction(sum(after) - sum(before), q)
-        if gain < _min_gain(state.probe):
+        bound = 4 * min(state.probe.values)
+        if gain < bound:
             raise NonPhysicalMove(
                 f"non-physical move {move.describe()}: total mass gain {gain} "
-                f"falls below the bound {_min_gain(state.probe)}")
+                f"falls below the bound {bound}")
     return CascadeState(new_gamma, state.lattice, state.probe)
 
 

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import algebra, cascade, closedform, orbit, sinh, weyl2
-from .algebra import FORMAL, MassVector, Weights
+from .algebra import MassVector, Weights
 
 CONFIG_ENV = "B2WEYL_CONFIG"
 
@@ -38,9 +38,10 @@ def _parse_rational(text: str) -> Fraction:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
 
 
-def _parse_mu(text: str) -> Weights:
+def _parse_mu(text: str) -> Weights | None:
+    """The weights, or None for "formal": records then carry no sigma."""
     if text.strip() == "formal":
-        return FORMAL
+        return None
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"--mu needs 'formal' or three comma-separated rationals, got {text!r}")
@@ -81,14 +82,14 @@ def _error(code: str, detail: str) -> None:
     _emit({"error": code, "detail": detail})
 
 
-def _record(sigma: MassVector, level: int, word, weights: Weights) -> dict:
+def _record(sigma: MassVector, level: int, word, weights: Weights | None) -> dict:
     rec = {
         "coeff": [list(row) for row in sigma.coeff],
         "level": level,
         "word": list(word),
         "type": list(closedform.type_of(sigma)),
     }
-    if weights.is_numeric:
+    if weights is not None:
         rec["sigma"] = [str(v) for v in algebra.eval_at(sigma, weights)]
     return rec
 
@@ -116,7 +117,7 @@ def cmd_orbit(args) -> int:
                         "max_coefficient": args.max_coefficient}})
     else:
         columns = list(CSV_COLUMNS)
-        if weights.is_numeric:
+        if weights is not None:
             columns += ["sigma1", "sigma2", "sigma3"]
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(columns)
@@ -126,7 +127,7 @@ def cmd_orbit(args) -> int:
             row = [el.level, ".".join(str(g) for g in el.word)]
             row += [v for r in el.sigma.coeff for v in r]
             row += [type_m1, type_m2, cid.ell, cid.m1, cid.m2]
-            if weights.is_numeric:
+            if weights is not None:
                 row += [str(v) for v in algebra.eval_at(el.sigma, weights)]
             writer.writerow(row)
         print(f"# truncated={str(walk.truncated).lower()} count={walk.count}")
@@ -144,7 +145,7 @@ def cmd_check(args) -> int:
 def cmd_descend(args) -> int:
     sigma = _parse_matrix(args.sigma)
     probe = _parse_mu(args.mu)
-    if not probe.is_numeric:
+    if probe is None:
         raise UsageError("descent probe must be numeric")
     word = orbit.descend_to_origin(sigma, probe)
     _emit({"word": word})
@@ -216,7 +217,10 @@ def cmd_weyl2(args) -> int:
         if args.alpha is None:
             raise UsageError("--part needs --alpha a1,a2")
         a1, a2 = _parse_pair(args.alpha)
-        result = weyl2.appendix_table(args.part, a1, a2)
+        try:
+            result = weyl2.appendix_table(args.part, a1, a2)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
         if args.part == "a":
             _emit({"part": "a", "tuple": [str(result[0]), str(result[1])]})
         elif args.part == "c":
@@ -244,7 +248,7 @@ def cmd_weyl2(args) -> int:
 
 def cmd_cascade(args) -> int:
     probe = _parse_mu(args.mu)
-    if not probe.is_numeric:
+    if probe is None:
         raise UsageError("cascade probe must be numeric")
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")

@@ -54,44 +54,6 @@ class MembershipCertificate:
         return self.member
 
 
-class OrbitStore:
-    """Deduplicated orbit elements plus bound bookkeeping.
-
-    Iteration follows insertion order; ``enumerate_orbit`` inserts in the
-    walk's canonical order (by level, then by the 12-integer sort key of
-    the mass vector), so output is deterministic.
-    """
-
-    def __init__(self, elements: dict[MassVector, OrbitElement], max_level: int,
-                 max_coefficient: int | None, truncated_by_coefficient: bool,
-                 exhausted: bool) -> None:
-        self._elements = dict(elements)
-        self.max_level = max_level
-        self.max_coefficient = max_coefficient
-        self.truncated_by_coefficient = truncated_by_coefficient
-        # True when no further elements exist beyond the explored bounds.
-        self.exhausted = exhausted
-
-    @property
-    def truncated(self) -> bool:
-        return self.truncated_by_coefficient or not self.exhausted
-
-    def __len__(self) -> int:
-        return len(self._elements)
-
-    def __contains__(self, sigma: MassVector) -> bool:
-        return sigma in self._elements
-
-    def get(self, sigma: MassVector) -> OrbitElement | None:
-        return self._elements.get(sigma)
-
-    def __iter__(self):
-        return iter(self._elements.values())
-
-    def vectors(self) -> set[MassVector]:
-        return set(self._elements)
-
-
 class OrbitWalk:
     """Level-by-level BFS over the reflection orbit of the origin of ``system``.
 
@@ -103,9 +65,9 @@ class OrbitWalk:
     size times the word length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
-    ``pruned``.  Once the walk has been iterated (once), ``count`` is the
-    number of elements and ``exhausted`` tells whether a level came out
-    empty before ``max_level``.
+    ``pruned``.  Once the walk has been iterated, ``count`` is the number
+    of elements and ``exhausted`` tells whether a level came out empty
+    before ``max_level``; each new iteration starts them afresh.
     """
 
     def __init__(self, system: ReflectionSystem, max_level: int,
@@ -126,6 +88,8 @@ class OrbitWalk:
         return self.pruned or not self.exhausted
 
     def __iter__(self) -> Iterator[OrbitElement]:
+        self.pruned = self.exhausted = False
+        self.count = 0
         system, bound = self.system, self.max_coefficient
         generators = range(1, system.rank + 1)
         previous: dict[MassVector, tuple[int, ...]] = {}
@@ -153,16 +117,14 @@ class OrbitWalk:
             previous, current = current, following
 
 
-def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> OrbitStore:
-    """The B2(1) orbit walk collected into a store, with witness words.
+def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:
+    """The B2(1) orbit walk collected into a list, in canonical order, with witness words.
 
     Levels count word length, so the origin sits at level 0.  A child is
-    pruned when some coefficient exceeds ``max_coefficient``; pruning is
-    recorded, never an error.
+    pruned when some coefficient exceeds ``max_coefficient``; the
+    ``pruned``/``exhausted``/``truncated`` flags live on ``OrbitWalk``.
     """
-    walk = OrbitWalk(B2, max_level, max_coefficient)
-    elements = {el.sigma: el for el in walk}
-    return OrbitStore(elements, max_level, max_coefficient, walk.pruned, walk.exhausted)
+    return list(OrbitWalk(B2, max_level, max_coefficient))
 
 
 def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
@@ -191,8 +153,6 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     """
     if probe is None:
         probe = UNIT_WEIGHTS
-    if not probe.is_numeric:
-        raise ValueError("descent probe must be numeric")
     cert = is_member_gamma_N(sigma)
     if not cert:
         raise ValueError(f"not a lattice member: certificate {cert}")

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from b2weyl.algebra import (
     B2,
-    FORMAL,
     MassVector,
     ReflectionSystem,
     Weights,
@@ -38,10 +37,6 @@ random_vectors = st.builds(
 
 
 class TestWeights:
-    def test_formal_mode(self):
-        w = Weights.formal()
-        assert not w.is_numeric
-
     def test_numeric_requires_positive(self):
         with pytest.raises(ValueError):
             Weights.numeric(1, 0, 1)
@@ -187,10 +182,6 @@ class TestPohozaevResidual:
             assert sum(c * m for c, m in zip(form, monomials)) == expected
             assert pohozaev_residual(sigma, w) == expected
 
-    def test_rejects_formal_weights(self):
-        with pytest.raises(ValueError, match="numeric weights"):
-            pohozaev_residual(ZERO, FORMAL)
-
 
 class TestEvalAt:
     def test_unit_weights(self):
@@ -208,10 +199,6 @@ class TestEvalAt:
     def test_offsets_contribute(self):
         sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]], offset=(1, -2, 8))
         assert eval_at(sigma, Weights.numeric(1, 1, 1)) == (5, -2, 8)
-
-    def test_rejects_formal_weights(self):
-        with pytest.raises(ValueError):
-            eval_at(ZERO, FORMAL)
 
     def test_rank_two_at_nonpositive_weights(self):
         sigma = MassVector(((4, 0), (8, 4)), (1, 0))

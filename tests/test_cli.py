@@ -242,6 +242,15 @@ class TestUsageErrors:
         detail = self.assert_usage(capsys, "cascade", str(scenario), "--mu", "formal")
         assert detail == "cascade probe must be numeric"
 
+    # Bad strengths are bad arguments; appendix_table's ValueError text is the detail.
+    @pytest.mark.parametrize("part,alpha,detail", [
+        ("a", "-1,0", "singular strengths must exceed -1"),
+        ("c", "-3/2,0", "singular strengths must exceed -1"),
+        ("b", "1/2,0", "part (b) needs natural strengths (integers >= 0)"),
+    ], ids=["a-at-minus-one", "c-below-minus-one", "b-not-natural"])
+    def test_weyl2_bad_strengths(self, capsys, part, alpha, detail):
+        assert self.assert_usage(capsys, "weyl2", "--part", part, f"--alpha={alpha}") == detail
+
     def test_undecodable_scenario_file(self, capsys, tmp_path):
         scenario = tmp_path / "moves.txt"
         scenario.write_bytes(b"\xff\xfe")

@@ -6,6 +6,7 @@ import pytest
 
 from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
 from b2weyl.orbit import (
+    OrbitElement,
     OrbitWalk,
     check_relations,
     descend_to_origin,
@@ -37,33 +38,33 @@ LEVEL_2 = {
 DEEP_TREE_ELEMENT = mv([[4, 0, 0], [0, 4, 0], [4, 4, 4]])
 
 
+def orbit_by_sigma(max_level, max_coefficient=None):
+    return {el.sigma: el for el in enumerate_orbit(max_level, max_coefficient)}
+
+
 class TestEnumerate:
     def test_level_zero(self):
-        store = enumerate_orbit(0)
-        assert store.vectors() == {ZERO}
-        assert store.get(ZERO).level == 0
-        assert store.get(ZERO).word == ()
+        assert enumerate_orbit(0) == [OrbitElement(ZERO, 0, ())]
 
     def test_level_one(self):
-        store = enumerate_orbit(1)
-        assert store.vectors() == {ZERO} | LEVEL_1
+        assert orbit_by_sigma(1).keys() == {ZERO} | LEVEL_1
 
     def test_tree_through_level_two_is_exact(self):
-        store = enumerate_orbit(2)
-        assert store.vectors() == {ZERO} | LEVEL_1 | LEVEL_2
-        assert all(store.get(v).level == 1 for v in LEVEL_1)
-        assert all(store.get(v).level == 2 for v in LEVEL_2)
+        found = orbit_by_sigma(2)
+        assert found.keys() == {ZERO} | LEVEL_1 | LEVEL_2
+        assert all(found[v].level == 1 for v in LEVEL_1)
+        assert all(found[v].level == 2 for v in LEVEL_2)
 
     def test_deep_tree_element_found_at_level_three(self):
-        store = enumerate_orbit(3)
-        el = store.get(DEEP_TREE_ELEMENT)
+        el = orbit_by_sigma(3).get(DEEP_TREE_ELEMENT)
         assert el is not None and el.level == 3
 
     def test_origin_not_duplicated(self):
         # Backtracking edges fold into the origin record instead of
         # producing duplicates.
-        store = enumerate_orbit(3)
-        assert store.get(ZERO).level == 0
+        elements = enumerate_orbit(3)
+        assert [el.level for el in elements if el.sigma == ZERO] == [0]
+        assert len({el.sigma for el in elements}) == len(elements)
 
     def test_witness_words_reproduce_elements(self):
         for el in enumerate_orbit(4):
@@ -71,25 +72,27 @@ class TestEnumerate:
             assert len(el.word) == el.level
 
     def test_levels_stable_under_larger_bounds(self):
-        small = enumerate_orbit(3)
-        large = enumerate_orbit(5)
-        for el in small:
-            assert large.get(el.sigma).level == el.level
+        large = orbit_by_sigma(5)
+        for el in enumerate_orbit(3):
+            assert large[el.sigma].level == el.level
 
     def test_every_element_is_a_lattice_member(self):
         for el in enumerate_orbit(5):
             assert is_member_gamma_N(el.sigma)
 
     def test_coefficient_bound_prunes_and_records(self):
-        store = enumerate_orbit(4, max_coefficient=8)
-        assert store.truncated_by_coefficient
-        assert store.truncated
-        assert all(v <= 8 for el in store for row in el.sigma.coeff for v in row)
+        walk = OrbitWalk(B2, 4, max_coefficient=8)
+        elements = list(walk)
+        assert walk.pruned
+        assert walk.truncated
+        assert all(v <= 8 for el in elements for row in el.sigma.coeff for v in row)
+        assert elements == enumerate_orbit(4, max_coefficient=8)
 
     def test_unbounded_small_run_reports_unexhausted(self):
-        store = enumerate_orbit(2)
-        assert not store.exhausted
-        assert store.truncated
+        walk = OrbitWalk(B2, 2)
+        list(walk)
+        assert not walk.exhausted
+        assert walk.truncated
 
     def test_canonical_iteration_order_is_deterministic(self):
         a = [el.sigma for el in enumerate_orbit(4)]
@@ -103,6 +106,21 @@ class TestEnumerate:
             enumerate_orbit(-1)
         with pytest.raises(ValueError):
             enumerate_orbit(2, max_coefficient=-3)
+
+    def test_walk_can_be_iterated_again(self):
+        # The bound 4 prunes, the last of the 8 elements sits on level 3,
+        # and level 4 comes out empty.
+        walk = OrbitWalk(B2, 4, max_coefficient=4)
+        first = list(walk)
+        flags = (walk.pruned, walk.exhausted, walk.count)
+        assert flags == (True, True, 8) and len(first) == 8
+        assert list(walk) == first
+        assert (walk.pruned, walk.exhausted, walk.count) == flags
+        # A new iteration starts its totals afresh: after the origin only.
+        next(iter(walk))
+        assert (walk.pruned, walk.exhausted, walk.count) == (False, False, 1)
+        assert list(walk) == first
+        assert (walk.pruned, walk.exhausted, walk.count) == flags
 
 
 class TestMembership:
@@ -166,10 +184,6 @@ class TestDescend:
         sigma = mv([[4, 0, 0], [0, 0, 0], [4, 0, 4]])
         word = descend_to_origin(sigma, Weights.numeric(2, 3, 7))
         assert apply_word(sigma, word) == ZERO
-
-    def test_formal_probe_rejected(self):
-        with pytest.raises(ValueError, match="numeric"):
-            descend_to_origin(ZERO, Weights.formal())
 
 
 class TestRelations:
