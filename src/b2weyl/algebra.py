@@ -37,9 +37,9 @@ class ReflectionSystem:
 
     Generator i (1-based) sends sigma_i to 4*mu_i - 2*sum_j a_ij sigma_j
     + sigma_i and fixes every other component.  Derived once: ``doubled``
-    is 2A, which must be integral so reflections never leave the
-    integers, and ``gram`` is the symmetric part of D*A, the matrix of the
-    invariant quadric (integer entries wherever they are integral).
+    is 2A, integral so reflections never leave the integers; ``row_maps``
+    holds each generator's row map, the nonzero (j, w_ij) of w = I - 2A;
+    ``gram``, D*A symmetrized (ints where integral), is the quadric matrix.
     """
 
     name: str
@@ -47,6 +47,7 @@ class ReflectionSystem:
     symmetrizer: tuple[int, ...]
     rank: int = field(init=False, repr=False, compare=False)
     doubled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    row_maps: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
     gram: tuple[tuple[int | Fraction, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -62,6 +63,9 @@ class ReflectionSystem:
                 for i in range(rank)]
         object.__setattr__(self, "rank", rank)
         object.__setattr__(self, "doubled", tuple(tuple(int(v) for v in row) for row in doubled))
+        object.__setattr__(self, "row_maps", tuple(
+            tuple((j, (i == j) - v) for j, v in enumerate(row) if v != (i == j))
+            for i, row in enumerate(self.doubled)))
         object.__setattr__(self, "gram", tuple(
             tuple(int(g) if g.denominator == 1 else g for g in row) for row in gram))
 
@@ -180,14 +184,20 @@ def reflect(sigma: MassVector, index: int, system: ReflectionSystem = B2) -> Mas
     if not 0 < index <= system.rank:
         raise ValueError(f"generator index must be 1..{system.rank}, got {index}")
     _check_rank(sigma, system)
-    coeff, offset = sigma.coeff, sigma.offset
-    i = index - 1
-    row = system.doubled[i]
-    new_row = [c - sum(map(mul, row, col)) for c, col in zip(coeff[i], zip(*coeff))]
-    new_row[i] += 4
-    new_off = offset[i] - sum(map(mul, row, offset))
-    return MassVector(coeff[:i] + (tuple(new_row),) + coeff[i + 1:],
-                      offset[:i] + (new_off,) + offset[i + 1:])
+    coeff, offset, i = sigma.coeff, sigma.offset, index - 1
+    pairs = system.row_maps[i]
+    return MassVector(coeff[:i] + (_reflected_row(coeff, i, pairs),) + coeff[i + 1:],
+                      offset[:i] + (sum([w * offset[j] for j, w in pairs]),) + offset[i + 1:])
+
+
+def _reflected_row(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -> tuple[int, ...]:
+    """Row i of ``coeff`` after its generator: sum_j w_ij * row_j + 4 e_i."""
+    row = [0] * len(coeff)
+    row[i] = 4
+    for j, w in pairs:
+        for k, v in enumerate(coeff[j]):
+            row[k] += w * v
+    return tuple(row)
 
 
 def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:

@@ -22,6 +22,7 @@ from .algebra import (
     ReflectionSystem,
     UNIT_WEIGHTS,
     Weights,
+    _reflected_row,
     apply_word,
     quadric_form,
     reflect,
@@ -60,9 +61,10 @@ class OrbitWalk:
     Iterating yields ``OrbitElement``s level by level, each level sorted by
     sort key and expanded in that order (then by generator index), so every
     element keeps its canonical first-discoverer word.  Only the previous,
-    current and next levels are held: a BFS edge spans at most one level,
-    so deduplicating against them is exact, and memory grows as the level
-    size times the word length.
+    current and next levels are held, keyed by coefficient matrix (offsets
+    start at zero and stay zero, so matrix order is sort-key order): a BFS
+    edge spans at most one level, so deduplicating against them is exact,
+    and memory grows as the level size times the word length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
     ``pruned``.  Once the walk has been iterated, ``count`` is the number
@@ -88,29 +90,27 @@ class OrbitWalk:
         return self.pruned or not self.exhausted
 
     def __iter__(self) -> Iterator[OrbitElement]:
-        self.pruned = self.exhausted = False
-        self.count = 0
+        self.pruned, self.exhausted, self.count = False, False, 0
         system, bound = self.system, self.max_coefficient
-        generators = range(1, system.rank + 1)
-        previous: dict[MassVector, tuple[int, ...]] = {}
-        current = {MassVector(((0,) * system.rank,) * system.rank): ()}
+        previous: dict[tuple, tuple[int, ...]] = {}
+        current = {((0,) * system.rank,) * system.rank: ()}
         for level in range(self.max_level + 1):
-            following: dict[MassVector, tuple[int, ...]] = {}
+            following: dict[tuple, tuple[int, ...]] = {}
             self.count += len(current)
-            for sigma in sorted(current, key=MassVector.sort_key):
-                word = current[sigma]
-                yield OrbitElement(sigma, level, word)
+            for coeff in sorted(current):
+                word = current[coeff]
+                yield OrbitElement(MassVector(coeff), level, word)
                 if level == self.max_level:
                     continue
-                for index in generators:
-                    child = reflect(sigma, index, system)
+                for i, pairs in enumerate(system.row_maps):
+                    row = _reflected_row(coeff, i, pairs)
+                    child = coeff[:i] + (row,) + coeff[i + 1:]
                     if child in previous or child in following or child in current:
                         continue
-                    if bound is not None and any(
-                            v > bound for row in child.coeff for v in row):
+                    if bound is not None and max(row) > bound:  # the other rows passed
                         self.pruned = True
                         continue
-                    following[child] = word + (index,)
+                    following[child] = word + (i + 1,)
             if not following:
                 self.exhausted = level < self.max_level
                 return

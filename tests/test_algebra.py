@@ -50,6 +50,12 @@ class TestReflectionSystem:
         assert B2.gram == ((1, 0, -1), (0, 1, -1), (-1, -1, 2))
         assert all(type(v) is int for row in B2.doubled + B2.gram for v in row)
 
+    def test_row_maps_are_derived(self):
+        # Row i of I - 2A without its zeros: generator 3 sums rows 1 and 2
+        # and negates row 3.
+        assert B2.row_maps == (((0, -1), (2, 2)), ((1, -1), (2, 2)), ((0, 1), (1, 1), (2, -1)))
+        assert all(type(w) is int for pairs in B2.row_maps for _, w in pairs)
+
     def test_rejects_non_integral_doubled_matrix(self):
         with pytest.raises(ValueError, match="integral"):
             ReflectionSystem("thirds", ((F(1), F(1, 3)), (F(0), F(1))), (1, 1))

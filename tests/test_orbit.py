@@ -1,8 +1,12 @@
 """Orbit enumeration, lattice membership, descent, and the presentation check."""
 
+import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
 from b2weyl.orbit import (
@@ -176,6 +180,18 @@ class TestDescend:
             assert len(word) >= el.level
             assert apply_word(el.sigma, word) == ZERO
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_descent_word_is_reduced(self, seed):
+        # The BFS level is the length of a shortest word, so a descent of
+        # exactly that many steps is a reduced word; the probe is a seeded
+        # random positive rational weight vector.
+        rng = random.Random(seed)
+        probe = Weights(tuple(Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(3)))
+        walk = list(OrbitWalk(B2, 24))
+        assert len(walk) == 801
+        mismatched = [el for el in walk if len(descend_to_origin(el.sigma, probe)) != el.level]
+        assert mismatched == []
+
     def test_non_member_is_rejected(self):
         with pytest.raises(ValueError, match="not a lattice member"):
             descend_to_origin(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]))
@@ -292,12 +308,14 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
 
 # (system, depth, coefficient bound): B2 deep and unbounded, every finite
 # system until it closes, B2 pruned at three bounds (each prunes, and the
-# orbit closes by level 10), and a pruned B2 walk cut before it closes.
+# orbit closes by level 10), a pruned B2 walk cut before it closes, the
+# bound 0 that prunes every level-1 child, and the bound 4 that closes the
+# orbit at level 3.
 ORACLE_CASES = (
     [(B2, 60, None), (SINH, 40, None)]
     + [(sub, 16, None) for sub in SUBSYSTEMS.values()]
     + [(B2, 40, bound) for bound in (8, 16, 40)]
-    + [(B2, 8, 40)]
+    + [(B2, 8, 40), (B2, 5, 0), (B2, 30, 4)]
 )
 
 
@@ -324,3 +342,24 @@ def test_walk_streams_before_the_orbit_is_built():
     assert (first.sigma, first.level, first.word) == (ZERO, 0, ())
     assert [next(walk).level for _ in range(3)] == [1, 1, 1]
 
+
+
+@st.composite
+def zero_offset_reflections(draw):
+    system = draw(st.sampled_from([B2, SINH, *SUBSYSTEMS.values()]))
+    rows = st.lists(st.integers(min_value=-200, max_value=200),
+                    min_size=system.rank, max_size=system.rank)
+    coeff = tuple(tuple(draw(rows)) for _ in range(system.rank))
+    return system, MassVector(coeff), draw(st.integers(min_value=1, max_value=system.rank))
+
+
+@given(zero_offset_reflections())
+@settings(deadline=None)
+def test_reflect_keeps_a_zero_offset_zero(case):
+    # The walk keys its levels on the coefficient matrix alone and bounds
+    # only the new row: both rest on these two facts, for every system.
+    system, sigma, index = case
+    image = reflect(sigma, index, system)
+    assert not image.has_offset
+    i = index - 1
+    assert image.coeff[:i] + image.coeff[i + 1:] == sigma.coeff[:i] + sigma.coeff[i + 1:]
