@@ -37,6 +37,13 @@ CASES = [
     ("orbit-csv-20-mu", ["orbit", "--max-level", "20", "--output", "csv",
                          "--mu", "3/2,1/3,5/4"], None, 0,
      "20451a676b9413ff56ba0561023b4d8231c64b51539dae39011771755b19113b"),
+    ("orbit-json-20-mu", ["orbit", "--max-level", "20", "--mu", "3/2,1/3,5/4"], None, 0,
+     "60884b97bac28be50707544b5bf4a4257b9866f25ed731ba4bd11d2bc6ee0547"),
+    ("orbit-csv-20", ["orbit", "--max-level", "20", "--output", "csv"], None, 0,
+     "0cda743693fb93792f6bca7e0a6f166e31695c7b32c02f41aa07c39594dfc982"),
+    # Integer sigmas ("28") next to reduced p/q ones ("8/3", not "24/9").
+    ("orbit-json-12-mixed-mu", ["orbit", "--max-level", "12", "--mu", "7,1/9,2/3"], None, 0,
+     "ba0bc0578f6a29f79762db861de33958d5dce542edbcf6a232928b10b1a82d2b"),
     # A coefficient bound prunes the orbit, which closes at level 6, so the
     # meta record and the CSV trailer both read truncated=true.
     ("orbit-json-40-pruned", ["orbit", "--max-level", "40", "--max-coefficient", "16"],
