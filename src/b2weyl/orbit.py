@@ -25,7 +25,6 @@ from .algebra import (
     _reflected_row,
     apply_word,
     quadric_form,
-    reflect,
     scaled_values,
 )
 
@@ -162,9 +161,11 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     # exactly when delta < 0 (every d_j is positive).
     m, _ = probe.scaled
     values = list(scaled_values(sigma, probe)[0])
+    # The membership check rules out offsets, so the coefficient matrix is
+    # the whole vector: step it row by row, as OrbitWalk does.
     word: list[int] = []
-    current = sigma
-    while current != ZERO:
+    coeff, origin = sigma.coeff, ZERO.coeff
+    while coeff != origin:
         for i, row in enumerate(B2.doubled):
             delta = 4 * m[i] - sum(a * v for a, v in zip(row, values))
             if delta < 0:
@@ -173,7 +174,7 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
             raise ValueError("no reflection decreases the mass measure; "
                              "vector is not in the orbit")
         values[i] += delta
-        current = reflect(current, i + 1)
+        coeff = coeff[:i] + (_reflected_row(coeff, i, B2.row_maps[i]),) + coeff[i + 1:]
         word.append(i + 1)
     return word
 
