@@ -7,8 +7,8 @@ Rationals are serialized as "p/q" strings, never floats.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -97,6 +97,33 @@ def _record(sigma: MassVector, level: int, word, weights: Weights | None) -> dic
 OUTPUT_FORMATS = ("json", "csv")
 CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
                "c31", "c32", "c33", "type_m1", "type_m2", "ell", "m1", "m2"]
+SIGMA_COLUMNS = ["sigma1", "sigma2", "sigma3"]
+
+# Orbit records have a fixed shape, so each one is a single %-template:
+# the JSON keys in the order coeff, level, word, type[, sigma], compact
+# separators; CSV fields are integers, a dotted word or p/q strings, none
+# of which ever needs quoting.
+_JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
+                '"type":[%d,%d]')
+_JSON_SIGMA = ',"sigma":["%s","%s","%s"]'
+_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS))
+_CSV_SIGMA = ",%s,%s,%s"
+_DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
+
+
+def _digits(word) -> str:
+    """A B2(1) word (generators 1..3) as one digit per letter."""
+    return bytes(word).translate(_DIGITS).decode("ascii")
+
+
+def _sigma_texts(sigma: MassVector, weights: Weights) -> tuple[str, ...]:
+    """``str(Fraction)`` of each component at the weights, without the Fractions."""
+    values, q = algebra.scaled_values(sigma, weights)
+    texts = []
+    for v in values:
+        g = math.gcd(v, q)
+        texts.append(str(v // g) if g == q else f"{v // g}/{q // g}")
+    return tuple(texts)
 
 
 def cmd_orbit(args) -> int:
@@ -109,28 +136,33 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--output must be json or csv, got {args.output!r}")
     # Records are written as the walk yields them; the totals come last.
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
+    write = sys.stdout.write
     if args.output == "json":
+        template = _JSON_RECORD + ("}\n" if weights is None else _JSON_SIGMA + "}\n")
         for el in walk:
-            _emit(_record(el.sigma, el.level, el.word, weights))
+            (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = el.sigma.coeff
+            fields = (c11, c12, c13, c21, c22, c23, c31, c32, c33, el.level,
+                      ",".join(_digits(el.word)), *closedform.type_of(el.sigma))
+            if weights is not None:
+                fields += _sigma_texts(el.sigma, weights)
+            write(template % fields)
         _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
                         "max_level": args.max_level,
                         "max_coefficient": args.max_coefficient}})
     else:
-        columns = list(CSV_COLUMNS)
-        if weights is not None:
-            columns += ["sigma1", "sigma2", "sigma3"]
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(columns)
+        columns = CSV_COLUMNS if weights is None else CSV_COLUMNS + SIGMA_COLUMNS
+        template = _CSV_ROW + ("\n" if weights is None else _CSV_SIGMA + "\n")
+        write(",".join(columns) + "\n")
         for el in walk:
             cid = closedform.invert_to_closed_form(el.sigma)
-            type_m1, type_m2 = closedform.TYPE_BY_FAMILY[cid.ell]
-            row = [el.level, ".".join(str(g) for g in el.word)]
-            row += [v for r in el.sigma.coeff for v in r]
-            row += [type_m1, type_m2, cid.ell, cid.m1, cid.m2]
+            (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = el.sigma.coeff
+            fields = (el.level, ".".join(_digits(el.word)),
+                      c11, c12, c13, c21, c22, c23, c31, c32, c33,
+                      *closedform.TYPE_BY_FAMILY[cid.ell], cid.ell, cid.m1, cid.m2)
             if weights is not None:
-                row += [str(v) for v in algebra.eval_at(el.sigma, weights)]
-            writer.writerow(row)
-        print(f"# truncated={str(walk.truncated).lower()} count={walk.count}")
+                fields += _sigma_texts(el.sigma, weights)
+            write(template % fields)
+        write(f"# truncated={str(walk.truncated).lower()} count={walk.count}\n")
     return 0
 
 

@@ -1,6 +1,8 @@
 """Command-line surface: records, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -10,7 +12,10 @@ import time
 import pytest
 
 from b2weyl import cli
+from b2weyl.algebra import B2, Weights, eval_at
 from b2weyl.cli import main
+from b2weyl.closedform import TYPE_BY_FAMILY, invert_to_closed_form, type_of
+from b2weyl.orbit import OrbitWalk
 from conftest import child_env
 from test_golden import CASES
 
@@ -73,6 +78,55 @@ class TestOrbitCommand:
         code, out = run(capsys, "orbit", "--max-level", "1", "--mu", "1,1")
         assert code == 2
         assert json_lines(out)[0]["error"] == "usage"
+
+
+class TestOrbitFormatterOracle:
+    """The orbit records, line by line, against the generic encoders.
+
+    The reference is built from the checked engine pieces (``type_of``,
+    ``invert_to_closed_form``, ``str`` of the ``Fraction`` values) and
+    encoded by ``json.dumps`` and ``csv.writer``, so the fixed templates of
+    ``cmd_orbit`` are held to what those encoders print for every element
+    of the depth-40 orbit, with and without sigma columns.
+    """
+
+    DEPTH = 40
+
+    @staticmethod
+    def reference_sigma(sigma, mu):
+        if mu == "formal":
+            return []
+        return [str(v) for v in eval_at(sigma, Weights.numeric(*mu.split(",")))]
+
+    @pytest.mark.parametrize("mu", ["formal", "3/2,1/3,5/4", "7,1/9,2/3"])
+    def test_json_lines(self, capsys, mu):
+        want = []
+        for el in OrbitWalk(B2, self.DEPTH):
+            rec = {"coeff": [list(row) for row in el.sigma.coeff], "level": el.level,
+                   "word": list(el.word), "type": list(type_of(el.sigma))}
+            if mu != "formal":
+                rec["sigma"] = self.reference_sigma(el.sigma, mu)
+            want.append(json.dumps(rec, separators=(",", ":")))
+        code, out = run(capsys, "orbit", "--max-level", str(self.DEPTH), "--mu", mu)
+        assert code == 0
+        assert out.splitlines()[:-1] == want
+
+    @pytest.mark.parametrize("mu", ["formal", "3/2,1/3,5/4", "7,1/9,2/3"])
+    def test_csv_lines(self, capsys, mu):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        sigma_columns = [] if mu == "formal" else ["sigma1", "sigma2", "sigma3"]
+        writer.writerow(cli.CSV_COLUMNS + sigma_columns)
+        for el in OrbitWalk(B2, self.DEPTH):
+            cid = invert_to_closed_form(el.sigma)
+            writer.writerow([el.level, ".".join(map(str, el.word)),
+                             *(v for row in el.sigma.coeff for v in row),
+                             *TYPE_BY_FAMILY[cid.ell], cid.ell, cid.m1, cid.m2,
+                             *self.reference_sigma(el.sigma, mu)])
+        code, out = run(capsys, "orbit", "--max-level", str(self.DEPTH), "--mu", mu,
+                        "--output", "csv")
+        assert code == 0
+        assert out.splitlines()[:-1] == buffer.getvalue().splitlines()
 
 
 class TestCheckCommand:
