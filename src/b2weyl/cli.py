@@ -97,23 +97,18 @@ def _record(sigma: MassVector, level: int, word, weights: Weights | None) -> dic
 OUTPUT_FORMATS = ("json", "csv")
 CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
                "c31", "c32", "c33", "type_m1", "type_m2", "ell", "m1", "m2"]
-SIGMA_COLUMNS = ["sigma1", "sigma2", "sigma3"]
 
-# Orbit records have a fixed shape, so each one is a single %-template:
-# the JSON keys in the order coeff, level, word, type[, sigma], compact
-# separators; CSV fields are integers, a dotted word or p/q strings, none
-# of which ever needs quoting.
+# An orbit record has a fixed shape, so it is one %-template: JSON keys in
+# the order coeff, level, word, type[, sigma] with compact separators.  CSV
+# fields are integers, a dotted word or p/q strings, so none is quoted.
 _JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
                 '"type":[%d,%d]')
-_JSON_SIGMA = ',"sigma":["%s","%s","%s"]'
-_CSV_ROW = ",".join(["%s"] * len(CSV_COLUMNS))
-_CSV_SIGMA = ",%s,%s,%s"
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
 
 
-def _digits(word) -> str:
-    """A B2(1) word (generators 1..3) as one digit per letter."""
-    return bytes(word).translate(_DIGITS).decode("ascii")
+def _word_text(word, sep: str) -> str:
+    """A B2(1) word (generators 1..3) as its digits joined by ``sep``."""
+    return sep.join(bytes(word).translate(_DIGITS).decode("ascii"))
 
 
 def _sigma_texts(sigma: MassVector, weights: Weights) -> tuple[str, ...]:
@@ -138,11 +133,11 @@ def cmd_orbit(args) -> int:
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
-        template = _JSON_RECORD + ("}\n" if weights is None else _JSON_SIGMA + "}\n")
+        template = _JSON_RECORD + ("}\n" if weights is None else ',"sigma":["%s","%s","%s"]}\n')
         for el in walk:
-            (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = el.sigma.coeff
-            fields = (c11, c12, c13, c21, c22, c23, c31, c32, c33, el.level,
-                      ",".join(_digits(el.word)), *closedform.type_of(el.sigma))
+            row1, row2, row3 = el.sigma.coeff
+            fields = (*row1, *row2, *row3, el.level, _word_text(el.word, ","),
+                      *closedform.type_of(el.sigma))
             if weights is not None:
                 fields += _sigma_texts(el.sigma, weights)
             write(template % fields)
@@ -150,14 +145,15 @@ def cmd_orbit(args) -> int:
                         "max_level": args.max_level,
                         "max_coefficient": args.max_coefficient}})
     else:
-        columns = CSV_COLUMNS if weights is None else CSV_COLUMNS + SIGMA_COLUMNS
-        template = _CSV_ROW + ("\n" if weights is None else _CSV_SIGMA + "\n")
+        columns = list(CSV_COLUMNS)
+        if weights is not None:
+            columns += ["sigma1", "sigma2", "sigma3"]
+        template = ",".join(["%s"] * len(columns)) + "\n"
         write(",".join(columns) + "\n")
         for el in walk:
             cid = closedform.invert_to_closed_form(el.sigma)
-            (c11, c12, c13), (c21, c22, c23), (c31, c32, c33) = el.sigma.coeff
-            fields = (el.level, ".".join(_digits(el.word)),
-                      c11, c12, c13, c21, c22, c23, c31, c32, c33,
+            row1, row2, row3 = el.sigma.coeff
+            fields = (el.level, _word_text(el.word, "."), *row1, *row2, *row3,
                       *closedform.TYPE_BY_FAMILY[cid.ell], cid.ell, cid.m1, cid.m2)
             if weights is not None:
                 fields += _sigma_texts(el.sigma, weights)
