@@ -30,6 +30,10 @@ collapse 12
 collapse 12
 """
 
+# The same scenario without its last line: every collapse passes, so the
+# records print merges, pair variants and non-integral totals.
+ACCEPTED_SCENARIO = REJECTED_SCENARIO.rsplit("collapse 12\n", 1)[0]
+
 # (id, argv, cascade scenario text or None, exit code, sha256 of stdout)
 CASES = [
     ("orbit-json-20", ["orbit", "--max-level", "20"], None, 0,
@@ -80,6 +84,8 @@ CASES = [
      "c839e6c1fe6c0a9e666bf4d7865faf91420c809942bf3b7e13d5679f742baf07"),
     ("cascade-rejected", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
      REJECTED_SCENARIO, 1, "8a06bea291185a760739502df47b72fd6ab857208d642d506c18b09ba51339da"),
+    ("cascade-accepted", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
+     ACCEPTED_SCENARIO, 0, "c1b390adbbfa3c3692b692f95c1a2a99493af629b9bd72c5f97cc21d02c6656e"),
 ]
 
 
