@@ -200,6 +200,18 @@ def _reflected_row(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -> 
     return tuple(row)
 
 
+def _reflected_value(values: Sequence[int], i: int, pairs: tuple, m: Sequence[int]) -> int:
+    """Entry i of v = q*sigma(M/q) after its generator: 4*M_i + sum_j w_ij * v_j.
+
+    The same map as ``_reflected_row``, applied to the values at the weights;
+    it equals v_i + 4*M_i - (2A v)_i, and no other entry changes.
+    """
+    v = 4 * m[i]
+    for j, w in pairs:
+        v += w * values[j]
+    return v
+
+
 def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:
     """Apply a generator word in application order (word[0] acts first).
 
@@ -225,6 +237,15 @@ def scaled_values(sigma: MassVector,
     if len(m) != len(sigma.coeff):
         raise ValueError(f"{len(sigma.coeff)} weight values required, got {len(m)}")
     return tuple([sum(map(mul, row, m)) + q * o for row, o in zip(sigma.coeff, sigma.offset)]), q
+
+
+def ratio_texts(values: Iterable[int], q: int) -> list[str]:
+    """``str(Fraction(v, q))`` of each value, for q > 0, without building the Fractions."""
+    texts = []
+    for v in values:
+        g = math.gcd(v, q)
+        texts.append(str(v // g) if g == q else f"{v // g}/{q // g}")
+    return texts
 
 
 def eval_at(sigma: MassVector, weights: Weights | Sequence[Rational]) -> tuple[Fraction, ...]:

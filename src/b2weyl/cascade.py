@@ -10,11 +10,12 @@ at the probe weights are rejected as non-physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import MassVector, UNIT_WEIGHTS, Weights, ZERO, apply_word, eval_at, scaled_values
+from .algebra import (B2, UNIT_WEIGHTS, ZERO, MassVector, Weights, _reflected_row,
+                      _reflected_value, ratio_texts, scaled_values)
 from .orbit import descend_to_origin, is_member_gamma_N
 
 
@@ -101,19 +102,40 @@ Move = Union[SatelliteMerge, Collapse]
 
 @dataclass(frozen=True)
 class CascadeState:
-    """Immutable simulator state; step() returns a new one."""
+    """Immutable simulator state; step() returns a new one.
+
+    ``values`` is the orbit part at the probe as integers: with
+    ``(M, q) = probe.scaled``, gamma(mu) = values/q.  A state built
+    without them derives them from ``gamma``; ``step`` carries them along.
+    """
 
     gamma: MassVector = ZERO
     lattice: tuple[int, int, int] = (0, 0, 0)
     probe: Weights = UNIT_WEIGHTS
+    values: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.values is None:
+            if self.gamma.has_offset:
+                raise ValueError("the orbit part of a cascade state carries no constant offset")
+            object.__setattr__(self, "values", scaled_values(self.gamma, self.probe)[0])
+
+    def _scaled_totals(self) -> list[int]:
+        """q * (gamma + 4n) at the probe, one integer per component."""
+        q4 = 4 * self.probe.scaled[1]
+        return [v + q4 * n for v, n in zip(self.values, self.lattice)]  # type: ignore[arg-type]
 
     def total(self) -> tuple[Fraction, Fraction, Fraction]:
         """Observable mass gamma + 4n, evaluated at the probe."""
-        values = eval_at(self.gamma, self.probe)
-        return tuple(v + 4 * n for v, n in zip(values, self.lattice))  # type: ignore[return-value]
+        q = self.probe.scaled[1]
+        return tuple(Fraction(t, q) for t in self._scaled_totals())  # type: ignore[return-value]
 
     def total_sum(self) -> Fraction:
-        return sum(self.total(), Fraction(0))
+        return Fraction(sum(self._scaled_totals()), self.probe.scaled[1])
+
+    def total_texts(self) -> list[str]:
+        """``str`` of each ``total()`` entry, without building the Fractions."""
+        return ratio_texts(self._scaled_totals(), self.probe.scaled[1])
 
 
 def initial_state(probe: Weights | None = None) -> CascadeState:
@@ -127,26 +149,32 @@ def step(state: CascadeState, move: Move) -> CascadeState:
     A collapse keeps the lattice fixed and replaces the orbit part; if it
     changes the orbit part, the total mass at the probe must grow by at
     least min_i 4*mu_i, the lower bound the cascade realizes -- anything
-    less is rejected as non-physical.
+    less is rejected as non-physical.  The word runs on the coefficient
+    rows and the probe values together, one row map per generator, so the
+    bound is checked in integers: q*gain against 4*min(M).
     """
     if isinstance(move, SatelliteMerge):
         if len(move.mass) != 3 or any(v < 0 or v % 4 for v in move.mass):
             raise InvalidSatellite(f"invalid satellite {move.mass}: entries must be "
                                    "nonnegative multiples of 4")
         lattice = tuple(n + v // 4 for n, v in zip(state.lattice, move.mass))
-        return CascadeState(state.gamma, lattice, state.probe)  # type: ignore[arg-type]
+        return CascadeState(state.gamma, lattice, state.probe, state.values)  # type: ignore[arg-type]
 
-    new_gamma = apply_word(state.gamma, move.word())
-    if new_gamma != state.gamma:
-        before, q = scaled_values(state.gamma, state.probe)
-        after, _ = scaled_values(new_gamma, state.probe)
-        gain = Fraction(sum(after) - sum(before), q)
-        bound = 4 * min(state.probe.values)
-        if gain < bound:
-            raise NonPhysicalMove(
-                f"non-physical move {move.describe()}: total mass gain {gain} "
-                f"falls below the bound {bound}")
-    return CascadeState(new_gamma, state.lattice, state.probe)
+    coeff, values = state.gamma.coeff, state.values
+    m, q = state.probe.scaled
+    for index in move.word():
+        i = index - 1
+        pairs = B2.row_maps[i]
+        coeff = coeff[:i] + (_reflected_row(coeff, i, pairs),) + coeff[i + 1:]
+        values = values[:i] + (_reflected_value(values, i, pairs, m),) + values[i + 1:]
+    if coeff == state.gamma.coeff:
+        return state
+    gain = sum(values) - sum(state.values)
+    if gain < 4 * min(m):
+        raise NonPhysicalMove(
+            f"non-physical move {move.describe()}: total mass gain {Fraction(gain, q)} "
+            f"falls below the bound {4 * min(state.probe.values)}")
+    return CascadeState(MassVector(coeff), state.lattice, state.probe, values)
 
 
 @dataclass(frozen=True)
@@ -208,6 +236,6 @@ def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[dict]:
             "move": move.describe(),
             "gamma_coeff": [list(row) for row in state.gamma.coeff],
             "lattice": list(state.lattice),
-            "total": [str(v) for v in state.total()],
+            "total": state.total_texts(),
         })
     return trace

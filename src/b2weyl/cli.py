@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -90,7 +89,7 @@ def _record(sigma: MassVector, level: int, word, weights: Weights | None) -> dic
         "type": list(closedform.type_of(sigma)),
     }
     if weights is not None:
-        rec["sigma"] = [str(v) for v in algebra.eval_at(sigma, weights)]
+        rec["sigma"] = _sigma_texts(sigma, weights)
     return rec
 
 
@@ -106,19 +105,23 @@ _JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
 
 
+# A cascade record, in the key order of ``cascade.replay``.  Move texts are
+# built from integers and the fixed variant names, so none needs escaping.
+_CASCADE_RECORD = ('{"move":"%s","gamma_coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],'
+                   '"lattice":[%d,%d,%d],"total":["%s","%s","%s"]}\n')
+
+
 def _word_text(word, sep: str) -> str:
     """A B2(1) word (generators 1..3) as its digits joined by ``sep``."""
     return sep.join(bytes(word).translate(_DIGITS).decode("ascii"))
 
 
-def _sigma_texts(sigma: MassVector, weights: Weights) -> tuple[str, ...]:
-    """``str(Fraction)`` of each component at the weights, without the Fractions."""
-    values, q = algebra.scaled_values(sigma, weights)
-    texts = []
-    for v in values:
-        g = math.gcd(v, q)
-        texts.append(str(v // g) if g == q else f"{v // g}/{q // g}")
-    return tuple(texts)
+def _sigma_texts(sigma: MassVector, weights) -> list[str]:
+    """``str(Fraction)`` of each component at the weights, without the Fractions.
+
+    ``weights`` is anything ``algebra.scaled_values`` takes.
+    """
+    return algebra.ratio_texts(*algebra.scaled_values(sigma, weights))
 
 
 def cmd_orbit(args) -> int:
@@ -139,7 +142,7 @@ def cmd_orbit(args) -> int:
             fields = (*row1, *row2, *row3, el.level, _word_text(el.word, ","),
                       *closedform.type_of(el.sigma))
             if weights is not None:
-                fields += _sigma_texts(el.sigma, weights)
+                fields += tuple(_sigma_texts(el.sigma, weights))
             write(template % fields)
         _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
                         "max_level": args.max_level,
@@ -156,7 +159,7 @@ def cmd_orbit(args) -> int:
             fields = (el.level, _word_text(el.word, "."), *row1, *row2, *row3,
                       *closedform.TYPE_BY_FAMILY[cid.ell], cid.ell, cid.m1, cid.m2)
             if weights is not None:
-                fields += _sigma_texts(el.sigma, weights)
+                fields += tuple(_sigma_texts(el.sigma, weights))
             write(template % fields)
         write(f"# truncated={str(walk.truncated).lower()} count={walk.count}\n")
     return 0
@@ -225,7 +228,7 @@ def cmd_sinh(args) -> int:
         m = sinh.sinh_invert(vec)
         out = {"coeff": [list(row) for row in vec.coeff], "m": m, "level": abs(m)}
         if mu is not None:
-            out["sigma"] = [str(v) for v in algebra.eval_at(vec, mu)]
+            out["sigma"] = _sigma_texts(vec, mu)
         return out
 
     if args.closed_form is not None:
@@ -269,7 +272,7 @@ def cmd_weyl2(args) -> int:
     for coeff in weyl2.finite_orbit(sub):
         rec = {"coeff": [list(row) for row in coeff]}
         if values is not None:
-            rec["values"] = [str(v) for v in algebra.eval_at(MassVector(coeff), values)]
+            rec["values"] = _sigma_texts(MassVector(coeff), values)
         _emit(rec)
     return 0
 
@@ -283,8 +286,14 @@ def cmd_cascade(args) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from exc
     moves = cascade.parse_scenario(text)
-    for record in cascade.replay(moves, probe):
-        _emit(record)
+    # Nothing is written until the whole replay has passed, so a rejected
+    # scenario prints its error record alone.
+    lines = []
+    for rec in cascade.replay(moves, probe):
+        row1, row2, row3 = rec["gamma_coeff"]
+        lines.append(_CASCADE_RECORD % (rec["move"], *row1, *row2, *row3,
+                                        *rec["lattice"], *rec["total"]))
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -23,6 +23,7 @@ from .algebra import (
     UNIT_WEIGHTS,
     Weights,
     _reflected_row,
+    _reflected_value,
     apply_word,
     quadric_form,
     scaled_values,
@@ -157,8 +158,8 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
         raise ValueError(f"not a lattice member: certificate {cert}")
 
     # Work on the probe values q*sigma = v.  Generator i changes only v_i,
-    # by delta = 4*M_i - (2A v)_i, so the measure sum_j d_j v_j drops
-    # exactly when delta < 0 (every d_j is positive).
+    # so the measure sum_j d_j v_j drops exactly when the new v_i is smaller
+    # (every d_j is positive).
     m, _ = probe.scaled
     values = list(scaled_values(sigma, probe)[0])
     # The membership check rules out offsets, so the coefficient matrix is
@@ -166,15 +167,15 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     word: list[int] = []
     coeff, origin = sigma.coeff, ZERO.coeff
     while coeff != origin:
-        for i, row in enumerate(B2.doubled):
-            delta = 4 * m[i] - sum(a * v for a, v in zip(row, values))
-            if delta < 0:
+        for i, pairs in enumerate(B2.row_maps):
+            value = _reflected_value(values, i, pairs, m)
+            if value < values[i]:
                 break  # smallest index wins ties by construction
         else:
             raise ValueError("no reflection decreases the mass measure; "
                              "vector is not in the orbit")
-        values[i] += delta
-        coeff = coeff[:i] + (_reflected_row(coeff, i, B2.row_maps[i]),) + coeff[i + 1:]
+        values[i] = value
+        coeff = coeff[:i] + (_reflected_row(coeff, i, pairs),) + coeff[i + 1:]
         word.append(i + 1)
     return word
 

@@ -16,6 +16,7 @@ from b2weyl.algebra import (
     eval_at,
     pohozaev_residual,
     quadric_form,
+    ratio_texts,
     reflect,
 )
 from b2weyl.sinh import SINH
@@ -215,6 +216,19 @@ class TestEvalAt:
             eval_at(MassVector(((4, 0), (0, 0))), Weights.numeric(1, 1, 1))
         with pytest.raises(ValueError, match="weight values"):
             eval_at(ZERO, (1, 1))
+
+
+class TestRatioTexts:
+    """The one rational formatter against ``str(Fraction)``."""
+
+    def test_examples(self):
+        assert ratio_texts([0, -6, 6, -6, 5], 4) == ["0", "-3/2", "3/2", "-3/2", "5/4"]
+        assert ratio_texts([0, -6, 5], 1) == ["0", "-6", "5"]
+
+    @given(st.lists(st.integers(-10**12, 10**12), max_size=4), st.integers(1, 10**6))
+    @settings(deadline=None, max_examples=500)
+    def test_matches_fraction_str(self, values, q):
+        assert ratio_texts(values, q) == [str(Fraction(v, q)) for v in values]
 
 
 class TestCanonicalOrder:

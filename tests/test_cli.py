@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import random
 import subprocess
 import sys
 import threading
@@ -12,11 +13,13 @@ import time
 import pytest
 
 from b2weyl import cli
-from b2weyl.algebra import B2, Weights, eval_at
+from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word, eval_at
+from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
 from b2weyl.closedform import TYPE_BY_FAMILY, invert_to_closed_form, type_of
-from b2weyl.orbit import OrbitWalk
+from b2weyl.orbit import OrbitWalk, enumerate_orbit
 from conftest import child_env
+from test_cascade import random_move
 from test_golden import CASES
 
 
@@ -250,11 +253,85 @@ class TestCascadeCommand:
         scenario.write_text("collapse 1\ncollapse 1\n")
         code, out = run(capsys, "cascade", str(scenario))
         assert code == 1
+        # The error record alone: no record of the accepted first move.
+        assert len(out.splitlines()) == 1
         assert json_lines(out)[0]["error"] == "rejected-move"
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out = run(capsys, "cascade", str(tmp_path / "absent.txt"))
         assert code == 2
+
+
+class TestCascadeFormatterOracle:
+    """Cascade records, line by line, against ``json.dumps`` of a reference.
+
+    The reference replays each scenario on its own: ``apply_word`` moves the
+    orbit part, the gain bound is checked on ``eval_at`` Fractions, and each
+    total is ``str`` of ``eval_at(gamma) + 4n``.  So the integer probe values
+    carried by ``step`` and the fixed template of ``cmd_cascade`` are both
+    held to it, on seeded random legal scenarios.
+    """
+
+    SCENARIOS = 100
+    PROBES = ["1/3,5/2,7/4", "7,1/9,2/3"]
+
+    @staticmethod
+    def legal_scenario(rng, probe, length):
+        """``length`` physical moves as scenario lines, and their reference records."""
+        gamma, lattice = ZERO, (0, 0, 0)
+        bound = 4 * min(probe.values)
+        lines, want = [], []
+        while len(lines) < length:
+            move = random_move(rng)
+            if isinstance(move, SatelliteMerge):
+                lattice = tuple(n + v // 4 for n, v in zip(lattice, move.mass))
+            else:
+                nxt = apply_word(gamma, move.word())
+                gain = sum(eval_at(nxt, probe)) - sum(eval_at(gamma, probe))
+                if nxt != gamma and gain < bound:
+                    continue
+                gamma = nxt
+            lines.append(move.describe())
+            rec = {"move": lines[-1], "gamma_coeff": [list(row) for row in gamma.coeff],
+                   "lattice": list(lattice),
+                   "total": [str(v + 4 * n) for v, n in zip(eval_at(gamma, probe), lattice)]}
+            want.append(json.dumps(rec, separators=(",", ":")))
+        return lines, want
+
+    @pytest.mark.parametrize("mu", PROBES)
+    def test_random_legal_scenarios(self, capsys, tmp_path, mu):
+        rng = random.Random(2024)
+        probe = Weights.numeric(*mu.split(","))
+        path = tmp_path / "scenario.txt"
+        for _ in range(self.SCENARIOS):
+            lines, want = self.legal_scenario(rng, probe, rng.randint(1, 30))
+            path.write_text("\n".join(lines) + "\n")
+            code, out = run(capsys, "cascade", str(path), "--mu", mu)
+            assert code == 0
+            assert out.splitlines() == want
+
+    @pytest.mark.parametrize("mu", PROBES)
+    def test_hand_built_state_derives_its_values(self, mu):
+        probe, lattice = Weights.numeric(*mu.split(",")), (1, 0, 2)
+        for el in enumerate_orbit(4):
+            state = CascadeState(el.sigma, lattice, probe)
+            before = eval_at(el.sigma, probe)
+            want = tuple(v + 4 * n for v, n in zip(before, lattice))
+            assert state.total() == want
+            assert state.total_sum() == sum(want)
+            assert state.total_texts() == [str(v) for v in want]
+            # A step from it agrees with the Fraction reference too.
+            after = eval_at(apply_word(el.sigma, (1,)), probe)
+            try:
+                nxt = step(state, Collapse((1,)))
+            except NonPhysicalMove:
+                assert sum(after) - sum(before) < 4 * min(probe.values)
+            else:
+                assert nxt.total() == tuple(v + 4 * n for v, n in zip(after, lattice))
+
+    def test_hand_built_state_with_an_offset_is_rejected(self):
+        with pytest.raises(ValueError, match="offset"):
+            CascadeState(MassVector(ZERO.coeff, (0, 0, 4)))
 
 
 class TestUsageErrors:
