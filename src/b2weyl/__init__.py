@@ -12,7 +12,6 @@ instances of one rank-generic ``ReflectionSystem``.
 from .algebra import (
     B2,
     CARTAN_MATRIX,
-    DOUBLED_CARTAN,
     GENERATORS,
     MassVector,
     ReflectionSystem,
@@ -61,7 +60,7 @@ from .weyl2 import SUBSYSTEMS, Subsystem, appendix_table, finite_orbit, longest_
 __version__ = "0.1.0"
 
 __all__ = [
-    "B2", "CARTAN_MATRIX", "DOUBLED_CARTAN", "GENERATORS", "MassVector",
+    "B2", "CARTAN_MATRIX", "GENERATORS", "MassVector",
     "ReflectionSystem", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word",
     "eval_at", "pohozaev_residual", "quadric_form", "reflect",
     "CascadeState", "Collapse", "Decomposition", "InvalidSatellite",

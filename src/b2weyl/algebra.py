@@ -85,7 +85,6 @@ SYMMETRIZER = (1, 1, 2)
 
 B2 = ReflectionSystem("B2(1)", CARTAN_MATRIX, SYMMETRIZER)
 GENERATORS = (1, 2, 3)
-DOUBLED_CARTAN = B2.doubled
 
 Rational = Union[int, Fraction, str]
 
@@ -184,26 +183,26 @@ def reflect(sigma: MassVector, index: int, system: ReflectionSystem = B2) -> Mas
     if not 0 < index <= system.rank:
         raise ValueError(f"generator index must be 1..{system.rank}, got {index}")
     _check_rank(sigma, system)
-    coeff, offset, i = sigma.coeff, sigma.offset, index - 1
+    offset, i = sigma.offset, index - 1
     pairs = system.row_maps[i]
-    return MassVector(coeff[:i] + (_reflected_row(coeff, i, pairs),) + coeff[i + 1:],
+    return MassVector(_reflected_coeff(sigma.coeff, i, pairs),
                       offset[:i] + (sum([w * offset[j] for j, w in pairs]),) + offset[i + 1:])
 
 
-def _reflected_row(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -> tuple[int, ...]:
-    """Row i of ``coeff`` after its generator: sum_j w_ij * row_j + 4 e_i."""
+def _reflected_coeff(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -> tuple:
+    """``coeff`` after generator i + 1: row i becomes sum_j w_ij * row_j + 4 e_i, the rest stay."""
     row = [0] * len(coeff)
     row[i] = 4
     for j, w in pairs:
         for k, v in enumerate(coeff[j]):
             row[k] += w * v
-    return tuple(row)
+    return coeff[:i] + (tuple(row),) + coeff[i + 1:]
 
 
 def _reflected_value(values: Sequence[int], i: int, pairs: tuple, m: Sequence[int]) -> int:
     """Entry i of v = q*sigma(M/q) after its generator: 4*M_i + sum_j w_ij * v_j.
 
-    The same map as ``_reflected_row``, applied to the values at the weights;
+    The same map as ``_reflected_coeff``'s row, applied to the values at the weights;
     it equals v_i + 4*M_i - (2A v)_i, and no other entry changes.
     """
     v = 4 * m[i]

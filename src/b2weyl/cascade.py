@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import (B2, UNIT_WEIGHTS, ZERO, MassVector, Weights, _reflected_row,
+from .algebra import (B2, UNIT_WEIGHTS, ZERO, MassVector, Weights, _reflected_coeff,
                       _reflected_value, ratio_texts, scaled_values)
 from .orbit import descend_to_origin, is_member_gamma_N
 
@@ -165,7 +165,7 @@ def step(state: CascadeState, move: Move) -> CascadeState:
     for index in move.word():
         i = index - 1
         pairs = B2.row_maps[i]
-        coeff = coeff[:i] + (_reflected_row(coeff, i, pairs),) + coeff[i + 1:]
+        coeff = _reflected_coeff(coeff, i, pairs)
         values = values[:i] + (_reflected_value(values, i, pairs, m),) + values[i + 1:]
     if coeff == state.gamma.coeff:
         return state
@@ -226,16 +226,9 @@ def parse_scenario(text: str) -> list[Move]:
     return moves
 
 
-def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[dict]:
-    """Run a scenario from the origin state, returning one record per step."""
-    state = initial_state(probe)
-    trace = []
+def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[CascadeState]:
+    """Run a scenario from the origin state, returning the state after each move."""
+    states = [initial_state(probe)]
     for move in moves:
-        state = step(state, move)
-        trace.append({
-            "move": move.describe(),
-            "gamma_coeff": [list(row) for row in state.gamma.coeff],
-            "lattice": list(state.lattice),
-            "total": state.total_texts(),
-        })
-    return trace
+        states.append(step(states[-1], move))
+    return states[1:]

@@ -81,31 +81,20 @@ def _error(code: str, detail: str) -> None:
     _emit({"error": code, "detail": detail})
 
 
-def _record(sigma: MassVector, level: int, word, weights: Weights | None) -> dict:
-    rec = {
-        "coeff": [list(row) for row in sigma.coeff],
-        "level": level,
-        "word": list(word),
-        "type": list(closedform.type_of(sigma)),
-    }
-    if weights is not None:
-        rec["sigma"] = _sigma_texts(sigma, weights)
-    return rec
-
-
 OUTPUT_FORMATS = ("json", "csv")
 CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
                "c31", "c32", "c33", "type_m1", "type_m2", "ell", "m1", "m2"]
 
 # An orbit record has a fixed shape, so it is one %-template: JSON keys in
-# the order coeff, level, word, type[, sigma] with compact separators.  CSV
-# fields are integers, a dotted word or p/q strings, so none is quoted.
+# the order coeff, level, word, type[, sigma] with compact separators; a
+# closedform record adds its id last.  CSV fields are integers, a dotted
+# word or p/q strings, so none is quoted.
 _JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
                 '"type":[%d,%d]')
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
 
 
-# A cascade record, in the key order of ``cascade.replay``.  Move texts are
+# A cascade record: the move, then the state after it.  Move texts are
 # built from integers and the fixed variant names, so none needs escaping.
 _CASCADE_RECORD = ('{"move":"%s","gamma_coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],'
                    '"lattice":[%d,%d,%d],"total":["%s","%s","%s"]}\n')
@@ -124,6 +113,21 @@ def _sigma_texts(sigma: MassVector, weights) -> list[str]:
     return algebra.ratio_texts(*algebra.scaled_values(sigma, weights))
 
 
+def _json_template(weights: Weights | None, tail: str = "") -> str:
+    """``_JSON_RECORD``, the sigma slots when there are weights, then ``tail``."""
+    sigma = "" if weights is None else ',"sigma":["%s","%s","%s"]'
+    return _JSON_RECORD + sigma + tail + "}\n"
+
+
+def _json_fields(sigma: MassVector, level: int, word, weights: Weights | None) -> tuple:
+    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights."""
+    row1, row2, row3 = sigma.coeff
+    fields = (*row1, *row2, *row3, level, _word_text(word, ","), *closedform.type_of(sigma))
+    if weights is not None:
+        fields += tuple(_sigma_texts(sigma, weights))
+    return fields
+
+
 def cmd_orbit(args) -> int:
     weights = _parse_mu(args.mu)
     if args.max_level < 0:
@@ -136,14 +140,9 @@ def cmd_orbit(args) -> int:
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
-        template = _JSON_RECORD + ("}\n" if weights is None else ',"sigma":["%s","%s","%s"]}\n')
+        template = _json_template(weights)
         for el in walk:
-            row1, row2, row3 = el.sigma.coeff
-            fields = (*row1, *row2, *row3, el.level, _word_text(el.word, ","),
-                      *closedform.type_of(el.sigma))
-            if weights is not None:
-                fields += tuple(_sigma_texts(el.sigma, weights))
-            write(template % fields)
+            write(template % _json_fields(el.sigma, el.level, el.word, weights))
         _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
                         "max_level": args.max_level,
                         "max_coefficient": args.max_coefficient}})
@@ -198,9 +197,8 @@ def cmd_closedform(args) -> int:
     # Greedy descent, reversed, witnesses reachability; it need not be a
     # shortest word.
     word = tuple(reversed(orbit.descend_to_origin(sigma)))
-    rec = _record(sigma, len(word), word, weights)
-    rec["closed_form"] = [cid.ell, cid.m1, cid.m2]
-    _emit(rec)
+    template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
+    sys.stdout.write(template % (*_json_fields(sigma, len(word), word, weights), *cid))
     return 0
 
 
@@ -285,14 +283,17 @@ def cmd_cascade(args) -> int:
         text = Path(args.scenario).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from exc
-    moves = cascade.parse_scenario(text)
+    try:
+        moves = cascade.parse_scenario(text)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     # Nothing is written until the whole replay has passed, so a rejected
     # scenario prints its error record alone.
     lines = []
-    for rec in cascade.replay(moves, probe):
-        row1, row2, row3 = rec["gamma_coeff"]
-        lines.append(_CASCADE_RECORD % (rec["move"], *row1, *row2, *row3,
-                                        *rec["lattice"], *rec["total"]))
+    for move, state in zip(moves, cascade.replay(moves, probe)):
+        row1, row2, row3 = state.gamma.coeff
+        lines.append(_CASCADE_RECORD % (move.describe(), *row1, *row2, *row3,
+                                        *state.lattice, *state.total_texts()))
     sys.stdout.write("".join(lines))
     return 0
 

@@ -22,7 +22,7 @@ from .algebra import (
     ReflectionSystem,
     UNIT_WEIGHTS,
     Weights,
-    _reflected_row,
+    _reflected_coeff,
     _reflected_value,
     apply_word,
     quadric_form,
@@ -103,11 +103,10 @@ class OrbitWalk:
                 if level == self.max_level:
                     continue
                 for i, pairs in enumerate(system.row_maps):
-                    row = _reflected_row(coeff, i, pairs)
-                    child = coeff[:i] + (row,) + coeff[i + 1:]
+                    child = _reflected_coeff(coeff, i, pairs)
                     if child in previous or child in following or child in current:
                         continue
-                    if bound is not None and max(row) > bound:  # the other rows passed
+                    if bound is not None and max(child[i]) > bound:  # the other rows passed
                         self.pruned = True
                         continue
                     following[child] = word + (i + 1,)
@@ -175,7 +174,7 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
             raise ValueError("no reflection decreases the mass measure; "
                              "vector is not in the orbit")
         values[i] = value
-        coeff = coeff[:i] + (_reflected_row(coeff, i, pairs),) + coeff[i + 1:]
+        coeff = _reflected_coeff(coeff, i, pairs)
         word.append(i + 1)
     return word
 

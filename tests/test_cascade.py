@@ -180,11 +180,11 @@ class TestScenario:
         moves = parse_scenario(text)
         assert [m.describe() for m in moves] == [
             "collapse 3", "collapse 1", "merge 4 0 8", "collapse 13 i3"]
-        trace = replay(moves)
-        assert len(trace) == 4
-        assert trace[1]["gamma_coeff"] == [[4, 0, 8], [0, 0, 0], [0, 0, 4]]
-        assert trace[2]["lattice"] == [1, 0, 2]
-        totals = [sum(F(v) for v in rec["total"]) for rec in trace]
+        states = replay(moves)
+        assert len(states) == 4
+        assert states[1].gamma.coeff == ((4, 0, 8), (0, 0, 0), (0, 0, 4))
+        assert states[2].lattice == (1, 0, 2)
+        totals = [state.total_sum() for state in states]
         assert totals == sorted(totals)
 
     def test_parse_errors_carry_line_numbers(self):

@@ -16,8 +16,9 @@ from b2weyl import cli
 from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word, eval_at
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
-from b2weyl.closedform import TYPE_BY_FAMILY, invert_to_closed_form, type_of
-from b2weyl.orbit import OrbitWalk, enumerate_orbit
+from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
+                               invert_to_closed_form, type_of)
+from b2weyl.orbit import OrbitWalk, descend_to_origin, enumerate_orbit
 from conftest import child_env
 from test_cascade import random_move
 from test_golden import CASES
@@ -90,7 +91,9 @@ class TestOrbitFormatterOracle:
     ``invert_to_closed_form``, ``str`` of the ``Fraction`` values) and
     encoded by ``json.dumps`` and ``csv.writer``, so the fixed templates of
     ``cmd_orbit`` are held to what those encoders print for every element
-    of the depth-40 orbit, with and without sigma columns.
+    of the depth-40 orbit, with and without sigma columns.  ``closedform``
+    writes the same JSON record with a ``closed_form`` tail, and is held to
+    it on every admissible id with small parameters.
     """
 
     DEPTH = 40
@@ -130,6 +133,22 @@ class TestOrbitFormatterOracle:
                         "--output", "csv")
         assert code == 0
         assert out.splitlines()[:-1] == buffer.getvalue().splitlines()
+
+    @pytest.mark.parametrize("mu", ["formal", "3/2,1/3,5/4"])
+    def test_closedform_lines(self, capsys, mu):
+        """Every admissible id with |m_i| <= 8 prints the orbit record plus its id."""
+        for ell in TYPE_BY_FAMILY:
+            for m1, m2 in admissible_parameters(ell, 8):
+                sigma = closed_form_eval((ell, m1, m2))
+                word = list(reversed(descend_to_origin(sigma)))
+                rec = {"coeff": [list(row) for row in sigma.coeff], "level": len(word),
+                       "word": word, "type": list(type_of(sigma))}
+                if mu != "formal":
+                    rec["sigma"] = self.reference_sigma(sigma, mu)
+                rec["closed_form"] = [ell, m1, m2]
+                code, out = run(capsys, "closedform", str(ell), str(m1), str(m2), "--mu", mu)
+                assert code == 0
+                assert out == json.dumps(rec, separators=(",", ":")) + "\n"
 
 
 class TestCheckCommand:
@@ -381,6 +400,19 @@ class TestUsageErrors:
     ], ids=["a-at-minus-one", "c-below-minus-one", "b-not-natural"])
     def test_weyl2_bad_strengths(self, capsys, part, alpha, detail):
         assert self.assert_usage(capsys, "weyl2", "--part", part, f"--alpha={alpha}") == detail
+
+    # A scenario line that does not parse is a bad argument, as an unreadable
+    # file is; the parser's text, with its line number, is the detail.
+    @pytest.mark.parametrize("line,detail", [
+        ("explode 1 2 3", "scenario line 1: unknown move kind 'explode'"),
+        ("merge 4 4", "scenario line 1: merge takes exactly three masses"),
+        ("collapse 13", "scenario line 1: collapse on (1, 3) needs a variant from "
+                        "['3', '3i', '3i3', 'e', 'i', 'i3', 'i3i', 'i3i3'], got None"),
+    ], ids=["unknown-kind", "short-merge", "pair-without-variant"])
+    def test_unparsable_scenario_line(self, capsys, tmp_path, line, detail):
+        scenario = tmp_path / "moves.txt"
+        scenario.write_text(line + "\n")
+        assert self.assert_usage(capsys, "cascade", str(scenario)) == detail
 
     def test_undecodable_scenario_file(self, capsys, tmp_path):
         scenario = tmp_path / "moves.txt"

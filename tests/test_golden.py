@@ -65,6 +65,12 @@ CASES = [
      "b46c85ddfd37547f1f2ee02ad04e622caafcf33094b34b7c4596342f5a3ad4da"),
     ("closedform-mu", ["closedform", "8", "-5", "7", "--mu", "2/3,5/4,7/2"], None, 0,
      "b8424096a11cf4090d520f54236a92a66fd09aaf516082ac536ba9083dc30325"),
+    # No weights, so no sigma before the closed_form tail.
+    ("closedform-no-mu", ["closedform", "8", "-5", "7"], None, 0,
+     "2fed9d2a0fceba753e5e3dac6ad1e82a41ce9c73e7228e424d3ae08c0ef0f22f"),
+    # The origin: level 0 and an empty word.
+    ("closedform-origin-mu", ["closedform", "1", "0", "0", "--mu", "3/2,1/3,5/4"], None, 0,
+     "c11e354a6ce7049f8142c3d3689d3c7220f1895eb6dc2c65bff4e9e4fb573bf9"),
     ("relations", ["relations", "--trials", "40", "--seed", "11"], None, 0,
      "fca84cd21a812f3f3dc4d11b9c259ad93372b5893bf7d53b2064840a7a939cd4"),
     ("sinh-orbit", ["sinh", "--max-level", "6"], None, 0,
