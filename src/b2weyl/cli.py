@@ -362,7 +362,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--mu", default=mu_default)
     p.set_defaults(func=cmd_closedform)
 
-    p = sub.add_parser("relations", help="randomized group-presentation check")
+    p = sub.add_parser("relations", help="exact group-presentation check")
     p.add_argument("--trials", type=int, default=config.get("trials", 100))
     p.add_argument("--seed", type=int, default=config.get("seed", 0))
     p.add_argument("--low", type=int, default=-100)

@@ -184,8 +184,16 @@ def test_criterion_06_group_presentation(capsys):
     assert report.passed
     assert report.failures == ()
     elapsed = time.monotonic() - t0
+    assert elapsed < 5.0
     with capsys.disabled():
-        passline(6, elapsed, "six presentation relations hold on 1000 random vectors")
+        passline(6, elapsed, "eight presentation relations hold on 1000 random vectors")
+
+
+def test_criterion_06_relations_time_is_bounded_in_trials():
+    t0 = time.monotonic()
+    report = check_relations(10**6, rng_seed=1)
+    assert report.passed and report.trials == 10**6
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_criterion_07_unit_weight_specialization(capsys):

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from b2weyl import algebra
 from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
 from b2weyl.orbit import (
+    _RELATIONS,
     OrbitElement,
     OrbitWalk,
+    _relation_holds,
     check_relations,
     descend_to_origin,
     enumerate_orbit,
     is_member_gamma_N,
+    random_mass_vector,
 )
 from b2weyl.sinh import SINH
 from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
@@ -202,6 +206,21 @@ class TestDescend:
         assert apply_word(sigma, word) == ZERO
 
 
+WORDS = st.lists(st.sampled_from((1, 2, 3)), max_size=8).map(tuple)
+
+
+@st.composite
+def word_pairs(draw):
+    """Two words of length <= 8: unrelated, or equal in the group by an inserted s_i s_i."""
+    left = draw(WORDS)
+    if draw(st.booleans()):
+        return left, draw(WORDS)
+    left = left[:6]
+    k = draw(st.integers(0, len(left)))
+    i = draw(st.sampled_from((1, 2, 3)))
+    return left, left[:k] + (i, i) + left[k:]
+
+
 class TestRelations:
     def test_single_trial_passes(self):
         report = check_relations(1, rng_seed=7)
@@ -224,6 +243,53 @@ class TestRelations:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             check_relations(0)
+
+    def test_empty_range_is_rejected(self):
+        # Every relation holds, so no vector is drawn: the range is checked up front.
+        with pytest.raises(ValueError, match="empty range"):
+            check_relations(1, low=5, high=1)
+
+    def test_every_relation_holds_exactly(self):
+        assert all(_relation_holds(left, right) for _, left, right in _RELATIONS)
+
+    def test_order_three_braid_does_not_hold(self):
+        # m13 = 4, so the order-three braid relation is false.
+        assert not _relation_holds((1, 3, 1), (3, 1, 3))
+
+    @settings(deadline=None, max_examples=200)
+    @given(word_pairs(), st.integers(0, 2**32 - 1))
+    def test_exact_verdict_matches_random_vectors(self, pair, seed):
+        # A nonzero affine difference vanishes on a random vector in
+        # [-100, 100]^12 with probability at most 1/201, so 20 vectors
+        # agree with the exact verdict except with negligible probability.
+        left, right = pair
+        rng = random.Random(seed)
+        sampled = all(apply_word(sigma, left) == apply_word(sigma, right)
+                      for sigma in (random_mass_vector(rng) for _ in range(20)))
+        assert _relation_holds(left, right) == sampled
+
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_broken_row_map_fails_with_the_drawn_vectors(self, monkeypatch, seed):
+        # Generator 3 gets w_33 + 1: every relation that uses it must fail
+        # on every trial, reported with the vectors drawn from the seed.
+        original = algebra._reflected_coeff
+
+        def broken(coeff, i, pairs):
+            if i == 2:
+                pairs = tuple((j, w + (j == 2)) for j, w in pairs)
+            return original(coeff, i, pairs)
+
+        monkeypatch.setattr(algebra, "_reflected_coeff", broken)
+        _relation_holds.cache_clear()
+        try:
+            report = check_relations(5, rng_seed=seed)
+        finally:
+            _relation_holds.cache_clear()
+        uses_3 = [name for name, left, right in _RELATIONS if 3 in left + right]
+        rng = random.Random(seed)
+        drawn = [random_mass_vector(rng) for _ in range(5)]
+        assert [f.relation for f in report.failures] == uses_3 * 5
+        assert [f.sigma for f in report.failures] == [s for s in drawn for _ in uses_3]
 
 
 def poincare_series(factors, exponents, depth):
