@@ -119,10 +119,10 @@ def _json_template(weights: Weights | None, tail: str = "") -> str:
     return _JSON_RECORD + sigma + tail + "}\n"
 
 
-def _json_fields(sigma: MassVector, level: int, word, weights: Weights | None) -> tuple:
+def _json_fields(sigma: MassVector, level: int, word, tag, weights: Weights | None) -> tuple:
     """The values for ``_JSON_RECORD``, then the sigma texts when there are weights."""
     row1, row2, row3 = sigma.coeff
-    fields = (*row1, *row2, *row3, level, _word_text(word, ","), *closedform.type_of(sigma))
+    fields = (*row1, *row2, *row3, level, _word_text(word, ","), *tag)
     if weights is not None:
         fields += tuple(_sigma_texts(sigma, weights))
     return fields
@@ -137,12 +137,15 @@ def cmd_orbit(args) -> int:
     if args.output not in OUTPUT_FORMATS:
         raise UsageError(f"--output must be json or csv, got {args.output!r}")
     # Records are written as the walk yields them; the totals come last.
+    # A JSON record is typed from the row sums the walk carries; a CSV row
+    # re-evaluates its closed form.
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
         template = _json_template(weights)
         for el in walk:
-            write(template % _json_fields(el.sigma, el.level, el.word, weights))
+            tag = closedform.parameters_from_sums(el.sums)[0]
+            write(template % _json_fields(el.sigma, el.level, el.word, tag, weights))
         _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
                         "max_level": args.max_level,
                         "max_coefficient": args.max_coefficient}})
@@ -198,7 +201,8 @@ def cmd_closedform(args) -> int:
     # shortest word.
     word = tuple(reversed(orbit.descend_to_origin(sigma)))
     template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
-    sys.stdout.write(template % (*_json_fields(sigma, len(word), word, weights), *cid))
+    fields = _json_fields(sigma, len(word), word, closedform.type_of(sigma), weights)
+    sys.stdout.write(template % (*fields, *cid))
     return 0
 
 

@@ -177,20 +177,25 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     return MassVector(tuple(rows))  # type: ignore[arg-type]
 
 
-def _read_parameters(sigma: MassVector) -> tuple[TypePair, int, int]:
-    """Type and (m1, m2) of a lattice member, read off its coefficient sums."""
-    if sigma.has_offset:
-        raise ValueError("mass vector has a constant offset; no type is defined")
-    sums = sigma.coefficient_sums()
-    if any(v % 4 for v in sums):
+def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
+    """Type and (m1, m2) of a lattice member, from its three coefficient sums."""
+    s1, s2, s3 = sums
+    if s1 % 4 or s2 % 4 or s3 % 4:
         raise ValueError("coefficient sums are not multiples of 4; not a lattice member")
-    m1 = (sums[0] - sums[2]) // 4
-    m2 = (sums[1] - sums[2]) // 4
+    m1 = (s1 - s3) // 4
+    m2 = (s2 - s3) // 4
     tag = (m1 % 4, m2 % 4)
     if tag not in ADMISSIBLE_TYPES:
         raise ValueError(f"residue pair {tag} is outside the eight admissible types; "
                          "not an orbit-type vector")
     return tag, m1, m2
+
+
+def _read_parameters(sigma: MassVector) -> tuple[TypePair, int, int]:
+    """Type and (m1, m2) of a lattice member, read off its coefficient sums."""
+    if sigma.has_offset:
+        raise ValueError("mass vector has a constant offset; no type is defined")
+    return parameters_from_sums(sigma.coefficient_sums())
 
 
 def type_of(sigma: MassVector) -> TypePair:

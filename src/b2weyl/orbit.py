@@ -12,7 +12,7 @@ and rank-two orbits go through it too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
 
@@ -33,11 +33,20 @@ from .algebra import (
 
 @dataclass(frozen=True)
 class OrbitElement:
-    """An orbit member with its BFS discovery depth and a witness word."""
+    """An orbit member with its BFS discovery depth and a witness word.
+
+    ``sums`` are the row sums of the coefficient matrix (the walk carries
+    them; they are computed when not given).  They are not compared.
+    """
 
     sigma: MassVector
     level: int
     word: tuple[int, ...]
+    sums: tuple[int, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        if self.sums is None:
+            object.__setattr__(self, "sums", self.sigma.coefficient_sums())
 
 
 @dataclass(frozen=True)
@@ -61,16 +70,25 @@ class OrbitWalk:
 
     Iterating yields ``OrbitElement``s level by level, each level sorted by
     sort key and expanded in that order (then by generator index), so every
-    element keeps its canonical first-discoverer word.  Only the previous,
-    current and next levels are held, keyed by coefficient matrix (offsets
-    start at zero and stay zero, so matrix order is sort-key order): a BFS
-    edge spans at most one level, so deduplicating against them is exact,
-    and memory grows as the level size times the word length.
+    element keeps its canonical first-discoverer word.  The level is the
+    length of the element in the affine Weyl group, and the walk follows
+    ascents only.  Each entry carries its row sums, its values at unit
+    weights: generator i raises the length exactly when it raises row i's
+    sum, to sum_j w_ij * sum_j + 4 (Bjorner-Brenti, ch. 8; the test suite
+    checks it edge by edge for every system in the package).  So a descent
+    is skipped before its row is built, an ascent lands on the next level,
+    and only the current and next levels are held, keyed by coefficient
+    matrix (offsets start at zero and stay zero, so matrix order is
+    sort-key order).  Memory grows as the level size times the word length.
+    A generator that leaves a row sum unchanged cannot be ordered this way
+    and raises ValueError.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
-    ``pruned``.  Once the walk has been iterated, ``count`` is the number
-    of elements and ``exhausted`` tells whether a level came out empty
-    before ``max_level``; each new iteration starts them afresh.
+    ``pruned``; a descent never raises an entry of its row, so the bound
+    cuts off no element that a shorter path would reach.  Once the walk
+    has been iterated, ``count`` is the number of elements and
+    ``exhausted`` tells whether a level came out empty before
+    ``max_level``; each new iteration starts them afresh.
     """
 
     def __init__(self, system: ReflectionSystem, max_level: int,
@@ -92,29 +110,39 @@ class OrbitWalk:
 
     def __iter__(self) -> Iterator[OrbitElement]:
         self.pruned, self.exhausted, self.count = False, False, 0
-        system, bound = self.system, self.max_coefficient
-        previous: dict[tuple, tuple[int, ...]] = {}
-        current = {((0,) * system.rank,) * system.rank: ()}
+        system, bound, rank = self.system, self.max_coefficient, self.system.rank
+        # coefficient matrix -> (word, row sums)
+        current = {((0,) * rank,) * rank: ((), (0,) * rank)}
         for level in range(self.max_level + 1):
-            following: dict[tuple, tuple[int, ...]] = {}
+            following: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
             self.count += len(current)
             for coeff in sorted(current):
-                word = current[coeff]
-                yield OrbitElement(MassVector(coeff), level, word)
+                word, sums = current[coeff]
+                yield OrbitElement(MassVector(coeff), level, word, sums)
                 if level == self.max_level:
                     continue
                 for i, pairs in enumerate(system.row_maps):
+                    total = 4
+                    for j, w in pairs:
+                        total += w * sums[j]
+                    if total <= sums[i]:
+                        if total == sums[i]:
+                            raise ValueError(
+                                f"{system.name}: generator {i + 1} leaves row sum "
+                                f"{total} unchanged at {coeff}; the walk cannot "
+                                "order this edge")
+                        continue  # a descent: the child is on the previous level
                     child = _reflected_coeff(coeff, i, pairs)
-                    if child in previous or child in following or child in current:
+                    if child in following:
                         continue
                     if bound is not None and max(child[i]) > bound:  # the other rows passed
                         self.pruned = True
                         continue
-                    following[child] = word + (i + 1,)
+                    following[child] = (word + (i + 1,), sums[:i] + (total,) + sums[i + 1:])
             if not following:
                 self.exhausted = level < self.max_level
                 return
-            previous, current = current, following
+            current = following
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:

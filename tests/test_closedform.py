@@ -16,6 +16,7 @@ from b2weyl.closedform import (
     admissible_parameters,
     closed_form_eval,
     invert_to_closed_form,
+    parameters_from_sums,
     special_case_table,
     transition,
     type_of,
@@ -113,6 +114,31 @@ class TestTypeOf:
         for ell in range(1, 9):
             for m1, m2 in admissible_parameters(ell, 6):
                 assert type_of(closed_form_eval((ell, m1, m2))) == TYPE_BY_FAMILY[ell]
+
+
+class TestParametersFromSums:
+    def test_reads_every_family(self):
+        for ell in range(1, 9):
+            for m1, m2 in admissible_parameters(ell, 6):
+                sums = closed_form_eval((ell, m1, m2)).coefficient_sums()
+                assert parameters_from_sums(sums) == (TYPE_BY_FAMILY[ell], m1, m2)
+
+    # Sums (2, 0, 0) are not multiples of 4; sums (4, 8, 0) give residues
+    # (1, 2), outside the eight admissible classes.  The reader rejects them
+    # with the very messages ``type_of`` gives for a diagonal matrix with
+    # those sums.
+    @pytest.mark.parametrize("sums,message", [
+        ((2, 0, 0), "coefficient sums are not multiples of 4; not a lattice member"),
+        ((4, 8, 0), "residue pair (1, 2) is outside the eight admissible types; "
+                    "not an orbit-type vector"),
+    ])
+    def test_rejections_match_type_of(self, sums, message):
+        with pytest.raises(ValueError) as read:
+            parameters_from_sums(sums)
+        diagonal = mv([[sums[0], 0, 0], [0, sums[1], 0], [0, 0, sums[2]]])
+        with pytest.raises(ValueError) as typed:
+            type_of(diagonal)
+        assert str(read.value) == str(typed.value) == message
 
 
 @st.composite

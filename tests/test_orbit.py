@@ -1,5 +1,6 @@
 """Orbit enumeration, lattice membership, descent, and the presentation check."""
 
+import copy
 import random
 from collections import Counter
 from fractions import Fraction
@@ -407,6 +408,85 @@ def test_walk_streams_before_the_orbit_is_built():
     first = next(walk)
     assert (first.sigma, first.level, first.word) == (ZERO, 0, ())
     assert [next(walk).level for _ in range(3)] == [1, 1, 1]
+
+
+UNBOUNDED_CASES = [case for case in ORACLE_CASES if case[2] is None]
+
+
+@pytest.mark.parametrize("system,depth,bound", UNBOUNDED_CASES,
+                         ids=[f"{c[0].name}-{c[1]}" for c in UNBOUNDED_CASES])
+def test_row_sum_rule_decides_every_edge(system, depth, bound):
+    # The walk follows a generator exactly when it raises that row's sum,
+    # computed from the row sums alone as sum_j w_ij * sum_j + 4; that must
+    # be exactly when the child's reference level is one higher.  A child
+    # the reference lacks lies one level past its depth.  No edge leaves a
+    # sum unchanged, so the walk's tie guard never fires here.
+    triples, _, _ = reference_bfs(system, depth)
+    levels = {sigma: level for level, sigma, _ in triples}
+    for level, sigma, _ in triples:
+        sums = sigma.coefficient_sums()
+        for i in range(system.rank):
+            child = reflect(sigma, i + 1, system)
+            new = sum(w * sums[j] for j, w in system.row_maps[i]) + 4
+            assert new == child.coefficient_sums()[i]
+            assert new != sums[i]
+            assert (new > sums[i]) == (levels.get(child, depth + 1) == level + 1)
+
+
+# (system, depth, descent edges): the deepest walks whose descents are
+# checked.  A finite rank-two orbit has as many descent edges as elements.
+DESCENT_CASES = ([(B2, 128, 32769), (SINH, 200, 400)]
+                 + [(sub, 16, sub.expected_size) for sub in SUBSYSTEMS.values()])
+
+
+@pytest.mark.parametrize("system,depth,edges", DESCENT_CASES,
+                         ids=[f"{c[0].name}-{c[1]}" for c in DESCENT_CASES])
+def test_a_descent_never_raises_an_entry_of_its_row(system, depth, edges):
+    # So every element within a coefficient bound descends to the origin
+    # through elements within the bound, along as many edges as its level:
+    # the bound strands no element a descent would reach, and the walk,
+    # which skips descents, finds every element the pruned full-memory BFS
+    # finds, at the same level.
+    triples, _, _ = reference_bfs(system, depth)
+    levels = {sigma: level for level, sigma, _ in triples}
+    seen = 0
+    for level, sigma, _ in triples:
+        for i in range(system.rank):
+            child = reflect(sigma, i + 1, system)
+            if levels.get(child) == level - 1:
+                seen += 1
+                assert all(c <= p for c, p in zip(child.coeff[i], sigma.coeff[i]))
+    assert seen == edges
+
+
+def test_pruned_walk_matches_the_full_memory_bfs_at_every_bound():
+    for bound in range(0, 129, 4):
+        walk = OrbitWalk(B2, 12, bound)
+        got = [(el.level, el.sigma, el.word) for el in walk]
+        want, pruned, exhausted = reference_bfs(B2, 12, bound)
+        assert got == want, bound
+        assert (walk.pruned, walk.exhausted, walk.count) == (pruned, exhausted, len(want)), bound
+
+
+def test_walk_carries_each_elements_row_sums():
+    for el in OrbitWalk(B2, 24, 64):
+        assert el.sums == el.sigma.coefficient_sums()
+    # The sums are computed when not given, and equality ignores them.
+    assert OrbitElement(ZERO, 0, ()).sums == (0, 0, 0)
+    assert OrbitElement(ZERO, 0, (), (4, 4, 4)) == OrbitElement(ZERO, 0, ())
+
+
+def test_a_tied_row_sum_raises():
+    # A copy of B2 whose generator 1 has an empty row map sends row 1 to
+    # (4, 0, 0) from anywhere: applied again at level 1 it leaves the row
+    # sum 4 unchanged, and the walk must refuse to order that edge.  The
+    # copy is patched, never B2 itself.
+    tied = copy.copy(B2)
+    object.__setattr__(tied, "row_maps", ((),) + B2.row_maps[1:])
+    with pytest.raises(ValueError, match="generator 1 leaves row sum 4 unchanged"):
+        list(OrbitWalk(tied, 3))
+    assert B2.row_maps[0] == ((0, -1), (2, 2))
+    assert len(list(OrbitWalk(B2, 3))) == 1 + 3 + 5 + 8
 
 
 
