@@ -43,6 +43,14 @@ COLLAPSE_VARIANTS: dict[str, tuple[str, ...]] = {
 
 _VALID_SUBSETS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
 
+# Every admissible (subset, variant) with its generator word in application
+# order: singletons and {1,2} take no variant, a pair {i,3} any of the eight.
+_COLLAPSE_WORDS: dict[tuple[tuple[int, ...], str | None], tuple[int, ...]] = {
+    ((1,), None): (1,), ((2,), None): (2,), ((3,), None): (3,), ((1, 2), None): (1, 2),
+    **{((i, 3), variant): tuple(i if tok == "i" else 3 for tok in letters)
+       for i in (1, 2) for variant, letters in COLLAPSE_VARIANTS.items()},
+}
+
 
 @dataclass(frozen=True)
 class SatelliteMerge:
@@ -81,14 +89,11 @@ class Collapse:
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
-        if len(self.subset) == 1:
-            return self.subset
-        if self.subset == (1, 2):
-            return (1, 2)
-        i = self.subset[0]  # the non-3 member
-        if self.variant not in COLLAPSE_VARIANTS:
-            raise ValueError(f"collapse on {self.subset} needs a variant, got {self.variant}")
-        return tuple(i if tok == "i" else 3 for tok in COLLAPSE_VARIANTS[self.variant])
+        try:
+            return _COLLAPSE_WORDS[self.subset, self.variant]
+        except KeyError:
+            raise ValueError(f"collapse on {self.subset} has no word for variant "
+                             f"{self.variant}") from None
 
     def describe(self) -> str:
         label = "".join(str(v) for v in self.subset)
@@ -150,8 +155,8 @@ def step(state: CascadeState, move: Move) -> CascadeState:
     changes the orbit part, the total mass at the probe must grow by at
     least min_i 4*mu_i, the lower bound the cascade realizes -- anything
     less is rejected as non-physical.  The word runs on the coefficient
-    rows and the probe values together, one row map per generator, so the
-    bound is checked in integers: q*gain against 4*min(M).
+    rows and on one list of probe values together, one row map per
+    generator, so the bound is checked in integers: q*gain against 4*min(M).
     """
     if isinstance(move, SatelliteMerge):
         if len(move.mass) != 3 or any(v < 0 or v % 4 for v in move.mass):
@@ -160,13 +165,13 @@ def step(state: CascadeState, move: Move) -> CascadeState:
         lattice = tuple(n + v // 4 for n, v in zip(state.lattice, move.mass))
         return CascadeState(state.gamma, lattice, state.probe, state.values)  # type: ignore[arg-type]
 
-    coeff, values = state.gamma.coeff, state.values
+    coeff, values = state.gamma.coeff, list(state.values)  # type: ignore[arg-type]
     m, q = state.probe.scaled
     for index in move.word():
         i = index - 1
         pairs = B2.row_maps[i]
         coeff = _reflected_coeff(coeff, i, pairs)
-        values = values[:i] + (_reflected_value(values, i, pairs, m),) + values[i + 1:]
+        values[i] = _reflected_value(values, i, pairs, m)
     if coeff == state.gamma.coeff:
         return state
     gain = sum(values) - sum(state.values)
@@ -174,7 +179,7 @@ def step(state: CascadeState, move: Move) -> CascadeState:
         raise NonPhysicalMove(
             f"non-physical move {move.describe()}: total mass gain {Fraction(gain, q)} "
             f"falls below the bound {4 * min(state.probe.values)}")
-    return CascadeState(MassVector(coeff), state.lattice, state.probe, values)
+    return CascadeState(MassVector(coeff), state.lattice, state.probe, tuple(values))
 
 
 @dataclass(frozen=True)
@@ -199,31 +204,40 @@ def parse_scenario(text: str) -> list[Move]:
     """Parse a line-oriented scenario: 'merge k1 k2 k3' / 'collapse J [variant]'.
 
     Blank lines and '#' comments are skipped.  Subsets are digit strings
-    like 1, 12, 13; pair-{i,3} collapses need a variant token.
+    like 1, 12, 13; pair-{i,3} collapses need a variant token.  Moves are
+    immutable, so each distinct stripped line is parsed once per call and
+    its move shared by every repeat; a line that fails raises at once,
+    with its own line number.
     """
     moves: list[Move] = []
+    parsed: dict[str, Move] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        kind = tokens[0]
-        try:
-            if kind == "merge":
-                if len(tokens) != 4:
-                    raise ValueError("merge takes exactly three masses")
-                moves.append(SatelliteMerge(tuple(int(t) for t in tokens[1:])))  # type: ignore[arg-type]
-            elif kind == "collapse":
-                if len(tokens) not in (2, 3):
-                    raise ValueError("collapse takes a subset and an optional variant")
-                subset = tuple(sorted(int(ch) for ch in tokens[1]))
-                variant = tokens[2] if len(tokens) == 3 else None
-                moves.append(Collapse(subset, variant))
-            else:
-                raise ValueError(f"unknown move kind {kind!r}")
-        except ValueError as exc:
-            raise ValueError(f"scenario line {lineno}: {exc}") from exc
+        move = parsed.get(line)
+        if move is None:
+            try:
+                move = parsed[line] = _parse_move(line.split())
+            except ValueError as exc:
+                raise ValueError(f"scenario line {lineno}: {exc}") from exc
+        moves.append(move)
     return moves
+
+
+def _parse_move(tokens: list[str]) -> Move:
+    kind = tokens[0]
+    if kind == "merge":
+        if len(tokens) != 4:
+            raise ValueError("merge takes exactly three masses")
+        return SatelliteMerge(tuple(int(t) for t in tokens[1:]))  # type: ignore[arg-type]
+    if kind == "collapse":
+        if len(tokens) not in (2, 3):
+            raise ValueError("collapse takes a subset and an optional variant")
+        subset = tuple(sorted(int(ch) for ch in tokens[1]))
+        variant = tokens[2] if len(tokens) == 3 else None
+        return Collapse(subset, variant)
+    raise ValueError(f"unknown move kind {kind!r}")
 
 
 def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[CascadeState]:

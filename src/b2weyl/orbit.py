@@ -18,7 +18,6 @@ from typing import Iterator
 
 from .algebra import (
     B2,
-    ZERO,
     MassVector,
     ReflectionSystem,
     UNIT_WEIGHTS,
@@ -178,6 +177,13 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     the weighted mass sigma1 + sigma2 + 2*sigma3 at the probe weights.
     The returned word is in application order: apply_word(sigma, word)
     is the origin.
+
+    The descent runs on the probe values q*sigma(mu) alone and stops when
+    they all vanish.  That is exact: every generator maps the orbit onto
+    itself, and the membership certificate characterizes the orbit, so
+    each vector along the way has nonnegative coefficients and no offset.
+    With every probe weight positive, a value is zero exactly when its
+    coefficient row is, so the values vanish exactly at the origin.
     """
     if probe is None:
         probe = UNIT_WEIGHTS
@@ -185,16 +191,12 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     if not cert:
         raise ValueError(f"not a lattice member: certificate {cert}")
 
-    # Work on the probe values q*sigma = v.  Generator i changes only v_i,
-    # so the measure sum_j d_j v_j drops exactly when the new v_i is smaller
-    # (every d_j is positive).
+    # Generator i changes only v_i, so the measure sum_j d_j v_j drops
+    # exactly when the new v_i is smaller (every d_j is positive).
     m, _ = probe.scaled
     values = list(scaled_values(sigma, probe)[0])
-    # The membership check rules out offsets, so the coefficient matrix is
-    # the whole vector: step it row by row, as OrbitWalk does.
     word: list[int] = []
-    coeff, origin = sigma.coeff, ZERO.coeff
-    while coeff != origin:
+    while any(values):
         for i, pairs in enumerate(B2.row_maps):
             value = _reflected_value(values, i, pairs, m)
             if value < values[i]:
@@ -203,7 +205,6 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
             raise ValueError("no reflection decreases the mass measure; "
                              "vector is not in the orbit")
         values[i] = value
-        coeff = _reflected_coeff(coeff, i, pairs)
         word.append(i + 1)
     return word
 

@@ -74,10 +74,16 @@ class TestMassVectorShape:
         assert MassVector(((4, 0), (0, 0))) == MassVector(((4, 0), (0, 0)), (0, 0))
 
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="coefficient matrix must be 2x2"):
             MassVector(((4, 0), (0,)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="offset must have 2 entries"):
             MassVector(((4, 0), (0, 0)), (0, 0, 0))
+        with pytest.raises(ValueError, match="coefficient matrix must be 1x1"):
+            MassVector(((4, 0),))
+        with pytest.raises(ValueError, match="coefficient matrix must be 3x3"):
+            MassVector(((0, 0, 0), (0, 0, 0), (0, 0)))
+        with pytest.raises(ValueError, match="offset must have 3 entries"):
+            MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0))
 
 
 class TestReflect:

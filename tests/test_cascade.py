@@ -195,6 +195,28 @@ class TestScenario:
         with pytest.raises(ValueError, match="variant"):
             parse_scenario("collapse 13")
 
+    def test_repeated_lines_yield_equal_moves(self):
+        moves = parse_scenario("collapse 13 i3\n"
+                               "  collapse 13 i3   # again\n"
+                               "collapse\t13   i3\n"
+                               "merge 4 0 8\n"
+                               "collapse 13 i3#\n"
+                               "merge 4  0 8 # shift\n")
+        assert moves == [Collapse((1, 3), "i3")] * 3 + [SatelliteMerge((4, 0, 8)),
+                                                        Collapse((1, 3), "i3"),
+                                                        SatelliteMerge((4, 0, 8))]
+        assert [m.describe() for m in moves] == ["collapse 13 i3"] * 3 + [
+            "merge 4 0 8", "collapse 13 i3", "merge 4 0 8"]
+
+    def test_a_bad_line_after_valid_ones_reports_its_own_number(self):
+        text = "collapse 1\nmerge 4 0 0\ncollapse 1\n# note\n\ncollapse 13\n"
+        with pytest.raises(ValueError, match="^scenario line 6: .*variant"):
+            parse_scenario(text)
+
+    def test_a_repeated_bad_line_reports_its_first_occurrence(self):
+        with pytest.raises(ValueError, match="^scenario line 2: merge takes"):
+            parse_scenario("collapse 1\nmerge 4 4\ncollapse 2\nmerge 4 4\n")
+
     def test_replay_rejects_non_physical_scenario(self):
         moves = parse_scenario("collapse 1\ncollapse 1")
         with pytest.raises(NonPhysicalMove):

@@ -207,6 +207,41 @@ class TestDescend:
         assert apply_word(sigma, word) == ZERO
 
 
+def coefficient_descent(sigma, probe):
+    """Reference descent: the greedy loop stepping the coefficient matrix
+    alongside the probe values and stopping when the matrix is the origin."""
+    m, _ = probe.scaled
+    values = list(algebra.scaled_values(sigma, probe)[0])
+    word, coeff = [], sigma.coeff
+    while coeff != ZERO.coeff:
+        for i, pairs in enumerate(B2.row_maps):
+            value = algebra._reflected_value(values, i, pairs, m)
+            if value < values[i]:
+                break
+        else:
+            raise ValueError("no reflection decreases the mass measure")
+        values[i] = value
+        coeff = algebra._reflected_coeff(coeff, i, pairs)
+        word.append(i + 1)
+    return word
+
+
+DESCENT_PROBES = [Weights.numeric(1, 1, 1), Weights.numeric(2, 3, 7),
+                  Weights.numeric(Fraction(5, 3), Fraction(1, 7), Fraction(9, 4))]
+
+
+def test_descent_on_the_values_matches_the_coefficient_oracle():
+    # Stopping when the probe values vanish, instead of when the matrix
+    # does, must pick the same word for every element at every probe.
+    walk = list(OrbitWalk(B2, 64))
+    assert len(walk) == 5548
+    for el in walk:
+        words = [descend_to_origin(el.sigma, probe) for probe in DESCENT_PROBES]
+        assert words == [coefficient_descent(el.sigma, probe) for probe in DESCENT_PROBES]
+        for word in set(map(tuple, words)):
+            assert apply_word(el.sigma, word) == ZERO
+
+
 WORDS = st.lists(st.sampled_from((1, 2, 3)), max_size=8).map(tuple)
 
 
