@@ -41,15 +41,15 @@ COLLAPSE_VARIANTS: dict[str, tuple[str, ...]] = {
     "i3i3": ("3", "i", "3", "i"),
 }
 
-_VALID_SUBSETS = ((1,), (2,), (3,), (1, 2), (1, 3), (2, 3))
-
 # Every admissible (subset, variant) with its generator word in application
 # order: singletons and {1,2} take no variant, a pair {i,3} any of the eight.
+# The only source of admissibility: Collapse validates against it too.
 _COLLAPSE_WORDS: dict[tuple[tuple[int, ...], str | None], tuple[int, ...]] = {
     ((1,), None): (1,), ((2,), None): (2,), ((3,), None): (3,), ((1, 2), None): (1, 2),
     **{((i, 3), variant): tuple(i if tok == "i" else 3 for tok in letters)
        for i in (1, 2) for variant, letters in COLLAPSE_VARIANTS.items()},
 }
+_VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,11 @@ class Collapse:
         if subset not in _VALID_SUBSETS:
             raise ValueError(f"collapse subset must be a nonempty proper subset "
                              f"of {{1,2,3}}, got {subset}")
-        if 3 in subset and len(subset) == 2:
-            if self.variant not in COLLAPSE_VARIANTS:
-                raise ValueError(f"collapse on {subset} needs a variant from "
-                                 f"{sorted(COLLAPSE_VARIANTS)}, got {self.variant}")
-        elif self.variant is not None:
-            raise ValueError(f"collapse on {subset} does not take a variant")
+        if (subset, self.variant) not in _COLLAPSE_WORDS:
+            if (subset, None) in _COLLAPSE_WORDS:
+                raise ValueError(f"collapse on {subset} does not take a variant")
+            raise ValueError(f"collapse on {subset} needs a variant from "
+                             f"{sorted(COLLAPSE_VARIANTS)}, got {self.variant}")
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
@@ -207,7 +206,10 @@ def parse_scenario(text: str) -> list[Move]:
     like 1, 12, 13; pair-{i,3} collapses need a variant token.  Moves are
     immutable, so each distinct stripped line is parsed once per call and
     its move shared by every repeat; a line that fails raises at once,
-    with its own line number.
+    with its own line number.  Repeats are the rule, not a special case:
+    there are only twenty collapse lines (four fixed words and sixteen
+    pair variants), so any scenario of more than twenty collapses repeats
+    one.  A line seen once pays one dict probe and one insert.
     """
     moves: list[Move] = []
     parsed: dict[str, Move] = {}

@@ -158,8 +158,11 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     """Lattice membership test with per-condition certificate.
 
     The three flags are: all coefficients nonnegative, all divisible by
-    four, and identically vanishing quadric residual.  Their conjunction
-    characterizes the orbit.
+    four, and identically vanishing quadric residual.  Every orbit member
+    passes; that every vector passing lies in the orbit is the working
+    statement of this module, checked by the tests (the depth-64 walk,
+    closed-form ids far beyond it, an exhaustive small box) but not
+    proven here -- ROADMAP item 3 is the route to a proof.
     """
     if sigma.has_offset:
         raise ValueError("mass vector has a constant offset; not a pure mu-polynomial")
@@ -179,11 +182,16 @@ def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[i
     is the origin.
 
     The descent runs on the probe values q*sigma(mu) alone and stops when
-    they all vanish.  That is exact: every generator maps the orbit onto
-    itself, and the membership certificate characterizes the orbit, so
-    each vector along the way has nonnegative coefficients and no offset.
-    With every probe weight positive, a value is zero exactly when its
-    coefficient row is, so the values vanish exactly at the origin.
+    they all vanish.  With every probe weight positive, a row of
+    nonnegative coefficients is zero exactly when its value is, so the
+    stop is exact as long as every vector along the way keeps nonnegative
+    coefficients.  Every generator maps the orbit onto itself, so that
+    holds from any orbit member.  From a certified vector it holds if the
+    certificate characterizes the orbit, which is_member_gamma_N takes as
+    its working statement and the tests check, but which is not proven
+    here.  A certified vector outside the orbit could reach a step whose
+    nonzero rows vanish at the probe; this descent would then return a
+    word that stops short of the origin.
     """
     if probe is None:
         probe = UNIT_WEIGHTS

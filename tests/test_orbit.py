@@ -1,6 +1,7 @@
 """Orbit enumeration, lattice membership, descent, and the presentation check."""
 
 import copy
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from b2weyl import algebra
 from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
+from b2weyl.closedform import TYPE_BY_FAMILY, closed_form_eval
 from b2weyl.orbit import (
     _RELATIONS,
     OrbitElement,
@@ -240,6 +242,36 @@ def test_descent_on_the_values_matches_the_coefficient_oracle():
         assert words == [coefficient_descent(el.sigma, probe) for probe in DESCENT_PROBES]
         for word in set(map(tuple, words)):
             assert apply_word(el.sigma, word) == ZERO
+
+
+def assert_descends_like_the_oracle(sigma):
+    for probe in DESCENT_PROBES:
+        word = descend_to_origin(sigma, probe)
+        assert word == coefficient_descent(sigma, probe)
+        assert apply_word(sigma, word) == ZERO
+
+
+def test_descent_reaches_the_origin_from_closed_form_ids_beyond_the_walk():
+    # Inputs not drawn from the walk: closed-form ids with |m_i| >= 101,
+    # all past depth 64, where the values-only stop has no BFS behind it.
+    depth_64 = {el.sigma for el in OrbitWalk(B2, 64)}
+    rng = random.Random(64)
+    for ell, (t1, t2) in sorted(TYPE_BY_FAMILY.items()):
+        for _ in range(3):
+            m1, m2 = (rng.choice((-1, 1)) * 4 * rng.randint(26, 60) + t for t in (t1, t2))
+            sigma = closed_form_eval((ell, m1, m2))
+            assert sigma not in depth_64 and is_member_gamma_N(sigma)
+            assert_descends_like_the_oracle(sigma)
+
+
+def test_descent_reaches_the_origin_from_every_certified_matrix_in_a_box():
+    # Inputs found by the certificate alone, with no orbit membership
+    # assumed: every coefficient matrix with entries in {0, 4, 8}.
+    box = (MassVector((e[0:3], e[3:6], e[6:9])) for e in itertools.product((0, 4, 8), repeat=9))
+    certified = [sigma for sigma in box if is_member_gamma_N(sigma)]
+    assert len(certified) == 28
+    for sigma in certified:
+        assert_descends_like_the_oracle(sigma)
 
 
 WORDS = st.lists(st.sampled_from((1, 2, 3)), max_size=8).map(tuple)
