@@ -146,6 +146,18 @@ class MassVector:
             raise ValueError(f"offset must have {rank} entries")
 
     @classmethod
+    def _unchecked(cls, coeff: tuple[tuple[int, ...], ...]) -> "MassVector":
+        """An offset-free vector on a square matrix built inside the engine.
+
+        Skips ``__post_init__``'s shape check; vectors from outside go
+        through ``MassVector(...)`` or ``from_rows``, which keep it.
+        """
+        sigma = object.__new__(cls)
+        object.__setattr__(sigma, "coeff", coeff)
+        object.__setattr__(sigma, "offset", (0,) * len(coeff))
+        return sigma
+
+    @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]],
                   offset: Iterable[int] | None = None) -> "MassVector":
         coeff = tuple(tuple(int(v) for v in row) for row in rows)

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import (B2, UNIT_WEIGHTS, ZERO, MassVector, Weights, _reflected_coeff,
-                      _reflected_value, ratio_texts, scaled_values)
+from .algebra import UNIT_WEIGHTS, ZERO, MassVector, Weights, apply_word, scaled_values
 from .orbit import descend_to_origin, is_member_gamma_N
 
 
@@ -50,6 +49,28 @@ _COLLAPSE_WORDS: dict[tuple[tuple[int, ...], str | None], tuple[int, ...]] = {
        for i in (1, 2) for variant, letters in COLLAPSE_VARIANTS.items()},
 }
 _VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
+
+
+def _word_map(word: tuple[int, ...]) -> tuple:
+    """The affine map of ``word`` on a coefficient matrix, one entry per row it changes.
+
+    The word sends rows R to P*R + T: T is its image of the origin, and
+    P + T its image of the identity matrix.  Each entry is (r, pairs, T_r)
+    with pairs the nonzero (j, P_rj), so new row_r = sum_j P_rj * row_j + T_r,
+    and at the probe new v_r = sum_j P_rj * v_j + T_r . M.
+    """
+    identity = MassVector(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    image, shift = apply_word(identity, word).coeff, apply_word(ZERO, word).coeff
+    entries = []
+    for r, (moved, fixed) in enumerate(zip(image, identity.coeff)):
+        if moved != fixed:
+            pairs = tuple((j, a - t) for j, (a, t) in enumerate(zip(moved, shift[r])) if a != t)
+            entries.append((r, pairs, shift[r]))
+    return tuple(entries)
+
+
+# Each admissible collapse's row map, composed once from its word.
+_COLLAPSE_MAPS = {key: _word_map(word) for key, word in _COLLAPSE_WORDS.items()}
 
 
 @dataclass(frozen=True)
@@ -88,8 +109,15 @@ class Collapse:
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
+        return self._lookup(_COLLAPSE_WORDS)
+
+    def row_map(self) -> tuple:
+        """The word composed into one affine map on the rows (see ``_word_map``)."""
+        return self._lookup(_COLLAPSE_MAPS)
+
+    def _lookup(self, table: dict):
         try:
-            return _COLLAPSE_WORDS[self.subset, self.variant]
+            return table[self.subset, self.variant]
         except KeyError:
             raise ValueError(f"collapse on {self.subset} has no word for variant "
                              f"{self.variant}") from None
@@ -124,7 +152,7 @@ class CascadeState:
                 raise ValueError("the orbit part of a cascade state carries no constant offset")
             object.__setattr__(self, "values", scaled_values(self.gamma, self.probe)[0])
 
-    def _scaled_totals(self) -> list[int]:
+    def scaled_totals(self) -> list[int]:
         """q * (gamma + 4n) at the probe, one integer per component."""
         q4 = 4 * self.probe.scaled[1]
         return [v + q4 * n for v, n in zip(self.values, self.lattice)]  # type: ignore[arg-type]
@@ -132,14 +160,10 @@ class CascadeState:
     def total(self) -> tuple[Fraction, Fraction, Fraction]:
         """Observable mass gamma + 4n, evaluated at the probe."""
         q = self.probe.scaled[1]
-        return tuple(Fraction(t, q) for t in self._scaled_totals())  # type: ignore[return-value]
+        return tuple(Fraction(t, q) for t in self.scaled_totals())  # type: ignore[return-value]
 
     def total_sum(self) -> Fraction:
-        return Fraction(sum(self._scaled_totals()), self.probe.scaled[1])
-
-    def total_texts(self) -> list[str]:
-        """``str`` of each ``total()`` entry, without building the Fractions."""
-        return ratio_texts(self._scaled_totals(), self.probe.scaled[1])
+        return Fraction(sum(self.scaled_totals()), self.probe.scaled[1])
 
 
 def initial_state(probe: Weights | None = None) -> CascadeState:
@@ -153,9 +177,10 @@ def step(state: CascadeState, move: Move) -> CascadeState:
     A collapse keeps the lattice fixed and replaces the orbit part; if it
     changes the orbit part, the total mass at the probe must grow by at
     least min_i 4*mu_i, the lower bound the cascade realizes -- anything
-    less is rejected as non-physical.  The word runs on the coefficient
-    rows and on one list of probe values together, one row map per
-    generator, so the bound is checked in integers: q*gain against 4*min(M).
+    less is rejected as non-physical.  The collapse's word acts as one
+    precomposed affine map (``Collapse.row_map``) on the coefficient rows
+    and the probe values together, so the bound is checked in integers:
+    q*gain against 4*min(M).
     """
     if isinstance(move, SatelliteMerge):
         if len(move.mass) != 3 or any(v < 0 or v % 4 for v in move.mass):
@@ -164,21 +189,33 @@ def step(state: CascadeState, move: Move) -> CascadeState:
         lattice = tuple(n + v // 4 for n, v in zip(state.lattice, move.mass))
         return CascadeState(state.gamma, lattice, state.probe, state.values)  # type: ignore[arg-type]
 
-    coeff, values = state.gamma.coeff, list(state.values)  # type: ignore[arg-type]
     m, q = state.probe.scaled
-    for index in move.word():
-        i = index - 1
-        pairs = B2.row_maps[i]
-        coeff = _reflected_coeff(coeff, i, pairs)
-        values[i] = _reflected_value(values, i, pairs, m)
+    coeff, values = _apply_row_map(move.row_map(), state.gamma.coeff, state.values, m)
     if coeff == state.gamma.coeff:
         return state
-    gain = sum(values) - sum(state.values)
+    gain = sum(values) - sum(state.values)  # type: ignore[arg-type]
     if gain < 4 * min(m):
         raise NonPhysicalMove(
             f"non-physical move {move.describe()}: total mass gain {Fraction(gain, q)} "
             f"falls below the bound {4 * min(state.probe.values)}")
-    return CascadeState(MassVector(coeff), state.lattice, state.probe, tuple(values))
+    return CascadeState(MassVector._unchecked(coeff), state.lattice, state.probe, values)
+
+
+def _apply_row_map(row_map: tuple, coeff: tuple, old: tuple, m: Sequence[int]) -> tuple:
+    """The rows and probe values after ``row_map``, in one pass over the old ones."""
+    rows, values = list(coeff), list(old)
+    m1, m2, m3 = m
+    for r, pairs, (a, b, c) in row_map:
+        v = a * m1 + b * m2 + c * m3
+        for j, p in pairs:
+            x, y, z = coeff[j]
+            a += p * x
+            b += p * y
+            c += p * z
+            v += p * old[j]
+        rows[r] = (a, b, c)
+        values[r] = v
+    return tuple(rows), tuple(values)
 
 
 @dataclass(frozen=True)

@@ -292,12 +292,20 @@ def cmd_cascade(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     # Nothing is written until the whole replay has passed, so a rejected
-    # scenario prints its error record alone.
-    lines = []
+    # scenario prints its error record alone.  The parser shares one move
+    # among repeated lines, so each move's text is built once; the total
+    # texts are rebuilt only when the scaled totals changed.
+    q = probe.scaled[1]
+    lines, move_texts, totals, texts = [], {}, None, None
     for move, state in zip(moves, cascade.replay(moves, probe)):
+        text = move_texts.get(id(move))
+        if text is None:
+            text = move_texts[id(move)] = move.describe()
+        scaled = state.scaled_totals()
+        if scaled != totals:
+            totals, texts = scaled, algebra.ratio_texts(scaled, q)
         row1, row2, row3 = state.gamma.coeff
-        lines.append(_CASCADE_RECORD % (move.describe(), *row1, *row2, *row3,
-                                        *state.lattice, *state.total_texts()))
+        lines.append(_CASCADE_RECORD % (text, *row1, *row2, *row3, *state.lattice, *texts))
     sys.stdout.write("".join(lines))
     return 0
 

@@ -86,6 +86,15 @@ class TestMassVectorShape:
             MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0))
 
 
+class TestUncheckedConstructor:
+    def test_matches_the_checked_constructor(self):
+        for rows in (ZERO.coeff, ((4, 0, 8), (0, 0, 0), (4, 0, 8)), ((4, 0), (0, 0)), ((4,),)):
+            sigma = MassVector._unchecked(rows)
+            assert sigma == MassVector(rows)
+            assert hash(sigma) == hash(MassVector(rows))
+            assert sigma.offset == (0,) * len(rows) and not sigma.has_offset
+
+
 class TestReflect:
     def test_origin_images(self):
         assert reflect(ZERO, 1) == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])

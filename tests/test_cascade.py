@@ -5,8 +5,10 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at
+from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, scaled_values
 from b2weyl.cascade import (
+    _COLLAPSE_WORDS,
+    _apply_row_map,
     COLLAPSE_VARIANTS,
     Collapse,
     InvalidSatellite,
@@ -18,7 +20,7 @@ from b2weyl.cascade import (
     replay,
     step,
 )
-from b2weyl.orbit import is_member_gamma_N
+from b2weyl.orbit import enumerate_orbit, is_member_gamma_N
 
 F = Fraction
 
@@ -106,6 +108,43 @@ class TestStep:
         state = step(state, Collapse((2,)))
         # gain was 4*mu2 = 2 at the probe, exactly the minimal bound
         assert state.total() == (0, 2, 0)
+
+
+class TestRowMaps:
+    """Each collapse's precomposed row map against its word run letter by letter.
+
+    The maps act on any coefficient matrix, so the oracle runs on the
+    depth-6 walk and on random matrices with entries in 4N alike, under
+    the unit probe and two rational ones.
+    """
+
+    PROBES = [Weights.numeric(1, 1, 1), Weights.numeric("1/3", "5/2", "7/4"),
+              Weights.numeric(7, "1/9", "2/3")]
+
+    @staticmethod
+    def matrices():
+        rng = random.Random(16)
+        yield from (el.sigma for el in enumerate_orbit(6))
+        for _ in range(60):
+            yield mv([[4 * rng.randint(0, 12) for _ in range(3)] for _ in range(3)])
+
+    def test_every_admissible_collapse_matches_its_word(self):
+        moves = [Collapse(subset, variant) for subset, variant in _COLLAPSE_WORDS]
+        assert len(moves) == 20
+        for gamma in self.matrices():
+            for probe in self.PROBES:
+                values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
+                for move in moves:
+                    want = apply_word(gamma, move.word())
+                    rows, got = _apply_row_map(move.row_map(), gamma.coeff, values, m)
+                    assert rows == want.coeff, move
+                    assert got == scaled_values(want, probe)[0], move
+
+    def test_step_rejects_a_variant_lost_after_construction(self):
+        move = Collapse((2, 3), "3i3")
+        object.__setattr__(move, "variant", "bogus")
+        with pytest.raises(ValueError, match="variant"):
+            step(initial_state(), move)
 
 
 class TestDecompose:

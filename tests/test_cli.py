@@ -13,7 +13,7 @@ import time
 import pytest
 
 from b2weyl import cli
-from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word, eval_at
+from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
@@ -288,20 +288,21 @@ class TestCascadeFormatterOracle:
     orbit part, the gain bound is checked on ``eval_at`` Fractions, and each
     total is ``str`` of ``eval_at(gamma) + 4n``.  So the integer probe values
     carried by ``step`` and the fixed template of ``cmd_cascade`` are both
-    held to it, on seeded random legal scenarios.
+    held to it, on seeded random legal scenarios: with no-op moves, whose
+    records reuse the previous totals, and long ones whose lines repeat.
     """
 
     SCENARIOS = 100
-    PROBES = ["1/3,5/2,7/4", "7,1/9,2/3"]
+    PROBES = ["1/3,5/2,7/4", "7,1/9,2/3", "2,3,5"]
 
     @staticmethod
-    def legal_scenario(rng, probe, length):
+    def legal_scenario(rng, probe, length, draw=random_move):
         """``length`` physical moves as scenario lines, and their reference records."""
         gamma, lattice = ZERO, (0, 0, 0)
         bound = 4 * min(probe.values)
         lines, want = [], []
         while len(lines) < length:
-            move = random_move(rng)
+            move = draw(rng)
             if isinstance(move, SatelliteMerge):
                 lattice = tuple(n + v // 4 for n, v in zip(lattice, move.mass))
             else:
@@ -330,6 +331,33 @@ class TestCascadeFormatterOracle:
             assert out.splitlines() == want
 
     @pytest.mark.parametrize("mu", PROBES)
+    def test_no_op_moves_keep_their_totals(self, capsys, tmp_path, mu):
+        no_ops = [Collapse((1, 3), "e"), Collapse((2, 3), "e"), SatelliteMerge((0, 0, 0))]
+
+        def draw(rng):
+            return rng.choice(no_ops) if rng.random() < 0.4 else random_move(rng)
+
+        rng = random.Random(16)
+        probe = Weights.numeric(*mu.split(","))
+        path = tmp_path / "scenario.txt"
+        for _ in range(20):
+            lines, want = self.legal_scenario(rng, probe, rng.randint(1, 30), draw)
+            path.write_text("\n".join(lines) + "\n")
+            code, out = run(capsys, "cascade", str(path), "--mu", mu)
+            assert code == 0
+            assert out.splitlines() == want
+
+    @pytest.mark.parametrize("mu", PROBES)
+    def test_a_long_scenario_of_repeated_lines(self, capsys, tmp_path, mu):
+        lines, want = self.legal_scenario(random.Random(300), Weights.numeric(*mu.split(",")), 300)
+        assert len(set(lines)) < len(lines) // 3
+        path = tmp_path / "scenario.txt"
+        path.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, "cascade", str(path), "--mu", mu)
+        assert code == 0
+        assert out.splitlines() == want
+
+    @pytest.mark.parametrize("mu", PROBES)
     def test_hand_built_state_derives_its_values(self, mu):
         probe, lattice = Weights.numeric(*mu.split(",")), (1, 0, 2)
         for el in enumerate_orbit(4):
@@ -338,7 +366,7 @@ class TestCascadeFormatterOracle:
             want = tuple(v + 4 * n for v, n in zip(before, lattice))
             assert state.total() == want
             assert state.total_sum() == sum(want)
-            assert state.total_texts() == [str(v) for v in want]
+            assert ratio_texts(state.scaled_totals(), probe.scaled[1]) == [str(v) for v in want]
             # A step from it agrees with the Fraction reference too.
             after = eval_at(apply_word(el.sigma, (1,)), probe)
             try:
