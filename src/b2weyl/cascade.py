@@ -75,9 +75,19 @@ _COLLAPSE_MAPS = {key: _word_map(word) for key, word in _COLLAPSE_WORDS.items()}
 
 @dataclass(frozen=True)
 class SatelliteMerge:
-    """Absorb far-satellite mass: a pure lattice shift by mass/4."""
+    """Absorb far-satellite mass: a pure lattice shift by mass/4.
+
+    ``shift`` is mass/4, worked out once per move, or None when the mass
+    is not in 4N x 4N x 4N.  Construction never rejects the mass: ``step``
+    does, raising InvalidSatellite, so a bad merge fails at its own step.
+    """
 
     mass: tuple[int, int, int]
+    shift: tuple[int, int, int] | None = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        valid = len(self.mass) == 3 and all(v >= 0 and v % 4 == 0 for v in self.mass)
+        object.__setattr__(self, "shift", tuple(v // 4 for v in self.mass) if valid else None)
 
     def describe(self) -> str:
         return "merge " + " ".join(str(v) for v in self.mass)
@@ -183,11 +193,11 @@ def step(state: CascadeState, move: Move) -> CascadeState:
     q*gain against 4*min(M).
     """
     if isinstance(move, SatelliteMerge):
-        if len(move.mass) != 3 or any(v < 0 or v % 4 for v in move.mass):
+        if move.shift is None:
             raise InvalidSatellite(f"invalid satellite {move.mass}: entries must be "
                                    "nonnegative multiples of 4")
-        lattice = tuple(n + v // 4 for n, v in zip(state.lattice, move.mass))
-        return CascadeState(state.gamma, lattice, state.probe, state.values)  # type: ignore[arg-type]
+        (a, b, c), (x, y, z) = state.lattice, move.shift
+        return CascadeState(state.gamma, (a + x, b + y, c + z), state.probe, state.values)
 
     m, q = state.probe.scaled
     coeff, values = _apply_row_map(move.row_map(), state.gamma.coeff, state.values, m)

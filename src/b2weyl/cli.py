@@ -105,12 +105,13 @@ def _word_text(word, sep: str) -> str:
     return sep.join(bytes(word).translate(_DIGITS).decode("ascii"))
 
 
-def _sigma_texts(sigma: MassVector, weights) -> list[str]:
+def _sigma_texts(coeff, weights) -> list[str]:
     """``str(Fraction)`` of each component at the weights, without the Fractions.
 
-    ``weights`` is anything ``algebra.scaled_values`` takes.
+    ``coeff`` is the coefficient matrix of an offset-free vector the engine
+    built, and ``weights`` is anything ``algebra.scaled_values`` takes.
     """
-    return algebra.ratio_texts(*algebra.scaled_values(sigma, weights))
+    return algebra.ratio_texts(*algebra.scaled_values(MassVector._unchecked(coeff), weights))
 
 
 def _json_template(weights: Weights | None, tail: str = "") -> str:
@@ -119,12 +120,15 @@ def _json_template(weights: Weights | None, tail: str = "") -> str:
     return _JSON_RECORD + sigma + tail + "}\n"
 
 
-def _json_fields(sigma: MassVector, level: int, word, tag, weights: Weights | None) -> tuple:
-    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights."""
-    row1, row2, row3 = sigma.coeff
+def _json_fields(coeff, level: int, word, tag, weights: Weights | None) -> tuple:
+    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights.
+
+    ``coeff`` is the coefficient matrix of an offset-free vector.
+    """
+    row1, row2, row3 = coeff
     fields = (*row1, *row2, *row3, level, _word_text(word, ","), *tag)
     if weights is not None:
-        fields += tuple(_sigma_texts(sigma, weights))
+        fields += tuple(_sigma_texts(coeff, weights))
     return fields
 
 
@@ -136,16 +140,17 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
     if args.output not in OUTPUT_FORMATS:
         raise UsageError(f"--output must be json or csv, got {args.output!r}")
-    # Records are written as the walk yields them; the totals come last.
-    # A JSON record is typed from the row sums the walk carries; a CSV row
-    # re-evaluates its closed form.
+    # Records are written as the walk yields its plain entries; the totals
+    # come last.  A JSON record is typed from the row sums the walk carries;
+    # a CSV row takes its closed-form id from them too and is checked
+    # exactly against the family's evaluated rows.
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
         template = _json_template(weights)
-        for el in walk:
-            tag = closedform.parameters_from_sums(el.sums)[0]
-            write(template % _json_fields(el.sigma, el.level, el.word, tag, weights))
+        for coeff, level, word, sums in walk.entries():
+            tag = closedform.parameters_from_sums(sums)[0]
+            write(template % _json_fields(coeff, level, word, tag, weights))
         _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
                         "max_level": args.max_level,
                         "max_coefficient": args.max_coefficient}})
@@ -155,13 +160,13 @@ def cmd_orbit(args) -> int:
             columns += ["sigma1", "sigma2", "sigma3"]
         template = ",".join(["%s"] * len(columns)) + "\n"
         write(",".join(columns) + "\n")
-        for el in walk:
-            cid = closedform.invert_to_closed_form(el.sigma)
-            row1, row2, row3 = el.sigma.coeff
-            fields = (el.level, _word_text(el.word, "."), *row1, *row2, *row3,
-                      *closedform.TYPE_BY_FAMILY[cid.ell], cid.ell, cid.m1, cid.m2)
+        for coeff, level, word, sums in walk.entries():
+            cid = closedform.invert_rows(coeff, sums)
+            row1, row2, row3 = coeff
+            fields = (level, _word_text(word, "."), *row1, *row2, *row3,
+                      *closedform.TYPE_BY_FAMILY[cid.ell], *cid)
             if weights is not None:
-                fields += tuple(_sigma_texts(el.sigma, weights))
+                fields += tuple(_sigma_texts(coeff, weights))
             write(template % fields)
         write(f"# truncated={str(walk.truncated).lower()} count={walk.count}\n")
     return 0
@@ -201,7 +206,8 @@ def cmd_closedform(args) -> int:
     # shortest word.
     word = tuple(reversed(orbit.descend_to_origin(sigma)))
     template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
-    fields = _json_fields(sigma, len(word), word, closedform.type_of(sigma), weights)
+    fields = _json_fields(sigma.coeff, len(word), word, closedform.TYPE_BY_FAMILY[cid.ell],
+                          weights)
     sys.stdout.write(template % (*fields, *cid))
     return 0
 
@@ -230,7 +236,7 @@ def cmd_sinh(args) -> int:
         m = sinh.sinh_invert(vec)
         out = {"coeff": [list(row) for row in vec.coeff], "m": m, "level": abs(m)}
         if mu is not None:
-            out["sigma"] = _sigma_texts(vec, mu)
+            out["sigma"] = _sigma_texts(vec.coeff, mu)
         return out
 
     if args.closed_form is not None:
@@ -274,7 +280,7 @@ def cmd_weyl2(args) -> int:
     for coeff in weyl2.finite_orbit(sub):
         rec = {"coeff": [list(row) for row in coeff]}
         if values is not None:
-            rec["values"] = _sigma_texts(MassVector(coeff), values)
+            rec["values"] = _sigma_texts(coeff, values)
         _emit(rec)
     return 0
 

@@ -12,7 +12,6 @@ and evaluated without rationals.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import NamedTuple
 
 from .algebra import GENERATORS, MassVector
@@ -160,21 +159,31 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     """
     ell, m1, m2 = cid
     _check_admissible(ell, m1, m2)
-    monomials = (m1 * m1, m1, m2 * m2, m2, 1)
+    return MassVector(_family_rows(ell, m1, m2))
+
+
+def _family_rows(ell: int, m1: int, m2: int) -> tuple[tuple[int, ...], ...]:
+    """Family ``ell`` at (m1, m2) as integer rows, under the transcription guards.
+
+    ``_F`` is read on every call.  An entry is a nonnegative multiple of
+    four exactly when its quarter-unit value is a nonnegative multiple of
+    16; any other value raises ValueError, naming a non-integer entry
+    first.
+    """
+    s1, s2 = m1 * m1, m2 * m2
     rows = []
     for table_row in _F[ell]:
         row = []
-        for entry in table_row:
-            quarter = sum(map(mul, entry, monomials))
-            if quarter % 4:
-                raise ValueError(f"non-integer entry {Fraction(quarter, 4)} "
-                                 f"at ({ell},{m1},{m2})")
-            n = quarter // 4
-            if n < 0 or n % 4:
-                raise ValueError(f"entry {n} not in 4N at ({ell},{m1},{m2})")
-            row.append(n)
+        for a, b, c, d, e in table_row:
+            quarter = a * s1 + b * m1 + c * s2 + d * m2 + e
+            if quarter < 0 or quarter % 16:
+                if quarter % 4:
+                    raise ValueError(f"non-integer entry {Fraction(quarter, 4)} "
+                                     f"at ({ell},{m1},{m2})")
+                raise ValueError(f"entry {quarter // 4} not in 4N at ({ell},{m1},{m2})")
+            row.append(quarter // 4)
         rows.append(tuple(row))
-    return MassVector(tuple(rows))  # type: ignore[arg-type]
+    return tuple(rows)
 
 
 def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
@@ -191,31 +200,41 @@ def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
     return tag, m1, m2
 
 
-def _read_parameters(sigma: MassVector) -> tuple[TypePair, int, int]:
-    """Type and (m1, m2) of a lattice member, read off its coefficient sums."""
+def _offset_free_sums(sigma: MassVector) -> tuple[int, ...]:
+    """The coefficient sums of a vector that must carry no constant offset."""
     if sigma.has_offset:
         raise ValueError("mass vector has a constant offset; no type is defined")
-    return parameters_from_sums(sigma.coefficient_sums())
+    return sigma.coefficient_sums()
 
 
 def type_of(sigma: MassVector) -> TypePair:
     """Mod-4 type of a lattice member, from its coefficient-sum differences."""
-    return _read_parameters(sigma)[0]
+    return parameters_from_sums(_offset_free_sums(sigma))[0]
+
+
+def invert_rows(coeff: tuple[tuple[int, ...], ...], sums: tuple[int, ...]) -> ClosedFormId:
+    """The unique (family, m1, m2) of the coefficient rows ``coeff`` with row sums ``sums``.
+
+    The parameters are read off the sums, then the candidate family is
+    evaluated and compared with ``coeff`` exactly; a mismatch means the
+    rows are not an orbit element and raises ValueError.  ``sums`` must
+    be ``coeff``'s own row sums (the orbit walk carries them).
+    """
+    tag, m1, m2 = parameters_from_sums(sums)
+    ell = FAMILY_BY_TYPE[tag]
+    if _family_rows(ell, m1, m2) != coeff:
+        raise ValueError(f"vector is not representable by family {ell} at ({m1},{m2})")
+    return ClosedFormId(ell, m1, m2)
 
 
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
     """Recover the unique (family, m1, m2) representing a lattice member.
 
     The parameters are read off the coefficient sums, then the candidate
-    is re-evaluated and compared exactly; a mismatch means the input was
-    not an orbit element.
+    is re-evaluated and compared exactly (``invert_rows``); a mismatch
+    means the input was not an orbit element.
     """
-    tag, m1, m2 = _read_parameters(sigma)
-    cid = ClosedFormId(FAMILY_BY_TYPE[tag], m1, m2)
-    if closed_form_eval(cid) != sigma:
-        raise ValueError(f"vector is not representable by family {cid.ell} "
-                         f"at ({m1},{m2})")
-    return cid
+    return invert_rows(sigma.coeff, _offset_free_sums(sigma))
 
 
 def transition(cid: tuple[int, int, int], index: int) -> ClosedFormId:

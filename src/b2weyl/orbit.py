@@ -67,26 +67,28 @@ class MembershipCertificate:
 class OrbitWalk:
     """Level-by-level BFS over the reflection orbit of the origin of ``system``.
 
-    Iterating yields ``OrbitElement``s level by level, each level sorted by
-    sort key and expanded in that order (then by generator index), so every
-    element keeps its canonical first-discoverer word.  The level is the
-    length of the element in the affine Weyl group, and the walk follows
-    ascents only.  Each entry carries its row sums, its values at unit
-    weights: generator i raises the length exactly when it raises row i's
-    sum, to sum_j w_ij * sum_j + 4 (Bjorner-Brenti, ch. 8; the test suite
-    checks it edge by edge for every system in the package).  So a descent
-    is skipped before its row is built, an ascent lands on the next level,
-    and only the current and next levels are held, keyed by coefficient
-    matrix (offsets start at zero and stay zero, so matrix order is
-    sort-key order).  Memory grows as the level size times the word length.
-    A generator that leaves a row sum unchanged cannot be ordered this way
-    and raises ValueError.
+    ``entries()`` yields each element as the plain tuple ``(coeff, level,
+    word, sums)``; iterating the walk yields the same elements as
+    ``OrbitElement``s.  Either way the elements come level by level, each
+    level sorted by sort key and expanded in that order (then by generator
+    index), so every element keeps its canonical first-discoverer word.
+    The level is the length of the element in the affine Weyl group, and
+    the walk follows ascents only.  Each entry carries its row sums, its
+    values at unit weights: generator i raises the length exactly when it
+    raises row i's sum, to sum_j w_ij * sum_j + 4 (Bjorner-Brenti, ch. 8;
+    the test suite checks it edge by edge for every system in the
+    package).  So a descent is skipped before its row is built, an ascent
+    lands on the next level, and only the current and next levels are
+    held, keyed by coefficient matrix (offsets start at zero and stay
+    zero, so matrix order is sort-key order).  Memory grows as the level
+    size times the word length.  A generator that leaves a row sum
+    unchanged cannot be ordered this way and raises ValueError.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
     ``pruned``; a descent never raises an entry of its row, so the bound
     cuts off no element that a shorter path would reach.  Once the walk
-    has been iterated, ``count`` is the number of elements and
-    ``exhausted`` tells whether a level came out empty before
+    has been iterated (by either route), ``count`` is the number of
+    elements and ``exhausted`` tells whether a level came out empty before
     ``max_level``; each new iteration starts them afresh.
     """
 
@@ -108,6 +110,15 @@ class OrbitWalk:
         return self.pruned or not self.exhausted
 
     def __iter__(self) -> Iterator[OrbitElement]:
+        for coeff, level, word, sums in self.entries():
+            yield OrbitElement(MassVector(coeff), level, word, sums)
+
+    def entries(self) -> Iterator[tuple]:
+        """The walk as plain tuples ``(coeff, level, word, sums)``, in iteration order.
+
+        ``coeff`` is the coefficient matrix (the element has no offset) and
+        ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
+        """
         self.pruned, self.exhausted, self.count = False, False, 0
         system, bound, rank = self.system, self.max_coefficient, self.system.rank
         # coefficient matrix -> (word, row sums)
@@ -117,7 +128,7 @@ class OrbitWalk:
             self.count += len(current)
             for coeff in sorted(current):
                 word, sums = current[coeff]
-                yield OrbitElement(MassVector(coeff), level, word, sums)
+                yield coeff, level, word, sums
                 if level == self.max_level:
                     continue
                 for i, pairs in enumerate(system.row_maps):

@@ -247,6 +247,18 @@ class TestScenario:
         assert [m.describe() for m in moves] == ["collapse 13 i3"] * 3 + [
             "merge 4 0 8", "collapse 13 i3", "merge 4 0 8"]
 
+    def test_a_repeated_bad_merge_fails_at_its_first_step(self):
+        moves = parse_scenario("collapse 1\nmerge 4 2 0\nmerge 4 2 0\n")
+        assert moves[1] is moves[2]
+        state = step(initial_state(), moves[0])
+        message = "invalid satellite (4, 2, 0): entries must be nonnegative multiples of 4"
+        for move in moves[1:]:
+            with pytest.raises(InvalidSatellite) as raised:
+                step(state, move)
+            assert str(raised.value) == message
+        with pytest.raises(InvalidSatellite, match="invalid satellite"):
+            replay(moves)
+
     def test_a_bad_line_after_valid_ones_reports_its_own_number(self):
         text = "collapse 1\nmerge 4 0 0\ncollapse 1\n# note\n\ncollapse 13\n"
         with pytest.raises(ValueError, match="^scenario line 6: .*variant"):

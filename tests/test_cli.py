@@ -84,6 +84,38 @@ class TestOrbitCommand:
         assert json_lines(out)[0]["error"] == "usage"
 
 
+# Moves the constant of family 3's entry (3, 3) by 16 quarter units, so
+# that entry grows by 4 and stays in 4N: the transcription guards pass and
+# only the exact comparison of each CSV row with its family's rows can
+# notice.  Family 3 first appears at level 1, at (1, 0).  The manner of the
+# corruption follows test_closedform.CORRUPTED_TABLE_SCRIPT.
+CORRUPTED_ORBIT_SCRIPT = """
+import sys
+from b2weyl import cli, closedform
+print("optimize", sys.flags.optimize)
+table = closedform._F[3]
+row = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 16,),)
+closedform._F[3] = table[:2] + (row,)
+sys.exit(cli.main(["orbit", "--max-level", "3", "--output", "csv"]))
+"""
+
+
+def test_every_csv_row_is_verified_under_optimize_flag(capsys):
+    proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_ORBIT_SCRIPT],
+                          capture_output=True, text=True, env=child_env(), check=False)
+    assert proc.returncode == 1, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "optimize 1"
+    assert json.loads(lines[-1]) == {"error": "verification",
+                                     "detail": "vector is not representable by family 3 at (1,0)"}
+    # The header and the rows before the failing one are the clean run's.
+    code, clean = run(capsys, "orbit", "--max-level", "3", "--output", "csv")
+    assert code == 0
+    written = lines[1:-1]
+    assert written == clean.splitlines()[:len(written)]
+    assert len(written) == 4  # the header, the origin and two level-1 rows
+
+
 class TestOrbitFormatterOracle:
     """The orbit records, line by line, against the generic encoders.
 
@@ -279,6 +311,17 @@ class TestCascadeCommand:
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out = run(capsys, "cascade", str(tmp_path / "absent.txt"))
         assert code == 2
+
+    def test_repeated_bad_merge_is_rejected_at_its_first_step(self, capsys, tmp_path):
+        # The parser shares one move between the two merge lines and accepts
+        # it; its step rejects it, before the repeat is reached.
+        scenario = tmp_path / "moves.txt"
+        scenario.write_text("collapse 1\nmerge 4 2 0\ncollapse 2\nmerge 4 2 0\n")
+        code, out = run(capsys, "cascade", str(scenario))
+        assert code == 1
+        assert json_lines(out) == [{"error": "rejected-move",
+                                    "detail": "invalid satellite (4, 2, 0): entries must be "
+                                              "nonnegative multiples of 4"}]
 
 
 class TestCascadeFormatterOracle:

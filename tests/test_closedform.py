@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl.algebra import MassVector, Weights, ZERO, eval_at, quadric_form, reflect
+from b2weyl.algebra import B2, MassVector, Weights, ZERO, eval_at, quadric_form, reflect
 from b2weyl.closedform import (
     ADMISSIBLE_TYPES,
     ClosedFormId,
@@ -15,6 +15,7 @@ from b2weyl.closedform import (
     TYPE_BY_FAMILY,
     admissible_parameters,
     closed_form_eval,
+    invert_rows,
     invert_to_closed_form,
     parameters_from_sums,
     special_case_table,
@@ -22,6 +23,7 @@ from b2weyl.closedform import (
     type_of,
     type_transition,
 )
+from b2weyl.orbit import OrbitWalk
 from conftest import child_env
 
 
@@ -180,6 +182,46 @@ class TestInvert:
         for el in enumerate_orbit(40):
             cid = invert_to_closed_form(el.sigma)
             assert closed_form_eval(cid) == el.sigma
+
+
+class TestInvertRows:
+    """``invert_rows`` on the walk's plain rows against ``invert_to_closed_form``."""
+
+    def test_agrees_with_invert_to_closed_form_on_the_depth_64_walk(self):
+        walk = OrbitWalk(B2, 64)
+        for coeff, _, _, sums in walk.entries():
+            cid = invert_rows(coeff, sums)
+            assert type(cid) is ClosedFormId
+            assert cid == invert_to_closed_form(MassVector(coeff))
+        assert walk.count == 5548
+
+    def test_near_misses_raise_the_same_message(self):
+        # Adding 4 to one entry keeps every entry in 4N and moves one row
+        # sum by 4.  The result may be another orbit element (the origin
+        # bumped at (1, 1) is generator 1's image); either way both routes
+        # reach the same id or reject in the same words.
+        rejections = set()
+        for coeff, _, _, sums in OrbitWalk(B2, 24).entries():
+            for i in range(3):
+                for k in range(3):
+                    row = coeff[i][:k] + (coeff[i][k] + 4,) + coeff[i][k + 1:]
+                    bumped = coeff[:i] + (row,) + coeff[i + 1:]
+                    moved = sums[:i] + (sums[i] + 4,) + sums[i + 1:]
+                    got = _outcome(invert_rows, bumped, moved)
+                    assert got == _outcome(invert_to_closed_form, MassVector(bumped))
+                    if isinstance(got, str):
+                        rejections.add(got.split()[0])
+        # Both kinds of rejection occur: an inadmissible residue pair read
+        # off the sums, and an admissible id whose family does not match.
+        assert rejections == {"residue", "vector"}
+
+
+def _outcome(invert, *args):
+    """The id ``invert`` returns, or the message of the ValueError it raises."""
+    try:
+        return invert(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 class TestTransition:

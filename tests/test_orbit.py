@@ -543,6 +543,33 @@ def test_walk_carries_each_elements_row_sums():
     assert OrbitElement(ZERO, 0, (), (4, 4, 4)) == OrbitElement(ZERO, 0, ())
 
 
+# (depth, bound, count, pruned, exhausted): the deep unbounded walk, then
+# three pruned ones (oracle cases above): cut before the orbit closes,
+# closing by level 10, and closing at level 3.
+ENTRY_CASES = [(64, None, 5548, False, False), (8, 40, 93, True, False),
+               (40, 8, 28, True, True), (30, 4, 8, True, True)]
+
+
+@pytest.mark.parametrize("depth,bound,count,pruned,exhausted", ENTRY_CASES,
+                         ids=[f"{c[0]}-{c[1]}" for c in ENTRY_CASES])
+def test_entries_and_iteration_agree_element_for_element(depth, bound, count, pruned, exhausted):
+    walk = OrbitWalk(B2, depth, bound)
+    entries = list(walk.entries())
+    after_entries = (walk.count, walk.pruned, walk.exhausted, walk.truncated)
+    elements = list(walk)
+    after_elements = (walk.count, walk.pruned, walk.exhausted, walk.truncated)
+    assert len(entries) == len(elements) == count
+    for (coeff, level, word, sums), el in zip(entries, elements):
+        assert type(coeff) is tuple and all(type(row) is tuple for row in coeff)
+        assert (MassVector(coeff), level, word, sums) == (el.sigma, el.level, el.word, el.sums)
+        assert sums == el.sigma.coefficient_sums()
+    assert after_entries == after_elements == (count, pruned, exhausted,
+                                               pruned or not exhausted)
+    # A new run through entries() starts the totals afresh, as iteration does.
+    next(walk.entries())
+    assert (walk.count, walk.pruned, walk.exhausted) == (1, False, False)
+
+
 def test_a_tied_row_sum_raises():
     # A copy of B2 whose generator 1 has an empty row map sends row 1 to
     # (4, 0, 0) from anywhere: applied again at level 1 it leaves the row
