@@ -79,8 +79,8 @@ CARTAN_MATRIX = (
     (Fraction(-1, 2), Fraction(-1, 2), Fraction(1)),
 )
 
-# Diagonal weighting that symmetrizes the coupling matrix.  It defines both
-# the invariant quadric and the descent measure sigma1 + sigma2 + 2*sigma3.
+# Diagonal weighting that symmetrizes the coupling matrix; it defines the
+# invariant quadric.
 SYMMETRIZER = (1, 1, 2)
 
 B2 = ReflectionSystem("B2(1)", CARTAN_MATRIX, SYMMETRIZER)
@@ -209,18 +209,6 @@ def _reflected_coeff(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -
         for k, v in enumerate(coeff[j]):
             row[k] += w * v
     return coeff[:i] + (tuple(row),) + coeff[i + 1:]
-
-
-def _reflected_value(values: Sequence[int], i: int, pairs: tuple, m: Sequence[int]) -> int:
-    """Entry i of v = q*sigma(M/q) after its generator: 4*M_i + sum_j w_ij * v_j.
-
-    The same map as ``_reflected_coeff``'s row, applied to the values at the weights;
-    it equals v_i + 4*M_i - (2A v)_i, and no other entry changes.
-    """
-    v = 4 * m[i]
-    for j, w in pairs:
-        v += w * values[j]
-    return v
 
 
 def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:

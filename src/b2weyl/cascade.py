@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .algebra import UNIT_WEIGHTS, ZERO, MassVector, Weights, apply_word, scaled_values
-from .orbit import descend_to_origin, is_member_gamma_N
+from .orbit import descend_to_origin
 
 
 class InvalidSatellite(ValueError):
@@ -238,11 +238,9 @@ class Decomposition:
 
 
 def decompose(state: CascadeState) -> Decomposition:
-    """Split the state and certify the orbit part by descending it to 0."""
-    cert = is_member_gamma_N(state.gamma)
-    if not cert:
-        raise ValueError(f"state invariant broken: gamma certificate {cert}")
-    word = tuple(descend_to_origin(state.gamma, state.probe))
+    """Split the state and certify the orbit part by descending it to 0;
+    a non-member orbit part raises ``descend_to_origin``'s ValueError."""
+    word = tuple(descend_to_origin(state.gamma))
     return Decomposition(state.gamma, state.lattice, word)
 
 

@@ -182,11 +182,10 @@ def cmd_check(args) -> int:
 
 def cmd_descend(args) -> int:
     sigma = _parse_matrix(args.sigma)
-    probe = _parse_mu(args.mu)
-    if probe is None:
+    # --mu is validated, but the descent word does not depend on it.
+    if _parse_mu(args.mu) is None:
         raise UsageError("descent probe must be numeric")
-    word = orbit.descend_to_origin(sigma, probe)
-    _emit({"word": word})
+    _emit({"word": orbit.descend_to_origin(sigma)})
     return 0
 
 
@@ -202,8 +201,7 @@ def cmd_closedform(args) -> int:
         raise UsageError(f"family index must be 1..8, got {args.ell}")
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
     sigma = closedform.closed_form_eval(cid)
-    # Greedy descent, reversed, witnesses reachability; it need not be a
-    # shortest word.
+    # Greedy descent, reversed: a reduced word, so its length is the level.
     word = tuple(reversed(orbit.descend_to_origin(sigma)))
     template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
     fields = _json_fields(sigma.coeff, len(word), word, closedform.TYPE_BY_FAMILY[cid.ell],

@@ -16,18 +16,7 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Iterator
 
-from .algebra import (
-    B2,
-    MassVector,
-    ReflectionSystem,
-    UNIT_WEIGHTS,
-    Weights,
-    _reflected_coeff,
-    _reflected_value,
-    apply_word,
-    quadric_form,
-    scaled_values,
-)
+from .algebra import B2, MassVector, ReflectionSystem, _reflected_coeff, apply_word, quadric_form
 
 
 @dataclass(frozen=True)
@@ -171,9 +160,10 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     The three flags are: all coefficients nonnegative, all divisible by
     four, and identically vanishing quadric residual.  Every orbit member
     passes; that every vector passing lies in the orbit is the working
-    statement of this module, checked by the tests (the depth-64 walk,
-    closed-form ids far beyond it, an exhaustive small box) but not
-    proven here -- ROADMAP item 3 is the route to a proof.
+    statement of this module, on which descend_to_origin's stop at zero
+    row sums rests.  The tests check it (the depth-64 walk, closed-form
+    ids far beyond it, an exhaustive small box), but it is not proven
+    here -- ROADMAP item 3 is the route to a proof.
     """
     if sigma.has_offset:
         raise ValueError("mass vector has a constant offset; not a pure mu-polynomial")
@@ -184,46 +174,43 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     return MembershipCertificate(nonneg, div4, quadric_zero)
 
 
-def descend_to_origin(sigma: MassVector, probe: Weights | None = None) -> list[int]:
-    """Greedy word taking a lattice member back to the origin.
+def descend_to_origin(sigma: MassVector) -> list[int]:
+    """Greedy reduced word taking a lattice member back to the origin.
 
-    Each step applies the smallest generator index that strictly lowers
-    the weighted mass sigma1 + sigma2 + 2*sigma3 at the probe weights.
-    The returned word is in application order: apply_word(sigma, word)
-    is the origin.
+    Each step applies the smallest generator i whose row sum falls, to
+    sum_j w_ij * sum_j + 4: the ``OrbitWalk`` rule read backwards, so each
+    step lowers the length by one.  The word is in application order:
+    apply_word(sigma, word) is the origin.  A generator moves every entry
+    of its row the same way, so at any positive weights row i's value
+    falls exactly when its sum does; the word belongs to the group
+    element, not to the weights.
 
-    The descent runs on the probe values q*sigma(mu) alone and stops when
-    they all vanish.  With every probe weight positive, a row of
-    nonnegative coefficients is zero exactly when its value is, so the
-    stop is exact as long as every vector along the way keeps nonnegative
-    coefficients.  Every generator maps the orbit onto itself, so that
-    holds from any orbit member.  From a certified vector it holds if the
-    certificate characterizes the orbit, which is_member_gamma_N takes as
-    its working statement and the tests check, but which is not proven
-    here.  A certified vector outside the orbit could reach a step whose
-    nonzero rows vanish at the probe; this descent would then return a
-    word that stops short of the origin.
+    The descent runs on the row sums alone and stops when they all
+    vanish.  A row of nonnegative coefficients is zero exactly when its
+    sum is, so the stop is exact as long as every vector along the way
+    keeps nonnegative coefficients.  Every generator maps the orbit onto
+    itself, so that holds from any orbit member.  From a certified vector
+    it holds if the certificate characterizes the orbit, which
+    is_member_gamma_N takes as its working statement and the tests check,
+    but which is not proven here.  A certified vector outside the orbit
+    could reach a step whose rows, some negative, sum to zero; this
+    descent would then return a word that stops short of the origin.
     """
-    if probe is None:
-        probe = UNIT_WEIGHTS
     cert = is_member_gamma_N(sigma)
     if not cert:
         raise ValueError(f"not a lattice member: certificate {cert}")
-
-    # Generator i changes only v_i, so the measure sum_j d_j v_j drops
-    # exactly when the new v_i is smaller (every d_j is positive).
-    m, _ = probe.scaled
-    values = list(scaled_values(sigma, probe)[0])
+    sums = list(sigma.coefficient_sums())
     word: list[int] = []
-    while any(values):
+    while any(sums):
         for i, pairs in enumerate(B2.row_maps):
-            value = _reflected_value(values, i, pairs, m)
-            if value < values[i]:
+            total = 4
+            for j, w in pairs:
+                total += w * sums[j]
+            if total < sums[i]:
                 break  # smallest index wins ties by construction
         else:
-            raise ValueError("no reflection decreases the mass measure; "
-                             "vector is not in the orbit")
-        values[i] = value
+            raise ValueError("no reflection lowers a row sum; vector is not in the orbit")
+        sums[i] = total
         word.append(i + 1)
     return word
 

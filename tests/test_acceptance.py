@@ -43,7 +43,7 @@ from b2weyl.closedform import (
 from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
-from conftest import child_env
+from conftest import child_env, descend_reference
 
 F = Fraction
 
@@ -313,8 +313,10 @@ def test_criterion_10_cascade_soundness(capsys):
             # gain bound for orbit-changing collapses
             if changes:
                 assert gain >= 4
-        # descent certificate once per finished sequence
-        word = descend_to_origin(state.gamma, probe)
+        # descent certificate once per finished sequence, the word the
+        # reference picks at the probe
+        word = descend_to_origin(state.gamma)
+        assert word == descend_reference(state.gamma.coeff, probe.values)
         assert apply_word(state.gamma, word) == ZERO
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

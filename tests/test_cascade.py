@@ -10,6 +10,7 @@ from b2weyl.cascade import (
     _COLLAPSE_WORDS,
     _apply_row_map,
     COLLAPSE_VARIANTS,
+    CascadeState,
     Collapse,
     InvalidSatellite,
     NonPhysicalMove,
@@ -168,6 +169,12 @@ class TestDecompose:
         dec = decompose(state)
         assert dec.gamma == mv([[4, 0, 8], [0, 0, 0], [0, 0, 4]])
         assert dec.lattice == (0, 0, 0)
+
+    def test_non_member_orbit_part_is_rejected(self):
+        # Only the certificate inside descend_to_origin guards decompose.
+        state = CascadeState(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]), (1, 0, 0))
+        with pytest.raises(ValueError, match="not a lattice member: certificate"):
+            decompose(state)
 
 
 def random_move(rng: random.Random):

@@ -211,6 +211,16 @@ class TestDescendCommand:
         assert code == 1
         assert json_lines(out)[0]["error"] == "verification"
 
+    def test_word_does_not_depend_on_mu(self, capsys):
+        # --mu is validated, but descent picks no generator by it.
+        for el in OrbitWalk(B2, 8):
+            text = ";".join(",".join(map(str, row)) for row in el.sigma.coeff)
+            outs = [run(capsys, "descend", text, "--mu", mu)
+                    for mu in ("1,1,1", "2,3,7", "5/3,1/7,9/4")]
+            assert outs == [outs[0]] * 3
+            code, out = outs[0]
+            assert code == 0 and len(json_lines(out)[0]["word"]) == el.level
+
 
 class TestTypeCommand:
     def test_type_of_tree_element(self, capsys):
@@ -456,6 +466,14 @@ class TestUsageErrors:
     def test_formal_descent_probe(self, capsys):
         detail = self.assert_usage(capsys, "descend", "4,0,0;0,0,0;0,0,0", "--mu", "formal")
         assert detail == "descent probe must be numeric"
+
+    @pytest.mark.parametrize("mu,detail", [
+        ("0,1,1", "weights must be positive, got 0"),
+        ("1,x,1", "bad rational 'x': "),
+    ], ids=["zero", "not-a-rational"])
+    def test_bad_descent_probe(self, capsys, mu, detail):
+        # The rest of a bad rational's detail is the Fraction parser's own text.
+        assert self.assert_usage(capsys, "descend", "4,0,0;0,0,0;4,0,4", "--mu", mu).startswith(detail)
 
     def test_formal_cascade_probe(self, capsys, tmp_path):
         scenario = tmp_path / "moves.txt"

@@ -190,34 +190,43 @@ class TestDescend:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_descent_word_is_reduced(self, seed):
         # The BFS level is the length of a shortest word, so a descent of
-        # exactly that many steps is a reduced word; the probe is a seeded
-        # random positive rational weight vector.
+        # exactly that many steps is a reduced word.  The word is the one
+        # the probe-stepping oracle picks at a seeded random positive
+        # rational probe.
         rng = random.Random(seed)
         probe = Weights(tuple(Fraction(rng.randint(1, 60), rng.randint(1, 60)) for _ in range(3)))
         walk = list(OrbitWalk(B2, 24))
         assert len(walk) == 801
-        mismatched = [el for el in walk if len(descend_to_origin(el.sigma, probe)) != el.level]
-        assert mismatched == []
+        for el in walk:
+            word = descend_to_origin(el.sigma)
+            assert word == coefficient_descent(el.sigma, probe)
+            assert len(word) == el.level
 
     def test_non_member_is_rejected(self):
         with pytest.raises(ValueError, match="not a lattice member"):
             descend_to_origin(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]))
 
     def test_custom_probe(self):
+        # The probe-free word is the one the oracle picks at (2, 3, 7).
         sigma = mv([[4, 0, 0], [0, 0, 0], [4, 0, 4]])
-        word = descend_to_origin(sigma, Weights.numeric(2, 3, 7))
+        word = descend_to_origin(sigma)
+        assert word == coefficient_descent(sigma, Weights.numeric(2, 3, 7))
         assert apply_word(sigma, word) == ZERO
 
 
 def coefficient_descent(sigma, probe):
     """Reference descent: the greedy loop stepping the coefficient matrix
-    alongside the probe values and stopping when the matrix is the origin."""
+    alongside the probe values and stopping when the matrix is the origin.
+
+    Generator i sends the scaled value v_i to 4*M_i + sum_j w_ij * v_j and
+    changes no other, so the measure sum_j d_j v_j falls exactly when v_i
+    does."""
     m, _ = probe.scaled
     values = list(algebra.scaled_values(sigma, probe)[0])
     word, coeff = [], sigma.coeff
     while coeff != ZERO.coeff:
         for i, pairs in enumerate(B2.row_maps):
-            value = algebra._reflected_value(values, i, pairs, m)
+            value = 4 * m[i] + sum(w * values[j] for j, w in pairs)
             if value < values[i]:
                 break
         else:
@@ -232,28 +241,29 @@ DESCENT_PROBES = [Weights.numeric(1, 1, 1), Weights.numeric(2, 3, 7),
                   Weights.numeric(Fraction(5, 3), Fraction(1, 7), Fraction(9, 4))]
 
 
-def test_descent_on_the_values_matches_the_coefficient_oracle():
-    # Stopping when the probe values vanish, instead of when the matrix
-    # does, must pick the same word for every element at every probe.
+def test_descent_on_the_row_sums_matches_the_coefficient_oracle():
+    # Stepping the row sums and stopping when they vanish, with no probe,
+    # must pick the oracle's word for every element at every probe; the
+    # word is reduced, so its length is the element's level.
     walk = list(OrbitWalk(B2, 64))
     assert len(walk) == 5548
     for el in walk:
-        words = [descend_to_origin(el.sigma, probe) for probe in DESCENT_PROBES]
-        assert words == [coefficient_descent(el.sigma, probe) for probe in DESCENT_PROBES]
-        for word in set(map(tuple, words)):
-            assert apply_word(el.sigma, word) == ZERO
+        word = descend_to_origin(el.sigma)
+        assert [coefficient_descent(el.sigma, probe) for probe in DESCENT_PROBES] == [word] * len(DESCENT_PROBES)
+        assert len(word) == el.level
+        assert apply_word(el.sigma, word) == ZERO
 
 
 def assert_descends_like_the_oracle(sigma):
+    word = descend_to_origin(sigma)
     for probe in DESCENT_PROBES:
-        word = descend_to_origin(sigma, probe)
         assert word == coefficient_descent(sigma, probe)
-        assert apply_word(sigma, word) == ZERO
+    assert apply_word(sigma, word) == ZERO
 
 
 def test_descent_reaches_the_origin_from_closed_form_ids_beyond_the_walk():
     # Inputs not drawn from the walk: closed-form ids with |m_i| >= 101,
-    # all past depth 64, where the values-only stop has no BFS behind it.
+    # all past depth 64, where the row-sum stop has no BFS behind it.
     depth_64 = {el.sigma for el in OrbitWalk(B2, 64)}
     rng = random.Random(64)
     for ell, (t1, t2) in sorted(TYPE_BY_FAMILY.items()):
