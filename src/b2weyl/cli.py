@@ -101,8 +101,11 @@ _CASCADE_RECORD = ('{"move":"%s","gamma_coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]
 
 
 def _word_text(word, sep: str) -> str:
-    """A B2(1) word (generators 1..3) as its digits joined by ``sep``."""
-    return sep.join(bytes(word).translate(_DIGITS).decode("ascii"))
+    """A B2(1) word (generators 1..3, bytes or tuple) as digits joined by one-character ``sep``."""
+    digits = bytes(word).translate(_DIGITS)
+    text = bytearray(sep.encode("ascii") * (2 * len(digits) - 1))
+    text[::2] = digits
+    return text.decode("ascii")
 
 
 def _sigma_texts(coeff, weights) -> list[str]:

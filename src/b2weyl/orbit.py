@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import cache
+from operator import itemgetter
 from typing import Iterator
 
 from .algebra import B2, MassVector, ReflectionSystem, _reflected_coeff, apply_word, quadric_form
@@ -68,10 +69,25 @@ class OrbitWalk:
     the test suite checks it edge by edge for every system in the
     package).  So a descent is skipped before its row is built, an ascent
     lands on the next level, and only the current and next levels are
-    held, keyed by coefficient matrix (offsets start at zero and stay
-    zero, so matrix order is sort-key order).  Memory grows as the level
-    size times the word length.  A generator that leaves a row sum
-    unchanged cannot be ordered this way and raises ValueError.
+    held.  A generator that leaves a row sum unchanged cannot be ordered
+    this way and raises ValueError.
+
+    The next level is keyed by the child's row sums, computed for the
+    ascent test anyway, so a child already found is dropped before its
+    row is built: each element's matrix is built once.  The key is exact
+    because equal row sums mean the same element.  For B2(1) the
+    closed-form id is read off the sums alone (``closedform.invert_rows``,
+    which checks every CSV row against the family's matrix); the ``SINH``
+    orbit is the chain ``sinh_closed_form(m)``, whose row sums 2m(m + 1)
+    and 2m(m - 1), ordered by the parity of m, give m back
+    (``sinh_invert``); and each finite rank-two orbit is checked
+    exhaustively by the test suite, as are the B2(1) walk at depth 128 and
+    the ``SINH`` walk.  A level is sorted by coefficient matrix, which is
+    unique on it (offsets start at zero and stay zero, so matrix order is
+    sort-key order).  Words are ``bytes``, one byte per generator, so a
+    level-n word costs about n + 33 bytes (a tuple costs 8 per generator)
+    and is not tracked by the garbage collector; memory grows as the
+    level size times the word length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
     ``pruned``; a descent never raises an entry of its row, so the bound
@@ -100,23 +116,24 @@ class OrbitWalk:
 
     def __iter__(self) -> Iterator[OrbitElement]:
         for coeff, level, word, sums in self.entries():
-            yield OrbitElement(MassVector(coeff), level, word, sums)
+            yield OrbitElement(MassVector(coeff), level, tuple(word), sums)
 
     def entries(self) -> Iterator[tuple]:
         """The walk as plain tuples ``(coeff, level, word, sums)``, in iteration order.
 
-        ``coeff`` is the coefficient matrix (the element has no offset) and
-        ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
+        ``coeff`` is the coefficient matrix (the element has no offset),
+        ``word`` its witness word as ``bytes`` (generator i is the byte i)
+        and ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
         """
         self.pruned, self.exhausted, self.count = False, False, 0
         system, bound, rank = self.system, self.max_coefficient, self.system.rank
-        # coefficient matrix -> (word, row sums)
-        current = {((0,) * rank,) * rank: ((), (0,) * rank)}
+        generators = [bytes((i + 1,)) for i in range(rank)]
+        current = [(((0,) * rank,) * rank, b"", (0,) * rank)]
         for level in range(self.max_level + 1):
-            following: dict[tuple, tuple[tuple[int, ...], tuple[int, ...]]] = {}
+            # row sums -> (coefficient matrix, word, row sums)
+            following: dict[tuple[int, ...], tuple[tuple, bytes, tuple[int, ...]]] = {}
             self.count += len(current)
-            for coeff in sorted(current):
-                word, sums = current[coeff]
+            for coeff, word, sums in current:
                 yield coeff, level, word, sums
                 if level == self.max_level:
                     continue
@@ -131,17 +148,18 @@ class OrbitWalk:
                                 f"{total} unchanged at {coeff}; the walk cannot "
                                 "order this edge")
                         continue  # a descent: the child is on the previous level
-                    child = _reflected_coeff(coeff, i, pairs)
-                    if child in following:
+                    child_sums = sums[:i] + (total,) + sums[i + 1:]
+                    if child_sums in following:
                         continue
+                    child = _reflected_coeff(coeff, i, pairs)
                     if bound is not None and max(child[i]) > bound:  # the other rows passed
                         self.pruned = True
                         continue
-                    following[child] = (word + (i + 1,), sums[:i] + (total,) + sums[i + 1:])
+                    following[child_sums] = (child, word + generators[i], child_sums)
             if not following:
                 self.exhausted = level < self.max_level
                 return
-            current = following
+            current = sorted(following.values(), key=itemgetter(0))  # matrices are unique
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:

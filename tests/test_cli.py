@@ -116,6 +116,30 @@ def test_every_csv_row_is_verified_under_optimize_flag(capsys):
     assert len(written) == 4  # the header, the origin and two level-1 rows
 
 
+class TestWordText:
+    """``_word_text`` on walk words (bytes) and descent words (tuples), at both separators."""
+
+    @pytest.mark.parametrize("word,comma,dot", [
+        ((), "", ""),
+        ((2,), "2", "2"),
+        ((3, 1), "3,1", "3.1"),
+        ((1, 2, 3) * 40 + (1,), ",".join("123" * 40 + "1"), ".".join("123" * 40 + "1")),
+    ])
+    @pytest.mark.parametrize("kind", [bytes, tuple])
+    def test_digits_joined_by_the_separator(self, word, comma, dot, kind):
+        assert cli._word_text(kind(word), ",") == comma
+        assert cli._word_text(kind(word), ".") == dot
+
+    def test_empty_and_single_generator_records(self, capsys):
+        # The origin's word is empty: "[]" in JSON, an empty CSV field.
+        _, out = run(capsys, "orbit", "--max-level", "1")
+        words = [line.split('"word":')[1].split("]")[0] + "]" for line in out.splitlines()[:4]]
+        assert words == ["[]", "[3]", "[2]", "[1]"]
+        _, out = run(capsys, "orbit", "--max-level", "1", "--output", "csv")
+        assert [row.split(",")[:3] for row in out.splitlines()[1:5]] == [
+            ["0", "", "0"], ["1", "3", "0"], ["1", "2", "0"], ["1", "1", "4"]]
+
+
 class TestOrbitFormatterOracle:
     """The orbit records, line by line, against the generic encoders.
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import algebra
+from b2weyl import algebra, orbit
 from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
 from b2weyl.closedform import TYPE_BY_FAMILY, closed_form_eval
 from b2weyl.orbit import (
@@ -386,14 +386,17 @@ def poincare_series(factors, exponents, depth):
     return series
 
 
-# (system, BFS depth, degrees of the finite group, exponents if affine)
+# (system, BFS depth, degrees of the finite group, exponents if affine);
+# B2(1) also at depth 128, the benchmark's JSON depth, where a wrong merge
+# of two elements on the next level would show as a short level.
 POINCARE_CASES = [
-    (B2, 40, (2, 4), (1, 3)),
-    (SINH, 40, (2,), (1,)),
-    (PAIR_12, 8, (2, 2), ()),
-    (PAIR_13, 8, (2, 4), ()),
-    (PAIR_23, 8, (2, 4), ()),
-    (APPENDIX_UV, 8, (2, 4), ()),
+    pytest.param(B2, 40, (2, 4), (1, 3), id=B2.name),
+    pytest.param(B2, 128, (2, 4), (1, 3), id=f"{B2.name}-128"),
+    pytest.param(SINH, 40, (2,), (1,), id=SINH.name),
+    pytest.param(PAIR_12, 8, (2, 2), (), id=PAIR_12.name),
+    pytest.param(PAIR_13, 8, (2, 4), (), id=PAIR_13.name),
+    pytest.param(PAIR_23, 8, (2, 4), (), id=PAIR_23.name),
+    pytest.param(APPENDIX_UV, 8, (2, 4), (), id=APPENDIX_UV.name),
 ]
 
 
@@ -404,11 +407,10 @@ def test_poincare_series_reproduces_the_known_counts():
     assert poincare_series((2, 4), (), 6) == [1, 2, 2, 2, 1, 0, 0]
 
 
-@pytest.mark.parametrize("system,depth,degrees,exponents", POINCARE_CASES,
-                         ids=[case[0].name for case in POINCARE_CASES])
+@pytest.mark.parametrize("system,depth,degrees,exponents", POINCARE_CASES)
 def test_bfs_level_counts_follow_the_poincare_series(system, depth, degrees, exponents):
     walk = OrbitWalk(system, depth)
-    counts = Counter(el.level for el in walk)
+    counts = Counter(level for _, level, _, _ in walk.entries())
     assert [counts[n] for n in range(depth + 1)] == poincare_series(degrees, exponents, depth)
     assert walk.count == sum(counts.values())
     assert not walk.pruned
@@ -536,6 +538,45 @@ def test_a_descent_never_raises_an_entry_of_its_row(system, depth, edges):
     assert seen == edges
 
 
+# (system, depth): the walks whose row sums are checked against the
+# coefficient-keyed reference; each finite orbit is walked until it closes.
+SUMS_KEY_CASES = ([(B2, 128), (SINH, 200)]
+                  + [(sub, 16) for sub in SUBSYSTEMS.values()])
+
+
+@pytest.mark.parametrize("system,depth", SUMS_KEY_CASES,
+                         ids=[f"{c[0].name}-{c[1]}" for c in SUMS_KEY_CASES])
+def test_row_sums_tell_the_orbit_elements_apart(system, depth):
+    # The walk keys its next level on the row sums, so two elements with
+    # equal sums would be merged.  The reference BFS keys on the matrices:
+    # over everything it finds, the sums are pairwise distinct.  For a
+    # finite orbit the reference closes, so the check is exhaustive.
+    triples, _, exhausted = reference_bfs(system, depth)
+    sums = {sigma.coefficient_sums() for _, sigma, _ in triples}
+    assert len(sums) == len(triples)
+    assert exhausted == (system in SUBSYSTEMS.values())
+
+
+@pytest.mark.parametrize("system,depth", [(B2, 64), (SINH, 40), (PAIR_13, 16)],
+                         ids=["B2(1)-64", "sinh-40", "pair_13-16"])
+def test_each_element_is_reflected_once(monkeypatch, system, depth):
+    # A child whose sums are already on the next level is dropped before
+    # its row is built, so an unpruned walk builds each element but the
+    # origin exactly once, whether it stops at its depth or closes first.
+    calls = []
+
+    def counted(coeff, i, pairs):
+        calls.append(i)
+        return algebra._reflected_coeff(coeff, i, pairs)
+
+    monkeypatch.setattr(orbit, "_reflected_coeff", counted)
+    walk = OrbitWalk(system, depth)
+    for _ in walk.entries():
+        pass
+    assert not walk.pruned
+    assert len(calls) == walk.count - 1
+
+
 def test_pruned_walk_matches_the_full_memory_bfs_at_every_bound():
     for bound in range(0, 129, 4):
         walk = OrbitWalk(B2, 12, bound)
@@ -571,7 +612,8 @@ def test_entries_and_iteration_agree_element_for_element(depth, bound, count, pr
     assert len(entries) == len(elements) == count
     for (coeff, level, word, sums), el in zip(entries, elements):
         assert type(coeff) is tuple and all(type(row) is tuple for row in coeff)
-        assert (MassVector(coeff), level, word, sums) == (el.sigma, el.level, el.word, el.sums)
+        assert type(word) is bytes and tuple(word) == el.word
+        assert (MassVector(coeff), level, sums) == (el.sigma, el.level, el.sums)
         assert sums == el.sigma.coefficient_sums()
     assert after_entries == after_elements == (count, pruned, exhausted,
                                                pruned or not exhausted)
