@@ -6,20 +6,19 @@ three-component B2(1) system (``B2``), its rank-one sinh-Gordon reduction
 are all instances of the one ``ReflectionSystem``, and every rank shares
 one vector type, one reflection, one evaluator and one quadric residual.
 
-A rank-r mass vector stores each component as a degree-one polynomial in
-the weights (mu1, ..., mur): an integer r x r coefficient matrix plus an
-integer constant offset per component.  Generator i acts by affine
-reflection across the i-th wall of the coupling matrix; composing
-generators walks the quantized-mass orbit.  Everything here is exact
-(ints and Fractions) -- there is deliberately no floating-point path.
+A rank-r mass vector stores each component as a linear form in the
+weights (mu1, ..., mur): an integer r x r coefficient matrix.  Generator
+i acts by affine reflection across the i-th wall of the coupling matrix;
+composing generators walks the quantized-mass orbit.  Everything here is
+exact (ints and Fractions) -- there is deliberately no floating-point
+path.
 
 The hot paths stay in the integers.  Weights are held as
 mu = M/q, with q the lcm of the denominators and M an integer vector, so
-a vector evaluates to the integer vector C*M + q*o over the single
-denominator q.  The quadric residual is an integer quadratic form in
-(mu, 1) read off the coefficients directly (``quadric_form``); a vector
-lies on the quadric identically in mu exactly when every coefficient is
-zero.
+a vector evaluates to the integer vector C*M over the single
+denominator q.  The quadric residual is an integer quadratic form in mu
+read off the coefficients directly (``quadric_form``); a vector lies on
+the quadric identically in mu exactly when every coefficient is zero.
 """
 
 from __future__ import annotations
@@ -127,54 +126,40 @@ UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 
 @dataclass(frozen=True)
 class MassVector:
-    """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j + offset[i].
+    """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j.
 
-    The rank is the size of the square coefficient matrix; ``offset``
-    defaults to r zeros.
+    The rank is the size of the square coefficient matrix.
     """
 
     coeff: tuple[tuple[int, ...], ...]
-    offset: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
         rank = len(self.coeff)
         if any(len(row) != rank for row in self.coeff):
             raise ValueError(f"coefficient matrix must be {rank}x{rank}")
-        if self.offset is None:
-            object.__setattr__(self, "offset", (0,) * rank)
-        elif len(self.offset) != rank:
-            raise ValueError(f"offset must have {rank} entries")
 
     @classmethod
     def _unchecked(cls, coeff: tuple[tuple[int, ...], ...]) -> "MassVector":
-        """An offset-free vector on a square matrix built inside the engine.
+        """A vector on a square matrix built inside the engine.
 
         Skips ``__post_init__``'s shape check; vectors from outside go
         through ``MassVector(...)`` or ``from_rows``, which keep it.
         """
         sigma = object.__new__(cls)
         object.__setattr__(sigma, "coeff", coeff)
-        object.__setattr__(sigma, "offset", (0,) * len(coeff))
         return sigma
 
     @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]],
-                  offset: Iterable[int] | None = None) -> "MassVector":
-        coeff = tuple(tuple(int(v) for v in row) for row in rows)
-        off = None if offset is None else tuple(int(v) for v in offset)
-        return cls(coeff, off)
+    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "MassVector":
+        return cls(tuple(tuple(int(v) for v in row) for row in rows))
 
     def sort_key(self) -> tuple[int, ...]:
-        # Canonical order: offset first, then coefficients row-major.
-        return self.offset + tuple(v for row in self.coeff for v in row)
+        # Canonical order: coefficients row-major.
+        return tuple(v for row in self.coeff for v in row)
 
     def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""
         return tuple(sum(row) for row in self.coeff)
-
-    @property
-    def has_offset(self) -> bool:
-        return any(self.offset)
 
 
 ZERO = MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
@@ -195,10 +180,8 @@ def reflect(sigma: MassVector, index: int, system: ReflectionSystem = B2) -> Mas
     if not 0 < index <= system.rank:
         raise ValueError(f"generator index must be 1..{system.rank}, got {index}")
     _check_rank(sigma, system)
-    offset, i = sigma.offset, index - 1
-    pairs = system.row_maps[i]
-    return MassVector(_reflected_coeff(sigma.coeff, i, pairs),
-                      offset[:i] + (sum([w * offset[j] for j, w in pairs]),) + offset[i + 1:])
+    i = index - 1
+    return MassVector(_reflected_coeff(sigma.coeff, i, system.row_maps[i]))
 
 
 def _reflected_coeff(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -> tuple:
@@ -235,7 +218,7 @@ def scaled_values(sigma: MassVector,
         m, q = _scale([Fraction(v) for v in weights])
     if len(m) != len(sigma.coeff):
         raise ValueError(f"{len(sigma.coeff)} weight values required, got {len(m)}")
-    return tuple([sum(map(mul, row, m)) + q * o for row, o in zip(sigma.coeff, sigma.offset)]), q
+    return tuple([sum(map(mul, row, m)) for row in sigma.coeff]), q
 
 
 def ratio_texts(values: Iterable[int], q: int) -> list[str]:
@@ -254,29 +237,25 @@ def eval_at(sigma: MassVector, weights: Weights | Sequence[Rational]) -> tuple[F
 
 
 def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int | Fraction]:
-    """Coefficients of the quadric residual at sigma = C*mu + o.
+    """Coefficients of the quadric residual at sigma = C*mu.
 
     The residual sigma^t G sigma - 4 * sum_i d_i mu_i sigma_i, with G the
-    system's ``gram``, equals mu^t Q mu + l.mu + c where
-    Q = C^t G C - 2(DC + (DC)^t), l = 2 C^t G o - 4 D o and c = o^t G o.
-    Coefficients are listed per monomial: mu_j*mu_k for j <= k row by row,
-    then each mu_j, then 1.  They are integers when G is, and all of
+    system's ``gram``, equals the quadratic form mu^t Q mu with
+    Q = C^t G C - 2(DC + (DC)^t); it has no linear or constant part.
+    Coefficients are listed per monomial, mu_j*mu_k for j <= k row by
+    row: r(r + 1)/2 of them.  They are integers when G is, and all of
     them vanish exactly when sigma lies on the quadric identically in mu.
     """
     _check_rank(sigma, system)
-    coeff, offset, gram, symmetrizer = sigma.coeff, sigma.offset, system.gram, system.symmetrizer
+    coeff, gram, symmetrizer = sigma.coeff, system.gram, system.symmetrizer
     idx = range(len(coeff))
     gc = [[sum(gram[i][t] * coeff[t][k] for t in idx) for k in idx] for i in idx]
-    go = [sum(gram[i][t] * offset[t] for t in idx) for i in idx]
     form = []
     for j in idx:
         for k in idx[j:]:
             entry = (sum(coeff[i][j] * gc[i][k] for i in idx)
                      - 2 * (symmetrizer[j] * coeff[j][k] + symmetrizer[k] * coeff[k][j]))
             form.append(entry if j == k else 2 * entry)
-    form += [2 * sum(coeff[i][j] * go[i] for i in idx) - 4 * symmetrizer[j] * offset[j]
-             for j in idx]
-    form.append(sum(o * g for o, g in zip(offset, go)))
     return form
 
 

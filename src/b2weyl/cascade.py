@@ -158,8 +158,6 @@ class CascadeState:
 
     def __post_init__(self) -> None:
         if self.values is None:
-            if self.gamma.has_offset:
-                raise ValueError("the orbit part of a cascade state carries no constant offset")
             object.__setattr__(self, "values", scaled_values(self.gamma, self.probe)[0])
 
     def scaled_totals(self) -> list[int]:

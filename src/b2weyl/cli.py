@@ -111,8 +111,8 @@ def _word_text(word, sep: str) -> str:
 def _sigma_texts(coeff, weights) -> list[str]:
     """``str(Fraction)`` of each component at the weights, without the Fractions.
 
-    ``coeff`` is the coefficient matrix of an offset-free vector the engine
-    built, and ``weights`` is anything ``algebra.scaled_values`` takes.
+    ``coeff`` is a coefficient matrix the engine built, and ``weights``
+    is anything ``algebra.scaled_values`` takes.
     """
     return algebra.ratio_texts(*algebra.scaled_values(MassVector._unchecked(coeff), weights))
 
@@ -124,10 +124,7 @@ def _json_template(weights: Weights | None, tail: str = "") -> str:
 
 
 def _json_fields(coeff, level: int, word, tag, weights: Weights | None) -> tuple:
-    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights.
-
-    ``coeff`` is the coefficient matrix of an offset-free vector.
-    """
+    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights."""
     row1, row2, row3 = coeff
     fields = (*row1, *row2, *row3, level, _word_text(word, ","), *tag)
     if weights is not None:
@@ -223,8 +220,7 @@ def cmd_relations(args) -> int:
         "trials": report.trials,
         "seed": report.seed,
         "failures": [{"relation": f.relation,
-                      "coeff": [list(r) for r in f.sigma.coeff],
-                      "offset": list(f.sigma.offset)} for f in report.failures],
+                      "coeff": [list(r) for r in f.sigma.coeff]} for f in report.failures],
         "passed": report.passed,
     })
     return 0 if report.passed else 1

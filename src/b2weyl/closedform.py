@@ -119,20 +119,6 @@ _F: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
     ),
 }
 
-# Family index reached from family f by generator i, transcribed case by
-# case; the parameter maps live in transition().
-_TRANSITION_FAMILY: dict[int, dict[int, int]] = {
-    1: {1: 3, 2: 2, 3: 8},
-    2: {1: 4, 2: 1, 3: 6},
-    3: {1: 1, 2: 4, 3: 7},
-    4: {1: 2, 2: 3, 3: 5},
-    5: {1: 7, 2: 6, 3: 4},
-    6: {1: 8, 2: 5, 3: 2},
-    7: {1: 5, 2: 8, 3: 3},
-    8: {1: 6, 2: 7, 3: 1},
-}
-
-
 class ClosedFormId(NamedTuple):
     """A family index with its two integer parameters."""
 
@@ -200,16 +186,9 @@ def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
     return tag, m1, m2
 
 
-def _offset_free_sums(sigma: MassVector) -> tuple[int, ...]:
-    """The coefficient sums of a vector that must carry no constant offset."""
-    if sigma.has_offset:
-        raise ValueError("mass vector has a constant offset; no type is defined")
-    return sigma.coefficient_sums()
-
-
 def type_of(sigma: MassVector) -> TypePair:
     """Mod-4 type of a lattice member, from its coefficient-sum differences."""
-    return parameters_from_sums(_offset_free_sums(sigma))[0]
+    return parameters_from_sums(sigma.coefficient_sums())[0]
 
 
 def invert_rows(coeff: tuple[tuple[int, ...], ...], sums: tuple[int, ...]) -> ClosedFormId:
@@ -234,27 +213,34 @@ def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
     is re-evaluated and compared exactly (``invert_rows``); a mismatch
     means the input was not an orbit element.
     """
-    return invert_rows(sigma.coeff, _offset_free_sums(sigma))
+    return invert_rows(sigma.coeff, sigma.coefficient_sums())
+
+
+def _reflected_parameters(m1: int, m2: int, index: int) -> tuple[int, int]:
+    """(m1, m2) after generator ``index``.
+
+    Generator 1 sends them to (1-m1, m2), generator 2 to (m1, 1-m2) and
+    generator 3 to (-1-m2, -1-m1).
+    """
+    if index == 1:
+        return 1 - m1, m2
+    if index == 2:
+        return m1, 1 - m2
+    return -1 - m2, -1 - m1
 
 
 def transition(cid: tuple[int, int, int], index: int) -> ClosedFormId:
     """Closed-form id of the reflection of a closed-form element.
 
-    Parameter maps: generator 1 sends (m1,m2) to (1-m1, m2), generator 2
-    to (m1, 1-m2), generator 3 to (-1-m2, -1-m1); the family moves per
-    the transcribed ledger.
+    The parameters move by ``_reflected_parameters``; the family is the
+    one of their type, as for every orbit element.
     """
     ell, m1, m2 = cid
     _check_admissible(ell, m1, m2)
     if index not in GENERATORS:
         raise ValueError(f"generator index must be 1..3, got {index}")
-    if index == 1:
-        params = (1 - m1, m2)
-    elif index == 2:
-        params = (m1, 1 - m2)
-    else:
-        params = (-1 - m2, -1 - m1)
-    return ClosedFormId(_TRANSITION_FAMILY[ell][index], *params)
+    p1, p2 = _reflected_parameters(m1, m2, index)
+    return ClosedFormId(FAMILY_BY_TYPE[(p1 % 4, p2 % 4)], p1, p2)
 
 
 def type_transition(tag: TypePair, index: int) -> TypePair:
@@ -263,12 +249,8 @@ def type_transition(tag: TypePair, index: int) -> TypePair:
         raise ValueError(f"{tag} is not an admissible type")
     if index not in GENERATORS:
         raise ValueError(f"generator index must be 1..3, got {index}")
-    m1, m2 = tag
-    if index == 1:
-        return ((-m1 + 1) % 4, m2)
-    if index == 2:
-        return (m1, (-m2 + 1) % 4)
-    return ((-m2 - 1) % 4, (-m1 - 1) % 4)
+    p1, p2 = _reflected_parameters(*tag, index)
+    return (p1 % 4, p2 % 4)
 
 
 def special_case_table(m1: int, m2: int) -> tuple[int, int, int]:

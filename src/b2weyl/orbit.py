@@ -83,11 +83,11 @@ class OrbitWalk:
     (``sinh_invert``); and each finite rank-two orbit is checked
     exhaustively by the test suite, as are the B2(1) walk at depth 128 and
     the ``SINH`` walk.  A level is sorted by coefficient matrix, which is
-    unique on it (offsets start at zero and stay zero, so matrix order is
-    sort-key order).  Words are ``bytes``, one byte per generator, so a
-    level-n word costs about n + 33 bytes (a tuple costs 8 per generator)
-    and is not tracked by the garbage collector; memory grows as the
-    level size times the word length.
+    unique on it and orders it as the sort key does.  Words are
+    ``bytes``, one byte per generator, so a level-n word costs about
+    n + 33 bytes (a tuple costs 8 per generator) and is not tracked by
+    the garbage collector; memory grows as the level size times the word
+    length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
     ``pruned``; a descent never raises an entry of its row, so the bound
@@ -121,9 +121,9 @@ class OrbitWalk:
     def entries(self) -> Iterator[tuple]:
         """The walk as plain tuples ``(coeff, level, word, sums)``, in iteration order.
 
-        ``coeff`` is the coefficient matrix (the element has no offset),
-        ``word`` its witness word as ``bytes`` (generator i is the byte i)
-        and ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
+        ``coeff`` is the coefficient matrix, ``word`` its witness word as
+        ``bytes`` (generator i is the byte i) and ``sums`` its row sums;
+        nothing is wrapped in a ``MassVector``.
         """
         self.pruned, self.exhausted, self.count = False, False, 0
         system, bound, rank = self.system, self.max_coefficient, self.system.rank
@@ -183,8 +183,6 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     ids far beyond it, an exhaustive small box), but it is not proven
     here -- ROADMAP item 3 is the route to a proof.
     """
-    if sigma.has_offset:
-        raise ValueError("mass vector has a constant offset; not a pure mu-polynomial")
     entries = [v for row in sigma.coeff for v in row]
     nonneg = all(v >= 0 for v in entries)
     div4 = all(v % 4 == 0 for v in entries)
@@ -265,27 +263,29 @@ _RELATIONS: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
 
 
 def random_mass_vector(rng: random.Random, low: int = -100, high: int = 100) -> MassVector:
-    """Uniform random integer mass vector (coefficients and offsets)."""
-    coeff = tuple(tuple(rng.randint(low, high) for _ in range(3)) for _ in range(3))
-    offset = tuple(rng.randint(low, high) for _ in range(3))
-    return MassVector(coeff, offset)  # type: ignore[arg-type]
+    """Uniform random integer mass vector: nine coefficients in [low, high]."""
+    return MassVector(tuple(tuple(rng.randint(low, high) for _ in range(3)) for _ in range(3)))
 
 
 @cache
 def _relation_holds(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     """Whether the words ``left`` and ``right`` act alike on every mass vector.
 
-    Each generator acts on a mass vector, the pair (C, o) in Z^12, as an
-    affine map: row i of C becomes sum_j w_ij * row_j + 4 e_i and offset i
-    becomes sum_j w_ij * o_j.  A word is a composite of such maps, so it is
-    affine too, and two affine maps that agree on the 13 points of an
-    affine basis, {0, e_1, ..., e_12}, agree everywhere.  Comparing both
-    words there decides the relation exactly; the verdict is kept for the
-    life of the process.
+    Each generator acts on a coefficient matrix C in Z^9 as an affine map:
+    row i becomes sum_j w_ij * row_j + 4 e_i.  A word is a composite of
+    such maps, so it is affine too, and two affine maps that agree on the
+    10 points of an affine basis, {0, e_1, ..., e_9}, agree everywhere.
+    Comparing both words there decides the relation exactly; the verdict
+    is kept for the life of the process.
+
+    A constant part o per component would not change the verdict: a word
+    acts on the augmented rows [C | o] as X -> PX + T, and T's o column is
+    zero, since the 4 e_i only ever land in C.  Two words that agree on
+    every C share P and T, so they agree on every (C, o) as well.
     """
-    for k in range(-1, 12):
-        p = tuple(int(j == k) for j in range(12))  # k = -1 is the origin
-        sigma = MassVector((p[0:3], p[3:6], p[6:9]), p[9:])
+    for k in range(-1, 9):
+        p = tuple(int(j == k) for j in range(9))  # k = -1 is the origin
+        sigma = MassVector((p[0:3], p[3:6], p[6:9]))
         if apply_word(sigma, left) != apply_word(sigma, right):
             return False
     return True

@@ -80,7 +80,7 @@ def descend_reference(rows, mu, limit=10_000):
 
     Each step takes the smallest generator whose reflection strictly lowers
     sum_i d_i * sigma_i(mu); returns None when none does (or after
-    ``limit`` steps).  Offsets are not supported: descent is for members.
+    ``limit`` steps).  Descent is for members, which are linear in mu.
     """
     def measure(r):
         return sum(d * sum(c * m for c, m in zip(row, mu))

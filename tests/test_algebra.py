@@ -1,5 +1,6 @@
 """Reflection algebra: exactness, the defining examples, group relations."""
 
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -25,15 +26,14 @@ from conftest import SAMPLE_WEIGHTS, assert_word_matches_reference, quadric_refe
 F = Fraction
 
 
-def mv(rows, offset=(0, 0, 0)):
-    return MassVector.from_rows(rows, offset)
+def mv(rows):
+    return MassVector.from_rows(rows)
 
 
 entries = st.integers(min_value=-60, max_value=60)
 random_vectors = st.builds(
-    lambda flat: MassVector(
-        (tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])), tuple(flat[9:12])),
-    st.lists(entries, min_size=12, max_size=12),
+    lambda flat: MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))),
+    st.lists(entries, min_size=9, max_size=9),
 )
 
 
@@ -69,21 +69,24 @@ class TestReflectionSystem:
 
 
 class TestMassVectorShape:
-    def test_offset_defaults_to_rank_zeros(self):
-        assert MassVector(((4, 0), (0, 0))).offset == (0, 0)
-        assert MassVector(((4, 0), (0, 0))) == MassVector(((4, 0), (0, 0)), (0, 0))
-
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="coefficient matrix must be 2x2"):
             MassVector(((4, 0), (0,)))
-        with pytest.raises(ValueError, match="offset must have 2 entries"):
-            MassVector(((4, 0), (0, 0)), (0, 0, 0))
         with pytest.raises(ValueError, match="coefficient matrix must be 1x1"):
             MassVector(((4, 0),))
         with pytest.raises(ValueError, match="coefficient matrix must be 3x3"):
             MassVector(((0, 0, 0), (0, 0, 0), (0, 0)))
-        with pytest.raises(ValueError, match="offset must have 3 entries"):
-            MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0))
+
+    def test_a_vector_is_its_coefficient_matrix(self):
+        # A mass vector is a linear form in mu: there is no constant part
+        # to pass, positionally or by name.
+        assert [f.name for f in fields(MassVector)] == ["coeff"]
+        with pytest.raises(TypeError):
+            MassVector(((4, 0), (0, 0)), (0, 0))  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            MassVector(((4, 0), (0, 0)), offset=(0, 0))  # type: ignore[call-arg]
+        with pytest.raises(TypeError):
+            MassVector.from_rows([[4, 0], [0, 0]], (0, 0))  # type: ignore[call-arg]
 
 
 class TestUncheckedConstructor:
@@ -92,7 +95,7 @@ class TestUncheckedConstructor:
             sigma = MassVector._unchecked(rows)
             assert sigma == MassVector(rows)
             assert hash(sigma) == hash(MassVector(rows))
-            assert sigma.offset == (0,) * len(rows) and not sigma.has_offset
+            assert sigma.coeff is rows
 
 
 class TestReflect:
@@ -146,7 +149,6 @@ class TestReflect:
     def test_entries_stay_integral(self, sigma, i):
         image = reflect(sigma, i)
         assert all(isinstance(v, int) for row in image.coeff for v in row)
-        assert all(isinstance(v, int) for v in image.offset)
 
 
 class TestApplyWord:
@@ -182,8 +184,8 @@ class TestPohozaevResidual:
 
     def test_off_quadric_vector(self):
         sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]])
-        # Monomials mu1^2, mu1mu2, mu1mu3, mu2^2, mu2mu3, mu3^2, mu1, mu2, mu3, 1.
-        assert quadric_form(sigma) == [0, 0, -32, 0, 0, 0, 0, 0, 0, 0]
+        # Monomials mu1^2, mu1mu2, mu1mu3, mu2^2, mu2mu3, mu3^2.
+        assert quadric_form(sigma) == [0, 0, -32, 0, 0, 0]
         for mu in SAMPLE_WEIGHTS:
             w = Weights.numeric(*mu)
             assert pohozaev_residual(sigma, w) == quadric_reference(eval_at(sigma, w), mu)
@@ -200,7 +202,8 @@ class TestPohozaevResidual:
         for mu in SAMPLE_WEIGHTS[:3]:
             w = Weights.numeric(*mu)
             expected = quadric_reference(eval_at(sigma, w), mu)
-            monomials = [mu[j] * mu[k] for j in range(3) for k in range(j, 3)] + list(mu) + [1]
+            monomials = [mu[j] * mu[k] for j in range(3) for k in range(j, 3)]
+            assert len(form) == len(monomials)
             assert sum(c * m for c, m in zip(form, monomials)) == expected
             assert pohozaev_residual(sigma, w) == expected
 
@@ -218,13 +221,10 @@ class TestEvalAt:
         sigma = mv([[4, 0, 0], [0, 4, 0], [0, 0, 0]])
         assert eval_at(sigma, Weights.numeric(F(3, 2), F(1, 2), 1)) == (6, 2, 0)
 
-    def test_offsets_contribute(self):
-        sigma = mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]], offset=(1, -2, 8))
-        assert eval_at(sigma, Weights.numeric(1, 1, 1)) == (5, -2, 8)
-
     def test_rank_two_at_nonpositive_weights(self):
-        sigma = MassVector(((4, 0), (8, 4)), (1, 0))
-        assert eval_at(sigma, (F(-2, 3), 0)) == (F(-5, 3), F(-16, 3))
+        sigma = MassVector(((4, 0), (8, -4)))
+        assert eval_at(sigma, (F(-2, 3), 0)) == (F(-8, 3), F(-16, 3))
+        assert eval_at(sigma, (0, F(-5, 2))) == (0, 10)
 
     def test_weight_count_must_match_rank(self):
         with pytest.raises(ValueError, match="weight values"):
@@ -247,12 +247,15 @@ class TestRatioTexts:
 
 
 class TestCanonicalOrder:
-    def test_sort_key_offset_first(self):
-        a = mv([[0, 0, 0], [0, 0, 0], [0, 0, 0]], offset=(1, 0, 0))
-        b = mv([[9, 9, 9], [9, 9, 9], [9, 9, 9]], offset=(0, 0, 0))
-        assert b.sort_key() < a.sort_key()
+    def test_sort_key_is_row_major(self):
+        a = mv([[0, 0, 0], [9, 9, 9], [9, 9, 9]])
+        b = mv([[0, 0, 4], [0, 0, 0], [0, 0, 0]])
+        assert a.sort_key() == (0, 0, 0, 9, 9, 9, 9, 9, 9)
+        assert a.sort_key() < b.sort_key()
 
     def test_equality_is_structural(self):
         assert mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]) == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
-        assert mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]) != mv(
-            [[4, 0, 0], [0, 0, 0], [0, 0, 0]], offset=(0, 0, 4))
+        # Equal row sums (and equal values at unit weights), different matrices.
+        assert mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]) != mv([[0, 4, 0], [0, 0, 0], [0, 0, 0]])
+        # The same entry in another row.
+        assert mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]) != mv([[0, 0, 0], [4, 0, 0], [0, 0, 0]])

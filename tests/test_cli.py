@@ -13,7 +13,7 @@ import time
 import pytest
 
 from b2weyl import cli
-from b2weyl.algebra import B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts
+from b2weyl.algebra import B2, Weights, ZERO, apply_word, eval_at, ratio_texts
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
@@ -452,10 +452,6 @@ class TestCascadeFormatterOracle:
                 assert sum(after) - sum(before) < 4 * min(probe.values)
             else:
                 assert nxt.total() == tuple(v + 4 * n for v, n in zip(after, lattice))
-
-    def test_hand_built_state_with_an_offset_is_rejected(self):
-        with pytest.raises(ValueError, match="offset"):
-            CascadeState(MassVector(ZERO.coeff, (0, 0, 4)))
 
 
 class TestUsageErrors:

@@ -97,11 +97,6 @@ class TestTypeOf:
     def test_types_cover_all_eight(self):
         assert {tag for _, tag in TYPE_TABLE} == ADMISSIBLE_TYPES
 
-    def test_type_requires_zero_offset(self):
-        with pytest.raises(ValueError, match="offset"):
-            type_of(MassVector.from_rows([[4, 0, 0], [0, 0, 0], [0, 0, 0]],
-                                         offset=(4, 0, 0)))
-
     def test_type_requires_multiples_of_four(self):
         with pytest.raises(ValueError, match="multiples of 4"):
             type_of(mv([[2, 0, 0], [0, 0, 0], [0, 0, 0]]))

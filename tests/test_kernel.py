@@ -48,21 +48,23 @@ entries = st.integers(min_value=-60, max_value=60)
 positive_rationals = st.builds(F, st.integers(1, 60), st.integers(1, 24))
 
 
-def sympy_residual(coeff, offset, cartan, symmetrizer):
-    """Coefficients of the quadric residual, expanded by sympy.
+def sympy_residual(coeff, cartan, symmetrizer):
+    """Coefficients of the quadric residual at sigma = C*mu, expanded by sympy.
 
     They are listed in the order of ``quadric_form``: mu_j*mu_k for j <= k
-    row by row, then each mu_j, then 1.
+    row by row.  The coefficients of each mu_j and of 1 are asserted to be
+    zero, so listing only the quadratic ones loses nothing.
     """
     rank = len(coeff)
     mu = sympy.symbols(f"mu1:{rank + 1}")
-    sigma = [sum(coeff[i][j] * mu[j] for j in range(rank)) + offset[i] for i in range(rank)]
+    sigma = [sum(coeff[i][j] * mu[j] for j in range(rank)) for i in range(rank)]
     expr = sum(symmetrizer[i] * sympy.Rational(cartan[i][j].numerator, cartan[i][j].denominator)
                * sigma[i] * sigma[j] for i in range(rank) for j in range(rank))
     expr -= 4 * sum(symmetrizer[i] * mu[i] * sigma[i] for i in range(rank))
     poly = sympy.Poly(sympy.expand(expr), *mu)
-    monomials = [mu[j] * mu[k] for j in range(rank) for k in range(j, rank)] + list(mu) + [1]
+    monomials = [mu[j] * mu[k] for j in range(rank) for k in range(j, rank)]
     assert poly.total_degree() <= 2
+    assert all(poly.coeff_monomial(m) == 0 for m in [*mu, 1])
     return [F(int(c.p), int(c.q)) for c in map(poly.coeff_monomial, monomials)]
 
 
@@ -71,12 +73,10 @@ def sympy_residual(coeff, offset, cartan, symmetrizer):
 @settings(deadline=None, max_examples=40)
 def test_quadric_matches_sympy(name, cartan, symmetrizer, data):
     rank = len(cartan)
-    flat = data.draw(st.lists(entries, min_size=rank * rank + rank,
-                              max_size=rank * rank + rank))
+    flat = data.draw(st.lists(entries, min_size=rank * rank, max_size=rank * rank))
     coeff = tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(rank))
-    offset = tuple(flat[rank * rank:])
-    form = quadric_form(MassVector(coeff, offset), ReflectionSystem(name, cartan, symmetrizer))
-    assert form == sympy_residual(coeff, offset, cartan, symmetrizer)
+    form = quadric_form(MassVector(coeff), ReflectionSystem(name, cartan, symmetrizer))
+    assert form == sympy_residual(coeff, cartan, symmetrizer)
 
 
 def test_membership_matches_polynomial_residual_through_depth_20():
@@ -97,13 +97,12 @@ def test_membership_matches_polynomial_residual_through_depth_20():
     assert checked == 561 * 10
 
 
-@given(st.lists(entries, min_size=12, max_size=12),
+@given(st.lists(entries, min_size=9, max_size=9),
        st.tuples(positive_rationals, positive_rationals, positive_rationals))
 @settings(deadline=None)
 def test_eval_at_matches_fraction_sum(flat, mu):
-    sigma = MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])),
-                       tuple(flat[9:12]))
-    expected = tuple(sum((F(c) * m for c, m in zip(sigma.coeff[i], mu)), F(sigma.offset[i]))
+    sigma = MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
+    expected = tuple(sum((F(c) * m for c, m in zip(sigma.coeff[i], mu)), F(0))
                      for i in range(3))
     got = eval_at(sigma, Weights.numeric(*mu))
     assert got == expected
