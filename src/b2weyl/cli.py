@@ -102,10 +102,9 @@ _CASCADE_RECORD = ('{"move":"%s","gamma_coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]
 
 def _word_text(word, sep: str) -> str:
     """A B2(1) word (generators 1..3, bytes or tuple) as digits joined by one-character ``sep``."""
-    digits = bytes(word).translate(_DIGITS)
-    text = bytearray(sep.encode("ascii") * (2 * len(digits) - 1))
-    text[::2] = digits
-    return text.decode("ascii")
+    # Replacing the empty string puts ``sep`` around every digit; the slice
+    # drops the outer two.
+    return bytes(word).translate(_DIGITS).decode("ascii").replace("", sep)[1:-1]
 
 
 def _sigma_texts(coeff, weights) -> list[str]:
@@ -115,6 +114,14 @@ def _sigma_texts(coeff, weights) -> list[str]:
     is anything ``algebra.scaled_values`` takes.
     """
     return algebra.ratio_texts(*algebra.scaled_values(MassVector._unchecked(coeff), weights))
+
+
+def _b2_sigma_texts(coeff, weights: Weights) -> list[str]:
+    """``_sigma_texts`` of a B2(1) matrix: three flat dot products with ``weights.scaled``."""
+    (a, b, c), (d, e, f), (g, h, k) = coeff
+    (m1, m2, m3), q = weights.scaled
+    return algebra.ratio_texts((a * m1 + b * m2 + c * m3, d * m1 + e * m2 + f * m3,
+                                g * m1 + h * m2 + k * m3), q)
 
 
 def _json_template(weights: Weights | None, tail: str = "") -> str:
@@ -128,7 +135,7 @@ def _json_fields(coeff, level: int, word, tag, weights: Weights | None) -> tuple
     row1, row2, row3 = coeff
     fields = (*row1, *row2, *row3, level, _word_text(word, ","), *tag)
     if weights is not None:
-        fields += tuple(_sigma_texts(coeff, weights))
+        fields += tuple(_b2_sigma_texts(coeff, weights))
     return fields
 
 
@@ -140,34 +147,48 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
     if args.output not in OUTPUT_FORMATS:
         raise UsageError(f"--output must be json or csv, got {args.output!r}")
-    # Records are written as the walk yields its plain entries; the totals
-    # come last.  A JSON record is typed from the row sums the walk carries;
-    # a CSV row takes its closed-form id from them too and is checked
-    # exactly against the family's evaluated rows.
+    # The walk yields one level at a time (``OrbitWalk.levels``).  Each
+    # level's records are rendered in one pass and written with one write;
+    # the totals come last.  A JSON record is typed from the row sums the
+    # walk carries; a CSV row takes its closed-form id from them too and is
+    # checked exactly against the family's evaluated rows.  The write sits
+    # in a ``finally``, so when a row fails its check, the rows of its
+    # level that passed are still written, ahead of the error record.
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
         template = _json_template(weights)
-        for coeff, level, word, sums in walk.entries():
+
+        def record(coeff, level, word, sums):
             tag = closedform.parameters_from_sums(sums)[0]
-            write(template % _json_fields(coeff, level, word, tag, weights))
-        _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
-                        "max_level": args.max_level,
-                        "max_coefficient": args.max_coefficient}})
+            return template % _json_fields(coeff, level, word, tag, weights)
     else:
         columns = list(CSV_COLUMNS)
         if weights is not None:
             columns += ["sigma1", "sigma2", "sigma3"]
         template = ",".join(["%s"] * len(columns)) + "\n"
         write(",".join(columns) + "\n")
-        for coeff, level, word, sums in walk.entries():
+
+        def record(coeff, level, word, sums):
             cid = closedform.invert_rows(coeff, sums)
             row1, row2, row3 = coeff
             fields = (level, _word_text(word, "."), *row1, *row2, *row3,
                       *closedform.TYPE_BY_FAMILY[cid.ell], *cid)
             if weights is not None:
-                fields += tuple(_sigma_texts(coeff, weights))
-            write(template % fields)
+                fields += tuple(_b2_sigma_texts(coeff, weights))
+            return template % fields
+    for level, entries in walk.levels():
+        lines = []
+        try:
+            for coeff, word, sums in entries:
+                lines.append(record(coeff, level, word, sums))
+        finally:
+            write("".join(lines))
+    if args.output == "json":
+        _emit({"meta": {"count": walk.count, "truncated": walk.truncated,
+                        "max_level": args.max_level,
+                        "max_coefficient": args.max_coefficient}})
+    else:
         write(f"# truncated={str(walk.truncated).lower()} count={walk.count}\n")
     return 0
 

@@ -127,13 +127,18 @@ class ClosedFormId(NamedTuple):
     m2: int
 
 
-def _check_admissible(ell: int, m1: int, m2: int) -> None:
+def _family_type(ell: int) -> TypePair:
+    """The type of family ``ell``; ValueError unless ``ell`` is 1..8."""
     if ell not in TYPE_BY_FAMILY:
         raise ValueError(f"inadmissible family index {ell}; expected 1..8")
-    if (m1 % 4, m2 % 4) != TYPE_BY_FAMILY[ell]:
+    return TYPE_BY_FAMILY[ell]
+
+
+def _check_admissible(ell: int, m1: int, m2: int) -> None:
+    tag = _family_type(ell)
+    if (m1 % 4, m2 % 4) != tag:
         raise ValueError(
-            f"inadmissible ({ell},{m1},{m2}): parameters are not congruent to "
-            f"{TYPE_BY_FAMILY[ell]} mod 4")
+            f"inadmissible ({ell},{m1},{m2}): parameters are not congruent to {tag} mod 4")
 
 
 def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
@@ -270,8 +275,8 @@ def special_case_table(m1: int, m2: int) -> tuple[int, int, int]:
 
 
 def admissible_parameters(ell: int, bound: int) -> list[tuple[int, int]]:
-    """All (m1, m2) for a family with both |m_i| <= bound."""
-    t1, t2 = TYPE_BY_FAMILY[ell]
+    """All (m1, m2) for a family with both |m_i| <= bound; ValueError unless ``ell`` is 1..8."""
+    t1, t2 = _family_type(ell)
     ms1 = [m for m in range(-bound, bound + 1) if m % 4 == t1]
     ms2 = [m for m in range(-bound, bound + 1) if m % 4 == t2]
     return [(a, b) for a in ms1 for b in ms2]

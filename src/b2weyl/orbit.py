@@ -57,11 +57,14 @@ class MembershipCertificate:
 class OrbitWalk:
     """Level-by-level BFS over the reflection orbit of the origin of ``system``.
 
-    ``entries()`` yields each element as the plain tuple ``(coeff, level,
-    word, sums)``; iterating the walk yields the same elements as
-    ``OrbitElement``s.  Either way the elements come level by level, each
-    level sorted by sort key and expanded in that order (then by generator
-    index), so every element keeps its canonical first-discoverer word.
+    ``levels()`` is the walk's one loop: it yields each level whole, as a
+    tuple of plain entries; iterating the walk yields the same elements
+    one by one as ``OrbitElement``s.  Each level is sorted by sort key and
+    expanded in that order (then by generator index), so every element
+    keeps its canonical first-discoverer word.  For B2(1) that word is
+    also ``bytes(reversed(descend_to_origin(sigma)))``, the greedy descent
+    word read backwards: a rule the test suite checks on every element
+    through depth 64, not one proven here.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
     values at unit weights: generator i raises the length exactly when it
@@ -94,7 +97,8 @@ class OrbitWalk:
     cuts off no element that a shorter path would reach.  Once the walk
     has been iterated (by either route), ``count`` is the number of
     elements and ``exhausted`` tells whether a level came out empty before
-    ``max_level``; each new iteration starts them afresh.
+    ``max_level``; each new iteration starts them afresh, and ``count``
+    counts each level as it is yielded.
     """
 
     def __init__(self, system: ReflectionSystem, max_level: int,
@@ -115,28 +119,32 @@ class OrbitWalk:
         return self.pruned or not self.exhausted
 
     def __iter__(self) -> Iterator[OrbitElement]:
-        for coeff, level, word, sums in self.entries():
-            yield OrbitElement(MassVector(coeff), level, tuple(word), sums)
+        for level, entries in self.levels():
+            for coeff, word, sums in entries:
+                yield OrbitElement(MassVector(coeff), level, tuple(word), sums)
 
-    def entries(self) -> Iterator[tuple]:
-        """The walk as plain tuples ``(coeff, level, word, sums)``, in iteration order.
+    def levels(self) -> Iterator[tuple[int, tuple]]:
+        """The walk one level at a time, as ``(level, entries)`` from level 0 on.
 
-        ``coeff`` is the coefficient matrix, ``word`` its witness word as
-        ``bytes`` (generator i is the byte i) and ``sums`` its row sums;
-        nothing is wrapped in a ``MassVector``.
+        ``entries`` is the level as a tuple of plain tuples ``(coeff, word,
+        sums)``, sorted by coefficient matrix: ``coeff`` is the matrix,
+        ``word`` its witness word as ``bytes`` (generator i is the byte i)
+        and ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
+        A level is yielded before it is expanded, so level 0 comes out
+        before a single row of level 1 is built.
         """
         self.pruned, self.exhausted, self.count = False, False, 0
         system, bound, rank = self.system, self.max_coefficient, self.system.rank
         generators = [bytes((i + 1,)) for i in range(rank)]
-        current = [(((0,) * rank,) * rank, b"", (0,) * rank)]
+        current = ((((0,) * rank,) * rank, b"", (0,) * rank),)
         for level in range(self.max_level + 1):
+            self.count += len(current)
+            yield level, current
+            if level == self.max_level:
+                return
             # row sums -> (coefficient matrix, word, row sums)
             following: dict[tuple[int, ...], tuple[tuple, bytes, tuple[int, ...]]] = {}
-            self.count += len(current)
             for coeff, word, sums in current:
-                yield coeff, level, word, sums
-                if level == self.max_level:
-                    continue
                 for i, pairs in enumerate(system.row_maps):
                     total = 4
                     for j, w in pairs:
@@ -157,9 +165,9 @@ class OrbitWalk:
                         continue
                     following[child_sums] = (child, word + generators[i], child_sums)
             if not following:
-                self.exhausted = level < self.max_level
+                self.exhausted = True
                 return
-            current = sorted(following.values(), key=itemgetter(0))  # matrices are unique
+            current = tuple(sorted(following.values(), key=itemgetter(0)))  # matrices are unique
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:

@@ -1,5 +1,6 @@
 """Command-line surface: records, exit codes, determinism."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -9,11 +10,15 @@ import subprocess
 import sys
 import threading
 import time
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b2weyl import cli
-from b2weyl.algebra import B2, Weights, ZERO, apply_word, eval_at, ratio_texts
+from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts,
+                            scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
@@ -205,6 +210,31 @@ class TestOrbitFormatterOracle:
                 code, out = run(capsys, "closedform", str(ell), str(m1), str(m2), "--mu", mu)
                 assert code == 0
                 assert out == json.dumps(rec, separators=(",", ":")) + "\n"
+
+
+# Positive weights: integers, and fractions whose denominators vary from
+# draw to draw (some of them reduce to integers).
+POSITIVE_WEIGHTS = st.one_of(st.integers(1, 40).map(Fraction),
+                             st.builds(Fraction, st.integers(1, 400), st.integers(1, 60)))
+
+
+@given(depth=st.integers(0, 10),
+       mu=st.tuples(POSITIVE_WEIGHTS, POSITIVE_WEIGHTS, POSITIVE_WEIGHTS))
+@settings(deadline=None, max_examples=60)
+def test_csv_sigma_columns_match_the_evaluator(depth, mu):
+    # The CSV sigma columns are flat dot products with the scaled weights;
+    # they must print what the generic evaluator gives for every row.
+    weights = Weights(mu)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["orbit", "--max-level", str(depth), "--output", "csv",
+                     "--mu", ",".join(map(str, mu))])
+    assert code == 0
+    rows = [line.split(",") for line in out.getvalue().splitlines()[1:-1]]
+    assert len(rows) == len(list(OrbitWalk(B2, depth)))
+    for fields in rows:
+        coeff = tuple(tuple(int(v) for v in fields[k:k + 3]) for k in (2, 5, 8))
+        assert fields[-3:] == ratio_texts(*scaled_values(MassVector(coeff), weights))
 
 
 class TestCheckCommand:

@@ -75,6 +75,12 @@ class TestClosedFormEval:
         with pytest.raises(ValueError, match="inadmissible"):
             closed_form_eval((9, 0, 0))
 
+    @pytest.mark.parametrize("ell", [0, 9])
+    def test_admissible_parameters_rejects_an_unknown_family(self, ell):
+        # The same message as closed_form_eval's, not a KeyError.
+        with pytest.raises(ValueError, match=rf"^inadmissible family index {ell}; expected 1\.\.8$"):
+            admissible_parameters(ell, 3)
+
     def test_entries_nonnegative_multiples_of_four(self):
         for ell in range(1, 9):
             for m1, m2 in admissible_parameters(ell, 10):
@@ -184,10 +190,11 @@ class TestInvertRows:
 
     def test_agrees_with_invert_to_closed_form_on_the_depth_64_walk(self):
         walk = OrbitWalk(B2, 64)
-        for coeff, _, _, sums in walk.entries():
-            cid = invert_rows(coeff, sums)
-            assert type(cid) is ClosedFormId
-            assert cid == invert_to_closed_form(MassVector(coeff))
+        for _, entries in walk.levels():
+            for coeff, _, sums in entries:
+                cid = invert_rows(coeff, sums)
+                assert type(cid) is ClosedFormId
+                assert cid == invert_to_closed_form(MassVector(coeff))
         assert walk.count == 5548
 
     def test_near_misses_raise_the_same_message(self):
@@ -196,16 +203,17 @@ class TestInvertRows:
         # bumped at (1, 1) is generator 1's image); either way both routes
         # reach the same id or reject in the same words.
         rejections = set()
-        for coeff, _, _, sums in OrbitWalk(B2, 24).entries():
-            for i in range(3):
-                for k in range(3):
-                    row = coeff[i][:k] + (coeff[i][k] + 4,) + coeff[i][k + 1:]
-                    bumped = coeff[:i] + (row,) + coeff[i + 1:]
-                    moved = sums[:i] + (sums[i] + 4,) + sums[i + 1:]
-                    got = _outcome(invert_rows, bumped, moved)
-                    assert got == _outcome(invert_to_closed_form, MassVector(bumped))
-                    if isinstance(got, str):
-                        rejections.add(got.split()[0])
+        for _, entries in OrbitWalk(B2, 24).levels():
+            for coeff, _, sums in entries:
+                for i in range(3):
+                    for k in range(3):
+                        row = coeff[i][:k] + (coeff[i][k] + 4,) + coeff[i][k + 1:]
+                        bumped = coeff[:i] + (row,) + coeff[i + 1:]
+                        moved = sums[:i] + (sums[i] + 4,) + sums[i + 1:]
+                        got = _outcome(invert_rows, bumped, moved)
+                        assert got == _outcome(invert_to_closed_form, MassVector(bumped))
+                        if isinstance(got, str):
+                            rejections.add(got.split()[0])
         # Both kinds of rejection occur: an inadmissible residue pair read
         # off the sums, and an admissible id whose family does not match.
         assert rejections == {"residue", "vector"}

@@ -48,6 +48,11 @@ CASES = [
     # Integer sigmas ("28") next to reduced p/q ones ("8/3", not "24/9").
     ("orbit-json-12-mixed-mu", ["orbit", "--max-level", "12", "--mu", "7,1/9,2/3"], None, 0,
      "ba0bc0578f6a29f79762db861de33958d5dce542edbcf6a232928b10b1a82d2b"),
+    # The same weights in the CSV sigma columns, which take the flat dot
+    # products with the scaled weights.
+    ("orbit-csv-12-mixed-mu", ["orbit", "--max-level", "12", "--output", "csv",
+                               "--mu", "7,1/9,2/3"], None, 0,
+     "60bb2aa11d2a863ec778f81f678f666c89ceb3f90334759156dee319a786148d"),
     # A coefficient bound prunes the orbit, which closes at level 6, so the
     # meta record and the CSV trailer both read truncated=true.
     ("orbit-json-40-pruned", ["orbit", "--max-level", "40", "--max-coefficient", "16"],

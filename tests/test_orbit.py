@@ -407,7 +407,7 @@ def test_poincare_series_reproduces_the_known_counts():
 @pytest.mark.parametrize("system,depth,degrees,exponents", POINCARE_CASES)
 def test_bfs_level_counts_follow_the_poincare_series(system, depth, degrees, exponents):
     walk = OrbitWalk(system, depth)
-    counts = Counter(level for _, level, _, _ in walk.entries())
+    counts = Counter({level: len(entries) for level, entries in walk.levels()})
     assert [counts[n] for n in range(depth + 1)] == poincare_series(degrees, exponents, depth)
     assert walk.count == sum(counts.values())
     assert not walk.pruned
@@ -570,7 +570,7 @@ def test_each_element_is_reflected_once(monkeypatch, system, depth):
 
     monkeypatch.setattr(orbit, "_reflected_coeff", counted)
     walk = OrbitWalk(system, depth)
-    for _ in walk.entries():
+    for _ in walk.levels():
         pass
     assert not walk.pruned
     assert len(calls) == walk.count - 1
@@ -602,23 +602,54 @@ ENTRY_CASES = [(64, None, 5548, False, False), (8, 40, 93, True, False),
 
 @pytest.mark.parametrize("depth,bound,count,pruned,exhausted", ENTRY_CASES,
                          ids=[f"{c[0]}-{c[1]}" for c in ENTRY_CASES])
-def test_entries_and_iteration_agree_element_for_element(depth, bound, count, pruned, exhausted):
+def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, bound, count,
+                                                        pruned, exhausted):
     walk = OrbitWalk(B2, depth, bound)
-    entries = list(walk.entries())
-    after_entries = (walk.count, walk.pruned, walk.exhausted, walk.truncated)
+    levels = list(walk.levels())
+    after_levels = (walk.count, walk.pruned, walk.exhausted, walk.truncated)
     elements = list(walk)
     after_elements = (walk.count, walk.pruned, walk.exhausted, walk.truncated)
+    # Levels come in order from 0, each a tuple sorted by matrix; an
+    # exhausted walk stops before its empty level.
+    assert [level for level, _ in levels] == list(range(len(levels)))
+    assert len(levels) == depth + 1 or exhausted
+    entries = []
+    for level, level_entries in levels:
+        assert type(level_entries) is tuple and level_entries
+        matrices = [coeff for coeff, _, _ in level_entries]
+        assert matrices == sorted(matrices) and len(set(matrices)) == len(matrices)
+        entries += [(coeff, level, word, sums) for coeff, word, sums in level_entries]
     assert len(entries) == len(elements) == count
     for (coeff, level, word, sums), el in zip(entries, elements):
         assert type(coeff) is tuple and all(type(row) is tuple for row in coeff)
         assert type(word) is bytes and tuple(word) == el.word
         assert (MassVector(coeff), level, sums) == (el.sigma, el.level, el.sums)
         assert sums == el.sigma.coefficient_sums()
-    assert after_entries == after_elements == (count, pruned, exhausted,
-                                               pruned or not exhausted)
-    # A new run through entries() starts the totals afresh, as iteration does.
-    next(walk.entries())
+    assert after_levels == after_elements == (count, pruned, exhausted, pruned or not exhausted)
+    # A new run through levels() starts the totals afresh, as iteration
+    # does, and counts the origin's level as it is yielded.
+    assert next(walk.levels()) == (0, ((ZERO.coeff, b"", (0, 0, 0)),))
     assert (walk.count, walk.pruned, walk.exhausted) == (1, False, False)
+    # Each level is yielded before it is expanded: level 0 of a walk a
+    # billion levels deep comes at once, before a row of level 1 is built.
+    calls = []
+    monkeypatch.setattr(orbit, "_reflected_coeff",
+                        lambda *args: calls.append(args) or algebra._reflected_coeff(*args))
+    deep = OrbitWalk(B2, 10**9)
+    assert next(deep.levels()) == (0, ((ZERO.coeff, b"", (0, 0, 0)),))
+    assert calls == [] and deep.count == 1
+
+
+def test_walk_words_are_the_reversed_descent_words():
+    # The walk's first-discoverer word is the greedy descent word, which
+    # steps by the smallest generator that lowers the length, read
+    # backwards.  Checked on every element through depth 64; not proven in
+    # general.
+    walk = OrbitWalk(B2, 64)
+    for _, entries in walk.levels():
+        for coeff, word, _ in entries:
+            assert word == bytes(reversed(descend_to_origin(MassVector(coeff))))
+    assert walk.count == 5548
 
 
 def test_a_tied_row_sum_raises():
