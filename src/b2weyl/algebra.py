@@ -143,19 +143,11 @@ class MassVector:
         """A vector on a square matrix built inside the engine.
 
         Skips ``__post_init__``'s shape check; vectors from outside go
-        through ``MassVector(...)`` or ``from_rows``, which keep it.
+        through ``MassVector(...)``, which keeps it.
         """
         sigma = object.__new__(cls)
         object.__setattr__(sigma, "coeff", coeff)
         return sigma
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "MassVector":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
-
-    def sort_key(self) -> tuple[int, ...]:
-        # Canonical order: coefficients row-major.
-        return tuple(v for row in self.coeff for v in row)
 
     def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""
@@ -202,6 +194,26 @@ def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:
     for index in word:
         sigma = reflect(sigma, index)
     return sigma
+
+
+def _word_map(word: Sequence[int]) -> tuple:
+    """The affine map C -> P*C + T of ``word`` on a coefficient matrix, one entry per row it moves.
+
+    T is the word's image of the origin and P + T its image of the
+    identity matrix.  Each entry is (r, pairs, T_r) with pairs the nonzero
+    (j, P_rj), so new row_r = sum_j P_rj * row_j + T_r, and at the weights
+    M/q new v_r = sum_j P_rj * v_j + T_r . M.  Exactly the rows with
+    P_r = e_r and T_r = 0 are left out, so two words act alike on every
+    matrix exactly when their maps are equal.
+    """
+    shift = apply_word(ZERO, word).coeff
+    image = apply_word(MassVector(((1, 0, 0), (0, 1, 0), (0, 0, 1))), word).coeff
+    entries = []
+    for r, (moved, t) in enumerate(zip(image, shift)):
+        pairs = tuple((j, a - b) for j, (a, b) in enumerate(zip(moved, t)) if a != b)
+        if pairs != ((r, 1),) or any(t):
+            entries.append((r, pairs, t))
+    return tuple(entries)
 
 
 def scaled_values(sigma: MassVector,
@@ -262,10 +274,9 @@ def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int |
 def pohozaev_residual(sigma: MassVector, weights: Weights) -> Fraction:
     """Residual of (s1-s3)^2 + (s2-s3)^2 = 4(mu1 s1 + mu2 s2 + 2 mu3 s3) at the weights.
 
-    With mu = M/q and sigma(mu) = v/q it is (v^t G v - 4 * sum_i d_i M_i v_i) / q^2,
-    G = ``B2.gram``.
+    It is ``quadric_form`` at mu = M/q: sum of each mu_j*mu_k coefficient
+    times M_j*M_k, over q^2.
     """
-    v, q = scaled_values(sigma, weights)
-    gv = [sum(map(mul, row, v)) for row in B2.gram]
-    linear = sum(d * m * x for d, m, x in zip(B2.symmetrizer, weights.scaled[0], v))
-    return Fraction(sum(map(mul, v, gv)) - 4 * linear, q * q)
+    m, q = weights.scaled
+    monomials = [m[j] * m[k] for j in range(3) for k in range(j, 3)]
+    return Fraction(sum(map(mul, quadric_form(sigma), monomials)), q * q)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import UNIT_WEIGHTS, ZERO, MassVector, Weights, apply_word, scaled_values
+from .algebra import UNIT_WEIGHTS, ZERO, MassVector, Weights, _word_map, scaled_values
 from .orbit import descend_to_origin
 
 
@@ -49,24 +49,6 @@ _COLLAPSE_WORDS: dict[tuple[tuple[int, ...], str | None], tuple[int, ...]] = {
        for i in (1, 2) for variant, letters in COLLAPSE_VARIANTS.items()},
 }
 _VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
-
-
-def _word_map(word: tuple[int, ...]) -> tuple:
-    """The affine map of ``word`` on a coefficient matrix, one entry per row it changes.
-
-    The word sends rows R to P*R + T: T is its image of the origin, and
-    P + T its image of the identity matrix.  Each entry is (r, pairs, T_r)
-    with pairs the nonzero (j, P_rj), so new row_r = sum_j P_rj * row_j + T_r,
-    and at the probe new v_r = sum_j P_rj * v_j + T_r . M.
-    """
-    identity = MassVector(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
-    image, shift = apply_word(identity, word).coeff, apply_word(ZERO, word).coeff
-    entries = []
-    for r, (moved, fixed) in enumerate(zip(image, identity.coeff)):
-        if moved != fixed:
-            pairs = tuple((j, a - t) for j, (a, t) in enumerate(zip(moved, shift[r])) if a != t)
-            entries.append((r, pairs, shift[r]))
-    return tuple(entries)
 
 
 # Each admissible collapse's row map, composed once from its word.
@@ -122,7 +104,7 @@ class Collapse:
         return self._lookup(_COLLAPSE_WORDS)
 
     def row_map(self) -> tuple:
-        """The word composed into one affine map on the rows (see ``_word_map``)."""
+        """The word composed into one affine map on the rows (see ``algebra._word_map``)."""
         return self._lookup(_COLLAPSE_MAPS)
 
     def _lookup(self, table: dict):

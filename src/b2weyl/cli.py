@@ -211,8 +211,9 @@ def cmd_descend(args) -> int:
 
 
 def cmd_type(args) -> int:
-    sigma = _parse_matrix(args.sigma)
-    _emit({"type": list(closedform.type_of(sigma))})
+    # The type of the verified closed form, so a vector outside the orbit fails.
+    cid = closedform.invert_to_closed_form(_parse_matrix(args.sigma))
+    _emit({"type": list(closedform.TYPE_BY_FAMILY[cid.ell])})
     return 0
 
 

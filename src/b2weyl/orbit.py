@@ -12,30 +12,22 @@ and rank-two orbits go through it too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 from typing import Iterator
 
-from .algebra import B2, MassVector, ReflectionSystem, _reflected_coeff, apply_word, quadric_form
+from .algebra import (B2, MassVector, ReflectionSystem, _reflected_coeff, _word_map, apply_word,
+                      quadric_form)
 
 
 @dataclass(frozen=True)
 class OrbitElement:
-    """An orbit member with its BFS discovery depth and a witness word.
-
-    ``sums`` are the row sums of the coefficient matrix (the walk carries
-    them; they are computed when not given).  They are not compared.
-    """
+    """An orbit member with its BFS discovery depth and a witness word."""
 
     sigma: MassVector
     level: int
     word: tuple[int, ...]
-    sums: tuple[int, ...] = field(default=None, compare=False, repr=False)  # type: ignore[assignment]
-
-    def __post_init__(self) -> None:
-        if self.sums is None:
-            object.__setattr__(self, "sums", self.sigma.coefficient_sums())
 
 
 @dataclass(frozen=True)
@@ -59,12 +51,13 @@ class OrbitWalk:
 
     ``levels()`` is the walk's one loop: it yields each level whole, as a
     tuple of plain entries; iterating the walk yields the same elements
-    one by one as ``OrbitElement``s.  Each level is sorted by sort key and
-    expanded in that order (then by generator index), so every element
-    keeps its canonical first-discoverer word.  For B2(1) that word is
-    also ``bytes(reversed(descend_to_origin(sigma)))``, the greedy descent
-    word read backwards: a rule the test suite checks on every element
-    through depth 64, not one proven here.
+    one by one as ``OrbitElement``s.  Each level is sorted by coefficient
+    matrix (row-major), which is unique on it, and expanded in that order
+    (then by generator index), so every element keeps its canonical
+    first-discoverer word.  For B2(1) that word is also
+    ``bytes(reversed(descend_to_origin(sigma)))``, the greedy descent word
+    read backwards: a rule the test suite checks on every element through
+    depth 64, not one proven here.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
     values at unit weights: generator i raises the length exactly when it
@@ -85,12 +78,10 @@ class OrbitWalk:
     and 2m(m - 1), ordered by the parity of m, give m back
     (``sinh_invert``); and each finite rank-two orbit is checked
     exhaustively by the test suite, as are the B2(1) walk at depth 128 and
-    the ``SINH`` walk.  A level is sorted by coefficient matrix, which is
-    unique on it and orders it as the sort key does.  Words are
-    ``bytes``, one byte per generator, so a level-n word costs about
-    n + 33 bytes (a tuple costs 8 per generator) and is not tracked by
-    the garbage collector; memory grows as the level size times the word
-    length.
+    the ``SINH`` walk.  Words are ``bytes``, one byte per generator, so a
+    level-n word costs about n + 33 bytes (a tuple costs 8 per generator)
+    and is not tracked by the garbage collector; memory grows as the
+    level size times the word length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
     ``pruned``; a descent never raises an entry of its row, so the bound
@@ -120,8 +111,8 @@ class OrbitWalk:
 
     def __iter__(self) -> Iterator[OrbitElement]:
         for level, entries in self.levels():
-            for coeff, word, sums in entries:
-                yield OrbitElement(MassVector(coeff), level, tuple(word), sums)
+            for coeff, word, _ in entries:
+                yield OrbitElement(MassVector(coeff), level, tuple(word))
 
     def levels(self) -> Iterator[tuple[int, tuple]]:
         """The walk one level at a time, as ``(level, entries)`` from level 0 on.
@@ -279,24 +270,11 @@ def random_mass_vector(rng: random.Random, low: int = -100, high: int = 100) -> 
 def _relation_holds(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
     """Whether the words ``left`` and ``right`` act alike on every mass vector.
 
-    Each generator acts on a coefficient matrix C in Z^9 as an affine map:
-    row i becomes sum_j w_ij * row_j + 4 e_i.  A word is a composite of
-    such maps, so it is affine too, and two affine maps that agree on the
-    10 points of an affine basis, {0, e_1, ..., e_9}, agree everywhere.
-    Comparing both words there decides the relation exactly; the verdict
-    is kept for the life of the process.
-
-    A constant part o per component would not change the verdict: a word
-    acts on the augmented rows [C | o] as X -> PX + T, and T's o column is
-    zero, since the 4 e_i only ever land in C.  Two words that agree on
-    every C share P and T, so they agree on every (C, o) as well.
+    Each word acts on a coefficient matrix C as an affine map C -> P*C + T,
+    so the two agree everywhere exactly when their maps (``_word_map``)
+    are equal.  The verdict is kept for the life of the process.
     """
-    for k in range(-1, 9):
-        p = tuple(int(j == k) for j in range(9))  # k = -1 is the origin
-        sigma = MassVector((p[0:3], p[3:6], p[6:9]))
-        if apply_word(sigma, left) != apply_word(sigma, right):
-            return False
-    return True
+    return _word_map(left) == _word_map(right)
 
 
 def check_relations(trials: int, rng_seed: int = 0,
@@ -305,10 +283,11 @@ def check_relations(trials: int, rng_seed: int = 0,
 
     Covers the involutions, the commuting pair, both braid relations and
     both order-four products.  Each relation is decided exactly, once per
-    process, on an affine basis (see ``_relation_holds``).  Only for a
-    relation that fails are ``trials`` vectors drawn from
-    ``random.Random(rng_seed)`` in [low, high]; the report lists each one
-    the relation fails on, trial by trial and then in relation order.
+    process, by comparing the affine maps of its words (see
+    ``_relation_holds``).  Only for a relation that fails are ``trials``
+    vectors drawn from ``random.Random(rng_seed)`` in [low, high]; the
+    report lists each one the relation fails on, trial by trial and then
+    in relation order.
     Failures are reported, not raised.
     """
     if trials < 1:

@@ -49,7 +49,7 @@ F = Fraction
 
 
 def mv(rows):
-    return MassVector.from_rows(rows)
+    return MassVector(tuple(map(tuple, rows)))
 
 
 def passline(n, elapsed, text):

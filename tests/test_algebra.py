@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from b2weyl import algebra
 from b2weyl.algebra import (
     B2,
     MassVector,
     ReflectionSystem,
     Weights,
     ZERO,
+    _word_map,
     apply_word,
     eval_at,
     pohozaev_residual,
@@ -27,7 +29,7 @@ F = Fraction
 
 
 def mv(rows):
-    return MassVector.from_rows(rows)
+    return MassVector(tuple(map(tuple, rows)))
 
 
 entries = st.integers(min_value=-60, max_value=60)
@@ -85,8 +87,6 @@ class TestMassVectorShape:
             MassVector(((4, 0), (0, 0)), (0, 0))  # type: ignore[call-arg]
         with pytest.raises(TypeError):
             MassVector(((4, 0), (0, 0)), offset=(0, 0))  # type: ignore[call-arg]
-        with pytest.raises(TypeError):
-            MassVector.from_rows([[4, 0], [0, 0]], (0, 0))  # type: ignore[call-arg]
 
 
 class TestUncheckedConstructor:
@@ -149,6 +149,32 @@ class TestReflect:
     def test_entries_stay_integral(self, sigma, i):
         image = reflect(sigma, i)
         assert all(isinstance(v, int) for row in image.coeff for v in row)
+
+
+class TestWordMap:
+    def test_examples(self):
+        # Generator 1 rewrites row 1 as -row_1 + 2*row_3 + 4e_1; the braid
+        # word 1,3,1,3 moves rows 1 and 3; s_1 s_1 fixes every row.
+        assert _word_map((1,)) == ((0, ((0, -1), (2, 2)), (4, 0, 0)),)
+        assert [r for r, _, _ in _word_map((1, 3, 1, 3))] == [0, 2]
+        assert _word_map((1, 1)) == _word_map(()) == ()
+
+    @pytest.mark.parametrize("action,entry", [
+        # A pure shift: P_1 = e_1, T_1 = 4e_1.
+        (lambda row_1: tuple(v + 4 * (k == 0) for k, v in enumerate(row_1)),
+         (0, ((0, 1),), (4, 0, 0))),
+        # A pure linear part: P_1 = 2e_1, T_1 = 0.
+        (lambda row_1: tuple(2 * v for v in row_1), (0, ((0, 2),), (0, 0, 0))),
+    ], ids=["shift-only", "linear-only"])
+    def test_a_row_moved_by_either_part_alone_is_listed(self, monkeypatch, action, entry):
+        # On the real generators T_r = 0 exactly when P_r = e_r, so only a
+        # substituted generator tells "P_r = e_r and T_r = 0" apart from
+        # either half of it: the encoding must list the row in both cases.
+        def substituted(coeff, i, pairs):
+            return (action(coeff[0]),) + coeff[1:]
+
+        monkeypatch.setattr(algebra, "_reflected_coeff", substituted)
+        assert _word_map((1,)) == (entry,)
 
 
 class TestApplyWord:
@@ -247,11 +273,13 @@ class TestRatioTexts:
 
 
 class TestCanonicalOrder:
-    def test_sort_key_is_row_major(self):
+    def test_coefficient_matrices_order_row_major(self):
+        # The canonical order is the matrices' own: the row-major flattening.
         a = mv([[0, 0, 0], [9, 9, 9], [9, 9, 9]])
         b = mv([[0, 0, 4], [0, 0, 0], [0, 0, 0]])
-        assert a.sort_key() == (0, 0, 0, 9, 9, 9, 9, 9, 9)
-        assert a.sort_key() < b.sort_key()
+        assert a.coeff < b.coeff
+        flat = [tuple(v for row in sigma.coeff for v in row) for sigma in (a, b)]
+        assert flat[0] < flat[1]
 
     def test_equality_is_structural(self):
         assert mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]) == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])

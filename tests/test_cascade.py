@@ -4,8 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, scaled_values
+from b2weyl.algebra import (MassVector, Weights, ZERO, _word_map, apply_word, eval_at,
+                            scaled_values)
 from b2weyl.cascade import (
     _COLLAPSE_WORDS,
     _apply_row_map,
@@ -27,7 +30,7 @@ F = Fraction
 
 
 def mv(rows):
-    return MassVector.from_rows(rows)
+    return MassVector(tuple(map(tuple, rows)))
 
 
 class TestMoves:
@@ -140,6 +143,20 @@ class TestRowMaps:
                     rows, got = _apply_row_map(move.row_map(), gamma.coeff, values, m)
                     assert rows == want.coeff, move
                     assert got == scaled_values(want, probe)[0], move
+
+    @given(st.lists(st.sampled_from((1, 2, 3)), max_size=10).map(tuple),
+           st.lists(st.integers(-100, 100), min_size=9, max_size=9),
+           st.lists(st.fractions(F(1, 12), 60, max_denominator=12), min_size=3, max_size=3))
+    @settings(deadline=None, max_examples=300)
+    def test_any_words_map_matches_the_word(self, word, flat, mu):
+        # Beyond the twenty collapse words: any word, any integer matrix,
+        # any positive rational probe.
+        gamma = MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
+        probe = Weights(tuple(mu))
+        values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
+        want = apply_word(gamma, word)
+        assert (_apply_row_map(_word_map(word), gamma.coeff, values, m)
+                == (want.coeff, scaled_values(want, probe)[0]))
 
     def test_step_rejects_a_variant_lost_after_construction(self):
         move = Collapse((2, 3), "3i3")

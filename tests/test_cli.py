@@ -282,6 +282,26 @@ class TestTypeCommand:
         assert code == 0
         assert json_lines(out)[0] == {"type": [3, 2]}
 
+    def test_type_of_every_element_through_depth_5(self, capsys):
+        for el in enumerate_orbit(5):
+            literal = ";".join(",".join(map(str, row)) for row in el.sigma.coeff)
+            code, out = run(capsys, "type", literal)
+            assert (code, json_lines(out)) == (0, [{"type": list(type_of(el.sigma))}])
+
+    @pytest.mark.parametrize("literal,sums_type,detail", [
+        ("0,0,0;0,0,0;0,0,-4", (1, 1), "family 4 at (1,1)"),
+        ("8,0,4;0,0,0;4,0,0", (2, 3), "family 6 at (2,-1)"),
+    ])
+    def test_a_vector_outside_the_orbit_has_no_type(self, capsys, literal, sums_type, detail):
+        # Its row sums read as an admissible type, but the family's matrix
+        # at those parameters is not the vector: a verification failure.
+        rows = tuple(tuple(int(v) for v in row.split(",")) for row in literal.split(";"))
+        assert type_of(MassVector(rows)) == sums_type
+        code, out = run(capsys, "type", literal)
+        assert code == 1
+        assert json_lines(out) == [{"error": "verification",
+                                    "detail": f"vector is not representable by {detail}"}]
+
 
 class TestClosedFormCommand:
     def test_anchor_record(self, capsys):

@@ -28,7 +28,7 @@ from conftest import child_env
 
 
 def mv(rows):
-    return MassVector.from_rows(rows)
+    return MassVector(tuple(map(tuple, rows)))
 
 
 # The ten anchor assignments pinning each family to a tree element.

@@ -87,7 +87,7 @@ def test_membership_matches_polynomial_residual_through_depth_20():
         for i in range(3):
             for j in range(3):
                 rows[i][j] += 4
-                vectors.append(MassVector.from_rows(rows))
+                vectors.append(MassVector(tuple(map(tuple, rows))))
                 rows[i][j] -= 4
         for sigma in vectors:
             flag = is_member_gamma_N(sigma).quadric_zero

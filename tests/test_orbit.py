@@ -4,8 +4,10 @@ import copy
 import itertools
 import random
 from collections import Counter
+from dataclasses import fields
 from fractions import Fraction
 from functools import cache
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +32,7 @@ from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
 
 
 def mv(rows):
-    return MassVector.from_rows(rows)
+    return MassVector(tuple(map(tuple, rows)))
 
 
 # The reflection tree through depth two, plus the unique depth-three
@@ -343,6 +345,24 @@ class TestRelations:
                       for sigma in (random_mass_vector(rng) for _ in range(20)))
         assert _relation_holds(left, right) == sampled
 
+    def test_verdict_matches_the_affine_basis_oracle(self):
+        # Every pair of words of length <= 4, against the decision the
+        # word maps replaced: two affine maps of Z^9 agree everywhere
+        # exactly when they agree on the affine basis {0, e_1, ..., e_9}.
+        @cache
+        def basis_images(word):
+            points = [tuple(int(j == k) for j in range(9)) for k in range(-1, 9)]
+            return tuple(apply_word(MassVector((p[0:3], p[3:6], p[6:9])), word)
+                         for p in points)
+
+        words = [w for n in range(5) for w in itertools.product((1, 2, 3), repeat=n)]
+        verdicts = Counter()
+        for left, right in itertools.combinations_with_replacement(words, 2):
+            verdict = basis_images(left) == basis_images(right)
+            assert _relation_holds(left, right) == verdict, (left, right)
+            verdicts[verdict] += 1
+        assert verdicts[True] > len(words) and verdicts[False]
+
     @pytest.mark.parametrize("seed", [0, 7, 11])
     def test_broken_row_map_fails_with_the_drawn_vectors(self, monkeypatch, seed):
         # Generator 3 gets w_33 + 1: every relation that uses it must fail
@@ -419,9 +439,9 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
     """The full-memory BFS the walk replaced, kept as its oracle.
 
     Every element found is kept with (level, parent, generator); each
-    level expands the previous one in canonical order (sort key, then
-    generator).  Returns the (level, sigma, word) triples in canonical
-    order (level, then sort key) as a tuple, whether a child was pruned,
+    level expands the previous one in canonical order (coefficient matrix,
+    then generator).  Returns the (level, sigma, word) triples in canonical
+    order (level, then coefficient matrix) as a tuple, whether a child was pruned,
     and whether the last level found nothing new.  Each case is built
     once per session and shared by the tests that read it.
     """
@@ -431,7 +451,7 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
     pruned = False
     for level in range(1, max_level + 1):
         next_frontier = []
-        for sigma in sorted(frontier, key=MassVector.sort_key):
+        for sigma in sorted(frontier, key=attrgetter("coeff")):
             for index in range(1, system.rank + 1):
                 child = reflect(sigma, index, system)
                 if child in found:
@@ -447,7 +467,7 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
     for sigma, (level, parent, index) in found.items():
         words[sigma] = words[parent] + (index,) if level else ()
     triples = sorted(((level, sigma, words[sigma]) for sigma, (level, _, _) in found.items()),
-                     key=lambda t: (t[0], t[1].sort_key()))
+                     key=lambda t: (t[0], t[1].coeff))
     return tuple(triples), pruned, not frontier
 
 
@@ -586,11 +606,12 @@ def test_pruned_walk_matches_the_full_memory_bfs_at_every_bound():
 
 
 def test_walk_carries_each_elements_row_sums():
-    for el in OrbitWalk(B2, 24, 64):
-        assert el.sums == el.sigma.coefficient_sums()
-    # The sums are computed when not given, and equality ignores them.
-    assert OrbitElement(ZERO, 0, ()).sums == (0, 0, 0)
-    assert OrbitElement(ZERO, 0, (), (4, 4, 4)) == OrbitElement(ZERO, 0, ())
+    # The sums live in the level entries only; an element is its vector,
+    # level and word.
+    for _, entries in OrbitWalk(B2, 24, 64).levels():
+        for coeff, _, sums in entries:
+            assert sums == MassVector(coeff).coefficient_sums()
+    assert [f.name for f in fields(OrbitElement)] == ["sigma", "level", "word"]
 
 
 # (depth, bound, count, pruned, exhausted): the deep unbounded walk, then
@@ -623,7 +644,7 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
     for (coeff, level, word, sums), el in zip(entries, elements):
         assert type(coeff) is tuple and all(type(row) is tuple for row in coeff)
         assert type(word) is bytes and tuple(word) == el.word
-        assert (MassVector(coeff), level, sums) == (el.sigma, el.level, el.sums)
+        assert (MassVector(coeff), level) == (el.sigma, el.level)
         assert sums == el.sigma.coefficient_sums()
     assert after_levels == after_elements == (count, pruned, exhausted, pruned or not exhausted)
     # A new run through levels() starts the totals afresh, as iteration

@@ -15,7 +15,7 @@ ZERO2 = MassVector(((0, 0), (0, 0)))
 
 
 def mv2(rows):
-    return MassVector.from_rows(rows)
+    return MassVector(tuple(map(tuple, rows)))
 
 
 class TestReflect:
