@@ -222,9 +222,8 @@ def cmd_closedform(args) -> int:
     if args.ell not in closedform.TYPE_BY_FAMILY:
         raise UsageError(f"family index must be 1..8, got {args.ell}")
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
-    sigma = closedform.closed_form_eval(cid)
-    # Greedy descent, reversed: a reduced word, so its length is the level.
-    word = tuple(reversed(orbit.descend_to_origin(sigma)))
+    sigma = closedform.closed_form_eval(cid)  # validates the id first
+    word = closedform.reduced_word(args.m1, args.m2)[::-1]  # reduced: its length is the level
     template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
     fields = _json_fields(sigma.coeff, len(word), word, closedform.TYPE_BY_FAMILY[cid.ell],
                           weights)

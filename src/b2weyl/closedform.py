@@ -234,6 +234,30 @@ def _reflected_parameters(m1: int, m2: int, index: int) -> tuple[int, int]:
     return -1 - m2, -1 - m1
 
 
+def reduced_word(m1: int, m2: int) -> list[int]:
+    """The greedy descent word of the ids at (m1, m2), in application order.
+
+    Each step applies generator 1 if m1 > 0, else 2 if m2 > 0, else 3.  By
+    ``special_case_table``, generator i changes only row i's sum, by
+    4 - 8*m1, 4 - 8*m2 and 4*(m1 + m2 + 1): it falls exactly when m1 >= 1,
+    m2 >= 1 or m1 + m2 <= -2, and no admissible pair ties (m1 + m2 is
+    never -1 mod 4).  So each step takes the smallest generator whose row
+    sum falls.  The loop ends, as s1 + s2 + s3 = 3*m1**2 + m1 + 3*m2**2 + m2
+    >= 0 falls by at least 4 a step, and only at (0, 0): the other pairs
+    with no falling generator, (-1, 0) and (0, -1), are inadmissible, and
+    the generators keep a pair admissible.  An inadmissible pair raises
+    ValueError; generator 3 fixes (-1, 0), so the loop would never end.
+    """
+    if (m1 % 4, m2 % 4) not in ADMISSIBLE_TYPES:
+        raise ValueError(f"inadmissible pair ({m1},{m2}): no closed-form id to descend")
+    word = []
+    while m1 or m2:
+        index = 1 if m1 > 0 else 2 if m2 > 0 else 3
+        m1, m2 = _reflected_parameters(m1, m2, index)
+        word.append(index)
+    return word
+
+
 def transition(cid: tuple[int, int, int], index: int) -> ClosedFormId:
     """Closed-form id of the reflection of a closed-form element.
 

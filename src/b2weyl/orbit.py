@@ -3,8 +3,8 @@
 The orbit of (0,0,0) under the three affine reflections coincides with
 the set of quadric solutions whose coefficients are nonnegative multiples
 of four; this module enumerates it with exact deduplication, tests that
-lattice membership, and realizes the constructive converse: a greedy
-descent that walks any member back to the origin.  Its BFS, ``OrbitWalk``,
+lattice membership, and walks any member back to the origin by the
+greedy descent on its closed-form id.  Its BFS, ``OrbitWalk``,
 streams the orbit of any ``ReflectionSystem`` level by level; the rank-one
 and rank-two orbits go through it too.
 """
@@ -19,6 +19,7 @@ from typing import Iterator
 
 from .algebra import (B2, MassVector, ReflectionSystem, _reflected_coeff, _word_map, apply_word,
                       quadric_form)
+from .closedform import invert_to_closed_form, reduced_word
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,9 @@ class OrbitWalk:
     one by one as ``OrbitElement``s.  Each level is sorted by coefficient
     matrix (row-major), which is unique on it, and expanded in that order
     (then by generator index), so every element keeps its canonical
-    first-discoverer word.  For B2(1) that word is also
-    ``bytes(reversed(descend_to_origin(sigma)))``, the greedy descent word
-    read backwards: a rule the test suite checks on every element through
-    depth 64, not one proven here.
+    first-discoverer word.  For B2(1) that word is the element's
+    ``closedform.reduced_word(m1, m2)`` reversed: a rule the test suite
+    checks on every element through depth 64, not one proven here.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
     values at unit weights: generator i raises the length exactly when it
@@ -176,11 +176,10 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
 
     The three flags are: all coefficients nonnegative, all divisible by
     four, and identically vanishing quadric residual.  Every orbit member
-    passes; that every vector passing lies in the orbit is the working
-    statement of this module, on which descend_to_origin's stop at zero
-    row sums rests.  The tests check it (the depth-64 walk, closed-form
-    ids far beyond it, an exhaustive small box), but it is not proven
-    here -- ROADMAP item 3 is the route to a proof.
+    passes.  That every passing vector lies in the orbit is checked by the
+    tests (the depth-64 walk, closed-form ids far beyond it, an exhaustive
+    small box) but not proven (ROADMAP item 3); ``descend_to_origin`` does
+    not rest on it.
     """
     entries = [v for row in sigma.coeff for v in row]
     nonneg = all(v >= 0 for v in entries)
@@ -192,42 +191,19 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
 def descend_to_origin(sigma: MassVector) -> list[int]:
     """Greedy reduced word taking a lattice member back to the origin.
 
-    Each step applies the smallest generator i whose row sum falls, to
-    sum_j w_ij * sum_j + 4: the ``OrbitWalk`` rule read backwards, so each
-    step lowers the length by one.  The word is in application order:
-    apply_word(sigma, word) is the origin.  A generator moves every entry
-    of its row the same way, so at any positive weights row i's value
-    falls exactly when its sum does; the word belongs to the group
-    element, not to the weights.
-
-    The descent runs on the row sums alone and stops when they all
-    vanish.  A row of nonnegative coefficients is zero exactly when its
-    sum is, so the stop is exact as long as every vector along the way
-    keeps nonnegative coefficients.  Every generator maps the orbit onto
-    itself, so that holds from any orbit member.  From a certified vector
-    it holds if the certificate characterizes the orbit, which
-    is_member_gamma_N takes as its working statement and the tests check,
-    but which is not proven here.  A certified vector outside the orbit
-    could reach a step whose rows, some negative, sum to zero; this
-    descent would then return a word that stops short of the origin.
+    After the certificate, the vector's closed-form id is recovered
+    exactly (``invert_to_closed_form``); the word, in application order,
+    is ``closedform.reduced_word(m1, m2)``.  It reaches the origin by
+    construction: closed_form_eval((1, 0, 0)) is the origin, and the
+    commuting square carries each step.  A certified vector that is not a
+    closed form raises the inversion's ValueError; none is known (ROADMAP
+    item 3).
     """
     cert = is_member_gamma_N(sigma)
     if not cert:
         raise ValueError(f"not a lattice member: certificate {cert}")
-    sums = list(sigma.coefficient_sums())
-    word: list[int] = []
-    while any(sums):
-        for i, pairs in enumerate(B2.row_maps):
-            total = 4
-            for j, w in pairs:
-                total += w * sums[j]
-            if total < sums[i]:
-                break  # smallest index wins ties by construction
-        else:
-            raise ValueError("no reflection lowers a row sum; vector is not in the orbit")
-        sums[i] = total
-        word.append(i + 1)
-    return word
+    _, m1, m2 = invert_to_closed_form(sigma)
+    return reduced_word(m1, m2)
 
 
 @dataclass(frozen=True)

@@ -107,3 +107,19 @@ def descend_reference(rows, mu, limit=10_000):
         if len(word) > limit:
             return None
     return word
+
+
+def _crossed(end, c):
+    """How many v = c (mod 4) lie strictly between 0 and ``end``, neither of them one."""
+    return abs((end - c) // 4 - (-c) // 4)
+
+
+def wall_count(m1, m2):
+    """Walls of the affine C2 arrangement between (0, 0) and (m1, m2).
+
+    In doubled coordinates the walls are 2*m1 in 1+4Z, 2*m2 in 1+4Z,
+    m1 + m2 in -1+4Z and m1 - m2 in 2+4Z.  Neither (0, 0) nor an
+    admissible pair lies on a wall.  For an element of the orbit this is
+    its length.
+    """
+    return _crossed(2 * m1, 1) + _crossed(2 * m2, 1) + _crossed(m1 + m2, -1) + _crossed(m1 - m2, 2)

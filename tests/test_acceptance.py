@@ -141,7 +141,22 @@ def test_criterion_03_closed_form_anchors(capsys):
 
 
 def test_criterion_04_commuting_square(capsys):
+    """reflect(closed_form_eval(id), gen) == closed_form_eval(transition(id, gen)).
+
+    The box |m_i| <= 20 proves this for every admissible id.  Fix a family
+    and a generator, and write m_j = 4*k_j + t_j with the residues t_j of
+    the family's type.  The family entries are quadratic in (m1, m2) and a
+    reflection is affine in the entries, so the left side is a polynomial
+    of degree <= 2 in each k_j.  ``transition`` moves (m1, m2) affinely and
+    lands in one family for the whole residue class, so the right side is
+    one too.  The box holds at least 3 consecutive k_j for each residue
+    class (10 or 11 of them), and a polynomial of degree <= 2 in each of
+    two variables that vanishes on a 3 x 3 grid vanishes identically.
+    With closed_form_eval((1, 0, 0)) the origin, this square carries every
+    step of descend_to_origin back to the origin.
+    """
     t0 = time.monotonic()
+    assert closed_form_eval((1, 0, 0)) == ZERO
     cases = 0
     for ell in range(1, 9):
         for m1, m2 in admissible_parameters(ell, 20):

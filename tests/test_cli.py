@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import cli
+from b2weyl import cli, orbit
 from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts,
                             scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
                                invert_to_closed_form, type_of)
-from b2weyl.orbit import OrbitWalk, descend_to_origin, enumerate_orbit
+from b2weyl.orbit import OrbitWalk, enumerate_orbit
 from conftest import child_env
 from test_cascade import random_move
 from test_golden import CASES
@@ -197,13 +197,17 @@ class TestOrbitFormatterOracle:
 
     @pytest.mark.parametrize("mu", ["formal", "3/2,1/3,5/4"])
     def test_closedform_lines(self, capsys, mu):
-        """Every admissible id with |m_i| <= 8 prints the orbit record plus its id."""
+        """Every admissible id with |m_i| <= 8 prints the orbit record plus its id.
+
+        The expected level and word are the walk's, which reaches every such
+        id by depth 12."""
+        walk = {el.sigma: el for el in OrbitWalk(B2, 12)}
         for ell in TYPE_BY_FAMILY:
             for m1, m2 in admissible_parameters(ell, 8):
                 sigma = closed_form_eval((ell, m1, m2))
-                word = list(reversed(descend_to_origin(sigma)))
-                rec = {"coeff": [list(row) for row in sigma.coeff], "level": len(word),
-                       "word": word, "type": list(type_of(sigma))}
+                el = walk[sigma]
+                rec = {"coeff": [list(row) for row in sigma.coeff], "level": el.level,
+                       "word": list(el.word), "type": list(type_of(sigma))}
                 if mu != "formal":
                     rec["sigma"] = self.reference_sigma(sigma, mu)
                 rec["closed_form"] = [ell, m1, m2]
@@ -265,6 +269,17 @@ class TestDescendCommand:
         assert code == 1
         assert json_lines(out)[0]["error"] == "verification"
 
+    def test_a_certified_vector_that_is_not_a_closed_form_exits_1(self, capsys, monkeypatch):
+        # No such vector is known, so the certificate is patched to pass
+        # one whose row sums name family 6 at (2,-1): descent then stops at
+        # the closed-form inversion, with its record.
+        monkeypatch.setattr(orbit, "is_member_gamma_N",
+                            lambda sigma: orbit.MembershipCertificate(True, True, True))
+        code, out = run(capsys, "descend", "8,0,4;0,0,0;4,0,0")
+        assert code == 1
+        assert json_lines(out) == [{"error": "verification",
+                                    "detail": "vector is not representable by family 6 at (2,-1)"}]
+
     def test_word_does_not_depend_on_mu(self, capsys):
         # --mu is validated, but descent picks no generator by it.
         for el in OrbitWalk(B2, 8):
@@ -325,6 +340,14 @@ class TestClosedFormCommand:
         code, out = run(capsys, "closedform", "3", "2", "0")
         assert code == 1
         assert json_lines(out)[0]["error"] == "verification"
+
+    @pytest.mark.parametrize("m1, m2", [(-1, 0), (0, -1)])
+    def test_a_pair_with_no_falling_generator_is_rejected(self, capsys, m1, m2):
+        # These pairs would stall a descent; the id check rejects them first.
+        code, out = run(capsys, "closedform", "1", str(m1), str(m2))
+        assert code == 1
+        assert json_lines(out) == [{"error": "verification", "detail": f"inadmissible "
+                                    f"(1,{m1},{m2}): parameters are not congruent to (0, 0) mod 4"}]
 
 
 class TestRelationsCommand:

@@ -13,18 +13,20 @@ from b2weyl.closedform import (
     ClosedFormId,
     FAMILY_BY_TYPE,
     TYPE_BY_FAMILY,
+    _reflected_parameters,
     admissible_parameters,
     closed_form_eval,
     invert_rows,
     invert_to_closed_form,
     parameters_from_sums,
+    reduced_word,
     special_case_table,
     transition,
     type_of,
     type_transition,
 )
 from b2weyl.orbit import OrbitWalk
-from conftest import child_env
+from conftest import child_env, wall_count
 
 
 def mv(rows):
@@ -317,6 +319,74 @@ class TestSpecialCaseTable:
                 ell = FAMILY_BY_TYPE[(m1 % 4, m2 % 4)]
                 sigma = closed_form_eval((ell, m1, m2))
                 assert special_case_table(m1, m2) == eval_at(sigma, unit)
+
+
+class TestReducedWord:
+    def test_examples(self):
+        assert reduced_word(0, 0) == []
+        assert reduced_word(1, 0) == [1]
+        assert reduced_word(-1, -2) == [3, 1]
+        assert reduced_word(-5, 7) == [2, 3, 1, 2, 3, 1, 2, 3, 1]
+
+    @pytest.mark.parametrize("pair", [(-1, 0), (0, -1), (0, 2), (3, 1), (2, 0), (-401, 0)])
+    def test_an_inadmissible_pair_raises(self, pair):
+        # Generator 3 maps (-1, 0) to itself, so an unguarded loop would
+        # never end there.
+        assert _reflected_parameters(-1, 0, 3) == (-1, 0)
+        with pytest.raises(ValueError, match=r"inadmissible pair \(%d,%d\)" % pair):
+            reduced_word(*pair)
+
+    def test_the_rule_on_a_box(self):
+        # special_case_table is the row-sum formula, read independently of
+        # the rule.  On every admissible pair with |m_i| <= 400, generator i
+        # changes row i's sum alone and never leaves it unchanged; it lowers
+        # it exactly when the rule allows generator i, and exactly when it
+        # crosses one wall back towards (0, 0) (otherwise it crosses one
+        # wall away); and (0, 0) is the only pair where no generator lowers
+        # a sum.  The box is closed under the rule's step (the smallest
+        # falling generator), and s1 + s2 + s3 >= 0 falls at each one, so by
+        # induction the greedy word's length is the wall count on the box.
+        stops = []
+        for m1 in range(-400, 401):
+            for m2 in range(-400, 401):
+                if (m1 % 4, m2 % 4) not in ADMISSIBLE_TYPES:
+                    continue
+                sums, walls = special_case_table(m1, m2), wall_count(m1, m2)
+                falls = []
+                for i in range(3):
+                    p1, p2 = _reflected_parameters(m1, m2, i + 1)
+                    after = special_case_table(p1, p2)
+                    assert after[i] != sums[i]
+                    assert after[:i] + after[i + 1:] == sums[:i] + sums[i + 1:]
+                    falls.append(after[i] < sums[i])
+                    assert wall_count(p1, p2) == walls + (-1 if falls[i] else 1)
+                assert falls == [m1 >= 1, m2 >= 1, m1 + m2 <= -2]
+                if True not in falls:
+                    stops.append((m1, m2))
+        assert stops == [(0, 0)]
+
+    def test_word_length_is_the_wall_count(self):
+        # Directly on a smaller box, where every step is also the smallest
+        # falling generator of special_case_table.
+        for ell in TYPE_BY_FAMILY:
+            for m1, m2 in admissible_parameters(ell, 40):
+                word = reduced_word(m1, m2)
+                assert len(word) == wall_count(m1, m2)
+                for index in word:
+                    sums = special_case_table(m1, m2)
+                    falling = [i for i in (1, 2, 3)
+                               if special_case_table(*_reflected_parameters(m1, m2, i))[i - 1]
+                               < sums[i - 1]]
+                    assert index == falling[0]
+                    m1, m2 = _reflected_parameters(m1, m2, index)
+                assert (m1, m2) == (0, 0)
+
+    def test_wall_count_is_the_walk_level(self):
+        walk = OrbitWalk(B2, 64)
+        for el in walk:
+            _, m1, m2 = invert_to_closed_form(el.sigma)
+            assert wall_count(m1, m2) == len(reduced_word(m1, m2)) == el.level
+        assert walk.count == 5548
 
 
 # Corrupts the constant of one family-1 entry by 2, 4 and -16 quarters, so

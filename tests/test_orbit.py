@@ -29,6 +29,7 @@ from b2weyl.orbit import (
 )
 from b2weyl.sinh import SINH
 from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
+from conftest import wall_count
 
 
 def mv(rows):
@@ -241,8 +242,8 @@ DESCENT_PROBES = [Weights.numeric(1, 1, 1), Weights.numeric(2, 3, 7),
 
 
 def test_descent_on_the_row_sums_matches_the_coefficient_oracle():
-    # Stepping the row sums and stopping when they vanish, with no probe,
-    # must pick the oracle's word for every element at every probe; the
+    # Descent on the closed-form id (once stepping the row sums), with no
+    # probe, must pick the oracle's word for every element at every probe; the
     # word is reduced, so its length is the element's level.
     walk = list(OrbitWalk(B2, 64))
     assert len(walk) == 5548
@@ -262,7 +263,7 @@ def assert_descends_like_the_oracle(sigma):
 
 def test_descent_reaches_the_origin_from_closed_form_ids_beyond_the_walk():
     # Inputs not drawn from the walk: closed-form ids with |m_i| >= 101,
-    # all past depth 64, where the row-sum stop has no BFS behind it.
+    # all past depth 64, where the descent has no BFS behind it.
     depth_64 = {el.sigma for el in OrbitWalk(B2, 64)}
     rng = random.Random(64)
     for ell, (t1, t2) in sorted(TYPE_BY_FAMILY.items()):
@@ -271,6 +272,17 @@ def test_descent_reaches_the_origin_from_closed_form_ids_beyond_the_walk():
             sigma = closed_form_eval((ell, m1, m2))
             assert sigma not in depth_64 and is_member_gamma_N(sigma)
             assert_descends_like_the_oracle(sigma)
+
+
+@pytest.mark.parametrize("cid", [(1, 10000, -10000), (4, 10001, 10001), (7, -9997, 9998)])
+def test_deep_descent_reaches_the_origin_in_the_wall_count(cid):
+    # About 15,000 steps each, far past any walk: the word's length is the
+    # number of walls between the id and (0, 0), and the word, applied to
+    # the coefficient matrix, lands on the origin.
+    sigma = closed_form_eval(cid)
+    word = descend_to_origin(sigma)
+    assert len(word) == wall_count(cid[1], cid[2])
+    assert apply_word(sigma, word) == ZERO
 
 
 def test_descent_reaches_the_origin_from_every_certified_matrix_in_a_box():
