@@ -26,6 +26,8 @@ class UsageError(ValueError):
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose errors are UsageErrors, printed as records by main."""
 
+    commands: dict[str, argparse.ArgumentParser]  # the top-level parser's name -> subparser
+
     def error(self, message: str):
         raise UsageError(message)
 
@@ -366,6 +368,7 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
         prog="b2weyl",
         description="Exact affine Weyl orbit engine for quantized blow-up masses.")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # filled by add_parser below
 
     mu_default = config.get("mu", "formal")
     probe_default = mu_default if mu_default != "formal" else "1,1,1"
@@ -440,10 +443,34 @@ def _parser_for(config: dict) -> argparse.ArgumentParser:
     return _parser_slot[1]
 
 
+def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, with the top-level pass skipped where it adds nothing.
+
+    When ``argv`` starts with a subcommand's name, the top-level parser
+    would only hand the rest to that subcommand's parser unchanged, so
+    the subparser parses it alone.  Any other argv (empty, an option such
+    as --help first, or an unknown or abbreviated name) goes through the
+    full parser, which writes the help or the usage error itself.
+    """
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args = sub.parse_args(argv[1:])
+    args.command = argv[0]
+    return args
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one request (``sys.argv[1:]`` by default) and return its exit code.
+
+    A request names its subcommand first and is parsed by that
+    subcommand's parser alone, with the same output and errors as the
+    full parser.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        config = _load_config()
-        args = _parser_for(config).parse_args(argv)
+        args = _parse(_parser_for(_load_config()), argv)
         return args.func(args)
     except UsageError as exc:
         _error("usage", str(exc))

@@ -11,6 +11,7 @@ import sys
 import threading
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -627,6 +628,104 @@ class TestUsageErrors:
             main(["orbit", "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("usage: b2weyl orbit")
+
+
+M0 = "0,0,0;0,0,0;0,0,0"
+M1 = "4,0,0;0,0,0;0,0,0"
+
+# Argvs for the parity of the dispatched parse with the full parser: every
+# subcommand, valid or not, with the argparse spellings that could tell
+# the two paths apart.
+PARSE_CORPUS = [
+    # valid input, one request per subcommand
+    ["orbit", "--max-level", "3"],
+    ["check", M0],
+    ["descend", M1, "--mu", "1,2,3"],
+    ["type", M1],
+    ["closedform", "1", "0", "0", "--mu", "1,1,1"],
+    ["relations", "--trials", "5", "--seed", "3"],
+    ["sinh", "--closed-form", "2", "--mu", "1,2"],
+    ["weyl2", "--subsystem", "pair_12", "--weights", "1,1"],
+    ["cascade", "moves.txt", "--mu", "1,2,3"],
+    # --opt=value and abbreviated options
+    ["orbit", "--max-level=3", "--output=csv"],
+    ["orbit", "--max-l", "3", "--max-c", "8"],
+    ["orbit", "--max", "3"],
+    ["relations", "--tri=5", "--lo", "-5", "--hi", "5"],
+    ["sinh", "--closed", "2"],
+    ["weyl2", "--part=a", "--al", "1,0"],
+    ["descend", M1, "--m=1,1,1"],
+    # negative positionals
+    ["closedform", "1", "-4", "0"],
+    ["closedform", "-1", "0", "-3"],
+    # -- before and after positionals
+    ["check", "--", M0],
+    ["check", M0, "--"],
+    ["closedform", "1", "--", "-4", "0"],
+    ["closedform", "--", "1", "-4", "0", "--mu", "1,1,1"],
+    ["cascade", "--mu", "1,1,1", "--", "moves.txt"],
+    ["orbit", "--", "--max-level", "3"],
+    ["--", "check", M0],
+    # repeated options, unknown options and extra positionals
+    ["orbit", "--max-level", "1", "--max-level", "2"],
+    ["descend", M1, "--mu", "1,1,1", "--mu", "2,2,2"],
+    ["check", M0, "--verbose"],
+    ["orbit", "--max-level", "1", "--bogus", "x"],
+    ["check", M0, M1],
+    ["closedform", "1", "2", "3", "4"],
+    ["weyl2", "--part", "d"],
+    ["closedform", "one", "0", "0"],
+    # missing required arguments
+    ["orbit"],
+    ["check"],
+    ["descend", "--mu", "1,1,1"],
+    ["type"],
+    ["closedform", "1", "2"],
+    ["cascade"],
+    # no subcommand name first: the full parser runs on both paths
+    [],
+    ["orbits"],
+    ["orb", "--max-level", "1"],
+    ["--max-level", "1", "orbit"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """The namespace's attributes, or the usage error's text."""
+    try:
+        return vars(parse(argv))
+    except cli.UsageError as exc:
+        return f"usage: {exc}"
+
+
+class TestDispatchedParse:
+    """main() parses a request with its subcommand's parser alone; the
+    result is the full parser's, namespace or error text alike."""
+
+    def test_all_nine_subcommands_are_in_the_corpus(self):
+        parser = cli.build_parser({})
+        assert {argv[0] for argv in PARSE_CORPUS if argv} >= set(parser.commands) and \
+            len(parser.commands) == 9
+
+    @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
+    def test_same_namespace_or_error_as_the_full_parser(self, argv):
+        expected = _parse_outcome(cli.build_parser({}).parse_args, argv)
+        assert _parse_outcome(partial(cli._parse, cli.build_parser({})), argv) == expected
+
+    def test_a_named_request_skips_the_top_level_parser(self, capsys, monkeypatch):
+        monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
+        monkeypatch.setattr(cli._parser_for({}), "parse_args",
+                            lambda argv: pytest.fail("the top-level parser ran"))
+        assert run(capsys, "check", M0)[0] == 0
+
+    def test_subcommand_help_is_the_same(self, capsys):
+        outs = []
+        for parse in (cli.build_parser({}).parse_args, partial(cli._parse, cli.build_parser({}))):
+            with pytest.raises(SystemExit) as exc:
+                parse(["check", "--help"])
+            assert exc.value.code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].startswith("usage: b2weyl check") and outs[1] == outs[0]
 
 
 class TestConfigFile:

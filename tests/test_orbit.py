@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from b2weyl import algebra, orbit
 from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
-from b2weyl.closedform import TYPE_BY_FAMILY, closed_form_eval
+from b2weyl.closedform import (ADMISSIBLE_TYPES, TYPE_BY_FAMILY, admissible_parameters,
+                               closed_form_eval, invert_to_closed_form)
 from b2weyl.orbit import (
     _RELATIONS,
     OrbitElement,
@@ -295,6 +296,58 @@ def test_descent_reaches_the_origin_from_every_certified_matrix_in_a_box():
         assert_descends_like_the_oracle(sigma)
 
 
+def certificate_search(bound):
+    """Every certified matrix C = 4c with |a_i|, |b_i| <= ``bound``, by its equations.
+
+    Rows c1 = a + c3 and c2 = b + c3 with a, b in Z^3: the quadric,
+    identically in mu, reads sym(D c) = a a^T + b b^T with D = diag(1, 1, 2).
+    Its diagonal fixes c3 = (a1^2 + b1^2 - a1, a2^2 + b2^2 - b2,
+    (a3^2 + b3^2)/2), an integer only when a3 = b3 (mod 2); its three
+    off-diagonal entries are the equations tested.  Entry (1, 2) involves
+    a1, b1, a2, b2 alone, so it is tested before a3, b3 are drawn.
+    """
+    r = range(-bound, bound + 1)
+    found = []
+    for a1, b1, a2, b2 in itertools.product(r, repeat=4):
+        c31, c32 = a1 * a1 + b1 * b1 - a1, a2 * a2 + b2 * b2 - b2
+        if a2 + c32 + b1 + c31 != 2 * (a1 * a2 + b1 * b2):
+            continue
+        for a3 in r:
+            for b3 in range(-bound + (a3 + bound) % 2, bound + 1, 2):
+                c33 = (a3 * a3 + b3 * b3) // 2
+                if (a3 + c33 + 2 * c31 == 2 * (a1 * a3 + b1 * b3)
+                        and b3 + c33 + 2 * c32 == 2 * (a2 * a3 + b2 * b3)):
+                    c = ((a1 + c31, a2 + c32, a3 + c33), (b1 + c31, b2 + c32, b3 + c33),
+                         (c31, c32, c33))
+                    if min(map(min, c)) >= 0:
+                        found.append((tuple(tuple(4 * v for v in row) for row in c),
+                                      a1 + a2 + a3, b1 + b2 + b3))
+    return found
+
+
+def test_every_certified_matrix_in_the_bound_10_box_is_a_closed_form():
+    # ROADMAP item 3's reduction, searched exhaustively at |a_i|, |b_i| <= 10:
+    # each nonnegative solution passes the certificate and inverts to the
+    # id (ell, sum(a), sum(b)), so its |m_i| <= 30.  The last check
+    # cross-checks the reduction: the closed forms of the ids with
+    # |m_i| <= 30 whose a, b lie in the box, all certified, are exactly the
+    # matrices found.
+    found = certificate_search(10)
+    assert len(found) == len({coeff for coeff, _, _ in found}) == 884
+    for coeff, m1, m2 in found:
+        sigma = MassVector(coeff)
+        assert is_member_gamma_N(sigma)
+        assert invert_to_closed_form(sigma)[1:] == (m1, m2)
+
+    def in_box(coeff):
+        top = coeff[2]
+        return all(abs(v - t) <= 40 for row in coeff[:2] for v, t in zip(row, top))
+
+    closed_forms = {closed_form_eval((ell, m1, m2)).coeff
+                    for ell in TYPE_BY_FAMILY for m1, m2 in admissible_parameters(ell, 30)}
+    assert {coeff for coeff, _, _ in found} == set(filter(in_box, closed_forms))
+
+
 WORDS = st.lists(st.sampled_from((1, 2, 3)), max_size=8).map(tuple)
 
 
@@ -444,6 +497,26 @@ def test_bfs_level_counts_follow_the_poincare_series(system, depth, degrees, exp
     assert walk.count == sum(counts.values())
     assert not walk.pruned
     assert walk.exhausted == (not exponents)
+
+
+def test_wall_counts_of_the_ids_follow_bott_series():
+    # Test (iii) on ids, with no BFS: every admissible pair is one id, and
+    # its wall count is its length.  Among any four consecutive integers
+    # one lies in each class mod 4, so _crossed(end, c) >= (|end| - 4)/4.
+    # With M = max|m_i|, the walls of the larger coordinate give at least
+    # (2M - 4)/4, and the m1 + m2 and m1 - m2 walls together at least
+    # (|m1 + m2| + |m1 - m2| - 8)/4 = (2M - 8)/4: the wall count is at least
+    # M - 3.  So every id of length <= 200 has max|m_i| <= 203 and lies in
+    # the box |m_i| <= 400, and the counts through 200 are complete.
+    depth, bound = 200, 400
+    counts = Counter()
+    for m1 in range(-bound, bound + 1):
+        for m2 in range(-bound, bound + 1):
+            if (m1 % 4, m2 % 4) in ADMISSIBLE_TYPES:
+                walls = wall_count(m1, m2)
+                assert walls >= max(abs(m1), abs(m2)) - 3
+                counts[walls] += 1
+    assert [counts[n] for n in range(depth + 1)] == poincare_series((2, 4), (1, 3), depth)
 
 
 @cache
