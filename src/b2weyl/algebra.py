@@ -24,14 +24,65 @@ the quadric identically in mu exactly when every coefficient is zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence, Union
 
 
-@dataclass(frozen=True)
-class ReflectionSystem:
+class Frozen:
+    """Base of the engine's immutable value types: slotted, compared by their fields.
+
+    A subclass keeps its attributes in ``__slots__`` and names in
+    ``_fields``, in constructor order, the ones that make up its value;
+    any other slot is derived from them.  Two instances are equal when
+    they are of the same class and their field tuples are equal (another
+    class gets NotImplemented), the hash is the field tuple's hash, and
+    the repr is ``Name(field=value, ...)``.  ``__init__`` sets each
+    attribute once through ``object.__setattr__``, by keyword with
+    ``_assign`` or, in the classes built once per step or per request,
+    one call at a time, which costs less; assigning or deleting one
+    afterwards raises AttributeError.  Copies and pickles carry every
+    slot, the derived ones included, and restore them the same way.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, **values: object) -> None:
+        """Set attributes by name: from ``__init__``, or from a copied or pickled state."""
+        for name, value in values.items():
+            object.__setattr__(self, name, value)
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({args})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name)
+                for cls in self.__class__.__mro__ for name in cls.__dict__.get("__slots__", ())}
+
+    def __setstate__(self, state: dict) -> None:
+        self._assign(**state)
+
+
+class ReflectionSystem(Frozen):
     """A rank-r reflection system: coupling matrix A plus symmetrizer D.
 
     Generator i (1-based) sends sigma_i to 4*mu_i - 2*sum_j a_ij sigma_j
@@ -41,32 +92,35 @@ class ReflectionSystem:
     ``gram``, D*A symmetrized (ints where integral), is the quadric matrix.
     """
 
+    __slots__ = ("name", "cartan", "symmetrizer", "rank", "doubled", "row_maps", "gram")
+    _fields = ("name", "cartan", "symmetrizer")
+
     name: str
     cartan: tuple[tuple[Fraction, ...], ...]
     symmetrizer: tuple[int, ...]
-    rank: int = field(init=False, repr=False, compare=False)
-    doubled: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    row_maps: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
-    gram: tuple[tuple[int | Fraction, ...], ...] = field(init=False, repr=False, compare=False)
+    rank: int
+    doubled: tuple[tuple[int, ...], ...]
+    row_maps: tuple[tuple[tuple[int, int], ...], ...]
+    gram: tuple[tuple[int | Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        a, d = self.cartan, self.symmetrizer
+    def __init__(self, name: str, cartan: tuple[tuple[Fraction, ...], ...],
+                 symmetrizer: tuple[int, ...]) -> None:
+        a, d = cartan, symmetrizer
         rank = len(a)
         if any(len(row) != rank for row in a) or len(d) != rank:
-            raise ValueError(f"{self.name}: the coupling matrix must be square "
+            raise ValueError(f"{name}: the coupling matrix must be square "
                              "and the symmetrizer must match its rank")
-        doubled = [[2 * Fraction(v) for v in row] for row in a]
-        if any(v.denominator != 1 for row in doubled for v in row):
-            raise ValueError(f"{self.name}: twice the coupling matrix must be integral")
+        twice = [[2 * Fraction(v) for v in row] for row in a]
+        if any(v.denominator != 1 for row in twice for v in row):
+            raise ValueError(f"{name}: twice the coupling matrix must be integral")
         gram = [[Fraction(d[i] * a[i][j] + d[j] * a[j][i], 2) for j in range(rank)]
                 for i in range(rank)]
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "doubled", tuple(tuple(int(v) for v in row) for row in doubled))
-        object.__setattr__(self, "row_maps", tuple(
-            tuple((j, (i == j) - v) for j, v in enumerate(row) if v != (i == j))
-            for i, row in enumerate(self.doubled)))
-        object.__setattr__(self, "gram", tuple(
-            tuple(int(g) if g.denominator == 1 else g for g in row) for row in gram))
+        doubled = tuple(tuple(int(v) for v in row) for row in twice)
+        self._assign(
+            name=name, cartan=cartan, symmetrizer=symmetrizer, rank=rank, doubled=doubled,
+            row_maps=tuple(tuple((j, (i == j) - v) for j, v in enumerate(row) if v != (i == j))
+                           for i, row in enumerate(doubled)),
+            gram=tuple(tuple(int(g) if g.denominator == 1 else g for g in row) for row in gram))
 
 
 # Coupling matrix of the three-component system.  Row 3 carries halves, so
@@ -94,27 +148,29 @@ def _scale(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (q // v.denominator) for v in values), q
 
 
-@dataclass(frozen=True)
-class Weights:
+class Weights(Frozen):
     """The B2(1) weight vector mu: three exact positive rationals.
 
-    Weights also carry ``scaled = (M, q)``: q is the lcm of the
-    denominators and M the integer vector with values == M/q.  It is a
-    plain attribute, not a field, so equality, hashing and repr see only
-    the values.
+    Weights also carry ``scaled = (M, q)``, derived once: q is the lcm of
+    the denominators and M the integer vector with values == M/q.
+    Equality, hashing and repr see only the values.
     """
 
-    values: tuple[Fraction, Fraction, Fraction]
+    __slots__ = ("values", "scaled")
+    _fields = ("values",)
 
-    def __post_init__(self) -> None:
-        if len(self.values) != 3:
+    values: tuple[Fraction, Fraction, Fraction]
+    scaled: tuple[tuple[int, ...], int]
+
+    def __init__(self, values: tuple[Fraction, Fraction, Fraction]) -> None:
+        if len(values) != 3:
             raise ValueError("exactly three weights required")
-        for v in self.values:
+        for v in values:
             if not isinstance(v, Fraction):
                 raise TypeError("weights must be Fractions")
             if v <= 0:
                 raise ValueError(f"weights must be positive, got {v}")
-        object.__setattr__(self, "scaled", _scale(self.values))
+        self._assign(values=values, scaled=_scale(values))
 
     @classmethod
     def numeric(cls, mu1: Rational, mu2: Rational, mu3: Rational) -> "Weights":
@@ -124,30 +180,43 @@ class Weights:
 UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 
 
-@dataclass(frozen=True)
-class MassVector:
+class MassVector(Frozen):
     """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j.
 
-    The rank is the size of the square coefficient matrix.
+    The rank is the size of the square coefficient matrix.  Equality and
+    hash are written out for the one field, so comparing two vectors
+    costs no more than comparing their matrices.
     """
+
+    __slots__ = ("coeff",)
+    _fields = ("coeff",)
 
     coeff: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self) -> None:
-        rank = len(self.coeff)
-        if any(len(row) != rank for row in self.coeff):
+    def __init__(self, coeff: tuple[tuple[int, ...], ...]) -> None:
+        rank = len(coeff)
+        if any(len(row) != rank for row in coeff):
             raise ValueError(f"coefficient matrix must be {rank}x{rank}")
+        object.__setattr__(self, "coeff", coeff)
 
     @classmethod
     def _unchecked(cls, coeff: tuple[tuple[int, ...], ...]) -> "MassVector":
-        """A vector on a square matrix built inside the engine.
+        """A vector on a square matrix built inside the engine, without the shape check.
 
-        Skips ``__post_init__``'s shape check; vectors from outside go
-        through ``MassVector(...)``, which keeps it.
+        Vectors from outside go through ``MassVector(...)``, which checks
+        that the matrix is square.
         """
         sigma = object.__new__(cls)
         object.__setattr__(sigma, "coeff", coeff)
         return sigma
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeff == other.coeff  # type: ignore[attr-defined]
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeff,))
 
     def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""

@@ -10,11 +10,10 @@ at the probe weights are rejected as non-physical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .algebra import UNIT_WEIGHTS, ZERO, MassVector, Weights, _word_map, scaled_values
+from .algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _word_map, scaled_values
 from .orbit import descend_to_origin
 
 
@@ -55,8 +54,7 @@ _VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
 _COLLAPSE_MAPS = {key: _word_map(word) for key, word in _COLLAPSE_WORDS.items()}
 
 
-@dataclass(frozen=True)
-class SatelliteMerge:
+class SatelliteMerge(Frozen):
     """Absorb far-satellite mass: a pure lattice shift by mass/4.
 
     ``shift`` is mass/4, worked out once per move, or None when the mass
@@ -64,19 +62,21 @@ class SatelliteMerge:
     does, raising InvalidSatellite, so a bad merge fails at its own step.
     """
 
-    mass: tuple[int, int, int]
-    shift: tuple[int, int, int] | None = field(init=False, compare=False, repr=False)
+    __slots__ = ("mass", "shift")
+    _fields = ("mass",)
 
-    def __post_init__(self) -> None:
-        valid = len(self.mass) == 3 and all(v >= 0 and v % 4 == 0 for v in self.mass)
-        object.__setattr__(self, "shift", tuple(v // 4 for v in self.mass) if valid else None)
+    mass: tuple[int, int, int]
+    shift: tuple[int, int, int] | None
+
+    def __init__(self, mass: tuple[int, int, int]) -> None:
+        valid = len(mass) == 3 and all(v >= 0 and v % 4 == 0 for v in mass)
+        self._assign(mass=mass, shift=tuple(v // 4 for v in mass) if valid else None)
 
     def describe(self) -> str:
         return "merge " + " ".join(str(v) for v in self.mass)
 
 
-@dataclass(frozen=True)
-class Collapse:
+class Collapse(Frozen):
     """Local blow-up of a subsystem: applies a reflection word.
 
     ``subset`` is the set of slow components.  Singletons and {1,2} have
@@ -84,20 +84,22 @@ class Collapse:
     variants named in COLLAPSE_VARIANTS.
     """
 
-    subset: tuple[int, ...]
-    variant: str | None = None
+    __slots__ = _fields = ("subset", "variant")
 
-    def __post_init__(self) -> None:
-        subset = tuple(sorted(self.subset))
-        object.__setattr__(self, "subset", subset)
+    subset: tuple[int, ...]
+    variant: str | None
+
+    def __init__(self, subset: tuple[int, ...], variant: str | None = None) -> None:
+        subset = tuple(sorted(subset))
         if subset not in _VALID_SUBSETS:
             raise ValueError(f"collapse subset must be a nonempty proper subset "
                              f"of {{1,2,3}}, got {subset}")
-        if (subset, self.variant) not in _COLLAPSE_WORDS:
+        if (subset, variant) not in _COLLAPSE_WORDS:
             if (subset, None) in _COLLAPSE_WORDS:
                 raise ValueError(f"collapse on {subset} does not take a variant")
             raise ValueError(f"collapse on {subset} needs a variant from "
-                             f"{sorted(COLLAPSE_VARIANTS)}, got {self.variant}")
+                             f"{sorted(COLLAPSE_VARIANTS)}, got {variant}")
+        self._assign(subset=subset, variant=variant)
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
@@ -124,8 +126,7 @@ class Collapse:
 Move = Union[SatelliteMerge, Collapse]
 
 
-@dataclass(frozen=True)
-class CascadeState:
+class CascadeState(Frozen):
     """Immutable simulator state; step() returns a new one.
 
     ``values`` is the orbit part at the probe as integers: with
@@ -133,19 +134,27 @@ class CascadeState:
     without them derives them from ``gamma``; ``step`` carries them along.
     """
 
-    gamma: MassVector = ZERO
-    lattice: tuple[int, int, int] = (0, 0, 0)
-    probe: Weights = UNIT_WEIGHTS
-    values: tuple[int, ...] | None = field(default=None, compare=False, repr=False)
+    __slots__ = ("gamma", "lattice", "probe", "values")
+    _fields = ("gamma", "lattice", "probe")
 
-    def __post_init__(self) -> None:
-        if self.values is None:
-            object.__setattr__(self, "values", scaled_values(self.gamma, self.probe)[0])
+    gamma: MassVector
+    lattice: tuple[int, int, int]
+    probe: Weights
+    values: tuple[int, ...]
+
+    def __init__(self, gamma: MassVector = ZERO, lattice: tuple[int, int, int] = (0, 0, 0),
+                 probe: Weights = UNIT_WEIGHTS, values: tuple[int, ...] | None = None) -> None:
+        if values is None:
+            values = scaled_values(gamma, probe)[0]
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "lattice", lattice)
+        object.__setattr__(self, "probe", probe)
+        object.__setattr__(self, "values", values)
 
     def scaled_totals(self) -> list[int]:
         """q * (gamma + 4n) at the probe, one integer per component."""
         q4 = 4 * self.probe.scaled[1]
-        return [v + q4 * n for v, n in zip(self.values, self.lattice)]  # type: ignore[arg-type]
+        return [v + q4 * n for v, n in zip(self.values, self.lattice)]
 
     def total(self) -> tuple[Fraction, Fraction, Fraction]:
         """Observable mass gamma + 4n, evaluated at the probe."""
@@ -183,7 +192,7 @@ def step(state: CascadeState, move: Move) -> CascadeState:
     coeff, values = _apply_row_map(move.row_map(), state.gamma.coeff, state.values, m)
     if coeff == state.gamma.coeff:
         return state
-    gain = sum(values) - sum(state.values)  # type: ignore[arg-type]
+    gain = sum(values) - sum(state.values)
     if gain < 4 * min(m):
         raise NonPhysicalMove(
             f"non-physical move {move.describe()}: total mass gain {Fraction(gain, q)} "
@@ -208,13 +217,18 @@ def _apply_row_map(row_map: tuple, coeff: tuple, old: tuple, m: Sequence[int]) -
     return tuple(rows), tuple(values)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Frozen):
     """Orbit part, lattice part, and a descent certificate for the former."""
+
+    __slots__ = _fields = ("gamma", "lattice", "descent_word")
 
     gamma: MassVector
     lattice: tuple[int, int, int]
     descent_word: tuple[int, ...]
+
+    def __init__(self, gamma: MassVector, lattice: tuple[int, int, int],
+                 descent_word: tuple[int, ...]) -> None:
+        self._assign(gamma=gamma, lattice=lattice, descent_word=descent_word)
 
 
 def decompose(state: CascadeState) -> Decomposition:

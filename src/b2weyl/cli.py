@@ -429,17 +429,18 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     return parser
 
 
-# One slot: the parser for the most recent defaults, keyed by their
-# canonical JSON.  parse_args builds a fresh Namespace per call and no
-# default is mutable, so reusing the parser carries no state over.
-_parser_slot: tuple[str, argparse.ArgumentParser] | None = None
+# One slot: the parser for the most recent defaults, keyed by a copy of
+# the config dict itself.  The parser reads only the validated keys, whose
+# values are exact ints and strs, so equal dicts give the same parser.
+# parse_args builds a fresh Namespace per call and no default is mutable,
+# so reusing the parser carries no state over.
+_parser_slot: tuple[dict, argparse.ArgumentParser] | None = None
 
 
 def _parser_for(config: dict) -> argparse.ArgumentParser:
     global _parser_slot
-    key = json.dumps(config, sort_keys=True)
-    if _parser_slot is None or _parser_slot[0] != key:
-        _parser_slot = (key, build_parser(config))
+    if _parser_slot is None or _parser_slot[0] != config:
+        _parser_slot = (dict(config), build_parser(config))
     return _parser_slot[1]
 
 

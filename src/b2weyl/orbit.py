@@ -12,32 +12,43 @@ and rank-two orbits go through it too.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cache
 from operator import itemgetter
 from typing import Iterator
 
-from .algebra import (B2, MassVector, ReflectionSystem, _reflected_coeff, _word_map, apply_word,
-                      quadric_form)
+from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _reflected_coeff, _word_map,
+                      apply_word, quadric_form)
 from .closedform import invert_to_closed_form, reduced_word
 
 
-@dataclass(frozen=True)
-class OrbitElement:
+class OrbitElement(Frozen):
     """An orbit member with its BFS discovery depth and a witness word."""
+
+    __slots__ = _fields = ("sigma", "level", "word")
 
     sigma: MassVector
     level: int
     word: tuple[int, ...]
 
+    def __init__(self, sigma: MassVector, level: int, word: tuple[int, ...]) -> None:
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "word", word)
 
-@dataclass(frozen=True)
-class MembershipCertificate:
+
+class MembershipCertificate(Frozen):
     """Per-condition diagnostics for lattice membership."""
+
+    __slots__ = _fields = ("nonneg", "div4", "quadric_zero")
 
     nonneg: bool
     div4: bool
     quadric_zero: bool
+
+    def __init__(self, nonneg: bool, div4: bool, quadric_zero: bool) -> None:
+        object.__setattr__(self, "nonneg", nonneg)
+        object.__setattr__(self, "div4", div4)
+        object.__setattr__(self, "quadric_zero", quadric_zero)
 
     @property
     def member(self) -> bool:
@@ -206,17 +217,29 @@ def descend_to_origin(sigma: MassVector) -> list[int]:
     return reduced_word(m1, m2)
 
 
-@dataclass(frozen=True)
-class RelationFailure:
+class RelationFailure(Frozen):
+    """A named relation that fails on the vector ``sigma``."""
+
+    __slots__ = _fields = ("relation", "sigma")
+
     relation: str
     sigma: MassVector
 
+    def __init__(self, relation: str, sigma: MassVector) -> None:
+        self._assign(relation=relation, sigma=sigma)
 
-@dataclass(frozen=True)
-class RelationReport:
+
+class RelationReport(Frozen):
+    """The outcome of ``check_relations``: its trial count, seed and failures."""
+
+    __slots__ = _fields = ("trials", "seed", "failures")
+
     trials: int
     seed: int
     failures: tuple[RelationFailure, ...]
+
+    def __init__(self, trials: int, seed: int, failures: tuple[RelationFailure, ...]) -> None:
+        self._assign(trials=trials, seed=seed, failures=failures)
 
     @property
     def passed(self) -> bool:

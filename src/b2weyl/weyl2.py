@@ -12,20 +12,26 @@ shared ones in ``algebra`` and ``orbit``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import MassVector, Rational, ReflectionSystem, eval_at
+from .algebra import Frozen, MassVector, Rational, ReflectionSystem, eval_at
 from .orbit import OrbitElement, OrbitWalk
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
 class Subsystem(ReflectionSystem):
     """A rank-two reflection system whose orbit closes on ``expected_size`` elements."""
 
+    __slots__ = ("expected_size",)
+    _fields = ReflectionSystem._fields + ("expected_size",)
+
     expected_size: int
+
+    def __init__(self, name: str, cartan: tuple[tuple[Fraction, ...], ...],
+                 symmetrizer: tuple[int, ...], expected_size: int) -> None:
+        super().__init__(name, cartan, symmetrizer)
+        self._assign(expected_size=expected_size)
 
 
 PAIR_12 = Subsystem(
@@ -98,13 +104,19 @@ APPENDIX_C_COEFFS: tuple[Matrix2, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class NaturalityCertificate:
+class NaturalityCertificate(Frozen):
     """Part (b) evidence: base tuples at natural strengths land in 4N x 4N."""
+
+    __slots__ = _fields = ("tuples", "all_nonnegative", "all_multiples_of_four")
 
     tuples: tuple[tuple[int, int], ...]
     all_nonnegative: bool
     all_multiples_of_four: bool
+
+    def __init__(self, tuples: tuple[tuple[int, int], ...], all_nonnegative: bool,
+                 all_multiples_of_four: bool) -> None:
+        self._assign(tuples=tuples, all_nonnegative=all_nonnegative,
+                     all_multiples_of_four=all_multiples_of_four)
 
     @property
     def ok(self) -> bool:

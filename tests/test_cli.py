@@ -25,7 +25,7 @@ from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
                                invert_to_closed_form, type_of)
 from b2weyl.orbit import OrbitWalk, enumerate_orbit
-from conftest import child_env
+from conftest import SRC, child_env
 from test_cascade import random_move
 from test_golden import CASES
 
@@ -269,6 +269,13 @@ class TestDescendCommand:
         code, out = run(capsys, "descend", "4,0,0;0,0,0;0,0,4")
         assert code == 1
         assert json_lines(out)[0]["error"] == "verification"
+
+    def test_a_non_member_record_carries_the_certificate_repr(self, capsys):
+        # The one place a value type's repr reaches stdout: pinned byte for byte.
+        code, out = run(capsys, "descend", "0,0,0;0,0,0;0,0,3")
+        assert code == 1
+        assert out == ('{"error":"verification","detail":"not a lattice member: certificate '
+                       'MembershipCertificate(nonneg=True, div4=False, quadric_zero=False)"}\n')
 
     def test_a_certified_vector_that_is_not_a_closed_form_exits_1(self, capsys, monkeypatch):
         # No such vector is known, so the certificate is patched to pass
@@ -812,6 +819,20 @@ def test_golden_cases_back_to_back_in_one_interpreter(capsys, tmp_path, monkeypa
         got_code, out = run(capsys, *argv)
         got_digest = hashlib.sha256(out.encode()).hexdigest()
         assert (case_id, got_code, got_digest) == (case_id, code, digest)
+
+
+def test_start_up_loads_no_dataclasses_or_inspect():
+    """Every shell invocation pays the import and the first build_parser.
+    The value types are plain slotted classes, so neither step loads
+    dataclasses or the inspect, ast and dis modules it pulls in."""
+    script = ("import sys\n"
+              "from b2weyl import cli\n"
+              "cli.build_parser({})\n"
+              "print(sorted({'dataclasses', 'inspect', 'ast', 'dis'} & set(sys.modules)))\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True,
+                          env=child_env(PYTHONPATH=str(SRC)), check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_module_entrypoint_runs():
