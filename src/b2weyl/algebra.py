@@ -188,8 +188,7 @@ class MassVector(Frozen):
     costs no more than comparing their matrices.
     """
 
-    __slots__ = ("coeff",)
-    _fields = ("coeff",)
+    __slots__ = _fields = ("coeff",)
 
     coeff: tuple[tuple[int, ...], ...]
 
