@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import UNIT_WEIGHTS, ZERO, MassVector, ReflectionSystem, Weights
+from b2weyl.algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, ReflectionSystem, Weights
 from b2weyl.cascade import CascadeState, Collapse, Decomposition, SatelliteMerge
 from b2weyl.orbit import MembershipCertificate, OrbitElement, RelationFailure, RelationReport
 from b2weyl.weyl2 import NaturalityCertificate, Subsystem
@@ -65,7 +65,12 @@ def field_tuple(x, kwargs):
 
 
 def test_every_value_type_is_covered():
-    assert len({case[0] for case in CASES}) == 13
+    subclasses, todo = set(), [Frozen]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            subclasses.add(sub)
+            todo.append(sub)
+    assert {case[0] for case in CASES} == subclasses and len(subclasses) == 13
 
 
 @parametrize
