@@ -1,12 +1,40 @@
 """The eight closed-form families covering the orbit, and their calculus.
 
-Every orbit element is F(m1, m2) * mu for exactly one of eight constant
-quadratic matrix families; which family applies is determined by the
-mod-4 class of the coefficient-sum differences (the element's "type").
-The tables below are transcribed data validated by the commuting-square
-property in the test suite, not re-derived.  Every coefficient is a
-multiple of 1/4, so they are stored as exact integers in quarter units
-and evaluated without rationals.
+Every B2(1) orbit element is F_ell(m1, m2) * mu for one of eight quadratic
+matrix families and two free integers: m1 = (s1 - s3)/4 and
+m2 = (s2 - s3)/4 from the row sums s, and ell from (m1, m2) mod 4, the
+element's type; (ell, m1, m2) is its id.  ``_F`` holds the coefficients
+as integers in quarter units, built at import from the orbit itself
+(``_derive_families``), and is evaluated without rationals.
+
+Proof.  Generator i moves (m1, m2) by ``_reflected_parameters``, the
+reflection in m1 = 1/2, m2 = 1/2 or m1 + m2 = -1, the walls of the alcove
+A0 around (0, 0).  They generate W_aff = W(B2) x| 4Z^2 (Humphreys,
+Reflection Groups and Coxeter Groups, 4.2), and g sends (0, 0) to its id.
+(1) sigma(g) = F(id(g)), by induction on word length: F_1(0, 0) is the
+origin, and the step is the commuting square reflect(F(id), i) =
+F(transition(id, i)), which test_criterion_04_commuting_square proves
+for every id by a degree argument, whatever table ``_F`` holds.
+(2) Every admissible id is reached: ``reduced_word`` takes it to (0, 0),
+so by (1) the origin under the reversed word has that id.  As
+sigma = F(id), no two elements share an id.
+(3) Family ell is one coset {t_v g_ell : v in 4Z^2} of the translations:
+its elements share one linear part on the plane, the eight parts are
+distinct and family 1's is the identity (tested on |m_i| <= 24).  A word
+acts on matrices as C -> P C + T (``algebra._word_map``), so
+sigma(t_v g) = P_v sigma(g) + sigma(t_v).  For v = (4, 0) and (0, 4),
+P = I + N1 and I + N2, where N_i C has twice row i minus row 3 of C in
+every row.  So N_j N_i = 0, P_(4a,4b) = I + a N1 + b N2, and the cocycle
+gives sigma(t_(4a,4b)) = a s1 + b s2 + C(a,2) N1 s1 + C(b,2) N2 s2
++ ab N1 s2 with s_i = sigma(t_(4e_i)), where N1 s2 = 0 as rows 1 and 3
+of s2 agree.  With (4a, 4b) = m - id(g_ell), F_ell is quadratic in m1 and
+in m2 with no m1*m2 term, so six ids fix it.
+(4) Level = length = the walls between (0, 0) and the id.  The walk's
+level is the length l(g): the number of walls (2*m1 in 1 + 4Z, 2*m2 in
+1 + 4Z, m1 + m2 in -1 + 4Z, m1 - m2 in 2 + 4Z) that separate A0 from
+g A0, which holds the id.  l(r_i g) < l(g) exactly when the wall of r_i
+is one of them (Humphreys 4.5), i.e. m1 >= 1, m2 >= 1 or m1 + m2 <= -2:
+the steps of ``reduced_word``.
 """
 
 from __future__ import annotations
@@ -14,7 +42,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from .algebra import GENERATORS, MassVector
+from .algebra import GENERATORS, ZERO, MassVector, apply_word
 
 TypePair = tuple[int, int]
 
@@ -25,99 +53,6 @@ TYPE_BY_FAMILY: dict[int, TypePair] = {
 }
 FAMILY_BY_TYPE: dict[TypePair, int] = {t: f for f, t in TYPE_BY_FAMILY.items()}
 ADMISSIBLE_TYPES = frozenset(TYPE_BY_FAMILY.values())
-
-# Entry encoding: coefficients of (m1^2, m1, m2^2, m2, 1), in units of 1/4:
-# each integer is four times the family's rational coefficient.
-_F: dict[int, tuple[tuple[tuple[int, ...], ...], ...]] = {
-    1: (
-        ((1, 0, 1, 0, 0),
-         (1, 4, 1, -4, 0),
-         (2, 8, 2, 0, 0)),
-        ((1, -4, 1, 4, 0),
-         (1, 0, 1, 0, 0),
-         (2, 0, 2, 8, 0)),
-        ((1, -4, 1, 0, 0),
-         (1, 0, 1, -4, 0),
-         (2, 0, 2, 0, 0)),
-    ),
-    2: (
-        ((1, 0, 1, -2, 1),
-         (1, 4, 1, 2, -3),
-         (2, 8, 2, -4, 2)),
-        ((1, -4, 1, 2, -3),
-         (1, 0, 1, 6, 9),
-         (2, 0, 2, 4, -6)),
-        ((1, -4, 1, -2, 1),
-         (1, 0, 1, 2, -3),
-         (2, 0, 2, -4, 2)),
-    ),
-    3: (
-        ((1, 6, 1, 0, 9),
-         (1, 2, 1, -4, -3),
-         (2, 4, 2, 0, -6)),
-        ((1, 2, 1, 4, -3),
-         (1, -2, 1, 0, 1),
-         (2, -4, 2, 8, 2)),
-        ((1, 2, 1, 0, -3),
-         (1, -2, 1, -4, 1),
-         (2, -4, 2, 0, 2)),
-    ),
-    4: (
-        ((1, 6, 1, -2, 10),
-         (1, 2, 1, 2, -6),
-         (2, 4, 2, -4, -4)),
-        ((1, 2, 1, 2, -6),
-         (1, -2, 1, 6, 10),
-         (2, -4, 2, 4, -4)),
-        ((1, 2, 1, -2, -2),
-         (1, -2, 1, 2, -2),
-         (2, -4, 2, -4, 4)),
-    ),
-    5: (
-        ((1, 4, 1, -4, 8),
-         (1, 0, 1, 0, -8),
-         (2, 8, 2, 0, 0)),
-        ((1, 0, 1, 0, -8),
-         (1, -4, 1, 4, 8),
-         (2, 0, 2, 8, 0)),
-        ((1, 0, 1, -4, 0),
-         (1, -4, 1, 0, 0),
-         (2, 0, 2, 0, 0)),
-    ),
-    6: (
-        ((1, 4, 1, 2, 5),
-         (1, 0, 1, -2, -7),
-         (2, 8, 2, -4, 2)),
-        ((1, 0, 1, 6, 1),
-         (1, -4, 1, 2, 5),
-         (2, 0, 2, 4, -6)),
-        ((1, 0, 1, 2, -3),
-         (1, -4, 1, -2, 1),
-         (2, 0, 2, -4, 2)),
-    ),
-    7: (
-        ((1, 2, 1, -4, 5),
-         (1, 6, 1, 0, 1),
-         (2, 4, 2, 0, -6)),
-        ((1, -2, 1, 0, -7),
-         (1, 2, 1, 4, 5),
-         (2, -4, 2, 8, 2)),
-        ((1, -2, 1, -4, 1),
-         (1, 2, 1, 0, -3),
-         (2, -4, 2, 0, 2)),
-    ),
-    8: (
-        ((1, 2, 1, 2, 2),
-         (1, 6, 1, -2, 2),
-         (2, 4, 2, -4, -4)),
-        ((1, -2, 1, 6, 2),
-         (1, 2, 1, 2, 2),
-         (2, -4, 2, 4, -4)),
-        ((1, -2, 1, 2, -2),
-         (1, 2, 1, -2, -2),
-         (2, -4, 2, -4, 4)),
-    ),
-}
 
 class ClosedFormId(NamedTuple):
     """A family index with its two integer parameters."""
@@ -144,9 +79,10 @@ def _check_admissible(ell: int, m1: int, m2: int) -> None:
 def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     """Evaluate a family at its integer parameters, exactly.
 
-    The quarter-unit tables must land on nonnegative integer multiples of
-    four for admissible parameters; that is checked after evaluation as
-    a transcription guard, raising ValueError.
+    At an admissible id every entry is a nonnegative multiple of four, as
+    it is an orbit element's (point (1) of the module docstring); the
+    evaluation checks it anyway, so a corrupted ``_F`` raises ValueError
+    instead of returning a wrong vector.
     """
     ell, m1, m2 = cid
     _check_admissible(ell, m1, m2)
@@ -154,7 +90,7 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
 
 
 def _family_rows(ell: int, m1: int, m2: int) -> tuple[tuple[int, ...], ...]:
-    """Family ``ell`` at (m1, m2) as integer rows, under the transcription guards.
+    """Family ``ell`` at (m1, m2) as integer rows, checked to be nonnegative multiples of 4.
 
     ``_F`` is read on every call.  An entry is a nonnegative multiple of
     four exactly when its quarter-unit value is a nonnegative multiple of
@@ -212,12 +148,7 @@ def invert_rows(coeff: tuple[tuple[int, ...], ...], sums: tuple[int, ...]) -> Cl
 
 
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
-    """Recover the unique (family, m1, m2) representing a lattice member.
-
-    The parameters are read off the coefficient sums, then the candidate
-    is re-evaluated and compared exactly (``invert_rows``); a mismatch
-    means the input was not an orbit element.
-    """
+    """The unique (family, m1, m2) of a lattice member: ``invert_rows`` on its rows and sums."""
     return invert_rows(sigma.coeff, sigma.coefficient_sums())
 
 
@@ -256,6 +187,45 @@ def reduced_word(m1: int, m2: int) -> list[int]:
         m1, m2 = _reflected_parameters(m1, m2, index)
         word.append(index)
     return word
+
+
+def _derive_families() -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Each family's table ``_F``, read off the orbit elements at six of its ids.
+
+    Family ell of type t is built at t, t + (+-4, 0), t + (0, +-4) and
+    t + (4, 4), each as the origin under the reversed ``reduced_word``.
+    In quarter units, each entry's second and first differences along m1
+    and m2 give (a, b, c, d), and the value at t gives e; the mixed
+    difference through t + (4, 4) must vanish, as there is no m1*m2 term
+    (module docstring, (3)).  Any other outcome raises ValueError.
+    """
+    table = {}
+    for ell, (t1, t2) in TYPE_BY_FAMILY.items():
+        mid, left, right, down, up, corner = (
+            [4 * v for row in apply_word(ZERO, reduced_word(t1 + d1, t2 + d2)[::-1]).coeff
+             for v in row]
+            for d1, d2 in ((0, 0), (-4, 0), (4, 0), (0, -4), (0, 4), (4, 4)))
+        entries = []
+        for k in range(9):
+            if corner[k] - right[k] - up[k] + mid[k]:
+                raise ValueError(f"family {ell}, entry {divmod(k, 3)}: an m1*m2 term")
+            fit = []
+            for t, low, high in ((t1, left[k], right[k]), (t2, down[k], up[k])):
+                a, r = divmod(high - 2 * mid[k] + low, 32)  # the second difference is 32*a
+                b, s = divmod(high - low - 16 * a * t, 8)  # the first is 16*a*t + 8*b
+                if r or s:
+                    raise ValueError(f"family {ell}, entry {divmod(k, 3)}: "
+                                     "not an integer quadratic in quarter units")
+                fit += a, b
+            a, b, c, d = fit
+            entries.append((a, b, c, d, mid[k] - a * t1 * t1 - b * t1 - c * t2 * t2 - d * t2))
+        table[ell] = (tuple(entries[:3]), tuple(entries[3:6]), tuple(entries[6:]))
+    return table
+
+
+# Entry encoding: coefficients of (m1^2, m1, m2^2, m2, 1), in units of 1/4:
+# each integer is four times the family's rational coefficient.
+_F = _derive_families()
 
 
 def transition(cid: tuple[int, int, int], index: int) -> ClosedFormId:

@@ -1,5 +1,6 @@
 """Closed-form families: anchors, transitions, typing, and the unit-weight table."""
 
+import hashlib
 import subprocess
 import sys
 
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl.algebra import B2, MassVector, Weights, ZERO, eval_at, quadric_form, reflect
+from b2weyl import algebra, closedform
+from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, quadric_form,
+                            reflect)
 from b2weyl.closedform import (
     ADMISSIBLE_TYPES,
     ClosedFormId,
@@ -420,3 +423,84 @@ def test_transcription_guard_survives_optimize_flag():
         "raised entry -4 not in 4N at (1,0,0)",
         "",
     ], proc.stderr
+
+
+# sha256 of repr(_F) for the family table as it was written out by hand
+# before it was derived; all 360 integers must come out the same.
+DERIVED_TABLE_SHA256 = "80ee795b8d43be7cfa74b562be11c15eed40f6f9df5cc3ff479553c599f8f521"
+
+
+class TestDerivedTable:
+    def test_derived_table_matches_the_written_out_table(self):
+        assert hashlib.sha256(repr(closedform._F).encode()).hexdigest() == DERIVED_TABLE_SHA256
+        assert closedform._derive_families() == closedform._F
+
+    def test_broken_row_map_makes_the_derivation_raise(self, monkeypatch):
+        # Generator 3 gets w_33 + 1, as in the relations test: the
+        # derivation must raise a real exception, so also under -O (the
+        # whole suite runs under -O in CI).
+        original = algebra._reflected_coeff
+
+        def broken(coeff, i, pairs):
+            if i == 2:
+                pairs = tuple((j, w + (j == 2)) for j, w in pairs)
+            return original(coeff, i, pairs)
+
+        monkeypatch.setattr(algebra, "_reflected_coeff", broken)
+        with pytest.raises(ValueError, match="family 1"):
+            closedform._derive_families()
+
+
+# Each generator's action on the (m1, m2) plane as (linear part, shift):
+# the reflections in m1 = 1/2, m2 = 1/2 and m1 + m2 = -1.
+ID_PLANE_GENERATORS = {
+    1: (((-1, 0), (0, 1)), (1, 0)),
+    2: (((1, 0), (0, -1)), (0, 1)),
+    3: (((0, -1), (-1, 0)), (-1, -1)),
+}
+IDENTITY_2 = ((1, 0), (0, 1))
+
+
+def test_the_families_are_the_cosets_of_the_translations():
+    # Point (3) of the closedform docstring.  Each element's map of the
+    # plane, composed along its word (the reversed reduced_word), sends
+    # (0, 0) to its id.  Each family has one linear part, the eight are
+    # the signed permutations, W(B2), and family 1's is the identity, so
+    # family 1 is exactly the translations.
+    parts = {}
+    for ell in TYPE_BY_FAMILY:
+        for m1, m2 in admissible_parameters(ell, 24):
+            part, shift = IDENTITY_2, (0, 0)
+            for index in reduced_word(m1, m2)[::-1]:
+                g, c = ID_PLANE_GENERATORS[index]
+                part = tuple(tuple(sum(g[r][k] * part[k][j] for k in range(2)) for j in range(2))
+                             for r in range(2))
+                shift = tuple(sum(g[r][k] * shift[k] for k in range(2)) + c[r] for r in range(2))
+            assert shift == (m1, m2)
+            parts.setdefault(ell, set()).add(part)
+    assert all(len(found) == 1 for found in parts.values())
+    signed = {((s, 0), (0, t)) for s in (1, -1) for t in (1, -1)}
+    signed |= {((0, s), (t, 0)) for s in (1, -1) for t in (1, -1)}
+    assert {part for found in parts.values() for part in found} == signed
+    assert parts[1] == {IDENTITY_2}
+
+
+def test_the_unit_translations_act_unipotently():
+    # Point (3) of the closedform docstring: t_(4,0) and t_(0,4) send C to
+    # (I + N_i) C + s_i, where N_i C has twice row i minus row 3 of C in
+    # every row, and N1 s2 = N2 s1 = 0.  The map is affine, so agreeing
+    # at 0 and at the identity, whose rows span, fixes it; a third matrix
+    # checks that.
+    matrices = (((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((3, -1, 4), (1, -5, 9), (2, 6, -5)))
+    shifts = []
+    for i, (m1, m2) in enumerate(((4, 0), (0, 4))):
+        word = reduced_word(m1, m2)[::-1]
+        s = apply_word(ZERO, word).coeff
+        for c in matrices:
+            spread = [2 * (a - b) for a, b in zip(c[i], c[2])]
+            expected = tuple(tuple(v + d + t for v, d, t in zip(row, spread, shift))
+                             for row, shift in zip(c, s))
+            assert apply_word(MassVector(c), word).coeff == expected
+        shifts.append(s)
+    s1, s2 = shifts
+    assert s2[0] == s2[2] and s1[1] == s1[2]
