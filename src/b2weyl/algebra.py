@@ -168,7 +168,7 @@ class Weights(Frozen):
         for v in values:
             if not isinstance(v, Fraction):
                 raise TypeError("weights must be Fractions")
-            if v <= 0:
+            if v.numerator <= 0:
                 raise ValueError(f"weights must be positive, got {v}")
         self._assign(values=values, scaled=_scale(values))
 
@@ -328,12 +328,13 @@ def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int |
     """
     _check_rank(sigma, system)
     coeff, gram, symmetrizer = sigma.coeff, system.gram, system.symmetrizer
-    idx = range(len(coeff))
-    gc = [[sum(gram[i][t] * coeff[t][k] for t in idx) for k in idx] for i in idx]
+    columns = list(zip(*coeff))
+    # gc[k] is column k of G*C; entry (j, k) of C^t G C is column j of C dot gc[k].
+    gc = [[sum(map(mul, row, column)) for row in gram] for column in columns]
     form = []
-    for j in idx:
-        for k in idx[j:]:
-            entry = (sum(coeff[i][j] * gc[i][k] for i in idx)
+    for j, column in enumerate(columns):
+        for k in range(j, len(columns)):
+            entry = (sum(map(mul, column, gc[k]))
                      - 2 * (symmetrizer[j] * coeff[j][k] + symmetrizer[k] * coeff[k][j]))
             form.append(entry if j == k else 2 * entry)
     return form

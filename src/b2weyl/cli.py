@@ -17,6 +17,8 @@ from . import algebra, cascade, closedform, orbit, sinh, weyl2
 from .algebra import MassVector, Weights
 
 CONFIG_ENV = "B2WEYL_CONFIG"
+# The one compact JSON encoder; json.dumps would build one per record.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 class UsageError(ValueError):
@@ -47,7 +49,7 @@ def _parse_mu(text: str) -> Weights | None:
     if len(parts) != 3:
         raise UsageError(f"--mu needs 'formal' or three comma-separated rationals, got {text!r}")
     try:
-        return Weights.numeric(*(_parse_rational(p) for p in parts))
+        return Weights(tuple(map(_parse_rational, parts)))  # type: ignore[arg-type]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -69,14 +71,14 @@ def _parse_matrix(text: str) -> MassVector:
         if len(entries) != 3:
             raise UsageError(f"each row needs three entries, got {row!r}")
         try:
-            parsed.append(tuple(int(e) for e in entries))
+            parsed.append(tuple(map(int, entries)))
         except ValueError as exc:
             raise UsageError(f"bad integer in {row!r}") from exc
     return MassVector(tuple(parsed))  # type: ignore[arg-type]
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, separators=(",", ":")))
+    sys.stdout.write(_ENCODER.encode(obj) + "\n")
 
 
 def _error(code: str, detail: str) -> None:

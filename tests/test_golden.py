@@ -66,6 +66,16 @@ CASES = [
      "02596307fcb544513558c6c68afe425fe5372ab79d98907f22c5d365a3a37ecd"),
     ("descend-mu", ["descend", "20,8,32;16,8,24;24,12,40", "--mu", "3/2,1/2,1"], None, 0,
      "50f3b68fb5dba815d39e6eebc64ea64c41df257fbf575907cbdb4da7c010f6d4"),
+    # Deep members, |m_i| >= 40: id (6,-42,47) descended and id (7,43,50)
+    # evaluated with its word, both through the translation blocks of
+    # reduced_word, and id (5,42,-46) certified on its large entries.
+    ("descend-deep-mu", ["descend", "976,968,1856;1064,1060,2032;1016,1012,1940",
+                         "--mu", "3/2,1/2,1"], None, 0,
+     "0cdb47df18c811cb45d753eafd9924a881dd3d3e3cc0b675667caf3969d22a1c"),
+    ("closedform-deep-mu", ["closedform", "7", "43", "50", "--mu", "2/3,5/4,7/2"], None, 0,
+     "d225abd3fbad1063e36bdba86c1e139e7cfc9f49fbc2ae0b5d45ccff1e294f20"),
+    ("check-deep-member", ["check", "1060,968,2024;968,884,1848;1016,928,1940"], None, 0,
+     "ea347ff4e6ec9061f65f15e820fe0eedaf1ae6c74e8640ac53f8d4f01a2dba23"),
     ("type", ["type", "20,8,32;16,8,24;24,12,40"], None, 0,
      "b46c85ddfd37547f1f2ee02ad04e622caafcf33094b34b7c4596342f5a3ad4da"),
     ("closedform-mu", ["closedform", "8", "-5", "7", "--mu", "2/3,5/4,7/2"], None, 0,

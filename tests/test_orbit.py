@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weyl import algebra, orbit
-from b2weyl.algebra import B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word, reflect
+from b2weyl.algebra import (B2, MassVector, ReflectionSystem, Weights, ZERO, apply_word,
+                            quadric_form, reflect)
 from b2weyl.closedform import (ADMISSIBLE_TYPES, TYPE_BY_FAMILY, admissible_parameters,
                                closed_form_eval, invert_to_closed_form)
 from b2weyl.orbit import (
@@ -474,10 +475,13 @@ def affine_system(name, k, symmetrizer):
                             symmetrizer)
 
 
-# Two affine Toda systems besides B2(1), as test data only: the walk runs on
-# any symmetrizable affine Cartan matrix, and Bott's series is an oracle for it.
+# Three affine Toda systems besides B2(1), as test data only: the walk runs
+# on any symmetrizable affine Cartan matrix, and Bott's series is an oracle
+# for it.
 A2_AFFINE = affine_system("A2(1)", ((2, -1, -1), (-1, 2, -1), (-1, -1, 2)), (1, 1, 1))
 G2_AFFINE = affine_system("G2(1)", ((2, -1, 0), (-3, 2, -1), (0, -1, 2)), (3, 1, 1))
+A3_AFFINE = affine_system("A3(1)", ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -1),
+                                    (-1, 0, -1, 2)), (1, 1, 1, 1))
 
 # (system, BFS depth, degrees of the finite group, exponents if affine);
 # B2(1) also at depth 128, the benchmark's JSON depth, where a wrong merge
@@ -492,7 +496,17 @@ POINCARE_CASES = [
     pytest.param(APPENDIX_UV, 8, (2, 4), (), id=APPENDIX_UV.name),
     pytest.param(A2_AFFINE, 40, (2, 3), (1, 2), id=A2_AFFINE.name),
     pytest.param(G2_AFFINE, 40, (2, 6), (1, 5), id=G2_AFFINE.name),
+    pytest.param(A3_AFFINE, 24, (2, 3, 4), (1, 2, 3), id=A3_AFFINE.name),
 ]
+
+
+@pytest.mark.parametrize("system", [A2_AFFINE, G2_AFFINE, A3_AFFINE], ids=attrgetter("name"))
+def test_the_other_affine_orbits_lie_on_their_quadric(system):
+    # Their grams carry halves, so quadric_form sums Fractions here.
+    assert any(isinstance(g, Fraction) for row in system.gram for g in row)
+    for el in OrbitWalk(system, 10):
+        assert all(v >= 0 and v % 4 == 0 for row in el.sigma.coeff for v in row)
+        assert not any(quadric_form(el.sigma, system))
 
 
 def test_poincare_series_reproduces_the_known_counts():
