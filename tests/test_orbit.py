@@ -584,13 +584,14 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
 
 
 # (system, depth, coefficient bound): B2 deep and unbounded, every finite
-# system until it closes, B2 pruned at three bounds (each prunes, and the
-# orbit closes by level 10), a pruned B2 walk cut before it closes, the
-# bound 0 that prunes every level-1 child, and the bound 4 that closes the
-# orbit at level 3.
+# system until it closes, the three other affine systems, B2 pruned at
+# three bounds (each prunes, and the orbit closes by level 10), a pruned B2
+# walk cut before it closes, the bound 0 that prunes every level-1 child,
+# and the bound 4 that closes the orbit at level 3.
 ORACLE_CASES = (
     [(B2, 60, None), (SINH, 40, None)]
     + [(sub, 16, None) for sub in SUBSYSTEMS.values()]
+    + [(A2_AFFINE, 16, None), (G2_AFFINE, 16, None), (A3_AFFINE, 10, None)]
     + [(B2, 40, bound) for bound in (8, 16, 40)]
     + [(B2, 8, 40), (B2, 5, 0), (B2, 30, 4)]
 )
