@@ -370,12 +370,12 @@ class TestReducedWord:
 
     def test_the_blocked_word_is_the_one_step_greedy_word(self):
         # The reference takes one generator per step, the rule's: 1 if
-        # m1 > 0, else 2 if m2 > 0, else 3, and stops at (0, 0).  Its words are built upwards
-        # from (0, 0): a pair whose step lands on q has the word (i,) +
-        # word(q).  The box |m_i| <= 400 is closed under the step
-        # (test_the_rule_on_a_box), so this reaches every admissible pair
-        # in it, each once, and reduced_word, blocks and all, must agree on
-        # every one.
+        # m1 > 0, else 2 if m2 > 0, else 3, and stops at (0, 0).  Its words
+        # are built upwards from (0, 0): a pair whose step lands on q has
+        # the word (i,) + word(q).  The box |m_i| <= 400 is closed under the
+        # step (test_the_rule_on_a_box), so this reaches every admissible
+        # pair in it, each once, and reduced_word, blocks and all, must
+        # agree on every one.
         def step(m1, m2):
             if m1 > 0:
                 return 1, (1 - m1, m2)
