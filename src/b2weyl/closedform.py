@@ -178,22 +178,11 @@ def reduced_word(m1: int, m2: int) -> list[int]:
     with no falling generator, (-1, 0) and (0, -1), are inadmissible, and
     the generators keep a pair admissible.  An inadmissible pair raises
     ValueError; generator 3 fixes (-1, 0), so the loop would never end.
-
-    While m1, m2 >= 5 the steps come in blocks.  From m1, m2 >= 1 the rule
-    applies 1, then 2, then 3 unless (1 - m1, 1 - m2) is (0, 0): the triple
-    takes (m1, m2) to (m2 - 2, m1 - 2).  With k = (min(m1, m2) - 1) // 4,
-    every triple of (1, 2, 3, 1, 2, 3) * k starts with both entries >= 3,
-    so the block is the loop's next 6k steps, the translation by (-4k, -4k).
     """
     if (m1 % 4, m2 % 4) not in ADMISSIBLE_TYPES:
         raise ValueError(f"inadmissible pair ({m1},{m2}): no closed-form id to descend")
     word = []
     while m1 or m2:
-        if m1 >= 5 and m2 >= 5:
-            k = (min(m1, m2) - 1) // 4
-            word += (1, 2, 3, 1, 2, 3) * k
-            m1, m2 = m1 - 4 * k, m2 - 4 * k
-            continue
         index = 1 if m1 > 0 else 2 if m2 > 0 else 3
         m1, m2 = _reflected_parameters(m1, m2, index)
         word.append(index)

@@ -368,35 +368,6 @@ class TestReducedWord:
                     stops.append((m1, m2))
         assert stops == [(0, 0)]
 
-    def test_the_blocked_word_is_the_one_step_greedy_word(self):
-        # The reference takes one generator per step, the rule's: 1 if
-        # m1 > 0, else 2 if m2 > 0, else 3, and stops at (0, 0).  Its words
-        # are built upwards from (0, 0): a pair whose step lands on q has
-        # the word (i,) + word(q).  The box |m_i| <= 400 is closed under the
-        # step (test_the_rule_on_a_box), so this reaches every admissible
-        # pair in it, each once, and reduced_word, blocks and all, must
-        # agree on every one.
-        def step(m1, m2):
-            if m1 > 0:
-                return 1, (1 - m1, m2)
-            if m2 > 0:
-                return 2, (m1, 1 - m2)
-            return 3, (-1 - m2, -1 - m1)
-
-        bound, level, count = 400, {(0, 0): ()}, 0
-        while level:
-            assert [p for p, word in level.items() if tuple(reduced_word(*p)) != word] == []
-            above = {}
-            for (m1, m2), word in level.items():
-                for pair in ((1 - m1, m2), (m1, 1 - m2), (-1 - m2, -1 - m1)):
-                    index, image = step(*pair)
-                    if image == (m1, m2) and pair != (0, 0) and max(map(abs, pair)) <= bound:
-                        above[pair] = (index,) + word
-            count += len(level)
-            level = above
-        assert count == sum(len(admissible_parameters(ell, bound)) for ell in TYPE_BY_FAMILY)
-        assert count == 320801
-
     def test_word_length_is_the_wall_count(self):
         # Directly on a smaller box, where every step is also the smallest
         # falling generator of special_case_table.

@@ -67,8 +67,8 @@ CASES = [
     ("descend-mu", ["descend", "20,8,32;16,8,24;24,12,40", "--mu", "3/2,1/2,1"], None, 0,
      "50f3b68fb5dba815d39e6eebc64ea64c41df257fbf575907cbdb4da7c010f6d4"),
     # Deep members, |m_i| >= 40: id (6,-42,47) descended and id (7,43,50)
-    # evaluated with its word, both through the translation blocks of
-    # reduced_word, and id (5,42,-46) certified on its large entries.
+    # evaluated with its word, both long runs of reduced_word, and id
+    # (5,42,-46) certified on its large entries.
     ("descend-deep-mu", ["descend", "976,968,1856;1064,1060,2032;1016,1012,1940",
                          "--mu", "3/2,1/2,1"], None, 0,
      "0cdb47df18c811cb45d753eafd9924a881dd3d3e3cc0b675667caf3969d22a1c"),
