@@ -233,7 +233,7 @@ class Decomposition(Frozen):
 
 def decompose(state: CascadeState) -> Decomposition:
     """Split the state and certify the orbit part by descending it to 0;
-    a non-member orbit part raises ``descend_to_origin``'s ValueError."""
+    a non-member orbit part raises the closed-form inversion's ValueError."""
     word = tuple(descend_to_origin(state.gamma))
     return Decomposition(state.gamma, state.lattice, word)
 

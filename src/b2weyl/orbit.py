@@ -183,14 +183,13 @@ def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[
 
 
 def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
-    """Lattice membership test with per-condition certificate.
+    """Lattice membership test with per-condition certificate, for ``b2weyl check``.
 
     The three flags are: all coefficients nonnegative, all divisible by
     four, and identically vanishing quadric residual.  Every orbit member
     passes.  That every passing vector lies in the orbit is checked by the
     tests (the depth-64 walk, closed-form ids far beyond it, an exhaustive
-    small box) but not proven (ROADMAP item 3); ``descend_to_origin`` does
-    not rest on it.
+    small box) but not proven (ROADMAP item 3); descent does not use it.
     """
     entries = [v for row in sigma.coeff for v in row]
     nonneg = all(v >= 0 for v in entries)
@@ -202,46 +201,16 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
 def descend_to_origin(sigma: MassVector) -> list[int]:
     """Greedy reduced word taking a lattice member back to the origin.
 
-    After the certificate, the vector's closed-form id is recovered
-    exactly (``invert_to_closed_form``); the word, in application order,
-    is ``closedform.reduced_word(m1, m2)``, which reaches the origin
-    (points (1) and (2) of the ``closedform`` docstring).  A certified
-    vector that is not a closed form raises the inversion's ValueError;
-    none is known (ROADMAP item 3).
+    The vector's closed-form id is recovered exactly
+    (``invert_to_closed_form``), and the word, in application order, is
+    ``closedform.reduced_word(m1, m2)``.  By points (1) and (2) of the
+    ``closedform`` docstring the orbit is exactly the set of admissible
+    closed forms, so the inversion alone decides membership: a vector
+    outside the orbit raises its ValueError, and the word of one inside
+    reaches the origin.
     """
-    cert = is_member_gamma_N(sigma)
-    if not cert:
-        raise ValueError(f"not a lattice member: certificate {cert}")
     _, m1, m2 = invert_to_closed_form(sigma)
     return reduced_word(m1, m2)
-
-
-class RelationFailure(Frozen):
-    """A named relation of the presentation that does not hold."""
-
-    __slots__ = _fields = ("relation",)
-
-    relation: str
-
-    def __init__(self, relation: str) -> None:
-        object.__setattr__(self, "relation", relation)
-
-
-class RelationReport(Frozen):
-    """The outcome of ``check_relations``: its trial count, seed and failures."""
-
-    __slots__ = _fields = ("trials", "seed", "failures")
-
-    trials: int
-    seed: int
-    failures: tuple[RelationFailure, ...]
-
-    def __init__(self, trials: int, seed: int, failures: tuple[RelationFailure, ...]) -> None:
-        self._assign(trials=trials, seed=seed, failures=failures)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures
 
 
 # Each relation is a pair of words (in application order) whose actions
@@ -259,30 +228,14 @@ _RELATIONS: tuple[tuple[str, tuple[int, ...], tuple[int, ...]], ...] = (
 
 
 @cache
-def _relation_holds(left: tuple[int, ...], right: tuple[int, ...]) -> bool:
-    """Whether the words ``left`` and ``right`` act alike on every mass vector.
+def check_relations() -> tuple[str, ...]:
+    """The names of the presentation relations that fail, in relation order: () for B2(1).
 
-    Each word acts on a coefficient matrix C as an affine map C -> P*C + T,
-    so the two agree everywhere exactly when their maps (``_word_map``)
-    are equal.  The verdict is kept for the life of the process.
+    The relations are the three involutions, the commuting pair, both
+    braids and both order-four products.  Each word acts on a coefficient
+    matrix C as an affine map C -> P*C + T, so two words act alike on
+    every mass vector exactly when their maps (``_word_map``) are equal.
+    The verdict is kept for the life of the process.
     """
-    return _word_map(left) == _word_map(right)
-
-
-def check_relations(trials: int, rng_seed: int = 0,
-                    low: int = -100, high: int = 100) -> RelationReport:
-    """Decide the involutions, the commuting pair, both braids and both order-four products.
-
-    Each relation is decided exactly, once per process, by comparing the
-    affine maps of its words (``_relation_holds``); a failing one is
-    reported, not raised, by name and in relation order.  No vector is
-    drawn: ``trials`` >= 1 and ``rng_seed`` are echoed, ``low`` <= ``high``
-    only checked.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if low > high:
-        raise ValueError(f"empty range: low {low} exceeds high {high}")
-    failures = tuple(RelationFailure(name) for name, left, right in _RELATIONS
-                     if not _relation_holds(left, right))
-    return RelationReport(trials, rng_seed, failures)
+    return tuple(name for name, left, right in _RELATIONS
+                 if _word_map(left) != _word_map(right))

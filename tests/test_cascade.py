@@ -188,9 +188,9 @@ class TestDecompose:
         assert dec.lattice == (0, 0, 0)
 
     def test_non_member_orbit_part_is_rejected(self):
-        # Only the certificate inside descend_to_origin guards decompose.
+        # Only the closed-form inversion inside descend_to_origin guards decompose.
         state = CascadeState(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]), (1, 0, 0))
-        with pytest.raises(ValueError, match="not a lattice member: certificate"):
+        with pytest.raises(ValueError, match="residue pair \\(0, 3\\) is outside the eight"):
             decompose(state)
 
 

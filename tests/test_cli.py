@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import cli, orbit
+from b2weyl import cli
 from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts,
                             scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
@@ -270,23 +270,36 @@ class TestDescendCommand:
         assert code == 1
         assert json_lines(out)[0]["error"] == "verification"
 
-    def test_a_non_member_record_carries_the_certificate_repr(self, capsys):
-        # The one place a value type's repr reaches stdout: pinned byte for byte.
+    def test_a_non_member_record_carries_the_inversion_error(self, capsys):
+        # Descent decides membership by the closed-form inversion alone, so
+        # its error is the record's detail: pinned byte for byte.
         code, out = run(capsys, "descend", "0,0,0;0,0,0;0,0,3")
         assert code == 1
-        assert out == ('{"error":"verification","detail":"not a lattice member: certificate '
-                       'MembershipCertificate(nonneg=True, div4=False, quadric_zero=False)"}\n')
+        assert out == ('{"error":"verification","detail":"coefficient sums are not '
+                       'multiples of 4; not a lattice member"}\n')
 
-    def test_a_certified_vector_that_is_not_a_closed_form_exits_1(self, capsys, monkeypatch):
-        # No such vector is known, so the certificate is patched to pass
-        # one whose row sums name family 6 at (2,-1): descent then stops at
-        # the closed-form inversion, with its record.
-        monkeypatch.setattr(orbit, "is_member_gamma_N",
-                            lambda sigma: orbit.MembershipCertificate(True, True, True))
+    def test_a_vector_whose_sums_name_an_id_it_does_not_match_exits_1(self, capsys):
+        # The row sums name family 6 at (2,-1), but the rows are not that
+        # family's: descent stops at the closed-form inversion, with its record.
         code, out = run(capsys, "descend", "8,0,4;0,0,0;4,0,0")
         assert code == 1
         assert json_lines(out) == [{"error": "verification",
                                     "detail": "vector is not representable by family 6 at (2,-1)"}]
+
+    def test_descend_and_check_reject_the_same_inputs(self, capsys):
+        # Descent decides membership by the inversion, check by the
+        # certificate: both exit 1 on exactly the same inputs, over every
+        # depth-8 element and each of its nine +4 near-misses.
+        rejected = 0
+        for el in OrbitWalk(B2, 8):
+            flat = [v for row in el.sigma.coeff for v in row]
+            for k in range(-1, 9):
+                entries = [v + 4 * (j == k) for j, v in enumerate(flat)]
+                text = ";".join(",".join(map(str, entries[r:r + 3])) for r in (0, 3, 6))
+                (check, _), (descend, _) = run(capsys, "check", text), run(capsys, "descend", text)
+                assert check == descend and check in (0, 1), text
+                rejected += check
+        assert rejected > 0
 
     def test_word_does_not_depend_on_mu(self, capsys):
         # --mu is validated, but descent picks no generator by it.

@@ -1,4 +1,4 @@
-"""The value-type contract shared by the engine's thirteen immutable classes.
+"""The value-type contract shared by the engine's eleven immutable classes.
 
 Each class is compared on its fields alone, in constructor order: the
 attributes derived from them (``rank``, ``doubled``, ``row_maps``,
@@ -17,7 +17,7 @@ import pytest
 
 from b2weyl.algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, ReflectionSystem, Weights
 from b2weyl.cascade import CascadeState, Collapse, Decomposition, SatelliteMerge
-from b2weyl.orbit import MembershipCertificate, OrbitElement, RelationFailure, RelationReport
+from b2weyl.orbit import MembershipCertificate, OrbitElement
 from b2weyl.weyl2 import NaturalityCertificate, Subsystem
 
 F = Fraction
@@ -36,9 +36,6 @@ CASES = [
      "OrbitElement(sigma=MassVector(coeff=((4,),)), level=1, word=(1,))"),
     (MembershipCertificate, {"nonneg": True, "div4": False, "quadric_zero": False}, (),
      "MembershipCertificate(nonneg=True, div4=False, quadric_zero=False)"),
-    (RelationFailure, {"relation": "braid_13"}, (), "RelationFailure(relation='braid_13')"),
-    (RelationReport, {"trials": 3, "seed": 5, "failures": ()}, (),
-     "RelationReport(trials=3, seed=5, failures=())"),
     (SatelliteMerge, {"mass": (4, 8, 0)}, ("shift",), "SatelliteMerge(mass=(4, 8, 0))"),
     (Collapse, {"subset": (1, 3), "variant": "i3"}, (), "Collapse(subset=(1, 3), variant='i3')"),
     (CascadeState, {"gamma": ZERO, "lattice": (1, 2, 3), "probe": HALF}, ("values",),
@@ -69,7 +66,7 @@ def test_every_value_type_is_covered():
         for sub in todo.pop().__subclasses__():
             subclasses.add(sub)
             todo.append(sub)
-    assert {case[0] for case in CASES} == subclasses and len(subclasses) == 13
+    assert {case[0] for case in CASES} == subclasses and len(subclasses) == 11
 
 
 @parametrize
