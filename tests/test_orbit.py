@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import algebra, orbit
+from b2weyl import algebra, cli, orbit
 from b2weyl.algebra import (B2, MassVector, ReflectionSystem, Weights, ZERO, _word_map,
                             apply_word, quadric_form, reflect)
 from b2weyl.closedform import (ADMISSIBLE_TYPES, TYPE_BY_FAMILY, admissible_parameters,
@@ -407,9 +408,11 @@ class TestRelations:
             verdicts[verdict] += 1
         assert verdicts[True] > len(words) and verdicts[False]
 
-    def test_broken_row_map_fails_each_relation_by_name(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [0, 7, 11])
+    def test_broken_row_map_fails_each_relation_by_name(self, monkeypatch, capsys, seed):
         # Generator 3 gets w_33 + 1: every relation that uses it must fail,
-        # reported once by name, in relation order.
+        # reported once by name, in relation order, and the relations
+        # command reports the same failures whatever its seed.
         original = algebra._reflected_coeff
 
         def broken(coeff, i, pairs):
@@ -419,11 +422,18 @@ class TestRelations:
 
         monkeypatch.setattr(algebra, "_reflected_coeff", broken)
         check_relations.cache_clear()
+        monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
         try:
             failures = check_relations()
+            code = cli.main(["relations", "--trials", "5", "--seed", str(seed)])
         finally:
             check_relations.cache_clear()
-        assert failures == tuple(name for name, left, right in _RELATIONS if 3 in left + right)
+        uses_3 = tuple(name for name, left, right in _RELATIONS if 3 in left + right)
+        assert failures == uses_3
+        assert code == 1
+        assert json.loads(capsys.readouterr().out) == {
+            "trials": 5, "seed": seed, "failures": [{"relation": n} for n in uses_3],
+            "passed": False}
 
 
 def poincare_series(factors, exponents, depth):
