@@ -27,11 +27,9 @@ from .algebra import (
 from .cascade import (
     CascadeState,
     Collapse,
-    Decomposition,
     InvalidSatellite,
     NonPhysicalMove,
     SatelliteMerge,
-    decompose,
     initial_state,
     replay,
     step,
@@ -63,9 +61,8 @@ __all__ = [
     "B2", "CARTAN_MATRIX", "GENERATORS", "MassVector",
     "ReflectionSystem", "UNIT_WEIGHTS", "Weights", "ZERO", "apply_word",
     "eval_at", "pohozaev_residual", "quadric_form", "reflect",
-    "CascadeState", "Collapse", "Decomposition", "InvalidSatellite",
-    "NonPhysicalMove", "SatelliteMerge", "decompose", "initial_state",
-    "replay", "step",
+    "CascadeState", "Collapse", "InvalidSatellite", "NonPhysicalMove",
+    "SatelliteMerge", "initial_state", "replay", "step",
     "ClosedFormId", "closed_form_eval", "invert_to_closed_form",
     "special_case_table", "transition", "type_of", "type_transition",
     "MembershipCertificate", "OrbitElement", "OrbitWalk",

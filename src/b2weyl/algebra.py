@@ -183,9 +183,7 @@ UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 class MassVector(Frozen):
     """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j.
 
-    The rank is the size of the square coefficient matrix.  Equality and
-    hash are written out for the one field, so comparing two vectors
-    costs no more than comparing their matrices.
+    The rank is the size of the square coefficient matrix.
     """
 
     __slots__ = _fields = ("coeff",)
@@ -208,14 +206,6 @@ class MassVector(Frozen):
         sigma = object.__new__(cls)
         object.__setattr__(sigma, "coeff", coeff)
         return sigma
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is self.__class__:
-            return self.coeff == other.coeff  # type: ignore[attr-defined]
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.coeff,))
 
     def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""

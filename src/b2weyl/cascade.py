@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _word_map, scaled_values
-from .orbit import descend_to_origin
 
 
 class InvalidSatellite(ValueError):
@@ -215,27 +214,6 @@ def _apply_row_map(row_map: tuple, coeff: tuple, old: tuple, m: Sequence[int]) -
         rows[r] = (a, b, c)
         values[r] = v
     return tuple(rows), tuple(values)
-
-
-class Decomposition(Frozen):
-    """Orbit part, lattice part, and a descent certificate for the former."""
-
-    __slots__ = _fields = ("gamma", "lattice", "descent_word")
-
-    gamma: MassVector
-    lattice: tuple[int, int, int]
-    descent_word: tuple[int, ...]
-
-    def __init__(self, gamma: MassVector, lattice: tuple[int, int, int],
-                 descent_word: tuple[int, ...]) -> None:
-        self._assign(gamma=gamma, lattice=lattice, descent_word=descent_word)
-
-
-def decompose(state: CascadeState) -> Decomposition:
-    """Split the state and certify the orbit part by descending it to 0;
-    a non-member orbit part raises the closed-form inversion's ValueError."""
-    word = tuple(descend_to_origin(state.gamma))
-    return Decomposition(state.gamma, state.lattice, word)
 
 
 def parse_scenario(text: str) -> list[Move]:

@@ -238,8 +238,6 @@ def cmd_closedform(args) -> int:
 def cmd_relations(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.low > args.high:
-        raise UsageError(f"--low {args.low} exceeds --high {args.high}")
     failures = orbit.check_relations()
     _emit({
         "trials": args.trials,
@@ -405,8 +403,6 @@ def build_parser(config: dict) -> argparse.ArgumentParser:
     p = sub.add_parser("relations", help="exact group-presentation check")
     p.add_argument("--trials", type=int, default=config.get("trials", 100))
     p.add_argument("--seed", type=int, default=config.get("seed", 0))
-    p.add_argument("--low", type=int, default=-100)
-    p.add_argument("--high", type=int, default=100)
     p.set_defaults(func=cmd_relations)
 
     p = sub.add_parser("sinh", help="rank-one reduction: orbit and closed form")

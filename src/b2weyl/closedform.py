@@ -243,13 +243,11 @@ def transition(cid: tuple[int, int, int], index: int) -> ClosedFormId:
 
 
 def type_transition(tag: TypePair, index: int) -> TypePair:
-    """Mod-4 type of the reflection of a vector of the given type."""
+    """Mod-4 type of the reflection of a vector of the given type: the type
+    of ``transition``'s step from the id whose parameters are the type."""
     if tuple(tag) not in ADMISSIBLE_TYPES:
         raise ValueError(f"{tag} is not an admissible type")
-    if index not in GENERATORS:
-        raise ValueError(f"generator index must be 1..3, got {index}")
-    p1, p2 = _reflected_parameters(*tag, index)
-    return (p1 % 4, p2 % 4)
+    return TYPE_BY_FAMILY[transition((FAMILY_BY_TYPE[tuple(tag)], *tag), index).ell]
 
 
 def special_case_table(m1: int, m2: int) -> tuple[int, int, int]:

@@ -145,9 +145,7 @@ def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
     if part == "b":
         if a1.denominator != 1 or a2.denominator != 1 or a1 < 0 or a2 < 0:
             raise ValueError("part (b) needs natural strengths (integers >= 0)")
-        tuples = tuple(sorted(
-            (int(u), int(v)) for u, v in
-            {eval_at(MassVector(coeff), (a1, a2)) for coeff in APPENDIX_C_COEFFS}))
+        tuples = tuple(sorted((int(u), int(v)) for u, v in appendix_table("c", a1, a2)))
         nonneg = all(u >= 0 and v >= 0 for u, v in tuples)
         div4 = all(u % 4 == 0 and v % 4 == 0 for u, v in tuples)
         return NaturalityCertificate(tuples, nonneg, div4)

@@ -18,13 +18,12 @@ from b2weyl.cascade import (
     InvalidSatellite,
     NonPhysicalMove,
     SatelliteMerge,
-    decompose,
     initial_state,
     parse_scenario,
     replay,
     step,
 )
-from b2weyl.orbit import enumerate_orbit, is_member_gamma_N
+from b2weyl.orbit import descend_to_origin, enumerate_orbit, is_member_gamma_N
 
 F = Fraction
 
@@ -166,32 +165,32 @@ class TestRowMaps:
 
 
 class TestDecompose:
+    """A state's orbit part and lattice are its fields; descent certifies the former."""
+
     def test_origin_state(self):
-        dec = decompose(initial_state())
-        assert dec.gamma == ZERO
-        assert dec.lattice == (0, 0, 0)
-        assert dec.descent_word == ()
+        state = initial_state()
+        assert state.gamma == ZERO
+        assert state.lattice == (0, 0, 0)
+        assert descend_to_origin(state.gamma) == []
 
     def test_collapse_then_merge(self):
         state = step(initial_state(), Collapse((1,)))
         state = step(state, SatelliteMerge((0, 0, 8)))
-        dec = decompose(state)
-        assert dec.gamma == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
-        assert dec.lattice == (0, 0, 2)
-        assert apply_word(dec.gamma, dec.descent_word) == ZERO
+        assert state.gamma == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
+        assert state.lattice == (0, 0, 2)
+        assert apply_word(state.gamma, descend_to_origin(state.gamma)) == ZERO
 
     def test_two_collapses(self):
         state = step(initial_state(), Collapse((3,)))
         state = step(state, Collapse((1,)))
-        dec = decompose(state)
-        assert dec.gamma == mv([[4, 0, 8], [0, 0, 0], [0, 0, 4]])
-        assert dec.lattice == (0, 0, 0)
+        assert state.gamma == mv([[4, 0, 8], [0, 0, 0], [0, 0, 4]])
+        assert state.lattice == (0, 0, 0)
 
     def test_non_member_orbit_part_is_rejected(self):
-        # Only the closed-form inversion inside descend_to_origin guards decompose.
+        # Only the closed-form inversion inside descend_to_origin guards the orbit part.
         state = CascadeState(mv([[4, 0, 0], [0, 0, 0], [0, 0, 4]]), (1, 0, 0))
         with pytest.raises(ValueError, match="residue pair \\(0, 3\\) is outside the eight"):
-            decompose(state)
+            descend_to_origin(state.gamma)
 
 
 def random_move(rng: random.Random):

@@ -565,8 +565,9 @@ class TestUsageErrors:
     def test_negative_orbit_coefficient_bound(self, capsys):
         self.assert_usage(capsys, "orbit", "--max-level", "2", "--max-coefficient", "-1")
 
-    def test_relations_empty_range(self, capsys):
-        self.assert_usage(capsys, "relations", "--low", "5", "--high", "1")
+    def test_relations_takes_no_range(self, capsys):
+        detail = self.assert_usage(capsys, "relations", "--low", "5", "--high", "1")
+        assert detail == "unrecognized arguments: --low 5 --high 1"
 
     def test_relations_without_trials(self, capsys):
         self.assert_usage(capsys, "relations", "--trials", "0")
@@ -671,7 +672,7 @@ PARSE_CORPUS = [
     ["orbit", "--max-level=3", "--output=csv"],
     ["orbit", "--max-l", "3", "--max-c", "8"],
     ["orbit", "--max", "3"],
-    ["relations", "--tri=5", "--lo", "-5", "--hi", "5"],
+    ["relations", "--tri=5", "--lo", "-5", "--hi", "5"],  # no --low/--high: one usage error
     ["sinh", "--closed", "2"],
     ["weyl2", "--part=a", "--al", "1,0"],
     ["descend", M1, "--m=1,1,1"],

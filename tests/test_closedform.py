@@ -295,8 +295,15 @@ class TestTypeTransition:
                         type_of(sigma), gen)
 
     def test_inadmissible_tag_rejected(self):
-        with pytest.raises(ValueError):
-            type_transition((0, 2), 1)
+        # The tag is checked before the generator.
+        for index in (1, 4):
+            with pytest.raises(ValueError, match=r"^\(0, 2\) is not an admissible type$"):
+                type_transition((0, 2), index)
+
+    def test_bad_generator_rejected(self):
+        # ``transition`` checks the generator, with its own message.
+        with pytest.raises(ValueError, match=r"^generator index must be 1\.\.3, got 4$"):
+            type_transition((0, 0), 4)
 
 
 class TestSpecialCaseTable:

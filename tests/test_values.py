@@ -1,4 +1,4 @@
-"""The value-type contract shared by the engine's eleven immutable classes.
+"""The value-type contract shared by the engine's ten immutable classes.
 
 Each class is compared on its fields alone, in constructor order: the
 attributes derived from them (``rank``, ``doubled``, ``row_maps``,
@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from b2weyl.algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, ReflectionSystem, Weights
-from b2weyl.cascade import CascadeState, Collapse, Decomposition, SatelliteMerge
+from b2weyl.cascade import CascadeState, Collapse, SatelliteMerge
 from b2weyl.orbit import MembershipCertificate, OrbitElement
 from b2weyl.weyl2 import NaturalityCertificate, Subsystem
 
@@ -42,8 +42,6 @@ CASES = [
      "CascadeState(gamma=MassVector(coeff=((0, 0, 0), (0, 0, 0), (0, 0, 0))), "
      "lattice=(1, 2, 3), probe=Weights(values=(Fraction(1, 2), Fraction(1, 1), "
      "Fraction(3, 1))))"),
-    (Decomposition, {"gamma": MassVector(((4,),)), "lattice": (0, 0, 1), "descent_word": (1,)},
-     (), "Decomposition(gamma=MassVector(coeff=((4,),)), lattice=(0, 0, 1), descent_word=(1,))"),
     (Subsystem, {"name": "s1", "cartan": RANK_ONE, "symmetrizer": (1,), "expected_size": 2},
      ("rank", "doubled", "row_maps", "gram"),
      "Subsystem(name='s1', cartan=((Fraction(1, 1),),), symmetrizer=(1,), expected_size=2)"),
@@ -66,7 +64,7 @@ def test_every_value_type_is_covered():
         for sub in todo.pop().__subclasses__():
             subclasses.add(sub)
             todo.append(sub)
-    assert {case[0] for case in CASES} == subclasses and len(subclasses) == 11
+    assert {case[0] for case in CASES} == subclasses and len(subclasses) == 10
 
 
 @parametrize
