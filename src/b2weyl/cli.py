@@ -104,11 +104,11 @@ _CASCADE_RECORD = ('{"move":"%s","gamma_coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]
                    '"lattice":[%d,%d,%d],"total":["%s","%s","%s"]}\n')
 
 
-def _word_text(word, sep: str) -> str:
-    """A B2(1) word (generators 1..3, bytes or tuple) as digits joined by one-character ``sep``."""
-    # Replacing the empty string puts ``sep`` around every digit; the slice
+def _word_text(word) -> str:
+    """A B2(1) word (a sequence of generators 1..3) as its digits joined by commas."""
+    # Replacing the empty string puts a comma around every digit; the slice
     # drops the outer two.
-    return bytes(word).translate(_DIGITS).decode("ascii").replace("", sep)[1:-1]
+    return bytes(word).translate(_DIGITS).decode("ascii").replace("", ",")[1:-1]
 
 
 def _sigma_texts(coeff, weights) -> list[str]:
@@ -134,10 +134,13 @@ def _json_template(weights: Weights | None, tail: str = "") -> str:
     return _JSON_RECORD + sigma + tail + "}\n"
 
 
-def _json_fields(coeff, level: int, word, tag, weights: Weights | None) -> tuple:
-    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights."""
+def _json_fields(coeff, level: int, word: str, tag, weights: Weights | None) -> tuple:
+    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights.
+
+    ``word`` is the word's text, its generators joined by commas.
+    """
     row1, row2, row3 = coeff
-    fields = (*row1, *row2, *row3, level, _word_text(word, ","), *tag)
+    fields = (*row1, *row2, *row3, level, word, *tag)
     if weights is not None:
         fields += tuple(_b2_sigma_texts(coeff, weights))
     return fields
@@ -153,7 +156,8 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--output must be json or csv, got {args.output!r}")
     # The walk yields one level at a time (``OrbitWalk.levels``).  Each
     # level's records are rendered in one pass and written with one write;
-    # the totals come last.  A JSON record is typed from the row sums the
+    # the totals come last.  The walk carries each word as its JSON text,
+    # which a CSV row dots.  A JSON record is typed from the row sums the
     # walk carries; a CSV row takes its closed-form id from them too and is
     # checked exactly against the family's evaluated rows.  The write sits
     # in a ``finally``, so when a row fails its check, the rows of its
@@ -176,7 +180,7 @@ def cmd_orbit(args) -> int:
         def record(coeff, level, word, sums):
             cid = closedform.invert_rows(coeff, sums)
             row1, row2, row3 = coeff
-            fields = (level, _word_text(word, "."), *row1, *row2, *row3,
+            fields = (level, word.replace(",", "."), *row1, *row2, *row3,
                       *closedform.TYPE_BY_FAMILY[cid.ell], *cid)
             if weights is not None:
                 fields += tuple(_b2_sigma_texts(coeff, weights))
@@ -229,8 +233,8 @@ def cmd_closedform(args) -> int:
     sigma = closedform.closed_form_eval(cid)  # validates the id first
     word = closedform.reduced_word(args.m1, args.m2)[::-1]  # reduced: its length is the level
     template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
-    fields = _json_fields(sigma.coeff, len(word), word, closedform.TYPE_BY_FAMILY[cid.ell],
-                          weights)
+    fields = _json_fields(sigma.coeff, len(word), _word_text(word),
+                          closedform.TYPE_BY_FAMILY[cid.ell], weights)
     sys.stdout.write(template % (*fields, *cid))
     return 0
 

@@ -65,9 +65,10 @@ class OrbitWalk:
     one by one as ``OrbitElement``s.  Each level is sorted by coefficient
     matrix (row-major), which is unique on it, and expanded in that order
     (then by generator index), so every element keeps its canonical
-    first-discoverer word.  For B2(1) that word is the element's
-    ``closedform.reduced_word(m1, m2)`` reversed: a rule the test suite
-    checks on every element through depth 64, not one proven here.
+    first-discoverer word.  For B2(1) that word is
+    ``",".join(map(str, reversed(closedform.reduced_word(m1, m2))))``: a
+    rule the test suite checks on every element through depth 64, not one
+    proven here.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
     values at unit weights: generator i raises the length exactly when it
@@ -89,10 +90,11 @@ class OrbitWalk:
     and 2m(m - 1), ordered by the parity of m, give m back
     (``sinh_invert``); and each finite rank-two orbit is checked
     exhaustively by the test suite, as are the B2(1) walk at depth 128 and
-    the ``SINH`` walk.  Words are ``bytes``, one byte per generator, so a
-    level-n word costs about n + 33 bytes (a tuple costs 8 per generator)
-    and is not tracked by the garbage collector; memory grows as the
-    level size times the word length.
+    the ``SINH`` walk.  A word is the text ``b2weyl orbit`` prints, the
+    generator indices joined by commas, so a level-n word costs about
+    2n + 48 bytes (a tuple costs 8 per generator) and is not tracked by
+    the garbage collector; memory grows as the level size times the word
+    length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
     ``pruned``; a descent never raises an entry of its row, so the bound
@@ -123,29 +125,33 @@ class OrbitWalk:
     def __iter__(self) -> Iterator[OrbitElement]:
         for level, entries in self.levels():
             for coeff, word, _ in entries:
-                yield OrbitElement(MassVector(coeff), level, tuple(word))
+                yield OrbitElement(MassVector(coeff), level,
+                                   tuple(map(int, word.split(","))) if word else ())
 
     def levels(self) -> Iterator[tuple[int, tuple]]:
         """The walk one level at a time, as ``(level, entries)`` from level 0 on.
 
         ``entries`` is the level as a tuple of plain tuples ``(coeff, word,
         sums)``, sorted by coefficient matrix: ``coeff`` is the matrix,
-        ``word`` its witness word as ``bytes`` (generator i is the byte i)
-        and ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
+        ``word`` its witness word as text, the generator indices joined by
+        commas (``"1,3,2"``, and ``""`` at the origin), and ``sums`` its row
+        sums; nothing is wrapped in a ``MassVector``.
         A level is yielded before it is expanded, so level 0 comes out
         before a single row of level 1 is built.
         """
         self.pruned, self.exhausted, self.count = False, False, 0
         system, bound, rank = self.system, self.max_coefficient, self.system.rank
-        generators = [bytes((i + 1,)) for i in range(rank)]
-        current = ((((0,) * rank,) * rank, b"", (0,) * rank),)
+        digits = [str(i + 1) for i in range(rank)]
+        commas = ["," + digit for digit in digits]
+        current = ((((0,) * rank,) * rank, "", (0,) * rank),)
         for level in range(self.max_level + 1):
             self.count += len(current)
             yield level, current
             if level == self.max_level:
                 return
             # row sums -> (coefficient matrix, word, row sums)
-            following: dict[tuple[int, ...], tuple[tuple, bytes, tuple[int, ...]]] = {}
+            following: dict[tuple[int, ...], tuple[tuple, str, tuple[int, ...]]] = {}
+            steps = commas if level else digits  # the origin's word is empty
             for coeff, word, sums in current:
                 for i, pairs in enumerate(system.row_maps):
                     total = 4
@@ -165,7 +171,7 @@ class OrbitWalk:
                     if bound is not None and max(child[i]) > bound:  # the other rows passed
                         self.pruned = True
                         continue
-                    following[child_sums] = (child, word + generators[i], child_sums)
+                    following[child_sums] = (child, word + steps[i], child_sums)
             if not following:
                 self.exhausted = True
                 return

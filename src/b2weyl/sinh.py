@@ -12,7 +12,6 @@ closed form; this module keeps that closed form and its inversion.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
 
 from .algebra import MassVector, ReflectionSystem, quadric_form
 from .orbit import OrbitWalk
@@ -40,7 +39,9 @@ def sinh_orbit(max_level: int) -> list[MassVector]:
     Every element is verified against the rank-one quadric
     (s1-s2)^2 = 4(mu1 s1 + mu2 s2) before it is returned.
     """
-    orbit = sorted((el.sigma for el in OrbitWalk(SINH, max_level)), key=attrgetter("coeff"))
+    matrices = sorted(coeff for _, entries in OrbitWalk(SINH, max_level).levels()
+                      for coeff, _, _ in entries)
+    orbit = [MassVector(coeff) for coeff in matrices]
     for sigma in orbit:
         if any(quadric_form(sigma, SINH)):
             raise ValueError(f"quadric violated at {sigma}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import Frozen, MassVector, Rational, ReflectionSystem, eval_at
-from .orbit import OrbitElement, OrbitWalk
+from .orbit import OrbitWalk
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -61,31 +61,30 @@ SUBSYSTEMS = {s.name: s for s in (PAIR_12, PAIR_13, PAIR_23, APPENDIX_UV)}
 _CLOSING_DEPTH = 16
 
 
-def _closed_orbit(sub: Subsystem) -> list[OrbitElement]:
+def _closed_levels(sub: Subsystem) -> list[tuple[int, tuple]]:
+    """The levels of the walk over ``sub``'s orbit (``OrbitWalk.levels``), which must close."""
     walk = OrbitWalk(sub, _CLOSING_DEPTH)
-    elements = list(walk)
+    levels = list(walk.levels())
     if not walk.exhausted:
         raise RuntimeError(f"orbit of {sub.name} did not close")
-    return elements
+    return levels
 
 
 def finite_orbit(sub: Subsystem) -> list[Matrix2]:
     """All orbit elements as 2x2 coefficient matrices, canonically sorted."""
-    orbit = sorted(el.sigma.coeff for el in _closed_orbit(sub))
+    orbit = sorted(coeff for _, entries in _closed_levels(sub) for coeff, _, _ in entries)
     if len(orbit) != sub.expected_size:
         raise RuntimeError(f"orbit of {sub.name} has {len(orbit)} elements, "
                            f"expected {sub.expected_size}")
-    return orbit  # type: ignore[return-value]
+    return orbit
 
 
 def longest_element(sub: Subsystem) -> Matrix2:
     """The unique orbit element of maximal reflection depth."""
-    elements = _closed_orbit(sub)
-    # The walk yields level by level, so the last element sits on the deepest level.
-    deepest = [el.sigma.coeff for el in elements if el.level == elements[-1].level]
+    _, deepest = _closed_levels(sub)[-1]
     if len(deepest) != 1:
         raise RuntimeError(f"orbit of {sub.name} has no unique deepest element")
-    return deepest[0]  # type: ignore[return-value]
+    return deepest[0][0]
 
 
 # Base tuples for the single-singular-source quantization table (the 'c'

@@ -739,13 +739,13 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
     assert len(entries) == len(elements) == count
     for (coeff, level, word, sums), el in zip(entries, elements):
         assert type(coeff) is tuple and all(type(row) is tuple for row in coeff)
-        assert type(word) is bytes and tuple(word) == el.word
+        assert type(word) is str and word == ",".join(map(str, el.word))
         assert (MassVector(coeff), level) == (el.sigma, el.level)
         assert sums == el.sigma.coefficient_sums()
     assert after_levels == after_elements == (count, pruned, exhausted, pruned or not exhausted)
     # A new run through levels() starts the totals afresh, as iteration
     # does, and counts the origin's level as it is yielded.
-    assert next(walk.levels()) == (0, ((ZERO.coeff, b"", (0, 0, 0)),))
+    assert next(walk.levels()) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
     assert (walk.count, walk.pruned, walk.exhausted) == (1, False, False)
     # Each level is yielded before it is expanded: level 0 of a walk a
     # billion levels deep comes at once, before a row of level 1 is built.
@@ -753,7 +753,7 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
     monkeypatch.setattr(orbit, "_reflected_coeff",
                         lambda *args: calls.append(args) or algebra._reflected_coeff(*args))
     deep = OrbitWalk(B2, 10**9)
-    assert next(deep.levels()) == (0, ((ZERO.coeff, b"", (0, 0, 0)),))
+    assert next(deep.levels()) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
     assert calls == [] and deep.count == 1
 
 
@@ -765,8 +765,24 @@ def test_walk_words_are_the_reversed_descent_words():
     walk = OrbitWalk(B2, 64)
     for _, entries in walk.levels():
         for coeff, word, _ in entries:
-            assert word == bytes(reversed(descend_to_origin(MassVector(coeff))))
+            assert word == ",".join(map(str, reversed(descend_to_origin(MassVector(coeff)))))
     assert walk.count == 5548
+
+
+@pytest.mark.parametrize("system,depth", [(A2_AFFINE, 16), (G2_AFFINE, 16), (A3_AFFINE, 10)],
+                         ids=["A2(1)", "G2(1)", "A3(1)"])
+def test_iterated_words_rejoin_to_the_level_text(system, depth):
+    # Iteration splits each level entry's word text back into a tuple of
+    # generator indices; on systems of rank three and four, joining that
+    # tuple with commas gives the text again, element for element.
+    walk = OrbitWalk(system, depth)
+    texts = [word for _, entries in walk.levels() for _, word, _ in entries]
+    words = [el.word for el in walk]
+    assert len(texts) == len(words) == walk.count
+    assert texts[0] == "" and words[0] == ()
+    for text, word in zip(texts, words):
+        assert type(word) is tuple and all(type(i) is int for i in word)
+        assert ",".join(map(str, word)) == text
 
 
 def test_a_tied_row_sum_raises():
