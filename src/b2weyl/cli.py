@@ -135,10 +135,7 @@ def _json_template(weights: Weights | None, tail: str = "") -> str:
 
 
 def _json_fields(coeff, level: int, word: str, tag, weights: Weights | None) -> tuple:
-    """The values for ``_JSON_RECORD``, then the sigma texts when there are weights.
-
-    ``word`` is the word's text, its generators joined by commas.
-    """
+    """The values for ``_JSON_RECORD`` (``word`` comma-joined), then any sigma texts."""
     row1, row2, row3 = coeff
     fields = (*row1, *row2, *row3, level, word, *tag)
     if weights is not None:
