@@ -123,7 +123,7 @@ def test_every_csv_row_is_verified_under_optimize_flag(capsys):
 
 
 class TestWordText:
-    """``_word_text`` on descent words (lists and tuples), and the CSV's dotted form of it."""
+    """``_word_text`` on bytes, list and tuple words, and the CSV's dotted form of it."""
 
     @pytest.mark.parametrize("word,comma,dot", [
         ((), "", ""),
@@ -131,7 +131,7 @@ class TestWordText:
         ((3, 1), "3,1", "3.1"),
         ((1, 2, 3) * 40 + (1,), ",".join("123" * 40 + "1"), ".".join("123" * 40 + "1")),
     ])
-    @pytest.mark.parametrize("kind", [list, tuple])
+    @pytest.mark.parametrize("kind", [bytes, list, tuple])
     def test_digits_joined_by_the_separator(self, word, comma, dot, kind):
         assert cli._word_text(kind(word)) == comma
         assert cli._word_text(kind(word)).replace(",", ".") == dot
