@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -27,8 +28,6 @@ class UsageError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     """An argparse parser whose errors are UsageErrors, printed as records by main."""
-
-    commands: dict[str, argparse.ArgumentParser]  # the top-level parser's name -> subparser
 
     def error(self, message: str):
         raise UsageError(message)
@@ -363,113 +362,175 @@ def _load_config() -> dict:
     return config
 
 
+# The nine subcommands, the one description of the command line that
+# build_parser and the direct parser both read.  Each is its help, its
+# handler, its positionals as (dest, type) and its options as (flag,
+# type, choices, default key, required when the default is None, help).
+# A default key names an entry of _defaults(config).
+_COMMANDS = {
+    "orbit": ("enumerate the reflection orbit of the origin", cmd_orbit, (), (
+        ("--max-level", int, None, "max_level", True, None),
+        ("--max-coefficient", int, None, "max_coefficient", False, None),
+        ("--mu", str, None, "mu", False, None),
+        ("--output", str, OUTPUT_FORMATS, "output", False, None))),
+    "check": ("lattice membership with certificate", cmd_check, (("sigma", str),), ()),
+    "descend": ("greedy descent word to the origin", cmd_descend, (("sigma", str),), (
+        ("--mu", str, None, "probe", False, None),)),
+    "type": ("mod-4 type of a lattice member", cmd_type, (("sigma", str),), ()),
+    "closedform": ("evaluate a closed-form family", cmd_closedform,
+                   (("ell", int), ("m1", int), ("m2", int)), (
+        ("--mu", str, None, "mu", False, None),)),
+    "relations": ("exact group-presentation check", cmd_relations, (), (
+        ("--trials", int, None, "trials", False, None),
+        ("--seed", int, None, "seed", False, None))),
+    "sinh": ("rank-one reduction: orbit and closed form", cmd_sinh, (), (
+        ("--max-level", int, None, None, False, None),
+        ("--closed-form", int, None, None, False, None),
+        ("--mu", str, None, None, False, "two comma-separated rationals"))),
+    "weyl2": ("finite rank-two orbits and singular-source tables", cmd_weyl2, (), (
+        ("--subsystem", str, tuple(sorted(weyl2.SUBSYSTEMS)), None, False, None),
+        ("--weights", str, None, None, False, "two comma-separated rationals"),
+        ("--part", str, ("a", "b", "c"), None, False, None),
+        ("--alpha", str, None, None, False, "two comma-separated rationals"))),
+    "cascade": ("replay a mass-combination scenario file", cmd_cascade, (("scenario", str),), (
+        ("--mu", str, None, "probe", False, None),)),
+}
+
+
+def _defaults(config: dict) -> dict:
+    """The value of each default key of ``_COMMANDS`` under ``config``; None has none."""
+    mu = config.get("mu", "formal")
+    return {None: None, "max_level": config.get("max_level"),
+            "max_coefficient": config.get("max_coefficient"), "mu": mu,
+            "probe": mu if mu != "formal" else "1,1,1",  # descend and cascade need numbers
+            "output": config.get("output", "json"), "trials": config.get("trials", 100),
+            "seed": config.get("seed", 0)}
+
+
 def build_parser(config: dict) -> argparse.ArgumentParser:
     parser = _Parser(
         prog="b2weyl",
         description="Exact affine Weyl orbit engine for quantized blow-up masses.")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # filled by add_parser below
-
-    mu_default = config.get("mu", "formal")
-    probe_default = mu_default if mu_default != "formal" else "1,1,1"
-
-    p = sub.add_parser("orbit", help="enumerate the reflection orbit of the origin")
-    p.add_argument("--max-level", type=int, default=config.get("max_level"),
-                   required=config.get("max_level") is None)
-    p.add_argument("--max-coefficient", type=int, default=config.get("max_coefficient"))
-    p.add_argument("--mu", default=mu_default)
-    p.add_argument("--output", choices=OUTPUT_FORMATS, default=config.get("output", "json"))
-    p.set_defaults(func=cmd_orbit)
-
-    p = sub.add_parser("check", help="lattice membership with certificate")
-    p.add_argument("sigma")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("descend", help="greedy descent word to the origin")
-    p.add_argument("sigma")
-    p.add_argument("--mu", default=probe_default)
-    p.set_defaults(func=cmd_descend)
-
-    p = sub.add_parser("type", help="mod-4 type of a lattice member")
-    p.add_argument("sigma")
-    p.set_defaults(func=cmd_type)
-
-    p = sub.add_parser("closedform", help="evaluate a closed-form family")
-    p.add_argument("ell", type=int)
-    p.add_argument("m1", type=int)
-    p.add_argument("m2", type=int)
-    p.add_argument("--mu", default=mu_default)
-    p.set_defaults(func=cmd_closedform)
-
-    p = sub.add_parser("relations", help="exact group-presentation check")
-    p.add_argument("--trials", type=int, default=config.get("trials", 100))
-    p.add_argument("--seed", type=int, default=config.get("seed", 0))
-    p.set_defaults(func=cmd_relations)
-
-    p = sub.add_parser("sinh", help="rank-one reduction: orbit and closed form")
-    p.add_argument("--max-level", type=int, default=None)
-    p.add_argument("--closed-form", type=int, default=None)
-    p.add_argument("--mu", default=None, help="two comma-separated rationals")
-    p.set_defaults(func=cmd_sinh)
-
-    p = sub.add_parser("weyl2", help="finite rank-two orbits and singular-source tables")
-    p.add_argument("--subsystem", choices=sorted(weyl2.SUBSYSTEMS), default=None)
-    p.add_argument("--weights", default=None, help="two comma-separated rationals")
-    p.add_argument("--part", choices=("a", "b", "c"), default=None)
-    p.add_argument("--alpha", default=None, help="two comma-separated rationals")
-    p.set_defaults(func=cmd_weyl2)
-
-    p = sub.add_parser("cascade", help="replay a mass-combination scenario file")
-    p.add_argument("scenario")
-    p.add_argument("--mu", default=probe_default)
-    p.set_defaults(func=cmd_cascade)
-
+    defaults = _defaults(config)
+    for name, (summary, func, positionals, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for dest, kind in positionals:
+            p.add_argument(dest, type=kind)
+        for flag, kind, choices, key, needed, hint in options:
+            p.add_argument(flag, type=kind, choices=choices, default=defaults[key],
+                           required=needed and defaults[key] is None, help=hint)
+        p.set_defaults(func=func)
     return parser
 
 
-# One slot: the parser for the most recent defaults, keyed by a copy of
-# the config dict itself.  The parser reads only the validated keys, whose
-# values are exact ints and strs, so equal dicts give the same parser.
-# parse_args builds a fresh Namespace per call and no default is mutable,
-# so reusing the parser carries no state over.
-_parser_slot: tuple[dict, argparse.ArgumentParser] | None = None
+def _canonical_table(config: dict) -> dict:
+    """Per subcommand, what the direct parser needs under ``config``.
+
+    That is its positionals as (dest, type, None), its options by flag
+    as (dest, type, choices), the dests that must be given, and the
+    namespace ``parse_args`` starts from: the command, every dest with
+    its default in the parser's order, then the handler.
+    """
+    defaults = _defaults(config)
+    table = {}
+    for name, (_, func, positionals, options) in _COMMANDS.items():
+        start = {"command": name}
+        start.update((dest, None) for dest, _ in positionals)
+        flags, required = {}, [dest for dest, _ in positionals]
+        for flag, kind, choices, key, needed, _ in options:
+            dest = flag[2:].replace("-", "_")
+            start[dest] = defaults[key]
+            flags[flag] = (dest, kind, choices)
+            if needed and defaults[key] is None:
+                required.append(dest)
+        start["func"] = func
+        table[name] = (tuple((dest, kind, None) for dest, kind in positionals),
+                       flags, required, start)
+    return table
 
 
-def _parser_for(config: dict) -> argparse.ArgumentParser:
+# argparse's rule for a token that starts with "-" but is a value: it
+# looks like a negative number, and no option of the parser does.
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def _parse_canonical(table: dict, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace ``parse_args(argv)`` gives, for canonical ``argv``; else None.
+
+    Canonical is the subcommand's name first, then exactly its
+    positionals and each option at most once by its full name, as
+    ``--opt value`` or ``--opt=value``, with no ``--``.  A token that
+    starts with "-" is a value only by argparse's negative-number rule.
+    Each value goes through its type and choices.  Anything else, a
+    value that fails them included, gives None, and argparse parses it,
+    writing every help text and usage error itself.
+    """
+    command = table.get(argv[0]) if argv else None
+    if command is None:
+        return None
+    positionals, flags, required, start = command
+    positionals, tokens, values = iter(positionals), iter(argv[1:]), {}
+    for token in tokens:
+        if token[:1] != "-" or _NEGATIVE_NUMBER.match(token):
+            spec, value = next(positionals, None), token
+        else:
+            flag, eq, value = token.partition("=")
+            spec = flags.get(flag)
+            if not eq:
+                value = next(tokens, None)
+                if value is None or value[:1] == "-" and not _NEGATIVE_NUMBER.match(value):
+                    return None
+            elif not value:
+                return None
+        if spec is None or spec[0] in values:
+            return None
+        dest, kind, choices = spec
+        try:
+            value = kind(value)
+        except ValueError:
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    for dest in required:
+        if dest not in values:
+            return None
+    namespace = argparse.Namespace()
+    vars(namespace).update(start, **values)
+    return namespace
+
+
+# One slot: the parser and the direct parser's table for the most recent
+# defaults, keyed by a copy of the config dict itself.  Both read only the
+# validated keys, whose values are exact ints and strs, so equal dicts
+# give the same parser.  Each parse builds a fresh Namespace and no
+# default is mutable, so reusing them carries no state over.
+_parser_slot: tuple[dict, argparse.ArgumentParser, dict] | None = None
+
+
+def _parser_for(config: dict) -> tuple[argparse.ArgumentParser, dict]:
     global _parser_slot
     if _parser_slot is None or _parser_slot[0] != config:
-        _parser_slot = (dict(config), build_parser(config))
-    return _parser_slot[1]
-
-
-def _parse(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """``parser.parse_args(argv)``, with the top-level pass skipped where it adds nothing.
-
-    When ``argv`` starts with a subcommand's name, the top-level parser
-    would only hand the rest to that subcommand's parser unchanged, so
-    the subparser parses it alone.  Any other argv (empty, an option such
-    as --help first, or an unknown or abbreviated name) goes through the
-    full parser, which writes the help or the usage error itself.
-    """
-    sub = parser.commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args = sub.parse_args(argv[1:])
-    args.command = argv[0]
-    return args
+        _parser_slot = (dict(config), build_parser(config), _canonical_table(config))
+    return _parser_slot[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     """Run one request (``sys.argv[1:]`` by default) and return its exit code.
 
-    A request names its subcommand first and is parsed by that
-    subcommand's parser alone, with the same output and errors as the
-    full parser.
+    Canonical argv (``_parse_canonical``) is parsed directly from the
+    subcommand table.  All other argv, every help text and every usage
+    error go through the argparse parser, with the same namespace,
+    output and errors on both paths.
     """
     if argv is None:
         argv = sys.argv[1:]
     try:
-        args = _parse(_parser_for(_load_config()), argv)
+        parser, table = _parser_for(_load_config())
+        args = _parse_canonical(table, argv)
+        if args is None:
+            args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         _error("usage", str(exc))

@@ -181,11 +181,19 @@ def reduced_word(m1: int, m2: int) -> list[int]:
     """
     if (m1 % 4, m2 % 4) not in ADMISSIBLE_TYPES:
         raise ValueError(f"inadmissible pair ({m1},{m2}): no closed-form id to descend")
+    # The moves of ``_reflected_parameters``, inlined.
     word = []
+    append = word.append
     while m1 or m2:
-        index = 1 if m1 > 0 else 2 if m2 > 0 else 3
-        m1, m2 = _reflected_parameters(m1, m2, index)
-        word.append(index)
+        if m1 > 0:
+            m1 = 1 - m1
+            append(1)
+        elif m2 > 0:
+            m2 = 1 - m2
+            append(2)
+        else:
+            m1, m2 = -1 - m2, -1 - m1
+            append(3)
     return word
 
 

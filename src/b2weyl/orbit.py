@@ -53,9 +53,6 @@ class MembershipCertificate(Frozen):
     def member(self) -> bool:
         return self.nonneg and self.div4 and self.quadric_zero
 
-    def __bool__(self) -> bool:
-        return self.member
-
 
 class OrbitWalk:
     """Level-by-level BFS over the reflection orbit of the origin of ``system``.

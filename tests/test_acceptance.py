@@ -321,7 +321,7 @@ def test_criterion_10_cascade_soundness(capsys):
             accepted += 1
             accepted_total += 1
             # membership of the orbit part
-            assert is_member_gamma_N(state.gamma)
+            assert is_member_gamma_N(state.gamma).member
             # decomposition: total equals gamma + 4n at the probe
             gamma_vals = eval_at(state.gamma, probe)
             assert state.total() == tuple(

@@ -223,7 +223,7 @@ class TestRandomSequences:
                 assert nxt.total() == tuple(
                     g + 4 * n for g, n in zip(gamma_vals, nxt.lattice))
                 # orbit part stays a certified member
-                assert is_member_gamma_N(nxt.gamma)
+                assert is_member_gamma_N(nxt.gamma).member
                 # accepted collapses that move the orbit part gain >= 4
                 if isinstance(move, Collapse) and nxt.gamma != state.gamma:
                     assert nxt.total_sum() - before >= 4

@@ -1,5 +1,6 @@
 """Command-line surface: records, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -11,7 +12,6 @@ import sys
 import threading
 import time
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -654,9 +654,9 @@ class TestUsageErrors:
 M0 = "0,0,0;0,0,0;0,0,0"
 M1 = "4,0,0;0,0,0;0,0,0"
 
-# Argvs for the parity of the dispatched parse with the full parser: every
+# Argvs for the parity of main's parse with the full parser: every
 # subcommand, valid or not, with the argparse spellings that could tell
-# the two paths apart.
+# the direct path from argparse.
 PARSE_CORPUS = [
     # valid input, one request per subcommand
     ["orbit", "--max-level", "3"],
@@ -696,6 +696,11 @@ PARSE_CORPUS = [
     ["closedform", "1", "2", "3", "4"],
     ["weyl2", "--part", "d"],
     ["closedform", "one", "0", "0"],
+    # option values that are empty, missing or look like options
+    ["descend", M1, "--mu="],
+    ["descend", M1, "--mu"],
+    ["descend", M1, "--mu", "-1,1,1"],
+    ["cascade", "moves.txt", "--mu", "--"],
     # missing required arguments
     ["orbit"],
     ["check"],
@@ -712,35 +717,96 @@ PARSE_CORPUS = [
 
 
 def _parse_outcome(parse, argv):
-    """The namespace's attributes, or the usage error's text."""
+    """The namespace's attributes in order, or the usage error's text."""
     try:
-        return vars(parse(argv))
+        return list(vars(parse(argv)).items())
     except cli.UsageError as exc:
         return f"usage: {exc}"
 
 
+def _main_parse(config):
+    """main's parse under ``config``: the direct parser, else argparse."""
+    parser, table = cli._parser_for(config)
+
+    def parse(argv):
+        args = cli._parse_canonical(table, argv)
+        return parser.parse_args(argv) if args is None else args
+    return parse
+
+
+# A config that sets every default the table reads, next to the empty one.
+FULL_CONFIG = {"max_level": 2, "max_coefficient": 9, "mu": "1,2,3", "output": "csv",
+               "trials": 7, "seed": 5}
+
+# Value texts a canonical argv may carry: int spellings int() accepts or
+# rejects (negative ones by argparse's negative-number rule), weights,
+# matrix literals and names, and choices that are not choices.
+INT_TEXTS = st.one_of(st.integers(-60, 60).map(str),
+                      st.sampled_from(["+5", "1_0", "-0", "007", " 3 ", "one", "-.5", "2.0"]))
+TEXTS = st.sampled_from(["1,1,1", "formal", "1,2", "3/2,1/2,1", M0, M1, "moves.txt", "x",
+                         "-4", "-.5", ""])
+
+
+def _value_texts(kind, choices):
+    if choices is not None:
+        return st.sampled_from([*choices, "xml", "d", "CSV", "pair"])
+    return INT_TEXTS if kind is int else TEXTS
+
+
+@st.composite
+def canonical_argvs(draw):
+    """A subcommand's name, then its positionals and any of its options, in any order."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    _, _, positionals, options = cli._COMMANDS[name]
+    chunks = [[draw(_value_texts(kind, None))] for _, kind in positionals]
+    for flag, kind, choices, *_ in options:
+        if draw(st.booleans()):
+            value = draw(_value_texts(kind, choices).filter(bool))
+            chunks.append([f"{flag}={value}"] if draw(st.booleans()) else [flag, value])
+    return [name] + [token for chunk in draw(st.permutations(chunks)) for token in chunk]
+
+
 class TestDispatchedParse:
-    """main() parses a request with its subcommand's parser alone; the
-    result is the full parser's, namespace or error text alike."""
+    """main() parses canonical argv straight from the subcommand table and
+    all other argv with argparse; the result is the full parser's,
+    namespace or error text alike."""
 
     def test_all_nine_subcommands_are_in_the_corpus(self):
-        commands = set(cli.build_parser({}).commands)
+        commands = set(cli._COMMANDS)
         assert len(commands) == 9 and commands <= {argv[0] for argv in PARSE_CORPUS if argv}
 
     @pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "(empty)")
     def test_same_namespace_or_error_as_the_full_parser(self, argv):
         expected = _parse_outcome(cli.build_parser({}).parse_args, argv)
-        assert _parse_outcome(partial(cli._parse, cli.build_parser({})), argv) == expected
+        assert _parse_outcome(_main_parse({}), argv) == expected
 
-    def test_a_named_request_skips_the_top_level_parser(self, capsys, monkeypatch):
+    @settings(max_examples=400, deadline=None)
+    @given(argv=canonical_argvs(), config=st.sampled_from([{}, FULL_CONFIG]))
+    def test_canonical_argv_is_parsed_directly_as_argparse_would(self, argv, config):
+        parse = cli.build_parser(config).parse_args
+        expected = _parse_outcome(parse, argv)
+        assert _parse_outcome(_main_parse(config), argv) == expected
+        # A canonical argv argparse accepts never falls back to it.
+        direct = cli._parse_canonical(cli._parser_for(config)[1], argv)
+        assert (direct is None) == isinstance(expected, str)
+
+    @pytest.mark.parametrize("argv", [
+        ["check", M0], ["closedform", "5", "42", "-46"], ["closedform", "1", "0", "0", "--mu=1,1,1"],
+        ["descend", M1, "--mu", "1,2,3"], ["orbit", "--max-level", "1", "--output=csv"],
+        ["relations", "--seed", "-3", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_a_canonical_request_calls_no_parse_args(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
-        monkeypatch.setattr(cli._parser_for({}), "parse_args",
-                            lambda argv: pytest.fail("the top-level parser ran"))
-        assert run(capsys, "check", M0)[0] == 0
+
+        def fail(*args, **kwargs):
+            pytest.fail("argparse parsed a canonical request")
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", fail)
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", fail)
+        assert run(capsys, *argv)[0] == 0
 
     def test_subcommand_help_is_the_same(self, capsys):
         outs = []
-        for parse in (cli.build_parser({}).parse_args, partial(cli._parse, cli.build_parser({}))):
+        for parse in (cli.build_parser({}).parse_args, main):
             with pytest.raises(SystemExit) as exc:
                 parse(["check", "--help"])
             assert exc.value.code == 0
