@@ -794,7 +794,8 @@ class TestDispatchedParse:
         ["check", M0], ["closedform", "5", "42", "-46"], ["closedform", "1", "0", "0", "--mu=1,1,1"],
         ["descend", M1, "--mu", "1,2,3"], ["orbit", "--max-level", "1", "--output=csv"],
         ["relations", "--seed", "-3", "--trials", "2"],
-    ], ids=lambda argv: argv[0])
+    ], ids=["check", "closedform-negative", "closedform-mu-equals", "descend",
+            "orbit-output-equals", "relations-negative-seed"])
     def test_a_canonical_request_calls_no_parse_args(self, capsys, monkeypatch, argv):
         monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
 
