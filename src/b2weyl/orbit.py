@@ -2,9 +2,9 @@
 
 The orbit of (0,0,0) under the three affine reflections coincides with
 the set of quadric solutions whose coefficients are nonnegative multiples
-of four; this module enumerates it with exact deduplication, tests that
-lattice membership, and walks any member back to the origin by the
-greedy descent on its closed-form id.  Its BFS, ``OrbitWalk``,
+of four; this module enumerates it, building each element once from its
+canonical parent, tests that lattice membership, and walks any member
+back to the origin by the greedy descent on its closed-form id.  Its BFS, ``OrbitWalk``,
 streams the orbit of any ``ReflectionSystem`` level by level; the rank-one
 and rank-two orbits go through it too.
 """
@@ -60,12 +60,7 @@ class OrbitWalk:
     ``levels()`` is the walk's one loop: it yields each level whole, as a
     tuple of plain entries; iterating the walk yields the same elements
     one by one as ``OrbitElement``s.  Each level is sorted by coefficient
-    matrix (row-major), which is unique on it, and expanded in that order
-    (then by generator index), so every element keeps its canonical
-    first-discoverer word.  For B2(1) that word is
-    ``",".join(map(str, reversed(closedform.reduced_word(m1, m2))))``: a
-    rule the test suite checks on every element through depth 64, not one
-    proven here.
+    matrix (row-major), which is unique on it.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
     values at unit weights: generator i raises the length exactly when it
@@ -77,25 +72,42 @@ class OrbitWalk:
     the current and next levels are held.  A generator that leaves a row
     sum unchanged cannot be ordered this way and raises ValueError.
 
-    The next level is keyed by the child's row sums, computed for the
-    ascent test anyway, so a child already found is dropped before its
-    row is built: each element's matrix is built once.  The key is exact
-    because equal row sums mean the same element.  For B2(1) the
-    closed-form id is read off the sums alone (``closedform.invert_rows``,
-    which checks every CSV row against the family's matrix); the ``SINH``
-    orbit is the chain ``sinh_closed_form(m)``, whose row sums 2m(m + 1)
-    and 2m(m - 1), ordered by the parity of m, give m back
-    (``sinh_invert``); and each finite rank-two orbit is checked
-    exhaustively by the test suite, as are the B2(1) walk at depth 128 and
-    the ``SINH`` walk.  A word is the text ``b2weyl orbit`` prints, the
-    generator indices joined by commas, so a level-n word costs about
-    2n + 48 bytes (a tuple costs 8 per generator) and is not tracked by
-    the garbage collector; memory grows as the level size times the word
-    length.
+    Each element is built from its canonical parent, as in reverse search
+    (Avis-Fukuda, Discrete Appl. Math. 65, 1996): the child r_i g of an
+    element g is kept only when no generator j < i is a descent of it.
+    The child differs from g in row i alone, so its total for j is g's
+    total for j minus 2a_ji times row i's rise, compared with sum_j; no
+    child is looked up.  Proof that the walk is exact.  (a) Every element
+    h but the origin has a descent, a generator j with r_j h one level
+    lower (the last letter of a shortest word), so a smallest one.
+    (b) The walk keeps an ascent r_i g of g exactly when i is the
+    smallest descent of r_i g, and i is one, as r_i r_i g = g.  So h, with smallest
+    descent j, is built from the one parent r_j h with the one generator
+    j, and by induction on the level every element is built exactly
+    once, on every system.  (c) So the last letter of a word is the
+    element's smallest descent: the word is the smallest-descent normal
+    form (Bjorner-Brenti, ch. 3) read backwards.  For B2(1),
+    ``closedform.reduced_word`` steps first by the smallest generator
+    whose row sum falls, the smallest descent, then goes on from r_j h;
+    by induction on its steps the word is
+    ``",".join(map(str, reversed(closedform.reduced_word(m1, m2))))``.
+    (d) A descent never raises an entry of its row (checked edge by edge
+    by the test suite) and lowers the row's sum, so for j < k the parent
+    r_j h sorts before r_k h: the canonical parent is the matrix-least
+    one, and each word is the one a BFS expanding each level in matrix
+    order, then generator order, finds first.
+    A word is the text ``b2weyl orbit`` prints, the generator indices
+    joined by commas, so a level-n word costs about 2n + 48 bytes (a
+    tuple costs 8 per generator) and is not tracked by the garbage
+    collector; memory grows as the level size times the word length.
 
     A child with a coefficient above ``max_coefficient`` is pruned and sets
-    ``pruned``; a descent never raises an entry of its row, so the bound
-    cuts off no element that a shorter path would reach.  Once the walk
+    ``pruned``.  Pruning stays sound: by (d) the canonical parent of an
+    element within the bound is within it, so the walk finds every
+    element within the bound, at its level; and when an ascent from the
+    walk leaves the bound, the first element over it on that child's
+    canonical path is a canonical child of the walk, so ``pruned`` is set
+    exactly as a walk that tries every ascent would set it.  Once the walk
     has been iterated (by either route), ``count`` is the number of
     elements and ``exhausted`` tells whether a level came out empty before
     ``max_level``; each new iteration starts them afresh, and ``count``
@@ -140,20 +152,24 @@ class OrbitWalk:
         system, bound, rank = self.system, self.max_coefficient, self.system.rank
         digits = [str(i + 1) for i in range(rank)]
         commas = ["," + digit for digit in digits]
+        # Per generator i: its row map and the (j, 2a_ji) of the generators j < i.
+        moves = [(i, pairs, [(j, system.doubled[j][i]) for j in range(i)])
+                 for i, pairs in enumerate(system.row_maps)]
         current = ((((0,) * rank,) * rank, "", (0,) * rank),)
         for level in range(self.max_level + 1):
             self.count += len(current)
             yield level, current
             if level == self.max_level:
                 return
-            # row sums -> (coefficient matrix, word, row sums)
-            following: dict[tuple[int, ...], tuple[tuple, str, tuple[int, ...]]] = {}
+            following: list[tuple[tuple, str, tuple[int, ...]]] = []
             steps = commas if level else digits  # the origin's word is empty
             for coeff, word, sums in current:
-                for i, pairs in enumerate(system.row_maps):
+                totals = []
+                for i, pairs, earlier in moves:
                     total = 4
                     for j, w in pairs:
                         total += w * sums[j]
+                    totals.append(total)
                     if total <= sums[i]:
                         if total == sums[i]:
                             raise ValueError(
@@ -161,18 +177,21 @@ class OrbitWalk:
                                 f"{total} unchanged at {coeff}; the walk cannot "
                                 "order this edge")
                         continue  # a descent: the child is on the previous level
-                    child_sums = sums[:i] + (total,) + sums[i + 1:]
-                    if child_sums in following:
-                        continue
-                    child = _reflected_coeff(coeff, i, pairs)
-                    if bound is not None and max(child[i]) > bound:  # the other rows passed
-                        self.pruned = True
-                        continue
-                    following[child_sums] = (child, word + steps[i], child_sums)
+                    rise = total - sums[i]
+                    for j, a in earlier:
+                        if totals[j] - a * rise < sums[j]:
+                            break  # j < i is a descent of the child: not its canonical parent
+                    else:
+                        child = _reflected_coeff(coeff, i, pairs)
+                        if bound is not None and max(child[i]) > bound:  # the other rows passed
+                            self.pruned = True
+                            continue
+                        following.append((child, word + steps[i],
+                                          sums[:i] + (total,) + sums[i + 1:]))
             if not following:
                 self.exhausted = True
                 return
-            current = tuple(sorted(following.values(), key=itemgetter(0)))  # matrices are unique
+            current = tuple(sorted(following, key=itemgetter(0)))  # matrices are unique
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:
@@ -190,9 +209,29 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
 
     The three flags are: all coefficients nonnegative, all divisible by
     four, and identically vanishing quadric residual.  Every orbit member
-    passes.  That every passing vector lies in the orbit is checked by the
-    tests (the depth-64 walk, closed-form ids far beyond it, an exhaustive
-    small box) but not proven (ROADMAP item 3); descent does not use it.
+    passes, and a matrix that passes the last two is an orbit member, so
+    nonnegative: the certificate characterizes the orbit.  Descent does
+    not use it.
+
+    Proof.  Write C = 4c, with rows c1, c2, c3, and a = c1 - c3,
+    b = c2 - c3.  Identically in mu the quadric reads
+    sym(D c) = a a^T + b b^T, with D = diag(1, 1, 2).  Its diagonal fixes
+    c3 = (a1^2 + b1^2 - a1, a2^2 + b2^2 - b2, (a3^2 + b3^2)/2).  Entry
+    (1, 2) then reads x(x - 1) + y(y + 1) = 0, with x = a1 - a2 and
+    y = b1 - b2; over the integers both terms are >= 0, so x is 0 or 1
+    and y is 0 or -1.  Entry (1, 3) reads (u + 1)^2 + v^2 = 1, with
+    u = a3 - 2a1 and v = b3 - 2b1: four (u, v).  Entry (2, 3) reads
+    p^2 + (r + 1)^2 = 1, with p = u + 2x and r = v + 2y, and exactly 8 of
+    the 16 cases (x, y, u, v) pass it.  In each, m1 = sum(a) = 4a1 - x + u
+    and m2 = sum(b) = 4b1 - y + v (the row sums are four times c's), so a
+    case has one residue pair mod 4, and the eight pairs are the eight
+    admissible types.  So the type and id read off the row sums fix the
+    case and (a1, b1), and with them c: each entry is a polynomial of
+    degree <= 2 in a1 and in b1.  The family at that id is one too, and
+    the tests find the two equal on a 3 x 3 grid of (a1, b1) in each case,
+    so they are equal everywhere.  By points (1) and (2) of the
+    ``closedform`` docstring that closed form is an orbit element.
+    Nonnegativity is never used.
     """
     entries = [v for row in sigma.coeff for v in row]
     nonneg = all(v >= 0 for v in entries)
