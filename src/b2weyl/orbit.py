@@ -4,9 +4,9 @@ The orbit of (0,0,0) under the three affine reflections coincides with
 the set of quadric solutions whose coefficients are nonnegative multiples
 of four; this module enumerates it, building each element once from its
 canonical parent, tests that lattice membership, and walks any member
-back to the origin by the greedy descent on its closed-form id.  Its BFS, ``OrbitWalk``,
-streams the orbit of any ``ReflectionSystem`` level by level; the rank-one
-and rank-two orbits go through it too.
+back to the origin by the greedy descent on its closed-form id.  Its
+BFS, ``OrbitWalk``, streams the orbit of any ``ReflectionSystem`` level
+by level; the rank-one and rank-two orbits go through it too.
 """
 
 from __future__ import annotations
@@ -81,10 +81,10 @@ class OrbitWalk:
     h but the origin has a descent, a generator j with r_j h one level
     lower (the last letter of a shortest word), so a smallest one.
     (b) The walk keeps an ascent r_i g of g exactly when i is the
-    smallest descent of r_i g, and i is one, as r_i r_i g = g.  So h, with smallest
-    descent j, is built from the one parent r_j h with the one generator
-    j, and by induction on the level every element is built exactly
-    once, on every system.  (c) So the last letter of a word is the
+    smallest descent of r_i g, and i is one, as r_i r_i g = g.  So h,
+    with smallest descent j, is built from the one parent r_j h with the
+    one generator j, and by induction on the level every element is
+    built exactly once, on every system.  (c) So the last letter of a word is the
     element's smallest descent: the word is the smallest-descent normal
     form (Bjorner-Brenti, ch. 3) read backwards.  For B2(1),
     ``closedform.reduced_word`` steps first by the smallest generator

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from b2weyl import algebra, cli, orbit
 from b2weyl.algebra import (B2, MassVector, ReflectionSystem, Weights, ZERO, _word_map,
                             apply_word, quadric_form, reflect)
-from b2weyl.closedform import (ADMISSIBLE_TYPES, TYPE_BY_FAMILY, admissible_parameters,
-                               closed_form_eval, invert_to_closed_form)
+from b2weyl.closedform import (ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY,
+                               admissible_parameters, closed_form_eval, invert_to_closed_form)
 from b2weyl.orbit import (
     _RELATIONS,
     OrbitElement,
@@ -347,6 +347,57 @@ def test_every_certified_matrix_in_the_bound_10_box_is_a_closed_form():
     assert {coeff for coeff, _, _ in found} == set(filter(in_box, closed_forms))
 
 
+# The (u, v) with (u + 1)^2 + v^2 = 1: entry (1, 3) of the quadric.
+CERTIFICATE_UV = ((0, 0), (-2, 0), (-1, 1), (-1, -1))
+
+
+def certificate_cases():
+    """The cases (x, y, u, v) of the ``is_member_gamma_N`` proof that entry (2, 3) keeps.
+
+    Entry (1, 2) of the quadric leaves x in {0, 1} and y in {0, -1},
+    entry (1, 3) leaves the four ``CERTIFICATE_UV``, and entry (2, 3)
+    keeps a case when p^2 + (r + 1)^2 = 1, with p = u + 2x and r = v + 2y.
+    """
+    return [(x, y, u, v) for x, y, (u, v) in itertools.product((0, 1), (0, -1), CERTIFICATE_UV)
+            if (u + 2 * x) ** 2 + (v + 2 * y + 1) ** 2 == 1]
+
+
+def test_the_certificate_cases_are_the_eight_types():
+    # The two circle equations have no integer solutions but the ones
+    # enumerated (a solution lies within distance 1 of the centre), and of
+    # the 16 cases exactly 8 pass entry (2, 3).  A case's id is
+    # (m1, m2) = (4a1 - x + u, 4b1 - y + v), so its residue pair mod 4 is
+    # ((u - x) % 4, (v - y) % 4): one admissible type per case, each once.
+    r = range(-3, 4)
+    assert {(x, y) for x in r for y in r
+            if x * (x - 1) + y * (y + 1) == 0} == {(0, 0), (0, -1), (1, 0), (1, -1)}
+    assert {(u, v) for u in r for v in r if (u + 1) ** 2 + v ** 2 == 1} == set(CERTIFICATE_UV)
+    cases = certificate_cases()
+    assert len(cases) == 8
+    assert {((u - x) % 4, (v - y) % 4) for x, y, u, v in cases} == ADMISSIBLE_TYPES
+
+
+@pytest.mark.parametrize("case", certificate_cases(), ids=lambda case: "x{}y{}u{}v{}".format(*case))
+def test_each_certificate_case_is_its_closed_form(case):
+    # In each case c is built from (a1, b1) alone: a = (a1, a1 - x, u + 2a1),
+    # b = (b1, b1 - y, v + 2b1) and c3 from the quadric's diagonal.  Every
+    # entry, and every entry of the family at the id, is a polynomial of
+    # degree <= 2 in a1 and in b1, so agreeing on a 3 x 3 grid they agree
+    # for every (a1, b1), as in test_criterion_04_commuting_square.
+    x, y, u, v = case
+    for a1, b1 in itertools.product(range(-1, 2), repeat=2):
+        a = (a1, a1 - x, u + 2 * a1)
+        b = (b1, b1 - y, v + 2 * b1)
+        c33, odd = divmod(a[2] ** 2 + b[2] ** 2, 2)
+        assert not odd
+        c3 = (a[0] ** 2 + b[0] ** 2 - a[0], a[1] ** 2 + b[1] ** 2 - b[1], c33)
+        sigma = MassVector(tuple(tuple(4 * (d + t) for d, t in zip(row, c3))
+                                 for row in (a, b, (0, 0, 0))))
+        assert not any(quadric_form(sigma)) and is_member_gamma_N(sigma).member
+        m1, m2 = 4 * a1 - x + u, 4 * b1 - y + v
+        assert closed_form_eval((FAMILY_BY_TYPE[(m1 % 4, m2 % 4)], m1, m2)) == sigma
+
+
 WORDS = st.lists(st.sampled_from((1, 2, 3)), max_size=8).map(tuple)
 
 
@@ -467,8 +518,8 @@ A3_AFFINE = affine_system("A3(1)", ((2, -1, 0, -1), (-1, 2, -1, 0), (0, -1, 2, -
                                     (-1, 0, -1, 2)), (1, 1, 1, 1))
 
 # (system, BFS depth, degrees of the finite group, exponents if affine);
-# B2(1) also at depth 128, the benchmark's JSON depth, where a wrong merge
-# of two elements on the next level would show as a short level.
+# B2(1) also at depth 128, the benchmark's JSON depth, where an element
+# built twice or never would show in its level's count.
 POINCARE_CASES = [
     pytest.param(B2, 40, (2, 4), (1, 3), id=B2.name),
     pytest.param(B2, 128, (2, 4), (1, 3), id=f"{B2.name}-128"),
@@ -662,22 +713,47 @@ SUMS_KEY_CASES = ([(B2, 128), (SINH, 200)]
 @pytest.mark.parametrize("system,depth", SUMS_KEY_CASES,
                          ids=[f"{c[0].name}-{c[1]}" for c in SUMS_KEY_CASES])
 def test_row_sums_tell_the_orbit_elements_apart(system, depth):
-    # The walk keys its next level on the row sums, so two elements with
-    # equal sums would be merged.  The reference BFS keys on the matrices:
-    # over everything it finds, the sums are pairwise distinct.  For a
-    # finite orbit the reference closes, so the check is exhaustive.
+    # A property of the orbits, which the walk no longer relies on: it
+    # builds each element from its canonical parent and looks nothing up.
+    # The reference BFS keys on the matrices: over everything it finds, the
+    # sums are pairwise distinct.  For a finite orbit the reference closes,
+    # so the check is exhaustive.
     triples, _, exhausted = reference_bfs(system, depth)
     sums = {sigma.coefficient_sums() for _, sigma, _ in triples}
     assert len(sums) == len(triples)
     assert exhausted == (system in SUBSYSTEMS.values())
 
 
+@pytest.mark.parametrize("system,depth,bound", UNBOUNDED_CASES,
+                         ids=[f"{c[0].name}-{c[1]}" for c in UNBOUNDED_CASES])
+def test_walk_word_ends_in_the_smallest_descent(system, depth, bound):
+    # The canonical-parent rule, read off the oracle: the last letter of
+    # every walk word is the element's smallest descent, the smallest j
+    # whose reflection sits one level lower in the reference BFS.  That
+    # parent is the matrix-least of the element's descent parents, which
+    # ties the rule to the reference's first-discoverer order (a descent
+    # never raises an entry of its row, so it sorts first).
+    triples, _, _ = reference_bfs(system, depth)
+    levels = {sigma: level for level, sigma, _ in triples}
+    seen = 0
+    for el in OrbitWalk(system, depth):
+        if not el.level:
+            continue
+        parents = {j: reflect(el.sigma, j, system) for j in range(1, system.rank + 1)}
+        descents = [j for j, parent in parents.items() if levels.get(parent) == el.level - 1]
+        assert el.word[-1] == min(descents)
+        assert min((parents[j] for j in descents), key=attrgetter("coeff")) == parents[el.word[-1]]
+        seen += 1
+    assert seen == len(triples) - 1
+
+
 @pytest.mark.parametrize("system,depth", [(B2, 64), (SINH, 40), (PAIR_13, 16)],
                          ids=["B2(1)-64", "sinh-40", "pair_13-16"])
 def test_each_element_is_reflected_once(monkeypatch, system, depth):
-    # A child whose sums are already on the next level is dropped before
-    # its row is built, so an unpruned walk builds each element but the
-    # origin exactly once, whether it stops at its depth or closes first.
+    # A child is built only from its canonical parent, the one reached by
+    # its smallest descent, so by construction an unpruned walk builds each
+    # element but the origin exactly once, whether it stops at its depth or
+    # closes first.
     calls = []
 
     def counted(coeff, i, pairs):
@@ -758,10 +834,10 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
 
 
 def test_walk_words_are_the_reversed_descent_words():
-    # The walk's first-discoverer word is the greedy descent word, which
-    # steps by the smallest generator that lowers the length, read
-    # backwards.  Checked on every element through depth 64; not proven in
-    # general.
+    # The walk's word is the greedy descent word, which steps by the
+    # smallest generator that lowers the length, read backwards: the
+    # OrbitWalk docstring proves it, by induction on reduced_word's steps.
+    # Checked here on every element through depth 64.
     walk = OrbitWalk(B2, 64)
     for _, entries in walk.levels():
         for coeff, word, _ in entries:
