@@ -95,6 +95,8 @@ CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
 _JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
                 '"type":[%d,%d]')
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
+# The record of a vector the closed-form inversion accepts: an orbit element.
+_MEMBER_RECORD = '{"member":true,"nonneg":true,"div4":true,"quadric_zero":true}\n'
 
 
 # A cascade record: the move, then the state after it.  Move texts are
@@ -110,17 +112,11 @@ def _word_text(word) -> str:
     return bytes(word).translate(_DIGITS).decode("ascii").replace("", ",")[1:-1]
 
 
-def _sigma_texts(coeff, weights) -> list[str]:
-    """``str(Fraction)`` of each component at the weights, without the Fractions.
-
-    ``coeff`` is a coefficient matrix the engine built, and ``weights``
-    is anything ``algebra.scaled_values`` takes.
-    """
-    return algebra.ratio_texts(*algebra.scaled_values(MassVector._unchecked(coeff), weights))
-
-
 def _b2_sigma_texts(coeff, weights: Weights) -> list[str]:
-    """``_sigma_texts`` of a B2(1) matrix: three flat dot products with ``weights.scaled``."""
+    """``str`` of each component of a B2(1) matrix at the weights, without the Fractions.
+
+    Three flat dot products with ``weights.scaled``, over its denominator.
+    """
     (a, b, c), (d, e, f), (g, h, k) = coeff
     (m1, m2, m3), q = weights.scaled
     return algebra.ratio_texts((a * m1 + b * m2 + c * m3, d * m1 + e * m2 + f * m3,
@@ -198,7 +194,17 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_check(args) -> int:
+    # A vector the closed-form inversion accepts is an orbit element (points
+    # (1) and (2) of the closedform docstring), so every flag of its
+    # certificate holds; the certificate is built only for the rest.
     sigma = _parse_matrix(args.sigma)
+    try:
+        closedform.invert_to_closed_form(sigma)
+    except ValueError:
+        pass
+    else:
+        sys.stdout.write(_MEMBER_RECORD)
+        return 0
     cert = orbit.is_member_gamma_N(sigma)
     _emit({"member": cert.member, "nonneg": cert.nonneg, "div4": cert.div4,
            "quadric_zero": cert.quadric_zero})
@@ -210,14 +216,14 @@ def cmd_descend(args) -> int:
     # --mu is validated, but the descent word does not depend on it.
     if _parse_mu(args.mu) is None:
         raise UsageError("descent probe must be numeric")
-    _emit({"word": orbit.descend_to_origin(sigma)})
+    sys.stdout.write('{"word":[%s]}\n' % _word_text(orbit.descend_to_origin(sigma)))
     return 0
 
 
 def cmd_type(args) -> int:
     # The type of the verified closed form, so a vector outside the orbit fails.
     cid = closedform.invert_to_closed_form(_parse_matrix(args.sigma))
-    _emit({"type": list(closedform.TYPE_BY_FAMILY[cid.ell])})
+    sys.stdout.write('{"type":[%d,%d]}\n' % closedform.TYPE_BY_FAMILY[cid.ell])
     return 0
 
 
@@ -248,25 +254,39 @@ def cmd_relations(args) -> int:
     return 1 if failures else 0
 
 
-def cmd_sinh(args) -> int:
-    mu = _parse_pair(args.mu) if args.mu else None
+def _rank_two_texts(coeff, scaled) -> list[str]:
+    """``str`` of each component of a 2x2 matrix at the weights ``scaled`` = ((w1, w2), q).
 
-    def rec(vec: MassVector) -> dict:
+    Two flat dot products over the one denominator q, with no Fractions.
+    """
+    (a, b), (c, d) = coeff
+    (w1, w2), q = scaled
+    return algebra.ratio_texts((a * w1 + b * w2, c * w1 + d * w2), q)
+
+
+def cmd_sinh(args) -> int:
+    # The weights are scaled once per request; each record is one template.
+    scaled = algebra._scale(_parse_pair(args.mu)) if args.mu else None
+    template = ('{"coeff":[[%d,%d],[%d,%d]],"m":%d,"level":%d'
+                + ("" if scaled is None else ',"sigma":["%s","%s"]') + "}\n")
+
+    def record(vec: MassVector) -> str:
         m = sinh.sinh_invert(vec)
-        out = {"coeff": [list(row) for row in vec.coeff], "m": m, "level": abs(m)}
-        if mu is not None:
-            out["sigma"] = _sigma_texts(vec.coeff, mu)
-        return out
+        row1, row2 = vec.coeff
+        fields = (*row1, *row2, m, abs(m))
+        if scaled is not None:
+            fields += tuple(_rank_two_texts(vec.coeff, scaled))
+        return template % fields
 
     if args.closed_form is not None:
-        _emit(rec(sinh.sinh_closed_form(args.closed_form)))
+        sys.stdout.write(record(sinh.sinh_closed_form(args.closed_form)))
         return 0
     if args.max_level is None:
         raise UsageError("sinh needs --max-level or --closed-form")
     if args.max_level < 0:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     for vec in sinh.sinh_orbit(args.max_level):
-        _emit(rec(vec))
+        sys.stdout.write(record(vec))
     return 0
 
 
@@ -276,14 +296,18 @@ def cmd_weyl2(args) -> int:
             raise UsageError("--part needs --alpha a1,a2")
         a1, a2 = _parse_pair(args.alpha)
         try:
-            result = weyl2.appendix_table(args.part, a1, a2)
+            if args.part == "c":
+                pairs, q = weyl2.appendix_pairs(a1, a2)
+            else:
+                result = weyl2.appendix_table(args.part, a1, a2)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         if args.part == "a":
-            _emit({"part": "a", "tuple": [str(result[0]), str(result[1])]})
+            sys.stdout.write('{"part":"a","tuple":["%s","%s"]}\n' % result)
         elif args.part == "c":
-            tuples = sorted(result)
-            _emit({"part": "c", "tuples": [[str(u), str(v)] for u, v in tuples]})
+            tuples = ",".join('["%s","%s"]' % tuple(algebra.ratio_texts(pair, q))
+                              for pair in pairs)
+            sys.stdout.write('{"part":"c","tuples":[%s]}\n' % tuples)
         else:
             _emit({"part": "b", "tuples": [list(t) for t in result.tuples],
                    "all_nonnegative": result.all_nonnegative,
@@ -295,12 +319,15 @@ def cmd_weyl2(args) -> int:
     sub = weyl2.SUBSYSTEMS.get(args.subsystem)
     if sub is None:
         raise UsageError(f"unknown subsystem {args.subsystem!r}")
-    values = _parse_pair(args.weights) if args.weights else None
+    scaled = algebra._scale(_parse_pair(args.weights)) if args.weights else None
+    template = ('{"coeff":[[%d,%d],[%d,%d]]'
+                + ("" if scaled is None else ',"values":["%s","%s"]') + "}\n")
     for coeff in weyl2.finite_orbit(sub):
-        rec = {"coeff": [list(row) for row in coeff]}
-        if values is not None:
-            rec["values"] = _sigma_texts(coeff, values)
-        _emit(rec)
+        row1, row2 = coeff
+        fields = (*row1, *row2)
+        if scaled is not None:
+            fields += tuple(_rank_two_texts(coeff, scaled))
+        sys.stdout.write(template % fields)
     return 0
 
 

@@ -205,13 +205,16 @@ def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[
 
 
 def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
-    """Lattice membership test with per-condition certificate, for ``b2weyl check``.
+    """Lattice membership test with per-condition certificate.
 
     The three flags are: all coefficients nonnegative, all divisible by
     four, and identically vanishing quadric residual.  Every orbit member
     passes, and a matrix that passes the last two is an orbit member, so
     nonnegative: the certificate characterizes the orbit.  Descent does
-    not use it.
+    not use it, and ``b2weyl check`` builds it only when the closed-form
+    inversion fails: a vector the inversion accepts is an orbit element,
+    so all three flags hold, and by this proof every vector it rejects is
+    a non-member.
 
     Proof.  Write C = 4c, with rows c1, c2, c3, and a = c1 - c3,
     b = c2 - c3.  Identically in mu the quadric reads

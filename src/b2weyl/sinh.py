@@ -24,13 +24,16 @@ SINH_SYMMETRIZER = (1, 1)
 SINH = ReflectionSystem("sinh", SINH_CARTAN, SINH_SYMMETRIZER)
 
 
+def _chain_rows(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The coefficient rows of the chain element with parameter m (parity selects the branch)."""
+    if m % 2:
+        return (((m + 1) ** 2, m * m - 1), (m * m - 1, (m - 1) ** 2))
+    return ((m * m, (m - 1) ** 2 - 1), ((m + 1) ** 2 - 1, m * m))
+
+
 def sinh_closed_form(m: int) -> MassVector:
     """The chain element with parameter m (parity selects the branch)."""
-    if m % 2:
-        rows = (((m + 1) ** 2, m * m - 1), (m * m - 1, (m - 1) ** 2))
-    else:
-        rows = ((m * m, (m - 1) ** 2 - 1), ((m + 1) ** 2 - 1, m * m))
-    return MassVector(rows)
+    return MassVector(_chain_rows(m))
 
 
 def sinh_orbit(max_level: int) -> list[MassVector]:
@@ -51,14 +54,17 @@ def sinh_orbit(max_level: int) -> list[MassVector]:
 def sinh_invert(sigma: MassVector) -> int:
     """Recover the chain parameter of an orbit element.
 
-    The coefficient-sum difference equals 4m up to the parity sign, so
-    both candidates are re-evaluated and compared exactly.
+    The coefficient-sum difference is 4m on the odd branch and -4m on the
+    even one, so d = (n1 - n2)/4, which has m's parity, names one
+    candidate: m = d when d is odd, else -d.  Its chain rows are compared
+    with ``sigma.coeff`` exactly.
     """
     n1, n2 = sigma.coefficient_sums()
     diff = n1 - n2
     if diff % 4:
         raise ValueError("coefficient-sum difference is not a multiple of 4")
-    for m in {diff // 4, -diff // 4}:
-        if sinh_closed_form(m) == sigma:
-            return m
-    raise ValueError("vector is not on the parametrized chain")
+    d = diff // 4
+    m = d if d % 2 else -d
+    if _chain_rows(m) != sigma.coeff:
+        raise ValueError("vector is not on the parametrized chain")
+    return m

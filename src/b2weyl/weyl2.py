@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Frozen, MassVector, Rational, ReflectionSystem, eval_at
+from .algebra import Frozen, Rational, ReflectionSystem, _scale
 from .orbit import OrbitWalk
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -127,6 +127,19 @@ def _check_strengths(alpha1: Fraction, alpha2: Fraction) -> None:
         raise ValueError("singular strengths must exceed -1")
 
 
+def appendix_pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
+    """The distinct part-(c) tuples as sorted integer pairs (u, v) over one denominator q.
+
+    Each tuple is (u/q, v/q), with q > 0 the lcm of the strengths'
+    denominators, so the pairs sort as the tuples do.  ValueError unless
+    both strengths exceed -1.
+    """
+    _check_strengths(alpha1, alpha2)
+    (n1, n2), q = _scale((alpha1, alpha2))
+    return sorted({(a * n1 + b * n2, c * n1 + d * n2)
+                   for (a, b), (c, d) in APPENDIX_C_COEFFS}), q
+
+
 def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
     """Quantization tables for the two-unknown system with one singular source.
 
@@ -134,17 +147,19 @@ def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
     part 'c': the set of eight base tuples with the strengths substituted.
     part 'b': certificate that every part-(c) tuple is a pair of
               nonnegative multiples of four when the strengths are natural.
+    Parts b and c read ``appendix_pairs``.
     """
     a1, a2 = Fraction(alpha1), Fraction(alpha2)
     _check_strengths(a1, a2)
     if part == "a":
         return (8 * a1 + 4 * a2 + 12, 8 * a1 + 8 * a2 + 16)
     if part == "c":
-        return {eval_at(MassVector(coeff), (a1, a2)) for coeff in APPENDIX_C_COEFFS}
+        pairs, q = appendix_pairs(a1, a2)
+        return {(Fraction(u, q), Fraction(v, q)) for u, v in pairs}
     if part == "b":
         if a1.denominator != 1 or a2.denominator != 1 or a1 < 0 or a2 < 0:
             raise ValueError("part (b) needs natural strengths (integers >= 0)")
-        tuples = tuple(sorted((int(u), int(v)) for u, v in appendix_table("c", a1, a2)))
+        tuples = tuple(appendix_pairs(a1, a2)[0])  # q is 1
         nonneg = all(u >= 0 and v >= 0 for u, v in tuples)
         div4 = all(u % 4 == 0 and v % 4 == 0 for u, v in tuples)
         return NaturalityCertificate(tuples, nonneg, div4)

@@ -103,6 +103,19 @@ CASES = [
     ("weyl2-subsystem-nonpositive", ["weyl2", "--subsystem", "appendix_uv",
                                      "--weights=-2/3,0"], None, 0,
      "c839e6c1fe6c0a9e666bf4d7865faf91420c809942bf3b7e13d5679f742baf07"),
+    # Outputs no other case covers: part a's two texts, part b's integer
+    # tuples and flags, a subsystem orbit without weights, a matrix whose
+    # negative entry fails the certificate, and the origin's type.
+    ("weyl2-part-a", ["weyl2", "--part", "a", "--alpha", "3/2,-1/3"], None, 0,
+     "0628cffacd3070d9d981690a31e488f8957c615612babb1ebd3aeb1f08d8bdff"),
+    ("weyl2-part-b", ["weyl2", "--part", "b", "--alpha", "2,3"], None, 0,
+     "d83385326efd3f4062ac5419020696e52679f4a6b411fcece74aecba16560740"),
+    ("weyl2-subsystem-no-weights", ["weyl2", "--subsystem", "pair_12"], None, 0,
+     "8caaf50068a36737f63c9ee9d14debff99f620aa10050d7d6eb16af48eb6c862"),
+    ("check-negative-entry", ["check", "8,0,8;0,-4,0;4,0,8"], None, 1,
+     "e7c87bd743593527c63cae2eaaa592ae687df21b466bc52b10233e8d2b8e833e"),
+    ("type-origin", ["type", "0,0,0;0,0,0;0,0,0"], None, 0,
+     "19ba806c7dd8359d070f08baa306b3facf5338f9a100ea7b598c4bb047fb37ed"),
     ("cascade-rejected", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
      REJECTED_SCENARIO, 1, "8a06bea291185a760739502df47b72fd6ab857208d642d506c18b09ba51339da"),
     ("cascade-accepted", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
