@@ -24,7 +24,9 @@ from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMer
 from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
                                invert_to_closed_form, type_of)
-from b2weyl.orbit import OrbitWalk, enumerate_orbit
+from b2weyl.orbit import OrbitWalk, enumerate_orbit, is_member_gamma_N
+from b2weyl.sinh import sinh_closed_form, sinh_orbit
+from b2weyl.weyl2 import APPENDIX_C_COEFFS, SUBSYSTEMS, appendix_table, finite_orbit
 from conftest import SRC, child_env
 from test_cascade import random_move
 from test_golden import CASES
@@ -258,6 +260,31 @@ class TestCheckCommand:
         code, out = run(capsys, "check", "4,0;0,0,0;0,0,0")
         assert code == 2
 
+    def test_record_and_exit_code_are_the_certificates(self, capsys):
+        # check prints the fixed member record when the closed-form inversion
+        # accepts the vector, and builds the certificate only otherwise; on
+        # every element through depth 32 and each single-entry perturbation
+        # by -4, -1, 1 or 4 the record and exit code must be the ones built
+        # from is_member_gamma_N.  The perturbations give near-misses,
+        # negative entries and non-multiples of four.
+        seen = set()
+        for el in OrbitWalk(B2, 32):
+            flat = [v for row in el.sigma.coeff for v in row]
+            for k, delta in [(0, 0)] + [(k, d) for k in range(9) for d in (-4, -1, 1, 4)]:
+                entries = [v + delta * (j == k) for j, v in enumerate(flat)]
+                rows = tuple(tuple(entries[r:r + 3]) for r in (0, 3, 6))
+                cert = is_member_gamma_N(MassVector(rows))
+                flags = {"member": cert.member, "nonneg": cert.nonneg, "div4": cert.div4,
+                         "quadric_zero": cert.quadric_zero}
+                text = ";".join(",".join(map(str, row)) for row in rows)
+                want = json.dumps(flags, separators=(",", ":")) + "\n"
+                argv = ("check", "--", text) if text[0] == "-" else ("check", text)
+                assert run(capsys, *argv) == (0 if cert.member else 1, want), text
+                seen.add(tuple(flags.values()))
+        # Members, near-misses, negative entries and non-multiples of four.
+        assert seen >= {(True, True, True, True), (False, True, True, False),
+                        (False, False, True, False), (False, True, False, False)}
+
 
 class TestDescendCommand:
     def test_two_step_word(self, capsys):
@@ -369,6 +396,109 @@ class TestClosedFormCommand:
         assert code == 1
         assert json_lines(out) == [{"error": "verification", "detail": f"inadmissible "
                                     f"(1,{m1},{m2}): parameters are not congruent to (0, 0) mod 4"}]
+
+
+def _oracle_line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _oracle_pair(text):
+    return tuple(Fraction(part) for part in text.split(","))
+
+
+def sinh_oracle(closed_form, max_level, mu):
+    """The stdout of ``b2weyl sinh`` built as the CLI once built it.
+
+    Each record is a dict with its sigma from ``eval_at`` Fractions, put
+    through the JSON encoder; the chain parameter is found by trying both
+    signs of the coefficient-sum difference over 4, compared as vectors.
+    """
+    weights = None if mu is None else _oracle_pair(mu)
+
+    def record(vec):
+        n1, n2 = vec.coefficient_sums()
+        (m,) = [m for m in {(n1 - n2) // 4, (n2 - n1) // 4} if sinh_closed_form(m) == vec]
+        out = {"coeff": [list(row) for row in vec.coeff], "m": m, "level": abs(m)}
+        if weights is not None:
+            out["sigma"] = [str(v) for v in eval_at(vec, weights)]
+        return _oracle_line(out)
+
+    vectors = [sinh_closed_form(closed_form)] if max_level is None else sinh_orbit(max_level)
+    return "".join(map(record, vectors))
+
+
+def weyl2_oracle(subsystem, weights, part, alpha):
+    """The stdout of ``b2weyl weyl2`` built as the CLI once built it, from dicts and Fractions."""
+    if subsystem is not None:
+        values = None if weights is None else _oracle_pair(weights)
+        lines = []
+        for coeff in finite_orbit(SUBSYSTEMS[subsystem]):
+            rec = {"coeff": [list(row) for row in coeff]}
+            if values is not None:
+                rec["values"] = [str(v) for v in eval_at(MassVector(coeff), values)]
+            lines.append(_oracle_line(rec))
+        return "".join(lines)
+    a1, a2 = _oracle_pair(alpha)
+    if part == "a":
+        u, v = appendix_table("a", a1, a2)
+        return _oracle_line({"part": "a", "tuple": [str(u), str(v)]})
+    tuples = sorted({eval_at(MassVector(coeff), (a1, a2)) for coeff in APPENDIX_C_COEFFS})
+    if part == "c":
+        return _oracle_line({"part": "c", "tuples": [[str(u), str(v)] for u, v in tuples]})
+    nonneg = all(u >= 0 and v >= 0 for u, v in tuples)
+    div4 = all(u % 4 == 0 and v % 4 == 0 for u, v in tuples)
+    return _oracle_line({"part": "b", "tuples": [[int(u), int(v)] for u, v in tuples],
+                         "all_nonnegative": nonneg, "all_multiples_of_four": div4,
+                         "ok": nonneg and div4})
+
+
+def _oracle_cases():
+    """Seeded sinh and weyl2 requests as (argv, expected stdout builder arguments)."""
+    rng = random.Random(33)
+
+    def ratio(low):  # zero and negative values included
+        return str(Fraction(rng.randint(low, 9), rng.randint(1, 6)))
+
+    def pair(low=-9):
+        return f"{ratio(low)},{ratio(low)}"
+
+    def strengths():  # above -1: negative, fractional and integral values
+        return f"{Fraction(rng.randint(-3, 40), 4)},{Fraction(rng.randint(-3, 40), 4)}"
+
+    cases = [(["sinh", "--max-level", "0"], ("sinh", None, 0, None)),
+             (["sinh", "--max-level", "0", "--mu", "0,-3/2"], ("sinh", None, 0, "0,-3/2")),
+             (["weyl2", "--part", "c", "--alpha", "0,0"], ("weyl2", None, None, "c", "0,0")),
+             (["weyl2", "--part", "c", "--alpha", "2,5"], ("weyl2", None, None, "c", "2,5")),
+             (["weyl2", "--part", "b", "--alpha", "0,0"], ("weyl2", None, None, "b", "0,0"))]
+    for _ in range(12):
+        m, level, mu = rng.randint(-40, 40), rng.randint(0, 8), pair()
+        cases.append((["sinh", f"--closed-form={m}", f"--mu={mu}"], ("sinh", m, None, mu)))
+        cases.append((["sinh", "--closed-form", str(m)], ("sinh", m, None, None)))
+        cases.append((["sinh", "--max-level", str(level), f"--mu={mu}"],
+                      ("sinh", None, level, mu)))
+        name, weights = rng.choice(sorted(SUBSYSTEMS)), pair()
+        cases.append((["weyl2", "--subsystem", name, f"--weights={weights}"],
+                      ("weyl2", name, weights, None, None)))
+        cases.append((["weyl2", "--subsystem", name], ("weyl2", name, None, None, None)))
+        for part in "ac":
+            alpha = strengths()
+            cases.append((["weyl2", "--part", part, f"--alpha={alpha}"],
+                          ("weyl2", None, None, part, alpha)))
+        alpha = f"{rng.randint(0, 12)},{rng.randint(0, 12)}"
+        cases.append((["weyl2", "--part", "b", "--alpha", alpha],
+                      ("weyl2", None, None, "b", alpha)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("argv,spec", ORACLE_CASES, ids=[" ".join(c[0]) for c in ORACLE_CASES])
+def test_sinh_and_weyl2_records_match_the_dict_oracle(capsys, argv, spec):
+    oracle = sinh_oracle if spec[0] == "sinh" else weyl2_oracle
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines(keepends=True) == oracle(*spec[1:]).splitlines(keepends=True)
 
 
 class TestRelationsCommand:

@@ -617,6 +617,22 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
     return tuple(triples), pruned, not frontier
 
 
+def checked_levels(walk: OrbitWalk):
+    """``walk.levels()``, streamed, failing at the first level whose size is not the reference's.
+
+    A walk that builds an element more than once grows about threefold per
+    level, so a test that collected it whole would hang instead of failing;
+    the tests that read a whole walk stream it through here first.
+    """
+    triples, _, _ = reference_bfs(walk.system, walk.max_level, walk.max_coefficient)
+    sizes = Counter(level for level, _, _ in triples)
+    for level, entries in walk.levels():
+        if len(entries) != sizes[level]:
+            pytest.fail(f"{walk.system.name}: level {level} has {len(entries)} elements, "
+                        f"the reference BFS {sizes[level]}")
+        yield level, entries
+
+
 # (system, depth, coefficient bound): B2 deep and unbounded, every finite
 # system until it closes, the three other affine systems, B2 pruned at
 # three bounds (each prunes, and the orbit closes by level 10), a pruned B2
@@ -642,6 +658,8 @@ def test_oracle_cases_cover_every_flag_pair():
                          ids=[f"{c[0].name}-{c[1]}-{c[2]}" for c in ORACLE_CASES])
 def test_walk_matches_the_full_memory_bfs(system, depth, bound):
     walk = OrbitWalk(system, depth, bound)
+    for _ in checked_levels(walk):
+        pass
     got = tuple((el.level, el.sigma, el.word) for el in walk)
     want, pruned, exhausted = reference_bfs(system, depth, bound)
     assert got == want
@@ -736,7 +754,10 @@ def test_walk_word_ends_in_the_smallest_descent(system, depth, bound):
     triples, _, _ = reference_bfs(system, depth)
     levels = {sigma: level for level, sigma, _ in triples}
     seen = 0
-    for el in OrbitWalk(system, depth):
+    walk = OrbitWalk(system, depth)
+    for _ in checked_levels(walk):
+        pass
+    for el in walk:
         if not el.level:
             continue
         parents = {j: reflect(el.sigma, j, system) for j in range(1, system.rank + 1)}
@@ -762,7 +783,7 @@ def test_each_element_is_reflected_once(monkeypatch, system, depth):
 
     monkeypatch.setattr(orbit, "_reflected_coeff", counted)
     walk = OrbitWalk(system, depth)
-    for _ in walk.levels():
+    for _ in checked_levels(walk):
         pass
     assert not walk.pruned
     assert len(calls) == walk.count - 1
@@ -771,6 +792,8 @@ def test_each_element_is_reflected_once(monkeypatch, system, depth):
 def test_pruned_walk_matches_the_full_memory_bfs_at_every_bound():
     for bound in range(0, 129, 4):
         walk = OrbitWalk(B2, 12, bound)
+        for _ in checked_levels(walk):
+            pass
         got = tuple((el.level, el.sigma, el.word) for el in walk)
         want, pruned, exhausted = reference_bfs(B2, 12, bound)
         assert got == want, bound
@@ -839,7 +862,7 @@ def test_walk_words_are_the_reversed_descent_words():
     # OrbitWalk docstring proves it, by induction on reduced_word's steps.
     # Checked here on every element through depth 64.
     walk = OrbitWalk(B2, 64)
-    for _, entries in walk.levels():
+    for _, entries in checked_levels(walk):
         for coeff, word, _ in entries:
             assert word == ",".join(map(str, reversed(descend_to_origin(MassVector(coeff)))))
     assert walk.count == 5548

@@ -74,6 +74,16 @@ class TestClosedForm:
         with pytest.raises(ValueError):
             sinh_invert(mv2([[4, 0], [0, 4]]))
 
+    @pytest.mark.parametrize("rows,detail", [
+        ([[1, 0], [0, 0]], "not a multiple of 4"),
+        # Sum difference 12 names the one candidate m = 3, but these are
+        # the rows of m = -3 swapped, so they match neither sign.
+        ([[8, 16], [4, 8]], "not on the parametrized chain"),
+    ])
+    def test_invert_names_why_a_vector_is_off_the_chain(self, rows, detail):
+        with pytest.raises(ValueError, match=detail):
+            sinh_invert(mv2(rows))
+
 
 class TestOrbit:
     def test_level_one(self):
