@@ -6,6 +6,13 @@ gamma + 4n componentwise.  Far satellites merge as pure lattice shifts;
 a local collapse applies a reflection word to the orbit part.  The
 physical cascade only gains mass, so collapses that fail the gain bound
 at the probe weights are rejected as non-physical.
+
+One loop, ``_run``, applies moves: it carries the orbit part's rows, the
+lattice and the probe values as plain integer tuples and builds no state
+object per move.  ``replay`` is that loop from the origin and returns one
+``(coeff, lattice, values)`` tuple per move; ``step`` is one move of it,
+wrapped in a ``CascadeState``.  ``parse_scenario`` parses each distinct
+raw line once.
 """
 
 from __future__ import annotations
@@ -112,8 +119,11 @@ class Collapse(Frozen):
         try:
             return table[self.subset, self.variant]
         except KeyError:
-            raise ValueError(f"collapse on {self.subset} has no word for variant "
-                             f"{self.variant}") from None
+            raise self._no_word() from None
+
+    def _no_word(self) -> ValueError:
+        """The error of a collapse whose variant was changed after construction."""
+        return ValueError(f"collapse on {self.subset} has no word for variant {self.variant}")
 
     def describe(self) -> str:
         label = "".join(str(v) for v in self.subset)
@@ -169,34 +179,50 @@ def initial_state(probe: Weights | None = None) -> CascadeState:
 
 
 def step(state: CascadeState, move: Move) -> CascadeState:
-    """Apply one move, enforcing the physical gain bound.
+    """Apply one move, enforcing the physical gain bound: one move of ``_run``."""
+    coeff, lattice, values = _run(state, (move,))[0]
+    return CascadeState(MassVector._unchecked(coeff), lattice, state.probe, values)
+
+
+def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
+    """The ``(coeff, lattice, values)`` after each move, starting from ``state``.
 
     A satellite merge shifts the lattice by mass/4 and is always legal.
     A collapse keeps the lattice fixed and replaces the orbit part; if it
     changes the orbit part, the total mass at the probe must grow by at
     least min_i 4*mu_i, the lower bound the cascade realizes -- anything
     less is rejected as non-physical.  The collapse's word acts as one
-    precomposed affine map (``Collapse.row_map``) on the coefficient rows
+    precomposed affine map (``_COLLAPSE_MAPS``) on the coefficient rows
     and the probe values together, so the bound is checked in integers:
     q*gain against 4*min(M).
     """
-    if isinstance(move, SatelliteMerge):
-        if move.shift is None:
-            raise InvalidSatellite(f"invalid satellite {move.mass}: entries must be "
-                                   "nonnegative multiples of 4")
-        (a, b, c), (x, y, z) = state.lattice, move.shift
-        return CascadeState(state.gamma, (a + x, b + y, c + z), state.probe, state.values)
-
-    m, q = state.probe.scaled
-    coeff, values = _apply_row_map(move.row_map(), state.gamma.coeff, state.values, m)
-    if coeff == state.gamma.coeff:
-        return state
-    gain = sum(values) - sum(state.values)
-    if gain < 4 * min(m):
-        raise NonPhysicalMove(
-            f"non-physical move {move.describe()}: total mass gain {Fraction(gain, q)} "
-            f"falls below the bound {4 * min(state.probe.values)}")
-    return CascadeState(MassVector._unchecked(coeff), state.lattice, state.probe, values)
+    coeff, lattice, values = state.gamma.coeff, state.lattice, state.values
+    m = state.probe.scaled[0]
+    bound = 4 * min(m)
+    after = []
+    for move in moves:
+        if isinstance(move, SatelliteMerge):
+            if move.shift is None:
+                raise InvalidSatellite(f"invalid satellite {move.mass}: entries must be "
+                                       "nonnegative multiples of 4")
+            (a, b, c), (x, y, z) = lattice, move.shift
+            lattice = (a + x, b + y, c + z)
+        else:
+            try:
+                row_map = _COLLAPSE_MAPS[move.subset, move.variant]
+            except KeyError:
+                raise move._no_word() from None
+            rows, moved = _apply_row_map(row_map, coeff, values, m)
+            if rows != coeff:
+                gain = sum(moved) - sum(values)
+                if gain < bound:
+                    raise NonPhysicalMove(
+                        f"non-physical move {move.describe()}: total mass gain "
+                        f"{Fraction(gain, state.probe.scaled[1])} falls below the bound "
+                        f"{4 * min(state.probe.values)}")
+                coeff, values = rows, moved
+        after.append((coeff, lattice, values))
+    return after
 
 
 def _apply_row_map(row_map: tuple, coeff: tuple, old: tuple, m: Sequence[int]) -> tuple:
@@ -221,27 +247,25 @@ def parse_scenario(text: str) -> list[Move]:
 
     Blank lines and '#' comments are skipped.  Subsets are digit strings
     like 1, 12, 13; pair-{i,3} collapses need a variant token.  Moves are
-    immutable, so each distinct stripped line is parsed once per call and
-    its move shared by every repeat; a line that fails raises at once,
-    with its own line number.  Repeats are the rule, not a special case:
-    there are only twenty collapse lines (four fixed words and sixteen
-    pair variants), so any scenario of more than twenty collapses repeats
-    one.  A line seen once pays one dict probe and one insert.
+    immutable, so each distinct raw line is parsed once, in order of first
+    appearance, and its move shared by every repeat; the lines are then
+    mapped to moves in one pass.  Repeats are the rule, not a special
+    case: there are only twenty collapse lines (four fixed words and
+    sixteen pair variants), so any scenario of more than twenty collapses
+    repeats one.  A line that fails raises with the number of its first
+    occurrence, which is the first failing line in the text.
     """
-    moves: list[Move] = []
+    lines = text.splitlines()
     parsed: dict[str, Move] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        move = parsed.get(line)
-        if move is None:
+    for raw in dict.fromkeys(lines):
+        tokens = raw.split("#", 1)[0].split()
+        if tokens:
             try:
-                move = parsed[line] = _parse_move(line.split())
+                parsed[raw] = _parse_move(tokens)
             except ValueError as exc:
-                raise ValueError(f"scenario line {lineno}: {exc}") from exc
-        moves.append(move)
-    return moves
+                raise ValueError(f"scenario line {lines.index(raw) + 1}: {exc}") from exc
+    # Moves are always true; blank and comment lines map to None and drop out.
+    return list(filter(None, map(parsed.get, lines)))
 
 
 def _parse_move(tokens: list[str]) -> Move:
@@ -249,7 +273,7 @@ def _parse_move(tokens: list[str]) -> Move:
     if kind == "merge":
         if len(tokens) != 4:
             raise ValueError("merge takes exactly three masses")
-        return SatelliteMerge(tuple(int(t) for t in tokens[1:]))  # type: ignore[arg-type]
+        return SatelliteMerge(tuple(map(int, tokens[1:])))  # type: ignore[arg-type]
     if kind == "collapse":
         if len(tokens) not in (2, 3):
             raise ValueError("collapse takes a subset and an optional variant")
@@ -259,9 +283,11 @@ def _parse_move(tokens: list[str]) -> Move:
     raise ValueError(f"unknown move kind {kind!r}")
 
 
-def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[CascadeState]:
-    """Run a scenario from the origin state, returning the state after each move."""
-    states = [initial_state(probe)]
-    for move in moves:
-        states.append(step(states[-1], move))
-    return states[1:]
+def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[tuple]:
+    """Run a scenario from the origin: ``(coeff, lattice, values)`` after each move.
+
+    ``coeff`` is the orbit part's coefficient rows, ``lattice`` the lattice
+    shift, and ``values`` the orbit part at the probe as integers over
+    ``probe.scaled[1]`` (see ``CascadeState``).
+    """
+    return _run(initial_state(probe), moves)

@@ -73,7 +73,8 @@ def _parse_matrix(text: str) -> MassVector:
             parsed.append(tuple(map(int, entries)))
         except ValueError as exc:
             raise UsageError(f"bad integer in {row!r}") from exc
-    return MassVector(tuple(parsed))  # type: ignore[arg-type]
+    # Three rows of three entries each were checked above.
+    return MassVector._unchecked(tuple(parsed))  # type: ignore[arg-type]
 
 
 def _emit(obj) -> None:
@@ -345,19 +346,20 @@ def cmd_cascade(args) -> int:
         raise UsageError(str(exc)) from exc
     # Nothing is written until the whole replay has passed, so a rejected
     # scenario prints its error record alone.  The parser shares one move
-    # among repeated lines, so each move's text is built once; the total
-    # texts are rebuilt only when the scaled totals changed.
+    # among repeats of a line, so each move's text is built once; the total
+    # texts are rebuilt only when the scaled totals q*(gamma + 4n) changed.
     q = probe.scaled[1]
+    q4 = 4 * q
     lines, move_texts, totals, texts = [], {}, None, None
-    for move, state in zip(moves, cascade.replay(moves, probe)):
+    for move, (coeff, (x, y, z), (u, v, w)) in zip(moves, cascade.replay(moves, probe)):
         text = move_texts.get(id(move))
         if text is None:
             text = move_texts[id(move)] = move.describe()
-        scaled = state.scaled_totals()
+        scaled = (u + q4 * x, v + q4 * y, w + q4 * z)
         if scaled != totals:
             totals, texts = scaled, algebra.ratio_texts(scaled, q)
-        row1, row2, row3 = state.gamma.coeff
-        lines.append(_CASCADE_RECORD % (text, *row1, *row2, *row3, *state.lattice, *texts))
+        row1, row2, row3 = coeff
+        lines.append(_CASCADE_RECORD % (text, *row1, *row2, *row3, x, y, z, *texts))
     sys.stdout.write("".join(lines))
     return 0
 

@@ -242,11 +242,11 @@ class TestScenario:
         moves = parse_scenario(text)
         assert [m.describe() for m in moves] == [
             "collapse 3", "collapse 1", "merge 4 0 8", "collapse 13 i3"]
-        states = replay(moves)
-        assert len(states) == 4
-        assert states[1].gamma.coeff == ((4, 0, 8), (0, 0, 0), (0, 0, 4))
-        assert states[2].lattice == (1, 0, 2)
-        totals = [state.total_sum() for state in states]
+        after = replay(moves)
+        assert len(after) == 4
+        assert after[1][0] == ((4, 0, 8), (0, 0, 0), (0, 0, 4))
+        assert after[2][1] == (1, 0, 2)
+        totals = [CascadeState(mv(coeff), lattice).total_sum() for coeff, lattice, _ in after]
         assert totals == sorted(totals)
 
     def test_parse_errors_carry_line_numbers(self):
@@ -291,7 +291,127 @@ class TestScenario:
         with pytest.raises(ValueError, match="^scenario line 2: merge takes"):
             parse_scenario("collapse 1\nmerge 4 4\ncollapse 2\nmerge 4 4\n")
 
+    def test_of_two_different_bad_lines_the_earlier_names_its_number(self):
+        with pytest.raises(ValueError, match="^scenario line 2: unknown move"):
+            parse_scenario("collapse 1\nexplode 1\ncollapse 2\nmerge 4 4\n")
+        with pytest.raises(ValueError, match="^scenario line 2: merge takes"):
+            parse_scenario("collapse 1\nmerge 4 4\ncollapse 2\nexplode 1\n")
+
+    def test_blank_and_comment_lines_count_in_the_numbering(self):
+        text = "\n# header\n   \ncollapse 1  # first\n#\n\ncollapse 12 e\nexplode\n"
+        with pytest.raises(ValueError, match="^scenario line 7: .*does not take a variant"):
+            parse_scenario(text)
+        with pytest.raises(ValueError, match="^scenario line 5: unknown move"):
+            parse_scenario("# a\n\n#b\n\t\nexplode 1\n\n# c\nmerge 4 4\n")
+
+    def test_crlf_text_parses_as_its_lf_text(self):
+        lf = "# grow\ncollapse 3\n\ncollapse 13 i3  # pair\nmerge 4 0 8\ncollapse 3\n"
+        crlf = lf.replace("\n", "\r\n")
+        assert parse_scenario(crlf) == parse_scenario(lf) == [
+            Collapse((3,)), Collapse((1, 3), "i3"), SatelliteMerge((4, 0, 8)), Collapse((3,))]
+        with pytest.raises(ValueError, match="^scenario line 3: merge takes"):
+            parse_scenario("collapse 1\r\n\r\nmerge 4 4\r\n")
+
+    def test_replay_returns_plain_tuples(self):
+        after = replay(parse_scenario("collapse 1\nmerge 0 0 8\n"), Weights.numeric(3, 1, 2))
+        assert after == [(((4, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 0), (12, 0, 0)),
+                         (((4, 0, 0), (0, 0, 0), (0, 0, 0)), (0, 0, 2), (12, 0, 0))]
+        assert all(type(part) is tuple for move in after for part in move)
+
     def test_replay_rejects_non_physical_scenario(self):
         moves = parse_scenario("collapse 1\ncollapse 1")
         with pytest.raises(NonPhysicalMove):
             replay(moves)
+
+
+def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
+    """``(coeff, lattice, values)`` after each move, by ``apply_word`` and ``scaled_values``.
+
+    The gain bound is judged on ``eval_at`` Fractions.  Returns the list and
+    the message of the error that stopped it, or None.
+    """
+    bound = 4 * min(probe.values)
+    after = []
+    for move in moves:
+        if isinstance(move, SatelliteMerge):
+            if any(v < 0 or v % 4 for v in move.mass):
+                return after, (f"invalid satellite {move.mass}: entries must be "
+                               "nonnegative multiples of 4")
+            lattice = tuple(n + v // 4 for n, v in zip(lattice, move.mass))
+        else:
+            nxt = apply_word(gamma, move.word())
+            gain = sum(eval_at(nxt, probe)) - sum(eval_at(gamma, probe))
+            if nxt != gamma and gain < bound:
+                return after, (f"non-physical move {move.describe()}: total mass gain "
+                               f"{gain} falls below the bound {bound}")
+            gamma = nxt
+        after.append((gamma.coeff, lattice, scaled_values(gamma, probe)[0]))
+    return after, None
+
+
+class TestReplayOracle:
+    """``replay`` and ``step``, tuple by tuple, against ``reference_replay``.
+
+    The scenarios mix merges, no-op moves (``collapse 13 e``, ``merge 0 0
+    0``) and collapses, at three non-unit probes; a third of them end in a
+    rejected move, a non-physical collapse or an invalid merge.
+    """
+
+    PROBES = ["1/3,5/2,7/4", "7,1/9,2/3", "2,3,5"]
+    NO_OPS = [Collapse((1, 3), "e"), SatelliteMerge((0, 0, 0))]
+
+    def scenario(self, rng, probe, length):
+        """``length`` legal moves by the reference, then maybe one it rejects."""
+        moves = []
+        while len(moves) < length:
+            move = rng.choice(self.NO_OPS) if rng.random() < 0.2 else random_move(rng)
+            if reference_replay(moves + [move], probe)[1] is None:
+                moves.append(move)
+        if rng.random() < 1 / 3:
+            losing = [move for move in (Collapse(subset, variant)
+                                        for subset, variant in _COLLAPSE_WORDS)
+                      if reference_replay(moves + [move], probe)[1] is not None]
+            moves.append(rng.choice(losing + [SatelliteMerge((4, 2, 0))]))
+        return moves
+
+    @pytest.mark.parametrize("mu", PROBES)
+    def test_replay_matches_the_reference(self, mu):
+        rng, probe = random.Random(34), Weights.numeric(*mu.split(","))
+        rejected = no_ops = 0
+        for _ in range(60):
+            moves = self.scenario(rng, probe, rng.randint(1, 25))
+            want, error = reference_replay(moves, probe)
+            no_ops += sum(move in self.NO_OPS for move in moves)
+            if error is None:
+                assert replay(moves, probe) == want
+                continue
+            rejected += 1
+            assert len(want) == len(moves) - 1
+            assert replay(moves[:-1], probe) == want
+            with pytest.raises((NonPhysicalMove, InvalidSatellite)) as raised:
+                replay(moves, probe)
+            assert str(raised.value) == error
+        assert rejected and no_ops
+
+    @pytest.mark.parametrize("mu", PROBES)
+    def test_step_from_a_hand_built_state(self, mu):
+        probe, lattice = Weights.numeric(*mu.split(",")), (1, 0, 2)
+        moves = ([Collapse(subset, variant) for subset, variant in _COLLAPSE_WORDS]
+                 + [SatelliteMerge((0, 0, 0)), SatelliteMerge((4, 8, 0)),
+                    SatelliteMerge((4, 2, 0))])
+        outcomes = set()
+        for el in enumerate_orbit(3):
+            state = CascadeState(el.sigma, lattice, probe)
+            for move in moves:
+                want, error = reference_replay([move], probe, el.sigma, lattice)
+                outcomes.add(error is None)
+                if error is not None:
+                    with pytest.raises((NonPhysicalMove, InvalidSatellite)) as raised:
+                        step(state, move)
+                    assert str(raised.value) == error
+                    continue
+                (coeff, new_lattice, values), = want
+                nxt = step(state, move)
+                assert nxt == CascadeState(mv(coeff), new_lattice, probe)
+                assert nxt.values == values
+        assert outcomes == {True, False}
