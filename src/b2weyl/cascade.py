@@ -56,7 +56,8 @@ _COLLAPSE_WORDS: dict[tuple[tuple[int, ...], str | None], tuple[int, ...]] = {
 _VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
 
 
-# Each admissible collapse's row map, composed once from its word.
+# Each admissible collapse's word composed once into one affine map on the
+# rows (see ``algebra._word_map``); ``_run`` reads it by (subset, variant).
 _COLLAPSE_MAPS = {key: _word_map(word) for key, word in _COLLAPSE_WORDS.items()}
 
 
@@ -109,15 +110,8 @@ class Collapse(Frozen):
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
-        return self._lookup(_COLLAPSE_WORDS)
-
-    def row_map(self) -> tuple:
-        """The word composed into one affine map on the rows (see ``algebra._word_map``)."""
-        return self._lookup(_COLLAPSE_MAPS)
-
-    def _lookup(self, table: dict):
         try:
-            return table[self.subset, self.variant]
+            return _COLLAPSE_WORDS[self.subset, self.variant]
         except KeyError:
             raise self._no_word() from None
 
@@ -286,8 +280,6 @@ def _parse_move(tokens: list[str]) -> Move:
 def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[tuple]:
     """Run a scenario from the origin: ``(coeff, lattice, values)`` after each move.
 
-    ``coeff`` is the orbit part's coefficient rows, ``lattice`` the lattice
-    shift, and ``values`` the orbit part at the probe as integers over
-    ``probe.scaled[1]`` (see ``CascadeState``).
+    The tuple holds a ``CascadeState``'s rows, lattice and ``values``.
     """
     return _run(initial_state(probe), moves)
