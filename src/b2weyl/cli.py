@@ -145,8 +145,6 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     if args.max_coefficient is not None and args.max_coefficient < 0:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
-    if args.output not in OUTPUT_FORMATS:
-        raise UsageError(f"--output must be json or csv, got {args.output!r}")
     # The walk yields one level at a time (``OrbitWalk.levels``).  Each
     # level's records are rendered in one pass and written with one write;
     # the totals come last.  The walk carries each word as its JSON text,
@@ -317,9 +315,7 @@ def cmd_weyl2(args) -> int:
         return 0
     if args.subsystem is None:
         raise UsageError("weyl2 needs --subsystem or --part")
-    sub = weyl2.SUBSYSTEMS.get(args.subsystem)
-    if sub is None:
-        raise UsageError(f"unknown subsystem {args.subsystem!r}")
+    sub = weyl2.SUBSYSTEMS[args.subsystem]
     scaled = algebra._scale(_parse_pair(args.weights)) if args.weights else None
     template = ('{"coeff":[[%d,%d],[%d,%d]]'
                 + ("" if scaled is None else ',"values":["%s","%s"]') + "}\n")

@@ -754,22 +754,17 @@ class TestUsageErrors:
         detail = self.assert_usage(capsys, "cascade", str(scenario))
         assert detail.startswith("cannot read scenario file: ")
 
-    def test_orbit_output_outside_json_and_csv(self):
-        args = cli.build_parser({}).parse_args(["orbit", "--max-level", "0"])
-        args.output = "xml"
-        with pytest.raises(cli.UsageError, match="--output must be json or csv"):
-            cli.cmd_orbit(args)
-
     # Errors argparse finds itself are usage records too, not stderr text.
     @pytest.mark.parametrize("argv,detail", [
         (["orbit"], "the following arguments are required: --max-level"),
         (["orbit", "--max-level", "1", "--output", "xml"],
          "argument --output: invalid choice: 'xml'"),
         (["relations", "--trials", "ten"], "argument --trials: invalid int value: 'ten'"),
+        (["weyl2", "--subsystem", "pair"], "argument --subsystem: invalid choice: 'pair'"),
         (["orbits"], "argument command: invalid choice: 'orbits'"),
         ([], "the following arguments are required: command"),
     ], ids=["missing-max-level", "bad-output-choice", "non-integer-trials",
-            "unknown-subcommand", "empty-argv"])
+            "bad-subsystem-choice", "unknown-subcommand", "empty-argv"])
     def test_argparse_error(self, capsys, monkeypatch, argv, detail):
         monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
         assert self.assert_usage(capsys, *argv).startswith(detail)
