@@ -65,7 +65,7 @@ class SatelliteMerge(Frozen):
     """Absorb far-satellite mass: a pure lattice shift by mass/4.
 
     ``shift`` is mass/4, worked out once per move, or None when the mass
-    is not in 4N x 4N x 4N.  Construction never rejects the mass: ``step``
+    is not in 4N x 4N x 4N.  Construction never rejects the mass: ``_run``
     does, raising InvalidSatellite, so a bad merge fails at its own step.
     """
 
@@ -154,22 +154,11 @@ class CascadeState(Frozen):
         object.__setattr__(self, "probe", probe)
         object.__setattr__(self, "values", values)
 
-    def scaled_totals(self) -> list[int]:
-        """q * (gamma + 4n) at the probe, one integer per component."""
-        q4 = 4 * self.probe.scaled[1]
-        return [v + q4 * n for v, n in zip(self.values, self.lattice)]
-
     def total(self) -> tuple[Fraction, Fraction, Fraction]:
         """Observable mass gamma + 4n, evaluated at the probe."""
         q = self.probe.scaled[1]
-        return tuple(Fraction(t, q) for t in self.scaled_totals())  # type: ignore[return-value]
-
-    def total_sum(self) -> Fraction:
-        return Fraction(sum(self.scaled_totals()), self.probe.scaled[1])
-
-
-def initial_state(probe: Weights | None = None) -> CascadeState:
-    return CascadeState(probe=probe if probe is not None else UNIT_WEIGHTS)
+        return tuple(Fraction(v + 4 * q * n, q)  # type: ignore[return-value]
+                     for v, n in zip(self.values, self.lattice))
 
 
 def step(state: CascadeState, move: Move) -> CascadeState:
@@ -282,4 +271,4 @@ def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[tuple]:
 
     The tuple holds a ``CascadeState``'s rows, lattice and ``values``.
     """
-    return _run(initial_state(probe), moves)
+    return _run(CascadeState(probe=probe if probe is not None else UNIT_WEIGHTS), moves)

@@ -6,24 +6,11 @@ coefficient machinery, so agreement between the two is a genuine
 cross-check, not a tautology.
 """
 
-import os
 from fractions import Fraction
-from pathlib import Path
 
 from b2weyl.algebra import MassVector, Weights, eval_at
 
 F = Fraction
-
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def child_env(**overrides):
-    """Environment for a child interpreter importing b2weyl from this checkout."""
-    env = {k: v for k, v in os.environ.items() if k != "B2WEYL_CONFIG"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    env.update(overrides)
-    return env
 
 # Independent transcription of the coupling matrix (do not import it).
 REF_CARTAN_3 = (

@@ -23,10 +23,10 @@ from b2weyl.algebra import (
 )
 from b2weyl.cascade import (
     COLLAPSE_VARIANTS,
+    CascadeState,
     Collapse,
     NonPhysicalMove,
     SatelliteMerge,
-    initial_state,
     step,
 )
 from b2weyl.closedform import (
@@ -43,7 +43,8 @@ from b2weyl.closedform import (
 from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
-from conftest import child_env, descend_reference
+from cli_contract import child_env
+from conftest import descend_reference
 
 F = Fraction
 
@@ -292,7 +293,7 @@ def test_criterion_10_cascade_soundness(capsys):
     rejected_total = 0
     while sequences < 500:
         sequences += 1
-        state = initial_state(probe)
+        state = CascadeState(probe=probe)
         target = rng.randint(0, 12)
         accepted = 0
         attempts = 0

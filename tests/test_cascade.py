@@ -19,7 +19,6 @@ from b2weyl.cascade import (
     InvalidSatellite,
     NonPhysicalMove,
     SatelliteMerge,
-    initial_state,
     parse_scenario,
     replay,
     step,
@@ -69,33 +68,33 @@ class TestMoves:
 
 class TestStep:
     def test_single_collapse_from_origin(self):
-        state = step(initial_state(), Collapse((1,)))
+        state = step(CascadeState(), Collapse((1,)))
         assert state.gamma == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
         assert state.lattice == (0, 0, 0)
 
     def test_satellite_merge_is_pure_lattice_shift(self):
-        state = step(initial_state(), SatelliteMerge((4, 4, 0)))
+        state = step(CascadeState(), SatelliteMerge((4, 4, 0)))
         assert state.gamma == ZERO
         assert state.lattice == (1, 1, 0)
         assert state.total() == (4, 4, 0)
 
     def test_braid_collapse_from_origin(self):
-        state = step(initial_state(), Collapse((1, 3), "i3i3"))
+        state = step(CascadeState(), Collapse((1, 3), "i3i3"))
         assert state.gamma == mv([[8, 0, 8], [0, 0, 0], [4, 0, 8]])
         assert state.total() == (16, 0, 12)
 
     def test_identity_variant_is_a_legal_noop(self):
-        state = step(initial_state(), Collapse((1, 3), "e"))
+        state = step(CascadeState(), Collapse((1, 3), "e"))
         assert state.gamma == ZERO
 
     def test_invalid_satellite_rejected(self):
         with pytest.raises(InvalidSatellite):
-            step(initial_state(), SatelliteMerge((4, 2, 0)))
+            step(CascadeState(), SatelliteMerge((4, 2, 0)))
         with pytest.raises(InvalidSatellite):
-            step(initial_state(), SatelliteMerge((-4, 0, 0)))
+            step(CascadeState(), SatelliteMerge((-4, 0, 0)))
 
     def test_reversing_collapse_is_non_physical(self):
-        state = step(initial_state(), Collapse((1,)))
+        state = step(CascadeState(), Collapse((1,)))
         with pytest.raises(NonPhysicalMove, match="non-physical"):
             step(state, Collapse((1,)))
 
@@ -103,12 +102,12 @@ class TestStep:
         # From (4mu1, 0, 0) the pair collapse {1,2} lands on (0, 4mu2, 0):
         # the orbit part changes but the total mass stalls, below the
         # physical lower bound.
-        state = step(initial_state(), Collapse((1,)))
+        state = step(CascadeState(), Collapse((1,)))
         with pytest.raises(NonPhysicalMove):
             step(state, Collapse((1, 2)))
 
     def test_gain_bound_at_probe(self):
-        state = initial_state(Weights.numeric(F(3, 2), F(1, 2), 1))
+        state = CascadeState(probe=Weights.numeric(F(3, 2), F(1, 2), 1))
         state = step(state, Collapse((2,)))
         # gain was 4*mu2 = 2 at the probe, exactly the minimal bound
         assert state.total() == (0, 2, 0)
@@ -163,27 +162,27 @@ class TestRowMaps:
         move = Collapse((2, 3), "3i3")
         object.__setattr__(move, "variant", "bogus")
         with pytest.raises(ValueError, match="variant"):
-            step(initial_state(), move)
+            step(CascadeState(), move)
 
 
 class TestDecompose:
     """A state's orbit part and lattice are its fields; descent certifies the former."""
 
     def test_origin_state(self):
-        state = initial_state()
+        state = CascadeState()
         assert state.gamma == ZERO
         assert state.lattice == (0, 0, 0)
         assert descend_to_origin(state.gamma) == []
 
     def test_collapse_then_merge(self):
-        state = step(initial_state(), Collapse((1,)))
+        state = step(CascadeState(), Collapse((1,)))
         state = step(state, SatelliteMerge((0, 0, 8)))
         assert state.gamma == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])
         assert state.lattice == (0, 0, 2)
         assert apply_word(state.gamma, descend_to_origin(state.gamma)) == ZERO
 
     def test_two_collapses(self):
-        state = step(initial_state(), Collapse((3,)))
+        state = step(CascadeState(), Collapse((3,)))
         state = step(state, Collapse((1,)))
         assert state.gamma == mv([[4, 0, 8], [0, 0, 0], [0, 0, 4]])
         assert state.lattice == (0, 0, 0)
@@ -208,13 +207,13 @@ class TestRandomSequences:
     def test_invariants_hold_along_legal_sequences(self):
         rng = random.Random(99)
         for _ in range(40):
-            state = initial_state()
+            state = CascadeState()
             accepted = 0
             attempts = 0
             while accepted < 8 and attempts < 200:
                 attempts += 1
                 move = random_move(rng)
-                before = state.total_sum()
+                before = sum(state.total())
                 try:
                     nxt = step(state, move)
                 except NonPhysicalMove:
@@ -228,7 +227,7 @@ class TestRandomSequences:
                 assert is_member_gamma_N(nxt.gamma).member
                 # accepted collapses that move the orbit part gain >= 4
                 if isinstance(move, Collapse) and nxt.gamma != state.gamma:
-                    assert nxt.total_sum() - before >= 4
+                    assert sum(nxt.total()) - before >= 4
                 state = nxt
 
 
@@ -248,7 +247,7 @@ class TestScenario:
         assert len(after) == 4
         assert after[1][0] == ((4, 0, 8), (0, 0, 0), (0, 0, 4))
         assert after[2][1] == (1, 0, 2)
-        totals = [CascadeState(mv(coeff), lattice).total_sum() for coeff, lattice, _ in after]
+        totals = [sum(CascadeState(mv(coeff), lattice).total()) for coeff, lattice, _ in after]
         assert totals == sorted(totals)
 
     def test_parse_errors_carry_line_numbers(self):
@@ -275,7 +274,7 @@ class TestScenario:
     def test_a_repeated_bad_merge_fails_at_its_first_step(self):
         moves = parse_scenario("collapse 1\nmerge 4 2 0\nmerge 4 2 0\n")
         assert moves[1] is moves[2]
-        state = step(initial_state(), moves[0])
+        state = step(CascadeState(), moves[0])
         message = "invalid satellite (4, 2, 0): entries must be nonnegative multiples of 4"
         for move in moves[1:]:
             with pytest.raises(InvalidSatellite) as raised:

@@ -3,7 +3,6 @@
 import argparse
 import contextlib
 import csv
-import hashlib
 import io
 import json
 import random
@@ -27,9 +26,8 @@ from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_for
 from b2weyl.orbit import OrbitWalk, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_C_COEFFS, SUBSYSTEMS, appendix_table, finite_orbit
-from conftest import SRC, child_env
+from cli_contract import CONTRACT, SRC, child_env, fill, observe
 from test_cascade import random_move
-from test_golden import CASES
 
 
 def run(capsys, *argv):
@@ -245,17 +243,6 @@ def test_csv_sigma_columns_match_the_evaluator(depth, mu):
 
 
 class TestCheckCommand:
-    def test_member(self, capsys):
-        code, out = run(capsys, "check", "4,0,0;0,0,0;0,0,0")
-        assert code == 0
-        assert json_lines(out)[0] == {"member": True, "nonneg": True,
-                                      "div4": True, "quadric_zero": True}
-
-    def test_non_member_exits_nonzero(self, capsys):
-        code, out = run(capsys, "check", "4,0,0;0,0,0;0,0,4")
-        assert code == 1
-        assert json_lines(out)[0]["quadric_zero"] is False
-
     def test_malformed_matrix(self, capsys):
         code, out = run(capsys, "check", "4,0;0,0,0;0,0,0")
         assert code == 2
@@ -287,32 +274,6 @@ class TestCheckCommand:
 
 
 class TestDescendCommand:
-    def test_two_step_word(self, capsys):
-        code, out = run(capsys, "descend", "4,0,0;0,0,0;4,0,4")
-        assert code == 0
-        assert json_lines(out)[0] == {"word": [3, 1]}
-
-    def test_non_member_fails_verification(self, capsys):
-        code, out = run(capsys, "descend", "4,0,0;0,0,0;0,0,4")
-        assert code == 1
-        assert json_lines(out)[0]["error"] == "verification"
-
-    def test_a_non_member_record_carries_the_inversion_error(self, capsys):
-        # Descent decides membership by the closed-form inversion alone, so
-        # its error is the record's detail: pinned byte for byte.
-        code, out = run(capsys, "descend", "0,0,0;0,0,0;0,0,3")
-        assert code == 1
-        assert out == ('{"error":"verification","detail":"coefficient sums are not '
-                       'multiples of 4; not a lattice member"}\n')
-
-    def test_a_vector_whose_sums_name_an_id_it_does_not_match_exits_1(self, capsys):
-        # The row sums name family 6 at (2,-1), but the rows are not that
-        # family's: descent stops at the closed-form inversion, with its record.
-        code, out = run(capsys, "descend", "8,0,4;0,0,0;4,0,0")
-        assert code == 1
-        assert json_lines(out) == [{"error": "verification",
-                                    "detail": "vector is not representable by family 6 at (2,-1)"}]
-
     def test_descend_and_check_reject_the_same_inputs(self, capsys):
         # Descent decides membership by the inversion, check by the
         # certificate: both exit 1 on exactly the same inputs, over every
@@ -340,11 +301,6 @@ class TestDescendCommand:
 
 
 class TestTypeCommand:
-    def test_type_of_tree_element(self, capsys):
-        code, out = run(capsys, "type", "4,0,0;0,0,0;4,0,4")
-        assert code == 0
-        assert json_lines(out)[0] == {"type": [3, 2]}
-
     def test_type_of_every_element_through_depth_5(self, capsys):
         for el in enumerate_orbit(5):
             literal = ";".join(",".join(map(str, row)) for row in el.sigma.coeff)
@@ -367,14 +323,6 @@ class TestTypeCommand:
 
 
 class TestClosedFormCommand:
-    def test_anchor_record(self, capsys):
-        code, out = run(capsys, "closedform", "3", "1", "0")
-        assert code == 0
-        rec = json_lines(out)[0]
-        assert rec["coeff"] == [[4, 0, 0], [0, 0, 0], [0, 0, 0]]
-        assert rec["closed_form"] == [3, 1, 0]
-        assert rec["type"] == [1, 0]
-
     @pytest.mark.parametrize("mu", [[], ["--mu", "formal"]], ids=["default-mu", "formal-mu"])
     def test_no_weights_means_no_sigma(self, capsys, monkeypatch, mu):
         monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
@@ -501,22 +449,7 @@ def test_sinh_and_weyl2_records_match_the_dict_oracle(capsys, argv, spec):
     assert out.splitlines(keepends=True) == oracle(*spec[1:]).splitlines(keepends=True)
 
 
-class TestRelationsCommand:
-    def test_small_run_passes(self, capsys):
-        code, out = run(capsys, "relations", "--trials", "20", "--seed", "3")
-        assert code == 0
-        rec = json_lines(out)[0]
-        assert rec["passed"] is True and rec["failures"] == []
-
-
 class TestSinhCommand:
-    def test_closed_form_record(self, capsys):
-        code, out = run(capsys, "sinh", "--closed-form", "2", "--mu", "1,1")
-        assert code == 0
-        rec = json_lines(out)[0]
-        assert rec == {"coeff": [[4, 0], [8, 4]], "m": 2, "level": 2,
-                       "sigma": ["4", "12"]}
-
     def test_orbit_stream(self, capsys):
         code, out = run(capsys, "sinh", "--max-level", "3")
         records = json_lines(out)
@@ -534,52 +467,11 @@ class TestWeyl2Command:
         assert code == 0
         assert len(json_lines(out)) == 8
 
-    def test_part_a(self, capsys):
-        code, out = run(capsys, "weyl2", "--part", "a", "--alpha", "1/2,1/3")
-        assert code == 0
-        rec = json_lines(out)[0]
-        assert rec == {"part": "a", "tuple": ["52/3", "68/3"]}
-
-    def test_part_b(self, capsys):
-        code, out = run(capsys, "weyl2", "--part", "b", "--alpha", "2,3")
-        assert code == 0
-        assert json_lines(out)[0]["ok"] is True
-
 
 class TestCascadeCommand:
-    def test_replay_trace(self, capsys, tmp_path):
-        scenario = tmp_path / "moves.txt"
-        scenario.write_text("collapse 1\nmerge 0 0 8\n")
-        code, out = run(capsys, "cascade", str(scenario))
-        assert code == 0
-        records = json_lines(out)
-        assert records[0]["gamma_coeff"] == [[4, 0, 0], [0, 0, 0], [0, 0, 0]]
-        assert records[1]["lattice"] == [0, 0, 2]
-        assert records[1]["total"] == ["4", "0", "8"]
-
-    def test_non_physical_scenario_fails(self, capsys, tmp_path):
-        scenario = tmp_path / "moves.txt"
-        scenario.write_text("collapse 1\ncollapse 1\n")
-        code, out = run(capsys, "cascade", str(scenario))
-        assert code == 1
-        # The error record alone: no record of the accepted first move.
-        assert len(out.splitlines()) == 1
-        assert json_lines(out)[0]["error"] == "rejected-move"
-
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, out = run(capsys, "cascade", str(tmp_path / "absent.txt"))
         assert code == 2
-
-    def test_repeated_bad_merge_is_rejected_at_its_first_step(self, capsys, tmp_path):
-        # The parser shares one move between the two merge lines and accepts
-        # it; its step rejects it, before the repeat is reached.
-        scenario = tmp_path / "moves.txt"
-        scenario.write_text("collapse 1\nmerge 4 2 0\ncollapse 2\nmerge 4 2 0\n")
-        code, out = run(capsys, "cascade", str(scenario))
-        assert code == 1
-        assert json_lines(out) == [{"error": "rejected-move",
-                                    "detail": "invalid satellite (4, 2, 0): entries must be "
-                                              "nonnegative multiples of 4"}]
 
 
 class TestCascadeFormatterOracle:
@@ -666,8 +558,6 @@ class TestCascadeFormatterOracle:
             before = eval_at(el.sigma, probe)
             want = tuple(v + 4 * n for v, n in zip(before, lattice))
             assert state.total() == want
-            assert state.total_sum() == sum(want)
-            assert ratio_texts(state.scaled_totals(), probe.scaled[1]) == [str(v) for v in want]
             # A step from it agrees with the Fraction reference too.
             after = eval_at(apply_word(el.sigma, (1,)), probe)
             try:
@@ -1014,17 +904,16 @@ class TestParserCache:
 
 
 def test_golden_cases_back_to_back_in_one_interpreter(capsys, tmp_path, monkeypatch):
-    """The golden cases through one interpreter, in order and then reversed,
+    """The contract rows through one interpreter, in order and then reversed,
     so that nothing one call leaves behind can change a later call's bytes."""
     monkeypatch.delenv("B2WEYL_CONFIG", raising=False)
-    scenario_path = tmp_path / "scenario.txt"
-    for case_id, argv, scenario, code, digest in CASES + CASES[::-1]:
-        if scenario is not None:
-            scenario_path.write_text(scenario)
-            argv = [a.replace("{scenario}", str(scenario_path)) for a in argv]
-        got_code, out = run(capsys, *argv)
-        got_digest = hashlib.sha256(out.encode()).hexdigest()
-        assert (case_id, got_code, got_digest) == (case_id, code, digest)
+    for row in CONTRACT + CONTRACT[::-1]:
+        try:
+            code = main(fill(row[1], row[2], tmp_path))
+        except SystemExit as exc:  # --help exits through argparse
+            code = exc.code
+        got = observe(row, code, capsys.readouterr().out.encode())
+        assert (row[0], *got) == (row[0], *row[3:])
 
 
 def test_start_up_loads_no_dataclasses_or_inspect():

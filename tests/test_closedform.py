@@ -29,7 +29,8 @@ from b2weyl.closedform import (
     type_transition,
 )
 from b2weyl.orbit import OrbitWalk
-from conftest import child_env, wall_count
+from cli_contract import child_env
+from conftest import wall_count
 
 
 def mv(rows):

@@ -16,7 +16,7 @@ import pytest
 
 import b2weyl
 from b2weyl import orbit
-from conftest import child_env
+from cli_contract import child_env
 
 TRACING_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
 

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl import sinh
-from b2weyl.algebra import MassVector, ReflectionSystem, eval_at, quadric_form, reflect
+from b2weyl.algebra import MassVector, eval_at, quadric_form, reflect
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
 from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, reflect_reference
 
@@ -89,13 +88,11 @@ class TestOrbit:
     def test_level_one(self):
         assert set(sinh_orbit(1)) == {ZERO2, mv2([[4, 0], [0, 0]]), mv2([[0, 0], [0, 4]])}
 
-    def test_off_quadric_child_raises(self, monkeypatch):
-        # A coupling matrix that the symmetrizer (1, 1) does not symmetrize:
-        # its reflections leave the quadric built from that symmetrizer.
-        miscoupled = ReflectionSystem("miscoupled", ((F(1), F(-1)), (F(-1, 2), F(1))), (1, 1))
-        monkeypatch.setattr(sinh, "SINH", miscoupled)
-        with pytest.raises(ValueError, match="quadric violated"):
-            sinh_orbit(3)
+    def test_every_element_is_on_the_quadric(self):
+        # sinh_orbit does not check this itself: the walk stays on the quadric.
+        orbit = sinh_orbit(20)
+        assert len(orbit) == 41
+        assert not any(any(quadric_form(sigma, SINH)) for sigma in orbit)
 
     def test_orbit_equals_chain(self):
         level = 20
