@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -18,7 +19,8 @@ from . import algebra, cascade, closedform, orbit, sinh, weyl2
 from .algebra import MassVector, Weights
 
 CONFIG_ENV = "B2WEYL_CONFIG"
-# The one compact JSON encoder; json.dumps would build one per record.
+# The one compact JSON encoder, for error records and the orbit meta record;
+# every other record is a %-template.  json.dumps would build one per record.
 _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
@@ -33,31 +35,58 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _parse_rational(text: str) -> Fraction:
+def _read_rational(text: str) -> tuple[int, int]:
+    """``(p, q)`` of ``Fraction(text.strip())``: in lowest terms, with q > 0.
+
+    A plain ASCII spelling, ``[+-]digits`` or ``[+-]digits/digits`` with a
+    nonzero denominator, is read with ``int`` and ``math.gcd``.  Every
+    other spelling goes to ``Fraction``, so what is accepted and every
+    error text stay its own.
+    """
+    plain = text.strip()
+    num, slash, den = plain.partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if plain.isascii() and digits.isdigit() and (den.isdigit() or not slash):
+        try:  # int refuses digit strings over its length limit; Fraction words that error
+            p, q = int(num), int(den) if slash else 1
+        except ValueError:
+            q = 0
+        if q:
+            g = math.gcd(p, q)
+            return p // g, q // g
     try:
-        return Fraction(text.strip())
+        value = Fraction(plain)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad rational {text!r}: {exc}") from exc
+    return value.numerator, value.denominator
 
 
-def _parse_mu(text: str) -> Weights | None:
-    """The weights, or None for "formal": records then carry no sigma."""
+def _read_mu(text: str) -> list[tuple[int, int]] | None:
+    """The three weights of ``--mu`` as ``(p, q)`` pairs, each positive; None for "formal"."""
     if text.strip() == "formal":
         return None
     parts = text.split(",")
     if len(parts) != 3:
         raise UsageError(f"--mu needs 'formal' or three comma-separated rationals, got {text!r}")
-    try:
-        return Weights(tuple(map(_parse_rational, parts)))  # type: ignore[arg-type]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    pairs = [_read_rational(part) for part in parts]
+    for p, q in pairs:
+        if p <= 0:
+            raise UsageError(f"weights must be positive, got {p if q == 1 else f'{p}/{q}'}")
+    return pairs
+
+
+def _parse_mu(text: str) -> Weights | None:
+    """The weights, or None for "formal": records then carry no sigma."""
+    pairs = _read_mu(text)
+    return None if pairs is None else Weights(tuple(Fraction(p, q) for p, q in pairs))
 
 
 def _parse_pair(text: str) -> tuple[Fraction, Fraction]:
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected two comma-separated rationals, got {text!r}")
-    return (_parse_rational(parts[0]), _parse_rational(parts[1]))
+    (p1, q1), (p2, q2) = map(_read_rational, parts)
+    return Fraction(p1, q1), Fraction(p2, q2)
 
 
 def _parse_matrix(text: str) -> MassVector:
@@ -96,8 +125,11 @@ CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
 _JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
                 '"type":[%d,%d]')
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
-# The record of a vector the closed-form inversion accepts: an orbit element.
+# The record of a vector the closed-form inversion accepts: an orbit element;
+# and of one it rejects, a non-member, with its other three flags.
 _MEMBER_RECORD = '{"member":true,"nonneg":true,"div4":true,"quadric_zero":true}\n'
+_NON_MEMBER_RECORD = '{"member":false,"nonneg":%s,"div4":%s,"quadric_zero":%s}\n'
+_JSON_BOOL = ("false", "true")
 
 
 # A cascade record: the move, then the state after it.  Move texts are
@@ -195,7 +227,9 @@ def cmd_orbit(args) -> int:
 def cmd_check(args) -> int:
     # A vector the closed-form inversion accepts is an orbit element (points
     # (1) and (2) of the closedform docstring), so every flag of its
-    # certificate holds; the certificate is built only for the rest.
+    # certificate holds.  By the certificate proof (is_member_gamma_N) one
+    # it rejects is a non-member, so when it is div4 it is off the quadric;
+    # the quadric is computed only for the rejected vectors that are not.
     sigma = _parse_matrix(args.sigma)
     try:
         closedform.invert_to_closed_form(sigma)
@@ -204,16 +238,17 @@ def cmd_check(args) -> int:
     else:
         sys.stdout.write(_MEMBER_RECORD)
         return 0
-    cert = orbit.is_member_gamma_N(sigma)
-    _emit({"member": cert.member, "nonneg": cert.nonneg, "div4": cert.div4,
-           "quadric_zero": cert.quadric_zero})
-    return 0 if cert.member else 1
+    nonneg, div4 = orbit.coefficient_flags(sigma)
+    quadric_zero = not div4 and not any(algebra.quadric_form(sigma))
+    sys.stdout.write(_NON_MEMBER_RECORD % (_JSON_BOOL[nonneg], _JSON_BOOL[div4],
+                                           _JSON_BOOL[quadric_zero]))
+    return 1
 
 
 def cmd_descend(args) -> int:
     sigma = _parse_matrix(args.sigma)
     # --mu is validated, but the descent word does not depend on it.
-    if _parse_mu(args.mu) is None:
+    if _read_mu(args.mu) is None:
         raise UsageError("descent probe must be numeric")
     sys.stdout.write('{"word":[%s]}\n' % _word_text(orbit.descend_to_origin(sigma)))
     return 0
@@ -244,12 +279,10 @@ def cmd_relations(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     failures = orbit.check_relations()
-    _emit({
-        "trials": args.trials,
-        "seed": args.seed,
-        "failures": [{"relation": name} for name in failures],
-        "passed": not failures,
-    })
+    # Relation names are fixed identifiers, so none needs escaping.
+    sys.stdout.write('{"trials":%d,"seed":%d,"failures":[%s],"passed":%s}\n' % (
+        args.trials, args.seed, ",".join('{"relation":"%s"}' % name for name in failures),
+        _JSON_BOOL[not failures]))
     return 1 if failures else 0
 
 
@@ -308,10 +341,12 @@ def cmd_weyl2(args) -> int:
                               for pair in pairs)
             sys.stdout.write('{"part":"c","tuples":[%s]}\n' % tuples)
         else:
-            _emit({"part": "b", "tuples": [list(t) for t in result.tuples],
-                   "all_nonnegative": result.all_nonnegative,
-                   "all_multiples_of_four": result.all_multiples_of_four,
-                   "ok": result.ok})
+            sys.stdout.write(
+                '{"part":"b","tuples":[%s],"all_nonnegative":%s,"all_multiples_of_four":%s,'
+                '"ok":%s}\n' % (",".join("[%d,%d]" % t for t in result.tuples),
+                                 _JSON_BOOL[result.all_nonnegative],
+                                 _JSON_BOOL[result.all_multiples_of_four],
+                                 _JSON_BOOL[result.ok]))
         return 0
     if args.subsystem is None:
         raise UsageError("weyl2 needs --subsystem or --part")

@@ -204,17 +204,25 @@ def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[
     return list(OrbitWalk(B2, max_level, max_coefficient))
 
 
+def coefficient_flags(sigma: MassVector) -> tuple[bool, bool]:
+    """``(nonneg, div4)``: whether every coefficient is >= 0, and whether every one is in 4Z."""
+    entries = [v for row in sigma.coeff for v in row]
+    return all(v >= 0 for v in entries), all(v % 4 == 0 for v in entries)
+
+
 def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     """Lattice membership test with per-condition certificate.
 
     The three flags are: all coefficients nonnegative, all divisible by
-    four, and identically vanishing quadric residual.  Every orbit member
-    passes, and a matrix that passes the last two is an orbit member, so
-    nonnegative: the certificate characterizes the orbit.  Descent does
-    not use it, and ``b2weyl check`` builds it only when the closed-form
-    inversion fails: a vector the inversion accepts is an orbit element,
-    so all three flags hold, and by this proof every vector it rejects is
-    a non-member.
+    four (``coefficient_flags``), and identically vanishing quadric
+    residual.  Every orbit member passes, and a matrix that passes the
+    last two is an orbit member, so nonnegative: the certificate
+    characterizes the orbit.  Descent does not use it, and ``b2weyl
+    check`` does not build it: a vector the closed-form inversion accepts
+    is an orbit element, so all three flags hold, and by this proof every
+    vector it rejects is a non-member, so when such a vector is div4 its
+    quadric flag is false, and check runs ``quadric_form`` only on the
+    rejected vectors that are not.
 
     Proof.  Write C = 4c, with rows c1, c2, c3, and a = c1 - c3,
     b = c2 - c3.  Identically in mu the quadric reads
@@ -236,9 +244,7 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     ``closedform`` docstring that closed form is an orbit element.
     Nonnegativity is never used.
     """
-    entries = [v for row in sigma.coeff for v in row]
-    nonneg = all(v >= 0 for v in entries)
-    div4 = all(v % 4 == 0 for v in entries)
+    nonneg, div4 = coefficient_flags(sigma)
     quadric_zero = not any(quadric_form(sigma))
     return MembershipCertificate(nonneg, div4, quadric_zero)
 

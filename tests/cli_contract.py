@@ -83,9 +83,25 @@ CONTRACT = [
      '{"member":false,"nonneg":true,"div4":true,"quadric_zero":false}\n'),
     ("check-negative-entry", ["check", "8,0,8;0,-4,0;4,0,8"], None, 1,
      "sha256:e7c87bd743593527c63cae2eaaa592ae687df21b466bc52b10233e8d2b8e833e"),
+    # A div4 vector the inversion rejects is off the quadric by the
+    # certificate proof; a vector that is not div4 gets the quadric computed,
+    # and it can vanish there.
+    ("check-not-div4", ["check", "2,0,0;0,0,0;0,0,0"], None, 1,
+     '{"member":false,"nonneg":true,"div4":false,"quadric_zero":false}\n'),
+    ("check-not-div4-on-quadric", ["check", "2,2,0;2,2,0;0,0,0"], None, 1,
+     '{"member":false,"nonneg":true,"div4":false,"quadric_zero":true}\n'),
     ("descend-mu", ["descend", "20,8,32;16,8,24;24,12,40", "--mu", "3/2,1/2,1"], None, 0,
      "sha256:50f3b68fb5dba815d39e6eebc64ea64c41df257fbf575907cbdb4da7c010f6d4"),
     ("descend-two-steps", ["descend", "4,0,0;0,0,0;4,0,4"], None, 0, '{"word":[3,1]}\n'),
+    # --mu spellings: a sign and an unreduced fraction read as descend-mu's
+    # weights, a zero numerator over 5, and a doubled sign Fraction rejects.
+    ("descend-signed-unreduced-mu", ["descend", "20,8,32;16,8,24;24,12,40",
+                                     "--mu=+3/2,2/4,1"], None, 0,
+     "sha256:50f3b68fb5dba815d39e6eebc64ea64c41df257fbf575907cbdb4da7c010f6d4"),
+    ("descend-zero-mu", ["descend", "20,8,32;16,8,24;24,12,40", "--mu", "1,0/5,1"], None, 2,
+     '{"error":"usage","detail":"weights must be positive, got 0"}\n'),
+    ("descend-doubled-sign-mu", ["descend", "20,8,32;16,8,24;24,12,40", "--mu", "1,+-1,1"],
+     None, 2, USAGE),
     # Deep members, |m_i| >= 40: id (6,-42,47) descended and id (7,43,50)
     # evaluated with its word, both long runs of reduced_word, and id
     # (5,42,-46) certified on its large entries.
@@ -117,6 +133,10 @@ CONTRACT = [
     # No weights, so no sigma before the closed_form tail.
     ("closedform-no-mu", ["closedform", "8", "-5", "7"], None, 0,
      "sha256:2fed9d2a0fceba753e5e3dac6ad1e82a41ce9c73e7228e424d3ae08c0ef0f22f"),
+    # A decimal, an exponent and an underscore: spellings Fraction reads.
+    ("closedform-decimal-mu", ["closedform", "8", "-5", "7", "--mu", "1.5,2e0,1_0"], None, 0,
+     '{"coeff":[[20,8,24],[32,20,48],[24,12,36]],"level":9,"word":[1,3,2,1,3,2,1,3,2],'
+     '"type":[3,3],"sigma":["286","568","420"],"closed_form":[8,-5,7]}\n'),
     ("closedform-anchor", ["closedform", "3", "1", "0"], None, 0,
      '{"coeff":[[4,0,0],[0,0,0],[0,0,0]],"level":1,"word":[1],"type":[1,0],'
      '"closed_form":[3,1,0]}\n'),
@@ -149,8 +169,10 @@ CONTRACT = [
     ("weyl2-part-c", ["weyl2", "--part", "c", "--alpha", "1/2,-1/3"], None, 0,
      "sha256:ee59eafe069f5ec533fbf9875352218890ddeb53fa0d282fe16be19c29217346"),
     # The rank-two evaluators take zero and negative weights; only the
-    # B2(1) weights are required to be positive.
+    # B2(1) weights are required to be positive.  -0.5 reads as -1/2.
     ("sinh-closed-form-nonpositive", ["sinh", "--closed-form", "3", "--mu=-1/2,0"], None, 0,
+     "sha256:1f264702a8493d77d2f770e53755305ea9cefc0be6be20e8801a6a7246a8f8ef"),
+    ("sinh-closed-form-decimal", ["sinh", "--closed-form", "3", "--mu=-0.5,0"], None, 0,
      "sha256:1f264702a8493d77d2f770e53755305ea9cefc0be6be20e8801a6a7246a8f8ef"),
     ("weyl2-subsystem-nonpositive", ["weyl2", "--subsystem", "appendix_uv",
                                      "--weights=-2/3,0"], None, 0,

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import cli
+from b2weyl import algebra, cli, orbit
 from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts,
                             scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
@@ -272,6 +272,62 @@ class TestCheckCommand:
         assert seen >= {(True, True, True, True), (False, True, True, False),
                         (False, False, True, False), (False, True, False, False)}
 
+    def test_a_div4_non_member_runs_no_quadric(self, capsys, monkeypatch):
+        # The certificate proof decides a rejected div4 vector's quadric flag,
+        # so quadric_form runs only on the vectors that are not div4.
+        def refuse(*args):
+            raise AssertionError("quadric_form ran")
+
+        monkeypatch.setattr(algebra, "quadric_form", refuse)
+        monkeypatch.setattr(orbit, "quadric_form", refuse)
+        near_miss = next(row for row in CONTRACT if row[0] == "check-near-miss")
+        assert run(capsys, *near_miss[1]) == tuple(near_miss[3:])
+        with pytest.raises(AssertionError, match="quadric_form ran"):
+            main(["check", "2,0,0;0,0,0;0,0,0"])
+
+
+class TestReadRational:
+    """``cli._read_rational`` reads a rational as ``Fraction(text.strip())`` does:
+    the same ``(p, q)``, or the same ``bad rational`` usage detail."""
+
+    @staticmethod
+    def expected(text):
+        try:
+            value = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            return f"bad rational {text!r}: {exc}"
+        return value.numerator, value.denominator
+
+    @staticmethod
+    def read(text):
+        try:
+            return cli._read_rational(text)
+        except cli.UsageError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("text", [
+        "3", "-3", "+3", "0", "-0", "+0", "007", "3/2", "-3/2", "+3/2", "2/4", "-6/4",
+        "0/5", "-0/5", " 3/4 ", "\t5\n",
+        "+-1", "-+1", "--1", "++1", "3 /4", "3/ 4", "3/+4", "3/-4", "1/0", "0/0",
+        "1.5", "-.5", "1e3", "2E-1", "1_000", "1/1_0", "\u0661\u0662", "\u00b2", "3/\u00b2",
+        "", " ", "/", "1/", "/2", "1//2", "1/2/3", "x", "0x10", "inf", "nan",
+    ])
+    def test_corpus(self, text):
+        assert self.read(text) == self.expected(text)
+
+    @pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000],
+                             ids=["long-integer", "long-denominator"])
+    def test_digit_strings_over_the_int_limit(self, text):
+        # int refuses them where sys.int_max_str_digits is set; Fraction's text is the detail.
+        assert self.read(text) == self.expected(text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.text(alphabet="0123456789+-/ ._eE\u0661\u00b2", max_size=8),
+                     st.from_regex(r"\A\s?[+-]?[0-9]{1,4}(/[0-9]{1,4})?\s?\Z"),
+                     st.text(max_size=6)))
+    def test_any_text(self, text):
+        assert self.read(text) == self.expected(text)
+
 
 class TestDescendCommand:
     def test_descend_and_check_reject_the_same_inputs(self, capsys):
@@ -288,6 +344,15 @@ class TestDescendCommand:
                 assert check == descend and check in (0, 1), text
                 rejected += check
         assert rejected > 0
+
+    def test_mu_is_checked_without_fractions_or_weights(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("built a value only to validate --mu")
+
+        monkeypatch.setattr(cli, "Fraction", refuse)
+        monkeypatch.setattr(cli, "Weights", refuse)
+        assert run(capsys, "descend", "4,0,0;0,0,0;4,0,4", "--mu", "3/2,1/2,1") == (
+            0, '{"word":[3,1]}\n')
 
     def test_word_does_not_depend_on_mu(self, capsys):
         # --mu is validated, but descent picks no generator by it.
