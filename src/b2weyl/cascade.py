@@ -7,9 +7,12 @@ a local collapse applies a reflection word to the orbit part.  The
 physical cascade only gains mass, so collapses that fail the gain bound
 at the probe weights are rejected as non-physical.
 
-One loop, ``_run``, applies moves: it carries the orbit part's rows, the
-lattice and the probe values as plain integer tuples and builds no state
-object per move.  ``replay`` is that loop from the origin and returns one
+Each move carries what replaying and printing it need, built once when
+the move is built: a merge its ``shift`` and a collapse its precomposed
+``row_map``, and both their record ``text``.  One loop, ``_run``, applies
+moves: it reads those slots, carries the orbit part's rows, the lattice
+and the probe values as plain integer tuples and builds no state object
+per move.  ``replay`` is that loop from the origin and returns one
 ``(coeff, lattice, values)`` tuple per move; ``step`` is one move of it,
 wrapped in a ``CascadeState``.  ``parse_scenario`` parses each distinct
 raw line once.
@@ -57,7 +60,7 @@ _VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
 
 
 # Each admissible collapse's word composed once into one affine map on the
-# rows (see ``algebra._word_map``); ``_run`` reads it by (subset, variant).
+# rows (see ``algebra._word_map``); each Collapse takes its own as ``row_map``.
 _COLLAPSE_MAPS = {key: _word_map(word) for key, word in _COLLAPSE_WORDS.items()}
 
 
@@ -65,22 +68,22 @@ class SatelliteMerge(Frozen):
     """Absorb far-satellite mass: a pure lattice shift by mass/4.
 
     ``shift`` is mass/4, worked out once per move, or None when the mass
-    is not in 4N x 4N x 4N.  Construction never rejects the mass: ``_run``
-    does, raising InvalidSatellite, so a bad merge fails at its own step.
+    is not in 4N x 4N x 4N; ``text`` is the move as a scenario line.
+    Construction never rejects the mass: ``_run`` does, raising
+    InvalidSatellite, so a bad merge fails at its own step.
     """
 
-    __slots__ = ("mass", "shift")
+    __slots__ = ("mass", "shift", "text")
     _fields = ("mass",)
 
     mass: tuple[int, int, int]
     shift: tuple[int, int, int] | None
+    text: str
 
     def __init__(self, mass: tuple[int, int, int]) -> None:
         valid = len(mass) == 3 and all(v >= 0 and v % 4 == 0 for v in mass)
-        self._assign(mass=mass, shift=tuple(v // 4 for v in mass) if valid else None)
-
-    def describe(self) -> str:
-        return "merge " + " ".join(str(v) for v in self.mass)
+        self._assign(mass=mass, shift=tuple(v // 4 for v in mass) if valid else None,
+                     text="merge " + " ".join(str(v) for v in mass))
 
 
 class Collapse(Frozen):
@@ -88,13 +91,18 @@ class Collapse(Frozen):
 
     ``subset`` is the set of slow components.  Singletons and {1,2} have
     a single admissible word; a pair {i,3} takes one of the eight
-    variants named in COLLAPSE_VARIANTS.
+    variants named in COLLAPSE_VARIANTS.  ``row_map`` is the word's
+    precomposed map from ``_COLLAPSE_MAPS`` and ``text`` the move as a
+    scenario line, both fixed at construction.
     """
 
-    __slots__ = _fields = ("subset", "variant")
+    __slots__ = ("subset", "variant", "row_map", "text")
+    _fields = ("subset", "variant")
 
     subset: tuple[int, ...]
     variant: str | None
+    row_map: tuple
+    text: str
 
     def __init__(self, subset: tuple[int, ...], variant: str | None = None) -> None:
         subset = tuple(sorted(subset))
@@ -106,24 +114,17 @@ class Collapse(Frozen):
                 raise ValueError(f"collapse on {subset} does not take a variant")
             raise ValueError(f"collapse on {subset} needs a variant from "
                              f"{sorted(COLLAPSE_VARIANTS)}, got {variant}")
-        self._assign(subset=subset, variant=variant)
+        text = "collapse " + "".join(str(v) for v in subset)
+        self._assign(subset=subset, variant=variant, row_map=_COLLAPSE_MAPS[subset, variant],
+                     text=text if variant is None else f"{text} {variant}")
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
         try:
             return _COLLAPSE_WORDS[self.subset, self.variant]
         except KeyError:
-            raise self._no_word() from None
-
-    def _no_word(self) -> ValueError:
-        """The error of a collapse whose variant was changed after construction."""
-        return ValueError(f"collapse on {self.subset} has no word for variant {self.variant}")
-
-    def describe(self) -> str:
-        label = "".join(str(v) for v in self.subset)
-        if self.variant is None:
-            return f"collapse {label}"
-        return f"collapse {label} {self.variant}"
+            raise ValueError(f"collapse on {self.subset} has no word for variant "
+                             f"{self.variant}") from None
 
 
 Move = Union[SatelliteMerge, Collapse]
@@ -175,8 +176,8 @@ def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
     changes the orbit part, the total mass at the probe must grow by at
     least min_i 4*mu_i, the lower bound the cascade realizes -- anything
     less is rejected as non-physical.  The collapse's word acts as one
-    precomposed affine map (``_COLLAPSE_MAPS``) on the coefficient rows
-    and the probe values together, so the bound is checked in integers:
+    precomposed affine map, its ``row_map``, on the coefficient rows and
+    the probe values together, so the bound is checked in integers:
     q*gain against 4*min(M).
     """
     coeff, lattice, values = state.gamma.coeff, state.lattice, state.values
@@ -191,16 +192,12 @@ def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
             (a, b, c), (x, y, z) = lattice, move.shift
             lattice = (a + x, b + y, c + z)
         else:
-            try:
-                row_map = _COLLAPSE_MAPS[move.subset, move.variant]
-            except KeyError:
-                raise move._no_word() from None
-            rows, moved = _apply_row_map(row_map, coeff, values, m)
+            rows, moved = _apply_row_map(move.row_map, coeff, values, m)
             if rows != coeff:
                 gain = sum(moved) - sum(values)
                 if gain < bound:
                     raise NonPhysicalMove(
-                        f"non-physical move {move.describe()}: total mass gain "
+                        f"non-physical move {move.text}: total mass gain "
                         f"{Fraction(gain, state.probe.scaled[1])} falls below the bound "
                         f"{4 * min(state.probe.values)}")
                 coeff, values = rows, moved

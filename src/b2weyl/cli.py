@@ -75,18 +75,20 @@ def _read_mu(text: str) -> list[tuple[int, int]] | None:
     return pairs
 
 
-def _parse_mu(text: str) -> Weights | None:
-    """The weights, or None for "formal": records then carry no sigma."""
-    pairs = _read_mu(text)
-    return None if pairs is None else Weights(tuple(Fraction(p, q) for p, q in pairs))
-
-
-def _parse_pair(text: str) -> tuple[Fraction, Fraction]:
+def _read_pair(text: str) -> list[tuple[int, int]]:
+    """Two comma-separated rationals as ``(p, q)`` pairs."""
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected two comma-separated rationals, got {text!r}")
-    (p1, q1), (p2, q2) = map(_read_rational, parts)
-    return Fraction(p1, q1), Fraction(p2, q2)
+    return [_read_rational(part) for part in parts]
+
+
+def _scaled(pairs: list[tuple[int, int]] | None) -> tuple[tuple[int, ...], int] | None:
+    """``(M, q)`` with M/q the rationals ``pairs``, q the lcm of theirs; None for None."""
+    if pairs is None:
+        return None
+    q = math.lcm(*(d for _, d in pairs))
+    return tuple(p * (q // d) for p, d in pairs), q
 
 
 def _parse_matrix(text: str) -> MassVector:
@@ -145,34 +147,34 @@ def _word_text(word) -> str:
     return bytes(word).translate(_DIGITS).decode("ascii").replace("", ",")[1:-1]
 
 
-def _b2_sigma_texts(coeff, weights: Weights) -> list[str]:
-    """``str`` of each component of a B2(1) matrix at the weights, without the Fractions.
+def _b2_sigma_texts(coeff, scaled) -> list[str]:
+    """``str`` of each component of a B2(1) matrix at the weights ``scaled`` = (M, q).
 
-    Three flat dot products with ``weights.scaled``, over its denominator.
+    Three flat dot products with M, over the one denominator q, with no Fractions.
     """
     (a, b, c), (d, e, f), (g, h, k) = coeff
-    (m1, m2, m3), q = weights.scaled
+    (m1, m2, m3), q = scaled
     return algebra.ratio_texts((a * m1 + b * m2 + c * m3, d * m1 + e * m2 + f * m3,
                                 g * m1 + h * m2 + k * m3), q)
 
 
-def _json_template(weights: Weights | None, tail: str = "") -> str:
+def _json_template(scaled, tail: str = "") -> str:
     """``_JSON_RECORD``, the sigma slots when there are weights, then ``tail``."""
-    sigma = "" if weights is None else ',"sigma":["%s","%s","%s"]'
+    sigma = "" if scaled is None else ',"sigma":["%s","%s","%s"]'
     return _JSON_RECORD + sigma + tail + "}\n"
 
 
-def _json_fields(coeff, level: int, word: str, tag, weights: Weights | None) -> tuple:
+def _json_fields(coeff, level: int, word: str, tag, scaled) -> tuple:
     """The values for ``_JSON_RECORD`` (``word`` comma-joined), then any sigma texts."""
     row1, row2, row3 = coeff
     fields = (*row1, *row2, *row3, level, word, *tag)
-    if weights is not None:
-        fields += tuple(_b2_sigma_texts(coeff, weights))
+    if scaled is not None:
+        fields += tuple(_b2_sigma_texts(coeff, scaled))
     return fields
 
 
 def cmd_orbit(args) -> int:
-    weights = _parse_mu(args.mu)
+    scaled = _scaled(_read_mu(args.mu))
     if args.max_level < 0:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     if args.max_coefficient is not None and args.max_coefficient < 0:
@@ -188,14 +190,14 @@ def cmd_orbit(args) -> int:
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
-        template = _json_template(weights)
+        template = _json_template(scaled)
 
         def record(coeff, level, word, sums):
             tag = closedform.parameters_from_sums(sums)[0]
-            return template % _json_fields(coeff, level, word, tag, weights)
+            return template % _json_fields(coeff, level, word, tag, scaled)
     else:
         columns = list(CSV_COLUMNS)
-        if weights is not None:
+        if scaled is not None:
             columns += ["sigma1", "sigma2", "sigma3"]
         template = ",".join(["%s"] * len(columns)) + "\n"
         write(",".join(columns) + "\n")
@@ -205,8 +207,8 @@ def cmd_orbit(args) -> int:
             row1, row2, row3 = coeff
             fields = (level, word.replace(",", "."), *row1, *row2, *row3,
                       *closedform.TYPE_BY_FAMILY[cid.ell], *cid)
-            if weights is not None:
-                fields += tuple(_b2_sigma_texts(coeff, weights))
+            if scaled is not None:
+                fields += tuple(_b2_sigma_texts(coeff, scaled))
             return template % fields
     for level, entries in walk.levels():
         lines = []
@@ -262,15 +264,15 @@ def cmd_type(args) -> int:
 
 
 def cmd_closedform(args) -> int:
-    weights = _parse_mu(args.mu)
+    scaled = _scaled(_read_mu(args.mu))
     if args.ell not in closedform.TYPE_BY_FAMILY:
         raise UsageError(f"family index must be 1..8, got {args.ell}")
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
     sigma = closedform.closed_form_eval(cid)  # validates the id first
     word = closedform.reduced_word(args.m1, args.m2)[::-1]  # reduced: its length is the level
-    template = _json_template(weights, ',"closed_form":[%d,%d,%d]')
+    template = _json_template(scaled, ',"closed_form":[%d,%d,%d]')
     fields = _json_fields(sigma.coeff, len(word), _word_text(word),
-                          closedform.TYPE_BY_FAMILY[cid.ell], weights)
+                          closedform.TYPE_BY_FAMILY[cid.ell], scaled)
     sys.stdout.write(template % (*fields, *cid))
     return 0
 
@@ -298,7 +300,7 @@ def _rank_two_texts(coeff, scaled) -> list[str]:
 
 def cmd_sinh(args) -> int:
     # The weights are scaled once per request; each record is one template.
-    scaled = algebra._scale(_parse_pair(args.mu)) if args.mu else None
+    scaled = _scaled(_read_pair(args.mu)) if args.mu else None
     template = ('{"coeff":[[%d,%d],[%d,%d]],"m":%d,"level":%d'
                 + ("" if scaled is None else ',"sigma":["%s","%s"]') + "}\n")
 
@@ -326,7 +328,7 @@ def cmd_weyl2(args) -> int:
     if args.part is not None:
         if args.alpha is None:
             raise UsageError("--part needs --alpha a1,a2")
-        a1, a2 = _parse_pair(args.alpha)
+        a1, a2 = (Fraction(p, q) for p, q in _read_pair(args.alpha))
         try:
             if args.part == "c":
                 pairs, q = weyl2.appendix_pairs(a1, a2)
@@ -351,7 +353,7 @@ def cmd_weyl2(args) -> int:
     if args.subsystem is None:
         raise UsageError("weyl2 needs --subsystem or --part")
     sub = weyl2.SUBSYSTEMS[args.subsystem]
-    scaled = algebra._scale(_parse_pair(args.weights)) if args.weights else None
+    scaled = _scaled(_read_pair(args.weights)) if args.weights else None
     template = ('{"coeff":[[%d,%d],[%d,%d]]'
                 + ("" if scaled is None else ',"values":["%s","%s"]') + "}\n")
     for coeff in weyl2.finite_orbit(sub):
@@ -364,9 +366,10 @@ def cmd_weyl2(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    probe = _parse_mu(args.mu)
-    if probe is None:
+    pairs = _read_mu(args.mu)
+    if pairs is None:
         raise UsageError("cascade probe must be numeric")
+    probe = Weights(tuple(Fraction(p, q) for p, q in pairs))
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -376,21 +379,18 @@ def cmd_cascade(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     # Nothing is written until the whole replay has passed, so a rejected
-    # scenario prints its error record alone.  The parser shares one move
-    # among repeats of a line, so each move's text is built once; the total
-    # texts are rebuilt only when the scaled totals q*(gamma + 4n) changed.
+    # scenario prints its error record alone.  Each move carries its text;
+    # the total texts are rebuilt only when the scaled totals q*(gamma + 4n)
+    # changed.
     q = probe.scaled[1]
     q4 = 4 * q
-    lines, move_texts, totals, texts = [], {}, None, None
+    lines, totals, texts = [], None, None
     for move, (coeff, (x, y, z), (u, v, w)) in zip(moves, cascade.replay(moves, probe)):
-        text = move_texts.get(id(move))
-        if text is None:
-            text = move_texts[id(move)] = move.describe()
         scaled = (u + q4 * x, v + q4 * y, w + q4 * z)
         if scaled != totals:
             totals, texts = scaled, algebra.ratio_texts(scaled, q)
         row1, row2, row3 = coeff
-        lines.append(_CASCADE_RECORD % (text, *row1, *row2, *row3, x, y, z, *texts))
+        lines.append(_CASCADE_RECORD % (move.text, *row1, *row2, *row3, x, y, z, *texts))
     sys.stdout.write("".join(lines))
     return 0
 

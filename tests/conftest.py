@@ -1,16 +1,25 @@
-"""Shared reference oracles for the test suite.
+"""Shared reference oracles and helpers for the test suite.
 
 The reference path works on plain numeric vectors with the rational
 coupling matrix written out directly -- it never touches the symbolic
 coefficient machinery, so agreement between the two is a genuine
-cross-check, not a tautology.
+cross-check, not a tautology.  The one exception is
+``reference_replay``, whose docstring names the engine functions it
+trusts.
 """
 
 from fractions import Fraction
 
-from b2weyl.algebra import MassVector, Weights, eval_at
+from b2weyl.algebra import ZERO, MassVector, Weights, apply_word, eval_at, scaled_values
+from b2weyl.cascade import SatelliteMerge
 
 F = Fraction
+
+
+def mv(rows):
+    """The mass vector with these coefficient rows, of any rank."""
+    return MassVector(tuple(map(tuple, rows)))
+
 
 # Independent transcription of the coupling matrix (do not import it).
 REF_CARTAN_3 = (
@@ -110,3 +119,32 @@ def wall_count(m1, m2):
     its length.
     """
     return _crossed(2 * m1, 1) + _crossed(2 * m2, 1) + _crossed(m1 + m2, -1) + _crossed(m1 - m2, 2)
+
+
+def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
+    """``(coeff, lattice, values)`` after each move, the way ``cascade.replay`` reports it.
+
+    Replays the moves one at a time on the cascade's definition, not on
+    its precomposed row maps: a collapse moves the orbit part by
+    ``apply_word`` of its word, the gain bound is judged on ``eval_at``
+    Fractions, and ``values`` are ``scaled_values``; those three are the
+    engine functions it trusts.  Returns the list and the message of the
+    error that stopped it, or None.
+    """
+    bound = 4 * min(probe.values)
+    after = []
+    for move in moves:
+        if isinstance(move, SatelliteMerge):
+            if any(v < 0 or v % 4 for v in move.mass):
+                return after, (f"invalid satellite {move.mass}: entries must be "
+                               "nonnegative multiples of 4")
+            lattice = tuple(n + v // 4 for n, v in zip(lattice, move.mass))
+        else:
+            nxt = apply_word(gamma, move.word())
+            gain = sum(eval_at(nxt, probe)) - sum(eval_at(gamma, probe))
+            if nxt != gamma and gain < bound:
+                return after, (f"non-physical move {move.text}: total mass gain "
+                               f"{gain} falls below the bound {bound}")
+            gamma = nxt
+        after.append((gamma.coeff, lattice, scaled_values(gamma, probe)[0]))
+    return after, None

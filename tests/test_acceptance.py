@@ -44,13 +44,9 @@ from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
 from cli_contract import child_env
-from conftest import descend_reference
+from conftest import descend_reference, mv
 
 F = Fraction
-
-
-def mv(rows):
-    return MassVector(tuple(map(tuple, rows)))
 
 
 def passline(n, elapsed, text):
@@ -317,7 +313,7 @@ def test_criterion_10_cascade_soundness(capsys):
                     assert "non-physical move" in str(exc)
                     rejected_total += 1
                     continue
-                raise AssertionError(f"move {move.describe()} should be rejected")
+                raise AssertionError(f"move {move.text} should be rejected")
             state = step(state, move)
             accepted += 1
             accepted_total += 1

@@ -22,13 +22,9 @@ from b2weyl.algebra import (
     reflect,
 )
 from b2weyl.sinh import SINH
-from conftest import SAMPLE_WEIGHTS, assert_word_matches_reference, quadric_reference
+from conftest import SAMPLE_WEIGHTS, assert_word_matches_reference, mv, quadric_reference
 
 F = Fraction
-
-
-def mv(rows):
-    return MassVector(tuple(map(tuple, rows)))
 
 
 entries = st.integers(min_value=-60, max_value=60)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from b2weyl.algebra import (MassVector, Weights, ZERO, _word_map, apply_word, eval_at,
                             scaled_values)
 from b2weyl.cascade import (
-    _COLLAPSE_MAPS,
     _COLLAPSE_WORDS,
     _apply_row_map,
     COLLAPSE_VARIANTS,
@@ -24,12 +23,9 @@ from b2weyl.cascade import (
     step,
 )
 from b2weyl.orbit import descend_to_origin, enumerate_orbit, is_member_gamma_N
+from conftest import mv, reference_replay
 
 F = Fraction
-
-
-def mv(rows):
-    return MassVector(tuple(map(tuple, rows)))
 
 
 class TestMoves:
@@ -139,8 +135,7 @@ class TestRowMaps:
                 values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
                 for move in moves:
                     want = apply_word(gamma, move.word())
-                    row_map = _COLLAPSE_MAPS[move.subset, move.variant]
-                    rows, got = _apply_row_map(row_map, gamma.coeff, values, m)
+                    rows, got = _apply_row_map(move.row_map, gamma.coeff, values, m)
                     assert rows == want.coeff, move
                     assert got == scaled_values(want, probe)[0], move
 
@@ -157,12 +152,6 @@ class TestRowMaps:
         want = apply_word(gamma, word)
         assert (_apply_row_map(_word_map(word), gamma.coeff, values, m)
                 == (want.coeff, scaled_values(want, probe)[0]))
-
-    def test_step_rejects_a_variant_lost_after_construction(self):
-        move = Collapse((2, 3), "3i3")
-        object.__setattr__(move, "variant", "bogus")
-        with pytest.raises(ValueError, match="variant"):
-            step(CascadeState(), move)
 
 
 class TestDecompose:
@@ -241,7 +230,7 @@ class TestScenario:
         collapse 13 i3
         """
         moves = parse_scenario(text)
-        assert [m.describe() for m in moves] == [
+        assert [m.text for m in moves] == [
             "collapse 3", "collapse 1", "merge 4 0 8", "collapse 13 i3"]
         after = replay(moves)
         assert len(after) == 4
@@ -268,7 +257,7 @@ class TestScenario:
         assert moves == [Collapse((1, 3), "i3")] * 3 + [SatelliteMerge((4, 0, 8)),
                                                         Collapse((1, 3), "i3"),
                                                         SatelliteMerge((4, 0, 8))]
-        assert [m.describe() for m in moves] == ["collapse 13 i3"] * 3 + [
+        assert [m.text for m in moves] == ["collapse 13 i3"] * 3 + [
             "merge 4 0 8", "collapse 13 i3", "merge 4 0 8"]
 
     def test_a_repeated_bad_merge_fails_at_its_first_step(self):
@@ -317,31 +306,6 @@ class TestScenario:
         moves = parse_scenario("collapse 1\ncollapse 1")
         with pytest.raises(NonPhysicalMove):
             replay(moves)
-
-
-def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
-    """``(coeff, lattice, values)`` after each move, by ``apply_word`` and ``scaled_values``.
-
-    The gain bound is judged on ``eval_at`` Fractions.  Returns the list and
-    the message of the error that stopped it, or None.
-    """
-    bound = 4 * min(probe.values)
-    after = []
-    for move in moves:
-        if isinstance(move, SatelliteMerge):
-            if any(v < 0 or v % 4 for v in move.mass):
-                return after, (f"invalid satellite {move.mass}: entries must be "
-                               "nonnegative multiples of 4")
-            lattice = tuple(n + v // 4 for n, v in zip(lattice, move.mass))
-        else:
-            nxt = apply_word(gamma, move.word())
-            gain = sum(eval_at(nxt, probe)) - sum(eval_at(gamma, probe))
-            if nxt != gamma and gain < bound:
-                return after, (f"non-physical move {move.describe()}: total mass gain "
-                               f"{gain} falls below the bound {bound}")
-            gamma = nxt
-        after.append((gamma.coeff, lattice, scaled_values(gamma, probe)[0]))
-    return after, None
 
 
 class TestReplayOracle:

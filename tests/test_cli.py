@@ -27,6 +27,7 @@ from b2weyl.orbit import OrbitWalk, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_C_COEFFS, SUBSYSTEMS, appendix_table, finite_orbit
 from cli_contract import CONTRACT, SRC, child_env, fill, observe
+from conftest import mv, reference_replay
 from test_cascade import random_move
 
 
@@ -540,14 +541,14 @@ class TestCascadeCommand:
 
 
 class TestCascadeFormatterOracle:
-    """Cascade records, line by line, against ``json.dumps`` of a reference.
+    """Cascade records, line by line, against ``json.dumps`` of ``reference_replay``.
 
-    The reference replays each scenario on its own: ``apply_word`` moves the
-    orbit part, the gain bound is checked on ``eval_at`` Fractions, and each
-    total is ``str`` of ``eval_at(gamma) + 4n``.  So the integer probe values
-    carried by ``step`` and the fixed template of ``cmd_cascade`` are both
-    held to it, on seeded random legal scenarios: with no-op moves, whose
-    records reuse the previous totals, and long ones whose lines repeat.
+    The scenario is drawn move by move, each kept when the reference accepts
+    it; each record is built from the reference's ``(coeff, lattice,
+    values)``, its total ``str`` of ``values/q + 4n``.  So the replay and the
+    fixed template of ``cmd_cascade`` are both held to it, on seeded random
+    legal scenarios: with no-op moves, whose records reuse the previous
+    totals, and long ones whose lines repeat.
     """
 
     SCENARIOS = 100
@@ -555,24 +556,20 @@ class TestCascadeFormatterOracle:
 
     @staticmethod
     def legal_scenario(rng, probe, length, draw=random_move):
-        """``length`` physical moves as scenario lines, and their reference records."""
-        gamma, lattice = ZERO, (0, 0, 0)
-        bound = 4 * min(probe.values)
+        """``length`` moves the reference accepts, as scenario lines, and their records."""
+        gamma, lattice, q = ZERO, (0, 0, 0), probe.scaled[1]
         lines, want = [], []
         while len(lines) < length:
             move = draw(rng)
-            if isinstance(move, SatelliteMerge):
-                lattice = tuple(n + v // 4 for n, v in zip(lattice, move.mass))
-            else:
-                nxt = apply_word(gamma, move.word())
-                gain = sum(eval_at(nxt, probe)) - sum(eval_at(gamma, probe))
-                if nxt != gamma and gain < bound:
-                    continue
-                gamma = nxt
-            lines.append(move.describe())
-            rec = {"move": lines[-1], "gamma_coeff": [list(row) for row in gamma.coeff],
+            after, error = reference_replay([move], probe, gamma, lattice)
+            if error is not None:
+                continue
+            (coeff, lattice, values), = after
+            gamma = mv(coeff)
+            lines.append(move.text)
+            rec = {"move": move.text, "gamma_coeff": [list(row) for row in coeff],
                    "lattice": list(lattice),
-                   "total": [str(v + 4 * n) for v, n in zip(eval_at(gamma, probe), lattice)]}
+                   "total": [str(Fraction(v, q) + 4 * n) for v, n in zip(values, lattice)]}
             want.append(json.dumps(rec, separators=(",", ":")))
         return lines, want
 

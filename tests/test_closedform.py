@@ -30,11 +30,7 @@ from b2weyl.closedform import (
 )
 from b2weyl.orbit import OrbitWalk
 from cli_contract import child_env
-from conftest import wall_count
-
-
-def mv(rows):
-    return MassVector(tuple(map(tuple, rows)))
+from conftest import mv, wall_count
 
 
 # The ten anchor assignments pinning each family to a tree element.

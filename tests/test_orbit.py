@@ -29,11 +29,7 @@ from b2weyl.orbit import (
 )
 from b2weyl.sinh import SINH
 from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
-from conftest import wall_count
-
-
-def mv(rows):
-    return MassVector(tuple(map(tuple, rows)))
+from conftest import mv, wall_count
 
 
 # The reflection tree through depth two, plus the unique depth-three

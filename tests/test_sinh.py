@@ -6,29 +6,25 @@ import pytest
 
 from b2weyl.algebra import MassVector, eval_at, quadric_form, reflect
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
-from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, reflect_reference
+from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, mv, reflect_reference
 
 F = Fraction
 
 ZERO2 = MassVector(((0, 0), (0, 0)))
 
 
-def mv2(rows):
-    return MassVector(tuple(map(tuple, rows)))
-
-
 class TestReflect:
     def test_reflections_of_origin(self):
-        assert reflect(ZERO2, 1, SINH) == mv2([[4, 0], [0, 0]])
-        assert reflect(ZERO2, 2, SINH) == mv2([[0, 0], [0, 4]])
+        assert reflect(ZERO2, 1, SINH) == mv([[4, 0], [0, 0]])
+        assert reflect(ZERO2, 2, SINH) == mv([[0, 0], [0, 4]])
 
     def test_second_step_matches_even_branch(self):
-        first = mv2([[4, 0], [0, 0]])
-        assert reflect(first, 2, SINH) == mv2([[4, 0], [8, 4]])
+        first = mv([[4, 0], [0, 0]])
+        assert reflect(first, 2, SINH) == mv([[4, 0], [8, 4]])
         assert reflect(first, 2, SINH) == sinh_closed_form(2)
 
     def test_involution(self):
-        sigma = mv2([[16, 8], [8, 4]])
+        sigma = mv([[16, 8], [8, 4]])
         for i in (1, 2):
             assert reflect(reflect(sigma, i, SINH), i, SINH) == sigma
 
@@ -51,8 +47,8 @@ class TestClosedForm:
         assert sinh_closed_form(0) == ZERO2
 
     def test_unit_parameters(self):
-        assert sinh_closed_form(1) == mv2([[4, 0], [0, 0]])
-        assert sinh_closed_form(-1) == mv2([[0, 0], [0, 4]])
+        assert sinh_closed_form(1) == mv([[4, 0], [0, 0]])
+        assert sinh_closed_form(-1) == mv([[0, 0], [0, 4]])
 
     def test_entries_nonnegative_multiples_of_four(self):
         for m in range(-50, 51):
@@ -71,7 +67,7 @@ class TestClosedForm:
 
     def test_invert_rejects_off_chain_vector(self):
         with pytest.raises(ValueError):
-            sinh_invert(mv2([[4, 0], [0, 4]]))
+            sinh_invert(mv([[4, 0], [0, 4]]))
 
     @pytest.mark.parametrize("rows,detail", [
         ([[1, 0], [0, 0]], "not a multiple of 4"),
@@ -81,12 +77,12 @@ class TestClosedForm:
     ])
     def test_invert_names_why_a_vector_is_off_the_chain(self, rows, detail):
         with pytest.raises(ValueError, match=detail):
-            sinh_invert(mv2(rows))
+            sinh_invert(mv(rows))
 
 
 class TestOrbit:
     def test_level_one(self):
-        assert set(sinh_orbit(1)) == {ZERO2, mv2([[4, 0], [0, 0]]), mv2([[0, 0], [0, 4]])}
+        assert set(sinh_orbit(1)) == {ZERO2, mv([[4, 0], [0, 0]]), mv([[0, 0], [0, 4]])}
 
     def test_every_element_is_on_the_quadric(self):
         # sinh_orbit does not check this itself: the walk stays on the quadric.

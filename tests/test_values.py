@@ -2,8 +2,8 @@
 
 Each class is compared on its fields alone, in constructor order: the
 attributes derived from them (``rank``, ``doubled``, ``row_maps``,
-``gram``, ``scaled``, ``shift``, ``values``) take no part in equality,
-hash or repr.  Instances of another class compare as NotImplemented.
+``gram``, ``scaled``, ``shift``, ``row_map``, ``text``, ``values``) take no
+part in equality, hash or repr.  Instances of another class compare as NotImplemented.
 The hash is the hash of the field tuple, so set and dict order is that
 of the tuples.  Attributes can be neither assigned nor deleted, and
 copies and pickles keep every attribute, the derived ones included.
@@ -15,7 +15,8 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, ReflectionSystem, Weights
+from b2weyl.algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, ReflectionSystem, Weights,
+                            _word_map)
 from b2weyl.cascade import CascadeState, Collapse, SatelliteMerge
 from b2weyl.orbit import MembershipCertificate, OrbitElement
 from b2weyl.weyl2 import NaturalityCertificate, Subsystem
@@ -36,8 +37,9 @@ CASES = [
      "OrbitElement(sigma=MassVector(coeff=((4,),)), level=1, word=(1,))"),
     (MembershipCertificate, {"nonneg": True, "div4": False, "quadric_zero": False}, (),
      "MembershipCertificate(nonneg=True, div4=False, quadric_zero=False)"),
-    (SatelliteMerge, {"mass": (4, 8, 0)}, ("shift",), "SatelliteMerge(mass=(4, 8, 0))"),
-    (Collapse, {"subset": (1, 3), "variant": "i3"}, (), "Collapse(subset=(1, 3), variant='i3')"),
+    (SatelliteMerge, {"mass": (4, 8, 0)}, ("shift", "text"), "SatelliteMerge(mass=(4, 8, 0))"),
+    (Collapse, {"subset": (1, 3), "variant": "i3"}, ("row_map", "text"),
+     "Collapse(subset=(1, 3), variant='i3')"),
     (CascadeState, {"gamma": ZERO, "lattice": (1, 2, 3), "probe": HALF}, ("values",),
      "CascadeState(gamma=MassVector(coeff=((0, 0, 0), (0, 0, 0), (0, 0, 0))), "
      "lattice=(1, 2, 3), probe=Weights(values=(Fraction(1, 2), Fraction(1, 1), "
@@ -151,6 +153,10 @@ def test_defaults_and_derived_values():
     assert HALF.scaled == ((1, 2, 6), 2)
     assert SatelliteMerge((4, 8, 0)).shift == (1, 2, 0)
     assert SatelliteMerge((1, 2, 3)).shift is None
+    assert SatelliteMerge((1, 2, 3)).text == "merge 1 2 3"
+    assert Collapse((2,)).text == "collapse 2"
+    assert Collapse((3, 1), "i3").text == "collapse 13 i3"
+    assert Collapse((3, 1), "i3").row_map == _word_map((3, 1))
     system = ReflectionSystem("r1", RANK_ONE, (1,))
     assert (system.rank, system.doubled, system.row_maps, system.gram) == (
         1, ((2,),), (((0, -1),),), ((1,),))
