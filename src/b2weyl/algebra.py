@@ -142,10 +142,11 @@ GENERATORS = (1, 2, 3)
 Rational = Union[int, Fraction, str]
 
 
-def _scale(values: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
-    """Integer vector M and denominator q with values == M/q (q the lcm)."""
-    q = math.lcm(*(v.denominator for v in values))
-    return tuple(v.numerator * (q // v.denominator) for v in values), q
+def _scale(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """M and q with M/q the ``ratios`` (p, d), d > 0, as ``Fraction.as_integer_ratio()``
+    gives them: q is the lcm of the d."""
+    q = math.lcm(*(d for _, d in ratios))
+    return tuple(p * (q // d) for p, d in ratios), q
 
 
 class Weights(Frozen):
@@ -170,7 +171,7 @@ class Weights(Frozen):
                 raise TypeError("weights must be Fractions")
             if v.numerator <= 0:
                 raise ValueError(f"weights must be positive, got {v}")
-        self._assign(values=values, scaled=_scale(values))
+        self._assign(values=values, scaled=_scale([v.as_integer_ratio() for v in values]))
 
     @classmethod
     def numeric(cls, mu1: Rational, mu2: Rational, mu3: Rational) -> "Weights":
@@ -285,7 +286,7 @@ def scaled_values(sigma: MassVector,
     if isinstance(weights, Weights):
         m, q = weights.scaled
     else:
-        m, q = _scale([Fraction(v) for v in weights])
+        m, q = _scale([Fraction(v).as_integer_ratio() for v in weights])
     if len(m) != len(sigma.coeff):
         raise ValueError(f"{len(sigma.coeff)} weight values required, got {len(m)}")
     return tuple([sum(map(mul, row, m)) for row in sigma.coeff]), q

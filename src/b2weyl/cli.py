@@ -61,8 +61,11 @@ def _read_rational(text: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _read_mu(text: str) -> list[tuple[int, int]] | None:
-    """The three weights of ``--mu`` as ``(p, q)`` pairs, each positive; None for "formal"."""
+def _read_mu(text: str) -> tuple[tuple[int, ...], int] | None:
+    """The three weights of ``--mu``, each positive, as ``(M, q)``; None for "formal".
+
+    M/q are the weights over their one denominator (``algebra._scale``).
+    """
     if text.strip() == "formal":
         return None
     parts = text.split(",")
@@ -72,23 +75,15 @@ def _read_mu(text: str) -> list[tuple[int, int]] | None:
     for p, q in pairs:
         if p <= 0:
             raise UsageError(f"weights must be positive, got {p if q == 1 else f'{p}/{q}'}")
-    return pairs
+    return algebra._scale(pairs)
 
 
-def _read_pair(text: str) -> list[tuple[int, int]]:
-    """Two comma-separated rationals as ``(p, q)`` pairs."""
+def _read_pair(text: str) -> tuple[tuple[int, ...], int]:
+    """Two comma-separated rationals as ``(M, q)``, as ``_read_mu`` reads three."""
     parts = text.split(",")
     if len(parts) != 2:
         raise UsageError(f"expected two comma-separated rationals, got {text!r}")
-    return [_read_rational(part) for part in parts]
-
-
-def _scaled(pairs: list[tuple[int, int]] | None) -> tuple[tuple[int, ...], int] | None:
-    """``(M, q)`` with M/q the rationals ``pairs``, q the lcm of theirs; None for None."""
-    if pairs is None:
-        return None
-    q = math.lcm(*(d for _, d in pairs))
-    return tuple(p * (q // d) for p, d in pairs), q
+    return algebra._scale([_read_rational(part) for part in parts])
 
 
 def _parse_matrix(text: str) -> MassVector:
@@ -127,10 +122,6 @@ CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
 _JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
                 '"type":[%d,%d]')
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
-# The record of a vector the closed-form inversion accepts: an orbit element;
-# and of one it rejects, a non-member, with its other three flags.
-_MEMBER_RECORD = '{"member":true,"nonneg":true,"div4":true,"quadric_zero":true}\n'
-_NON_MEMBER_RECORD = '{"member":false,"nonneg":%s,"div4":%s,"quadric_zero":%s}\n'
 _JSON_BOOL = ("false", "true")
 
 
@@ -174,7 +165,7 @@ def _json_fields(coeff, level: int, word: str, tag, scaled) -> tuple:
 
 
 def cmd_orbit(args) -> int:
-    scaled = _scaled(_read_mu(args.mu))
+    scaled = _read_mu(args.mu)
     if args.max_level < 0:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     if args.max_coefficient is not None and args.max_coefficient < 0:
@@ -227,24 +218,11 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_check(args) -> int:
-    # A vector the closed-form inversion accepts is an orbit element (points
-    # (1) and (2) of the closedform docstring), so every flag of its
-    # certificate holds.  By the certificate proof (is_member_gamma_N) one
-    # it rejects is a non-member, so when it is div4 it is off the quadric;
-    # the quadric is computed only for the rejected vectors that are not.
-    sigma = _parse_matrix(args.sigma)
-    try:
-        closedform.invert_to_closed_form(sigma)
-    except ValueError:
-        pass
-    else:
-        sys.stdout.write(_MEMBER_RECORD)
-        return 0
-    nonneg, div4 = orbit.coefficient_flags(sigma)
-    quadric_zero = not div4 and not any(algebra.quadric_form(sigma))
-    sys.stdout.write(_NON_MEMBER_RECORD % (_JSON_BOOL[nonneg], _JSON_BOOL[div4],
-                                           _JSON_BOOL[quadric_zero]))
-    return 1
+    cert = orbit.is_member_gamma_N(_parse_matrix(args.sigma))
+    sys.stdout.write('{"member":%s,"nonneg":%s,"div4":%s,"quadric_zero":%s}\n' % (
+        _JSON_BOOL[cert.member], _JSON_BOOL[cert.nonneg], _JSON_BOOL[cert.div4],
+        _JSON_BOOL[cert.quadric_zero]))
+    return 0 if cert.member else 1
 
 
 def cmd_descend(args) -> int:
@@ -257,14 +235,12 @@ def cmd_descend(args) -> int:
 
 
 def cmd_type(args) -> int:
-    # The type of the verified closed form, so a vector outside the orbit fails.
-    cid = closedform.invert_to_closed_form(_parse_matrix(args.sigma))
-    sys.stdout.write('{"type":[%d,%d]}\n' % closedform.TYPE_BY_FAMILY[cid.ell])
+    sys.stdout.write('{"type":[%d,%d]}\n' % closedform.type_of(_parse_matrix(args.sigma)))
     return 0
 
 
 def cmd_closedform(args) -> int:
-    scaled = _scaled(_read_mu(args.mu))
+    scaled = _read_mu(args.mu)
     if args.ell not in closedform.TYPE_BY_FAMILY:
         raise UsageError(f"family index must be 1..8, got {args.ell}")
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
@@ -300,7 +276,7 @@ def _rank_two_texts(coeff, scaled) -> list[str]:
 
 def cmd_sinh(args) -> int:
     # The weights are scaled once per request; each record is one template.
-    scaled = _scaled(_read_pair(args.mu)) if args.mu else None
+    scaled = _read_pair(args.mu) if args.mu else None
     template = ('{"coeff":[[%d,%d],[%d,%d]],"m":%d,"level":%d'
                 + ("" if scaled is None else ',"sigma":["%s","%s"]') + "}\n")
 
@@ -328,7 +304,8 @@ def cmd_weyl2(args) -> int:
     if args.part is not None:
         if args.alpha is None:
             raise UsageError("--part needs --alpha a1,a2")
-        a1, a2 = (Fraction(p, q) for p, q in _read_pair(args.alpha))
+        alpha, d = _read_pair(args.alpha)
+        a1, a2 = (Fraction(n, d) for n in alpha)
         try:
             if args.part == "c":
                 pairs, q = weyl2.appendix_pairs(a1, a2)
@@ -353,7 +330,7 @@ def cmd_weyl2(args) -> int:
     if args.subsystem is None:
         raise UsageError("weyl2 needs --subsystem or --part")
     sub = weyl2.SUBSYSTEMS[args.subsystem]
-    scaled = _scaled(_read_pair(args.weights)) if args.weights else None
+    scaled = _read_pair(args.weights) if args.weights else None
     template = ('{"coeff":[[%d,%d],[%d,%d]]'
                 + ("" if scaled is None else ',"values":["%s","%s"]') + "}\n")
     for coeff in weyl2.finite_orbit(sub):
@@ -366,10 +343,11 @@ def cmd_weyl2(args) -> int:
 
 
 def cmd_cascade(args) -> int:
-    pairs = _read_mu(args.mu)
-    if pairs is None:
+    weights = _read_mu(args.mu)
+    if weights is None:
         raise UsageError("cascade probe must be numeric")
-    probe = Weights(tuple(Fraction(p, q) for p, q in pairs))
+    mu, q = weights
+    probe = Weights(tuple(Fraction(m, q) for m in mu))
     try:
         text = Path(args.scenario).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -382,7 +360,6 @@ def cmd_cascade(args) -> int:
     # scenario prints its error record alone.  Each move carries its text;
     # the total texts are rebuilt only when the scaled totals q*(gamma + 4n)
     # changed.
-    q = probe.scaled[1]
     q4 = 4 * q
     lines, totals, texts = [], None, None
     for move, (coeff, (x, y, z), (u, v, w)) in zip(moves, cascade.replay(moves, probe)):

@@ -127,11 +127,6 @@ def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
     return tag, m1, m2
 
 
-def type_of(sigma: MassVector) -> TypePair:
-    """Mod-4 type of a lattice member, from its coefficient-sum differences."""
-    return parameters_from_sums(sigma.coefficient_sums())[0]
-
-
 def invert_rows(coeff: tuple[tuple[int, ...], ...], sums: tuple[int, ...]) -> ClosedFormId:
     """The unique (family, m1, m2) of the coefficient rows ``coeff`` with row sums ``sums``.
 
@@ -150,6 +145,11 @@ def invert_rows(coeff: tuple[tuple[int, ...], ...], sums: tuple[int, ...]) -> Cl
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
     """The unique (family, m1, m2) of a lattice member: ``invert_rows`` on its rows and sums."""
     return invert_rows(sigma.coeff, sigma.coefficient_sums())
+
+
+def type_of(sigma: MassVector) -> TypePair:
+    """Mod-4 type of an orbit element's verified closed form; ValueError off the orbit."""
+    return TYPE_BY_FAMILY[invert_to_closed_form(sigma).ell]
 
 
 def _reflected_parameters(m1: int, m2: int, index: int) -> tuple[int, int]:

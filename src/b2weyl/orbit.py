@@ -15,8 +15,8 @@ from functools import cache
 from operator import itemgetter
 from typing import Iterator
 
-from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _reflected_coeff, _word_map,
-                      quadric_form)
+from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _check_rank, _reflected_coeff,
+                      _word_map, quadric_form)
 from .closedform import invert_to_closed_form, reduced_word
 
 
@@ -204,25 +204,22 @@ def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[
     return list(OrbitWalk(B2, max_level, max_coefficient))
 
 
-def coefficient_flags(sigma: MassVector) -> tuple[bool, bool]:
-    """``(nonneg, div4)``: whether every coefficient is >= 0, and whether every one is in 4Z."""
-    entries = [v for row in sigma.coeff for v in row]
-    return all(v >= 0 for v in entries), all(v % 4 == 0 for v in entries)
+# The certificate of every orbit element, shared: it is immutable.
+_MEMBER = MembershipCertificate(True, True, True)
 
 
 def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     """Lattice membership test with per-condition certificate.
 
     The three flags are: all coefficients nonnegative, all divisible by
-    four (``coefficient_flags``), and identically vanishing quadric
-    residual.  Every orbit member passes, and a matrix that passes the
-    last two is an orbit member, so nonnegative: the certificate
-    characterizes the orbit.  Descent does not use it, and ``b2weyl
-    check`` does not build it: a vector the closed-form inversion accepts
-    is an orbit element, so all three flags hold, and by this proof every
-    vector it rejects is a non-member, so when such a vector is div4 its
-    quadric flag is false, and check runs ``quadric_form`` only on the
-    rejected vectors that are not.
+    four, and identically vanishing quadric residual.  Every orbit member
+    passes, and a matrix that passes the last two is an orbit member, so
+    nonnegative: the certificate characterizes the orbit.  A vector the
+    closed-form inversion accepts is an orbit element (points (1) and (2)
+    of the ``closedform`` docstring), so all three flags hold; by this
+    proof one it rejects is not, so when it is div4 it is off the quadric,
+    and ``quadric_form`` runs only on the rejected vectors that are not.
+    A vector whose rank is not 3 raises ValueError, whatever its entries.
 
     Proof.  Write C = 4c, with rows c1, c2, c3, and a = c1 - c3,
     b = c2 - c3.  Identically in mu the quadric reads
@@ -244,9 +241,16 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     ``closedform`` docstring that closed form is an orbit element.
     Nonnegativity is never used.
     """
-    nonneg, div4 = coefficient_flags(sigma)
-    quadric_zero = not any(quadric_form(sigma))
-    return MembershipCertificate(nonneg, div4, quadric_zero)
+    try:
+        invert_to_closed_form(sigma)
+        return _MEMBER
+    except ValueError:
+        pass
+    _check_rank(sigma, B2)
+    entries = [v for row in sigma.coeff for v in row]
+    div4 = all(v % 4 == 0 for v in entries)
+    return MembershipCertificate(all(v >= 0 for v in entries), div4,
+                                 not div4 and not any(quadric_form(sigma)))
 
 
 def descend_to_origin(sigma: MassVector) -> list[int]:

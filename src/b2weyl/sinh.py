@@ -39,13 +39,20 @@ def sinh_closed_form(m: int) -> MassVector:
 def sinh_orbit(max_level: int) -> list[MassVector]:
     """BFS orbit of the origin under the two reflections, canonically sorted.
 
-    The walk's matrices are square by construction, so each is wrapped
-    without the shape check.  The tests check every element against the
-    rank-one quadric (s1-s2)^2 = 4(mu1 s1 + mu2 s2).
+    The walk's levels, each sorted by matrix, are already in sorted order:
+    level n holds m = n and m = -n (the tests check level == |m|), and its
+    largest matrix sorts before level n + 1's smallest.  Row-major, m is
+    (m^2, (m-1)^2 - 1, (m+1)^2 - 1, m^2) when even and ((m+1)^2, m^2 - 1,
+    m^2 - 1, (m-1)^2) when odd.  For n even those two are m = -n and
+    m = -n - 1, which first differ in the third entry, (n-1)^2 - 1 <
+    (n+1)^2 - 1 (at n = 0 in the fourth, 0 < 4); for n odd they are m = n
+    and m = n + 1, and n^2 - 1 < (n+2)^2 - 1 in the third entry.  The
+    walk's matrices are square by construction, so each is wrapped without
+    the shape check.  The tests check every element against the rank-one
+    quadric (s1-s2)^2 = 4(mu1 s1 + mu2 s2).
     """
-    matrices = sorted(coeff for _, entries in OrbitWalk(SINH, max_level).levels()
-                      for coeff, _, _ in entries)
-    return [MassVector._unchecked(coeff) for coeff in matrices]
+    return [MassVector._unchecked(coeff) for _, entries in OrbitWalk(SINH, max_level).levels()
+            for coeff, _, _ in entries]
 
 
 def sinh_invert(sigma: MassVector) -> int:

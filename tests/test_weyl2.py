@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_form
+from b2weyl.orbit import OrbitWalk
 from b2weyl.weyl2 import (
     APPENDIX_UV,
     PAIR_12,
@@ -29,6 +30,15 @@ class TestOrbitSizes:
 
     def test_registry_names(self):
         assert set(SUBSYSTEMS) == {"pair_12", "pair_13", "pair_23", "appendix_uv"}
+
+    @pytest.mark.parametrize("name", sorted(SUBSYSTEMS))
+    def test_levels_come_out_in_sorted_order(self, name):
+        # finite_orbit sorts nothing: on each whole orbit the walk's levels,
+        # concatenated, are already in sorted order.
+        walk = OrbitWalk(SUBSYSTEMS[name], 16)
+        matrices = [coeff for _, entries in walk.levels() for coeff, _, _ in entries]
+        assert walk.exhausted
+        assert matrices == sorted(matrices) == finite_orbit(SUBSYSTEMS[name])
 
 
 class TestPair12:
