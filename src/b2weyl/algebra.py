@@ -37,19 +37,20 @@ class Frozen:
     any other slot is derived from them.  Two instances are equal when
     they are of the same class and their field tuples are equal (another
     class gets NotImplemented), the hash is the field tuple's hash, and
-    the repr is ``Name(field=value, ...)``.  ``__init__`` sets each
-    attribute once through ``object.__setattr__``, by keyword with
-    ``_assign`` or, in the classes built once per step or per request,
-    one call at a time, which costs less; assigning or deleting one
-    afterwards raises AttributeError.  Copies and pickles carry every
-    slot, the derived ones included, and restore them the same way.
+    the repr is ``Name(field=value, ...)``.  ``__init__`` is the only way
+    in: it sets each attribute once through ``object.__setattr__``, by
+    keyword with ``_assign`` or, in the classes built once per step or per
+    request, one call at a time, which costs less; assigning or deleting
+    one afterwards raises AttributeError.  Copies and pickles carry the
+    field tuple and call the class on it (``__reduce__``), so they re-run
+    its checks and recompute every derived slot.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def _assign(self, **values: object) -> None:
-        """Set attributes by name: from ``__init__``, or from a copied or pickled state."""
+        """Set attributes by name, from ``__init__``."""
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
@@ -74,12 +75,8 @@ class Frozen:
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __getstate__(self) -> dict:
-        return {name: getattr(self, name)
-                for cls in self.__class__.__mro__ for name in cls.__dict__.get("__slots__", ())}
-
-    def __setstate__(self, state: dict) -> None:
-        self._assign(**state)
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._key()
 
 
 class ReflectionSystem(Frozen):
@@ -184,7 +181,8 @@ UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 class MassVector(Frozen):
     """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j.
 
-    The rank is the size of the square coefficient matrix.
+    The rank is the size of the square coefficient matrix, which every
+    vector, the engine's own too, checks in a plain loop (cheaper than ``any``).
     """
 
     __slots__ = _fields = ("coeff",)
@@ -193,20 +191,10 @@ class MassVector(Frozen):
 
     def __init__(self, coeff: tuple[tuple[int, ...], ...]) -> None:
         rank = len(coeff)
-        if any(len(row) != rank for row in coeff):
-            raise ValueError(f"coefficient matrix must be {rank}x{rank}")
+        for row in coeff:
+            if len(row) != rank:
+                raise ValueError(f"coefficient matrix must be {rank}x{rank}")
         object.__setattr__(self, "coeff", coeff)
-
-    @classmethod
-    def _unchecked(cls, coeff: tuple[tuple[int, ...], ...]) -> "MassVector":
-        """A vector on a square matrix built inside the engine, without the shape check.
-
-        Vectors from outside go through ``MassVector(...)``, which checks
-        that the matrix is square.
-        """
-        sigma = object.__new__(cls)
-        object.__setattr__(sigma, "coeff", coeff)
-        return sigma
 
     def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""

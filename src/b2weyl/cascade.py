@@ -14,8 +14,8 @@ moves: it reads those slots, carries the orbit part's rows, the lattice
 and the probe values as plain integer tuples and builds no state object
 per move.  ``replay`` is that loop from the origin and returns one
 ``(coeff, lattice, values)`` tuple per move; ``step`` is one move of it,
-wrapped in a ``CascadeState``.  ``parse_scenario`` parses each distinct
-raw line once.
+whose rows and lattice make a new ``CascadeState``.  ``parse_scenario``
+parses each distinct raw line once.
 """
 
 from __future__ import annotations
@@ -120,11 +120,7 @@ class Collapse(Frozen):
 
     def word(self) -> tuple[int, ...]:
         """Generator word in application order."""
-        try:
-            return _COLLAPSE_WORDS[self.subset, self.variant]
-        except KeyError:
-            raise ValueError(f"collapse on {self.subset} has no word for variant "
-                             f"{self.variant}") from None
+        return _COLLAPSE_WORDS[self.subset, self.variant]
 
 
 Move = Union[SatelliteMerge, Collapse]
@@ -134,8 +130,8 @@ class CascadeState(Frozen):
     """Immutable simulator state; step() returns a new one.
 
     ``values`` is the orbit part at the probe as integers: with
-    ``(M, q) = probe.scaled``, gamma(mu) = values/q.  A state built
-    without them derives them from ``gamma``; ``step`` carries them along.
+    ``(M, q) = probe.scaled``, gamma(mu) = values/q.  Every state derives
+    them from ``gamma`` and ``probe``.
     """
 
     __slots__ = ("gamma", "lattice", "probe", "values")
@@ -147,13 +143,11 @@ class CascadeState(Frozen):
     values: tuple[int, ...]
 
     def __init__(self, gamma: MassVector = ZERO, lattice: tuple[int, int, int] = (0, 0, 0),
-                 probe: Weights = UNIT_WEIGHTS, values: tuple[int, ...] | None = None) -> None:
-        if values is None:
-            values = scaled_values(gamma, probe)[0]
+                 probe: Weights = UNIT_WEIGHTS) -> None:
         object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "probe", probe)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", scaled_values(gamma, probe)[0])
 
     def total(self) -> tuple[Fraction, Fraction, Fraction]:
         """Observable mass gamma + 4n, evaluated at the probe."""
@@ -164,8 +158,8 @@ class CascadeState(Frozen):
 
 def step(state: CascadeState, move: Move) -> CascadeState:
     """Apply one move, enforcing the physical gain bound: one move of ``_run``."""
-    coeff, lattice, values = _run(state, (move,))[0]
-    return CascadeState(MassVector._unchecked(coeff), lattice, state.probe, values)
+    coeff, lattice, _ = _run(state, (move,))[0]
+    return CascadeState(MassVector(coeff), lattice, state.probe)
 
 
 def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:

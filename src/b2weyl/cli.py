@@ -99,8 +99,7 @@ def _parse_matrix(text: str) -> MassVector:
             parsed.append(tuple(map(int, entries)))
         except ValueError as exc:
             raise UsageError(f"bad integer in {row!r}") from exc
-    # Three rows of three entries each were checked above.
-    return MassVector._unchecked(tuple(parsed))  # type: ignore[arg-type]
+    return MassVector(tuple(parsed))  # type: ignore[arg-type]
 
 
 def _emit(obj) -> None:

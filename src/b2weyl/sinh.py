@@ -3,10 +3,10 @@
 When the first two unknowns of the full system are identified, the
 system collapses to the sinh-Gordon equation with two mass components.
 As data it is the rank-two ``ReflectionSystem`` ``SINH``, so its vectors,
-reflections, evaluation and quadric are the shared ones in ``algebra``
-and its orbit comes from the shared BFS.  The orbit of the origin is a
-doubly infinite chain indexed by a single integer m with a parity-split
-closed form; this module keeps that closed form and its inversion.
+reflections, evaluation and quadric are the shared ones in ``algebra``.
+The orbit of the origin is a doubly infinite chain indexed by a single
+integer m with a parity-split closed form; this module keeps that closed
+form, reads the orbit off it level by level, and inverts it.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .algebra import MassVector, ReflectionSystem
-from .orbit import OrbitWalk
 
 SINH_CARTAN = (
     (Fraction(1), Fraction(-1)),
@@ -24,11 +23,19 @@ SINH_SYMMETRIZER = (1, 1)
 SINH = ReflectionSystem("sinh", SINH_CARTAN, SINH_SYMMETRIZER)
 
 
+# For e even, chain(e - 1) and chain(e) share row 1, and chain(e) and chain(e + 1) row 2.
+def _row1(e: int) -> tuple[int, int]:
+    return e * e, (e - 1) ** 2 - 1
+
+
+def _row2(e: int) -> tuple[int, int]:
+    return (e + 1) ** 2 - 1, e * e
+
+
 def _chain_rows(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The coefficient rows of the chain element with parameter m (parity selects the branch)."""
-    if m % 2:
-        return (((m + 1) ** 2, m * m - 1), (m * m - 1, (m - 1) ** 2))
-    return ((m * m, (m - 1) ** 2 - 1), ((m + 1) ** 2 - 1, m * m))
+    """The rows of chain(m), row-major (m^2, (m-1)^2 - 1, (m+1)^2 - 1, m^2)
+    for m even and ((m+1)^2, m^2 - 1, m^2 - 1, (m-1)^2) for m odd."""
+    return _row1(m + m % 2), _row2(m - m % 2)
 
 
 def sinh_closed_form(m: int) -> MassVector:
@@ -37,22 +44,33 @@ def sinh_closed_form(m: int) -> MassVector:
 
 
 def sinh_orbit(max_level: int) -> list[MassVector]:
-    """BFS orbit of the origin under the two reflections, canonically sorted.
+    """The orbit of the origin to level ``max_level``, canonically sorted, read off the chain.
 
-    The walk's levels, each sorted by matrix, are already in sorted order:
-    level n holds m = n and m = -n (the tests check level == |m|), and its
-    largest matrix sorts before level n + 1's smallest.  Row-major, m is
-    (m^2, (m-1)^2 - 1, (m+1)^2 - 1, m^2) when even and ((m+1)^2, m^2 - 1,
-    m^2 - 1, (m-1)^2) when odd.  For n even those two are m = -n and
-    m = -n - 1, which first differ in the third entry, (n-1)^2 - 1 <
-    (n+1)^2 - 1 (at n = 0 in the fourth, 0 < 4); for n odd they are m = n
-    and m = n + 1, and n^2 - 1 < (n+2)^2 - 1 in the third entry.  The
-    walk's matrices are square by construction, so each is wrapped without
-    the shape check.  The tests check every element against the rank-one
-    quadric (s1-s2)^2 = 4(mu1 s1 + mu2 s2).
+    Generator 1 sends chain(m) to chain(m + 1) for m even and to chain(m - 1)
+    for m odd, generator 2 the other way round (both sides are quadratic in m
+    on a parity class, so three m per class prove it; the tests check more).
+    The chain is one-to-one, so level n holds exactly m = n and m = -n, each
+    built from its neighbour towards 0, with which it shares a row.  Listed as
+    0, then (-n, n) for n odd and (n, -n) for n even, they are already sorted:
+    within level n the pair first differs in entry 1, (n-1)^2 < (n+1)^2, for n
+    odd and in entry 2, (n-1)^2 - 1 < (n+1)^2 - 1, for n even; level n's last
+    and level n + 1's first differ first in entry 3, (n-1)^2 - 1 < (n+1)^2 - 1
+    for n even (at n = 0 in entry 4, 0 < 4) and n^2 - 1 < (n+2)^2 - 1 for n
+    odd.  The tests compare the list with the shared walk and every element
+    with the rank-one quadric (s1-s2)^2 = 4(mu1 s1 + mu2 s2).
     """
-    return [MassVector._unchecked(coeff) for _, entries in OrbitWalk(SINH, max_level).levels()
-            for coeff, _, _ in entries]
+    if max_level < 0:
+        raise ValueError("max_level must be >= 0")
+    orbit = [sinh_closed_form(0)]
+    (row1_up, row2_up) = (row1_down, row2_down) = orbit[0].coeff
+    for n in range(1, max_level + 1):
+        if n % 2:
+            row1_up, row2_down = _row1(n + 1), _row2(-n - 1)
+            orbit += MassVector((row1_down, row2_down)), MassVector((row1_up, row2_up))
+        else:
+            row2_up, row1_down = _row2(n), _row1(-n)
+            orbit += MassVector((row1_up, row2_up)), MassVector((row1_down, row2_down))
+    return orbit
 
 
 def sinh_invert(sigma: MassVector) -> int:

@@ -91,7 +91,7 @@ def longest_element(sub: Subsystem) -> Matrix2:
 # Base tuples for the single-singular-source quantization table (the 'c'
 # part of appendix_table): coefficients of (alpha1, alpha2) for
 # (sigma_u, sigma_v).  Kept as literal data so the orbit computation can
-# be checked against an independent transcription.
+# be checked against an independent transcription, as the tests do.
 APPENDIX_C_COEFFS: tuple[Matrix2, ...] = (
     ((0, 0), (0, 0)),
     ((4, 0), (0, 0)),

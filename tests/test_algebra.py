@@ -84,15 +84,6 @@ class TestMassVectorShape:
             MassVector(((4, 0), (0, 0)), offset=(0, 0))  # type: ignore[call-arg]
 
 
-class TestUncheckedConstructor:
-    def test_matches_the_checked_constructor(self):
-        for rows in (ZERO.coeff, ((4, 0, 8), (0, 0, 0), (4, 0, 8)), ((4, 0), (0, 0)), ((4,),)):
-            sigma = MassVector._unchecked(rows)
-            assert sigma == MassVector(rows)
-            assert hash(sigma) == hash(MassVector(rows))
-            assert sigma.coeff is rows
-
-
 class TestReflect:
     def test_origin_images(self):
         assert reflect(ZERO, 1) == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])

@@ -55,12 +55,6 @@ class TestMoves:
         assert Collapse((1, 2)).word() == (1, 2)
         assert Collapse((3,)).word() == (3,)
 
-    def test_word_rejects_a_variant_lost_after_construction(self):
-        move = Collapse((1, 3), "i3")
-        object.__setattr__(move, "variant", None)
-        with pytest.raises(ValueError, match="variant"):
-            move.word()
-
 
 class TestStep:
     def test_single_collapse_from_origin(self):

@@ -86,7 +86,7 @@ class TestOrbit:
         assert set(sinh_orbit(1)) == {ZERO2, mv([[4, 0], [0, 0]]), mv([[0, 0], [0, 4]])}
 
     def test_every_element_is_on_the_quadric(self):
-        # sinh_orbit does not check this itself: the walk stays on the quadric.
+        # sinh_orbit does not check this itself: the chain stays on the quadric.
         orbit = sinh_orbit(20)
         assert len(orbit) == 41
         assert not any(any(quadric_form(sigma, SINH)) for sigma in orbit)
@@ -98,13 +98,28 @@ class TestOrbit:
         assert orbit == chain
 
     def test_levels_come_out_in_sorted_order(self):
-        # sinh_orbit sorts nothing: level n holds m = n and m = -n, and the
-        # levels, concatenated, are already sorted (the proof is in its docstring).
+        # sinh_orbit reads the chain and sorts nothing: the shared walk's
+        # level n holds m = n and m = -n, and the levels, concatenated, are
+        # already sorted (the proof is in its docstring).
+        walk = []
         for n, entries in OrbitWalk(SINH, 200).levels():
             assert sorted(sinh_invert(MassVector(coeff)) for coeff, _, _ in entries) == sorted(
                 {n, -n})
+            walk += [coeff for coeff, _, _ in entries]
         matrices = [sigma.coeff for sigma in sinh_orbit(200)]
-        assert matrices == sorted(matrices) and len(matrices) == 401
+        assert matrices == walk == sorted(matrices) and len(matrices) == 401
+
+    def test_neighbours_share_a_row(self):
+        # Each element is built from its neighbour towards 0 and one new row,
+        # so, as on the walk, the list holds about half the rows.
+        rows = {sinh_invert(sigma): sigma.coeff for sigma in sinh_orbit(20)}
+        for m in range(1, 21):
+            for a, b in ((m, m - 1), (-m, 1 - m)):
+                assert [x is y for x, y in zip(rows[a], rows[b])].count(True) == 1
+
+    def test_negative_level_is_refused(self):
+        with pytest.raises(ValueError, match="max_level must be >= 0"):
+            sinh_orbit(-1)
 
     def test_alternating_reflections_walk_the_chain(self):
         # From the origin, 1 then 2 then 1 ... visits m = 1, 2, 3, ...;
@@ -121,10 +136,14 @@ class TestOrbit:
             assert sigma == sinh_closed_form(expected)
 
     def test_parity_alternates_along_the_chain(self):
+        # The commuting square of the sinh_orbit docstring: entries are
+        # quadratic in m on each parity class, so three m per class prove it
+        # for all m, for each generator.
         for m in range(-10, 11):
             sigma = sinh_closed_form(m)
-            even_image = reflect(sigma, 1, SINH)
-            assert sinh_invert(even_image) == (m + 1 if m % 2 == 0 else m - 1)
+            up = m + 1 if m % 2 == 0 else m - 1
+            assert reflect(sigma, 1, SINH) == sinh_closed_form(up)
+            assert reflect(sigma, 2, SINH) == sinh_closed_form(2 * m - up)
 
 
 class TestUnitWeights:

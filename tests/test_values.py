@@ -5,8 +5,10 @@ attributes derived from them (``rank``, ``doubled``, ``row_maps``,
 ``gram``, ``scaled``, ``shift``, ``row_map``, ``text``, ``values``) take no
 part in equality, hash or repr.  Instances of another class compare as NotImplemented.
 The hash is the hash of the field tuple, so set and dict order is that
-of the tuples.  Attributes can be neither assigned nor deleted, and
-copies and pickles keep every attribute, the derived ones included.
+of the tuples.  Attributes can be neither assigned nor deleted.  Copies
+and pickles call the constructor on the field tuple, so they recompute
+the derived attributes, and a tampered pickle is refused as the
+constructor refuses its arguments.
 """
 
 import copy
@@ -16,7 +18,7 @@ from fractions import Fraction
 import pytest
 
 from b2weyl.algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, ReflectionSystem, Weights,
-                            _word_map)
+                            _word_map, apply_word, scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, SatelliteMerge
 from b2weyl.orbit import MembershipCertificate, OrbitElement
 from b2weyl.weyl2 import NaturalityCertificate, Subsystem
@@ -144,10 +146,48 @@ def test_copies_and_pickles_keep_every_attribute(cls, kwargs, derived, text, tri
         setattr(y, next(iter(kwargs)), None)
 
 
+DERIVING = [case for case in CASES if case[2]]
+
+
+@pytest.mark.parametrize("trip", ROUND_TRIPS.values(), ids=ROUND_TRIPS.keys())
+@pytest.mark.parametrize("cls,kwargs,derived,text", DERIVING,
+                         ids=[case[0].__name__ for case in DERIVING])
+def test_copies_and_pickles_recompute_the_derived_attributes(cls, kwargs, derived, text, trip):
+    for name in derived:
+        patched = cls(**kwargs)
+        object.__setattr__(patched, name, "patched")
+        assert getattr(trip(patched), name) == getattr(cls(**kwargs), name) != "patched"
+
+
+def tampered_pickle(x, old: bytes, new: bytes) -> bytes:
+    """``x`` pickled with protocol 0, its one ``old`` replaced by ``new``."""
+    data = pickle.dumps(x, 0)
+    assert data.count(old) == 1
+    return data.replace(old, new)
+
+
+@pytest.mark.parametrize("data,detail", [
+    (tampered_pickle(Collapse((1, 3), "i3"), b"Vi3\n", b"Vzz\n"), "needs a variant"),
+    (tampered_pickle(MassVector(((4, 0), (0, 8))), b"I8\n", b"I8\nI9\n"),
+     "coefficient matrix must be 2x2"),
+], ids=["Collapse-bad-variant", "MassVector-not-square"])
+def test_a_tampered_pickle_is_refused_at_load(data, detail):
+    with pytest.raises(ValueError, match=detail):
+        pickle.loads(data)
+
+
+def test_a_state_derives_its_values():
+    for gamma in (ZERO, apply_word(ZERO, (3, 1)), apply_word(ZERO, (1, 3, 2, 3))):
+        for lattice, probe in (((0, 0, 0), UNIT_WEIGHTS), ((1, 2, 3), HALF)):
+            state = CascadeState(gamma, lattice, probe)
+            assert state.values == scaled_values(gamma, probe)[0]
+    with pytest.raises(TypeError):
+        CascadeState(values=(9, 9, 9))  # type: ignore[call-arg]
+
+
 def test_defaults_and_derived_values():
     assert CascadeState() == CascadeState(ZERO, (0, 0, 0), UNIT_WEIGHTS)
     assert CascadeState(lattice=(1, 2, 3), probe=HALF).values == (0, 0, 0)
-    assert CascadeState(values=(9, 9, 9)) == CascadeState()
     assert Collapse((2,)).variant is None
     assert Collapse((3, 1), "i3").subset == (1, 3)
     assert HALF.scaled == ((1, 2, 6), 2)

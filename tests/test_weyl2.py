@@ -7,6 +7,7 @@ import pytest
 from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_form
 from b2weyl.orbit import OrbitWalk
 from b2weyl.weyl2 import (
+    APPENDIX_C_COEFFS,
     APPENDIX_UV,
     PAIR_12,
     PAIR_13,
@@ -39,6 +40,11 @@ class TestOrbitSizes:
         matrices = [coeff for _, entries in walk.levels() for coeff, _, _ in entries]
         assert walk.exhausted
         assert matrices == sorted(matrices) == finite_orbit(SUBSYSTEMS[name])
+
+    def test_appendix_orbit_matches_the_transcribed_table(self):
+        # APPENDIX_C_COEFFS is typed in from the paper's appendix, apart
+        # from the walk; the computed orbit must be exactly that table.
+        assert sorted(finite_orbit(APPENDIX_UV)) == sorted(APPENDIX_C_COEFFS)
 
 
 class TestPair12:
