@@ -12,6 +12,7 @@ form, reads the orbit off it level by level, and inverts it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Iterator
 
 from .algebra import MassVector, ReflectionSystem
 
@@ -43,8 +44,10 @@ def sinh_closed_form(m: int) -> MassVector:
     return MassVector(_chain_rows(m))
 
 
-def sinh_orbit(max_level: int) -> list[MassVector]:
+def sinh_orbit(max_level: int) -> Iterator[MassVector]:
     """The orbit of the origin to level ``max_level``, canonically sorted, read off the chain.
+
+    ``max_level`` is checked at the call; the iterator builds each element as it is read.
 
     Generator 1 sends chain(m) to chain(m + 1) for m even and to chain(m - 1)
     for m odd, generator 2 the other way round (both sides are quadratic in m
@@ -56,21 +59,25 @@ def sinh_orbit(max_level: int) -> list[MassVector]:
     odd and in entry 2, (n-1)^2 - 1 < (n+1)^2 - 1, for n even; level n's last
     and level n + 1's first differ first in entry 3, (n-1)^2 - 1 < (n+1)^2 - 1
     for n even (at n = 0 in entry 4, 0 < 4) and n^2 - 1 < (n+2)^2 - 1 for n
-    odd.  The tests compare the list with the shared walk and every element
+    odd.  The tests compare the elements with the shared walk and every element
     with the rank-one quadric (s1-s2)^2 = 4(mu1 s1 + mu2 s2).
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    orbit = [sinh_closed_form(0)]
-    (row1_up, row2_up) = (row1_down, row2_down) = orbit[0].coeff
+    return _chain_walk(max_level)
+
+
+def _chain_walk(max_level: int) -> Iterator[MassVector]:
+    origin = sinh_closed_form(0)
+    yield origin
+    (row1_up, row2_up) = (row1_down, row2_down) = origin.coeff
     for n in range(1, max_level + 1):
         if n % 2:
             row1_up, row2_down = _row1(n + 1), _row2(-n - 1)
-            orbit += MassVector((row1_down, row2_down)), MassVector((row1_up, row2_up))
+            yield from (MassVector((row1_down, row2_down)), MassVector((row1_up, row2_up)))
         else:
             row2_up, row1_down = _row2(n), _row1(-n)
-            orbit += MassVector((row1_up, row2_up)), MassVector((row1_down, row2_down))
-    return orbit
+            yield from (MassVector((row1_up, row2_up)), MassVector((row1_down, row2_down)))
 
 
 def sinh_invert(sigma: MassVector) -> int:

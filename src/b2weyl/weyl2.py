@@ -1,20 +1,21 @@
 """Finite rank-two reflection orbits and the singular-source mass tables.
 
-Restricting the system to an active pair of components leaves a finite
-reflection orbit: a Klein four-group for the decoupled pair {1,2}, a
-dihedral group of order eight for the pairs coupling to the third
-component, and the same dihedral picture for the two-unknown system with
-one singular source whose quantization tables are reproduced here.  Each
-subsystem is data, a rank-two ``ReflectionSystem`` with its expected
-orbit size; reflections, evaluation, the quadric and the BFS are the
-shared ones in ``algebra`` and ``orbit``.
+Restricting B2(1)'s coupling matrix and symmetrizer to an ordered pair
+of nodes leaves a finite parabolic subsystem: a Klein four-group for the
+decoupled pair {1,2}, a dihedral group of order eight for the pairs
+coupling to the third component, and the same dihedral picture, nodes
+(3,1), for the two-unknown system with one singular source, whose
+quantization tables are derived from its orbit.  Reflections,
+evaluation, the quadric and the BFS are the shared ones in ``algebra``
+and ``orbit``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra import Frozen, Rational, ReflectionSystem, _scale
+from .algebra import (CARTAN_MATRIX, SYMMETRIZER, Frozen, MassVector, Rational,
+                      ReflectionSystem, _scale, eval_at)
 from .orbit import OrbitWalk
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -34,26 +35,17 @@ class Subsystem(ReflectionSystem):
         self._assign(expected_size=expected_size)
 
 
-PAIR_12 = Subsystem(
-    "pair_12",
-    ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))),
-    (1, 1),
-    4,
-)
-PAIR_13 = Subsystem(
-    "pair_13",
-    ((Fraction(1), Fraction(-1)), (Fraction(-1, 2), Fraction(1))),
-    (1, 2),
-    8,
-)
-# Swapping components 1 and 2 leaves the coupling to the third unchanged.
-PAIR_23 = Subsystem("pair_23", PAIR_13.cartan, PAIR_13.symmetrizer, 8)
-APPENDIX_UV = Subsystem(
-    "appendix_uv",
-    ((Fraction(1), Fraction(-1, 2)), (Fraction(-1), Fraction(1))),
-    (2, 1),
-    8,
-)
+def _restrict(name: str, nodes: tuple[int, int], expected_size: int) -> Subsystem:
+    """B2(1) restricted to ``nodes``, 1-based, in their order."""
+    idx = [node - 1 for node in nodes]
+    return Subsystem(name, tuple(tuple(CARTAN_MATRIX[i][j] for j in idx) for i in idx),
+                     tuple(SYMMETRIZER[i] for i in idx), expected_size)
+
+
+PAIR_12 = _restrict("pair_12", (1, 2), 4)
+PAIR_13 = _restrict("pair_13", (1, 3), 8)
+PAIR_23 = _restrict("pair_23", (2, 3), 8)
+APPENDIX_UV = _restrict("appendix_uv", (3, 1), 8)
 
 SUBSYSTEMS = {s.name: s for s in (PAIR_12, PAIR_13, PAIR_23, APPENDIX_UV)}
 
@@ -88,20 +80,11 @@ def longest_element(sub: Subsystem) -> Matrix2:
     return deepest[0][0]
 
 
-# Base tuples for the single-singular-source quantization table (the 'c'
-# part of appendix_table): coefficients of (alpha1, alpha2) for
-# (sigma_u, sigma_v).  Kept as literal data so the orbit computation can
-# be checked against an independent transcription, as the tests do.
-APPENDIX_C_COEFFS: tuple[Matrix2, ...] = (
-    ((0, 0), (0, 0)),
-    ((4, 0), (0, 0)),
-    ((0, 0), (0, 4)),
-    ((4, 0), (8, 4)),
-    ((4, 4), (0, 4)),
-    ((4, 4), (8, 8)),
-    ((8, 4), (8, 4)),
-    ((8, 4), (8, 8)),
-)
+# appendix_uv's orbit, walked once: part (c) substitutes the strengths into
+# its elements, and part (a) evaluates its deepest, the last (the deepest
+# level holds it alone), at (alpha1 + 1, alpha2 + 1).
+_APPENDIX_ORBIT = finite_orbit(APPENDIX_UV)
+_APPENDIX_TOP = MassVector(_APPENDIX_ORBIT[-1])
 
 
 class NaturalityCertificate(Frozen):
@@ -128,6 +111,12 @@ def _check_strengths(alpha1: Fraction, alpha2: Fraction) -> None:
         raise ValueError("singular strengths must exceed -1")
 
 
+def _pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
+    (n1, n2), q = _scale((alpha1.as_integer_ratio(), alpha2.as_integer_ratio()))
+    return sorted({(a * n1 + b * n2, c * n1 + d * n2)
+                   for (a, b), (c, d) in _APPENDIX_ORBIT}), q
+
+
 def appendix_pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
     """The distinct part-(c) tuples as sorted integer pairs (u, v) over one denominator q.
 
@@ -136,9 +125,7 @@ def appendix_pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, 
     both strengths exceed -1.
     """
     _check_strengths(alpha1, alpha2)
-    (n1, n2), q = _scale((alpha1.as_integer_ratio(), alpha2.as_integer_ratio()))
-    return sorted({(a * n1 + b * n2, c * n1 + d * n2)
-                   for (a, b), (c, d) in APPENDIX_C_COEFFS}), q
+    return _pairs(alpha1, alpha2)
 
 
 def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
@@ -148,19 +135,19 @@ def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
     part 'c': the set of eight base tuples with the strengths substituted.
     part 'b': certificate that every part-(c) tuple is a pair of
               nonnegative multiples of four when the strengths are natural.
-    Parts b and c read ``appendix_pairs``.
+    The strengths are checked once; parts b and c read ``appendix_pairs``'s pairs.
     """
     a1, a2 = Fraction(alpha1), Fraction(alpha2)
     _check_strengths(a1, a2)
     if part == "a":
-        return (8 * a1 + 4 * a2 + 12, 8 * a1 + 8 * a2 + 16)
+        return eval_at(_APPENDIX_TOP, (a1 + 1, a2 + 1))
     if part == "c":
-        pairs, q = appendix_pairs(a1, a2)
+        pairs, q = _pairs(a1, a2)
         return {(Fraction(u, q), Fraction(v, q)) for u, v in pairs}
     if part == "b":
         if a1.denominator != 1 or a2.denominator != 1 or a1 < 0 or a2 < 0:
             raise ValueError("part (b) needs natural strengths (integers >= 0)")
-        tuples = tuple(appendix_pairs(a1, a2)[0])  # q is 1
+        tuples = tuple(_pairs(a1, a2)[0])  # q is 1
         nonneg = all(u >= 0 and v >= 0 for u, v in tuples)
         div4 = all(u % 4 == 0 and v % 4 == 0 for u, v in tuples)
         return NaturalityCertificate(tuples, nonneg, div4)

@@ -186,6 +186,9 @@ CONTRACT = [
     ("weyl2-part-b", ["weyl2", "--part", "b", "--alpha", "2,3"], None, 0,
      '{"part":"b","tuples":[[0,0],[0,12],[8,0],[8,28],[20,12],[20,40],[28,28],[28,40]],'
      '"all_nonnegative":true,"all_multiples_of_four":true,"ok":true}\n'),
+    # pair_23 is pair_13's coupling on the other idle component.
+    ("weyl2-subsystem-pair-23", ["weyl2", "--subsystem", "pair_23", "--weights", "5/4,2/7"],
+     None, 0, "sha256:b06f64ed715c9f7a45184c64f3a129c421260bc2651710da9f9248b495ab1338"),
     ("weyl2-subsystem-no-weights", ["weyl2", "--subsystem", "pair_12"], None, 0,
      "sha256:8caaf50068a36737f63c9ee9d14debff99f620aa10050d7d6eb16af48eb6c862"),
     ("weyl2-unknown-subsystem", ["weyl2", "--subsystem", "pair"], None, 2, USAGE),

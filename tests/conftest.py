@@ -30,6 +30,30 @@ REF_CARTAN_3 = (
 REF_CARTAN_SINH = ((F(1), F(-1)), (F(-1), F(1)))
 REF_SYMMETRIZER_3 = (1, 1, 2)
 
+# The paper's four rank-two couplings, typed in: name -> (coupling
+# matrix, symmetrizer, orbit size).  pair_23 repeats pair_13, since
+# swapping components 1 and 2 leaves the coupling to the third unchanged.
+REF_SUBSYSTEMS = {
+    "pair_12": (((F(1), F(0)), (F(0), F(1))), (1, 1), 4),
+    "pair_13": (((F(1), F(-1)), (F(-1, 2), F(1))), (1, 2), 8),
+    "pair_23": (((F(1), F(-1)), (F(-1, 2), F(1))), (1, 2), 8),
+    "appendix_uv": (((F(1), F(-1, 2)), (F(-1), F(1))), (2, 1), 8),
+}
+
+# The single-singular-source quantization table (part c), typed in from
+# the paper's appendix: coefficients of (alpha1, alpha2) for (sigma_u,
+# sigma_v).  The engine derives it from appendix_uv's orbit instead.
+APPENDIX_C_COEFFS = (
+    ((0, 0), (0, 0)),
+    ((4, 0), (0, 0)),
+    ((0, 0), (0, 4)),
+    ((4, 0), (8, 4)),
+    ((4, 4), (0, 4)),
+    ((4, 4), (8, 8)),
+    ((8, 4), (8, 4)),
+    ((8, 4), (8, 8)),
+)
+
 # Enough varied rational weight samples to pin down any degree-two
 # polynomial identity that the symbolic path claims.
 SAMPLE_WEIGHTS = [

@@ -44,7 +44,7 @@ from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
 from cli_contract import child_env
-from conftest import descend_reference, mv
+from conftest import APPENDIX_C_COEFFS, descend_reference, mv
 
 F = Fraction
 
@@ -229,7 +229,7 @@ def test_criterion_07_unit_weight_specialization(capsys):
 def test_criterion_08_sinh_reduction(capsys):
     t0 = time.monotonic()
     level = 100
-    orbit = sinh_orbit(level)
+    orbit = list(sinh_orbit(level))
     chain = {sinh_closed_form(m) for m in range(-level, level + 1)}
     assert set(orbit) == chain
     assert len(orbit) == 2 * level + 1
@@ -249,7 +249,7 @@ def test_criterion_08_sinh_reduction(capsys):
 def test_criterion_09_appendix_tables(capsys):
     t0 = time.monotonic()
     orbit = finite_orbit(APPENDIX_UV)
-    assert len(orbit) == 8
+    assert sorted(orbit) == sorted(APPENDIX_C_COEFFS)
     top = longest_element(APPENDIX_UV)
     rng = random.Random(90210)
 
@@ -339,13 +339,13 @@ def test_criterion_10_cascade_soundness(capsys):
                               f"{rejected_total} non-physical rejected)")
 
 
-# The child prints its exit code and its own peak resident set (VmHWM, kB)
-# on stderr after writing the orbit to /dev/null.
+# The child runs the CLI on its argv, writing stdout to /dev/null, then
+# prints its exit code and its own peak resident set (VmHWM, kB) on stderr.
 _PEAK_RSS_CHILD = """\
 import os, sys
 from b2weyl import cli
 sys.stdout = open(os.devnull, "w")
-code = cli.main(["orbit", "--max-level", "200"])
+code = cli.main(sys.argv[1:])
 sys.stdout.flush()
 with open("/proc/self/status") as status:
     hwm = next(line for line in status if line.startswith("VmHWM:"))
@@ -353,17 +353,34 @@ print(code, hwm.split()[1], file=sys.stderr)
 """
 
 
+def _peak_rss_mb(*argv):
+    """Run ``b2weyl *argv`` in a child; assert it exits 0 and return its peak RSS in MB."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD, *argv], capture_output=True,
+                          text=True, env=child_env(), check=False)
+    code, hwm_kb = proc.stderr.split()
+    assert (proc.returncode, code) == (0, "0")
+    return int(hwm_kb) / 1024
+
+
 def test_memory_bounded_on_a_deep_orbit(capsys):
     """The orbit streams with three levels held, so memory grows as L^2:
     depth 200 stays under 32 MB (the whole store once needed over 100 MB)."""
     t0 = time.monotonic()
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS_CHILD], capture_output=True,
-                          text=True, env=child_env(), check=False)
-    code, hwm_kb = proc.stderr.split()
-    peak_mb = int(hwm_kb) / 1024
-    assert (proc.returncode, code) == (0, "0")
+    peak_mb = _peak_rss_mb("orbit", "--max-level", "200")
     assert peak_mb < 32.0
     elapsed = time.monotonic() - t0
     with capsys.disabled():
         print(f"ACCEPTANCE memory: PASS ({elapsed:.2f}s) "
               f"depth-200 orbit streamed at {peak_mb:.1f} MB peak RSS")
+
+
+def test_memory_bounded_on_a_long_sinh_chain(capsys):
+    """The rank-one chain streams one element at a time: its 200,001 elements
+    stay under 24 MB (the whole list once needed over 60 MB)."""
+    t0 = time.monotonic()
+    peak_mb = _peak_rss_mb("sinh", "--max-level", "100000")
+    assert peak_mb < 24.0
+    elapsed = time.monotonic() - t0
+    with capsys.disabled():
+        print(f"ACCEPTANCE memory: PASS ({elapsed:.2f}s) "
+              f"level-100000 sinh chain streamed at {peak_mb:.1f} MB peak RSS")

@@ -25,9 +25,9 @@ from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_for
                                invert_to_closed_form, parameters_from_sums, type_of)
 from b2weyl.orbit import MembershipCertificate, OrbitWalk, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
-from b2weyl.weyl2 import APPENDIX_C_COEFFS, SUBSYSTEMS, appendix_table, finite_orbit
+from b2weyl.weyl2 import SUBSYSTEMS, finite_orbit
 from cli_contract import CONTRACT, SRC, child_env, fill, observe
-from conftest import mv, reference_replay
+from conftest import APPENDIX_C_COEFFS, mv, reference_replay
 from test_cascade import random_move
 
 
@@ -470,7 +470,7 @@ def weyl2_oracle(subsystem, weights, part, alpha):
         return "".join(lines)
     a1, a2 = _oracle_pair(alpha)
     if part == "a":
-        u, v = appendix_table("a", a1, a2)
+        u, v = 8 * a1 + 4 * a2 + 12, 8 * a1 + 8 * a2 + 16
         return _oracle_line({"part": "a", "tuple": [str(u), str(v)]})
     tuples = sorted({eval_at(MassVector(coeff), (a1, a2)) for coeff in APPENDIX_C_COEFFS})
     if part == "c":

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import MassVector, eval_at, quadric_form, reflect
+from b2weyl.algebra import B2, MassVector, eval_at, quadric_form, reflect
+from b2weyl.closedform import FAMILY_BY_TYPE, closed_form_eval
 from b2weyl.orbit import OrbitWalk
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
 from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, mv, reflect_reference
@@ -87,7 +88,7 @@ class TestOrbit:
 
     def test_every_element_is_on_the_quadric(self):
         # sinh_orbit does not check this itself: the chain stays on the quadric.
-        orbit = sinh_orbit(20)
+        orbit = list(sinh_orbit(20))
         assert len(orbit) == 41
         assert not any(any(quadric_form(sigma, SINH)) for sigma in orbit)
 
@@ -144,6 +145,24 @@ class TestOrbit:
             up = m + 1 if m % 2 == 0 else m - 1
             assert reflect(sigma, 1, SINH) == sinh_closed_form(up)
             assert reflect(sigma, 2, SINH) == sinh_closed_form(2 * m - up)
+
+
+def fold(rows):
+    """Identify B2(1)'s first two components: rows ((r11+r12, r13), (r31+r32, r33))."""
+    return tuple((row[0] + row[1], row[2]) for row in (rows[0], rows[2]))
+
+
+class TestDiagonalOfB2:
+    # sinh is B2(1) on the diagonal m1 = m2: the chain keeps its own
+    # closed form, which this checks against the B2(1) families.
+    def test_folded_coupling_is_sinh(self):
+        assert fold(B2.cartan) == SINH.cartan
+
+    def test_folded_closed_form_is_the_chain(self):
+        for m in range(-200, 201):
+            d = m if m % 2 else -m
+            full = closed_form_eval((FAMILY_BY_TYPE[(d % 4, d % 4)], d, d))
+            assert MassVector(fold(full.coeff)) == sinh_closed_form(m)
 
 
 class TestUnitWeights:

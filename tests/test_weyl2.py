@@ -4,19 +4,20 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_form
+from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_form, reflect
 from b2weyl.orbit import OrbitWalk
 from b2weyl.weyl2 import (
-    APPENDIX_C_COEFFS,
     APPENDIX_UV,
     PAIR_12,
     PAIR_13,
     PAIR_23,
     SUBSYSTEMS,
+    Subsystem,
     appendix_table,
     finite_orbit,
     longest_element,
 )
+from conftest import APPENDIX_C_COEFFS, REF_CARTAN_3, REF_SUBSYSTEMS, REF_SYMMETRIZER_3
 
 F = Fraction
 
@@ -45,6 +46,34 @@ class TestOrbitSizes:
         # APPENDIX_C_COEFFS is typed in from the paper's appendix, apart
         # from the walk; the computed orbit must be exactly that table.
         assert sorted(finite_orbit(APPENDIX_UV)) == sorted(APPENDIX_C_COEFFS)
+
+
+# The ordered B2(1) node pair each subsystem restricts to.
+NODES = {"pair_12": (1, 2), "pair_13": (1, 3), "pair_23": (2, 3), "appendix_uv": (3, 1)}
+
+
+class TestParabolicSubsystems:
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_restriction_is_the_papers_coupling(self, name):
+        cartan, symmetrizer, size = REF_SUBSYSTEMS[name]
+        idx = [node - 1 for node in NODES[name]]
+        assert tuple(tuple(REF_CARTAN_3[i][j] for j in idx) for i in idx) == cartan
+        assert tuple(REF_SYMMETRIZER_3[i] for i in idx) == symmetrizer
+        typed = Subsystem(name, cartan, symmetrizer, size)
+        assert SUBSYSTEMS[name] == typed and repr(SUBSYSTEMS[name]) == repr(typed)
+
+    @pytest.mark.parametrize("name", sorted(NODES))
+    def test_orbit_is_the_parabolic_orbit_of_b2(self, name):
+        # The origin's orbit under B2(1)'s generators i and j alone, read on
+        # rows and columns (i, j), is the subsystem's orbit.
+        i, j = NODES[name]
+        seen = frontier = {ZERO}
+        while frontier:
+            frontier = {reflect(sigma, k) for sigma in frontier for k in (i, j)} - seen
+            seen = seen | frontier
+        restricted = {tuple(tuple(sigma.coeff[r - 1][c - 1] for c in (i, j)) for r in (i, j))
+                      for sigma in seen}
+        assert restricted == set(finite_orbit(SUBSYSTEMS[name]))
 
 
 class TestPair12:
@@ -87,7 +116,8 @@ class TestAppendixOrbit:
         assert ((4, 0), (8, 4)) in orbit
 
     def test_longest_element(self):
-        assert longest_element(APPENDIX_UV) == ((8, 4), (8, 8))
+        # Part (a) reads it as the orbit's last element.
+        assert longest_element(APPENDIX_UV) == finite_orbit(APPENDIX_UV)[-1] == ((8, 4), (8, 8))
 
 
 class TestAppendixTable:
