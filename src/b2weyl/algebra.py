@@ -280,13 +280,15 @@ def scaled_values(sigma: MassVector,
     return tuple([sum(map(mul, row, m)) for row in sigma.coeff]), q
 
 
+def ratio_text(v: int, q: int) -> str:
+    """``str(Fraction(v, q))``, for q > 0, without building the Fraction."""
+    g = math.gcd(v, q)
+    return str(v // g) if g == q else f"{v // g}/{q // g}"
+
+
 def ratio_texts(values: Iterable[int], q: int) -> list[str]:
-    """``str(Fraction(v, q))`` of each value, for q > 0, without building the Fractions."""
-    texts = []
-    for v in values:
-        g = math.gcd(v, q)
-        texts.append(str(v // g) if g == q else f"{v // g}/{q // g}")
-    return texts
+    """``ratio_text`` of each value."""
+    return [ratio_text(v, q) for v in values]
 
 
 def eval_at(sigma: MassVector, weights: Weights | Sequence[Rational]) -> tuple[Fraction, ...]:

@@ -15,7 +15,11 @@ and the probe values as plain integer tuples and builds no state object
 per move.  ``replay`` is that loop from the origin and returns one
 ``(coeff, lattice, values)`` tuple per move; ``step`` is one move of it,
 whose rows and lattice make a new ``CascadeState``.  ``parse_scenario``
-parses each distinct raw line once.
+parses each distinct raw line once, and every collapse line to one of the
+twenty admissible collapses built at import (``_COLLAPSES``).  The CLI
+writes nothing until ``replay`` has returned, then writes each record as
+it is formatted, rebuilding a total's text only for a component whose
+scaled total changed.
 """
 
 from __future__ import annotations
@@ -59,11 +63,6 @@ _COLLAPSE_WORDS: dict[tuple[tuple[int, ...], str | None], tuple[int, ...]] = {
 _VALID_SUBSETS = tuple(dict.fromkeys(subset for subset, _ in _COLLAPSE_WORDS))
 
 
-# Each admissible collapse's word composed once into one affine map on the
-# rows (see ``algebra._word_map``); each Collapse takes its own as ``row_map``.
-_COLLAPSE_MAPS = {key: _word_map(word) for key, word in _COLLAPSE_WORDS.items()}
-
-
 class SatelliteMerge(Frozen):
     """Absorb far-satellite mass: a pure lattice shift by mass/4.
 
@@ -82,8 +81,9 @@ class SatelliteMerge(Frozen):
 
     def __init__(self, mass: tuple[int, int, int]) -> None:
         valid = len(mass) == 3 and all(v >= 0 and v % 4 == 0 for v in mass)
-        self._assign(mass=mass, shift=tuple(v // 4 for v in mass) if valid else None,
-                     text="merge " + " ".join(str(v) for v in mass))
+        object.__setattr__(self, "mass", mass)
+        object.__setattr__(self, "shift", tuple([v // 4 for v in mass]) if valid else None)
+        object.__setattr__(self, "text", "merge " + " ".join(map(str, mass)))
 
 
 class Collapse(Frozen):
@@ -91,9 +91,9 @@ class Collapse(Frozen):
 
     ``subset`` is the set of slow components.  Singletons and {1,2} have
     a single admissible word; a pair {i,3} takes one of the eight
-    variants named in COLLAPSE_VARIANTS.  ``row_map`` is the word's
-    precomposed map from ``_COLLAPSE_MAPS`` and ``text`` the move as a
-    scenario line, both fixed at construction.
+    variants named in COLLAPSE_VARIANTS.  ``row_map`` is the word composed
+    into one affine map on the rows (see ``algebra._word_map``) and
+    ``text`` the move as a scenario line, both fixed at construction.
     """
 
     __slots__ = ("subset", "variant", "row_map", "text")
@@ -115,7 +115,8 @@ class Collapse(Frozen):
             raise ValueError(f"collapse on {subset} needs a variant from "
                              f"{sorted(COLLAPSE_VARIANTS)}, got {variant}")
         text = "collapse " + "".join(str(v) for v in subset)
-        self._assign(subset=subset, variant=variant, row_map=_COLLAPSE_MAPS[subset, variant],
+        self._assign(subset=subset, variant=variant,
+                     row_map=_word_map(_COLLAPSE_WORDS[subset, variant]),
                      text=text if variant is None else f"{text} {variant}")
 
     def word(self) -> tuple[int, ...]:
@@ -124,6 +125,11 @@ class Collapse(Frozen):
 
 
 Move = Union[SatelliteMerge, Collapse]
+
+# The twenty admissible collapses, built once at import and keyed like
+# ``_COLLAPSE_WORDS``, so each word's map is composed once: every collapse
+# line a scenario can hold parses to one of these shared moves.
+_COLLAPSES = {key: Collapse(*key) for key in _COLLAPSE_WORDS}
 
 
 class CascadeState(Frozen):
@@ -253,7 +259,8 @@ def _parse_move(tokens: list[str]) -> Move:
             raise ValueError("collapse takes a subset and an optional variant")
         subset = tuple(sorted(int(ch) for ch in tokens[1]))
         variant = tokens[2] if len(tokens) == 3 else None
-        return Collapse(subset, variant)
+        # A key outside the table is not admissible: Collapse words its error.
+        return _COLLAPSES.get((subset, variant)) or Collapse(subset, variant)
     raise ValueError(f"unknown move kind {kind!r}")
 
 

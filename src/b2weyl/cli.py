@@ -348,7 +348,7 @@ def cmd_cascade(args) -> int:
     mu, q = weights
     probe = Weights(tuple(Fraction(m, q) for m in mu))
     try:
-        text = Path(args.scenario).read_text(encoding="utf-8")
+        text = Path(args.scenario).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read scenario file: {exc}") from exc
     try:
@@ -356,18 +356,21 @@ def cmd_cascade(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     # Nothing is written until the whole replay has passed, so a rejected
-    # scenario prints its error record alone.  Each move carries its text;
-    # the total texts are rebuilt only when the scaled totals q*(gamma + 4n)
+    # scenario prints its error record alone; then each record is written as
+    # soon as it is formatted.  Each move carries its text, and a total's
+    # text is rebuilt only when that component's scaled total q*(gamma + 4n)
     # changed.
-    q4 = 4 * q
-    lines, totals, texts = [], None, None
+    q4, ratio, write = 4 * q, algebra.ratio_text, sys.stdout.write
+    a = b = c = None  # the scaled totals whose texts ta, tb and tc hold
     for move, (coeff, (x, y, z), (u, v, w)) in zip(moves, cascade.replay(moves, probe)):
-        scaled = (u + q4 * x, v + q4 * y, w + q4 * z)
-        if scaled != totals:
-            totals, texts = scaled, algebra.ratio_texts(scaled, q)
+        if (t := u + q4 * x) != a:
+            a, ta = t, ratio(t, q)
+        if (t := v + q4 * y) != b:
+            b, tb = t, ratio(t, q)
+        if (t := w + q4 * z) != c:
+            c, tc = t, ratio(t, q)
         row1, row2, row3 = coeff
-        lines.append(_CASCADE_RECORD % (move.text, *row1, *row2, *row3, x, y, z, *texts))
-    sys.stdout.write("".join(lines))
+        write(_CASCADE_RECORD % (move.text, *row1, *row2, *row3, x, y, z, ta, tb, tc))
     return 0
 
 
@@ -381,7 +384,7 @@ def _load_config() -> dict:
     if not path:
         return {}
     try:
-        config = json.loads(Path(path).read_text())
+        config = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, ValueError) as exc:
         raise UsageError(f"bad config file {path!r}: {exc}") from exc
     if not isinstance(config, dict):

@@ -40,6 +40,21 @@ collapse 12
 # records print merges, pair variants and non-integral totals.
 ACCEPTED_SCENARIO = REJECTED_SCENARIO.rsplit("collapse 12\n", 1)[0]
 
+# 300 accepted moves: the collapses climb the orbit along the word
+# 1,3,2,1,3,2,... and each is followed by a merge.  The last line undoes
+# the last collapse, which the gain bound rejects; nothing is written
+# before the replay has passed, so stdout is the error record alone.
+LONG_REJECTED_SCENARIO = "".join(f"collapse {(1, 3, 2)[k % 3]}\nmerge {4 * (k % 3)} 0 "
+                                 f"{4 * (k % 5) + 4}\n" for k in range(150)) + "collapse 2\n"
+LONG_ACCEPTED_SCENARIO = LONG_REJECTED_SCENARIO.rsplit("collapse 2\n", 1)[0]
+
+# The records of "collapse 1" then "merge 0 0 8" at the unit probe.
+COLLAPSE_MERGE_RECORDS = (
+    '{"move":"collapse 1","gamma_coeff":[[4,0,0],[0,0,0],[0,0,0]],"lattice":[0,0,0],'
+    '"total":["4","0","0"]}\n'
+    '{"move":"merge 0 0 8","gamma_coeff":[[4,0,0],[0,0,0],[0,0,0]],"lattice":[0,0,2],'
+    '"total":["4","0","8"]}\n')
+
 MEMBER = '{"member":true,"nonneg":true,"div4":true,"quadric_zero":true}\n'
 USAGE = 'prefix:{"error":"usage","detail":"'
 
@@ -202,10 +217,10 @@ CONTRACT = [
     # prints the rejection record alone; and a bad merge on two lines, which
     # the parser shares and the replay rejects at its first step.
     ("cascade-collapse-merge", ["cascade", "{scenario}"], "collapse 1\nmerge 0 0 8\n", 0,
-     '{"move":"collapse 1","gamma_coeff":[[4,0,0],[0,0,0],[0,0,0]],"lattice":[0,0,0],'
-     '"total":["4","0","0"]}\n'
-     '{"move":"merge 0 0 8","gamma_coeff":[[4,0,0],[0,0,0],[0,0,0]],"lattice":[0,0,2],'
-     '"total":["4","0","8"]}\n'),
+     COLLAPSE_MERGE_RECORDS),
+    # The same file saved with a UTF-8 byte-order mark replays the same.
+    ("cascade-byte-order-mark", ["cascade", "{scenario}"], "\ufeffcollapse 1\nmerge 0 0 8\n",
+     0, COLLAPSE_MERGE_RECORDS),
     ("cascade-repeated-collapse-unit", ["cascade", "{scenario}"], "collapse 1\ncollapse 1\n", 1,
      '{"error":"rejected-move","detail":"non-physical move collapse 1: total mass gain -4 '
      'falls below the bound 4"}\n'),
@@ -227,6 +242,15 @@ CONTRACT = [
      "collapse 1\ncollapse 1\n", 1,
      '{"error":"rejected-move","detail":"non-physical move collapse 1: total mass gain '
      '-4/3 falls below the bound 4/3"}\n'),
+    ("cascade-long-rejected", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
+     LONG_REJECTED_SCENARIO, 1,
+     '{"error":"rejected-move","detail":"non-physical move collapse 2: total mass gain '
+     '-3770/3 falls below the bound 4/3"}\n'),
+    # Without its last line it prints 300 records, where each move changes
+    # one or two of the three totals and the others keep their texts.
+    ("cascade-long-accepted", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
+     LONG_ACCEPTED_SCENARIO, 0,
+     "sha256:00c34cdfdf5e40889268635aaa2f819baff0b06ad8b2f748725f462c8557b29a"),
     ("unknown-command", ["orbits"], None, 2, USAGE),
 ]
 
@@ -245,7 +269,7 @@ def fill(argv, scenario, directory):
     if scenario is None:
         return list(argv)
     path = Path(directory) / "scenario.txt"
-    path.write_text(scenario)
+    path.write_text(scenario, encoding="utf-8")
     return [a.replace("{scenario}", str(path)) for a in argv]
 
 

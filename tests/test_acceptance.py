@@ -384,3 +384,19 @@ def test_memory_bounded_on_a_long_sinh_chain(capsys):
     with capsys.disabled():
         print(f"ACCEPTANCE memory: PASS ({elapsed:.2f}s) "
               f"level-100000 sinh chain streamed at {peak_mb:.1f} MB peak RSS")
+
+
+def test_memory_bounded_on_a_long_cascade(capsys, tmp_path):
+    """The records of a 200,000-move scenario are written one at a time once
+    the replay has passed, so the run stays under 110 MB (holding every
+    record and their joined copy once peaked near 170 MB)."""
+    scenario = tmp_path / "long.txt"
+    scenario.write_text("".join(f"collapse {(1, 3, 2)[k % 3]}\nmerge {4 * (k % 7)} "
+                                f"{4 * (k % 11)} {4 * (k % 13) + 4}\n" for k in range(100_000)))
+    t0 = time.monotonic()
+    peak_mb = _peak_rss_mb("cascade", str(scenario))
+    assert peak_mb < 110.0
+    elapsed = time.monotonic() - t0
+    with capsys.disabled():
+        print(f"ACCEPTANCE memory: PASS ({elapsed:.2f}s) "
+              f"200,000-move cascade streamed at {peak_mb:.1f} MB peak RSS")

@@ -18,6 +18,7 @@ from b2weyl.algebra import (
     eval_at,
     pohozaev_residual,
     quadric_form,
+    ratio_text,
     ratio_texts,
     reflect,
 )
@@ -250,12 +251,14 @@ class TestRatioTexts:
 
     def test_examples(self):
         assert ratio_texts([0, -6, 6, -6, 5], 4) == ["0", "-3/2", "3/2", "-3/2", "5/4"]
+        assert (ratio_text(-6, 4), ratio_text(8, 4), ratio_text(0, 7)) == ("-3/2", "2", "0")
         assert ratio_texts([0, -6, 5], 1) == ["0", "-6", "5"]
 
     @given(st.lists(st.integers(-10**12, 10**12), max_size=4), st.integers(1, 10**6))
     @settings(deadline=None, max_examples=500)
     def test_matches_fraction_str(self, values, q):
         assert ratio_texts(values, q) == [str(Fraction(v, q)) for v in values]
+        assert [ratio_text(v, q) for v in values] == [str(Fraction(v, q)) for v in values]
 
 
 class TestCanonicalOrder:

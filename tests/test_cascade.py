@@ -254,6 +254,20 @@ class TestScenario:
         assert [m.text for m in moves] == ["collapse 13 i3"] * 3 + [
             "merge 4 0 8", "collapse 13 i3", "merge 4 0 8"]
 
+    def test_every_collapse_line_parses_to_one_shared_move(self):
+        """Each admissible collapse, its subset digits in either order, parses
+        to a move equal to its own Collapse, and to the same object in every
+        scenario: the twenty moves are built once."""
+        seen = {}
+        for subset, variant in _COLLAPSE_WORDS:
+            for digits in {"".join(map(str, subset)), "".join(map(str, subset[::-1]))}:
+                line = f"collapse {digits}" + ("" if variant is None else f" {variant}")
+                (move,) = parse_scenario(line)
+                assert move == Collapse(subset, variant)
+                assert parse_scenario(f"merge 4 0 0\n{line}\ncollapse 1\n")[1] is move
+                assert seen.setdefault((subset, variant), move) is move
+        assert len(seen) == 20
+
     def test_a_repeated_bad_merge_fails_at_its_first_step(self):
         moves = parse_scenario("collapse 1\nmerge 4 2 0\nmerge 4 2 0\n")
         assert moves[1] is moves[2]

@@ -937,6 +937,15 @@ class TestConfigFile:
         assert code == 0
         assert json_lines(out)[-1]["meta"]["max_level"] == 1
 
+    def test_a_byte_order_mark_is_read_past(self, capsys, tmp_path, monkeypatch):
+        """A config saved with a UTF-8 byte-order mark reads as the same bytes without it."""
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xef\xbb\xbf" + json.dumps({"max_level": 1}).encode())
+        monkeypatch.setenv("B2WEYL_CONFIG", str(config))
+        code, out = run(capsys, "orbit")
+        assert code == 0
+        assert json_lines(out)[-1]["meta"]["max_level"] == 1
+
     @pytest.mark.parametrize("text", ["[1,2]", '"orbit"', "null"])
     def test_top_level_not_an_object(self, capsys, tmp_path, monkeypatch, text):
         self.assert_bad_config(capsys, tmp_path, monkeypatch, text)
