@@ -6,17 +6,20 @@ of four; this module enumerates it, building each element once from its
 canonical parent, tests that lattice membership, and walks any member
 back to the origin by the greedy descent on its closed-form id.  Its
 BFS, ``OrbitWalk``, streams the orbit of any ``ReflectionSystem`` level
-by level; the rank-one and rank-two orbits go through it too.
+by level; the rank-one and rank-two orbits go through it too.  Each
+level is expanded by one straight-line step per system, generated from
+the integers of its row maps and doubled coupling matrix and compiled
+once, the first time a walk on those integers passes level 0.
 """
 
 from __future__ import annotations
 
 from functools import cache
 from operator import itemgetter
-from typing import Iterator
+from typing import Callable, Iterator
 
-from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _check_rank, _reflected_coeff,
-                      _word_map, quadric_form)
+from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _check_rank, _word_map,
+                      quadric_form)
 from .closedform import invert_to_closed_form, reduced_word
 
 
@@ -96,6 +99,18 @@ class OrbitWalk:
     r_j h sorts before r_k h: the canonical parent is the matrix-least
     one, and each word is the one a BFS expanding each level in matrix
     order, then generator order, finds first.
+    The loop over a level is a step generated for the system: Python source
+    built from the integers of ``row_maps`` and ``doubled`` alone, compiled
+    once and cached on those two tuples (``_expander``), so a copy of a
+    system with patched row maps gets its own step, and the system's name
+    comes in at call time.  Per element it unpacks the rows and row sums and
+    takes each generator's rise d_i = sum_j w_ij * sum_j + 4 - sum_i as one
+    integer expression; then, generator by generator, it raises on a tie or
+    builds, as unrolled integer expressions, the row of an ascent that
+    passes the canonical test d_j - 2a_ji d_i >= 0 for every j < i.  It
+    decides the same edges as the rule above from the same integers, so
+    proof points (a)-(d) stand unchanged.  The step is fetched only once
+    level 0 has been yielded.
     A word is the text ``b2weyl orbit`` prints, the generator indices
     joined by commas, so a level-n word costs about 2n + 48 bytes (a
     tuple costs 8 per generator) and is not tracked by the garbage
@@ -146,52 +161,92 @@ class OrbitWalk:
         commas (``"1,3,2"``, and ``""`` at the origin), and ``sums`` its row
         sums; nothing is wrapped in a ``MassVector``.
         A level is yielded before it is expanded, so level 0 comes out
-        before a single row of level 1 is built.
+        before the step is fetched or a single row of level 1 is built.
         """
         self.pruned, self.exhausted, self.count = False, False, 0
-        system, bound, rank = self.system, self.max_coefficient, self.system.rank
-        digits = [str(i + 1) for i in range(rank)]
-        commas = ["," + digit for digit in digits]
-        # Per generator i: its row map and the (j, 2a_ji) of the generators j < i.
-        moves = [(i, pairs, [(j, system.doubled[j][i]) for j in range(i)])
-                 for i, pairs in enumerate(system.row_maps)]
+        system, rank = self.system, self.system.rank
+        digits = tuple(str(i + 1) for i in range(rank))
+        commas = tuple("," + digit for digit in digits)
         current = ((((0,) * rank,) * rank, "", (0,) * rank),)
         for level in range(self.max_level + 1):
             self.count += len(current)
             yield level, current
             if level == self.max_level:
                 return
-            following: list[tuple[tuple, str, tuple[int, ...]]] = []
+            if not level:
+                step = _expander(system.row_maps, system.doubled)
             steps = commas if level else digits  # the origin's word is empty
-            for coeff, word, sums in current:
-                totals = []
-                for i, pairs, earlier in moves:
-                    total = 4
-                    for j, w in pairs:
-                        total += w * sums[j]
-                    totals.append(total)
-                    if total <= sums[i]:
-                        if total == sums[i]:
-                            raise ValueError(
-                                f"{system.name}: generator {i + 1} leaves row sum "
-                                f"{total} unchanged at {coeff}; the walk cannot "
-                                "order this edge")
-                        continue  # a descent: the child is on the previous level
-                    rise = total - sums[i]
-                    for j, a in earlier:
-                        if totals[j] - a * rise < sums[j]:
-                            break  # j < i is a descent of the child: not its canonical parent
-                    else:
-                        child = _reflected_coeff(coeff, i, pairs)
-                        if bound is not None and max(child[i]) > bound:  # the other rows passed
-                            self.pruned = True
-                            continue
-                        following.append((child, word + steps[i],
-                                          sums[:i] + (total,) + sums[i + 1:]))
+            following, pruned = step(current, steps, self.max_coefficient, system.name)
+            self.pruned = self.pruned or pruned
             if not following:
                 self.exhausted = True
                 return
             current = tuple(sorted(following, key=itemgetter(0)))  # matrices are unique
+
+
+def _tie(name: str, generator: int, total: int, coeff: tuple) -> ValueError:
+    return ValueError(f"{name}: generator {generator} leaves row sum {total} unchanged at "
+                      f"{coeff}; the walk cannot order this edge")
+
+
+def _affine(const: int, terms: list[tuple[str, int]]) -> str:
+    """Source of ``const + sum(w * name)``, positive terms first: ``4 + 2*s2 - 2*s0``."""
+    text = str(const) if const else ""
+    for name, w in sorted(terms, key=lambda term: term[1] < 0):
+        if w:
+            factor = name if w in (1, -1) else "%d*%s" % (abs(w), name)
+            text += (" - " if w < 0 else " + ") + factor if text else "-" * (w < 0) + factor
+    return text or "0"
+
+
+# The step's source: _STEP, one rise d_i per generator, then one _CHILD each.
+_STEP = """def step(entries, steps, bound, name):
+    following, pruned = [], False
+    append = following.append
+    %(steps)s, = steps
+    for coeff, word, sums in entries:
+        %(g)s, = coeff
+        %(s)s, = sums
+"""
+_CHILD = """        if %(tests)s:
+            row = (%(row)s,)
+            if bound is not None and max(row) > bound:
+                pruned = True
+            else:
+                append(((%(child)s,), word + step%(i)d, (%(sums)s,)))
+        elif not d%(i)d:
+            raise _tie(name, %(generator)d, s%(i)d, coeff)
+"""
+
+
+@cache
+def _expander(row_maps: tuple, doubled: tuple) -> Callable[..., tuple[list, bool]]:
+    """The walk's step for these row maps and this 2A (see ``OrbitWalk``).
+
+    ``step(entries, steps, bound, name)`` returns the next level's entries,
+    unsorted, and whether a child was pruned; generator i + 1 appends
+    ``steps[i]`` to a word.
+    """
+    rank = range(len(row_maps))
+    g, s = ["g%d" % k for k in rank], ["s%d" % k for k in rank]
+    source = _STEP % {"steps": ", ".join(["step%d" % k for k in rank]),
+                      "g": ", ".join(g), "s": ", ".join(s)}
+    for i, pairs in enumerate(row_maps):
+        rise = dict(pairs)
+        rise[i] = rise.get(i, 0) - 1
+        source += "        d%d = %s\n" % (i, _affine(4, [(s[j], rise[j]) for j in sorted(rise)]))
+    for i, pairs in enumerate(row_maps):
+        # An ascent, and no j < i a descent of the child.
+        tests = ["d%d > 0" % i] + [_affine(0, [("d%d" % j, 1), ("d%d" % i, -doubled[j][i])])
+                                   + " >= 0" for j in range(i)]
+        row = [_affine(4 * (k == i), [("g%d[%d]" % (j, k), w) for j, w in pairs]) for k in rank]
+        source += _CHILD % {"tests": " and ".join(tests), "row": ", ".join(row),
+                            "child": ", ".join(g[:i] + ["row"] + g[i + 1:]),
+                            "sums": ", ".join(s[:i] + ["s%d + d%d" % (i, i)] + s[i + 1:]),
+                            "i": i, "generator": i + 1}
+    namespace = {"_tie": _tie}
+    exec(compile(source + "    return following, pruned\n", "<OrbitWalk step>", "exec"), namespace)
+    return namespace["step"]
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:

@@ -83,6 +83,13 @@ CONTRACT = [
     ("orbit-csv-40-pruned-mu", ["orbit", "--max-level", "40", "--max-coefficient", "16",
                                 "--output", "csv", "--mu", "3/2,1/3,5/4"], None, 0,
      "sha256:30805e0bb6174d79411d3df7a640968c22d3001af87d6004d633f6448bbd6596"),
+    # The walk's generated step, deep (12,417 records) and pruned before the
+    # orbit closes (truncated=true count=1168), so that -O and -S replay both.
+    ("orbit-json-96", ["orbit", "--max-level", "96"], None, 0,
+     "sha256:5cdf6d3bc8cf455b02475b5fbee579bbefbb384a854a89b8d042329951f7ce71"),
+    ("orbit-csv-60-pruned-mixed-mu", ["orbit", "--max-level", "60", "--max-coefficient", "400",
+                                      "--output", "csv", "--mu", "7,1/9,2/3"], None, 0,
+     "sha256:14b630b2220d1bdfa5f17e016cebdf74c6ca25eade9bc074be192725f7edda26"),
     # Help goes through argparse, whose text differs between versions.
     ("orbit-help", ["orbit", "--help"], None, 0, None),
     # The parsers alone check the choices of --output and --subsystem.

@@ -14,8 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weyl import algebra, cli, orbit
-from b2weyl.algebra import (B2, MassVector, ReflectionSystem, Weights, ZERO, _word_map,
-                            apply_word, quadric_form, reflect)
+from b2weyl.algebra import (B2, CARTAN_MATRIX, SYMMETRIZER, MassVector, ReflectionSystem,
+                            Weights, ZERO, _word_map, apply_word, quadric_form, reflect)
 from b2weyl.closedform import (ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY,
                                admissible_parameters, closed_form_eval, invert_to_closed_form)
 from b2weyl.orbit import (
@@ -638,14 +638,16 @@ def checked_levels(walk: OrbitWalk):
 
 
 # (system, depth, coefficient bound): B2 deep and unbounded, every finite
-# system until it closes, the three other affine systems, B2 pruned at
-# three bounds (each prunes, and the orbit closes by level 10), a pruned B2
-# walk cut before it closes, the bound 0 that prunes every level-1 child,
-# and the bound 4 that closes the orbit at level 3.
+# system until it closes, the three other affine systems unbounded and
+# pruned, B2 pruned at three bounds (each prunes, and the orbit closes by
+# level 10), a pruned B2 walk cut before it closes, the bound 0 that
+# prunes every level-1 child, and the bound 4 that closes the orbit at
+# level 3.
 ORACLE_CASES = (
     [(B2, 60, None), (SINH, 40, None)]
     + [(sub, 16, None) for sub in SUBSYSTEMS.values()]
     + [(A2_AFFINE, 16, None), (G2_AFFINE, 16, None), (A3_AFFINE, 10, None)]
+    + [(A2_AFFINE, 16, 24), (G2_AFFINE, 16, 40), (A3_AFFINE, 10, 16)]
     + [(B2, 40, bound) for bound in (8, 16, 40)]
     + [(B2, 8, 40), (B2, 5, 0), (B2, 30, 4)]
 )
@@ -772,25 +774,42 @@ def test_walk_word_ends_in_the_smallest_descent(system, depth, bound):
     assert seen == len(triples) - 1
 
 
+def recorded_steps(monkeypatch):
+    """Record the walk's generated step: each call's output entries, in order, in a list.
+
+    The walk fetches its step through ``orbit._expander``; the patched one
+    wraps the step it returns, so the list sees every child the walk builds.
+    """
+    outputs = []
+    expander = orbit._expander
+
+    def recording(row_maps, doubled):
+        step = expander(row_maps, doubled)
+
+        def recorded(*args):
+            following, pruned = step(*args)
+            outputs.append(following)
+            return following, pruned
+        return recorded
+
+    monkeypatch.setattr(orbit, "_expander", recording)
+    return outputs
+
+
 @pytest.mark.parametrize("system,depth", [(B2, 64), (SINH, 40), (PAIR_13, 16)],
                          ids=["B2(1)-64", "sinh-40", "pair_13-16"])
 def test_each_element_is_reflected_once(monkeypatch, system, depth):
     # A child is built only from its canonical parent, the one reached by
     # its smallest descent, so by construction an unpruned walk builds each
     # element but the origin exactly once, whether it stops at its depth or
-    # closes first.
-    calls = []
-
-    def counted(coeff, i, pairs):
-        calls.append(i)
-        return algebra._reflected_coeff(coeff, i, pairs)
-
-    monkeypatch.setattr(orbit, "_reflected_coeff", counted)
+    # closes first: the step's children are count - 1 distinct matrices.
+    outputs = recorded_steps(monkeypatch)
     walk = OrbitWalk(system, depth)
     for _ in checked_levels(walk):
         pass
     assert not walk.pruned
-    assert len(calls) == walk.count - 1
+    children = [coeff for following in outputs for coeff, _, _ in following]
+    assert len(children) == len(set(children)) == walk.count - 1
 
 
 def test_pruned_walk_matches_the_full_memory_bfs_at_every_bound():
@@ -851,13 +870,13 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
     assert next(walk.levels()) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
     assert (walk.count, walk.pruned, walk.exhausted) == (1, False, False)
     # Each level is yielded before it is expanded: level 0 of a walk a
-    # billion levels deep comes at once, before a row of level 1 is built.
-    calls = []
-    monkeypatch.setattr(orbit, "_reflected_coeff",
-                        lambda *args: calls.append(args) or algebra._reflected_coeff(*args))
-    deep = OrbitWalk(B2, 10**9)
-    assert next(deep.levels()) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
-    assert calls == [] and deep.count == 1
+    # billion levels deep comes at once, before the step runs; the next
+    # level is the step's first call.
+    outputs = recorded_steps(monkeypatch)
+    deep = OrbitWalk(B2, 10**9).levels()
+    assert next(deep) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
+    assert outputs == []
+    assert len(next(deep)[1]) == 3 and len(outputs) == 1
 
 
 def test_walk_words_are_the_reversed_descent_words():
@@ -899,6 +918,20 @@ def test_a_tied_row_sum_raises():
         list(OrbitWalk(tied, 3))
     assert B2.row_maps[0] == ((0, -1), (2, 2))
     assert len(list(OrbitWalk(B2, 3))) == 1 + 3 + 5 + 8
+
+
+def test_the_step_takes_no_text_from_the_system_name():
+    # The step is generated from the row maps and 2A alone; the name comes
+    # in at call time.  A name that would break Python source walks as
+    # B2(1) does and names itself in its tie error.
+    name = 'B2"(1)\n# \'{}'
+    odd = ReflectionSystem(name, CARTAN_MATRIX, SYMMETRIZER)
+    assert list(OrbitWalk(odd, 24).levels()) == list(OrbitWalk(B2, 24).levels())
+    tied = copy.copy(odd)
+    object.__setattr__(tied, "row_maps", ((),) + odd.row_maps[1:])
+    with pytest.raises(ValueError) as raised:
+        list(OrbitWalk(tied, 3))
+    assert str(raised.value).startswith(name + ": generator 1 leaves row sum 4 unchanged")
 
 
 
