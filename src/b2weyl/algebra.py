@@ -204,6 +204,12 @@ class MassVector(Frozen):
 ZERO = MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
 
 
+def _rows(flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A square matrix given flat, row-major (as the walk and the closed-form
+    kernels carry it), as its tuple of rows."""
+    return tuple(zip(*[iter(flat)] * math.isqrt(len(flat))))
+
+
 def _check_rank(sigma: MassVector, system: ReflectionSystem) -> None:
     if len(sigma.coeff) != system.rank:
         raise ValueError(f"a rank-{len(sigma.coeff)} vector does not fit "
@@ -231,6 +237,21 @@ def _reflected_coeff(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -
         for k, v in enumerate(coeff[j]):
             row[k] += w * v
     return coeff[:i] + (tuple(row),) + coeff[i + 1:]
+
+
+def _affine(const: int, terms: list[tuple[str, int]]) -> str:
+    """Source of ``const + sum(w * name)``, positive terms first: ``4 + 2*s2 - 2*s0``.
+
+    The one writer of integer expressions for the generated code: the
+    walk step (``orbit._expander``) and the closed-form kernels
+    (``closedform._kernel``).
+    """
+    text = str(const) if const else ""
+    for name, w in sorted(terms, key=lambda term: term[1] < 0):
+        if w:
+            factor = name if w in (1, -1) else "%d*%s" % (abs(w), name)
+            text += (" - " if w < 0 else " + ") + factor if text else "-" * (w < 0) + factor
+    return text or "0"
 
 
 def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:

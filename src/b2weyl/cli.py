@@ -138,11 +138,12 @@ def _word_text(word) -> str:
 
 
 def _b2_sigma_texts(coeff, scaled) -> list[str]:
-    """``str`` of each component of a B2(1) matrix at the weights ``scaled`` = (M, q).
+    """``str`` of each component of a B2(1) matrix, flat and row-major, at the
+    weights ``scaled`` = (M, q).
 
     Three flat dot products with M, over the one denominator q, with no Fractions.
     """
-    (a, b, c), (d, e, f), (g, h, k) = coeff
+    a, b, c, d, e, f, g, h, k = coeff
     (m1, m2, m3), q = scaled
     return algebra.ratio_texts((a * m1 + b * m2 + c * m3, d * m1 + e * m2 + f * m3,
                                 g * m1 + h * m2 + k * m3), q)
@@ -155,9 +156,9 @@ def _json_template(scaled, tail: str = "") -> str:
 
 
 def _json_fields(coeff, level: int, word: str, tag, scaled) -> tuple:
-    """The values for ``_JSON_RECORD`` (``word`` comma-joined), then any sigma texts."""
-    row1, row2, row3 = coeff
-    fields = (*row1, *row2, *row3, level, word, *tag)
+    """The values for ``_JSON_RECORD`` (``coeff`` flat, ``word`` comma-joined), then any
+    sigma texts."""
+    fields = (*coeff, level, word, *tag)
     if scaled is not None:
         fields += tuple(_b2_sigma_texts(coeff, scaled))
     return fields
@@ -171,12 +172,13 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
     # The walk yields one level at a time (``OrbitWalk.levels``).  Each
     # level's records are rendered in one pass and written with one write;
-    # the totals come last.  The walk carries each word as its JSON text,
-    # which a CSV row dots.  A JSON record is typed from the row sums the
-    # walk carries; a CSV row takes its closed-form id from them too and is
-    # checked exactly against the family's evaluated rows.  The write sits
-    # in a ``finally``, so when a row fails its check, the rows of its
-    # level that passed are still written, ahead of the error record.
+    # the totals come last.  The walk carries each matrix flat and each
+    # word as its JSON text, which a CSV row dots.  A JSON record is typed
+    # from the row sums the walk carries; a CSV row takes its closed-form
+    # id from them too and is checked exactly against the family's
+    # evaluated entries.  The write sits in a ``finally``, so when a row
+    # fails its check, the rows of its level that passed are still
+    # written, ahead of the error record.
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
@@ -194,8 +196,7 @@ def cmd_orbit(args) -> int:
 
         def record(coeff, level, word, sums):
             cid = closedform.invert_rows(coeff, sums)
-            row1, row2, row3 = coeff
-            fields = (level, word.replace(",", "."), *row1, *row2, *row3,
+            fields = (level, word.replace(",", "."), *coeff,
                       *closedform.TYPE_BY_FAMILY[cid.ell], *cid)
             if scaled is not None:
                 fields += tuple(_b2_sigma_texts(coeff, scaled))
@@ -246,7 +247,7 @@ def cmd_closedform(args) -> int:
     sigma = closedform.closed_form_eval(cid)  # validates the id first
     word = closedform.reduced_word(args.m1, args.m2)[::-1]  # reduced: its length is the level
     template = _json_template(scaled, ',"closed_form":[%d,%d,%d]')
-    fields = _json_fields(sigma.coeff, len(word), _word_text(word),
+    fields = _json_fields(sum(sigma.coeff, ()), len(word), _word_text(word),
                           closedform.TYPE_BY_FAMILY[cid.ell], scaled)
     sys.stdout.write(template % (*fields, *cid))
     return 0

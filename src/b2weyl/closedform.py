@@ -5,7 +5,9 @@ matrix families and two free integers: m1 = (s1 - s3)/4 and
 m2 = (s2 - s3)/4 from the row sums s, and ell from (m1, m2) mod 4, the
 element's type; (ell, m1, m2) is its id.  ``_F`` holds the coefficients
 as integers in quarter units, built at import from the orbit itself
-(``_derive_families``), and is evaluated without rationals.
+(``_derive_families``), and is evaluated without rationals, by one
+straight-line kernel per family generated from its integers
+(``_family_entries``).
 
 Proof.  Generator i moves (m1, m2) by ``_reflected_parameters``, the
 reflection in m1 = 1/2, m2 = 1/2 or m1 + m2 = -1, the walls of the alcove
@@ -40,9 +42,9 @@ the steps of ``reduced_word``.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .algebra import GENERATORS, ZERO, MassVector, apply_word
+from .algebra import GENERATORS, ZERO, MassVector, _affine, _rows, apply_word
 
 TypePair = tuple[int, int]
 
@@ -86,31 +88,79 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     """
     ell, m1, m2 = cid
     _check_admissible(ell, m1, m2)
-    return MassVector(_family_rows(ell, m1, m2))
+    return MassVector(_rows(_family_entries(ell, m1, m2)))
 
 
-def _family_rows(ell: int, m1: int, m2: int) -> tuple[tuple[int, ...], ...]:
-    """Family ``ell`` at (m1, m2) as integer rows, checked to be nonnegative multiples of 4.
+def _family_entries(ell: int, m1: int, m2: int) -> tuple[int, ...]:
+    """Family ``ell`` at (m1, m2), flat and row-major, checked to lie in 4N entry by entry.
 
-    ``_F`` is read on every call.  An entry is a nonnegative multiple of
-    four exactly when its quarter-unit value is a nonnegative multiple of
-    16; any other value raises ValueError, naming a non-integer entry
-    first.
+    The work is done by the family's kernel (``_kernel``), compiled on the
+    first call and kept with the table ``_F[ell]`` it was written from.
+    ``_F[ell]`` is looked up on every call, and a table that is not that
+    same object gets a fresh kernel; the table is never hashed, which
+    would cost about what the kernel saves.  An entry is a nonnegative
+    multiple of four exactly when its quarter-unit value is a nonnegative
+    multiple of 16; any other value raises ValueError, naming the first
+    failing entry in row-major order, and a non-integer one as such.
     """
-    s1, s2 = m1 * m1, m2 * m2
-    rows = []
-    for table_row in _F[ell]:
-        row = []
-        for a, b, c, d, e in table_row:
-            quarter = a * s1 + b * m1 + c * s2 + d * m2 + e
-            if quarter < 0 or quarter % 16:
-                if quarter % 4:
-                    raise ValueError(f"non-integer entry {Fraction(quarter, 4)} "
-                                     f"at ({ell},{m1},{m2})")
-                raise ValueError(f"entry {quarter // 4} not in 4N at ({ell},{m1},{m2})")
-            row.append(quarter // 4)
-        rows.append(tuple(row))
-    return tuple(rows)
+    table = _F[ell]
+    kept = _kernels.get(ell)
+    if kept is None or kept[0] is not table:
+        kept = _kernels[ell] = (table, _kernel(ell, table))
+    return kept[1](m1, m2)
+
+
+# The compiled kernel of each family, with the table it was written from.
+_kernels: dict[int, tuple] = {}
+
+# A kernel's source.  Each entry is a quarter-unit value e_k, built on the
+# entry's quadratic part p_n, one per distinct (m1^2, m2^2) pair of
+# coefficients; the OR of the nine values has a low bit among its last
+# four, or is negative, exactly when one of them does (Python ints are
+# two's complement of unbounded width), which is the one test of 4N.
+_KERNEL = """def kernel(m1, m2):
+    sq1 = m1 * m1
+    sq2 = m2 * m2
+%(parts)s%(entries)s    bits = %(bits)s
+    if bits & 15 or bits < 0:
+        _reject(%(ell)d, m1, m2, (%(quarters)s,))
+    return (%(values)s,)
+"""
+
+
+def _kernel(ell: int, table: tuple) -> Callable[[int, int], tuple[int, ...]]:
+    """Straight-line integer source for family ``ell``'s ``table``, compiled.
+
+    ``kernel(m1, m2)`` returns the nine entries, flat, or hands their
+    quarter values to ``_reject``.
+    """
+    parts: dict[tuple[int, int], str] = {}
+    entries = []
+    for a, b, c, d, e in (entry for row in table for entry in row):
+        terms = [("m1", b), ("m2", d)]
+        if a or c:
+            terms.insert(0, (parts.setdefault((a, c), "p%d" % len(parts)), 1))
+        entries.append(_affine(e, terms))
+    quarters = ["e%d" % k for k in range(len(entries))]
+    source = _KERNEL % {
+        "parts": "".join("    %s = %s\n" % (name, _affine(0, [("sq1", a), ("sq2", c)]))
+                         for (a, c), name in parts.items()),
+        "entries": "".join("    %s = %s\n" % pair for pair in zip(quarters, entries)),
+        "bits": " | ".join(quarters), "ell": ell, "quarters": ", ".join(quarters),
+        "values": ", ".join(name + " >> 2" for name in quarters)}
+    namespace = {"_reject": _reject}
+    exec(compile(source, "<closed form %d>" % ell, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _reject(ell: int, m1: int, m2: int, quarters: tuple[int, ...]) -> None:
+    """Raise the ValueError for the first quarter value that is not a nonnegative multiple of 16."""
+    for quarter in quarters:
+        if quarter < 0 or quarter % 16:
+            if quarter % 4:
+                raise ValueError(f"non-integer entry {Fraction(quarter, 4)} "
+                                 f"at ({ell},{m1},{m2})")
+            raise ValueError(f"entry {quarter // 4} not in 4N at ({ell},{m1},{m2})")
 
 
 def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
@@ -127,24 +177,25 @@ def parameters_from_sums(sums: tuple[int, ...]) -> tuple[TypePair, int, int]:
     return tag, m1, m2
 
 
-def invert_rows(coeff: tuple[tuple[int, ...], ...], sums: tuple[int, ...]) -> ClosedFormId:
-    """The unique (family, m1, m2) of the coefficient rows ``coeff`` with row sums ``sums``.
+def invert_rows(coeff: tuple[int, ...], sums: tuple[int, ...]) -> ClosedFormId:
+    """The unique (family, m1, m2) of the coefficient rows ``coeff``, flat and
+    row-major, with row sums ``sums``.
 
     The parameters are read off the sums, then the candidate family is
     evaluated and compared with ``coeff`` exactly; a mismatch means the
     rows are not an orbit element and raises ValueError.  ``sums`` must
-    be ``coeff``'s own row sums (the orbit walk carries them).
+    be ``coeff``'s own row sums (the orbit walk carries both).
     """
     tag, m1, m2 = parameters_from_sums(sums)
     ell = FAMILY_BY_TYPE[tag]
-    if _family_rows(ell, m1, m2) != coeff:
+    if _family_entries(ell, m1, m2) != coeff:
         raise ValueError(f"vector is not representable by family {ell} at ({m1},{m2})")
     return ClosedFormId(ell, m1, m2)
 
 
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
     """The unique (family, m1, m2) of a lattice member: ``invert_rows`` on its rows and sums."""
-    return invert_rows(sigma.coeff, sigma.coefficient_sums())
+    return invert_rows(sum(sigma.coeff, ()), sigma.coefficient_sums())
 
 
 def type_of(sigma: MassVector) -> TypePair:

@@ -18,8 +18,8 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _check_rank, _word_map,
-                      quadric_form)
+from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _affine, _check_rank, _rows,
+                      _word_map, quadric_form)
 from .closedform import invert_to_closed_form, reduced_word
 
 
@@ -61,9 +61,10 @@ class OrbitWalk:
     """Level-by-level BFS over the reflection orbit of the origin of ``system``.
 
     ``levels()`` is the walk's one loop: it yields each level whole, as a
-    tuple of plain entries; iterating the walk yields the same elements
-    one by one as ``OrbitElement``s.  Each level is sorted by coefficient
-    matrix (row-major), which is unique on it.
+    tuple of plain entries, each matrix one flat row-major tuple of ints;
+    iterating the walk yields the same elements one by one as
+    ``OrbitElement``s, with the matrices back in rows.  Each level is
+    sorted by coefficient matrix (row-major), which is unique on it.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
     values at unit weights: generator i raises the length exactly when it
@@ -103,14 +104,16 @@ class OrbitWalk:
     built from the integers of ``row_maps`` and ``doubled`` alone, compiled
     once and cached on those two tuples (``_expander``), so a copy of a
     system with patched row maps gets its own step, and the system's name
-    comes in at call time.  Per element it unpacks the rows and row sums and
-    takes each generator's rise d_i = sum_j w_ij * sum_j + 4 - sum_i as one
-    integer expression; then, generator by generator, it raises on a tie or
-    builds, as unrolled integer expressions, the row of an ascent that
-    passes the canonical test d_j - 2a_ji d_i >= 0 for every j < i.  It
-    decides the same edges as the rule above from the same integers, so
-    proof points (a)-(d) stand unchanged.  The step is fetched only once
-    level 0 has been yielded.
+    comes in at call time.  Per element it unpacks the flat matrix's entries
+    and the row sums and takes each generator's rise
+    d_i = sum_j w_ij * sum_j + 4 - sum_i as one integer expression; then,
+    generator by generator, it raises on a tie or builds, as unrolled
+    integer expressions, the row of an ascent that passes the canonical
+    test d_j - 2a_ji d_i >= 0 for every j < i, and the child as one flat
+    tuple.  It decides the same edges as the rule above from the same
+    integers, so proof points (a)-(d) stand unchanged.  The step is
+    fetched only once level 0 has been yielded.  Flat matrices sort in the
+    same row-major order as their rows, at about half the comparison cost.
     A word is the text ``b2weyl orbit`` prints, the generator indices
     joined by commas, so a level-n word costs about 2n + 48 bytes (a
     tuple costs 8 per generator) and is not tracked by the garbage
@@ -149,17 +152,21 @@ class OrbitWalk:
     def __iter__(self) -> Iterator[OrbitElement]:
         for level, entries in self.levels():
             for coeff, word, _ in entries:
-                yield OrbitElement(MassVector(coeff), level,
+                yield OrbitElement(MassVector(_rows(coeff)), level,
                                    tuple(map(int, word.split(","))) if word else ())
 
     def levels(self) -> Iterator[tuple[int, tuple]]:
         """The walk one level at a time, as ``(level, entries)`` from level 0 on.
 
         ``entries`` is the level as a tuple of plain tuples ``(coeff, word,
-        sums)``, sorted by coefficient matrix: ``coeff`` is the matrix,
-        ``word`` its witness word as text, the generator indices joined by
-        commas (``"1,3,2"``, and ``""`` at the origin), and ``sums`` its row
-        sums; nothing is wrapped in a ``MassVector``.
+        sums)``, sorted by coefficient matrix: ``coeff`` is the matrix as
+        one flat row-major tuple of rank**2 ints (``algebra._rows`` gives
+        its rows), ``word`` its witness word as text, the generator indices
+        joined by commas (``"1,3,2"``, and ``""`` at the origin), and
+        ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
+        On B2(1) an entry costs 64 bytes, its flat matrix 112 and its sums
+        64, plus its word and the ints of its new row and row sum, shared
+        with no other entry when above 256.
         A level is yielded before it is expanded, so level 0 comes out
         before the step is fetched or a single row of level 1 is built.
         """
@@ -167,7 +174,7 @@ class OrbitWalk:
         system, rank = self.system, self.system.rank
         digits = tuple(str(i + 1) for i in range(rank))
         commas = tuple("," + digit for digit in digits)
-        current = ((((0,) * rank,) * rank, "", (0,) * rank),)
+        current = (((0,) * (rank * rank), "", (0,) * rank),)
         for level in range(self.max_level + 1):
             self.count += len(current)
             yield level, current
@@ -186,17 +193,7 @@ class OrbitWalk:
 
 def _tie(name: str, generator: int, total: int, coeff: tuple) -> ValueError:
     return ValueError(f"{name}: generator {generator} leaves row sum {total} unchanged at "
-                      f"{coeff}; the walk cannot order this edge")
-
-
-def _affine(const: int, terms: list[tuple[str, int]]) -> str:
-    """Source of ``const + sum(w * name)``, positive terms first: ``4 + 2*s2 - 2*s0``."""
-    text = str(const) if const else ""
-    for name, w in sorted(terms, key=lambda term: term[1] < 0):
-        if w:
-            factor = name if w in (1, -1) else "%d*%s" % (abs(w), name)
-            text += (" - " if w < 0 else " + ") + factor if text else "-" * (w < 0) + factor
-    return text or "0"
+                      f"{_rows(coeff)}; the walk cannot order this edge")
 
 
 # The step's source: _STEP, one rise d_i per generator, then one _CHILD each.
@@ -209,8 +206,7 @@ _STEP = """def step(entries, steps, bound, name):
         %(s)s, = sums
 """
 _CHILD = """        if %(tests)s:
-            row = (%(row)s,)
-            if bound is not None and max(row) > bound:
+%(row)s            if bound is not None and (%(over)s):
                 pruned = True
             else:
                 append(((%(child)s,), word + step%(i)d, (%(sums)s,)))
@@ -225,12 +221,15 @@ def _expander(row_maps: tuple, doubled: tuple) -> Callable[..., tuple[list, bool
 
     ``step(entries, steps, bound, name)`` returns the next level's entries,
     unsorted, and whether a child was pruned; generator i + 1 appends
-    ``steps[i]`` to a word.
+    ``steps[i]`` to a word.  Entry (j, k) of the flat matrix is ``gj_k``,
+    and a child's new row ``r0``, ``r1``, ...: each child is built as one
+    flat tuple.
     """
     rank = range(len(row_maps))
-    g, s = ["g%d" % k for k in rank], ["s%d" % k for k in rank]
+    g = [["g%d_%d" % (j, k) for k in rank] for j in rank]
+    s, r = ["s%d" % k for k in rank], ["r%d" % k for k in rank]
     source = _STEP % {"steps": ", ".join(["step%d" % k for k in rank]),
-                      "g": ", ".join(g), "s": ", ".join(s)}
+                      "g": ", ".join(sum(g, [])), "s": ", ".join(s)}
     for i, pairs in enumerate(row_maps):
         rise = dict(pairs)
         rise[i] = rise.get(i, 0) - 1
@@ -239,9 +238,11 @@ def _expander(row_maps: tuple, doubled: tuple) -> Callable[..., tuple[list, bool
         # An ascent, and no j < i a descent of the child.
         tests = ["d%d > 0" % i] + [_affine(0, [("d%d" % j, 1), ("d%d" % i, -doubled[j][i])])
                                    + " >= 0" for j in range(i)]
-        row = [_affine(4 * (k == i), [("g%d[%d]" % (j, k), w) for j, w in pairs]) for k in rank]
-        source += _CHILD % {"tests": " and ".join(tests), "row": ", ".join(row),
-                            "child": ", ".join(g[:i] + ["row"] + g[i + 1:]),
+        row = [_affine(4 * (k == i), [(g[j][k], w) for j, w in pairs]) for k in rank]
+        source += _CHILD % {"tests": " and ".join(tests),
+                            "row": "".join("            %s = %s\n" % pair for pair in zip(r, row)),
+                            "over": " or ".join(name + " > bound" for name in r),
+                            "child": ", ".join(sum(g[:i] + [r] + g[i + 1:], [])),
                             "sums": ", ".join(s[:i] + ["s%d + d%d" % (i, i)] + s[i + 1:]),
                             "i": i, "generator": i + 1}
     namespace = {"_tie": _tie}

@@ -13,9 +13,10 @@ and ``orbit``.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 
 from .algebra import (CARTAN_MATRIX, SYMMETRIZER, Frozen, MassVector, Rational,
-                      ReflectionSystem, _scale, eval_at)
+                      ReflectionSystem, _rows, _scale, eval_at)
 from .orbit import OrbitWalk
 
 Matrix2 = tuple[tuple[int, int], tuple[int, int]]
@@ -65,7 +66,7 @@ def _closed_levels(sub: Subsystem) -> list[tuple[int, tuple]]:
 def finite_orbit(sub: Subsystem) -> list[Matrix2]:
     """All orbit elements as 2x2 coefficient matrices, canonically sorted: as the
     tests check, the walk's levels already are, in order, on every subsystem."""
-    orbit = [coeff for _, entries in _closed_levels(sub) for coeff, _, _ in entries]
+    orbit = [_rows(coeff) for _, entries in _closed_levels(sub) for coeff, _, _ in entries]
     if len(orbit) != sub.expected_size:
         raise RuntimeError(f"orbit of {sub.name} has {len(orbit)} elements, "
                            f"expected {sub.expected_size}")
@@ -77,14 +78,15 @@ def longest_element(sub: Subsystem) -> Matrix2:
     _, deepest = _closed_levels(sub)[-1]
     if len(deepest) != 1:
         raise RuntimeError(f"orbit of {sub.name} has no unique deepest element")
-    return deepest[0][0]
+    return _rows(deepest[0][0])
 
 
-# appendix_uv's orbit, walked once: part (c) substitutes the strengths into
-# its elements, and part (a) evaluates its deepest, the last (the deepest
-# level holds it alone), at (alpha1 + 1, alpha2 + 1).
-_APPENDIX_ORBIT = finite_orbit(APPENDIX_UV)
-_APPENDIX_TOP = MassVector(_APPENDIX_ORBIT[-1])
+@cache
+def _appendix_orbit() -> tuple[Matrix2, ...]:
+    """appendix_uv's orbit, walked on first use and kept: part (c) substitutes
+    the strengths into its elements, and part (a) evaluates its deepest, the
+    last (the deepest level holds it alone), at (alpha1 + 1, alpha2 + 1)."""
+    return tuple(finite_orbit(APPENDIX_UV))
 
 
 class NaturalityCertificate(Frozen):
@@ -114,7 +116,7 @@ def _check_strengths(alpha1: Fraction, alpha2: Fraction) -> None:
 def _pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
     (n1, n2), q = _scale((alpha1.as_integer_ratio(), alpha2.as_integer_ratio()))
     return sorted({(a * n1 + b * n2, c * n1 + d * n2)
-                   for (a, b), (c, d) in _APPENDIX_ORBIT}), q
+                   for (a, b), (c, d) in _appendix_orbit()}), q
 
 
 def appendix_pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
@@ -140,7 +142,7 @@ def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
     a1, a2 = Fraction(alpha1), Fraction(alpha2)
     _check_strengths(a1, a2)
     if part == "a":
-        return eval_at(_APPENDIX_TOP, (a1 + 1, a2 + 1))
+        return eval_at(MassVector(_appendix_orbit()[-1]), (a1 + 1, a2 + 1))
     if part == "c":
         pairs, q = _pairs(a1, a2)
         return {(Fraction(u, q), Fraction(v, q)) for u, v in pairs}

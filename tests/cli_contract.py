@@ -90,6 +90,10 @@ CONTRACT = [
     ("orbit-csv-60-pruned-mixed-mu", ["orbit", "--max-level", "60", "--max-coefficient", "400",
                                       "--output", "csv", "--mu", "7,1/9,2/3"], None, 0,
      "sha256:14b630b2220d1bdfa5f17e016cebdf74c6ca25eade9bc074be192725f7edda26"),
+    # The benchmark's CSV dump, unpruned: 5,548 rows, each checked against
+    # its family's generated closed-form kernel, with sigma columns.
+    ("orbit-csv-64-mu", ["orbit", "--max-level", "64", "--output", "csv", "--mu", "3/2,1/3,5"],
+     None, 0, "sha256:4f1b80559ee9f906bea38838a357c32fd85ccfba75a3cf27ebd4566408c90128"),
     # Help goes through argparse, whose text differs between versions.
     ("orbit-help", ["orbit", "--help"], None, 0, None),
     # The parsers alone check the choices of --output and --subsystem.

@@ -145,6 +145,30 @@ def wall_count(m1, m2):
     return _crossed(2 * m1, 1) + _crossed(2 * m2, 1) + _crossed(m1 + m2, -1) + _crossed(m1 - m2, 2)
 
 
+def family_rows(table, ell, m1, m2):
+    """A closed-form family table at (m1, m2) as integer rows, by the generic loop.
+
+    The oracle of the generated kernels (``closedform._kernel``): it reads
+    ``table``, a value of ``closedform._F``, entry by entry, and raises
+    the ValueError of the first entry, in row-major order, whose
+    quarter-unit value is not a nonnegative multiple of 16.
+    """
+    s1, s2 = m1 * m1, m2 * m2
+    rows = []
+    for table_row in table:
+        row = []
+        for a, b, c, d, e in table_row:
+            quarter = a * s1 + b * m1 + c * s2 + d * m2 + e
+            if quarter < 0 or quarter % 16:
+                if quarter % 4:
+                    raise ValueError(f"non-integer entry {Fraction(quarter, 4)} "
+                                     f"at ({ell},{m1},{m2})")
+                raise ValueError(f"entry {quarter // 4} not in 4N at ({ell},{m1},{m2})")
+            row.append(quarter // 4)
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
     """``(coeff, lattice, values)`` after each move, the way ``cascade.replay`` reports it.
 

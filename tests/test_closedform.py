@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weyl import algebra, closedform
-from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, quadric_form,
-                            reflect)
+from b2weyl.algebra import (B2, MassVector, Weights, ZERO, _rows, apply_word, eval_at,
+                            quadric_form, reflect)
 from b2weyl.closedform import (
     ADMISSIBLE_TYPES,
     ClosedFormId,
@@ -30,7 +30,7 @@ from b2weyl.closedform import (
 )
 from b2weyl.orbit import OrbitWalk
 from cli_contract import child_env
-from conftest import mv, wall_count
+from conftest import family_rows, mv, wall_count
 
 
 # The ten anchor assignments pinning each family to a tree element.
@@ -188,7 +188,7 @@ class TestInvert:
 
 
 class TestInvertRows:
-    """``invert_rows`` on the walk's plain rows against ``invert_to_closed_form``."""
+    """``invert_rows`` on the walk's flat entries against ``invert_to_closed_form``."""
 
     def test_agrees_with_invert_to_closed_form_on_the_depth_64_walk(self):
         walk = OrbitWalk(B2, 64)
@@ -196,7 +196,7 @@ class TestInvertRows:
             for coeff, _, sums in entries:
                 cid = invert_rows(coeff, sums)
                 assert type(cid) is ClosedFormId
-                assert cid == invert_to_closed_form(MassVector(coeff))
+                assert cid == invert_to_closed_form(MassVector(_rows(coeff)))
         assert walk.count == 5548
 
     def test_near_misses_raise_the_same_message(self):
@@ -207,15 +207,14 @@ class TestInvertRows:
         rejections = set()
         for _, entries in OrbitWalk(B2, 24).levels():
             for coeff, _, sums in entries:
-                for i in range(3):
-                    for k in range(3):
-                        row = coeff[i][:k] + (coeff[i][k] + 4,) + coeff[i][k + 1:]
-                        bumped = coeff[:i] + (row,) + coeff[i + 1:]
-                        moved = sums[:i] + (sums[i] + 4,) + sums[i + 1:]
-                        got = _outcome(invert_rows, bumped, moved)
-                        assert got == _outcome(invert_to_closed_form, MassVector(bumped))
-                        if isinstance(got, str):
-                            rejections.add(got.split()[0])
+                for k in range(9):
+                    i = k // 3
+                    bumped = coeff[:k] + (coeff[k] + 4,) + coeff[k + 1:]
+                    moved = sums[:i] + (sums[i] + 4,) + sums[i + 1:]
+                    got = _outcome(invert_rows, bumped, moved)
+                    assert got == _outcome(invert_to_closed_form, MassVector(_rows(bumped)))
+                    if isinstance(got, str):
+                        rejections.add(got.split()[0])
         # Both kinds of rejection occur: an inadmissible residue pair read
         # off the sums, and an admissible id whose family does not match.
         assert rejections == {"residue", "vector"}
@@ -227,6 +226,37 @@ def _outcome(invert, *args):
         return invert(*args)
     except ValueError as exc:
         return str(exc)
+
+
+class TestKernels:
+    """The generated kernel of each family against the generic loop, ``conftest.family_rows``."""
+
+    def test_every_family_matches_the_generic_loop_over_the_box(self):
+        # Every (m1, m2) with |m_i| <= 24, admissible or not: off its type
+        # a family has non-integer and negative entries, so the kernel's
+        # one 4N test and its reporter's entry order are checked too.
+        kinds = set()
+        for ell in TYPE_BY_FAMILY:
+            for m1 in range(-24, 25):
+                for m2 in range(-24, 25):
+                    want = _outcome(family_rows, closedform._F[ell], ell, m1, m2)
+                    got = _outcome(closedform._family_entries, ell, m1, m2)
+                    assert got == (want if isinstance(want, str) else sum(want, ()))
+                    kinds.add(want.split()[0] if isinstance(want, str) else "value")
+        assert kinds == {"value", "non-integer", "entry"}
+
+    def test_a_swapped_table_gets_a_fresh_kernel(self, monkeypatch):
+        # The kernel is kept with the table object it was written from: a
+        # table put in its place, even an equal copy, is compiled afresh.
+        assert closed_form_eval((3, 1, 0)).coeff == ((4, 0, 0), (0, 0, 0), (0, 0, 0))
+        table = closedform._F[3]
+        last = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 64,),)
+        monkeypatch.setitem(closedform._F, 3, table[:2] + (last,))
+        assert closed_form_eval((3, 1, 0)).coeff == ((4, 0, 0), (0, 0, 0), (0, 0, 16))
+        copy = tuple(map(tuple, table))
+        monkeypatch.setitem(closedform._F, 3, copy)
+        assert closed_form_eval((3, 1, 0)).coeff == ((4, 0, 0), (0, 0, 0), (0, 0, 0))
+        assert copy == table and copy is not table and closedform._kernels[3][0] is copy
 
 
 class TestTransition:
@@ -396,37 +426,43 @@ class TestReducedWord:
         assert walk.count == 5548
 
 
-# Corrupts the constant of one family-1 entry by 2, 4 and -16 quarters, so
-# that it evaluates to 1/2, 1 and -4 at (1, 0, 0); every corruption must
-# raise, also under -O.
+# Corrupts the constant of each of the nine family-1 entries in turn by 2,
+# 4 and -16 quarters, so that it evaluates to 1/2, 1 and -4 at (1, 0, 0);
+# every corruption must raise, also under -O, so no entry escapes the
+# kernel's 4N test.  Each swapped-in table gets a fresh kernel.
 CORRUPTED_TABLE_SCRIPT = """
 import sys
 from b2weyl import closedform
 print("optimize", sys.flags.optimize)
 original = closedform._F[1]
-for bump in (2, 4, -16):
-    row = list(original[0])
-    row[0] = row[0][:4] + (row[0][4] + bump,)
-    closedform._F[1] = (tuple(row),) + original[1:]
-    try:
-        sigma = closedform.closed_form_eval((1, 0, 0))
-    except ValueError as exc:
-        print("raised", exc)
-    else:
-        print("returned", sigma)
+for k in range(9):
+    for bump in (2, 4, -16):
+        rows = [list(row) for row in original]
+        rows[k // 3][k % 3] = rows[k // 3][k % 3][:4] + (rows[k // 3][k % 3][4] + bump,)
+        closedform._F[1] = tuple(map(tuple, rows))
+        try:
+            sigma = closedform.closed_form_eval((1, 0, 0))
+        except ValueError as exc:
+            print("raised", exc)
+        else:
+            print("returned", sigma)
 """
 
 
 def test_transcription_guard_survives_optimize_flag():
     proc = subprocess.run([sys.executable, "-O", "-c", CORRUPTED_TABLE_SCRIPT],
                           capture_output=True, text=True, env=child_env(), check=False)
-    assert proc.stdout.split("\n") == [
-        "optimize 1",
-        "raised non-integer entry 1/2 at (1,0,0)",
-        "raised entry 1 not in 4N at (1,0,0)",
-        "raised entry -4 not in 4N at (1,0,0)",
-        "",
-    ], proc.stderr
+    # The generic loop on the same corrupted tables names each text.
+    want = []
+    for k in range(9):
+        for bump in (2, 4, -16):
+            rows = [list(row) for row in closedform._F[1]]
+            rows[k // 3][k % 3] = rows[k // 3][k % 3][:4] + (rows[k // 3][k % 3][4] + bump,)
+            want.append("raised " + _outcome(family_rows, tuple(map(tuple, rows)), 1, 0, 0))
+    assert set(want) == {"raised non-integer entry 1/2 at (1,0,0)",
+                         "raised entry 1 not in 4N at (1,0,0)",
+                         "raised entry -4 not in 4N at (1,0,0)"}
+    assert proc.stdout.split("\n") == ["optimize 1", *want, ""], proc.stderr
 
 
 # sha256 of repr(_F) for the family table as it was written out by hand

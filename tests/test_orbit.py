@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from b2weyl import algebra, cli, orbit
 from b2weyl.algebra import (B2, CARTAN_MATRIX, SYMMETRIZER, MassVector, ReflectionSystem,
-                            Weights, ZERO, _word_map, apply_word, quadric_form, reflect)
+                            Weights, ZERO, _rows, _word_map, apply_word, quadric_form, reflect)
 from b2weyl.closedform import (ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY,
                                admissible_parameters, closed_form_eval, invert_to_closed_form)
 from b2weyl.orbit import (
@@ -825,10 +825,10 @@ def test_pruned_walk_matches_the_full_memory_bfs_at_every_bound():
 
 def test_walk_carries_each_elements_row_sums():
     # The sums live in the level entries only; an element is its vector,
-    # level and word.
+    # level and word.  The entry's matrix is flat, row-major.
     for _, entries in OrbitWalk(B2, 24, 64).levels():
         for coeff, _, sums in entries:
-            assert sums == MassVector(coeff).coefficient_sums()
+            assert sums == MassVector(_rows(coeff)).coefficient_sums()
     assert OrbitElement._fields == ("sigma", "level", "word")
 
 
@@ -857,24 +857,26 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
         assert type(level_entries) is tuple and level_entries
         matrices = [coeff for coeff, _, _ in level_entries]
         assert matrices == sorted(matrices) and len(set(matrices)) == len(matrices)
+        # The flat row-major order is the order of the matrices' rows.
+        assert sorted(map(_rows, matrices)) == list(map(_rows, matrices))
         entries += [(coeff, level, word, sums) for coeff, word, sums in level_entries]
     assert len(entries) == len(elements) == count
     for (coeff, level, word, sums), el in zip(entries, elements):
-        assert type(coeff) is tuple and all(type(row) is tuple for row in coeff)
+        assert type(coeff) is tuple and len(coeff) == 9 and all(type(v) is int for v in coeff)
         assert type(word) is str and word == ",".join(map(str, el.word))
-        assert (MassVector(coeff), level) == (el.sigma, el.level)
+        assert (MassVector(_rows(coeff)), level) == (el.sigma, el.level)
         assert sums == el.sigma.coefficient_sums()
     assert after_levels == after_elements == (count, pruned, exhausted, pruned or not exhausted)
     # A new run through levels() starts the totals afresh, as iteration
     # does, and counts the origin's level as it is yielded.
-    assert next(walk.levels()) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
+    assert next(walk.levels()) == (0, (((0,) * 9, "", (0, 0, 0)),))
     assert (walk.count, walk.pruned, walk.exhausted) == (1, False, False)
     # Each level is yielded before it is expanded: level 0 of a walk a
     # billion levels deep comes at once, before the step runs; the next
     # level is the step's first call.
     outputs = recorded_steps(monkeypatch)
     deep = OrbitWalk(B2, 10**9).levels()
-    assert next(deep) == (0, ((ZERO.coeff, "", (0, 0, 0)),))
+    assert next(deep) == (0, (((0,) * 9, "", (0, 0, 0)),))
     assert outputs == []
     assert len(next(deep)[1]) == 3 and len(outputs) == 1
 
@@ -887,7 +889,8 @@ def test_walk_words_are_the_reversed_descent_words():
     walk = OrbitWalk(B2, 64)
     for _, entries in checked_levels(walk):
         for coeff, word, _ in entries:
-            assert word == ",".join(map(str, reversed(descend_to_origin(MassVector(coeff)))))
+            descent = descend_to_origin(MassVector(_rows(coeff)))
+            assert word == ",".join(map(str, reversed(descent)))
     assert walk.count == 5548
 
 
@@ -912,10 +915,15 @@ def test_a_tied_row_sum_raises():
     # (4, 0, 0) from anywhere: applied again at level 1 it leaves the row
     # sum 4 unchanged, and the walk must refuse to order that edge.  The
     # copy is patched, never B2 itself.
+    # The error shows the matrix as rows, as the walk's entries carried it
+    # before they were flat; the text is pinned whole.
     tied = copy.copy(B2)
     object.__setattr__(tied, "row_maps", ((),) + B2.row_maps[1:])
-    with pytest.raises(ValueError, match="generator 1 leaves row sum 4 unchanged"):
+    with pytest.raises(ValueError) as raised:
         list(OrbitWalk(tied, 3))
+    assert str(raised.value) == ("B2(1): generator 1 leaves row sum 4 unchanged at "
+                                 "((4, 0, 0), (0, 0, 0), (0, 0, 0)); "
+                                 "the walk cannot order this edge")
     assert B2.row_maps[0] == ((0, -1), (2, 2))
     assert len(list(OrbitWalk(B2, 3))) == 1 + 3 + 5 + 8
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import B2, MassVector, eval_at, quadric_form, reflect
+from b2weyl.algebra import B2, MassVector, _rows, eval_at, quadric_form, reflect
 from b2weyl.closedform import FAMILY_BY_TYPE, closed_form_eval
 from b2weyl.orbit import OrbitWalk
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
@@ -101,12 +101,13 @@ class TestOrbit:
     def test_levels_come_out_in_sorted_order(self):
         # sinh_orbit reads the chain and sorts nothing: the shared walk's
         # level n holds m = n and m = -n, and the levels, concatenated, are
-        # already sorted (the proof is in its docstring).
+        # already sorted (the proof is in its docstring).  The walk carries
+        # each matrix flat, row-major.
         walk = []
         for n, entries in OrbitWalk(SINH, 200).levels():
-            assert sorted(sinh_invert(MassVector(coeff)) for coeff, _, _ in entries) == sorted(
-                {n, -n})
-            walk += [coeff for coeff, _, _ in entries]
+            rows = [_rows(coeff) for coeff, _, _ in entries]
+            assert sorted(sinh_invert(MassVector(coeff)) for coeff in rows) == sorted({n, -n})
+            walk += rows
         matrices = [sigma.coeff for sigma in sinh_orbit(200)]
         assert matrices == walk == sorted(matrices) and len(matrices) == 401
 

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_form, reflect
+from b2weyl.algebra import (MassVector, Weights, ZERO, _rows, apply_word, eval_at, quadric_form,
+                            reflect)
 from b2weyl.orbit import OrbitWalk
 from b2weyl.weyl2 import (
     APPENDIX_UV,
@@ -36,10 +37,12 @@ class TestOrbitSizes:
     @pytest.mark.parametrize("name", sorted(SUBSYSTEMS))
     def test_levels_come_out_in_sorted_order(self, name):
         # finite_orbit sorts nothing: on each whole orbit the walk's levels,
-        # concatenated, are already in sorted order.
+        # concatenated, are already in sorted order, flat as the walk
+        # carries them and as rows alike.
         walk = OrbitWalk(SUBSYSTEMS[name], 16)
-        matrices = [coeff for _, entries in walk.levels() for coeff, _, _ in entries]
-        assert walk.exhausted
+        flat = [coeff for _, entries in walk.levels() for coeff, _, _ in entries]
+        matrices = [_rows(coeff) for coeff in flat]
+        assert walk.exhausted and flat == sorted(flat)
         assert matrices == sorted(matrices) == finite_orbit(SUBSYSTEMS[name])
 
     def test_appendix_orbit_matches_the_transcribed_table(self):
