@@ -243,8 +243,9 @@ def _affine(const: int, terms: list[tuple[str, int]]) -> str:
     """Source of ``const + sum(w * name)``, positive terms first: ``4 + 2*s2 - 2*s0``.
 
     The one writer of integer expressions for the generated code: the
-    walk step (``orbit._expander``) and the closed-form kernels
-    (``closedform._kernel``).
+    walk step (``orbit._expander``), the closed-form kernels
+    (``closedform._kernel``) and the collapse kernels
+    (``cascade._kernel_source``).
     """
     text = str(const) if const else ""
     for name, w in sorted(terms, key=lambda term: term[1] < 0):

@@ -10,24 +10,33 @@ at the probe weights are rejected as non-physical.
 Each move carries what replaying and printing it need, built once when
 the move is built: a merge its ``shift`` and a collapse its precomposed
 ``row_map``, and both their record ``text``.  One loop, ``_run``, applies
-moves: it reads those slots, carries the orbit part's rows, the lattice
-and the probe values as plain integer tuples and builds no state object
-per move.  ``replay`` is that loop from the origin and returns one
-``(coeff, lattice, values)`` tuple per move; ``step`` is one move of it,
-whose rows and lattice make a new ``CascadeState``.  ``parse_scenario``
-parses each distinct raw line once, and every collapse line to one of the
-twenty admissible collapses built at import (``_COLLAPSES``).  The CLI
-writes nothing until ``replay`` has returned, then writes each record as
-it is formatted, rebuilding a total's text only for a component whose
+moves: it reads those slots, carries the orbit part as one flat row-major
+tuple of nine ints, the lattice and the probe values as plain integer
+tuples, and builds no state object per move.  Each collapse is one call
+of its map's kernel: straight-line source written from the map's
+integers alone and compiled on first use, so importing the module
+compiles none, and shared by every equal map (``_collapse_kernel``); it
+returns the new entries, the new probe values and the integer gain.
+``replay`` is that loop from the origin and returns one ``(coeff,
+lattice, values)`` tuple per move, ``coeff`` flat; ``step`` is one move of
+it, whose rows (``algebra._rows``) and lattice make a new
+``CascadeState``.  ``parse_scenario`` parses each distinct raw line
+once, and every collapse line to one of the twenty admissible collapses
+built at import (``_COLLAPSES``).  The CLI writes nothing until
+``replay`` has returned, then writes each record as it is formatted,
+rebuilding the orbit part's and the lattice's texts only when the replay
+hands over a new tuple, and a total's text only for a component whose
 scaled total changed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cache
+from typing import Callable, Sequence, Union
 
-from .algebra import UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _word_map, scaled_values
+from .algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _affine, _rows, _word_map,
+                      scaled_values)
 
 
 class InvalidSatellite(ValueError):
@@ -80,10 +89,19 @@ class SatelliteMerge(Frozen):
     text: str
 
     def __init__(self, mass: tuple[int, int, int]) -> None:
-        valid = len(mass) == 3 and all(v >= 0 and v % 4 == 0 for v in mass)
         object.__setattr__(self, "mass", mass)
-        object.__setattr__(self, "shift", tuple([v // 4 for v in mass]) if valid else None)
-        object.__setattr__(self, "text", "merge " + " ".join(map(str, mass)))
+        if len(mass) != 3:
+            object.__setattr__(self, "shift", None)
+            object.__setattr__(self, "text", "merge " + " ".join(map(str, mass)))
+            return
+        a, b, c = mass
+        # The OR of the three is negative, or has one of its last two bits
+        # set, exactly when one of them is (ints are two's complement of
+        # unbounded width): the one test of 4N x 4N x 4N.
+        bits = a | b | c
+        shift = None if bits & 3 or bits < 0 else (a >> 2, b >> 2, c >> 2)
+        object.__setattr__(self, "shift", shift)
+        object.__setattr__(self, "text", "merge %d %d %d" % mass)
 
 
 class Collapse(Frozen):
@@ -165,25 +183,32 @@ class CascadeState(Frozen):
 def step(state: CascadeState, move: Move) -> CascadeState:
     """Apply one move, enforcing the physical gain bound: one move of ``_run``."""
     coeff, lattice, _ = _run(state, (move,))[0]
-    return CascadeState(MassVector(coeff), lattice, state.probe)
+    return CascadeState(MassVector(_rows(coeff)), lattice, state.probe)
 
 
 def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
     """The ``(coeff, lattice, values)`` after each move, starting from ``state``.
 
-    A satellite merge shifts the lattice by mass/4 and is always legal.
-    A collapse keeps the lattice fixed and replaces the orbit part; if it
-    changes the orbit part, the total mass at the probe must grow by at
-    least min_i 4*mu_i, the lower bound the cascade realizes -- anything
-    less is rejected as non-physical.  The collapse's word acts as one
-    precomposed affine map, its ``row_map``, on the coefficient rows and
-    the probe values together, so the bound is checked in integers:
-    q*gain against 4*min(M).
+    ``coeff`` is the orbit part's matrix as one flat row-major tuple of nine
+    ints (``algebra._rows`` gives its rows).  A satellite merge shifts the
+    lattice by mass/4 and is always legal.  A collapse keeps the lattice
+    fixed and replaces the orbit part; if it changes the orbit part, the
+    total mass at the probe must grow by at least min_i 4*mu_i, the lower
+    bound the cascade realizes -- anything less is rejected as
+    non-physical.  The collapse's word acts as one precomposed affine map,
+    its ``row_map``, on the coefficient rows and the probe values together,
+    run by the map's kernel (``_collapse_kernel``), so the bound is checked
+    in integers: q*gain against 4*min(M).  Each distinct move fetches its
+    kernel once per call, looked up by the move's identity: a move is
+    never hashed.
     """
-    coeff, lattice, values = state.gamma.coeff, state.lattice, state.values
+    coeff, lattice, values = sum(state.gamma.coeff, ()), state.lattice, state.values
     m = state.probe.scaled[0]
+    m1, m2, m3 = m
     bound = 4 * min(m)
+    kernels: dict[int, Callable] = {}
     after = []
+    append = after.append
     for move in moves:
         if isinstance(move, SatelliteMerge):
             if move.shift is None:
@@ -192,34 +217,65 @@ def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
             (a, b, c), (x, y, z) = lattice, move.shift
             lattice = (a + x, b + y, c + z)
         else:
-            rows, moved = _apply_row_map(move.row_map, coeff, values, m)
-            if rows != coeff:
-                gain = sum(moved) - sum(values)
+            kernel = kernels.get(id(move))
+            if kernel is None:
+                kernel = kernels[id(move)] = _collapse_kernel(move.row_map)
+            entries, moved, gain = kernel(coeff, values, m1, m2, m3)
+            if entries != coeff:
                 if gain < bound:
                     raise NonPhysicalMove(
                         f"non-physical move {move.text}: total mass gain "
                         f"{Fraction(gain, state.probe.scaled[1])} falls below the bound "
                         f"{4 * min(state.probe.values)}")
-                coeff, values = rows, moved
-        after.append((coeff, lattice, values))
+                coeff, values = entries, moved
+        append((coeff, lattice, values))
     return after
 
 
-def _apply_row_map(row_map: tuple, coeff: tuple, old: tuple, m: Sequence[int]) -> tuple:
-    """The rows and probe values after ``row_map``, in one pass over the old ones."""
-    rows, values = list(coeff), list(old)
-    m1, m2, m3 = m
-    for r, pairs, (a, b, c) in row_map:
-        v = a * m1 + b * m2 + c * m3
-        for j, p in pairs:
-            x, y, z = coeff[j]
-            a += p * x
-            b += p * y
-            c += p * z
-            v += p * old[j]
-        rows[r] = (a, b, c)
-        values[r] = v
-    return tuple(rows), tuple(values)
+# A collapse kernel's source: the old entries g0..g8 and probe values v0..v2
+# in; each moved row's entries and value out, then the gain, the sum of the
+# moved values' rises.
+_KERNEL = """def kernel(coeff, values, m1, m2, m3):
+    g0, g1, g2, g3, g4, g5, g6, g7, g8 = coeff
+    v0, v1, v2 = values
+%(rows)s    return (%(entries)s), (%(values)s), %(gain)s
+"""
+
+
+def _kernel_source(row_map: tuple) -> str:
+    """The straight-line source of ``row_map``'s kernel, written from its integers alone.
+
+    New row r is sum_j P_rj * row_j + T_r, entry by entry, and its value
+    at the weights M is sum_j P_rj * v_j + T_r . M (``algebra._word_map``).
+    """
+    entries, values = ["g%d" % k for k in range(9)], ["v0", "v1", "v2"]
+    assigns = []
+    for r, pairs, shift in row_map:
+        for k, t in enumerate(shift):
+            entries[3 * r + k] = "n%d" % (3 * r + k)
+            assigns.append((entries[3 * r + k], _affine(t, [("g%d" % (3 * j + k), p)
+                                                             for j, p in pairs])))
+        values[r] = "w%d" % r
+        assigns.append((values[r], _affine(0, [("m%d" % (k + 1), t) for k, t in enumerate(shift)]
+                                           + [("v%d" % j, p) for j, p in pairs])))
+    gain = _affine(0, sum([[("w%d" % r, 1), ("v%d" % r, -1)] for r, _, _ in row_map], []))
+    return _KERNEL % {"rows": "".join("    %s = %s\n" % pair for pair in assigns),
+                      "entries": ", ".join(entries), "values": ", ".join(values),
+                      "gain": gain}
+
+
+@cache
+def _collapse_kernel(row_map: tuple) -> Callable[..., tuple]:
+    """``row_map``'s kernel, compiled on first use and shared by every equal map.
+
+    ``kernel(coeff, values, m1, m2, m3)`` takes the flat old entries, the
+    old probe values and the scaled weights M, and returns the new flat
+    entries, the new probe values and the integer gain q*(sum of the new
+    totals - sum of the old ones).
+    """
+    namespace: dict[str, Callable] = {}
+    exec(compile(_kernel_source(row_map), "<collapse kernel>", "exec"), namespace)
+    return namespace["kernel"]
 
 
 def parse_scenario(text: str) -> list[Move]:
@@ -253,7 +309,8 @@ def _parse_move(tokens: list[str]) -> Move:
     if kind == "merge":
         if len(tokens) != 4:
             raise ValueError("merge takes exactly three masses")
-        return SatelliteMerge(tuple(map(int, tokens[1:])))  # type: ignore[arg-type]
+        _, a, b, c = tokens
+        return SatelliteMerge((int(a), int(b), int(c)))
     if kind == "collapse":
         if len(tokens) not in (2, 3):
             raise ValueError("collapse takes a subset and an optional variant")
@@ -267,6 +324,7 @@ def _parse_move(tokens: list[str]) -> Move:
 def replay(moves: Sequence[Move], probe: Weights | None = None) -> list[tuple]:
     """Run a scenario from the origin: ``(coeff, lattice, values)`` after each move.
 
-    The tuple holds a ``CascadeState``'s rows, lattice and ``values``.
+    The tuple holds a ``CascadeState``'s matrix, flat and row-major, its
+    lattice and its ``values``.
     """
     return _run(CascadeState(probe=probe if probe is not None else UNIT_WEIGHTS), moves)

@@ -126,8 +126,9 @@ _JSON_BOOL = ("false", "true")
 
 # A cascade record: the move, then the state after it.  Move texts are
 # built from integers and the fixed variant names, so none needs escaping.
-_CASCADE_RECORD = ('{"move":"%s","gamma_coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],'
-                   '"lattice":[%d,%d,%d],"total":["%s","%s","%s"]}\n')
+_CASCADE_RECORD = '{"move":"%s","gamma_coeff":%s,"lattice":%s,"total":["%s","%s","%s"]}\n'
+_GAMMA_COEFF = "[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]]"
+_LATTICE = "[%d,%d,%d]"
 
 
 def _word_text(word) -> str:
@@ -358,20 +359,26 @@ def cmd_cascade(args) -> int:
         raise UsageError(str(exc)) from exc
     # Nothing is written until the whole replay has passed, so a rejected
     # scenario prints its error record alone; then each record is written as
-    # soon as it is formatted.  Each move carries its text, and a total's
-    # text is rebuilt only when that component's scaled total q*(gamma + 4n)
-    # changed.
+    # soon as it is formatted.  Each move carries its text; the orbit part's
+    # and the lattice's texts are rebuilt only when the replay hands over a
+    # new tuple, and a total's text only when that component's scaled total
+    # q*(gamma + 4n) changed.
     q4, ratio, write = 4 * q, algebra.ratio_text, sys.stdout.write
+    shown = held = None  # the matrix and lattice that gamma_text and lattice_text print
     a = b = c = None  # the scaled totals whose texts ta, tb and tc hold
-    for move, (coeff, (x, y, z), (u, v, w)) in zip(moves, cascade.replay(moves, probe)):
+    for move, (coeff, lattice, (u, v, w)) in zip(moves, cascade.replay(moves, probe)):
+        if coeff is not shown:
+            shown, gamma_text = coeff, _GAMMA_COEFF % coeff
+        if lattice is not held:
+            held, lattice_text = lattice, _LATTICE % lattice
+            x, y, z = lattice
         if (t := u + q4 * x) != a:
             a, ta = t, ratio(t, q)
         if (t := v + q4 * y) != b:
             b, tb = t, ratio(t, q)
         if (t := w + q4 * z) != c:
             c, tc = t, ratio(t, q)
-        row1, row2, row3 = coeff
-        write(_CASCADE_RECORD % (move.text, *row1, *row2, *row3, x, y, z, ta, tb, tc))
+        write(_CASCADE_RECORD % (move.text, gamma_text, lattice_text, ta, tb, tc))
     return 0
 
 

@@ -48,6 +48,19 @@ LONG_REJECTED_SCENARIO = "".join(f"collapse {(1, 3, 2)[k % 3]}\nmerge {4 * (k % 
                                  f"{4 * (k % 5) + 4}\n" for k in range(150)) + "collapse 2\n"
 LONG_ACCEPTED_SCENARIO = LONG_REJECTED_SCENARIO.rsplit("collapse 2\n", 1)[0]
 
+# All twenty collapse lines, each accepted at --mu 1/3,5/2,7/4 and each
+# followed by a merge: the two identity variants leave the orbit part
+# unchanged, and the other eighteen move it with a gain above the bound.
+EVERY_COLLAPSE_SCENARIO = "".join(
+    f"collapse {line}\nmerge {4 * (k % 3)} {4 * (k % 2)} {4 * (k % 5)}\n"
+    for k, line in enumerate(("13 i", "13 3i", "12", "23 3", "23 i3i", "13 i3i3", "23 i3i3",
+                              "13 i3i", "2", "13 3i3", "23 i3", "23 e", "3", "23 3i", "13 e",
+                              "1", "13 3", "23 i", "13 i3", "23 3i3")))
+
+# Accepted moves, then a pair-{2,3} collapse that loses mass at that probe.
+PAIR_REJECTED_SCENARIO = ("collapse 3\ncollapse 1\nmerge 4 0 8\ncollapse 13 i3\ncollapse 2\n"
+                          "merge 0 4 0\ncollapse 23 3i\n")
+
 # The records of "collapse 1" then "merge 0 0 8" at the unit probe.
 COLLAPSE_MERGE_RECORDS = (
     '{"move":"collapse 1","gamma_coeff":[[4,0,0],[0,0,0],[0,0,0]],"lattice":[0,0,0],'
@@ -262,6 +275,13 @@ CONTRACT = [
     ("cascade-long-accepted", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
      LONG_ACCEPTED_SCENARIO, 0,
      "sha256:00c34cdfdf5e40889268635aaa2f819baff0b06ad8b2f748725f462c8557b29a"),
+    ("cascade-every-collapse", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
+     EVERY_COLLAPSE_SCENARIO, 0,
+     "sha256:9f1f3483b10ca6709ac2ccc6906d69ea7d92a35a87b64084ce7ee25ea3315b04"),
+    ("cascade-pair-rejected", ["cascade", "{scenario}", "--mu", "1/3,5/2,7/4"],
+     PAIR_REJECTED_SCENARIO, 1,
+     '{"error":"rejected-move","detail":"non-physical move collapse 23 3i: total mass gain '
+     '-143/3 falls below the bound 4/3"}\n'),
     ("unknown-command", ["orbits"], None, 2, USAGE),
 ]
 

@@ -170,7 +170,8 @@ def family_rows(table, ell, m1, m2):
 
 
 def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
-    """``(coeff, lattice, values)`` after each move, the way ``cascade.replay`` reports it.
+    """``(coeff, lattice, values)`` after each move, the way ``cascade.replay`` reports it,
+    ``coeff`` flat and row-major.
 
     Replays the moves one at a time on the cascade's definition, not on
     its precomposed row maps: a collapse moves the orbit part by
@@ -194,5 +195,5 @@ def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
                 return after, (f"non-physical move {move.text}: total mass gain "
                                f"{gain} falls below the bound {bound}")
             gamma = nxt
-        after.append((gamma.coeff, lattice, scaled_values(gamma, probe)[0]))
+        after.append((sum(gamma.coeff, ()), lattice, scaled_values(gamma, probe)[0]))
     return after, None

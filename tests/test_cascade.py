@@ -1,17 +1,23 @@
 """Cascade simulator: moves, the gain bound, decomposition, scenario replay."""
 
+import io
 import random
+import subprocess
+import sys
+import tokenize
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl.algebra import (MassVector, Weights, ZERO, _word_map, apply_word, eval_at,
+from b2weyl.algebra import (MassVector, Weights, ZERO, _rows, _word_map, apply_word, eval_at,
                             scaled_values)
 from b2weyl.cascade import (
     _COLLAPSE_WORDS,
-    _apply_row_map,
+    _COLLAPSES,
+    _collapse_kernel,
+    _kernel_source,
     COLLAPSE_VARIANTS,
     CascadeState,
     Collapse,
@@ -23,6 +29,7 @@ from b2weyl.cascade import (
     step,
 )
 from b2weyl.orbit import descend_to_origin, enumerate_orbit, is_member_gamma_N
+from cli_contract import child_env
 from conftest import mv, reference_replay
 
 F = Fraction
@@ -46,6 +53,19 @@ class TestMoves:
     def test_singletons_take_no_variant(self):
         with pytest.raises(ValueError, match="variant"):
             Collapse((1,), "i3")
+
+    def test_merge_shift_and_text_follow_their_definition(self):
+        # Masses of lengths 0 to 4, every length-3 mass with entries -9..9,
+        # and 31-digit entries: the shift is mass/4 exactly on 4N x 4N x 4N,
+        # and the text spells each entry as str does.
+        masses = [(), (4,), (8, -4), (4, 0, 8, 12), (-4, -8, 4, 0)]
+        masses += [(a, b, c) for a in range(-9, 10) for b in range(-9, 10) for c in range(-9, 10)]
+        masses += [(4 * 10**30, 8, 0), (-(4 * 10**30), 8, 0), (4 * 10**30 + 2, 0, 0)]
+        for mass in masses:
+            move = SatelliteMerge(mass)
+            valid = len(mass) == 3 and all(v >= 0 and v % 4 == 0 for v in mass)
+            assert move.shift == (tuple(v // 4 for v in mass) if valid else None), mass
+            assert move.text == "merge " + " ".join(map(str, mass)), mass
 
     def test_variant_words(self):
         assert Collapse((1, 3), "e").word() == ()
@@ -104,9 +124,9 @@ class TestStep:
 
 
 class TestRowMaps:
-    """Each collapse's precomposed row map against its word run letter by letter.
+    """Each collapse's kernel against its word run letter by letter.
 
-    The maps act on any coefficient matrix, so the oracle runs on the
+    The kernels act on any coefficient matrix, so the oracle runs on the
     depth-6 walk and on random matrices with entries in 4N alike, under
     the unit probe and two rational ones.
     """
@@ -121,15 +141,22 @@ class TestRowMaps:
         for _ in range(60):
             yield mv([[4 * rng.randint(0, 12) for _ in range(3)] for _ in range(3)])
 
+    @staticmethod
+    def run_kernel(row_map, gamma, probe):
+        """The kernel of ``row_map`` on ``gamma``, with its rows back as a matrix."""
+        values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
+        rows, moved, gain = _collapse_kernel(row_map)(sum(gamma.coeff, ()), values, *m)
+        assert gain == sum(moved) - sum(values)
+        return _rows(rows), moved
+
     def test_every_admissible_collapse_matches_its_word(self):
         moves = [Collapse(subset, variant) for subset, variant in _COLLAPSE_WORDS]
         assert len(moves) == 20
         for gamma in self.matrices():
             for probe in self.PROBES:
-                values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
                 for move in moves:
                     want = apply_word(gamma, move.word())
-                    rows, got = _apply_row_map(move.row_map, gamma.coeff, values, m)
+                    rows, got = self.run_kernel(move.row_map, gamma, probe)
                     assert rows == want.coeff, move
                     assert got == scaled_values(want, probe)[0], move
 
@@ -142,10 +169,53 @@ class TestRowMaps:
         # any positive rational probe.
         gamma = MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
         probe = Weights(tuple(mu))
-        values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
         want = apply_word(gamma, word)
-        assert (_apply_row_map(_word_map(word), gamma.coeff, values, m)
+        assert (self.run_kernel(_word_map(word), gamma, probe)
                 == (want.coeff, scaled_values(want, probe)[0]))
+
+    def test_equal_maps_share_one_kernel(self):
+        # The twenty collapses have fifteen distinct maps: both identity
+        # variants, each "i" variant and its singleton, and both "3"
+        # variants and collapse 3 act alike.
+        kernels = {key: _collapse_kernel(move.row_map) for key, move in _COLLAPSES.items()}
+        assert len(set(map(id, kernels.values()))) == len({m.row_map for m in _COLLAPSES.values()})
+        assert len(set(map(id, kernels.values()))) == 15
+        assert kernels[(1, 3), "e"] is kernels[(2, 3), "e"]
+        assert kernels[(1, 3), "i"] is kernels[(1,), None]
+        assert kernels[(1, 3), "3"] is kernels[(2, 3), "3"] is kernels[(3,), None]
+        assert kernels[(1,), None] is not kernels[(2,), None]
+        # Maps built apart share too: 1 and 2 commute, and the braid holds.
+        assert _collapse_kernel(_word_map((2, 1))) is kernels[(1, 2), None]
+        assert _collapse_kernel(_word_map((1, 3, 1, 3))) is kernels[(1, 3), "i3i3"]
+        assert _collapse_kernel(_word_map((1, 3, 1))) is not kernels[(1, 3), "i3i3"]
+
+    def test_kernel_source_holds_only_integers(self):
+        names = {"def", "return", "kernel", "coeff", "values", "m1", "m2", "m3",
+                 *(f"{prefix}{k}" for prefix in "gn" for k in range(9)),
+                 *(f"{prefix}{k}" for prefix in "vw" for k in range(3))}
+        for move in _COLLAPSES.values():
+            source = _kernel_source(move.row_map)
+            assert move.text not in source
+            for token in tokenize.generate_tokens(io.StringIO(source).readline):
+                assert token.type != tokenize.STRING, (move, token)
+                if token.type == tokenize.NUMBER:
+                    assert token.string.isdigit(), (move, token)
+                if token.type == tokenize.NAME:
+                    assert token.string in names, (move, token)
+
+    def test_importing_the_cli_compiles_no_collapse_kernel(self):
+        # Kernels are compiled on first use, so set-up pays for none; a
+        # replay then compiles one per distinct map (collapse 13 i is
+        # collapse 1's).
+        script = ("import b2weyl.cli\n"
+                  "from b2weyl import cascade\n"
+                  "print(cascade._collapse_kernel.cache_info().currsize)\n"
+                  "cascade.replay(cascade.parse_scenario('collapse 1\\ncollapse 3\\n'"
+                  "'collapse 13 i\\ncollapse 13 e\\n'))\n"
+                  "print(cascade._collapse_kernel.cache_info().currsize)\n")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=child_env(), check=False)
+        assert (proc.returncode, proc.stdout) == (0, "0\n3\n"), proc.stderr
 
 
 class TestDecompose:
@@ -228,9 +298,10 @@ class TestScenario:
             "collapse 3", "collapse 1", "merge 4 0 8", "collapse 13 i3"]
         after = replay(moves)
         assert len(after) == 4
-        assert after[1][0] == ((4, 0, 8), (0, 0, 0), (0, 0, 4))
+        assert after[1][0] == (4, 0, 8, 0, 0, 0, 0, 0, 4)
         assert after[2][1] == (1, 0, 2)
-        totals = [sum(CascadeState(mv(coeff), lattice).total()) for coeff, lattice, _ in after]
+        totals = [sum(CascadeState(mv(_rows(coeff)), lattice).total())
+                  for coeff, lattice, _ in after]
         assert totals == sorted(totals)
 
     def test_parse_errors_carry_line_numbers(self):
@@ -379,6 +450,6 @@ class TestReplayOracle:
                     continue
                 (coeff, new_lattice, values), = want
                 nxt = step(state, move)
-                assert nxt == CascadeState(mv(coeff), new_lattice, probe)
+                assert nxt == CascadeState(mv(_rows(coeff)), new_lattice, probe)
                 assert nxt.values == values
         assert outcomes == {True, False}

@@ -601,9 +601,9 @@ class TestCascadeFormatterOracle:
             if error is not None:
                 continue
             (coeff, lattice, values), = after
-            gamma = mv(coeff)
+            gamma = mv(algebra._rows(coeff))
             lines.append(move.text)
-            rec = {"move": move.text, "gamma_coeff": [list(row) for row in coeff],
+            rec = {"move": move.text, "gamma_coeff": [list(row) for row in gamma.coeff],
                    "lattice": list(lattice),
                    "total": [str(Fraction(v, q) + 4 * n) for v, n in zip(values, lattice)]}
             want.append(json.dumps(rec, separators=(",", ":")))
