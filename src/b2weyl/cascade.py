@@ -148,6 +148,9 @@ Move = Union[SatelliteMerge, Collapse]
 # ``_COLLAPSE_WORDS``, so each word's map is composed once: every collapse
 # line a scenario can hold parses to one of these shared moves.
 _COLLAPSES = {key: Collapse(*key) for key in _COLLAPSE_WORDS}
+# The same twenty moves keyed by their scenario lines, as ``Collapse`` writes
+# them: ``parse_scenario`` looks each raw line up here before it tokenizes it.
+_COLLAPSE_LINES = {move.text: move for move in _COLLAPSES.values()}
 
 
 class CascadeState(Frozen):
@@ -288,18 +291,22 @@ def parse_scenario(text: str) -> list[Move]:
     mapped to moves in one pass.  Repeats are the rule, not a special
     case: there are only twenty collapse lines (four fixed words and
     sixteen pair variants), so any scenario of more than twenty collapses
-    repeats one.  A line that fails raises with the number of its first
-    occurrence, which is the first failing line in the text.
+    repeats one.  A raw line that is one of them exactly as its ``text``
+    reads is looked up in ``_COLLAPSE_LINES`` and never tokenized; every
+    other line goes to ``_parse_move``.  A line that fails raises with the
+    number of its first occurrence, which is the first failing line in the
+    text.
     """
     lines = text.splitlines()
-    parsed: dict[str, Move] = {}
+    parsed: dict[str, Move | None] = {}
     for raw in dict.fromkeys(lines):
-        tokens = raw.split("#", 1)[0].split()
-        if tokens:
+        move = _COLLAPSE_LINES.get(raw)
+        if move is None and (tokens := raw.split("#", 1)[0].split()):
             try:
-                parsed[raw] = _parse_move(tokens)
+                move = _parse_move(tokens)
             except ValueError as exc:
                 raise ValueError(f"scenario line {lines.index(raw) + 1}: {exc}") from exc
+        parsed[raw] = move
     # Moves are always true; blank and comment lines map to None and drop out.
     return list(filter(None, map(parsed.get, lines)))
 

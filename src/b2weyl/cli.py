@@ -114,12 +114,22 @@ OUTPUT_FORMATS = ("json", "csv")
 CSV_COLUMNS = ["level", "word", "c11", "c12", "c13", "c21", "c22", "c23",
                "c31", "c32", "c33", "type_m1", "type_m2", "ell", "m1", "m2"]
 
-# An orbit record has a fixed shape, so it is one %-template: JSON keys in
-# the order coeff, level, word, type[, sigma] with compact separators; a
-# closedform record adds its id last.  CSV fields are integers, a dotted
-# word or p/q strings, so none is quoted.
-_JSON_RECORD = ('{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":%d,"word":[%s],'
-                '"type":[%d,%d]')
+# An orbit record has a fixed shape, so it is one %-template per level,
+# with the level written in once: JSON keys in the order coeff, level,
+# word, type[, sigma] with compact separators; a closedform record adds its
+# id last.  CSV fields are integers, a dotted word or p/q strings, so none
+# is quoted.
+_JSON_COEFF = '{"coeff":[[%d,%d,%d],[%d,%d,%d],[%d,%d,%d]],"level":'
+_CSV_ROW = ",%s,%d,%d,%d,%d,%d,%d,%d,%d,%d,%s,%d,%d"
+_JSON_SIGMA, _CSV_SIGMA = ',"sigma":["%s","%s","%s"]', ",%s,%s,%s"
+
+# The admissible residue pairs (m1 & 3, m2 & 3), each at slot
+# (m1 & 3) << 2 | m2 & 3 of a 16-slot table: its family, its JSON type
+# text and its CSV type and family columns.  The other eight slots hold
+# None.
+_FAMILIES = [closedform.FAMILY_BY_TYPE.get((k >> 2, k & 3)) for k in range(16)]
+_JSON_TYPES = [ell and '"type":[%d,%d]' % (k >> 2, k & 3) for k, ell in enumerate(_FAMILIES)]
+_CSV_TYPES = [ell and "%d,%d,%d" % (k >> 2, k & 3, ell) for k, ell in enumerate(_FAMILIES)]
 _DIGITS = bytes.maketrans(b"\x01\x02\x03", b"123")
 _JSON_BOOL = ("false", "true")
 
@@ -138,31 +148,73 @@ def _word_text(word) -> str:
     return bytes(word).translate(_DIGITS).decode("ascii").replace("", ",")[1:-1]
 
 
-def _b2_sigma_texts(coeff, scaled) -> list[str]:
+def _sigma_texts(coeff, scaled) -> tuple[str, str, str]:
     """``str`` of each component of a B2(1) matrix, flat and row-major, at the
-    weights ``scaled`` = (M, q).
+    weights ``scaled`` = (M, q), as ``algebra.ratio_text`` writes it.
 
-    Three flat dot products with M, over the one denominator q, with no Fractions.
+    Three flat dot products with M, each reduced by its gcd with the one
+    denominator q, with no Fractions.
     """
     a, b, c, d, e, f, g, h, k = coeff
     (m1, m2, m3), q = scaled
-    return algebra.ratio_texts((a * m1 + b * m2 + c * m3, d * m1 + e * m2 + f * m3,
-                                g * m1 + h * m2 + k * m3), q)
+    x, y, z = a * m1 + b * m2 + c * m3, d * m1 + e * m2 + f * m3, g * m1 + h * m2 + k * m3
+    gx, gy, gz = math.gcd(x, q), math.gcd(y, q), math.gcd(z, q)
+    return (str(x // gx) if gx == q else "%d/%d" % (x // gx, q // gx),
+            str(y // gy) if gy == q else "%d/%d" % (y // gy, q // gy),
+            str(z // gz) if gz == q else "%d/%d" % (z // gz, q // gz))
 
 
-def _json_template(scaled, tail: str = "") -> str:
-    """``_JSON_RECORD``, the sigma slots when there are weights, then ``tail``."""
-    sigma = "" if scaled is None else ',"sigma":["%s","%s","%s"]'
-    return _JSON_RECORD + sigma + tail + "}\n"
+def _json_template(level: int, scaled, tail: str = "") -> str:
+    """A JSON record at ``level``: the flat matrix, the word text and the type
+    text go in, then the sigma texts when there are weights, then ``tail``."""
+    return (_JSON_COEFF + str(level) + ',"word":[%s],%s'
+            + ("" if scaled is None else _JSON_SIGMA) + tail + "}\n")
 
 
-def _json_fields(coeff, level: int, word: str, tag, scaled) -> tuple:
-    """The values for ``_JSON_RECORD`` (``coeff`` flat, ``word`` comma-joined), then any
-    sigma texts."""
-    fields = (*coeff, level, word, *tag)
-    if scaled is not None:
-        fields += tuple(_b2_sigma_texts(coeff, scaled))
-    return fields
+def _json_level(lines: list, level: int, entries, scaled) -> None:
+    """Append the JSON record of each of a level's walk entries to ``lines``.
+
+    The type's slot is read off the row sums s: (m1 & 3) << 2 is
+    (s1 - s3) & 12, as m1 = (s1 - s3) >> 2.  A row sum outside 4Z or an
+    inadmissible pair goes to ``closedform.parameters_from_sums``, whose
+    checks are these two, so it raises its own error.
+    """
+    template, append = _json_template(level, scaled), lines.append
+    for coeff, word, sums in entries:
+        s1, s2, s3 = sums
+        tag = _JSON_TYPES[(s1 - s3) & 12 | (s2 - s3) >> 2 & 3]
+        if tag is None or (s1 | s2 | s3) & 3:
+            closedform.parameters_from_sums(sums)
+        if scaled is None:
+            append(template % (*coeff, word, tag))
+        else:
+            append(template % (*coeff, word, tag, *_sigma_texts(coeff, scaled)))
+
+
+def _csv_level(lines: list, level: int, entries, scaled) -> None:
+    """Append the CSV row of each of a level's walk entries to ``lines``.
+
+    Each row's id is read off its row sums, and its matrix is compared
+    exactly with its family kernel's nine entries; the kernels are fetched
+    under ``closedform._family_entries``' rule.  A row sum outside 4Z, an
+    inadmissible pair or a mismatch goes to ``closedform.invert_rows``,
+    whose checks are these three, so it raises its own error.
+    """
+    template = str(level) + _CSV_ROW + ("" if scaled is None else _CSV_SIGMA) + "\n"
+    append = lines.append
+    kernels = [ell and closedform._family_kernel(ell) for ell in _FAMILIES]
+    for coeff, word, sums in entries:
+        s1, s2, s3 = sums
+        m1, m2 = (s1 - s3) >> 2, (s2 - s3) >> 2
+        slot = (m1 & 3) << 2 | m2 & 3
+        kernel = kernels[slot]
+        if kernel is None or (s1 | s2 | s3) & 3 or kernel(m1, m2) != coeff:
+            closedform.invert_rows(coeff, sums)
+        if scaled is None:
+            append(template % (word.replace(",", "."), *coeff, _CSV_TYPES[slot], m1, m2))
+        else:
+            append(template % (word.replace(",", "."), *coeff, _CSV_TYPES[slot], m1, m2,
+                               *_sigma_texts(coeff, scaled)))
 
 
 def cmd_orbit(args) -> int:
@@ -171,42 +223,27 @@ def cmd_orbit(args) -> int:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
     if args.max_coefficient is not None and args.max_coefficient < 0:
         raise UsageError(f"--max-coefficient must be >= 0, got {args.max_coefficient}")
-    # The walk yields one level at a time (``OrbitWalk.levels``).  Each
-    # level's records are rendered in one pass and written with one write;
-    # the totals come last.  The walk carries each matrix flat and each
-    # word as its JSON text, which a CSV row dots.  A JSON record is typed
-    # from the row sums the walk carries; a CSV row takes its closed-form
-    # id from them too and is checked exactly against the family's
-    # evaluated entries.  The write sits in a ``finally``, so when a row
-    # fails its check, the rows of its level that passed are still
-    # written, ahead of the error record.
+    # The walk yields one level at a time (``OrbitWalk.levels``), each
+    # matrix flat and each word as its JSON text, which a CSV row dots.
+    # One loop per format (``_json_level``, ``_csv_level``) formats a whole
+    # level on integers alone: it reads the type, and for CSV the
+    # closed-form id, off the row sums the walk carries, and checks each
+    # CSV row exactly against its family kernel's entries.  Each level is
+    # written with one write, and the totals come last.  The write sits in
+    # a ``finally``, so when a row fails its check, the rows of its level
+    # that passed are still written, ahead of the error record.
     walk = orbit.OrbitWalk(algebra.B2, args.max_level, args.max_coefficient)
     write = sys.stdout.write
     if args.output == "json":
-        template = _json_template(scaled)
-
-        def record(coeff, level, word, sums):
-            tag = closedform.parameters_from_sums(sums)[0]
-            return template % _json_fields(coeff, level, word, tag, scaled)
+        format_level = _json_level
     else:
-        columns = list(CSV_COLUMNS)
-        if scaled is not None:
-            columns += ["sigma1", "sigma2", "sigma3"]
-        template = ",".join(["%s"] * len(columns)) + "\n"
+        format_level = _csv_level
+        columns = CSV_COLUMNS if scaled is None else CSV_COLUMNS + ["sigma1", "sigma2", "sigma3"]
         write(",".join(columns) + "\n")
-
-        def record(coeff, level, word, sums):
-            cid = closedform.invert_rows(coeff, sums)
-            fields = (level, word.replace(",", "."), *coeff,
-                      *closedform.TYPE_BY_FAMILY[cid.ell], *cid)
-            if scaled is not None:
-                fields += tuple(_b2_sigma_texts(coeff, scaled))
-            return template % fields
     for level, entries in walk.levels():
         lines = []
         try:
-            for coeff, word, sums in entries:
-                lines.append(record(coeff, level, word, sums))
+            format_level(lines, level, entries, scaled)
         finally:
             write("".join(lines))
     if args.output == "json":
@@ -247,9 +284,11 @@ def cmd_closedform(args) -> int:
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
     sigma = closedform.closed_form_eval(cid)  # validates the id first
     word = closedform.reduced_word(args.m1, args.m2)[::-1]  # reduced: its length is the level
-    template = _json_template(scaled, ',"closed_form":[%d,%d,%d]')
-    fields = _json_fields(sum(sigma.coeff, ()), len(word), _word_text(word),
-                          closedform.TYPE_BY_FAMILY[cid.ell], scaled)
+    coeff = sum(sigma.coeff, ())
+    fields = (*coeff, _word_text(word), _JSON_TYPES[args.m1 % 4 << 2 | args.m2 % 4])
+    if scaled is not None:
+        fields += _sigma_texts(coeff, scaled)
+    template = _json_template(len(word), scaled, ',"closed_form":[%d,%d,%d]')
     sys.stdout.write(template % (*fields, *cid))
     return 0
 

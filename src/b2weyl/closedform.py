@@ -103,11 +103,16 @@ def _family_entries(ell: int, m1: int, m2: int) -> tuple[int, ...]:
     multiple of 16; any other value raises ValueError, naming the first
     failing entry in row-major order, and a non-integer one as such.
     """
+    return _family_kernel(ell)(m1, m2)
+
+
+def _family_kernel(ell: int) -> Callable[[int, int], tuple[int, ...]]:
+    """The kernel of the table ``_F[ell]`` holds now, under ``_family_entries``' rule."""
     table = _F[ell]
     kept = _kernels.get(ell)
     if kept is None or kept[0] is not table:
         kept = _kernels[ell] = (table, _kernel(ell, table))
-    return kept[1](m1, m2)
+    return kept[1]
 
 
 # The compiled kernel of each family, with the table it was written from.
@@ -129,11 +134,18 @@ _KERNEL = """def kernel(m1, m2):
 
 
 def _kernel(ell: int, table: tuple) -> Callable[[int, int], tuple[int, ...]]:
-    """Straight-line integer source for family ``ell``'s ``table``, compiled.
+    """``_kernel_source(ell, table)``, compiled.
 
     ``kernel(m1, m2)`` returns the nine entries, flat, or hands their
     quarter values to ``_reject``.
     """
+    namespace = {"_reject": _reject}
+    exec(compile(_kernel_source(ell, table), "<closed form %d>" % ell, "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _kernel_source(ell: int, table: tuple) -> str:
+    """Straight-line integer source for family ``ell``'s ``table``, written from its integers."""
     parts: dict[tuple[int, int], str] = {}
     entries = []
     for a, b, c, d, e in (entry for row in table for entry in row):
@@ -142,15 +154,12 @@ def _kernel(ell: int, table: tuple) -> Callable[[int, int], tuple[int, ...]]:
             terms.insert(0, (parts.setdefault((a, c), "p%d" % len(parts)), 1))
         entries.append(_affine(e, terms))
     quarters = ["e%d" % k for k in range(len(entries))]
-    source = _KERNEL % {
+    return _KERNEL % {
         "parts": "".join("    %s = %s\n" % (name, _affine(0, [("sq1", a), ("sq2", c)]))
                          for (a, c), name in parts.items()),
         "entries": "".join("    %s = %s\n" % pair for pair in zip(quarters, entries)),
         "bits": " | ".join(quarters), "ell": ell, "quarters": ", ".join(quarters),
         "values": ", ".join(name + " >> 2" for name in quarters)}
-    namespace = {"_reject": _reject}
-    exec(compile(source, "<closed form %d>" % ell, "exec"), namespace)
-    return namespace["kernel"]
 
 
 def _reject(ell: int, m1: int, m2: int, quarters: tuple[int, ...]) -> None:

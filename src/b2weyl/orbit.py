@@ -217,13 +217,22 @@ _CHILD = """        if %(tests)s:
 
 @cache
 def _expander(row_maps: tuple, doubled: tuple) -> Callable[..., tuple[list, bool]]:
-    """The walk's step for these row maps and this 2A (see ``OrbitWalk``).
+    """The walk's step for these row maps and this 2A (see ``OrbitWalk``), compiled.
 
     ``step(entries, steps, bound, name)`` returns the next level's entries,
     unsorted, and whether a child was pruned; generator i + 1 appends
-    ``steps[i]`` to a word.  Entry (j, k) of the flat matrix is ``gj_k``,
-    and a child's new row ``r0``, ``r1``, ...: each child is built as one
-    flat tuple.
+    ``steps[i]`` to a word.
+    """
+    namespace = {"_tie": _tie}
+    exec(compile(_step_source(row_maps, doubled), "<OrbitWalk step>", "exec"), namespace)
+    return namespace["step"]
+
+
+def _step_source(row_maps: tuple, doubled: tuple) -> str:
+    """The step's source, written from the integers of ``row_maps`` and ``doubled`` alone.
+
+    Entry (j, k) of the flat matrix is ``gj_k``, and a child's new row
+    ``r0``, ``r1``, ...: each child is built as one flat tuple.
     """
     rank = range(len(row_maps))
     g = [["g%d_%d" % (j, k) for k in rank] for j in rank]
@@ -245,9 +254,7 @@ def _expander(row_maps: tuple, doubled: tuple) -> Callable[..., tuple[list, bool
                             "child": ", ".join(sum(g[:i] + [r] + g[i + 1:], [])),
                             "sums": ", ".join(s[:i] + ["s%d + d%d" % (i, i)] + s[i + 1:]),
                             "i": i, "generator": i + 1}
-    namespace = {"_tie": _tie}
-    exec(compile(source + "    return following, pruned\n", "<OrbitWalk step>", "exec"), namespace)
-    return namespace["step"]
+    return source + "    return following, pruned\n"
 
 
 def enumerate_orbit(max_level: int, max_coefficient: int | None = None) -> list[OrbitElement]:

@@ -107,6 +107,15 @@ CONTRACT = [
     # its family's generated closed-form kernel, with sigma columns.
     ("orbit-csv-64-mu", ["orbit", "--max-level", "64", "--output", "csv", "--mu", "3/2,1/3,5"],
      None, 0, "sha256:4f1b80559ee9f906bea38838a357c32fd85ccfba75a3cf27ebd4566408c90128"),
+    # The deep outputs of the two level loops: the benchmark's JSON dump
+    # (22,018 lines), the JSON records with sigma texts, and the CSV rows
+    # without sigma columns, each row checked against its family kernel.
+    ("orbit-json-128", ["orbit", "--max-level", "128"], None, 0,
+     "sha256:500e30e7c1980142eb3f745056144d8136bb3b70900efcf859c6ddbe637dcb27"),
+    ("orbit-json-64-mu", ["orbit", "--max-level", "64", "--mu", "3/2,1/3,5"], None, 0,
+     "sha256:0d6264c2f5faca3e7c3c0ea425372f95683c1de1a166feb2129485c83233d733"),
+    ("orbit-csv-64", ["orbit", "--max-level", "64", "--output", "csv"], None, 0,
+     "sha256:c0ee38ec5bd6b392703b09703679456ba07ccc1ef6fa4aa11ab08a1eb1101b6e"),
     # Help goes through argparse, whose text differs between versions.
     ("orbit-help", ["orbit", "--help"], None, 0, None),
     # The parsers alone check the choices of --output and --subsystem.

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl.algebra import (MassVector, Weights, ZERO, _rows, _word_map, apply_word, eval_at,
+from b2weyl import cascade, closedform
+from b2weyl.algebra import (B2, MassVector, Weights, ZERO, _rows, _word_map, apply_word, eval_at,
                             scaled_values)
 from b2weyl.cascade import (
     _COLLAPSE_WORDS,
@@ -28,9 +29,12 @@ from b2weyl.cascade import (
     replay,
     step,
 )
-from b2weyl.orbit import descend_to_origin, enumerate_orbit, is_member_gamma_N
+from b2weyl.orbit import _step_source, descend_to_origin, enumerate_orbit, is_member_gamma_N
+from b2weyl.sinh import SINH
+from b2weyl.weyl2 import SUBSYSTEMS
 from cli_contract import child_env
 from conftest import mv, reference_replay
+from test_orbit import A2_AFFINE, A3_AFFINE, G2_AFFINE
 
 F = Fraction
 
@@ -190,32 +194,55 @@ class TestRowMaps:
         assert _collapse_kernel(_word_map((1, 3, 1))) is not kernels[(1, 3), "i3i3"]
 
     def test_kernel_source_holds_only_integers(self):
-        names = {"def", "return", "kernel", "coeff", "values", "m1", "m2", "m3",
-                 *(f"{prefix}{k}" for prefix in "gn" for k in range(9)),
-                 *(f"{prefix}{k}" for prefix in "vw" for k in range(3))}
+        # Every generated source: the collapse kernels, the walk step of
+        # every system the tests hold and the eight family kernels.  Each
+        # holds integer literals and a fixed set of names, and no string.
+        collapse = {"def", "return", "kernel", "coeff", "values", "m1", "m2", "m3",
+                    *(f"{prefix}{k}" for prefix in "gn" for k in range(9)),
+                    *(f"{prefix}{k}" for prefix in "vw" for k in range(3))}
         for move in _COLLAPSES.values():
             source = _kernel_source(move.row_map)
             assert move.text not in source
-            for token in tokenize.generate_tokens(io.StringIO(source).readline):
-                assert token.type != tokenize.STRING, (move, token)
-                if token.type == tokenize.NUMBER:
-                    assert token.string.isdigit(), (move, token)
-                if token.type == tokenize.NAME:
-                    assert token.string in names, (move, token)
+            _assert_only_integers(source, collapse, move)
+        for system in (B2, SINH, *SUBSYSTEMS.values(), A2_AFFINE, G2_AFFINE, A3_AFFINE):
+            rank = range(system.rank)
+            step = {"def", "step", "entries", "steps", "bound", "name", "following", "pruned",
+                    "append", "for", "in", "coeff", "word", "sums", "if", "and", "or", "not",
+                    "is", "None", "False", "True", "else", "elif", "raise", "_tie", "return",
+                    *(f"{prefix}{k}" for prefix in ("step", "s", "d", "r") for k in rank),
+                    *(f"g{j}_{k}" for j in rank for k in rank)}
+            source = _step_source(system.row_maps, system.doubled)
+            assert system.name not in source
+            _assert_only_integers(source, step, system.name)
+        family = {"def", "kernel", "m1", "m2", "sq1", "sq2", "bits", "if", "or", "_reject",
+                  "return", *(f"{prefix}{k}" for prefix in "pe" for k in range(9))}
+        for ell, table in closedform._F.items():
+            _assert_only_integers(closedform._kernel_source(ell, table), family, ell)
 
     def test_importing_the_cli_compiles_no_collapse_kernel(self):
-        # Kernels are compiled on first use, so set-up pays for none; a
-        # replay then compiles one per distinct map (collapse 13 i is
-        # collapse 1's).
+        # Kernels are compiled on first use, so set-up pays for none, nor
+        # for a walk step or a family kernel; a replay then compiles one
+        # per distinct map (collapse 13 i is collapse 1's).
         script = ("import b2weyl.cli\n"
-                  "from b2weyl import cascade\n"
+                  "from b2weyl import cascade, closedform, orbit\n"
+                  "print(orbit._expander.cache_info().currsize, closedform._kernels)\n"
                   "print(cascade._collapse_kernel.cache_info().currsize)\n"
                   "cascade.replay(cascade.parse_scenario('collapse 1\\ncollapse 3\\n'"
                   "'collapse 13 i\\ncollapse 13 e\\n'))\n"
                   "print(cascade._collapse_kernel.cache_info().currsize)\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), check=False)
-        assert (proc.returncode, proc.stdout) == (0, "0\n3\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "0 {}\n0\n3\n"), proc.stderr
+
+
+def _assert_only_integers(source, names, case):
+    """``source`` tokenizes into no string, only digit literals and only ``names``."""
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        assert token.type != tokenize.STRING, (case, token)
+        if token.type == tokenize.NUMBER:
+            assert token.string.isdigit(), (case, token)
+        if token.type == tokenize.NAME:
+            assert token.string in names, (case, token)
 
 
 class TestDecompose:
@@ -324,6 +351,21 @@ class TestScenario:
                                                         SatelliteMerge((4, 0, 8))]
         assert [m.text for m in moves] == ["collapse 13 i3"] * 3 + [
             "merge 4 0 8", "collapse 13 i3", "merge 4 0 8"]
+
+    def test_collapse_lines_are_looked_up_before_they_are_parsed(self, monkeypatch):
+        # A line spelled as a shared move's text never reaches the parser;
+        # any other spelling of it does, and parses to the same shared move.
+        lines = [move.text for move in _COLLAPSES.values()]
+        others = ["collapse 31 i", " collapse 1", "collapse  12", "collapse 23\t3i3 # c"]
+        want = [_COLLAPSES[(1, 3), "i"], _COLLAPSES[(1,), None], _COLLAPSES[(1, 2), None],
+                _COLLAPSES[(2, 3), "3i3"]]
+        parsed, parse_move = [], cascade._parse_move
+        monkeypatch.setattr(cascade, "_parse_move",
+                            lambda tokens: parsed.append(tokens) or parse_move(tokens))
+        moves = parse_scenario("\n".join(lines + others))
+        assert len(moves) == 24
+        assert all(a is b for a, b in zip(moves, list(_COLLAPSES.values()) + want))
+        assert parsed == [line.split("#")[0].split() for line in others]
 
     def test_every_collapse_line_parses_to_one_shared_move(self):
         """Each admissible collapse, its subset digits in either order, parses

@@ -123,6 +123,74 @@ def test_every_csv_row_is_verified_under_optimize_flag(capsys):
     assert len(written) == 4  # the header, the origin and two level-1 rows
 
 
+def test_a_corrupted_family_fails_the_weighted_csv_rows_too(capsys, monkeypatch):
+    # CORRUPTED_ORBIT_SCRIPT's table, in process and with sigma columns.
+    argv = ("orbit", "--max-level", "3", "--output", "csv", "--mu", "3/2,1/3,5")
+    _, clean = run(capsys, *argv)
+    table = closedform._F[3]
+    row = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 16,),)
+    monkeypatch.setitem(closedform._F, 3, table[:2] + (row,))
+    code, out = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert json.loads(lines[-1]) == {"error": "verification",
+                                     "detail": "vector is not representable by family 3 at (1,0)"}
+    assert lines[:-1] == clean.splitlines()[:4]
+    # The restored table is another object again, so it gets its own kernel back.
+    monkeypatch.undo()
+    assert run(capsys, *argv) == (0, clean)
+
+
+# A walk entry (coeff, word, sums) that fails one of the level loops'
+# checks, the output formats that check it, and the error detail its
+# owner (parameters_from_sums, or invert_rows for CSV) raises.  JSON
+# records are typed from the sums, not checked against the family.
+SUMS_NOT_4Z = "coefficient sums are not multiples of 4; not a lattice member"
+FAILING_ENTRIES = [
+    ("s1-outside-4Z", ((4,) + (0,) * 8, "1", (1, 0, 0)), ("json", "csv"), SUMS_NOT_4Z),
+    ("s3-outside-4Z", ((0,) * 8 + (2,), "3", (0, 0, 2)), ("json", "csv"), SUMS_NOT_4Z),
+    ("pair-0-2", ((0,) * 5 + (8,) + (0,) * 3, "2", (0, 8, 0)), ("json", "csv"),
+     "residue pair (0, 2) is outside the eight admissible types; not an orbit-type vector"),
+    ("kernel-mismatch", ((4,) + (0,) * 8, "1", (0, 0, 0)), ("csv",),
+     "vector is not representable by family 1 at (0,0)"),
+]
+
+
+@pytest.mark.parametrize("mu", ["formal", "3/2,1/3,5"])
+@pytest.mark.parametrize("output,bad,detail", [
+    pytest.param(output, bad, detail, id=f"{output}-{name}")
+    for name, bad, outputs, detail in FAILING_ENTRIES for output in outputs])
+def test_a_failing_entry_raises_its_owners_error_after_the_passing_rows(
+        capsys, monkeypatch, output, bad, detail, mu):
+    argv = ("orbit", "--max-level", "1", "--output", output, "--mu", mu)
+    _, clean = run(capsys, *argv)
+    (_, origin), (_, first) = OrbitWalk(B2, 1).levels()
+
+    class Walk:
+        """Level 1 holds a passing entry, ``bad``, then another passing entry."""
+
+        count, truncated = 0, False
+
+        def __init__(self, system, max_level, max_coefficient):
+            pass
+
+        def levels(self):
+            yield 0, origin
+            yield 1, (first[0], bad, first[1])
+
+    owner = closedform.parameters_from_sums if output == "json" else closedform.invert_rows
+    with pytest.raises(ValueError) as raised:
+        owner(bad[2]) if output == "json" else owner(bad[0], bad[2])
+    assert str(raised.value) == detail
+    monkeypatch.setattr(orbit, "OrbitWalk", Walk)
+    code, out = run(capsys, *argv)
+    assert code == 1
+    lines = out.splitlines()
+    assert json.loads(lines[-1]) == {"error": "verification", "detail": detail}
+    # The header (CSV), the origin and the passing entry ahead of the failing one.
+    assert lines[:-1] == clean.splitlines()[:2 + (output == "csv")]
+
+
 class TestWordText:
     """``_word_text`` on bytes, list and tuple words, and the CSV's dotted form of it."""
 
