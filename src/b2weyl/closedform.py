@@ -107,7 +107,7 @@ def _family_entries(ell: int, m1: int, m2: int) -> tuple[int, ...]:
 
 
 def _family_kernel(ell: int) -> Callable[[int, int], tuple[int, ...]]:
-    """The kernel of the table ``_F[ell]`` holds now, under ``_family_entries``' rule."""
+    """The kernel of the table that ``_F[ell]`` holds now, under ``_family_entries``' rule."""
     table = _F[ell]
     kept = _kernels.get(ell)
     if kept is None or kept[0] is not table:
