@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 
 class Frozen:
@@ -134,7 +134,6 @@ CARTAN_MATRIX = (
 SYMMETRIZER = (1, 1, 2)
 
 B2 = ReflectionSystem("B2(1)", CARTAN_MATRIX, SYMMETRIZER)
-GENERATORS = (1, 2, 3)
 
 Rational = Union[int, Fraction, str]
 
@@ -243,8 +242,8 @@ def _affine(const: int, terms: list[tuple[str, int]]) -> str:
     """Source of ``const + sum(w * name)``, positive terms first: ``4 + 2*s2 - 2*s0``.
 
     The one writer of integer expressions for the generated code: the
-    walk step (``orbit._expander``), the closed-form kernels
-    (``closedform._kernel``) and the collapse kernels
+    walk step (``orbit._step_source``), the closed-form kernels
+    (``closedform._kernel_source``) and the collapse kernels
     (``cascade._kernel_source``).
     """
     text = str(const) if const else ""
@@ -253,6 +252,22 @@ def _affine(const: int, terms: list[tuple[str, int]]) -> str:
             factor = name if w in (1, -1) else "%d*%s" % (abs(w), name)
             text += (" - " if w < 0 else " + ") + factor if text else "-" * (w < 0) + factor
     return text or "0"
+
+
+def _compile(source: str, filename: str, **names: object) -> Callable:
+    """The function ``kernel`` that the generated ``source`` defines, compiled as ``filename``.
+
+    The one compiler of the generated code: the walk step
+    (``orbit._expander``), the closed-form kernels (``closedform._kernel``)
+    and the collapse kernels (``cascade._collapse_kernel``).  The kernel's
+    globals are ``names`` alone, beside ``__builtins__`` and ``kernel``
+    itself.  One cache rule holds for every kernel: its getter is wrapped
+    in ``functools.cache`` and keyed on the integers its source is written
+    from, so equal integers share one kernel and others get their own.
+    """
+    namespace = dict(names)
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["kernel"]
 
 
 def apply_word(sigma: MassVector, word: Sequence[int]) -> MassVector:

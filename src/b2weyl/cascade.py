@@ -14,9 +14,10 @@ moves: it reads those slots, carries the orbit part as one flat row-major
 tuple of nine ints, the lattice and the probe values as plain integer
 tuples, and builds no state object per move.  Each collapse is one call
 of its map's kernel: straight-line source written from the map's
-integers alone and compiled on first use, so importing the module
-compiles none, and shared by every equal map (``_collapse_kernel``); it
-returns the new entries, the new probe values and the integer gain.
+integers alone, compiled on first use by ``algebra._compile`` and cached
+on the map under its one rule, so importing the module compiles none and
+every equal map shares one (``_collapse_kernel``); it returns the new
+entries, the new probe values and the integer gain.
 ``replay`` is that loop from the origin and returns one ``(coeff,
 lattice, values)`` tuple per move, ``coeff`` flat; ``step`` is one move of
 it, whose rows (``algebra._rows``) and lattice make a new
@@ -35,8 +36,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence, Union
 
-from .algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _affine, _rows, _word_map,
-                      scaled_values)
+from .algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _affine, _compile, _rows,
+                      _word_map, scaled_values)
 
 
 class InvalidSatellite(ValueError):
@@ -158,7 +159,8 @@ class CascadeState(Frozen):
 
     ``values`` is the orbit part at the probe as integers: with
     ``(M, q) = probe.scaled``, gamma(mu) = values/q.  Every state derives
-    them from ``gamma`` and ``probe``.
+    them from ``gamma`` and ``probe``.  The observable mass is
+    (values + 4*q*lattice)/q, which ``cli.cmd_cascade`` prints.
     """
 
     __slots__ = ("gamma", "lattice", "probe", "values")
@@ -175,12 +177,6 @@ class CascadeState(Frozen):
         object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "probe", probe)
         object.__setattr__(self, "values", scaled_values(gamma, probe)[0])
-
-    def total(self) -> tuple[Fraction, Fraction, Fraction]:
-        """Observable mass gamma + 4n, evaluated at the probe."""
-        q = self.probe.scaled[1]
-        return tuple(Fraction(v + 4 * q * n, q)  # type: ignore[return-value]
-                     for v, n in zip(self.values, self.lattice))
 
 
 def step(state: CascadeState, move: Move) -> CascadeState:
@@ -276,9 +272,7 @@ def _collapse_kernel(row_map: tuple) -> Callable[..., tuple]:
     entries, the new probe values and the integer gain q*(sum of the new
     totals - sum of the old ones).
     """
-    namespace: dict[str, Callable] = {}
-    exec(compile(_kernel_source(row_map), "<collapse kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    return _compile(_kernel_source(row_map), "<collapse kernel>")
 
 
 def parse_scenario(text: str) -> list[Move]:

@@ -18,8 +18,8 @@ from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterator
 
-from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _affine, _check_rank, _rows,
-                      _word_map, quadric_form)
+from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _affine, _check_rank, _compile,
+                      _rows, _word_map, quadric_form)
 from .closedform import invert_to_closed_form, reduced_word
 
 
@@ -101,10 +101,11 @@ class OrbitWalk:
     one, and each word is the one a BFS expanding each level in matrix
     order, then generator order, finds first.
     The loop over a level is a step generated for the system: Python source
-    built from the integers of ``row_maps`` and ``doubled`` alone, compiled
-    once and cached on those two tuples (``_expander``), so a copy of a
-    system with patched row maps gets its own step, and the system's name
-    comes in at call time.  Per element it unpacks the flat matrix's entries
+    built from the integers of ``row_maps`` and ``doubled`` alone and
+    compiled by ``algebra._compile`` under its one cache rule, keyed on
+    those two tuples (``_expander``), so a copy of a system with patched
+    row maps gets its own step, and the system's name comes in at call
+    time.  Per element it unpacks the flat matrix's entries
     and the row sums and takes each generator's rise
     d_i = sum_j w_ij * sum_j + 4 - sum_i as one integer expression; then,
     generator by generator, it raises on a tie or builds, as unrolled
@@ -197,7 +198,7 @@ def _tie(name: str, generator: int, total: int, coeff: tuple) -> ValueError:
 
 
 # The step's source: _STEP, one rise d_i per generator, then one _CHILD each.
-_STEP = """def step(entries, steps, bound, name):
+_STEP = """def kernel(entries, steps, bound, name):
     following, pruned = [], False
     append = following.append
     %(steps)s, = steps
@@ -219,13 +220,11 @@ _CHILD = """        if %(tests)s:
 def _expander(row_maps: tuple, doubled: tuple) -> Callable[..., tuple[list, bool]]:
     """The walk's step for these row maps and this 2A (see ``OrbitWalk``), compiled.
 
-    ``step(entries, steps, bound, name)`` returns the next level's entries,
-    unsorted, and whether a child was pruned; generator i + 1 appends
-    ``steps[i]`` to a word.
+    ``kernel(entries, steps, bound, name)`` returns the next level's
+    entries, unsorted, and whether a child was pruned; generator i + 1
+    appends ``steps[i]`` to a word.
     """
-    namespace = {"_tie": _tie}
-    exec(compile(_step_source(row_maps, doubled), "<OrbitWalk step>", "exec"), namespace)
-    return namespace["step"]
+    return _compile(_step_source(row_maps, doubled), "<OrbitWalk step>", _tie=_tie)
 
 
 def _step_source(row_maps: tuple, doubled: tuple) -> str:

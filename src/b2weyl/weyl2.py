@@ -54,31 +54,17 @@ SUBSYSTEMS = {s.name: s for s in (PAIR_12, PAIR_13, PAIR_23, APPENDIX_UV)}
 _CLOSING_DEPTH = 16
 
 
-def _closed_levels(sub: Subsystem) -> list[tuple[int, tuple]]:
-    """The levels of the walk over ``sub``'s orbit (``OrbitWalk.levels``), which must close."""
-    walk = OrbitWalk(sub, _CLOSING_DEPTH)
-    levels = list(walk.levels())
-    if not walk.exhausted:
-        raise RuntimeError(f"orbit of {sub.name} did not close")
-    return levels
-
-
 def finite_orbit(sub: Subsystem) -> list[Matrix2]:
     """All orbit elements as 2x2 coefficient matrices, canonically sorted: as the
     tests check, the walk's levels already are, in order, on every subsystem."""
-    orbit = [_rows(coeff) for _, entries in _closed_levels(sub) for coeff, _, _ in entries]
+    walk = OrbitWalk(sub, _CLOSING_DEPTH)
+    orbit = [_rows(coeff) for _, entries in walk.levels() for coeff, _, _ in entries]
+    if not walk.exhausted:
+        raise RuntimeError(f"orbit of {sub.name} did not close")
     if len(orbit) != sub.expected_size:
         raise RuntimeError(f"orbit of {sub.name} has {len(orbit)} elements, "
                            f"expected {sub.expected_size}")
     return orbit
-
-
-def longest_element(sub: Subsystem) -> Matrix2:
-    """The unique orbit element of maximal reflection depth."""
-    _, deepest = _closed_levels(sub)[-1]
-    if len(deepest) != 1:
-        raise RuntimeError(f"orbit of {sub.name} has no unique deepest element")
-    return _rows(deepest[0][0])
 
 
 @cache

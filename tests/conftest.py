@@ -3,15 +3,21 @@
 The reference path works on plain numeric vectors with the rational
 coupling matrix written out directly -- it never touches the symbolic
 coefficient machinery, so agreement between the two is a genuine
-cross-check, not a tautology.  The one exception is
-``reference_replay``, whose docstring names the engine functions it
-trusts.
+cross-check, not a tautology.  The exceptions are ``reference_replay``,
+``longest_element`` and ``total``, whose docstrings name the engine parts
+they trust.  The closed-form oracles (``reflected_parameters``,
+``transition``, ``type_transition``, ``special_case_table`` and
+``admissible_parameters``) work on plain integers; the engine makes the
+same decisions once, in ``closedform.reduced_word`` and the family
+kernels.
 """
 
 from fractions import Fraction
 
-from b2weyl.algebra import ZERO, MassVector, Weights, apply_word, eval_at, scaled_values
+from b2weyl.algebra import ZERO, MassVector, Weights, _rows, apply_word, eval_at, scaled_values
 from b2weyl.cascade import SatelliteMerge
+from b2weyl.closedform import ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY, ClosedFormId
+from b2weyl.orbit import OrbitWalk
 
 F = Fraction
 
@@ -197,3 +203,91 @@ def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
             gamma = nxt
         after.append((sum(gamma.coeff, ()), lattice, scaled_values(gamma, probe)[0]))
     return after, None
+
+
+def total(state):
+    """Observable mass gamma + 4n of a ``cascade.CascadeState``, evaluated at its probe.
+
+    Read off the state's scaled ``values`` and its lattice, as
+    ``cli.cmd_cascade`` prints it.
+    """
+    q = state.probe.scaled[1]
+    return tuple(Fraction(v + 4 * q * n, q) for v, n in zip(state.values, state.lattice))
+
+
+def longest_element(sub):
+    """The unique orbit element of maximal reflection depth of a rank-two subsystem, as rows.
+
+    The last level of the ``OrbitWalk`` over it, which must close by depth
+    16 and hold one element.
+    """
+    walk = OrbitWalk(sub, 16)
+    *_, (_, deepest) = walk.levels()
+    if not walk.exhausted or len(deepest) != 1:
+        raise RuntimeError(f"orbit of {sub.name} has no unique deepest element")
+    return _rows(deepest[0][0])
+
+
+def admissible_parameters(ell, bound):
+    """All (m1, m2) of family ``ell``'s type with both |m_i| <= bound.
+
+    ValueError, with ``closed_form_eval``'s message, unless ``ell`` is 1..8.
+    """
+    if ell not in TYPE_BY_FAMILY:
+        raise ValueError(f"inadmissible family index {ell}; expected 1..8")
+    t1, t2 = TYPE_BY_FAMILY[ell]
+    ms1 = [m for m in range(-bound, bound + 1) if m % 4 == t1]
+    ms2 = [m for m in range(-bound, bound + 1) if m % 4 == t2]
+    return [(a, b) for a in ms1 for b in ms2]
+
+
+def reflected_parameters(m1, m2, index):
+    """(m1, m2) after generator ``index``: the reflection in m1 = 1/2, m2 = 1/2 or m1 + m2 = -1.
+
+    Generator 1 sends them to (1-m1, m2), generator 2 to (m1, 1-m2) and
+    generator 3 to (-1-m2, -1-m1).
+    """
+    if index == 1:
+        return 1 - m1, m2
+    if index == 2:
+        return m1, 1 - m2
+    return -1 - m2, -1 - m1
+
+
+def transition(cid, index):
+    """Closed-form id of the reflection of a closed-form element.
+
+    The parameters move by ``reflected_parameters``; the family is the one
+    of their type, as for every orbit element.
+    """
+    ell, m1, m2 = cid
+    if TYPE_BY_FAMILY.get(ell) != (m1 % 4, m2 % 4):
+        raise ValueError(f"inadmissible ({ell},{m1},{m2})")
+    if index not in (1, 2, 3):
+        raise ValueError(f"generator index must be 1..3, got {index}")
+    p1, p2 = reflected_parameters(m1, m2, index)
+    return ClosedFormId(FAMILY_BY_TYPE[(p1 % 4, p2 % 4)], p1, p2)
+
+
+def type_transition(tag, index):
+    """Mod-4 type of the reflection of a vector of the given type: the type
+    of ``transition``'s step from the id whose parameters are the type."""
+    if tuple(tag) not in ADMISSIBLE_TYPES:
+        raise ValueError(f"{tag} is not an admissible type")
+    return TYPE_BY_FAMILY[transition((FAMILY_BY_TYPE[tuple(tag)], *tag), index).ell]
+
+
+def special_case_table(m1, m2):
+    """Unit-weight masses: the closed forms collapse to one integer formula, the row sums.
+
+    Defined when m1 and m2 are both congruent to 0 or 1 (mod 4), or both
+    congruent to 2 or 3 (mod 4) -- exactly the admissible type classes.
+    """
+    if (m1 % 4, m2 % 4) not in ADMISSIBLE_TYPES:
+        raise ValueError(f"inadmissible pair ({m1},{m2}): residues must lie jointly "
+                         "in {0,1} or jointly in {2,3} mod 4")
+    return (
+        m1 * (m1 + 3) + m2 * (m2 - 1),
+        m1 * (m1 - 1) + m2 * (m2 + 3),
+        m1 * (m1 - 1) + m2 * (m2 - 1),
+    )

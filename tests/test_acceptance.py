@@ -33,18 +33,16 @@ from b2weyl.closedform import (
     ADMISSIBLE_TYPES,
     ClosedFormId,
     FAMILY_BY_TYPE,
-    admissible_parameters,
     closed_form_eval,
     invert_to_closed_form,
-    special_case_table,
-    transition,
     type_of,
 )
 from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
-from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit, longest_element
+from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit
 from cli_contract import child_env
-from conftest import APPENDIX_C_COEFFS, descend_reference, mv
+from conftest import (APPENDIX_C_COEFFS, admissible_parameters, descend_reference,
+                      longest_element, mv, special_case_table, total, transition)
 
 F = Fraction
 
@@ -321,7 +319,7 @@ def test_criterion_10_cascade_soundness(capsys):
             assert is_member_gamma_N(state.gamma).member
             # decomposition: total equals gamma + 4n at the probe
             gamma_vals = eval_at(state.gamma, probe)
-            assert state.total() == tuple(
+            assert total(state) == tuple(
                 g + 4 * n for g, n in zip(gamma_vals, state.lattice))
             # gain bound for orbit-changing collapses
             if changes:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import cascade, closedform
+from b2weyl import cascade, closedform, orbit
 from b2weyl.algebra import (B2, MassVector, Weights, ZERO, _rows, _word_map, apply_word, eval_at,
                             scaled_values)
 from b2weyl.cascade import (
@@ -33,7 +33,7 @@ from b2weyl.orbit import _step_source, descend_to_origin, enumerate_orbit, is_me
 from b2weyl.sinh import SINH
 from b2weyl.weyl2 import SUBSYSTEMS
 from cli_contract import child_env
-from conftest import mv, reference_replay
+from conftest import mv, reference_replay, total
 from test_orbit import A2_AFFINE, A3_AFFINE, G2_AFFINE
 
 F = Fraction
@@ -90,12 +90,12 @@ class TestStep:
         state = step(CascadeState(), SatelliteMerge((4, 4, 0)))
         assert state.gamma == ZERO
         assert state.lattice == (1, 1, 0)
-        assert state.total() == (4, 4, 0)
+        assert total(state) == (4, 4, 0)
 
     def test_braid_collapse_from_origin(self):
         state = step(CascadeState(), Collapse((1, 3), "i3i3"))
         assert state.gamma == mv([[8, 0, 8], [0, 0, 0], [4, 0, 8]])
-        assert state.total() == (16, 0, 12)
+        assert total(state) == (16, 0, 12)
 
     def test_identity_variant_is_a_legal_noop(self):
         state = step(CascadeState(), Collapse((1, 3), "e"))
@@ -124,7 +124,7 @@ class TestStep:
         state = CascadeState(probe=Weights.numeric(F(3, 2), F(1, 2), 1))
         state = step(state, Collapse((2,)))
         # gain was 4*mu2 = 2 at the probe, exactly the minimal bound
-        assert state.total() == (0, 2, 0)
+        assert total(state) == (0, 2, 0)
 
 
 class TestRowMaps:
@@ -206,7 +206,7 @@ class TestRowMaps:
             _assert_only_integers(source, collapse, move)
         for system in (B2, SINH, *SUBSYSTEMS.values(), A2_AFFINE, G2_AFFINE, A3_AFFINE):
             rank = range(system.rank)
-            step = {"def", "step", "entries", "steps", "bound", "name", "following", "pruned",
+            step = {"def", "kernel", "entries", "steps", "bound", "name", "following", "pruned",
                     "append", "for", "in", "coeff", "word", "sums", "if", "and", "or", "not",
                     "is", "None", "False", "True", "else", "elif", "raise", "_tie", "return",
                     *(f"{prefix}{k}" for prefix in ("step", "s", "d", "r") for k in rank),
@@ -222,17 +222,34 @@ class TestRowMaps:
     def test_importing_the_cli_compiles_no_collapse_kernel(self):
         # Kernels are compiled on first use, so set-up pays for none, nor
         # for a walk step or a family kernel; a replay then compiles one
-        # per distinct map (collapse 13 i is collapse 1's).
+        # per distinct map (collapse 13 i is collapse 1's).  All three
+        # getters keep their kernels in one functools.cache each.
         script = ("import b2weyl.cli\n"
                   "from b2weyl import cascade, closedform, orbit\n"
-                  "print(orbit._expander.cache_info().currsize, closedform._kernels)\n"
-                  "print(cascade._collapse_kernel.cache_info().currsize)\n"
+                  "getters = (orbit._expander, closedform._kernel, cascade._collapse_kernel)\n"
+                  "print(*(getter.cache_info().currsize for getter in getters))\n"
                   "cascade.replay(cascade.parse_scenario('collapse 1\\ncollapse 3\\n'"
                   "'collapse 13 i\\ncollapse 13 e\\n'))\n"
-                  "print(cascade._collapse_kernel.cache_info().currsize)\n")
+                  "print(*(getter.cache_info().currsize for getter in getters))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), check=False)
-        assert (proc.returncode, proc.stdout) == (0, "0 {}\n0\n3\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n0 0 3\n"), proc.stderr
+
+    def test_every_kernel_sees_only_the_names_its_writer_passes(self):
+        # algebra._compile gives each kernel a fixed namespace: the names
+        # its writer passes, __builtins__ and the kernel itself, nothing
+        # of the module that wrote it.
+        def assert_globals(kernel, *names):
+            assert kernel.__name__ == "kernel"
+            assert set(kernel.__globals__) == {"__builtins__", "kernel", *names}
+
+        for system in (B2, SINH, *SUBSYSTEMS.values(), A2_AFFINE, G2_AFFINE, A3_AFFINE):
+            assert_globals(orbit._expander(system.row_maps, system.doubled), "_tie")
+        for ell in closedform._F:
+            assert_globals(closedform._family_kernel(ell), "_reject")
+        assert len(_COLLAPSES) == 20
+        for move in _COLLAPSES.values():
+            assert_globals(_collapse_kernel(move.row_map))
 
 
 def _assert_only_integers(source, names, case):
@@ -293,7 +310,7 @@ class TestRandomSequences:
             while accepted < 8 and attempts < 200:
                 attempts += 1
                 move = random_move(rng)
-                before = sum(state.total())
+                before = sum(total(state))
                 try:
                     nxt = step(state, move)
                 except NonPhysicalMove:
@@ -301,13 +318,13 @@ class TestRandomSequences:
                 accepted += 1
                 # decomposition invariant: total = gamma + 4n at the probe
                 gamma_vals = eval_at(nxt.gamma, nxt.probe)
-                assert nxt.total() == tuple(
+                assert total(nxt) == tuple(
                     g + 4 * n for g, n in zip(gamma_vals, nxt.lattice))
                 # orbit part stays a certified member
                 assert is_member_gamma_N(nxt.gamma).member
                 # accepted collapses that move the orbit part gain >= 4
                 if isinstance(move, Collapse) and nxt.gamma != state.gamma:
-                    assert sum(nxt.total()) - before >= 4
+                    assert sum(total(nxt)) - before >= 4
                 state = nxt
 
 
@@ -327,7 +344,7 @@ class TestScenario:
         assert len(after) == 4
         assert after[1][0] == (4, 0, 8, 0, 0, 0, 0, 0, 4)
         assert after[2][1] == (1, 0, 2)
-        totals = [sum(CascadeState(mv(_rows(coeff)), lattice).total())
+        totals = [sum(total(CascadeState(mv(_rows(coeff)), lattice)))
                   for coeff, lattice, _ in after]
         assert totals == sorted(totals)
 

@@ -21,13 +21,13 @@ from b2weyl.algebra import (B2, MassVector, Weights, ZERO, apply_word, eval_at, 
                             ratio_texts, scaled_values)
 from b2weyl.cascade import CascadeState, Collapse, NonPhysicalMove, SatelliteMerge, step
 from b2weyl.cli import main
-from b2weyl.closedform import (TYPE_BY_FAMILY, admissible_parameters, closed_form_eval,
-                               invert_to_closed_form, parameters_from_sums, type_of)
+from b2weyl.closedform import (TYPE_BY_FAMILY, closed_form_eval, invert_to_closed_form,
+                               parameters_from_sums, type_of)
 from b2weyl.orbit import MembershipCertificate, OrbitWalk, enumerate_orbit, is_member_gamma_N
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import SUBSYSTEMS, finite_orbit
 from cli_contract import CONTRACT, SRC, child_env, fill, observe
-from conftest import APPENDIX_C_COEFFS, mv, reference_replay
+from conftest import APPENDIX_C_COEFFS, admissible_parameters, mv, reference_replay, total
 from test_cascade import random_move
 
 
@@ -723,7 +723,7 @@ class TestCascadeFormatterOracle:
             state = CascadeState(el.sigma, lattice, probe)
             before = eval_at(el.sigma, probe)
             want = tuple(v + 4 * n for v, n in zip(before, lattice))
-            assert state.total() == want
+            assert total(state) == want
             # A step from it agrees with the Fraction reference too.
             after = eval_at(apply_word(el.sigma, (1,)), probe)
             try:
@@ -731,7 +731,7 @@ class TestCascadeFormatterOracle:
             except NonPhysicalMove:
                 assert sum(after) - sum(before) < 4 * min(probe.values)
             else:
-                assert nxt.total() == tuple(v + 4 * n for v, n in zip(after, lattice))
+                assert total(nxt) == tuple(v + 4 * n for v, n in zip(after, lattice))
 
 
 class TestUsageErrors:

@@ -16,21 +16,17 @@ from b2weyl.closedform import (
     ClosedFormId,
     FAMILY_BY_TYPE,
     TYPE_BY_FAMILY,
-    _reflected_parameters,
-    admissible_parameters,
     closed_form_eval,
     invert_rows,
     invert_to_closed_form,
     parameters_from_sums,
     reduced_word,
-    special_case_table,
-    transition,
     type_of,
-    type_transition,
 )
 from b2weyl.orbit import OrbitWalk
 from cli_contract import child_env
-from conftest import family_rows, mv, wall_count
+from conftest import (admissible_parameters, family_rows, mv, reflected_parameters,
+                      special_case_table, transition, type_transition, wall_count)
 
 
 # The ten anchor assignments pinning each family to a tree element.
@@ -80,8 +76,11 @@ class TestClosedFormEval:
     @pytest.mark.parametrize("ell", [0, 9])
     def test_admissible_parameters_rejects_an_unknown_family(self, ell):
         # The same message as closed_form_eval's, not a KeyError.
-        with pytest.raises(ValueError, match=rf"^inadmissible family index {ell}; expected 1\.\.8$"):
+        message = rf"^inadmissible family index {ell}; expected 1\.\.8$"
+        with pytest.raises(ValueError, match=message):
             admissible_parameters(ell, 3)
+        with pytest.raises(ValueError, match=message):
+            closed_form_eval((ell, 0, 0))
 
     def test_entries_nonnegative_multiples_of_four(self):
         for ell in range(1, 9):
@@ -246,8 +245,9 @@ class TestKernels:
         assert kinds == {"value", "non-integer", "entry"}
 
     def test_a_swapped_table_gets_a_fresh_kernel(self, monkeypatch):
-        # The kernel is kept with the table object it was written from: a
-        # table put in its place, even an equal copy, is compiled afresh.
+        # The kernel is cached on the family and the table's integers: a
+        # different table put in its place gets its own kernel, and an
+        # equal copy shares the kernel of the table it equals.
         assert closed_form_eval((3, 1, 0)).coeff == ((4, 0, 0), (0, 0, 0), (0, 0, 0))
         table = closedform._F[3]
         last = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 64,),)
@@ -256,7 +256,8 @@ class TestKernels:
         copy = tuple(map(tuple, table))
         monkeypatch.setitem(closedform._F, 3, copy)
         assert closed_form_eval((3, 1, 0)).coeff == ((4, 0, 0), (0, 0, 0), (0, 0, 0))
-        assert copy == table and copy is not table and closedform._kernels[3][0] is copy
+        assert copy == table and copy is not table
+        assert closedform._kernel(3, copy) is closedform._kernel(3, table)
 
 
 class TestTransition:
@@ -369,7 +370,7 @@ class TestReducedWord:
     def test_an_inadmissible_pair_raises(self, pair):
         # Generator 3 maps (-1, 0) to itself, so an unguarded loop would
         # never end there.
-        assert _reflected_parameters(-1, 0, 3) == (-1, 0)
+        assert reflected_parameters(-1, 0, 3) == (-1, 0)
         with pytest.raises(ValueError, match=r"inadmissible pair \(%d,%d\)" % pair):
             reduced_word(*pair)
 
@@ -391,7 +392,7 @@ class TestReducedWord:
                 sums, walls = special_case_table(m1, m2), wall_count(m1, m2)
                 falls = []
                 for i in range(3):
-                    p1, p2 = _reflected_parameters(m1, m2, i + 1)
+                    p1, p2 = reflected_parameters(m1, m2, i + 1)
                     after = special_case_table(p1, p2)
                     assert after[i] != sums[i]
                     assert after[:i] + after[i + 1:] == sums[:i] + sums[i + 1:]
@@ -412,10 +413,10 @@ class TestReducedWord:
                 for index in word:
                     sums = special_case_table(m1, m2)
                     falling = [i for i in (1, 2, 3)
-                               if special_case_table(*_reflected_parameters(m1, m2, i))[i - 1]
+                               if special_case_table(*reflected_parameters(m1, m2, i))[i - 1]
                                < sums[i - 1]]
                     assert index == falling[0]
-                    m1, m2 = _reflected_parameters(m1, m2, index)
+                    m1, m2 = reflected_parameters(m1, m2, index)
                 assert (m1, m2) == (0, 0)
 
     def test_wall_count_is_the_walk_level(self):
@@ -429,7 +430,7 @@ class TestReducedWord:
 # Corrupts the constant of each of the nine family-1 entries in turn by 2,
 # 4 and -16 quarters, so that it evaluates to 1/2, 1 and -4 at (1, 0, 0);
 # every corruption must raise, also under -O, so no entry escapes the
-# kernel's 4N test.  Each swapped-in table gets a fresh kernel.
+# kernel's 4N test.  Each swapped-in table gets its own kernel.
 CORRUPTED_TABLE_SCRIPT = """
 import sys
 from b2weyl import closedform

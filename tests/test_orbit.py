@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 from b2weyl import algebra, cli, orbit
 from b2weyl.algebra import (B2, CARTAN_MATRIX, SYMMETRIZER, MassVector, ReflectionSystem,
                             Weights, ZERO, _rows, _word_map, apply_word, quadric_form, reflect)
-from b2weyl.closedform import (ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY,
-                               admissible_parameters, closed_form_eval, invert_to_closed_form)
+from b2weyl.closedform import (ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY, closed_form_eval,
+                               invert_to_closed_form)
 from b2weyl.orbit import (
     _RELATIONS,
     OrbitElement,
@@ -29,7 +29,7 @@ from b2weyl.orbit import (
 )
 from b2weyl.sinh import SINH
 from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
-from conftest import mv, wall_count
+from conftest import admissible_parameters, mv, wall_count
 
 
 # The reflection tree through depth two, plus the unique depth-three

@@ -16,9 +16,9 @@ from b2weyl.weyl2 import (
     Subsystem,
     appendix_table,
     finite_orbit,
-    longest_element,
 )
-from conftest import APPENDIX_C_COEFFS, REF_CARTAN_3, REF_SUBSYSTEMS, REF_SYMMETRIZER_3
+from conftest import (APPENDIX_C_COEFFS, REF_CARTAN_3, REF_SUBSYSTEMS, REF_SYMMETRIZER_3,
+                      longest_element)
 
 F = Fraction
 
