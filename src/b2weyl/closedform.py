@@ -7,7 +7,7 @@ element's type; (ell, m1, m2) is its id.  ``_F`` holds the coefficients
 as integers in quarter units, built at import from the orbit itself
 (``_derive_families``), and is evaluated without rationals, by one
 straight-line kernel per family generated from its integers
-(``_family_entries``).
+(``_family_entries``), and ``sinh`` reads its chain off the same kernels.
 
 Proof.  Generator i moves (m1, m2) by the reflection in m1 = 1/2,
 m2 = 1/2 or m1 + m2 = -1, the walls of the alcove A0 around (0, 0): to
@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .algebra import ZERO, MassVector, _affine, _compile, _rows, apply_word
+from .algebra import B2, ZERO, MassVector, _affine, _check_rank, _compile, _rows, apply_word
 
 TypePair = tuple[int, int]
 
@@ -195,6 +195,8 @@ def invert_rows(coeff: tuple[int, ...], sums: tuple[int, ...]) -> ClosedFormId:
 
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
     """The unique (family, m1, m2) of a lattice member: ``invert_rows`` on its rows and sums."""
+    if len(sigma.coeff) != 3:
+        _check_rank(sigma, B2)
     return invert_rows(sum(sigma.coeff, ()), sigma.coefficient_sums())
 
 

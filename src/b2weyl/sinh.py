@@ -4,9 +4,16 @@ When the first two unknowns of the full system are identified, the
 system collapses to the sinh-Gordon equation with two mass components.
 As data it is the rank-two ``ReflectionSystem`` ``SINH``, so its vectors,
 reflections, evaluation and quadric are the shared ones in ``algebra``.
-The orbit of the origin is a doubly infinite chain indexed by a single
-integer m with a parity-split closed form; this module keeps that closed
-form, reads the orbit off it level by level, and inverts it.
+Its orbit is a chain in one integer m: chain(m) is B2(1)'s element at
+the id (d, d), d = m for m odd and -m for m even, folded (``_CHAIN``), so
+the family kernels of ``closedform`` evaluate it.
+
+Proof.  The oracle ``chain_rows`` in tests/conftest.py, (m^2, (m-1)^2 - 1,
+(m+1)^2 - 1, m^2) for m even and ((m+1)^2, m^2 - 1, m^2 - 1, (m-1)^2) for
+m odd, row-major, is that element: both sides are quadratic in d on a
+residue class mod 4 (``_F`` has no m1*m2 term, point (3) of the
+``closedform`` docstring; the oracle is quadratic in m on a parity
+class), so three d per class prove it, and the tests take more.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterator
 
-from .algebra import MassVector, ReflectionSystem
+from .algebra import MassVector, ReflectionSystem, _check_rank
+from .closedform import FAMILY_BY_TYPE, _F, _kernel
 
 SINH_CARTAN = (
     (Fraction(1), Fraction(-1)),
@@ -24,24 +32,20 @@ SINH_SYMMETRIZER = (1, 1)
 SINH = ReflectionSystem("sinh", SINH_CARTAN, SINH_SYMMETRIZER)
 
 
-# For e even, chain(e - 1) and chain(e) share row 1, and chain(e) and chain(e + 1) row 2.
-def _row1(e: int) -> tuple[int, int]:
-    return e * e, (e - 1) ** 2 - 1
-
-
-def _row2(e: int) -> tuple[int, int]:
-    return (e + 1) ** 2 - 1, e * e
-
-
-def _chain_rows(m: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The rows of chain(m), row-major (m^2, (m-1)^2 - 1, (m+1)^2 - 1, m^2)
-    for m even and ((m+1)^2, m^2 - 1, m^2 - 1, (m-1)^2) for m odd."""
-    return _row1(m + m % 2), _row2(m - m % 2)
+# The diagonal tables of ``_F``, types (r, r) by r = d mod 4, folded to m1 = m2 in m1 alone:
+# rows 1 and 3, each with its first two entries added, and each entry (a, b, c, d, e), the
+# coefficients of (m1^2, m1, m2^2, m2, 1), as (a + c, b + d, 0, 0, e).
+_CHAIN = tuple(tuple(tuple((a + c, b + d, 0, 0, e) for a, b, c, d, e in
+                           (tuple(map(sum, zip(first, second))), third))
+                     for first, second, third in _F[FAMILY_BY_TYPE[(r, r)]][::2])
+               for r in range(4))
 
 
 def sinh_closed_form(m: int) -> MassVector:
-    """The chain element with parameter m (parity selects the branch)."""
-    return MassVector(_chain_rows(m))
+    """The chain element with parameter m: the kernel of d's folded table at (d, 0)."""
+    d = m if m % 2 else -m
+    a, b, c, e = _kernel(d % 4, _CHAIN[d % 4])(d, 0)
+    return MassVector(((a, b), (c, e)))
 
 
 def sinh_orbit(max_level: int) -> Iterator[MassVector]:
@@ -52,9 +56,8 @@ def sinh_orbit(max_level: int) -> Iterator[MassVector]:
     Generator 1 sends chain(m) to chain(m + 1) for m even and to chain(m - 1)
     for m odd, generator 2 the other way round (both sides are quadratic in m
     on a parity class, so three m per class prove it; the tests check more).
-    The chain is one-to-one, so level n holds exactly m = n and m = -n, each
-    built from its neighbour towards 0, with which it shares a row.  Listed as
-    0, then (-n, n) for n odd and (n, -n) for n even, they are already sorted:
+    The chain is one-to-one, so level n holds exactly m = n and m = -n.  Listed
+    as 0, then d = -n and d = n at each level n, they are already sorted:
     within level n the pair first differs in entry 1, (n-1)^2 < (n+1)^2, for n
     odd and in entry 2, (n-1)^2 - 1 < (n+1)^2 - 1, for n even; level n's last
     and level n + 1's first differ first in entry 3, (n-1)^2 - 1 < (n+1)^2 - 1
@@ -64,36 +67,29 @@ def sinh_orbit(max_level: int) -> Iterator[MassVector]:
     """
     if max_level < 0:
         raise ValueError("max_level must be >= 0")
-    return _chain_walk(max_level)
+    return _walk(max_level, [_kernel(r, table) for r, table in enumerate(_CHAIN)])
 
 
-def _chain_walk(max_level: int) -> Iterator[MassVector]:
-    origin = sinh_closed_form(0)
-    yield origin
-    (row1_up, row2_up) = (row1_down, row2_down) = origin.coeff
+def _walk(max_level: int, kernels: list) -> Iterator[MassVector]:
+    yield sinh_closed_form(0)
     for n in range(1, max_level + 1):
-        if n % 2:
-            row1_up, row2_down = _row1(n + 1), _row2(-n - 1)
-            yield from (MassVector((row1_down, row2_down)), MassVector((row1_up, row2_up)))
-        else:
-            row2_up, row1_down = _row2(n), _row1(-n)
-            yield from (MassVector((row1_up, row2_up)), MassVector((row1_down, row2_down)))
+        for d in (-n, n):
+            a, b, c, e = kernels[d % 4](d, 0)
+            yield MassVector(((a, b), (c, e)))
 
 
 def sinh_invert(sigma: MassVector) -> int:
     """Recover the chain parameter of an orbit element.
 
-    The coefficient-sum difference is 4m on the odd branch and -4m on the
-    even one, so d = (n1 - n2)/4, which has m's parity, names one
-    candidate: m = d when d is odd, else -d.  Its chain rows are compared
-    with ``sigma.coeff`` exactly.
+    The coefficient-sum difference n1 - n2 = 4d names the one candidate,
+    m = d for d odd, else -d, whose entries are compared with ``sigma.coeff``.
     """
-    n1, n2 = sigma.coefficient_sums()
-    diff = n1 - n2
-    if diff % 4:
+    if len(sigma.coeff) != 2:
+        _check_rank(sigma, SINH)
+    (a, b), (c, e) = sigma.coeff
+    d, rest = divmod(a + b - c - e, 4)
+    if rest:
         raise ValueError("coefficient-sum difference is not a multiple of 4")
-    d = diff // 4
-    m = d if d % 2 else -d
-    if _chain_rows(m) != sigma.coeff:
+    if _kernel(d % 4, _CHAIN[d % 4])(d, 0) != (a, b, c, e):
         raise ValueError("vector is not on the parametrized chain")
-    return m
+    return d if d % 2 else -d

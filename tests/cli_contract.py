@@ -212,6 +212,12 @@ CONTRACT = [
      "sha256:339fcbe921bd7a03041b32230398c8b06b9a607d0176e63ee731cb13f0edacb1"),
     ("sinh-closed-form-unit", ["sinh", "--closed-form", "2", "--mu", "1,1"], None, 0,
      '{"coeff":[[4,0],[8,4]],"m":2,"level":2,"sigma":["4","12"]}\n'),
+    # The chain at depth: 4,001 records, and one far element with sigma texts.
+    ("sinh-orbit-2000", ["sinh", "--max-level", "2000"], None, 0,
+     "sha256:25f635ce2b17421d7a4fe9345b62b6854d97ea78f4af2b2fd216e8730acfb11d"),
+    ("sinh-closed-form-far", ["sinh", "--closed-form", "-12345", "--mu", "7/3,5/11"], None, 0,
+     '{"coeff":[[152374336,152399024],[152399024,152423716]],"m":-12345,"level":12345,'
+     '"sigma":["14018809232/33","14021080588/33"]}\n'),
     ("weyl2-subsystem", ["weyl2", "--subsystem", "pair_13", "--weights", "2/3,7/5"],
      None, 0, "sha256:7804369b15a69c4c7aaa1735a7fd8d74740f93b739e9b7871f6898ec8a63f3c8"),
     ("weyl2-part-c", ["weyl2", "--part", "c", "--alpha", "1/2,-1/3"], None, 0,

@@ -6,10 +6,10 @@ coefficient machinery, so agreement between the two is a genuine
 cross-check, not a tautology.  The exceptions are ``reference_replay``,
 ``longest_element`` and ``total``, whose docstrings name the engine parts
 they trust.  The closed-form oracles (``reflected_parameters``,
-``transition``, ``type_transition``, ``special_case_table`` and
-``admissible_parameters``) work on plain integers; the engine makes the
-same decisions once, in ``closedform.reduced_word`` and the family
-kernels.
+``transition``, ``type_transition``, ``special_case_table``,
+``admissible_parameters`` and the rank-one ``chain_rows``) work on plain
+integers; the engine makes the same decisions once, in
+``closedform.reduced_word`` and the family kernels.
 """
 
 from fractions import Fraction
@@ -173,6 +173,18 @@ def family_rows(table, ell, m1, m2):
             row.append(quarter // 4)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def chain_rows(m):
+    """The rank-one chain's element m as rows, by its parity-split closed form.
+
+    The oracle of ``sinh``'s folded family kernels: (m^2, (m-1)^2 - 1,
+    (m+1)^2 - 1, m^2) row-major for m even and ((m+1)^2, m^2 - 1, m^2 - 1,
+    (m-1)^2) for m odd.
+    """
+    if m % 2:
+        return ((m + 1) ** 2, m * m - 1), (m * m - 1, (m - 1) ** 2)
+    return (m * m, (m - 1) ** 2 - 1), ((m + 1) ** 2 - 1, m * m)
 
 
 def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import cascade, closedform, orbit
+from b2weyl import cascade, closedform, orbit, sinh
 from b2weyl.algebra import (B2, MassVector, Weights, ZERO, _rows, _word_map, apply_word, eval_at,
                             scaled_values)
 from b2weyl.cascade import (
@@ -195,8 +195,9 @@ class TestRowMaps:
 
     def test_kernel_source_holds_only_integers(self):
         # Every generated source: the collapse kernels, the walk step of
-        # every system the tests hold and the eight family kernels.  Each
-        # holds integer literals and a fixed set of names, and no string.
+        # every system the tests hold, the eight family kernels and the four
+        # chain kernels of sinh's folded tables.  Each holds integer
+        # literals and a fixed set of names, and no string.
         collapse = {"def", "return", "kernel", "coeff", "values", "m1", "m2", "m3",
                     *(f"{prefix}{k}" for prefix in "gn" for k in range(9)),
                     *(f"{prefix}{k}" for prefix in "vw" for k in range(3))}
@@ -218,22 +219,33 @@ class TestRowMaps:
                   "return", *(f"{prefix}{k}" for prefix in "pe" for k in range(9))}
         for ell, table in closedform._F.items():
             _assert_only_integers(closedform._kernel_source(ell, table), family, ell)
+        for r, table in enumerate(sinh._CHAIN):
+            _assert_only_integers(closedform._kernel_source(r, table), family, ("chain", r))
 
     def test_importing_the_cli_compiles_no_collapse_kernel(self):
         # Kernels are compiled on first use, so set-up pays for none, nor
-        # for a walk step or a family kernel; a replay then compiles one
-        # per distinct map (collapse 13 i is collapse 1's).  All three
-        # getters keep their kernels in one functools.cache each.
-        script = ("import b2weyl.cli\n"
-                  "from b2weyl import cascade, closedform, orbit\n"
+        # for a walk step or a family kernel.  A sinh request then compiles
+        # the four chain kernels, one per folded table (asking for them
+        # again compiles none), and a replay one per distinct map
+        # (collapse 13 i is collapse 1's).  All three getters keep their
+        # kernels in one functools.cache each.
+        script = ("import contextlib, io\n"
+                  "import b2weyl.cli\n"
+                  "from b2weyl import cascade, closedform, orbit, sinh\n"
                   "getters = (orbit._expander, closedform._kernel, cascade._collapse_kernel)\n"
+                  "print(*(getter.cache_info().currsize for getter in getters))\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    b2weyl.cli.main(['sinh', '--max-level', '2'])\n"
+                  "print(*(getter.cache_info().currsize for getter in getters))\n"
+                  "for r, table in enumerate(sinh._CHAIN):\n"
+                  "    closedform._kernel(r, table)\n"
                   "print(*(getter.cache_info().currsize for getter in getters))\n"
                   "cascade.replay(cascade.parse_scenario('collapse 1\\ncollapse 3\\n'"
                   "'collapse 13 i\\ncollapse 13 e\\n'))\n"
                   "print(*(getter.cache_info().currsize for getter in getters))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), check=False)
-        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n0 0 3\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n0 4 0\n0 4 0\n0 4 3\n"), proc.stderr
 
     def test_every_kernel_sees_only_the_names_its_writer_passes(self):
         # algebra._compile gives each kernel a fixed namespace: the names
@@ -247,6 +259,8 @@ class TestRowMaps:
             assert_globals(orbit._expander(system.row_maps, system.doubled), "_tie")
         for ell in closedform._F:
             assert_globals(closedform._family_kernel(ell), "_reject")
+        for r, table in enumerate(sinh._CHAIN):
+            assert_globals(closedform._kernel(r, table), "_reject")
         assert len(_COLLAPSES) == 20
         for move in _COLLAPSES.values():
             assert_globals(_collapse_kernel(move.row_map))

@@ -1,6 +1,7 @@
 """Closed-form families: anchors, transitions, typing, and the unit-weight table."""
 
 import hashlib
+import re
 import subprocess
 import sys
 
@@ -23,7 +24,8 @@ from b2weyl.closedform import (
     reduced_word,
     type_of,
 )
-from b2weyl.orbit import OrbitWalk
+from b2weyl.orbit import OrbitWalk, descend_to_origin
+from b2weyl.sinh import SINH, sinh_invert
 from cli_contract import child_env
 from conftest import (admissible_parameters, family_rows, mv, reflected_parameters,
                       special_case_table, transition, type_transition, wall_count)
@@ -176,6 +178,18 @@ class TestInvert:
         bad = mv([[4, 0, 0], [4, 0, 0], [0, 0, 0]])
         with pytest.raises(ValueError):
             invert_to_closed_form(bad)
+
+    @pytest.mark.parametrize("invert,system,rank", [
+        pytest.param(invert, system, rank, id=f"{invert.__name__}-rank-{rank}")
+        for invert, system, ranks in ((invert_to_closed_form, B2, (1, 2)), (type_of, B2, (1, 2)),
+                                      (descend_to_origin, B2, (1, 2)), (sinh_invert, SINH, (1, 3)))
+        for rank in ranks])
+    def test_a_vector_of_another_rank_raises_the_rank_message(self, invert, system, rank):
+        # The message of algebra._check_rank, as reflect and quadric_form
+        # raise it, not an unpacking error.
+        message = f"a rank-{rank} vector does not fit {system.name}, of rank {system.rank}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            invert(MassVector(((0,) * rank,) * rank))
 
     def test_every_enumerated_orbit_element_is_representable(self):
         # The BFS route and the closed-form route cover the same set.
