@@ -7,11 +7,11 @@ are all instances of the one ``ReflectionSystem``, and every rank shares
 one vector type, one reflection, one evaluator and one quadric residual.
 
 A rank-r mass vector stores each component as a linear form in the
-weights (mu1, ..., mur): an integer r x r coefficient matrix.  Generator
-i acts by affine reflection across the i-th wall of the coupling matrix;
+weights (mu1, ..., mur): an integer r x r coefficient matrix, flat and
+row-major as the walk, the kernels and the cascade carry it.  Generator i
+acts by affine reflection across the i-th wall of the coupling matrix;
 composing generators walks the quantized-mass orbit.  Everything here is
-exact (ints and Fractions) -- there is deliberately no floating-point
-path.
+exact (ints and Fractions) -- there is deliberately no floating-point path.
 
 The hot paths stay in the integers.  Weights are held as
 mu = M/q, with q the lcm of the denominators and M an integer vector, so
@@ -178,40 +178,35 @@ UNIT_WEIGHTS = Weights.numeric(1, 1, 1)
 
 
 class MassVector(Frozen):
-    """Symbolic rank-r mass vector: sigma_i = sum_j coeff[i][j]*mu_j.
+    """Symbolic rank-r mass vector: sigma_i = sum_j coeff[r*i + j]*mu_j.
 
-    The rank is the size of the square coefficient matrix, which every
-    vector, the engine's own too, checks in a plain loop (cheaper than ``any``).
+    ``coeff`` is the r x r coefficient matrix as one flat, row-major tuple
+    of ints.  The rank is the square root of its length, and every vector,
+    the engine's own too, checks that the length is a square.
     """
 
     __slots__ = _fields = ("coeff",)
 
-    coeff: tuple[tuple[int, ...], ...]
+    coeff: tuple[int, ...]
 
-    def __init__(self, coeff: tuple[tuple[int, ...], ...]) -> None:
-        rank = len(coeff)
-        for row in coeff:
-            if len(row) != rank:
-                raise ValueError(f"coefficient matrix must be {rank}x{rank}")
+    def __init__(self, coeff: tuple[int, ...]) -> None:
+        n = len(coeff)
+        if math.isqrt(n) ** 2 != n:
+            raise ValueError(f"a coefficient matrix needs a square number of entries, got {n}")
         object.__setattr__(self, "coeff", coeff)
 
     def coefficient_sums(self) -> tuple[int, ...]:
         """Row sums of the coefficient matrix (the weight-blind masses)."""
-        return tuple(sum(row) for row in self.coeff)
+        coeff, rank = self.coeff, math.isqrt(len(self.coeff))
+        return tuple([sum(coeff[i * rank:i * rank + rank]) for i in range(rank)])
 
 
-ZERO = MassVector(((0, 0, 0), (0, 0, 0), (0, 0, 0)))
-
-
-def _rows(flat: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """A square matrix given flat, row-major (as the walk and the closed-form
-    kernels carry it), as its tuple of rows."""
-    return tuple(zip(*[iter(flat)] * math.isqrt(len(flat))))
+ZERO = MassVector((0,) * 9)
 
 
 def _check_rank(sigma: MassVector, system: ReflectionSystem) -> None:
-    if len(sigma.coeff) != system.rank:
-        raise ValueError(f"a rank-{len(sigma.coeff)} vector does not fit "
+    if len(sigma.coeff) != system.rank * system.rank:
+        raise ValueError(f"a rank-{math.isqrt(len(sigma.coeff))} vector does not fit "
                          f"{system.name}, of rank {system.rank}")
 
 
@@ -228,14 +223,15 @@ def reflect(sigma: MassVector, index: int, system: ReflectionSystem = B2) -> Mas
     return MassVector(_reflected_coeff(sigma.coeff, i, system.row_maps[i]))
 
 
-def _reflected_coeff(coeff: tuple[tuple[int, ...], ...], i: int, pairs: tuple) -> tuple:
+def _reflected_coeff(coeff: tuple[int, ...], i: int, pairs: tuple) -> tuple[int, ...]:
     """``coeff`` after generator i + 1: row i becomes sum_j w_ij * row_j + 4 e_i, the rest stay."""
-    row = [0] * len(coeff)
+    rank = math.isqrt(len(coeff))
+    row = [0] * rank
     row[i] = 4
     for j, w in pairs:
-        for k, v in enumerate(coeff[j]):
+        for k, v in enumerate(coeff[j * rank:j * rank + rank]):
             row[k] += w * v
-    return coeff[:i] + (tuple(row),) + coeff[i + 1:]
+    return coeff[:i * rank] + tuple(row) + coeff[i * rank + rank:]
 
 
 def _affine(const: int, terms: list[tuple[str, int]]) -> str:
@@ -291,9 +287,10 @@ def _word_map(word: Sequence[int]) -> tuple:
     matrix exactly when their maps are equal.
     """
     shift = apply_word(ZERO, word).coeff
-    image = apply_word(MassVector(((1, 0, 0), (0, 1, 0), (0, 0, 1))), word).coeff
+    image = apply_word(MassVector((1, 0, 0, 0, 1, 0, 0, 0, 1)), word).coeff
     entries = []
-    for r, (moved, t) in enumerate(zip(image, shift)):
+    for r in range(3):
+        moved, t = image[3 * r:3 * r + 3], shift[3 * r:3 * r + 3]
         pairs = tuple((j, a - b) for j, (a, b) in enumerate(zip(moved, t)) if a != b)
         if pairs != ((r, 1),) or any(t):
             entries.append((r, pairs, t))
@@ -312,9 +309,10 @@ def scaled_values(sigma: MassVector,
         m, q = weights.scaled
     else:
         m, q = _scale([Fraction(v).as_integer_ratio() for v in weights])
-    if len(m) != len(sigma.coeff):
-        raise ValueError(f"{len(sigma.coeff)} weight values required, got {len(m)}")
-    return tuple([sum(map(mul, row, m)) for row in sigma.coeff]), q
+    coeff, rank = sigma.coeff, math.isqrt(len(sigma.coeff))
+    if len(m) != rank:
+        raise ValueError(f"{rank} weight values required, got {len(m)}")
+    return tuple([sum(map(mul, coeff[i * rank:i * rank + rank], m)) for i in range(rank)]), q
 
 
 def ratio_text(v: int, q: int) -> str:
@@ -345,15 +343,16 @@ def quadric_form(sigma: MassVector, system: ReflectionSystem = B2) -> list[int |
     them vanish exactly when sigma lies on the quadric identically in mu.
     """
     _check_rank(sigma, system)
-    coeff, gram, symmetrizer = sigma.coeff, system.gram, system.symmetrizer
-    columns = list(zip(*coeff))
+    coeff, gram, symmetrizer, rank = sigma.coeff, system.gram, system.symmetrizer, system.rank
+    columns = [coeff[k::rank] for k in range(rank)]
     # gc[k] is column k of G*C; entry (j, k) of C^t G C is column j of C dot gc[k].
     gc = [[sum(map(mul, row, column)) for row in gram] for column in columns]
     form = []
     for j, column in enumerate(columns):
         for k in range(j, len(columns)):
             entry = (sum(map(mul, column, gc[k]))
-                     - 2 * (symmetrizer[j] * coeff[j][k] + symmetrizer[k] * coeff[k][j]))
+                     - 2 * (symmetrizer[j] * coeff[j * rank + k]
+                            + symmetrizer[k] * coeff[k * rank + j]))
             form.append(entry if j == k else 2 * entry)
     return form
 

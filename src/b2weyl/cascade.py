@@ -19,8 +19,8 @@ on the map under its one rule, so importing the module compiles none and
 every equal map shares one (``_collapse_kernel``); it returns the new
 entries, the new probe values and the integer gain.
 ``replay`` is that loop from the origin and returns one ``(coeff,
-lattice, values)`` tuple per move, ``coeff`` flat; ``step`` is one move of
-it, whose rows (``algebra._rows``) and lattice make a new
+lattice, values)`` tuple per move, ``coeff`` flat as ``MassVector.coeff``
+holds it; ``step`` is one move of it, whose matrix and lattice make a new
 ``CascadeState``.  ``parse_scenario`` parses each distinct raw line
 once, and every collapse line to one of the twenty admissible collapses
 built at import (``_COLLAPSES``).  The CLI writes nothing until
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, Sequence, Union
 
-from .algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _affine, _compile, _rows,
+from .algebra import (UNIT_WEIGHTS, ZERO, Frozen, MassVector, Weights, _affine, _compile,
                       _word_map, scaled_values)
 
 
@@ -182,14 +182,14 @@ class CascadeState(Frozen):
 def step(state: CascadeState, move: Move) -> CascadeState:
     """Apply one move, enforcing the physical gain bound: one move of ``_run``."""
     coeff, lattice, _ = _run(state, (move,))[0]
-    return CascadeState(MassVector(_rows(coeff)), lattice, state.probe)
+    return CascadeState(MassVector(coeff), lattice, state.probe)
 
 
 def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
     """The ``(coeff, lattice, values)`` after each move, starting from ``state``.
 
     ``coeff`` is the orbit part's matrix as one flat row-major tuple of nine
-    ints (``algebra._rows`` gives its rows).  A satellite merge shifts the
+    ints, as ``MassVector.coeff`` holds it.  A satellite merge shifts the
     lattice by mass/4 and is always legal.  A collapse keeps the lattice
     fixed and replaces the orbit part; if it changes the orbit part, the
     total mass at the probe must grow by at least min_i 4*mu_i, the lower
@@ -201,7 +201,7 @@ def _run(state: CascadeState, moves: Sequence[Move]) -> list[tuple]:
     kernel once per call, looked up by the move's identity: a move is
     never hashed.
     """
-    coeff, lattice, values = sum(state.gamma.coeff, ()), state.lattice, state.values
+    coeff, lattice, values = state.gamma.coeff, state.lattice, state.values
     m = state.probe.scaled[0]
     m1, m2, m3 = m
     bound = 4 * min(m)

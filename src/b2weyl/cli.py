@@ -61,12 +61,17 @@ def _read_rational(text: str) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def _formal(text: str) -> bool:
+    """Whether a ``--mu`` text or the config's ``mu`` spells "formal"."""
+    return text.strip() == "formal"
+
+
 def _read_mu(text: str) -> tuple[tuple[int, ...], int] | None:
     """The three weights of ``--mu``, each positive, as ``(M, q)``; None for "formal".
 
     M/q are the weights over their one denominator (``algebra._scale``).
     """
-    if text.strip() == "formal":
+    if _formal(text):
         return None
     parts = text.split(",")
     if len(parts) != 3:
@@ -90,16 +95,16 @@ def _parse_matrix(text: str) -> MassVector:
     rows = text.split(";")
     if len(rows) != 3:
         raise UsageError(f"matrix literal needs three ';'-separated rows, got {text!r}")
-    parsed = []
+    parsed: list[int] = []
     for row in rows:
         entries = row.split(",")
         if len(entries) != 3:
             raise UsageError(f"each row needs three entries, got {row!r}")
         try:
-            parsed.append(tuple(map(int, entries)))
+            parsed += map(int, entries)
         except ValueError as exc:
             raise UsageError(f"bad integer in {row!r}") from exc
-    return MassVector(tuple(parsed))  # type: ignore[arg-type]
+    return MassVector(tuple(parsed))
 
 
 def _emit(obj) -> None:
@@ -284,7 +289,7 @@ def cmd_closedform(args) -> int:
     cid = closedform.ClosedFormId(args.ell, args.m1, args.m2)
     sigma = closedform.closed_form_eval(cid)  # validates the id first
     word = closedform.reduced_word(args.m1, args.m2)[::-1]  # reduced: its length is the level
-    coeff = sum(sigma.coeff, ())
+    coeff = sigma.coeff
     fields = (*coeff, _word_text(word), _JSON_TYPES[args.m1 % 4 << 2 | args.m2 % 4])
     if scaled is not None:
         fields += _sigma_texts(coeff, scaled)
@@ -305,11 +310,11 @@ def cmd_relations(args) -> int:
 
 
 def _rank_two_texts(coeff, scaled) -> list[str]:
-    """``str`` of each component of a 2x2 matrix at the weights ``scaled`` = ((w1, w2), q).
+    """``str`` of each component of a flat 2x2 matrix at the weights ``scaled`` = ((w1, w2), q).
 
     Two flat dot products over the one denominator q, with no Fractions.
     """
-    (a, b), (c, d) = coeff
+    a, b, c, d = coeff
     (w1, w2), q = scaled
     return algebra.ratio_texts((a * w1 + b * w2, c * w1 + d * w2), q)
 
@@ -322,8 +327,7 @@ def cmd_sinh(args) -> int:
 
     def record(vec: MassVector) -> str:
         m = sinh.sinh_invert(vec)
-        row1, row2 = vec.coeff
-        fields = (*row1, *row2, m, abs(m))
+        fields = (*vec.coeff, m, abs(m))
         if scaled is not None:
             fields += tuple(_rank_two_texts(vec.coeff, scaled))
         return template % fields
@@ -374,10 +378,7 @@ def cmd_weyl2(args) -> int:
     template = ('{"coeff":[[%d,%d],[%d,%d]]'
                 + ("" if scaled is None else ',"values":["%s","%s"]') + "}\n")
     for coeff in weyl2.finite_orbit(sub):
-        row1, row2 = coeff
-        fields = (*row1, *row2)
-        if scaled is not None:
-            fields += tuple(_rank_two_texts(coeff, scaled))
+        fields = coeff if scaled is None else (*coeff, *_rank_two_texts(coeff, scaled))
         sys.stdout.write(template % fields)
     return 0
 
@@ -488,7 +489,7 @@ def _defaults(config: dict) -> dict:
     mu = config.get("mu", "formal")
     return {None: None, "max_level": config.get("max_level"),
             "max_coefficient": config.get("max_coefficient"), "mu": mu,
-            "probe": mu if mu != "formal" else "1,1,1",  # descend and cascade need numbers
+            "probe": "1,1,1" if _formal(mu) else mu,  # descend and cascade need numbers
             "output": config.get("output", "json"), "trials": config.get("trials", 100),
             "seed": config.get("seed", 0)}
 

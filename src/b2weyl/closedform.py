@@ -49,7 +49,7 @@ from fractions import Fraction
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .algebra import B2, ZERO, MassVector, _affine, _check_rank, _compile, _rows, apply_word
+from .algebra import B2, ZERO, MassVector, _affine, _check_rank, _compile, apply_word
 
 TypePair = tuple[int, int]
 
@@ -85,7 +85,7 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     if (m1 % 4, m2 % 4) != tag:
         raise ValueError(
             f"inadmissible ({ell},{m1},{m2}): parameters are not congruent to {tag} mod 4")
-    return MassVector(_rows(_family_entries(ell, m1, m2)))
+    return MassVector(_family_entries(ell, m1, m2))
 
 
 def _family_entries(ell: int, m1: int, m2: int) -> tuple[int, ...]:
@@ -194,10 +194,10 @@ def invert_rows(coeff: tuple[int, ...], sums: tuple[int, ...]) -> ClosedFormId:
 
 
 def invert_to_closed_form(sigma: MassVector) -> ClosedFormId:
-    """The unique (family, m1, m2) of a lattice member: ``invert_rows`` on its rows and sums."""
-    if len(sigma.coeff) != 3:
+    """The unique (family, m1, m2) of a lattice member: ``invert_rows`` on its matrix and sums."""
+    if len(sigma.coeff) != 9:
         _check_rank(sigma, B2)
-    return invert_rows(sum(sigma.coeff, ()), sigma.coefficient_sums())
+    return invert_rows(sigma.coeff, sigma.coefficient_sums())
 
 
 def type_of(sigma: MassVector) -> TypePair:
@@ -253,8 +253,7 @@ def _derive_families() -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
     table = {}
     for ell, (t1, t2) in TYPE_BY_FAMILY.items():
         mid, left, right, down, up, corner = (
-            [4 * v for row in apply_word(ZERO, reduced_word(t1 + d1, t2 + d2)[::-1]).coeff
-             for v in row]
+            [4 * v for v in apply_word(ZERO, reduced_word(t1 + d1, t2 + d2)[::-1]).coeff]
             for d1, d2 in ((0, 0), (-4, 0), (4, 0), (0, -4), (0, 4), (4, 4)))
         entries = []
         for k in range(9):

@@ -9,17 +9,19 @@ BFS, ``OrbitWalk``, streams the orbit of any ``ReflectionSystem`` level
 by level; the rank-one and rank-two orbits go through it too.  Each
 level is expanded by one straight-line step per system, generated from
 the integers of its row maps and doubled coupling matrix and compiled
-once, the first time a walk on those integers passes level 0.
+once, the first time a walk on those integers passes level 0.  Its
+matrices are flat and row-major, as ``MassVector.coeff`` holds them.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterator
 
 from .algebra import (B2, Frozen, MassVector, ReflectionSystem, _affine, _check_rank, _compile,
-                      _rows, _word_map, quadric_form)
+                      _word_map, quadric_form)
 from .closedform import invert_to_closed_form, reduced_word
 
 
@@ -63,7 +65,7 @@ class OrbitWalk:
     ``levels()`` is the walk's one loop: it yields each level whole, as a
     tuple of plain entries, each matrix one flat row-major tuple of ints;
     iterating the walk yields the same elements one by one as
-    ``OrbitElement``s, with the matrices back in rows.  Each level is
+    ``OrbitElement``s, whose ``MassVector``s hold those same tuples.  Each level is
     sorted by coefficient matrix (row-major), which is unique on it.
     The level is the length of the element in the affine Weyl group, and
     the walk follows ascents only.  Each entry carries its row sums, its
@@ -153,7 +155,7 @@ class OrbitWalk:
     def __iter__(self) -> Iterator[OrbitElement]:
         for level, entries in self.levels():
             for coeff, word, _ in entries:
-                yield OrbitElement(MassVector(_rows(coeff)), level,
+                yield OrbitElement(MassVector(coeff), level,
                                    tuple(map(int, word.split(","))) if word else ())
 
     def levels(self) -> Iterator[tuple[int, tuple]]:
@@ -161,8 +163,8 @@ class OrbitWalk:
 
         ``entries`` is the level as a tuple of plain tuples ``(coeff, word,
         sums)``, sorted by coefficient matrix: ``coeff`` is the matrix as
-        one flat row-major tuple of rank**2 ints (``algebra._rows`` gives
-        its rows), ``word`` its witness word as text, the generator indices
+        one flat row-major tuple of rank**2 ints, the layout of
+        ``MassVector.coeff``, ``word`` its witness word as text, the generator indices
         joined by commas (``"1,3,2"``, and ``""`` at the origin), and
         ``sums`` its row sums; nothing is wrapped in a ``MassVector``.
         On B2(1) an entry costs 64 bytes, its flat matrix 112 and its sums
@@ -193,8 +195,9 @@ class OrbitWalk:
 
 
 def _tie(name: str, generator: int, total: int, coeff: tuple) -> ValueError:
+    rows = tuple(zip(*[iter(coeff)] * math.isqrt(len(coeff))))  # the pinned text shows rows
     return ValueError(f"{name}: generator {generator} leaves row sum {total} unchanged at "
-                      f"{_rows(coeff)}; the walk cannot order this edge")
+                      f"{rows}; the walk cannot order this edge")
 
 
 # The step's source: _STEP, one rise d_i per generator, then one _CHILD each.
@@ -309,7 +312,7 @@ def is_member_gamma_N(sigma: MassVector) -> MembershipCertificate:
     except ValueError:
         pass
     _check_rank(sigma, B2)
-    entries = [v for row in sigma.coeff for v in row]
+    entries = sigma.coeff
     div4 = all(v % 4 == 0 for v in entries)
     return MembershipCertificate(all(v >= 0 for v in entries), div4,
                                  not div4 and not any(quadric_form(sigma)))

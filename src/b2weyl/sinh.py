@@ -6,7 +6,8 @@ As data it is the rank-two ``ReflectionSystem`` ``SINH``, so its vectors,
 reflections, evaluation and quadric are the shared ones in ``algebra``.
 Its orbit is a chain in one integer m: chain(m) is B2(1)'s element at
 the id (d, d), d = m for m odd and -m for m even, folded (``_CHAIN``), so
-the family kernels of ``closedform`` evaluate it.
+the family kernels of ``closedform`` evaluate it: an element's flat
+``coeff`` is the four entries of the kernel of d's parity.
 
 Proof.  The oracle ``chain_rows`` in tests/conftest.py, (m^2, (m-1)^2 - 1,
 (m+1)^2 - 1, m^2) for m even and ((m+1)^2, m^2 - 1, m^2 - 1, (m-1)^2) for
@@ -32,20 +33,19 @@ SINH_SYMMETRIZER = (1, 1)
 SINH = ReflectionSystem("sinh", SINH_CARTAN, SINH_SYMMETRIZER)
 
 
-# The diagonal tables of ``_F``, types (r, r) by r = d mod 4, folded to m1 = m2 in m1 alone:
-# rows 1 and 3, each with its first two entries added, and each entry (a, b, c, d, e), the
-# coefficients of (m1^2, m1, m2^2, m2, 1), as (a + c, b + d, 0, 0, e).
+# The diagonal tables of ``_F``, types (r, r) by r = d mod 2 ((r + 2, r + 2) fold alike, as
+# tested), folded to m1 = m2 in m1 alone: rows 1 and 3, each with its first two entries added,
+# and each entry (a, b, c, d, e) of (m1^2, m1, m2^2, m2, 1) as (a + c, b + d, 0, 0, e).
 _CHAIN = tuple(tuple(tuple((a + c, b + d, 0, 0, e) for a, b, c, d, e in
                            (tuple(map(sum, zip(first, second))), third))
                      for first, second, third in _F[FAMILY_BY_TYPE[(r, r)]][::2])
-               for r in range(4))
+               for r in range(2))
 
 
 def sinh_closed_form(m: int) -> MassVector:
     """The chain element with parameter m: the kernel of d's folded table at (d, 0)."""
     d = m if m % 2 else -m
-    a, b, c, e = _kernel(d % 4, _CHAIN[d % 4])(d, 0)
-    return MassVector(((a, b), (c, e)))
+    return MassVector(_kernel(d % 2, _CHAIN[d % 2])(d, 0))
 
 
 def sinh_orbit(max_level: int) -> Iterator[MassVector]:
@@ -73,9 +73,9 @@ def sinh_orbit(max_level: int) -> Iterator[MassVector]:
 def _walk(max_level: int, kernels: list) -> Iterator[MassVector]:
     yield sinh_closed_form(0)
     for n in range(1, max_level + 1):
-        for d in (-n, n):
-            a, b, c, e = kernels[d % 4](d, 0)
-            yield MassVector(((a, b), (c, e)))
+        kernel = kernels[n % 2]  # -n and n share their parity
+        yield MassVector(kernel(-n, 0))
+        yield MassVector(kernel(n, 0))
 
 
 def sinh_invert(sigma: MassVector) -> int:
@@ -84,12 +84,12 @@ def sinh_invert(sigma: MassVector) -> int:
     The coefficient-sum difference n1 - n2 = 4d names the one candidate,
     m = d for d odd, else -d, whose entries are compared with ``sigma.coeff``.
     """
-    if len(sigma.coeff) != 2:
+    if len(sigma.coeff) != 4:
         _check_rank(sigma, SINH)
-    (a, b), (c, e) = sigma.coeff
+    a, b, c, e = sigma.coeff
     d, rest = divmod(a + b - c - e, 4)
     if rest:
         raise ValueError("coefficient-sum difference is not a multiple of 4")
-    if _kernel(d % 4, _CHAIN[d % 4])(d, 0) != (a, b, c, e):
+    if _kernel(d % 2, _CHAIN[d % 2])(d, 0) != sigma.coeff:
         raise ValueError("vector is not on the parametrized chain")
     return d if d % 2 else -d

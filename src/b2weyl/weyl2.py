@@ -16,10 +16,8 @@ from fractions import Fraction
 from functools import cache
 
 from .algebra import (CARTAN_MATRIX, SYMMETRIZER, Frozen, MassVector, Rational,
-                      ReflectionSystem, _rows, _scale, eval_at)
+                      ReflectionSystem, _scale, eval_at)
 from .orbit import OrbitWalk
-
-Matrix2 = tuple[tuple[int, int], tuple[int, int]]
 
 
 class Subsystem(ReflectionSystem):
@@ -54,25 +52,20 @@ SUBSYSTEMS = {s.name: s for s in (PAIR_12, PAIR_13, PAIR_23, APPENDIX_UV)}
 _CLOSING_DEPTH = 16
 
 
-def finite_orbit(sub: Subsystem) -> list[Matrix2]:
-    """All orbit elements as 2x2 coefficient matrices, canonically sorted: as the
-    tests check, the walk's levels already are, in order, on every subsystem."""
+@cache
+def finite_orbit(sub: Subsystem) -> tuple[tuple[int, int, int, int], ...]:
+    """All orbit elements as flat 2x2 coefficient matrices, canonically sorted: as the
+    tests check, the walk's levels already are, in order, on every subsystem.  Walked
+    once per subsystem, on first use, and kept: the tables read appendix_uv's (part (a)
+    its deepest, the last, as the deepest level holds it alone)."""
     walk = OrbitWalk(sub, _CLOSING_DEPTH)
-    orbit = [_rows(coeff) for _, entries in walk.levels() for coeff, _, _ in entries]
+    orbit = tuple(coeff for _, entries in walk.levels() for coeff, _, _ in entries)
     if not walk.exhausted:
         raise RuntimeError(f"orbit of {sub.name} did not close")
     if len(orbit) != sub.expected_size:
         raise RuntimeError(f"orbit of {sub.name} has {len(orbit)} elements, "
                            f"expected {sub.expected_size}")
     return orbit
-
-
-@cache
-def _appendix_orbit() -> tuple[Matrix2, ...]:
-    """appendix_uv's orbit, walked on first use and kept: part (c) substitutes
-    the strengths into its elements, and part (a) evaluates its deepest, the
-    last (the deepest level holds it alone), at (alpha1 + 1, alpha2 + 1)."""
-    return tuple(finite_orbit(APPENDIX_UV))
 
 
 class NaturalityCertificate(Frozen):
@@ -102,7 +95,7 @@ def _check_strengths(alpha1: Fraction, alpha2: Fraction) -> None:
 def _pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
     (n1, n2), q = _scale((alpha1.as_integer_ratio(), alpha2.as_integer_ratio()))
     return sorted({(a * n1 + b * n2, c * n1 + d * n2)
-                   for (a, b), (c, d) in _appendix_orbit()}), q
+                   for a, b, c, d in finite_orbit(APPENDIX_UV)}), q
 
 
 def appendix_pairs(alpha1: Fraction, alpha2: Fraction) -> tuple[list[tuple[int, int]], int]:
@@ -128,7 +121,7 @@ def appendix_table(part: str, alpha1: Rational, alpha2: Rational):
     a1, a2 = Fraction(alpha1), Fraction(alpha2)
     _check_strengths(a1, a2)
     if part == "a":
-        return eval_at(MassVector(_appendix_orbit()[-1]), (a1 + 1, a2 + 1))
+        return eval_at(MassVector(finite_orbit(APPENDIX_UV)[-1]), (a1 + 1, a2 + 1))
     if part == "c":
         pairs, q = _pairs(a1, a2)
         return {(Fraction(u, q), Fraction(v, q)) for u, v in pairs}

@@ -14,7 +14,9 @@ integers; the engine makes the same decisions once, in
 
 from fractions import Fraction
 
-from b2weyl.algebra import ZERO, MassVector, Weights, _rows, apply_word, eval_at, scaled_values
+import math
+
+from b2weyl.algebra import ZERO, MassVector, Weights, apply_word, eval_at, scaled_values
 from b2weyl.cascade import SatelliteMerge
 from b2weyl.closedform import ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY, ClosedFormId
 from b2weyl.orbit import OrbitWalk
@@ -23,8 +25,18 @@ F = Fraction
 
 
 def mv(rows):
-    """The mass vector with these coefficient rows, of any rank."""
-    return MassVector(tuple(map(tuple, rows)))
+    """The mass vector with these coefficient rows, of any rank, flattened row-major."""
+    return MassVector(tuple(v for row in rows for v in row))
+
+
+def as_rows(coeff):
+    """A flat row-major square matrix (``MassVector.coeff``) as its tuple of rows.
+
+    The tests' one reshape, for comparisons with data written in rows: the
+    numeric oracles, ``APPENDIX_C_COEFFS`` and ``chain_rows``.
+    """
+    rank = math.isqrt(len(coeff))
+    return tuple(tuple(coeff[k:k + rank]) for k in range(0, len(coeff), rank))
 
 
 # Independent transcription of the coupling matrix (do not import it).
@@ -213,7 +225,7 @@ def reference_replay(moves, probe, gamma=ZERO, lattice=(0, 0, 0)):
                 return after, (f"non-physical move {move.text}: total mass gain "
                                f"{gain} falls below the bound {bound}")
             gamma = nxt
-        after.append((sum(gamma.coeff, ()), lattice, scaled_values(gamma, probe)[0]))
+        after.append((gamma.coeff, lattice, scaled_values(gamma, probe)[0]))
     return after, None
 
 
@@ -228,7 +240,7 @@ def total(state):
 
 
 def longest_element(sub):
-    """The unique orbit element of maximal reflection depth of a rank-two subsystem, as rows.
+    """The unique orbit element of maximal reflection depth of a rank-two subsystem, flat.
 
     The last level of the ``OrbitWalk`` over it, which must close by depth
     16 and hold one element.
@@ -237,7 +249,7 @@ def longest_element(sub):
     *_, (_, deepest) = walk.levels()
     if not walk.exhausted or len(deepest) != 1:
         raise RuntimeError(f"orbit of {sub.name} has no unique deepest element")
-    return _rows(deepest[0][0])
+    return deepest[0][0]
 
 
 def admissible_parameters(ell, bound):

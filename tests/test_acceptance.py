@@ -41,7 +41,7 @@ from b2weyl.orbit import check_relations, descend_to_origin, enumerate_orbit, is
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import APPENDIX_UV, appendix_table, finite_orbit
 from cli_contract import child_env
-from conftest import (APPENDIX_C_COEFFS, admissible_parameters, descend_reference,
+from conftest import (APPENDIX_C_COEFFS, admissible_parameters, as_rows, descend_reference,
                       longest_element, mv, special_case_table, total, transition)
 
 F = Fraction
@@ -71,10 +71,7 @@ def test_criterion_01_tree_reproduction(capsys):
     assert code == 0
     records = [json.loads(line) for line in out.strip().splitlines()]
     records = [r for r in records if "meta" not in r]
-    found = {
-        MassVector(tuple(tuple(v for v in row) for row in r["coeff"])): r["level"]
-        for r in records
-    }
+    found = {mv(r["coeff"]): r["level"] for r in records}
     # no duplicate coefficient matrices survive (cancelled branches fold)
     assert len(found) == len(records)
     # the origin and the nine listed nonzero elements sit at the stated depths
@@ -176,9 +173,8 @@ def test_criterion_05_orbit_invariants_depth_eight(capsys):
     count = 0
     for el in store:
         assert not any(quadric_form(el.sigma))
-        for row in el.sigma.coeff:
-            for v in row:
-                assert v >= 0 and v % 4 == 0
+        for v in el.sigma.coeff:
+            assert v >= 0 and v % 4 == 0
         word = descend_to_origin(el.sigma)
         assert apply_word(el.sigma, word) == ZERO
         count += 1
@@ -247,7 +243,7 @@ def test_criterion_08_sinh_reduction(capsys):
 def test_criterion_09_appendix_tables(capsys):
     t0 = time.monotonic()
     orbit = finite_orbit(APPENDIX_UV)
-    assert sorted(orbit) == sorted(APPENDIX_C_COEFFS)
+    assert sorted(map(as_rows, orbit)) == sorted(APPENDIX_C_COEFFS)
     top = longest_element(APPENDIX_UV)
     rng = random.Random(90210)
 
@@ -327,7 +323,7 @@ def test_criterion_10_cascade_soundness(capsys):
         # descent certificate once per finished sequence, the word the
         # reference picks at the probe
         word = descend_to_origin(state.gamma)
-        assert word == descend_reference(state.gamma.coeff, probe.values)
+        assert word == descend_reference(as_rows(state.gamma.coeff), probe.values)
         assert apply_word(state.gamma, word) == ZERO
     elapsed = time.monotonic() - t0
     assert elapsed < 10.0

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from b2weyl import algebra
+from b2weyl import algebra, cascade, cli
 from b2weyl.algebra import (
     B2,
     MassVector,
@@ -22,15 +22,18 @@ from b2weyl.algebra import (
     ratio_texts,
     reflect,
 )
-from b2weyl.sinh import SINH
-from conftest import SAMPLE_WEIGHTS, assert_word_matches_reference, mv, quadric_reference
+from b2weyl.closedform import closed_form_eval
+from b2weyl.orbit import enumerate_orbit
+from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
+from conftest import (SAMPLE_WEIGHTS, as_rows, assert_word_matches_reference, mv,
+                      quadric_reference)
 
 F = Fraction
 
 
 entries = st.integers(min_value=-60, max_value=60)
 random_vectors = st.builds(
-    lambda flat: MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9]))),
+    lambda flat: MassVector(tuple(flat)),
     st.lists(entries, min_size=9, max_size=9),
 )
 
@@ -66,23 +69,48 @@ class TestReflectionSystem:
             ReflectionSystem("short", ((F(1), F(0)), (F(0), F(1))), (1,))
 
 
+# Every producer of a MassVector in src/, each with the rank of what it yields.
+PRODUCERS = {
+    "reflect": (3, lambda: [reflect(ZERO, i) for i in (1, 2, 3)]),
+    "reflect-sinh": (2, lambda: [reflect(MassVector((0,) * 4), i, SINH) for i in (1, 2)]),
+    "apply_word": (3, lambda: [apply_word(ZERO, [1, 3, 2, 3, 1])]),
+    "closed_form_eval": (3, lambda: [closed_form_eval((7, -1, 2)), closed_form_eval((1, 0, 0))]),
+    "sinh_closed_form": (2, lambda: [sinh_closed_form(m) for m in range(-3, 4)]),
+    "sinh_orbit": (2, lambda: list(sinh_orbit(3))),
+    "enumerate_orbit": (3, lambda: [el.sigma for el in enumerate_orbit(3)]),
+    "cascade.step": (3, lambda: [cascade.step(cascade.CascadeState(), move).gamma
+                                 for move in cascade.parse_scenario("collapse 3\nmerge 4 0 0\n")]),
+    "cli._parse_matrix": (3, lambda: [cli._parse_matrix("4,0,8;0,0,0;0,0,4")]),
+}
+
+
 class TestMassVectorShape:
     def test_rejects_bad_shapes(self):
-        with pytest.raises(ValueError, match="coefficient matrix must be 2x2"):
-            MassVector(((4, 0), (0,)))
-        with pytest.raises(ValueError, match="coefficient matrix must be 1x1"):
-            MassVector(((4, 0),))
-        with pytest.raises(ValueError, match="coefficient matrix must be 3x3"):
-            MassVector(((0, 0, 0), (0, 0, 0), (0, 0)))
+        # The one shape check: the flat length must be a square.
+        for coeff in ((4, 0, 0), (4, 0), (0,) * 8, (0,) * 10, (0,) * 15):
+            with pytest.raises(ValueError,
+                               match=f"needs a square number of entries, got {len(coeff)}$"):
+                MassVector(coeff)
+        assert [len(MassVector((0,) * (n * n)).coeff) for n in range(5)] == [0, 1, 4, 9, 16]
 
     def test_a_vector_is_its_coefficient_matrix(self):
         # A mass vector is a linear form in mu: there is no constant part
         # to pass, positionally or by name.
         assert MassVector._fields == ("coeff",)
         with pytest.raises(TypeError):
-            MassVector(((4, 0), (0, 0)), (0, 0))  # type: ignore[call-arg]
+            MassVector((4, 0, 0, 0), (0, 0))  # type: ignore[call-arg]
         with pytest.raises(TypeError):
-            MassVector(((4, 0), (0, 0)), offset=(0, 0))  # type: ignore[call-arg]
+            MassVector((4, 0, 0, 0), offset=(0, 0))  # type: ignore[call-arg]
+
+    @pytest.mark.parametrize("name", PRODUCERS)
+    def test_every_producer_yields_a_flat_int_tuple(self, name):
+        rank, produce = PRODUCERS[name]
+        vectors = produce()
+        assert vectors
+        for sigma in vectors:
+            assert type(sigma) is MassVector
+            assert type(sigma.coeff) is tuple and len(sigma.coeff) == rank * rank
+            assert all(type(v) is int for v in sigma.coeff)
 
 
 class TestReflect:
@@ -101,14 +129,14 @@ class TestReflect:
 
     @pytest.mark.parametrize("system,index", [(B2, 0), (B2, 4), (SINH, 0), (SINH, 3)])
     def test_index_out_of_range_raises(self, system, index):
-        origin = MassVector(((0,) * system.rank,) * system.rank)
+        origin = MassVector((0,) * system.rank ** 2)
         with pytest.raises(ValueError, match="generator index"):
             reflect(origin, index, system)
 
     @pytest.mark.parametrize("system,rank", [(B2, 2), (B2, 4), (SINH, 3), (SINH, 1)])
     def test_wrong_rank_vector_raises(self, system, rank):
         with pytest.raises(ValueError, match="does not fit"):
-            reflect(MassVector(((4,) * rank,) * rank), 1, system)
+            reflect(MassVector((4,) * rank ** 2), 1, system)
 
     @given(random_vectors, st.sampled_from([1, 2, 3]))
     @settings(deadline=None)
@@ -135,7 +163,7 @@ class TestReflect:
     @settings(deadline=None)
     def test_entries_stay_integral(self, sigma, i):
         image = reflect(sigma, i)
-        assert all(isinstance(v, int) for row in image.coeff for v in row)
+        assert all(isinstance(v, int) for v in image.coeff)
 
 
 class TestWordMap:
@@ -158,7 +186,7 @@ class TestWordMap:
         # substituted generator tells "P_r = e_r and T_r = 0" apart from
         # either half of it: the encoding must list the row in both cases.
         def substituted(coeff, i, pairs):
-            return (action(coeff[0]),) + coeff[1:]
+            return action(coeff[:3]) + coeff[3:]
 
         monkeypatch.setattr(algebra, "_reflected_coeff", substituted)
         assert _word_map((1,)) == (entry,)
@@ -235,13 +263,13 @@ class TestEvalAt:
         assert eval_at(sigma, Weights.numeric(F(3, 2), F(1, 2), 1)) == (6, 2, 0)
 
     def test_rank_two_at_nonpositive_weights(self):
-        sigma = MassVector(((4, 0), (8, -4)))
+        sigma = mv([[4, 0], [8, -4]])
         assert eval_at(sigma, (F(-2, 3), 0)) == (F(-8, 3), F(-16, 3))
         assert eval_at(sigma, (0, F(-5, 2))) == (0, 10)
 
     def test_weight_count_must_match_rank(self):
         with pytest.raises(ValueError, match="weight values"):
-            eval_at(MassVector(((4, 0), (0, 0))), Weights.numeric(1, 1, 1))
+            eval_at(mv([[4, 0], [0, 0]]), Weights.numeric(1, 1, 1))
         with pytest.raises(ValueError, match="weight values"):
             eval_at(ZERO, (1, 1))
 
@@ -263,12 +291,13 @@ class TestRatioTexts:
 
 class TestCanonicalOrder:
     def test_coefficient_matrices_order_row_major(self):
-        # The canonical order is the matrices' own: the row-major flattening.
+        # The canonical order is the matrices' own: the flat row-major
+        # tuples sort as their rows do.
         a = mv([[0, 0, 0], [9, 9, 9], [9, 9, 9]])
         b = mv([[0, 0, 4], [0, 0, 0], [0, 0, 0]])
+        assert a.coeff == (0, 0, 0, 9, 9, 9, 9, 9, 9)
         assert a.coeff < b.coeff
-        flat = [tuple(v for row in sigma.coeff for v in row) for sigma in (a, b)]
-        assert flat[0] < flat[1]
+        assert as_rows(a.coeff) < as_rows(b.coeff)
 
     def test_equality_is_structural(self):
         assert mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]]) == mv([[4, 0, 0], [0, 0, 0], [0, 0, 0]])

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2weyl import cascade, closedform, orbit, sinh
-from b2weyl.algebra import (B2, MassVector, Weights, ZERO, _rows, _word_map, apply_word, eval_at,
+from b2weyl.algebra import (B2, MassVector, Weights, ZERO, _word_map, apply_word, eval_at,
                             scaled_values)
 from b2weyl.cascade import (
     _COLLAPSE_WORDS,
@@ -147,11 +147,11 @@ class TestRowMaps:
 
     @staticmethod
     def run_kernel(row_map, gamma, probe):
-        """The kernel of ``row_map`` on ``gamma``, with its rows back as a matrix."""
+        """The kernel of ``row_map`` on ``gamma``: its new matrix and probe values."""
         values, m = scaled_values(gamma, probe)[0], probe.scaled[0]
-        rows, moved, gain = _collapse_kernel(row_map)(sum(gamma.coeff, ()), values, *m)
+        coeff, moved, gain = _collapse_kernel(row_map)(gamma.coeff, values, *m)
         assert gain == sum(moved) - sum(values)
-        return _rows(rows), moved
+        return coeff, moved
 
     def test_every_admissible_collapse_matches_its_word(self):
         moves = [Collapse(subset, variant) for subset, variant in _COLLAPSE_WORDS]
@@ -160,8 +160,8 @@ class TestRowMaps:
             for probe in self.PROBES:
                 for move in moves:
                     want = apply_word(gamma, move.word())
-                    rows, got = self.run_kernel(move.row_map, gamma, probe)
-                    assert rows == want.coeff, move
+                    coeff, got = self.run_kernel(move.row_map, gamma, probe)
+                    assert coeff == want.coeff, move
                     assert got == scaled_values(want, probe)[0], move
 
     @given(st.lists(st.sampled_from((1, 2, 3)), max_size=10).map(tuple),
@@ -171,7 +171,7 @@ class TestRowMaps:
     def test_any_words_map_matches_the_word(self, word, flat, mu):
         # Beyond the twenty collapse words: any word, any integer matrix,
         # any positive rational probe.
-        gamma = MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
+        gamma = MassVector(tuple(flat))
         probe = Weights(tuple(mu))
         want = apply_word(gamma, word)
         assert (self.run_kernel(_word_map(word), gamma, probe)
@@ -195,7 +195,7 @@ class TestRowMaps:
 
     def test_kernel_source_holds_only_integers(self):
         # Every generated source: the collapse kernels, the walk step of
-        # every system the tests hold, the eight family kernels and the four
+        # every system the tests hold, the eight family kernels and the two
         # chain kernels of sinh's folded tables.  Each holds integer
         # literals and a fixed set of names, and no string.
         collapse = {"def", "return", "kernel", "coeff", "values", "m1", "m2", "m3",
@@ -225,8 +225,8 @@ class TestRowMaps:
     def test_importing_the_cli_compiles_no_collapse_kernel(self):
         # Kernels are compiled on first use, so set-up pays for none, nor
         # for a walk step or a family kernel.  A sinh request then compiles
-        # the four chain kernels, one per folded table (asking for them
-        # again compiles none), and a replay one per distinct map
+        # the two chain kernels, one per folded table, that is per parity
+        # (asking for them again compiles none), and a replay one per distinct map
         # (collapse 13 i is collapse 1's).  All three getters keep their
         # kernels in one functools.cache each.
         script = ("import contextlib, io\n"
@@ -245,7 +245,7 @@ class TestRowMaps:
                   "print(*(getter.cache_info().currsize for getter in getters))\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), check=False)
-        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n0 4 0\n0 4 0\n0 4 3\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n0 2 0\n0 2 0\n0 2 3\n"), proc.stderr
 
     def test_every_kernel_sees_only_the_names_its_writer_passes(self):
         # algebra._compile gives each kernel a fixed namespace: the names
@@ -358,7 +358,7 @@ class TestScenario:
         assert len(after) == 4
         assert after[1][0] == (4, 0, 8, 0, 0, 0, 0, 0, 4)
         assert after[2][1] == (1, 0, 2)
-        totals = [sum(total(CascadeState(mv(_rows(coeff)), lattice)))
+        totals = [sum(total(CascadeState(MassVector(coeff), lattice)))
                   for coeff, lattice, _ in after]
         assert totals == sorted(totals)
 
@@ -523,6 +523,6 @@ class TestReplayOracle:
                     continue
                 (coeff, new_lattice, values), = want
                 nxt = step(state, move)
-                assert nxt == CascadeState(mv(_rows(coeff)), new_lattice, probe)
+                assert nxt == CascadeState(MassVector(coeff), new_lattice, probe)
                 assert nxt.values == values
         assert outcomes == {True, False}

@@ -27,7 +27,8 @@ from b2weyl.orbit import MembershipCertificate, OrbitWalk, enumerate_orbit, is_m
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import SUBSYSTEMS, finite_orbit
 from cli_contract import CONTRACT, SRC, child_env, fill, observe
-from conftest import APPENDIX_C_COEFFS, admissible_parameters, mv, reference_replay, total
+from conftest import (APPENDIX_C_COEFFS, admissible_parameters, as_rows, mv, reference_replay,
+                      total)
 from test_cascade import random_move
 
 
@@ -239,7 +240,7 @@ class TestOrbitFormatterOracle:
     def test_json_lines(self, capsys, mu):
         want = []
         for el in OrbitWalk(B2, self.DEPTH):
-            rec = {"coeff": [list(row) for row in el.sigma.coeff], "level": el.level,
+            rec = {"coeff": [list(row) for row in as_rows(el.sigma.coeff)], "level": el.level,
                    "word": list(el.word), "type": list(type_of(el.sigma))}
             if mu != "formal":
                 rec["sigma"] = self.reference_sigma(el.sigma, mu)
@@ -257,7 +258,7 @@ class TestOrbitFormatterOracle:
         for el in OrbitWalk(B2, self.DEPTH):
             cid = invert_to_closed_form(el.sigma)
             writer.writerow([el.level, ".".join(map(str, el.word)),
-                             *(v for row in el.sigma.coeff for v in row),
+                             *el.sigma.coeff,
                              *TYPE_BY_FAMILY[cid.ell], cid.ell, cid.m1, cid.m2,
                              *self.reference_sigma(el.sigma, mu)])
         code, out = run(capsys, "orbit", "--max-level", str(self.DEPTH), "--mu", mu,
@@ -276,7 +277,7 @@ class TestOrbitFormatterOracle:
             for m1, m2 in admissible_parameters(ell, 8):
                 sigma = closed_form_eval((ell, m1, m2))
                 el = walk[sigma]
-                rec = {"coeff": [list(row) for row in sigma.coeff], "level": el.level,
+                rec = {"coeff": [list(row) for row in as_rows(sigma.coeff)], "level": el.level,
                        "word": list(el.word), "type": list(type_of(sigma))}
                 if mu != "formal":
                     rec["sigma"] = self.reference_sigma(sigma, mu)
@@ -307,7 +308,7 @@ def test_csv_sigma_columns_match_the_evaluator(depth, mu):
     rows = [line.split(",") for line in out.getvalue().splitlines()[1:-1]]
     assert len(rows) == len(list(OrbitWalk(B2, depth)))
     for fields in rows:
-        coeff = tuple(tuple(int(v) for v in fields[k:k + 3]) for k in (2, 5, 8))
+        coeff = tuple(int(v) for v in fields[2:11])
         assert fields[-3:] == ratio_texts(*scaled_values(MassVector(coeff), weights))
 
 
@@ -326,11 +327,10 @@ class TestCheckCommand:
         # non-multiples of four.
         seen = set()
         for el in OrbitWalk(B2, 32):
-            flat = [v for row in el.sigma.coeff for v in row]
             for k, delta in [(0, 0)] + [(k, d) for k in range(9) for d in (-4, -1, 1, 4)]:
-                entries = [v + delta * (j == k) for j, v in enumerate(flat)]
-                rows = tuple(tuple(entries[r:r + 3]) for r in (0, 3, 6))
-                sigma = MassVector(rows)
+                entries = tuple(v + delta * (j == k) for j, v in enumerate(el.sigma.coeff))
+                rows = as_rows(entries)
+                sigma = MassVector(entries)
                 nonneg = all(v >= 0 for v in entries)
                 div4 = all(v % 4 == 0 for v in entries)
                 quadric_zero = not any(quadric_form(sigma))
@@ -416,9 +416,8 @@ class TestDescendCommand:
         # depth-8 element and each of its nine +4 near-misses.
         rejected = 0
         for el in OrbitWalk(B2, 8):
-            flat = [v for row in el.sigma.coeff for v in row]
             for k in range(-1, 9):
-                entries = [v + 4 * (j == k) for j, v in enumerate(flat)]
+                entries = [v + 4 * (j == k) for j, v in enumerate(el.sigma.coeff)]
                 text = ";".join(",".join(map(str, entries[r:r + 3])) for r in (0, 3, 6))
                 (check, _), (descend, _) = run(capsys, "check", text), run(capsys, "descend", text)
                 assert check == descend and check in (0, 1), text
@@ -437,7 +436,7 @@ class TestDescendCommand:
     def test_word_does_not_depend_on_mu(self, capsys):
         # --mu is validated, but descent picks no generator by it.
         for el in OrbitWalk(B2, 8):
-            text = ";".join(",".join(map(str, row)) for row in el.sigma.coeff)
+            text = ";".join(",".join(map(str, row)) for row in as_rows(el.sigma.coeff))
             outs = [run(capsys, "descend", text, "--mu", mu)
                     for mu in ("1,1,1", "2,3,7", "5/3,1/7,9/4")]
             assert outs == [outs[0]] * 3
@@ -448,7 +447,7 @@ class TestDescendCommand:
 class TestTypeCommand:
     def test_type_of_every_element_through_depth_5(self, capsys):
         for el in enumerate_orbit(5):
-            literal = ";".join(",".join(map(str, row)) for row in el.sigma.coeff)
+            literal = ";".join(",".join(map(str, row)) for row in as_rows(el.sigma.coeff))
             code, out = run(capsys, "type", literal)
             assert (code, json_lines(out)) == (0, [{"type": list(type_of(el.sigma))}])
 
@@ -460,8 +459,7 @@ class TestTypeCommand:
         # Its row sums read as an admissible type, but the family's matrix
         # at those parameters is not the vector: type_of raises, and type
         # prints its detail as a verification failure.
-        rows = tuple(tuple(int(v) for v in row.split(",")) for row in literal.split(";"))
-        sigma = MassVector(rows)
+        sigma = mv([map(int, row.split(",")) for row in literal.split(";")])
         assert parameters_from_sums(sigma.coefficient_sums())[0] == sums_type
         message = f"vector is not representable by {detail}"
         with pytest.raises(ValueError) as typed:
@@ -516,7 +514,7 @@ def sinh_oracle(closed_form, max_level, mu):
     def record(vec):
         n1, n2 = vec.coefficient_sums()
         (m,) = [m for m in {(n1 - n2) // 4, (n2 - n1) // 4} if sinh_closed_form(m) == vec]
-        out = {"coeff": [list(row) for row in vec.coeff], "m": m, "level": abs(m)}
+        out = {"coeff": [list(row) for row in as_rows(vec.coeff)], "m": m, "level": abs(m)}
         if weights is not None:
             out["sigma"] = [str(v) for v in eval_at(vec, weights)]
         return _oracle_line(out)
@@ -531,7 +529,7 @@ def weyl2_oracle(subsystem, weights, part, alpha):
         values = None if weights is None else _oracle_pair(weights)
         lines = []
         for coeff in finite_orbit(SUBSYSTEMS[subsystem]):
-            rec = {"coeff": [list(row) for row in coeff]}
+            rec = {"coeff": [list(row) for row in as_rows(coeff)]}
             if values is not None:
                 rec["values"] = [str(v) for v in eval_at(MassVector(coeff), values)]
             lines.append(_oracle_line(rec))
@@ -540,7 +538,7 @@ def weyl2_oracle(subsystem, weights, part, alpha):
     if part == "a":
         u, v = 8 * a1 + 4 * a2 + 12, 8 * a1 + 8 * a2 + 16
         return _oracle_line({"part": "a", "tuple": [str(u), str(v)]})
-    tuples = sorted({eval_at(MassVector(coeff), (a1, a2)) for coeff in APPENDIX_C_COEFFS})
+    tuples = sorted({eval_at(mv(coeff), (a1, a2)) for coeff in APPENDIX_C_COEFFS})
     if part == "c":
         return _oracle_line({"part": "c", "tuples": [[str(u), str(v)] for u, v in tuples]})
     nonneg = all(u >= 0 and v >= 0 for u, v in tuples)
@@ -669,9 +667,10 @@ class TestCascadeFormatterOracle:
             if error is not None:
                 continue
             (coeff, lattice, values), = after
-            gamma = mv(algebra._rows(coeff))
+            gamma = MassVector(coeff)
             lines.append(move.text)
-            rec = {"move": move.text, "gamma_coeff": [list(row) for row in gamma.coeff],
+            rec = {"move": move.text,
+                   "gamma_coeff": [list(row) for row in as_rows(gamma.coeff)],
                    "lattice": list(lattice),
                    "total": [str(Fraction(v, q) + 4 * n) for v, n in zip(values, lattice)]}
             want.append(json.dumps(rec, separators=(",", ":")))
@@ -1013,6 +1012,24 @@ class TestConfigFile:
         code, out = run(capsys, "orbit")
         assert code == 0
         assert json_lines(out)[-1]["meta"]["max_level"] == 1
+
+    @pytest.mark.parametrize("spelling", ["formal", " formal ", "\tformal\n"])
+    def test_every_spelling_of_formal_is_formal_for_every_command(self, capsys, tmp_path,
+                                                                  monkeypatch, spelling):
+        # --mu is "formal" when its stripped text is, and the config's mu is
+        # read by the same test: orbit prints no sigma, and descend and
+        # cascade, which need numbers, fall back to the unit probe.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"mu": spelling}))
+        scenario = tmp_path / "moves.txt"
+        scenario.write_text("collapse 1\n")
+        monkeypatch.setenv("B2WEYL_CONFIG", str(config))
+        code, out = run(capsys, "orbit", "--max-level", "0")
+        assert code == 0 and "sigma" not in json_lines(out)[0]
+        assert run(capsys, "descend", "0,0,0;0,0,0;0,0,0") == (0, '{"word":[]}\n')
+        assert run(capsys, "cascade", str(scenario)) == (
+            0, '{"move":"collapse 1","gamma_coeff":[[4,0,0],[0,0,0],[0,0,0]],'
+               '"lattice":[0,0,0],"total":["4","0","0"]}\n')
 
     @pytest.mark.parametrize("text", ["[1,2]", '"orbit"', "null"])
     def test_top_level_not_an_object(self, capsys, tmp_path, monkeypatch, text):

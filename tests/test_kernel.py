@@ -30,6 +30,7 @@ from conftest import (
     REF_CARTAN_SINH,
     REF_SYMMETRIZER_3,
     SAMPLE_WEIGHTS,
+    as_rows,
     descend_reference,
     quadric_reference,
 )
@@ -74,21 +75,17 @@ def sympy_residual(coeff, cartan, symmetrizer):
 def test_quadric_matches_sympy(name, cartan, symmetrizer, data):
     rank = len(cartan)
     flat = data.draw(st.lists(entries, min_size=rank * rank, max_size=rank * rank))
-    coeff = tuple(tuple(flat[i * rank:(i + 1) * rank]) for i in range(rank))
-    form = quadric_form(MassVector(coeff), ReflectionSystem(name, cartan, symmetrizer))
-    assert form == sympy_residual(coeff, cartan, symmetrizer)
+    form = quadric_form(MassVector(tuple(flat)), ReflectionSystem(name, cartan, symmetrizer))
+    assert form == sympy_residual(as_rows(flat), cartan, symmetrizer)
 
 
 def test_membership_matches_polynomial_residual_through_depth_20():
     checked = 0
     for el in enumerate_orbit(20):
-        rows = [list(row) for row in el.sigma.coeff]
+        coeff = el.sigma.coeff
         vectors = [el.sigma]
-        for i in range(3):
-            for j in range(3):
-                rows[i][j] += 4
-                vectors.append(MassVector(tuple(map(tuple, rows))))
-                rows[i][j] -= 4
+        for k in range(9):
+            vectors.append(MassVector(coeff[:k] + (coeff[k] + 4,) + coeff[k + 1:]))
         for sigma in vectors:
             flag = is_member_gamma_N(sigma).quadric_zero
             values = [(eval_at(sigma, Weights.numeric(*mu)), mu) for mu in SAMPLE_WEIGHTS]
@@ -101,8 +98,8 @@ def test_membership_matches_polynomial_residual_through_depth_20():
        st.tuples(positive_rationals, positive_rationals, positive_rationals))
 @settings(deadline=None)
 def test_eval_at_matches_fraction_sum(flat, mu):
-    sigma = MassVector((tuple(flat[0:3]), tuple(flat[3:6]), tuple(flat[6:9])))
-    expected = tuple(sum((F(c) * m for c, m in zip(sigma.coeff[i], mu)), F(0))
+    sigma = MassVector(tuple(flat))
+    expected = tuple(sum((F(c) * m for c, m in zip(flat[3 * i:3 * i + 3], mu)), F(0))
                      for i in range(3))
     got = eval_at(sigma, Weights.numeric(*mu))
     assert got == expected
@@ -120,4 +117,4 @@ def test_descent_matches_reference_under_random_probes(sigma, mu):
     # The word takes no probe; the reference picks it by the measure at mu.
     word = descend_to_origin(sigma)
     assert apply_word(sigma, word) == ZERO
-    assert word == descend_reference(sigma.coeff, mu)
+    assert word == descend_reference(as_rows(sigma.coeff), mu)

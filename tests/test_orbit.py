@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from b2weyl import algebra, cli, orbit
 from b2weyl.algebra import (B2, CARTAN_MATRIX, SYMMETRIZER, MassVector, ReflectionSystem,
-                            Weights, ZERO, _rows, _word_map, apply_word, quadric_form, reflect)
+                            Weights, ZERO, _word_map, apply_word, quadric_form, reflect)
 from b2weyl.closedform import (ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY, closed_form_eval,
                                invert_to_closed_form)
 from b2weyl.orbit import (
@@ -29,7 +29,7 @@ from b2weyl.orbit import (
 )
 from b2weyl.sinh import SINH
 from b2weyl.weyl2 import APPENDIX_UV, PAIR_12, PAIR_13, PAIR_23, SUBSYSTEMS
-from conftest import admissible_parameters, mv, wall_count
+from conftest import admissible_parameters, as_rows, mv, wall_count
 
 
 # The reflection tree through depth two, plus the unique depth-three
@@ -96,7 +96,7 @@ class TestEnumerate:
         elements = list(walk)
         assert walk.pruned
         assert walk.truncated
-        assert all(v <= 8 for el in elements for row in el.sigma.coeff for v in row)
+        assert all(v <= 8 for el in elements for v in el.sigma.coeff)
         assert elements == enumerate_orbit(4, max_coefficient=8)
 
     def test_unbounded_small_run_reports_unexhausted(self):
@@ -292,7 +292,7 @@ def test_deep_descent_reaches_the_origin_in_the_wall_count(cid):
 def test_descent_reaches_the_origin_from_every_certified_matrix_in_a_box():
     # Inputs found by the certificate alone, with no orbit membership
     # assumed: every coefficient matrix with entries in {0, 4, 8}.
-    box = (MassVector((e[0:3], e[3:6], e[6:9])) for e in itertools.product((0, 4, 8), repeat=9))
+    box = (MassVector(e) for e in itertools.product((0, 4, 8), repeat=9))
     certified = [sigma for sigma in box if is_member_gamma_N(sigma).member]
     assert len(certified) == 28
     for sigma in certified:
@@ -323,7 +323,7 @@ def certificate_search(bound):
                     c = ((a1 + c31, a2 + c32, a3 + c33), (b1 + c31, b2 + c32, b3 + c33),
                          (c31, c32, c33))
                     if min(map(min, c)) >= 0:
-                        found.append((tuple(tuple(4 * v for v in row) for row in c),
+                        found.append((tuple(4 * v for row in c for v in row),
                                       a1 + a2 + a3, b1 + b2 + b3))
     return found
 
@@ -343,8 +343,8 @@ def test_every_certified_matrix_in_the_bound_10_box_is_a_closed_form():
         assert invert_to_closed_form(sigma)[1:] == (m1, m2)
 
     def in_box(coeff):
-        top = coeff[2]
-        return all(abs(v - t) <= 40 for row in coeff[:2] for v, t in zip(row, top))
+        *rows, top = as_rows(coeff)
+        return all(abs(v - t) <= 40 for row in rows for v, t in zip(row, top))
 
     closed_forms = {closed_form_eval((ell, m1, m2)).coeff
                     for ell in TYPE_BY_FAMILY for m1, m2 in admissible_parameters(ell, 30)}
@@ -395,8 +395,8 @@ def test_each_certificate_case_is_its_closed_form(case):
         c33, odd = divmod(a[2] ** 2 + b[2] ** 2, 2)
         assert not odd
         c3 = (a[0] ** 2 + b[0] ** 2 - a[0], a[1] ** 2 + b[1] ** 2 - b[1], c33)
-        sigma = MassVector(tuple(tuple(4 * (d + t) for d, t in zip(row, c3))
-                                 for row in (a, b, (0, 0, 0))))
+        sigma = MassVector(tuple(4 * (d + t) for row in (a, b, (0, 0, 0))
+                                 for d, t in zip(row, c3)))
         assert not any(quadric_form(sigma)) and is_member_gamma_N(sigma).member
         m1, m2 = 4 * a1 - x + u, 4 * b1 - y + v
         assert closed_form_eval((FAMILY_BY_TYPE[(m1 % 4, m2 % 4)], m1, m2)) == sigma
@@ -452,8 +452,7 @@ class TestRelations:
         @cache
         def basis_images(word):
             points = [tuple(int(j == k) for j in range(9)) for k in range(-1, 9)]
-            return tuple(apply_word(MassVector((p[0:3], p[3:6], p[6:9])), word)
-                         for p in points)
+            return tuple(apply_word(MassVector(p), word) for p in points)
 
         words = [w for n in range(5) for w in itertools.product((1, 2, 3), repeat=n)]
         verdicts = Counter()
@@ -543,7 +542,7 @@ def test_the_other_affine_orbits_lie_on_their_quadric(system):
     # Their grams carry halves, so quadric_form sums Fractions here.
     assert any(isinstance(g, Fraction) for row in system.gram for g in row)
     for el in OrbitWalk(system, 10):
-        assert all(v >= 0 and v % 4 == 0 for row in el.sigma.coeff for v in row)
+        assert all(v >= 0 and v % 4 == 0 for v in el.sigma.coeff)
         assert not any(quadric_form(el.sigma, system))
 
 
@@ -595,7 +594,7 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
     and whether the last level found nothing new.  Each case is built
     once per session and shared by the tests that read it.
     """
-    origin = MassVector(((0,) * system.rank,) * system.rank)
+    origin = MassVector((0,) * system.rank ** 2)
     found = {origin: (0, None, 0)}
     frontier = [origin]
     pruned = False
@@ -607,7 +606,7 @@ def reference_bfs(system: ReflectionSystem, max_level: int, max_coefficient: int
                 if child in found:
                     continue
                 if max_coefficient is not None and any(
-                        v > max_coefficient for row in child.coeff for v in row):
+                        v > max_coefficient for v in child.coeff):
                     pruned = True
                     continue
                 found[child] = (level, sigma, index)
@@ -724,7 +723,8 @@ def test_a_descent_never_raises_an_entry_of_its_row(system, depth, edges):
             child = reflect(sigma, i + 1, system)
             if levels.get(child) == level - 1:
                 seen += 1
-                assert all(c <= p for c, p in zip(child.coeff[i], sigma.coeff[i]))
+                assert all(c <= p for c, p in zip(as_rows(child.coeff)[i],
+                                                  as_rows(sigma.coeff)[i]))
     assert seen == edges
 
 
@@ -828,7 +828,7 @@ def test_walk_carries_each_elements_row_sums():
     # level and word.  The entry's matrix is flat, row-major.
     for _, entries in OrbitWalk(B2, 24, 64).levels():
         for coeff, _, sums in entries:
-            assert sums == MassVector(_rows(coeff)).coefficient_sums()
+            assert sums == MassVector(coeff).coefficient_sums()
     assert OrbitElement._fields == ("sigma", "level", "word")
 
 
@@ -858,13 +858,13 @@ def test_levels_and_iteration_agree_element_for_element(monkeypatch, depth, boun
         matrices = [coeff for coeff, _, _ in level_entries]
         assert matrices == sorted(matrices) and len(set(matrices)) == len(matrices)
         # The flat row-major order is the order of the matrices' rows.
-        assert sorted(map(_rows, matrices)) == list(map(_rows, matrices))
+        assert sorted(map(as_rows, matrices)) == list(map(as_rows, matrices))
         entries += [(coeff, level, word, sums) for coeff, word, sums in level_entries]
     assert len(entries) == len(elements) == count
     for (coeff, level, word, sums), el in zip(entries, elements):
         assert type(coeff) is tuple and len(coeff) == 9 and all(type(v) is int for v in coeff)
         assert type(word) is str and word == ",".join(map(str, el.word))
-        assert (MassVector(_rows(coeff)), level) == (el.sigma, el.level)
+        assert (MassVector(coeff), level) == (el.sigma, el.level)
         assert sums == el.sigma.coefficient_sums()
     assert after_levels == after_elements == (count, pruned, exhausted, pruned or not exhausted)
     # A new run through levels() starts the totals afresh, as iteration
@@ -889,7 +889,7 @@ def test_walk_words_are_the_reversed_descent_words():
     walk = OrbitWalk(B2, 64)
     for _, entries in checked_levels(walk):
         for coeff, word, _ in entries:
-            descent = descend_to_origin(MassVector(_rows(coeff)))
+            descent = descend_to_origin(MassVector(coeff))
             assert word == ",".join(map(str, reversed(descent)))
     assert walk.count == 5548
 
@@ -915,8 +915,8 @@ def test_a_tied_row_sum_raises():
     # (4, 0, 0) from anywhere: applied again at level 1 it leaves the row
     # sum 4 unchanged, and the walk must refuse to order that edge.  The
     # copy is patched, never B2 itself.
-    # The error shows the matrix as rows, as the walk's entries carried it
-    # before they were flat; the text is pinned whole.
+    # The error shows the flat matrix as rows, as vectors and walk entries
+    # carried it before they were flat; the text is pinned whole.
     tied = copy.copy(B2)
     object.__setattr__(tied, "row_maps", ((),) + B2.row_maps[1:])
     with pytest.raises(ValueError) as raised:
@@ -948,8 +948,8 @@ def reflections(draw):
     system = draw(st.sampled_from([B2, SINH, *SUBSYSTEMS.values()]))
     rows = st.lists(st.integers(min_value=-200, max_value=200),
                     min_size=system.rank, max_size=system.rank)
-    coeff = tuple(tuple(draw(rows)) for _ in range(system.rank))
-    return system, MassVector(coeff), draw(st.integers(min_value=1, max_value=system.rank))
+    sigma = mv([draw(rows) for _ in range(system.rank)])
+    return system, sigma, draw(st.integers(min_value=1, max_value=system.rank))
 
 
 @given(reflections())
@@ -958,6 +958,6 @@ def test_reflect_changes_only_the_reflected_row(case):
     # The walk bounds only the new row and updates only that row's sum:
     # both rest on this fact, for every system.
     system, sigma, index = case
-    image = reflect(sigma, index, system)
+    image, before = as_rows(reflect(sigma, index, system).coeff), as_rows(sigma.coeff)
     i = index - 1
-    assert image.coeff[:i] + image.coeff[i + 1:] == sigma.coeff[:i] + sigma.coeff[i + 1:]
+    assert image[:i] + image[i + 1:] == before[:i] + before[i + 1:]

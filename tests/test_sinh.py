@@ -4,15 +4,17 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import B2, MassVector, _rows, eval_at, quadric_form, reflect
-from b2weyl.closedform import FAMILY_BY_TYPE, closed_form_eval
+from b2weyl import sinh
+from b2weyl.algebra import B2, MassVector, eval_at, quadric_form, reflect
+from b2weyl.closedform import _F, FAMILY_BY_TYPE, closed_form_eval
 from b2weyl.orbit import OrbitWalk
 from b2weyl.sinh import SINH, sinh_closed_form, sinh_invert, sinh_orbit
-from conftest import REF_CARTAN_SINH, SAMPLE_WEIGHTS, chain_rows, mv, reflect_reference
+from conftest import (REF_CARTAN_SINH, SAMPLE_WEIGHTS, as_rows, chain_rows, mv,
+                      reflect_reference)
 
 F = Fraction
 
-ZERO2 = MassVector(((0, 0), (0, 0)))
+ZERO2 = MassVector((0, 0, 0, 0))
 
 
 class TestReflect:
@@ -55,9 +57,8 @@ class TestClosedForm:
     def test_entries_nonnegative_multiples_of_four(self):
         for m in range(-50, 51):
             sigma = sinh_closed_form(m)
-            for row in sigma.coeff:
-                for v in row:
-                    assert v >= 0 and v % 4 == 0
+            for v in sigma.coeff:
+                assert v >= 0 and v % 4 == 0
 
     def test_quadric_holds_identically(self):
         for m in range(-50, 51):
@@ -105,9 +106,9 @@ class TestOrbit:
         # each matrix flat, row-major.
         walk = []
         for n, entries in OrbitWalk(SINH, 200).levels():
-            rows = [_rows(coeff) for coeff, _, _ in entries]
-            assert sorted(sinh_invert(MassVector(coeff)) for coeff in rows) == sorted({n, -n})
-            walk += rows
+            level = [coeff for coeff, _, _ in entries]
+            assert sorted(sinh_invert(MassVector(coeff)) for coeff in level) == sorted({n, -n})
+            walk += level
         matrices = [sigma.coeff for sigma in sinh_orbit(200)]
         assert matrices == walk == sorted(matrices) and len(matrices) == 401
 
@@ -158,7 +159,23 @@ class TestDiagonalOfB2:
         for m in range(-500, 501):
             d = m if m % 2 else -m
             full = closed_form_eval((FAMILY_BY_TYPE[(d % 4, d % 4)], d, d))
-            assert sinh_closed_form(m) == mv(chain_rows(m)) == MassVector(fold(full.coeff))
+            assert sinh_closed_form(m) == mv(chain_rows(m)) == mv(fold(as_rows(full.coeff)))
+
+    def test_the_folded_tables_depend_on_the_parity_alone(self):
+        # The fold of a family table, written out here: rows 1 and 3, each
+        # with its first two entries added, each entry (a, b, c, d, e) of
+        # (m1^2, m1, m2^2, m2, 1) as (a + c, b + d, 0, 0, e) on m1 = m2.
+        def folded(r):
+            first, _, third = _F[FAMILY_BY_TYPE[(r, r)]]
+            rows = ((tuple(map(sum, zip(first[0], first[1]))), first[2]),
+                    (tuple(map(sum, zip(third[0], third[1]))), third[2]))
+            return tuple(tuple((a + c, b + d, 0, 0, e) for a, b, c, d, e in row) for row in rows)
+
+        # Types (r, r) and (r + 2, r + 2) fold alike, so sinh keeps one table
+        # per parity of d, and one kernel each.
+        assert folded(0) == folded(2) == sinh._CHAIN[0]
+        assert folded(1) == folded(3) == sinh._CHAIN[1]
+        assert folded(0) != folded(1) and len(sinh._CHAIN) == 2
 
 
 class TestUnitWeights:

@@ -34,16 +34,16 @@ CASES = [
      "ReflectionSystem(name='r1', cartan=((Fraction(1, 1),),), symmetrizer=(1,))"),
     (Weights, {"values": (F(1, 2), F(1), F(3))}, ("scaled",),
      "Weights(values=(Fraction(1, 2), Fraction(1, 1), Fraction(3, 1)))"),
-    (MassVector, {"coeff": ((4, 0), (0, 8))}, (), "MassVector(coeff=((4, 0), (0, 8)))"),
-    (OrbitElement, {"sigma": MassVector(((4,),)), "level": 1, "word": (1,)}, (),
-     "OrbitElement(sigma=MassVector(coeff=((4,),)), level=1, word=(1,))"),
+    (MassVector, {"coeff": (4, 0, 0, 8)}, (), "MassVector(coeff=(4, 0, 0, 8))"),
+    (OrbitElement, {"sigma": MassVector((4,)), "level": 1, "word": (1,)}, (),
+     "OrbitElement(sigma=MassVector(coeff=(4,)), level=1, word=(1,))"),
     (MembershipCertificate, {"nonneg": True, "div4": False, "quadric_zero": False}, (),
      "MembershipCertificate(nonneg=True, div4=False, quadric_zero=False)"),
     (SatelliteMerge, {"mass": (4, 8, 0)}, ("shift", "text"), "SatelliteMerge(mass=(4, 8, 0))"),
     (Collapse, {"subset": (1, 3), "variant": "i3"}, ("row_map", "text"),
      "Collapse(subset=(1, 3), variant='i3')"),
     (CascadeState, {"gamma": ZERO, "lattice": (1, 2, 3), "probe": HALF}, ("values",),
-     "CascadeState(gamma=MassVector(coeff=((0, 0, 0), (0, 0, 0), (0, 0, 0))), "
+     "CascadeState(gamma=MassVector(coeff=(0, 0, 0, 0, 0, 0, 0, 0, 0)), "
      "lattice=(1, 2, 3), probe=Weights(values=(Fraction(1, 2), Fraction(1, 1), "
      "Fraction(3, 1))))"),
     (Subsystem, {"name": "s1", "cartan": RANK_ONE, "symmetrizer": (1,), "expected_size": 2},
@@ -168,8 +168,9 @@ def tampered_pickle(x, old: bytes, new: bytes) -> bytes:
 
 @pytest.mark.parametrize("data,detail", [
     (tampered_pickle(Collapse((1, 3), "i3"), b"Vi3\n", b"Vzz\n"), "needs a variant"),
-    (tampered_pickle(MassVector(((4, 0), (0, 8))), b"I8\n", b"I8\nI9\n"),
-     "coefficient matrix must be 2x2"),
+    # One entry more: five, not a square.
+    (tampered_pickle(MassVector((4, 0, 0, 8)), b"I8\n", b"I8\nI9\n"),
+     "needs a square number of entries, got 5"),
 ], ids=["Collapse-bad-variant", "MassVector-not-square"])
 def test_a_tampered_pickle_is_refused_at_load(data, detail):
     with pytest.raises(ValueError, match=detail):

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from b2weyl.algebra import (MassVector, Weights, ZERO, _rows, apply_word, eval_at, quadric_form,
-                            reflect)
+from b2weyl.algebra import MassVector, Weights, ZERO, apply_word, eval_at, quadric_form, reflect
 from b2weyl.orbit import OrbitWalk
 from b2weyl.weyl2 import (
     APPENDIX_UV,
@@ -18,7 +17,7 @@ from b2weyl.weyl2 import (
     finite_orbit,
 )
 from conftest import (APPENDIX_C_COEFFS, REF_CARTAN_3, REF_SUBSYSTEMS, REF_SYMMETRIZER_3,
-                      longest_element)
+                      as_rows, longest_element)
 
 F = Fraction
 
@@ -41,14 +40,25 @@ class TestOrbitSizes:
         # carries them and as rows alike.
         walk = OrbitWalk(SUBSYSTEMS[name], 16)
         flat = [coeff for _, entries in walk.levels() for coeff, _, _ in entries]
-        matrices = [_rows(coeff) for coeff in flat]
-        assert walk.exhausted and flat == sorted(flat)
-        assert matrices == sorted(matrices) == finite_orbit(SUBSYSTEMS[name])
+        matrices = [as_rows(coeff) for coeff in flat]
+        assert walk.exhausted and flat == sorted(flat) and matrices == sorted(matrices)
+        assert tuple(flat) == finite_orbit(SUBSYSTEMS[name])
+
+    @pytest.mark.parametrize("name", sorted(SUBSYSTEMS))
+    def test_each_orbit_is_walked_once_and_kept(self, name):
+        # The orbit is fixed by its subsystem: a tuple of flat 2x2 matrices,
+        # the same object on every call, an equal subsystem's too.
+        sub = SUBSYSTEMS[name]
+        orbit = finite_orbit(sub)
+        assert type(orbit) is tuple and orbit
+        assert all(type(coeff) is tuple and len(coeff) == 4 for coeff in orbit)
+        assert finite_orbit(sub) is orbit
+        assert finite_orbit(Subsystem(*(getattr(sub, f) for f in sub._fields))) is orbit
 
     def test_appendix_orbit_matches_the_transcribed_table(self):
         # APPENDIX_C_COEFFS is typed in from the paper's appendix, apart
         # from the walk; the computed orbit must be exactly that table.
-        assert sorted(finite_orbit(APPENDIX_UV)) == sorted(APPENDIX_C_COEFFS)
+        assert sorted(map(as_rows, finite_orbit(APPENDIX_UV))) == sorted(APPENDIX_C_COEFFS)
 
 
 # The ordered B2(1) node pair each subsystem restricts to.
@@ -68,27 +78,26 @@ class TestParabolicSubsystems:
     @pytest.mark.parametrize("name", sorted(NODES))
     def test_orbit_is_the_parabolic_orbit_of_b2(self, name):
         # The origin's orbit under B2(1)'s generators i and j alone, read on
-        # rows and columns (i, j), is the subsystem's orbit.
+        # rows and columns (i, j), row-major, is the subsystem's orbit.
         i, j = NODES[name]
         seen = frontier = {ZERO}
         while frontier:
             frontier = {reflect(sigma, k) for sigma in frontier for k in (i, j)} - seen
             seen = seen | frontier
-        restricted = {tuple(tuple(sigma.coeff[r - 1][c - 1] for c in (i, j)) for r in (i, j))
+        restricted = {tuple(sigma.coeff[3 * r + c - 4] for r in (i, j) for c in (i, j))
                       for sigma in seen}
         assert restricted == set(finite_orbit(SUBSYSTEMS[name]))
 
 
 class TestPair12:
     def test_orbit_is_the_klein_rectangle(self):
-        expected = {((0, 0), (0, 0)), ((4, 0), (0, 0)),
-                    ((0, 0), (0, 4)), ((4, 0), (0, 4))}
+        expected = {(0, 0, 0, 0), (4, 0, 0, 0), (0, 0, 0, 4), (4, 0, 0, 4)}
         assert set(finite_orbit(PAIR_12)) == expected
 
 
 class TestPair13:
     def test_longest_element(self):
-        assert longest_element(PAIR_13) == ((8, 8), (4, 8))
+        assert longest_element(PAIR_13) == (8, 8, 4, 8)
 
     def test_longest_element_matches_embedded_braid_word(self):
         # Embedding the pair back into three components with the idle
@@ -115,12 +124,12 @@ class TestQuadric:
 class TestAppendixOrbit:
     def test_contains_single_reflection_images(self):
         orbit = set(finite_orbit(APPENDIX_UV))
-        assert ((4, 0), (0, 0)) in orbit
-        assert ((4, 0), (8, 4)) in orbit
+        assert (4, 0, 0, 0) in orbit
+        assert (4, 0, 8, 4) in orbit
 
     def test_longest_element(self):
         # Part (a) reads it as the orbit's last element.
-        assert longest_element(APPENDIX_UV) == finite_orbit(APPENDIX_UV)[-1] == ((8, 4), (8, 8))
+        assert longest_element(APPENDIX_UV) == finite_orbit(APPENDIX_UV)[-1] == (8, 4, 8, 8)
 
 
 class TestAppendixTable:
