@@ -87,9 +87,11 @@ class ReflectionSystem(Frozen):
     is 2A, integral so reflections never leave the integers; ``row_maps``
     holds each generator's row map, the nonzero (j, w_ij) of w = I - 2A;
     ``gram``, D*A symmetrized (ints where integral), is the quadric matrix.
+    The hash, of the field tuple as for every value type, is computed once
+    and kept, so a cache keyed on a system hashes no ``Fraction`` on a hit.
     """
 
-    __slots__ = ("name", "cartan", "symmetrizer", "rank", "doubled", "row_maps", "gram")
+    __slots__ = ("name", "cartan", "symmetrizer", "rank", "doubled", "row_maps", "gram", "_hash")
     _fields = ("name", "cartan", "symmetrizer")
 
     name: str
@@ -118,6 +120,10 @@ class ReflectionSystem(Frozen):
             row_maps=tuple(tuple((j, (i == j) - v) for j, v in enumerate(row) if v != (i == j))
                            for i, row in enumerate(doubled)),
             gram=tuple(tuple(int(g) if g.denominator == 1 else g for g in row) for row in gram))
+        self._assign(_hash=hash(self._key()))  # a subclass sets its own fields first
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 # Coupling matrix of the three-component system.  Row 3 carries halves, so
@@ -254,12 +260,13 @@ def _compile(source: str, filename: str, **names: object) -> Callable:
     """The function ``kernel`` that the generated ``source`` defines, compiled as ``filename``.
 
     The one compiler of the generated code: the walk step
-    (``orbit._expander``), the closed-form kernels (``closedform._kernel``)
-    and the collapse kernels (``cascade._collapse_kernel``).  The kernel's
-    globals are ``names`` alone, beside ``__builtins__`` and ``kernel``
-    itself.  One cache rule holds for every kernel: its getter is wrapped
-    in ``functools.cache`` and keyed on the integers its source is written
-    from, so equal integers share one kernel and others get their own.
+    (``orbit._expander``), the closed-form and chain kernels
+    (``closedform._kernel``, ``sinh._chain``) and the collapse kernels
+    (``cascade._collapse_kernel``).  The kernel's globals are ``names``
+    alone, beside ``__builtins__`` and ``kernel`` itself.  One cache rule
+    holds for every kernel: its getter is a ``functools.cache`` on what
+    names the integers its source is written from -- a family index, a
+    chain parity, or the row maps -- so each is compiled once.
     """
     namespace = dict(names)
     exec(compile(source, filename, "exec"), namespace)

@@ -200,14 +200,14 @@ def _csv_level(lines: list, level: int, entries, scaled) -> None:
     """Append the CSV row of each of a level's walk entries to ``lines``.
 
     Each row's id is read off its row sums, and its matrix is compared
-    exactly with its family kernel's nine entries; the kernels are fetched
-    under ``closedform._family_entries``' rule.  A row sum outside 4Z, an
+    exactly with its family kernel's nine entries (``closedform._kernel``,
+    fetched once per level by family index).  A row sum outside 4Z, an
     inadmissible pair or a mismatch goes to ``closedform.invert_rows``,
     whose checks are these three, so it raises its own error.
     """
     template = str(level) + _CSV_ROW + ("" if scaled is None else _CSV_SIGMA) + "\n"
     append = lines.append
-    kernels = [ell and closedform._family_kernel(ell) for ell in _FAMILIES]
+    kernels = [ell and closedform._kernel(ell) for ell in _FAMILIES]
     for coeff, word, sums in entries:
         s1, s2, s3 = sums
         m1, m2 = (s1 - s3) >> 2, (s2 - s3) >> 2
@@ -320,27 +320,23 @@ def _rank_two_texts(coeff, scaled) -> list[str]:
 
 
 def cmd_sinh(args) -> int:
-    # The weights are scaled once per request; each record is one template.
+    # The weights are scaled once per request; each record is one template,
+    # filled from the chain's (m, coeff) pairs.
     scaled = _read_pair(args.mu) if args.mu else None
     template = ('{"coeff":[[%d,%d],[%d,%d]],"m":%d,"level":%d'
                 + ("" if scaled is None else ',"sigma":["%s","%s"]') + "}\n")
 
-    def record(vec: MassVector) -> str:
-        m = sinh.sinh_invert(vec)
-        fields = (*vec.coeff, m, abs(m))
-        if scaled is not None:
-            fields += tuple(_rank_two_texts(vec.coeff, scaled))
-        return template % fields
-
     if args.closed_form is not None:
-        sys.stdout.write(record(sinh.sinh_closed_form(args.closed_form)))
-        return 0
-    if args.max_level is None:
+        records = [(args.closed_form, sinh.sinh_closed_form(args.closed_form).coeff)]
+    elif args.max_level is None:
         raise UsageError("sinh needs --max-level or --closed-form")
-    if args.max_level < 0:
+    elif args.max_level < 0:
         raise UsageError(f"--max-level must be >= 0, got {args.max_level}")
-    for vec in sinh.sinh_orbit(args.max_level):
-        sys.stdout.write(record(vec))
+    else:
+        records = sinh.sinh_orbit(args.max_level)
+    for m, coeff in records:
+        texts = () if scaled is None else _rank_two_texts(coeff, scaled)
+        sys.stdout.write(template % (*coeff, m, abs(m), *texts))
     return 0
 
 

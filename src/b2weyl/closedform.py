@@ -7,7 +7,7 @@ element's type; (ell, m1, m2) is its id.  ``_F`` holds the coefficients
 as integers in quarter units, built at import from the orbit itself
 (``_derive_families``), and is evaluated without rationals, by one
 straight-line kernel per family generated from its integers
-(``_family_entries``), and ``sinh`` reads its chain off the same kernels.
+(``_kernel``), and ``sinh`` reads its chain off the same tables.
 
 Proof.  Generator i moves (m1, m2) by the reflection in m1 = 1/2,
 m2 = 1/2 or m1 + m2 = -1, the walls of the alcove A0 around (0, 0): to
@@ -85,29 +85,7 @@ def closed_form_eval(cid: tuple[int, int, int]) -> MassVector:
     if (m1 % 4, m2 % 4) != tag:
         raise ValueError(
             f"inadmissible ({ell},{m1},{m2}): parameters are not congruent to {tag} mod 4")
-    return MassVector(_family_entries(ell, m1, m2))
-
-
-def _family_entries(ell: int, m1: int, m2: int) -> tuple[int, ...]:
-    """Family ``ell`` at (m1, m2), flat and row-major, checked to lie in 4N entry by entry.
-
-    The work is done by the kernel of the table ``_F[ell]`` holds now
-    (``_family_kernel``), cached on the family and the table's integers:
-    a different table swapped into ``_F`` gets its own kernel, and an
-    equal copy shares the kernel of the table it equals.  Hashing the table for that key
-    costs about 0.28 us a call: 0.76 to 1.05 us, best of 5 runs of 200,000
-    calls on Python 3.11.7 and 2 vCPU, against about 10 us for a whole
-    in-process ``check`` request.  An entry is a nonnegative
-    multiple of four exactly when its quarter-unit value is a nonnegative
-    multiple of 16; any other value raises ValueError, naming the first
-    failing entry in row-major order, and a non-integer one as such.
-    """
-    return _family_kernel(ell)(m1, m2)
-
-
-def _family_kernel(ell: int) -> Callable[[int, int], tuple[int, ...]]:
-    """The kernel of the table that ``_F[ell]`` holds now, under ``_family_entries``' rule."""
-    return _kernel(ell, _F[ell])
+    return MassVector(_kernel(ell)(m1, m2))
 
 
 # A kernel's source.  Each entry is a quarter-unit value e_k, built on the
@@ -126,13 +104,16 @@ _KERNEL = """def kernel(m1, m2):
 
 
 @cache
-def _kernel(ell: int, table: tuple) -> Callable[[int, int], tuple[int, ...]]:
-    """``_kernel_source(ell, table)``, compiled.
+def _kernel(ell: int) -> Callable[[int, int], tuple[int, ...]]:
+    """Family ``ell``'s kernel: ``_kernel_source(ell, _F[ell])``, compiled on first use.
 
-    ``kernel(m1, m2)`` returns the nine entries, flat, or hands their
-    quarter values to ``_reject``.
+    ``kernel(m1, m2)`` returns the nine entries, flat and row-major, or
+    hands their quarter values to ``_reject``, which raises ValueError
+    for the first, in row-major order, that is not a nonnegative multiple
+    of 16 (an entry in 4N), naming a non-integer entry as such.  The cache
+    is keyed on the family index alone, as ``_F`` is fixed after import.
     """
-    return _compile(_kernel_source(ell, table), "<closed form %d>" % ell, _reject=_reject)
+    return _compile(_kernel_source(ell, _F[ell]), "<closed form %d>" % ell, _reject=_reject)
 
 
 def _kernel_source(ell: int, table: tuple) -> str:
@@ -188,7 +169,7 @@ def invert_rows(coeff: tuple[int, ...], sums: tuple[int, ...]) -> ClosedFormId:
     """
     tag, m1, m2 = parameters_from_sums(sums)
     ell = FAMILY_BY_TYPE[tag]
-    if _family_entries(ell, m1, m2) != coeff:
+    if _kernel(ell)(m1, m2) != coeff:
         raise ValueError(f"vector is not representable by family {ell} at ({m1},{m2})")
     return ClosedFormId(ell, m1, m2)
 
@@ -274,6 +255,7 @@ def _derive_families() -> dict[int, tuple[tuple[tuple[int, ...], ...], ...]]:
 
 
 # Entry encoding: coefficients of (m1^2, m1, m2^2, m2, 1), in units of 1/4:
-# each integer is four times the family's rational coefficient.
+# each integer is four times the family's rational coefficient.  Fixed after
+# import: ``_kernel`` reads a table once, when it compiles its kernel.
 _F = _derive_families()
 

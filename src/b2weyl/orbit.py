@@ -105,9 +105,9 @@ class OrbitWalk:
     The loop over a level is a step generated for the system: Python source
     built from the integers of ``row_maps`` and ``doubled`` alone and
     compiled by ``algebra._compile`` under its one cache rule, keyed on
-    those two tuples (``_expander``), so a copy of a system with patched
-    row maps gets its own step, and the system's name comes in at call
-    time.  Per element it unpacks the flat matrix's entries
+    what names those integers, the two tuples themselves (``_expander``),
+    so a copy of a system with patched row maps gets its own step, and
+    the system's name comes in at call time.  Per element it unpacks the flat matrix's entries
     and the row sums and takes each generator's rise
     d_i = sum_j w_ij * sum_j + 4 - sum_i as one integer expression; then,
     generator by generator, it raises on a tie or builds, as unrolled

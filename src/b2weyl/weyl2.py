@@ -30,8 +30,8 @@ class Subsystem(ReflectionSystem):
 
     def __init__(self, name: str, cartan: tuple[tuple[Fraction, ...], ...],
                  symmetrizer: tuple[int, ...], expected_size: int) -> None:
-        super().__init__(name, cartan, symmetrizer)
         self._assign(expected_size=expected_size)
+        super().__init__(name, cartan, symmetrizer)
 
 
 def _restrict(name: str, nodes: tuple[int, int], expected_size: int) -> Subsystem:

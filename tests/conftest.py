@@ -16,6 +16,9 @@ from fractions import Fraction
 
 import math
 
+import pytest
+
+from b2weyl import closedform
 from b2weyl.algebra import ZERO, MassVector, Weights, apply_word, eval_at, scaled_values
 from b2weyl.cascade import SatelliteMerge
 from b2weyl.closedform import ADMISSIBLE_TYPES, FAMILY_BY_TYPE, TYPE_BY_FAMILY, ClosedFormId
@@ -185,6 +188,27 @@ def family_rows(table, ell, m1, m2):
             row.append(quarter // 4)
         rows.append(tuple(row))
     return tuple(rows)
+
+
+@pytest.fixture
+def swap_family():
+    """``swap(ell, table)`` puts ``table`` in ``closedform._F[ell]`` for one test.
+
+    The engine fixes ``_F`` after import and caches each family's kernel on
+    its index alone (``closedform._kernel``), so the cache is cleared on
+    entry, after each swap and on exit, when every swapped table is put back.
+    """
+    originals = {}
+
+    def swap(ell, table):
+        originals.setdefault(ell, closedform._F[ell])
+        closedform._F[ell] = table
+        closedform._kernel.cache_clear()
+
+    closedform._kernel.cache_clear()
+    yield swap
+    closedform._F.update(originals)
+    closedform._kernel.cache_clear()
 
 
 def chain_rows(m):

@@ -24,7 +24,7 @@ from b2weyl.algebra import (
 )
 from b2weyl.closedform import closed_form_eval
 from b2weyl.orbit import enumerate_orbit
-from b2weyl.sinh import SINH, sinh_closed_form, sinh_orbit
+from b2weyl.sinh import SINH, sinh_closed_form
 from conftest import (SAMPLE_WEIGHTS, as_rows, assert_word_matches_reference, mv,
                       quadric_reference)
 
@@ -76,7 +76,6 @@ PRODUCERS = {
     "apply_word": (3, lambda: [apply_word(ZERO, [1, 3, 2, 3, 1])]),
     "closed_form_eval": (3, lambda: [closed_form_eval((7, -1, 2)), closed_form_eval((1, 0, 0))]),
     "sinh_closed_form": (2, lambda: [sinh_closed_form(m) for m in range(-3, 4)]),
-    "sinh_orbit": (2, lambda: list(sinh_orbit(3))),
     "enumerate_orbit": (3, lambda: [el.sigma for el in enumerate_orbit(3)]),
     "cascade.step": (3, lambda: [cascade.step(cascade.CascadeState(), move).gamma
                                  for move in cascade.parse_scenario("collapse 3\nmerge 4 0 0\n")]),

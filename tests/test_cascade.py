@@ -224,33 +224,42 @@ class TestRowMaps:
 
     def test_importing_the_cli_compiles_no_collapse_kernel(self):
         # Kernels are compiled on first use, so set-up pays for none, nor
-        # for a walk step or a family kernel.  A sinh request then compiles
-        # the two chain kernels, one per folded table, that is per parity
-        # (asking for them again compiles none), and a replay one per distinct map
-        # (collapse 13 i is collapse 1's).  All three getters keep their
-        # kernels in one functools.cache each.
+        # for a walk step, a family kernel or a chain kernel.  A sinh request
+        # then compiles the two chain kernels, one per parity, and no family
+        # kernel (asking for them again compiles none), a closedform request
+        # its one family kernel, and a replay one per distinct map (collapse
+        # 13 i is collapse 1's).  All four getters keep their kernels in one
+        # functools.cache each.
         script = ("import contextlib, io\n"
                   "import b2weyl.cli\n"
                   "from b2weyl import cascade, closedform, orbit, sinh\n"
-                  "getters = (orbit._expander, closedform._kernel, cascade._collapse_kernel)\n"
-                  "print(*(getter.cache_info().currsize for getter in getters))\n"
+                  "getters = (orbit._expander, closedform._kernel, sinh._chain,\n"
+                  "           cascade._collapse_kernel)\n"
+                  "def show():\n"
+                  "    print(*(getter.cache_info().currsize for getter in getters))\n"
+                  "show()\n"
                   "with contextlib.redirect_stdout(io.StringIO()):\n"
                   "    b2weyl.cli.main(['sinh', '--max-level', '2'])\n"
-                  "print(*(getter.cache_info().currsize for getter in getters))\n"
-                  "for r, table in enumerate(sinh._CHAIN):\n"
-                  "    closedform._kernel(r, table)\n"
-                  "print(*(getter.cache_info().currsize for getter in getters))\n"
+                  "show()\n"
+                  "print(*(sinh._chain(r).__code__.co_filename for r in (0, 1)), sep=',')\n"
+                  "show()\n"
+                  "with contextlib.redirect_stdout(io.StringIO()):\n"
+                  "    b2weyl.cli.main(['closedform', '7', '-1', '2'])\n"
+                  "show()\n"
                   "cascade.replay(cascade.parse_scenario('collapse 1\\ncollapse 3\\n'"
                   "'collapse 13 i\\ncollapse 13 e\\n'))\n"
-                  "print(*(getter.cache_info().currsize for getter in getters))\n")
+                  "show()\n")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                               env=child_env(), check=False)
-        assert (proc.returncode, proc.stdout) == (0, "0 0 0\n0 2 0\n0 2 0\n0 2 3\n"), proc.stderr
+        assert (proc.returncode, proc.stdout) == (
+            0, "0 0 0 0\n0 0 2 0\n<sinh chain 0>,<sinh chain 1>\n0 0 2 0\n0 1 2 0\n"
+               "0 1 2 3\n"), proc.stderr
 
     def test_every_kernel_sees_only_the_names_its_writer_passes(self):
         # algebra._compile gives each kernel a fixed namespace: the names
         # its writer passes, __builtins__ and the kernel itself, nothing
-        # of the module that wrote it.
+        # of the module that wrote it.  Family and chain kernels are told
+        # apart by their file names.
         def assert_globals(kernel, *names):
             assert kernel.__name__ == "kernel"
             assert set(kernel.__globals__) == {"__builtins__", "kernel", *names}
@@ -258,9 +267,11 @@ class TestRowMaps:
         for system in (B2, SINH, *SUBSYSTEMS.values(), A2_AFFINE, G2_AFFINE, A3_AFFINE):
             assert_globals(orbit._expander(system.row_maps, system.doubled), "_tie")
         for ell in closedform._F:
-            assert_globals(closedform._family_kernel(ell), "_reject")
-        for r, table in enumerate(sinh._CHAIN):
-            assert_globals(closedform._kernel(r, table), "_reject")
+            assert_globals(closedform._kernel(ell), "_reject")
+            assert closedform._kernel(ell).__code__.co_filename == "<closed form %d>" % ell
+        for r in range(len(sinh._CHAIN)):
+            assert_globals(sinh._chain(r), "_reject")
+            assert sinh._chain(r).__code__.co_filename == "<sinh chain %d>" % r
         assert len(_COLLAPSES) == 20
         for move in _COLLAPSES.values():
             assert_globals(_collapse_kernel(move.row_map))

@@ -27,8 +27,8 @@ from b2weyl.orbit import MembershipCertificate, OrbitWalk, enumerate_orbit, is_m
 from b2weyl.sinh import sinh_closed_form, sinh_orbit
 from b2weyl.weyl2 import SUBSYSTEMS, finite_orbit
 from cli_contract import CONTRACT, SRC, child_env, fill, observe
-from conftest import (APPENDIX_C_COEFFS, admissible_parameters, as_rows, mv, reference_replay,
-                      total)
+from conftest import (APPENDIX_C_COEFFS, admissible_parameters, as_rows, chain_rows, mv,
+                      reference_replay, total)
 from test_cascade import random_move
 
 
@@ -104,6 +104,7 @@ print("optimize", sys.flags.optimize)
 table = closedform._F[3]
 row = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 16,),)
 closedform._F[3] = table[:2] + (row,)
+closedform._kernel.cache_clear()
 sys.exit(cli.main(["orbit", "--max-level", "3", "--output", "csv"]))
 """
 
@@ -124,21 +125,21 @@ def test_every_csv_row_is_verified_under_optimize_flag(capsys):
     assert len(written) == 4  # the header, the origin and two level-1 rows
 
 
-def test_a_corrupted_family_fails_the_weighted_csv_rows_too(capsys, monkeypatch):
+def test_a_corrupted_family_fails_the_weighted_csv_rows_too(capsys, swap_family):
     # CORRUPTED_ORBIT_SCRIPT's table, in process and with sigma columns.
     argv = ("orbit", "--max-level", "3", "--output", "csv", "--mu", "3/2,1/3,5")
     _, clean = run(capsys, *argv)
     table = closedform._F[3]
     row = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 16,),)
-    monkeypatch.setitem(closedform._F, 3, table[:2] + (row,))
+    swap_family(3, table[:2] + (row,))
     code, out = run(capsys, *argv)
     assert code == 1
     lines = out.splitlines()
     assert json.loads(lines[-1]) == {"error": "verification",
                                      "detail": "vector is not representable by family 3 at (1,0)"}
     assert lines[:-1] == clean.splitlines()[:4]
-    # The restored table is another object again, so it gets its own kernel back.
-    monkeypatch.undo()
+    # Swapping the table back compiles its kernel again.
+    swap_family(3, table)
     assert run(capsys, *argv) == (0, clean)
 
 
@@ -519,7 +520,8 @@ def sinh_oracle(closed_form, max_level, mu):
             out["sigma"] = [str(v) for v in eval_at(vec, weights)]
         return _oracle_line(out)
 
-    vectors = [sinh_closed_form(closed_form)] if max_level is None else sinh_orbit(max_level)
+    vectors = ([sinh_closed_form(closed_form)] if max_level is None
+               else [MassVector(coeff) for _, coeff in sinh_orbit(max_level)])
     return "".join(map(record, vectors))
 
 
@@ -595,6 +597,26 @@ def test_sinh_and_weyl2_records_match_the_dict_oracle(capsys, argv, spec):
     code, out = run(capsys, *argv)
     assert code == 0
     assert out.splitlines(keepends=True) == oracle(*spec[1:]).splitlines(keepends=True)
+
+
+def test_every_sinh_record_prints_the_chain_element_of_its_m(capsys):
+    # The CLI prints the m that the chain walk hands out with each matrix,
+    # and the m it was given for --closed-form, without reading m back off
+    # the matrix; so every record is compared with the oracle chain_rows
+    # at the m it prints.
+    code, out = run(capsys, "sinh", "--max-level", "200")
+    assert code == 0
+    walked = json_lines(out)
+    assert sorted(record["m"] for record in walked) == list(range(-200, 201))
+    given = []
+    for m in range(-200, 201):
+        code, out = run(capsys, "sinh", f"--closed-form={m}")
+        assert code == 0
+        given += json_lines(out)
+    assert [record["m"] for record in given] == list(range(-200, 201))
+    for record in walked + given:
+        assert record["coeff"] == [list(row) for row in chain_rows(record["m"])]
+        assert record["level"] == abs(record["m"])
 
 
 def test_weighted_records_build_no_fraction(capsys, monkeypatch):

@@ -252,25 +252,25 @@ class TestKernels:
             for m1 in range(-24, 25):
                 for m2 in range(-24, 25):
                     want = _outcome(family_rows, closedform._F[ell], ell, m1, m2)
-                    got = _outcome(closedform._family_entries, ell, m1, m2)
+                    got = _outcome(closedform._kernel(ell), m1, m2)
                     assert got == (want if isinstance(want, str) else sum(want, ()))
                     kinds.add(want.split()[0] if isinstance(want, str) else "value")
         assert kinds == {"value", "non-integer", "entry"}
 
-    def test_a_swapped_table_gets_a_fresh_kernel(self, monkeypatch):
-        # The kernel is cached on the family and the table's integers: a
-        # different table put in its place gets its own kernel, and an
-        # equal copy shares the kernel of the table it equals.
+    def test_each_family_has_one_kernel_keyed_on_its_index(self, swap_family):
+        # ``_F`` is fixed after import, so the kernel is cached on the family
+        # index alone: fetching it again returns the same function, and a
+        # table swapped in reaches a kernel only once the cache is cleared,
+        # as swap_family does.
+        assert closedform._kernel(3) is closedform._kernel(3)
+        assert closedform._kernel(3) is not closedform._kernel(4)
         assert closed_form_eval((3, 1, 0)).coeff == (4, 0, 0, 0, 0, 0, 0, 0, 0)
         table = closedform._F[3]
         last = table[2][:2] + (table[2][2][:4] + (table[2][2][4] + 64,),)
-        monkeypatch.setitem(closedform._F, 3, table[:2] + (last,))
+        swap_family(3, table[:2] + (last,))
         assert closed_form_eval((3, 1, 0)).coeff == (4, 0, 0, 0, 0, 0, 0, 0, 16)
-        copy = tuple(map(tuple, table))
-        monkeypatch.setitem(closedform._F, 3, copy)
+        swap_family(3, table)
         assert closed_form_eval((3, 1, 0)).coeff == (4, 0, 0, 0, 0, 0, 0, 0, 0)
-        assert copy == table and copy is not table
-        assert closedform._kernel(3, copy) is closedform._kernel(3, table)
 
 
 class TestTransition:
@@ -443,7 +443,8 @@ class TestReducedWord:
 # Corrupts the constant of each of the nine family-1 entries in turn by 2,
 # 4 and -16 quarters, so that it evaluates to 1/2, 1 and -4 at (1, 0, 0);
 # every corruption must raise, also under -O, so no entry escapes the
-# kernel's 4N test.  Each swapped-in table gets its own kernel.
+# kernel's 4N test.  Clearing the kernel cache after each swap compiles the
+# swapped-in table.
 CORRUPTED_TABLE_SCRIPT = """
 import sys
 from b2weyl import closedform
@@ -454,6 +455,7 @@ for k in range(9):
         rows = [list(row) for row in original]
         rows[k // 3][k % 3] = rows[k // 3][k % 3][:4] + (rows[k // 3][k % 3][4] + bump,)
         closedform._F[1] = tuple(map(tuple, rows))
+        closedform._kernel.cache_clear()
         try:
             sigma = closedform.closed_form_eval((1, 0, 0))
         except ValueError as exc:

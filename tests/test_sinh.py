@@ -85,19 +85,30 @@ class TestClosedForm:
 
 class TestOrbit:
     def test_level_one(self):
-        assert set(sinh_orbit(1)) == {ZERO2, mv([[4, 0], [0, 0]]), mv([[0, 0], [0, 4]])}
+        assert list(sinh_orbit(1)) == [(0, (0, 0, 0, 0)), (-1, (0, 0, 0, 4)), (1, (4, 0, 0, 0))]
 
     def test_every_element_is_on_the_quadric(self):
         # sinh_orbit does not check this itself: the chain stays on the quadric.
-        orbit = list(sinh_orbit(20))
+        orbit = [MassVector(coeff) for _, coeff in sinh_orbit(20)]
         assert len(orbit) == 41
         assert not any(any(quadric_form(sigma, SINH)) for sigma in orbit)
 
     def test_orbit_equals_chain(self):
         level = 20
         orbit = set(sinh_orbit(level))
-        chain = {sinh_closed_form(m) for m in range(-level, level + 1)}
+        chain = {(m, sinh_closed_form(m).coeff) for m in range(-level, level + 1)}
         assert orbit == chain
+
+    def test_each_element_comes_with_its_own_parameter(self):
+        # The walk hands out m with each matrix, and the CLI prints it as
+        # is, so every pair is checked against the oracle chain_rows and
+        # against sinh_invert; m is a plain int and the matrix a flat
+        # 4-tuple of ints.
+        for m, coeff in sinh_orbit(300):
+            assert type(m) is int and type(coeff) is tuple
+            assert all(type(v) is int for v in coeff)
+            assert mv(chain_rows(m)).coeff == coeff
+            assert sinh_invert(MassVector(coeff)) == m
 
     def test_levels_come_out_in_sorted_order(self):
         # sinh_orbit reads the chain and sorts nothing: the shared walk's
@@ -109,7 +120,7 @@ class TestOrbit:
             level = [coeff for coeff, _, _ in entries]
             assert sorted(sinh_invert(MassVector(coeff)) for coeff in level) == sorted({n, -n})
             walk += level
-        matrices = [sigma.coeff for sigma in sinh_orbit(200)]
+        matrices = [coeff for _, coeff in sinh_orbit(200)]
         assert matrices == walk == sorted(matrices) and len(matrices) == 401
 
     def test_negative_level_is_refused(self):

@@ -55,6 +55,29 @@ class TestOrbitSizes:
         assert finite_orbit(sub) is orbit
         assert finite_orbit(Subsystem(*(getattr(sub, f) for f in sub._fields))) is orbit
 
+    def test_a_cache_hit_hashes_no_fraction(self, monkeypatch):
+        # The cache is keyed on the subsystem, whose coupling matrix holds
+        # Fractions; each system hashes its fields once, when it is built,
+        # so repeated hits, an equal subsystem's included, hash none.
+        twins = [Subsystem(*(getattr(sub, f) for f in sub._fields))
+                 for sub in SUBSYSTEMS.values()]
+        for sub in (*SUBSYSTEMS.values(), *twins):
+            finite_orbit(sub)
+        calls = []
+        original = Fraction.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        assert hash(F(1, 2)) == original(F(1, 2)) and len(calls) == 1
+        calls.clear()
+        for _ in range(100):
+            for sub in (*SUBSYSTEMS.values(), *twins):
+                assert finite_orbit(sub) is finite_orbit(SUBSYSTEMS[sub.name])
+        assert calls == []
+
     def test_appendix_orbit_matches_the_transcribed_table(self):
         # APPENDIX_C_COEFFS is typed in from the paper's appendix, apart
         # from the walk; the computed orbit must be exactly that table.
